@@ -1,6 +1,7 @@
 //! Live ingest throughput: in-process [`Session`] chunk pushes vs the
-//! full loopback TCP path, and the online localizer's linear scaling
-//! against re-running the batch DP on every growing prefix.
+//! full loopback TCP path, the online localizer's linear scaling
+//! against re-running the batch DP on every growing prefix, and the
+//! session-open layer with and without a compiled localizer program.
 
 use std::sync::Arc;
 
@@ -9,16 +10,18 @@ use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_diag::{consistent_paths, MatchMode, OnlineLocalizer};
 use pstrace_flow::{executions, FlowIndex, IndexedMessage, InterleavedFlow, MessageId};
 use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace_stream::{stream_ptw, Server, ServerConfig, Session};
-use pstrace_wire::{encode_records, write_ptw, WireRecord, WireSchema};
+use pstrace_stream::{
+    observed_messages, scenario_by_number, stream_ptw, Server, ServerConfig, Session,
+};
+use pstrace_wire::{
+    encode_records, read_ptw_header, write_ptw, write_ptw_schema, WireRecord, WireSchema,
+};
 
-/// Scenario-1 ingest fixture: the interleaved flow, its selection-derived
-/// wire schema, and a synthetic `records`-long encoded stream.
-fn setup(records: usize) -> (InterleavedFlow, WireSchema, Vec<u8>, u64) {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
+/// The interleaving of `scenario` and the wire schema of its 32-bit
+/// trace-buffer selection.
+fn selected_schema(model: &SocModel, scenario: &UsageScenario) -> (InterleavedFlow, WireSchema) {
     let buffer = TraceBufferSpec::new(32).expect("nonzero");
-    let flow = scenario.interleaving(&model).expect("interleaves");
+    let flow = scenario.interleaving(model).expect("interleaves");
     let selection = Selector::new(&flow, SelectionConfig::new(buffer))
         .select()
         .expect("selection succeeds");
@@ -28,7 +31,15 @@ fn setup(records: usize) -> (InterleavedFlow, WireSchema, Vec<u8>, u64) {
         depth: None,
     };
     let schema =
-        wirecap::wire_schema(&model, &config, buffer.width_bits()).expect("schema fits buffer");
+        wirecap::wire_schema(model, &config, buffer.width_bits()).expect("schema fits buffer");
+    (flow, schema)
+}
+
+/// Scenario-1 ingest fixture: the interleaved flow, its selection-derived
+/// wire schema, and a synthetic `records`-long encoded stream.
+fn setup(records: usize) -> (InterleavedFlow, WireSchema, Vec<u8>, u64) {
+    let model = SocModel::t2();
+    let (flow, schema) = selected_schema(&model, &UsageScenario::scenario1());
     let slots = schema.slots().to_vec();
     let stream: Vec<WireRecord> = (0..records)
         .map(|i| {
@@ -126,5 +137,47 @@ fn bench_online_localization(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest, bench_online_localization);
+/// What the daemon pays to open one session from a hello's schema
+/// bytes. `cold` is the uncached open: interleave the scenario, parse
+/// the schema, compile the localizer. `cached` parses the schema and
+/// builds the session from an already compiled program — the daemon's
+/// path on a program-cache hit.
+fn bench_session_open(c: &mut Criterion) {
+    let model = SocModel::t2();
+    let mut group = c.benchmark_group("session_open");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    for n in 1..=3 {
+        let scenario = scenario_by_number(n).expect("scenario exists");
+        let (flow, schema) = selected_schema(&model, &scenario);
+        let hello = write_ptw_schema(model.catalog(), &schema);
+        let program =
+            OnlineLocalizer::compile(&flow, &observed_messages(&schema), MatchMode::Prefix);
+
+        group.bench_function(format!("cold/scenario{n}"), |b| {
+            b.iter(|| {
+                let flow = scenario.interleaving(&model).expect("interleaves");
+                let (schema, meta, _) =
+                    read_ptw_header(model.catalog(), &hello).expect("schema parses");
+                black_box(Session::with_meta(&flow, schema, meta, MatchMode::Prefix))
+            });
+        });
+        group.bench_function(format!("cached/scenario{n}"), |b| {
+            b.iter(|| {
+                let (schema, meta, _) =
+                    read_ptw_header(model.catalog(), &hello).expect("schema parses");
+                black_box(Session::from_program(Arc::clone(&program), schema, meta))
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ingest,
+    bench_online_localization,
+    bench_session_open
+);
 criterion_main!(benches);

@@ -57,7 +57,7 @@ pub use localize::{
     consistent_paths, consistent_paths_bruteforce, localize, Localization, LocalizationStats,
     MatchMode,
 };
-pub use online::{Frontier, LocalizerCheckpoint, OnlineLocalizer};
+pub use online::{Frontier, LocalizerCheckpoint, LocalizerProgram, OnlineLocalizer};
 pub use report::{
     run_case_study, run_case_study_observed, run_case_study_routed, run_case_study_with_seed,
     CaseStudyConfig, CaseStudyReport, WireTripSummary,

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use pstrace_flow::{path_count, topological_order, IndexedMessage, InterleavedFlow, MessageId};
 
 /// How observed traces are matched against path projections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchMode {
     /// The observation is the complete projected trace of the execution
     /// (runs that terminated, unbounded trace buffer).

@@ -64,6 +64,8 @@
 //!   observation — a designed degradation, visible in the report, instead
 //!   of a permanently dead frontier.
 
+use std::sync::Arc;
+
 use pstrace_flow::{path_count, topological_order, IndexedMessage, InterleavedFlow, MessageId};
 use pstrace_obs::Registry;
 
@@ -101,7 +103,7 @@ impl Frontier {
 }
 
 /// Incoming-edge program of one product state, pre-resolved at
-/// construction so a push never touches the flow again.
+/// compile time so a push never touches the flow again.
 #[derive(Debug, Clone, Default)]
 struct Inflow {
     /// Sources of unselected incoming edges (propagate within a column).
@@ -111,11 +113,62 @@ struct Inflow {
     selected: Vec<(IndexedMessage, u32)>,
 }
 
+/// The immutable half of an [`OnlineLocalizer`]: everything that is fixed
+/// per `(flow, selected set, mode)` — topological order, per-state inflow
+/// program, continuation counts, path count and the seeded
+/// empty-observation column. Built once by [`OnlineLocalizer::compile`]
+/// and shared through an [`Arc`] by every localizer
+/// [`from_program`](OnlineLocalizer::from_program) builds, so opening
+/// another session over the same flow costs one column copy.
+#[derive(Debug)]
+pub struct LocalizerProgram {
+    mode: MatchMode,
+    /// Forward topological order of the product states.
+    topo: Vec<u32>,
+    /// Per-state incoming-edge program (indexed by state).
+    inflow: Vec<Inflow>,
+    /// Stop states (dense indices).
+    stops: Vec<u32>,
+    /// Unrestricted path count from each state to a stop state
+    /// (the Prefix-mode continuation weights).
+    to_stop: Vec<u128>,
+    /// All root-to-stop paths of the interleaving.
+    total: u128,
+    /// The column and count for the empty observation: the state every
+    /// localizer starts from and every resync returns to.
+    seed: Vec<u128>,
+    seed_consistent: u128,
+    selected: Vec<MessageId>,
+    /// The flow, kept only by [`MatchMode::Substring`] for its bounded
+    /// batch recompute.
+    flow: Option<Arc<InterleavedFlow>>,
+}
+
+impl LocalizerProgram {
+    /// The selected message set the program was compiled for.
+    #[must_use]
+    pub fn selected(&self) -> &[MessageId] {
+        &self.selected
+    }
+
+    /// Mass of `column` over the stop states.
+    fn stop_mass(&self, column: &[u128]) -> u128 {
+        self.stops
+            .iter()
+            .fold(0u128, |a, &s| a.saturating_add(column[s as usize]))
+    }
+}
+
 /// Streaming counterpart of [`localize`](crate::localize): construct it
 /// with the interleaving, the selected message set and a [`MatchMode`],
 /// then [`push`](OnlineLocalizer::push) each observed record as it
 /// arrives. After `N` pushes, [`consistent`](OnlineLocalizer::consistent)
 /// equals `consistent_paths(flow, &observed[..N], selected, mode)`.
+///
+/// A localizer is a shared, immutable [`LocalizerProgram`] plus its own
+/// DP state; [`compile`](OnlineLocalizer::compile) the program once and
+/// build any number of independent localizers from it with
+/// [`from_program`](OnlineLocalizer::from_program).
 ///
 /// # Examples
 ///
@@ -144,35 +197,26 @@ struct Inflow {
 ///     );
 /// }
 /// assert_eq!(online.consistent(), 1); // pinned down from 6 interleavings
+///
+/// // A second localizer over the same compiled program starts fresh.
+/// let program = OnlineLocalizer::compile(&u, &selected, MatchMode::Prefix);
+/// let other = OnlineLocalizer::from_program(Arc::clone(&program));
+/// assert_eq!(other.consistent(), 6);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineLocalizer {
-    mode: MatchMode,
-    /// Forward topological order of the product states.
-    topo: Vec<u32>,
-    /// Per-state incoming-edge program (indexed by state).
-    inflow: Vec<Inflow>,
-    /// Initial-state indicator per state.
-    is_initial: Vec<bool>,
-    /// Stop states (dense indices).
-    stops: Vec<u32>,
-    /// Unrestricted path count from each state to a stop state
-    /// (the Prefix-mode continuation weights).
-    to_stop: Vec<u128>,
+    program: Arc<LocalizerProgram>,
     /// The live DP column.
     column: Frontier,
     /// Scratch buffer for the next column (kept to avoid reallocation).
     scratch: Vec<u128>,
     consistent: u128,
-    total: u128,
     pushed: usize,
-    /// Substring mode keeps the observation and a flow clone for the
-    /// bounded batch recompute; empty/`None` in the other modes.
+    /// Substring mode keeps the observation for the bounded batch
+    /// recompute; empty in the other modes.
     observed: Vec<IndexedMessage>,
-    selected: Vec<MessageId>,
-    flow: Option<Box<InterleavedFlow>>,
     /// Times [`resync`](OnlineLocalizer::resync) was called.
     resyncs: usize,
     /// Records pushed before the most recent resync, when any.
@@ -181,10 +225,10 @@ pub struct OnlineLocalizer {
 
 /// A snapshot of an [`OnlineLocalizer`]'s mutable DP state, produced by
 /// [`OnlineLocalizer::checkpoint`] and reinstated by
-/// [`OnlineLocalizer::restore`]. The immutable graph program (topological
-/// order, inflow lists, continuation counts) is *not* duplicated — a
-/// checkpoint is one dense column plus counters, cheap enough to take at
-/// every chunk boundary.
+/// [`OnlineLocalizer::restore`]. The immutable [`LocalizerProgram`]
+/// (topological order, inflow lists, continuation counts) is *not*
+/// duplicated — a checkpoint is one dense column plus counters, cheap
+/// enough to take at every chunk boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalizerCheckpoint {
     column: Vec<u128>,
@@ -197,11 +241,24 @@ pub struct LocalizerCheckpoint {
 
 impl OnlineLocalizer {
     /// Builds the localizer for `flow` under the selected message set and
-    /// match mode. Construction runs two `O(states + edges)` sweeps; no
-    /// reference to `flow` is kept except in [`MatchMode::Substring`]
-    /// (which clones it for its bounded recompute).
+    /// match mode: [`compile`](OnlineLocalizer::compile) followed by
+    /// [`from_program`](OnlineLocalizer::from_program).
     #[must_use]
     pub fn new(flow: &InterleavedFlow, selected: &[MessageId], mode: MatchMode) -> Self {
+        OnlineLocalizer::from_program(OnlineLocalizer::compile(flow, selected, mode))
+    }
+
+    /// Compiles the immutable program for `flow` under the selected
+    /// message set and match mode. Compilation runs three
+    /// `O(states + edges)` sweeps; no reference to `flow` is kept except
+    /// in [`MatchMode::Substring`] (which keeps one shared copy for its
+    /// bounded recompute).
+    #[must_use]
+    pub fn compile(
+        flow: &InterleavedFlow,
+        selected: &[MessageId],
+        mode: MatchMode,
+    ) -> Arc<LocalizerProgram> {
         let n = flow.state_count();
         let topo: Vec<u32> = topological_order(flow)
             .into_iter()
@@ -243,90 +300,87 @@ impl OnlineLocalizer {
             to_stop[u as usize] = acc;
         }
 
-        let total = path_count(flow);
-        let mut this = OnlineLocalizer {
+        // The empty-observation column. Start-anchored modes close the
+        // initial states over unselected edges only (walks whose
+        // projection is exactly empty); end-anchored modes take the
+        // unrestricted walk counts (every projection ends with ε).
+        let end_anchored = matches!(mode, MatchMode::Suffix | MatchMode::Substring);
+        let mut seed = vec![0u128; n];
+        for &u in &topo {
+            let s = u as usize;
+            let mut acc = u128::from(is_initial[s]);
+            for &src in &inflow[s].unselected {
+                acc = acc.saturating_add(seed[src as usize]);
+            }
+            if end_anchored {
+                for &(_, src) in &inflow[s].selected {
+                    acc = acc.saturating_add(seed[src as usize]);
+                }
+            }
+            seed[s] = acc;
+        }
+
+        let mut program = LocalizerProgram {
             mode,
             topo,
             inflow,
-            is_initial,
             stops,
             to_stop,
-            column: Frontier { values: vec![0; n] },
-            scratch: vec![0; n],
-            consistent: 0,
-            total,
+            total: path_count(flow),
+            seed,
+            seed_consistent: 0,
+            selected: selected.to_vec(),
+            flow: (mode == MatchMode::Substring).then(|| Arc::new(flow.clone())),
+        };
+        program.seed_consistent = match mode {
+            MatchMode::Exact => program.stop_mass(&program.seed),
+            // Every path starts with / ends with / contains ε.
+            MatchMode::Prefix | MatchMode::Suffix | MatchMode::Substring => program.total,
+        };
+        Arc::new(program)
+    }
+
+    /// A fresh localizer (empty observation) over a compiled program.
+    /// Costs one column copy; the program itself is shared.
+    #[must_use]
+    pub fn from_program(program: Arc<LocalizerProgram>) -> Self {
+        OnlineLocalizer {
+            column: Frontier {
+                values: program.seed.clone(),
+            },
+            scratch: vec![0; program.seed.len()],
+            consistent: program.seed_consistent,
             pushed: 0,
             observed: Vec::new(),
-            selected: selected.to_vec(),
-            flow: (mode == MatchMode::Substring).then(|| Box::new(flow.clone())),
             resyncs: 0,
             unknown_since: None,
-        };
-        this.seed();
-        this
-    }
-
-    /// Seeds the column and count for the empty observation.
-    fn seed(&mut self) {
-        match self.mode {
-            // Start-anchored: walks whose projection is exactly empty —
-            // initial states closed over unselected edges only.
-            MatchMode::Exact | MatchMode::Prefix => {
-                for &u in &self.topo {
-                    let s = u as usize;
-                    let mut acc = u128::from(self.is_initial[s]);
-                    for &src in &self.inflow[s].unselected {
-                        acc = acc.saturating_add(self.column.values[src as usize]);
-                    }
-                    self.column.values[s] = acc;
-                }
-            }
-            // End-anchored: every projection ends with the empty
-            // observation — unrestricted walk counts from the roots.
-            MatchMode::Suffix | MatchMode::Substring => {
-                for &u in &self.topo {
-                    let s = u as usize;
-                    let mut acc = u128::from(self.is_initial[s]);
-                    for &src in &self.inflow[s].unselected {
-                        acc = acc.saturating_add(self.column.values[src as usize]);
-                    }
-                    for &(_, src) in &self.inflow[s].selected {
-                        acc = acc.saturating_add(self.column.values[src as usize]);
-                    }
-                    self.column.values[s] = acc;
-                }
-            }
+            program,
         }
-        self.consistent = match self.mode {
-            MatchMode::Exact => self.stop_mass(),
-            // Every path starts with / ends with / contains ε.
-            MatchMode::Prefix | MatchMode::Suffix | MatchMode::Substring => self.total,
-        };
     }
 
-    /// Mass of the current column over the stop states.
-    fn stop_mass(&self) -> u128 {
-        self.stops.iter().fold(0u128, |a, &s| {
-            a.saturating_add(self.column.values[s as usize])
-        })
+    /// The shared program this localizer runs.
+    #[must_use]
+    pub fn program(&self) -> &Arc<LocalizerProgram> {
+        &self.program
     }
 
     /// Advances the column by one observation in a single topological
     /// sweep. Returns the Prefix-mode decomposition sum: the selected
     /// inflow of each state weighted by its unrestricted continuation.
     fn advance(&mut self, m: IndexedMessage) -> u128 {
+        let p = &*self.program;
         let mut dot = 0u128;
-        for &u in &self.topo {
+        for &u in &p.topo {
             let s = u as usize;
             let mut matched = 0u128;
-            for &(label, src) in &self.inflow[s].selected {
+            for &(label, src) in &p.inflow[s].selected {
                 if label == m {
                     matched = matched.saturating_add(self.column.values[src as usize]);
                 }
             }
-            dot = dot.saturating_add(matched.saturating_mul(self.to_stop[s]));
+            dot = dot.saturating_add(matched.saturating_mul(p.to_stop[s]));
             let mut acc = matched;
-            for &src in &self.inflow[s].unselected {
+            for &src in &p.inflow[s].unselected {
                 acc = acc.saturating_add(self.scratch[src as usize]);
             }
             self.scratch[s] = acc;
@@ -337,17 +391,13 @@ impl OnlineLocalizer {
 
     /// Folds one observed record into the localization.
     pub fn push(&mut self, m: IndexedMessage) {
-        match self.mode {
-            MatchMode::Exact => {
+        match self.program.mode {
+            MatchMode::Exact | MatchMode::Suffix => {
                 self.advance(m);
-                self.consistent = self.stop_mass();
+                self.consistent = self.program.stop_mass(&self.column.values);
             }
             MatchMode::Prefix => {
                 self.consistent = self.advance(m);
-            }
-            MatchMode::Suffix => {
-                self.advance(m);
-                self.consistent = self.stop_mass();
             }
             MatchMode::Substring => {
                 self.advance(m);
@@ -355,9 +405,9 @@ impl OnlineLocalizer {
                 // Monotone: once no path contains the observation, no
                 // extension can match — every further push is O(1).
                 if self.consistent != 0 {
-                    let flow = self.flow.as_ref().expect("substring mode keeps the flow");
-                    self.consistent =
-                        consistent_paths(flow, &self.observed, &self.selected, self.mode);
+                    let p = &*self.program;
+                    let flow = p.flow.as_ref().expect("substring mode keeps the flow");
+                    self.consistent = consistent_paths(flow, &self.observed, &p.selected, p.mode);
                 }
             }
         }
@@ -381,7 +431,7 @@ impl OnlineLocalizer {
     /// All root-to-stop paths of the interleaving.
     #[must_use]
     pub fn total(&self) -> u128 {
-        self.total
+        self.program.total
     }
 
     /// The current [`Localization`] (consistent / total).
@@ -389,7 +439,7 @@ impl OnlineLocalizer {
     pub fn localization(&self) -> Localization {
         Localization {
             consistent: self.consistent,
-            total: self.total,
+            total: self.program.total,
         }
     }
 
@@ -402,7 +452,7 @@ impl OnlineLocalizer {
     /// The configured match mode.
     #[must_use]
     pub fn mode(&self) -> MatchMode {
-        self.mode
+        self.program.mode
     }
 
     /// The live DP column.
@@ -429,7 +479,8 @@ impl OnlineLocalizer {
 
     /// Rolls the localizer back to a state taken with
     /// [`checkpoint`](OnlineLocalizer::checkpoint) on this localizer (or
-    /// one constructed with identical `(flow, selected, mode)`).
+    /// one running the same [`LocalizerProgram`], or one compiled with
+    /// identical `(flow, selected, mode)`).
     ///
     /// # Panics
     ///
@@ -460,9 +511,9 @@ impl OnlineLocalizer {
     ///
     /// [`pushed`](OnlineLocalizer::pushed) keeps counting across resyncs.
     pub fn resync(&mut self) {
-        self.column.values.iter_mut().for_each(|v| *v = 0);
+        self.column.values.clone_from(&self.program.seed);
+        self.consistent = self.program.seed_consistent;
         self.observed.clear();
-        self.seed();
         self.resyncs += 1;
         self.unknown_since = Some(self.pushed);
     }
@@ -523,7 +574,6 @@ mod tests {
         examples::{cache_coherence, diamond},
         executions, instantiate, FlowIndex,
     };
-    use std::sync::Arc;
 
     fn product(instances: u32) -> InterleavedFlow {
         let (flow, _) = cache_coherence();

@@ -166,6 +166,77 @@ proptest! {
         }
     }
 
+    /// Two localizers built from one shared [`LocalizerProgram`] are
+    /// independent: fed different noisy observations with their pushes
+    /// interleaved, and one of them resynced midway, each still equals
+    /// batch localization of its own (post-resync) observation at every
+    /// prefix — in all four match modes.
+    ///
+    /// [`LocalizerProgram`]: pstrace_diag::LocalizerProgram
+    #[test]
+    fn localizers_sharing_a_program_match_batch_independently(
+        branching in any::<bool>(),
+        exec_idx in (0usize..24, 0usize..24),
+        pick in proptest::collection::vec(any::<bool>(), 4),
+        noise in proptest::collection::vec((0usize..12, any::<bool>()), 0..4),
+        order in proptest::collection::vec(any::<bool>(), 24),
+        resync_at in 0usize..8,
+    ) {
+        let u = if branching { branching_product() } else { product() };
+        let alphabet = u.message_alphabet();
+        let selected: Vec<MessageId> = alphabet
+            .iter()
+            .zip(&pick)
+            .filter(|(_, &p)| p)
+            .map(|(m, _)| *m)
+            .collect();
+        let execs: Vec<_> = executions(&u).collect();
+        let a = execs[exec_idx.0 % execs.len()].project(&selected);
+        // The second observation is another execution's projection with
+        // records of the full alphabet spliced in: mostly inconsistent.
+        let other = &execs[exec_idx.1 % execs.len()];
+        let mut b = other.project(&selected);
+        for &(pos, early) in &noise {
+            if let Some(&m) = other.project(&alphabet).get(pos) {
+                b.insert(if early { 0 } else { b.len() }, m);
+            }
+        }
+        for mode in [MatchMode::Exact, MatchMode::Prefix, MatchMode::Suffix, MatchMode::Substring] {
+            let program = OnlineLocalizer::compile(&u, &selected, mode);
+            let mut la = OnlineLocalizer::from_program(Arc::clone(&program));
+            let mut lb = OnlineLocalizer::from_program(Arc::clone(&program));
+            prop_assert!(Arc::ptr_eq(la.program(), lb.program()));
+            let (mut na, mut nb) = (0usize, 0usize);
+            // Where `lb`'s post-resync observation starts.
+            let mut b_from = 0usize;
+            for &take_a in &order {
+                if take_a && na < a.len() {
+                    la.push(a[na]);
+                    na += 1;
+                } else if nb < b.len() {
+                    lb.push(b[nb]);
+                    nb += 1;
+                    if nb == resync_at {
+                        lb.resync();
+                        b_from = nb;
+                    }
+                } else {
+                    continue;
+                }
+                prop_assert_eq!(
+                    la.consistent(),
+                    consistent_paths(&u, &a[..na], &selected, mode),
+                    "localizer A after {} records ({:?})", na, mode
+                );
+                prop_assert_eq!(
+                    lb.consistent(),
+                    consistent_paths(&u, &b[b_from..nb], &selected, mode),
+                    "localizer B after {} records ({:?})", nb, mode
+                );
+            }
+        }
+    }
+
     /// Growing the selection never makes localization worse for the same
     /// underlying execution (more observability ⇒ fewer consistent paths).
     #[test]

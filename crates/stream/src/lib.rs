@@ -24,8 +24,11 @@
 //!   session cap shed overload politely, per-session ingest budgets
 //!   ([`SessionLimits`]) and handshake deadlines bound each session,
 //!   per-shard registries merge into one exposition
-//!   ([`pstrace_obs::merged_samples`]), and shutdown — including the v4
-//!   `SHUTDOWN` verb — drains every shard;
+//!   ([`pstrace_obs::merged_samples`]), sessions over the same
+//!   `(scenario, selected set, mode)` share one compiled
+//!   [`LocalizerProgram`](pstrace_diag::LocalizerProgram) from a
+//!   per-daemon cache (at most [`PROGRAM_CACHE_CAP`] programs), and
+//!   shutdown — including the v4 `SHUTDOWN` verb — drains every shard;
 //! * [`MetricsEndpoint`] — an HTTP/1.0 scrape endpoint over the same
 //!   registry, for off-the-shelf Prometheus scrapers;
 //! * [`stream_ptw`] and [`fetch_metrics`] — the replay and scrape
@@ -57,6 +60,7 @@ mod client;
 mod error;
 mod metrics;
 mod poll;
+mod programs;
 pub mod proto;
 mod recover;
 mod server;
@@ -83,6 +87,7 @@ pub use client::{
 };
 pub use error::StreamError;
 pub use metrics::MetricsEndpoint;
+pub use programs::PROGRAM_CACHE_CAP;
 pub use server::{
     scenario_by_number, snapshot_from, Server, ServerConfig, SessionLimits, StatsSnapshot,
     DEFAULT_WAL_BUDGET,

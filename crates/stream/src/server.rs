@@ -61,9 +61,10 @@ use pstrace_soc::{SocModel, UsageScenario};
 use pstrace_wire::read_ptw_header;
 
 use crate::error::StreamError;
+use crate::programs::ProgramCache;
 use crate::proto::Hello;
 use crate::recover::{recover_state, RecoveredState};
-use crate::session::Session;
+use crate::session::{observed_messages, Session};
 use crate::shard::{run_shard, FleetCtx, ShardMsg, TenantGovernor};
 use crate::wal::{fresh_epoch, mint_epoch, DurabilityPolicy};
 
@@ -332,6 +333,7 @@ impl Server {
 
         let ctx = Arc::new(FleetCtx {
             model,
+            programs: ProgramCache::new(&registry),
             registries,
             senders,
             session_seq: AtomicU64::new(session_seq_start),
@@ -578,6 +580,9 @@ pub fn snapshot_from(registry: &Registry) -> StatsSnapshot {
     fold_samples(&registry.samples())
 }
 
+/// Protocol scenario numbers run `1..=SCENARIO_COUNT`.
+pub(crate) const SCENARIO_COUNT: usize = 5;
+
 /// Resolves a protocol scenario number onto the modeled usage scenarios
 /// (the same numbering as the CLI's `--scenario`).
 ///
@@ -597,32 +602,29 @@ pub fn scenario_by_number(n: u8) -> Result<UsageScenario, StreamError> {
     }
 }
 
-/// Builds the session a hello asked for: scenario interleaving + schema
-/// rebuilt from the handshake bytes. The session records into `registry`
-/// under the `session_id` label.
+/// Builds the session a hello asked for. The handshake schema is parsed
+/// and validated first, so a malformed hello is rejected before any
+/// compile work; the localizer program then comes from the daemon's
+/// shared program cache. The session records into `registry` under the
+/// `session_id` label.
 pub(crate) fn open_session(
-    model: &SocModel,
+    ctx: &FleetCtx,
     hello: &Hello,
     registry: &Arc<Registry>,
     session_id: u64,
 ) -> Result<Session, StreamError> {
-    let scenario = scenario_by_number(hello.scenario)?;
-    let flow = scenario
-        .interleaving(model)
-        .map_err(|e| StreamError::Protocol(format!("scenario does not interleave: {e}")))?;
-    let (schema, meta, consumed) = read_ptw_header(model.catalog(), &hello.schema)?;
+    let (schema, meta, consumed) = read_ptw_header(ctx.model.catalog(), &hello.schema)?;
     if consumed != hello.schema.len() {
         return Err(StreamError::Protocol(format!(
             "{} stray bytes after the schema handshake",
             hello.schema.len() - consumed
         )));
     }
-    Ok(Session::observed_with_meta(
-        &flow,
-        schema,
-        meta,
-        hello.mode,
-        Arc::clone(registry),
-        session_id,
-    ))
+    let selected = observed_messages(&schema);
+    let program = ctx
+        .programs
+        .program(&ctx.model, hello.scenario, selected, hello.mode)?;
+    let mut session = Session::from_program(program, schema, meta);
+    session.set_registry(Arc::clone(registry), session_id);
+    Ok(session)
 }

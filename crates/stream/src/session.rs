@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pstrace_codec::V2StreamDecoder;
-use pstrace_diag::{Localization, MatchMode, OnlineLocalizer};
+use pstrace_diag::{Localization, LocalizerProgram, MatchMode, OnlineLocalizer};
 use pstrace_flow::{InterleavedFlow, MessageId};
 use pstrace_obs::{Counter, EventKind, FlightHandle, Registry};
 use pstrace_wire::{
@@ -217,8 +217,9 @@ pub struct Session {
 impl Session {
     /// A session localizing over `flow` with the handshaken `schema`.
     /// The observed message set is derived from the schema's slots; the
-    /// DP frontier is built once here, so pushes never touch `flow`
-    /// again (except in [`MatchMode::Substring`], which keeps a clone).
+    /// localizer program is compiled once here, so pushes never touch
+    /// `flow` again (except in [`MatchMode::Substring`], whose program
+    /// keeps one shared copy).
     #[must_use]
     pub fn new(flow: &InterleavedFlow, schema: WireSchema, mode: MatchMode) -> Self {
         Session::with_meta(flow, schema, PtwMeta::v1(), mode)
@@ -235,8 +236,23 @@ impl Session {
         meta: PtwMeta,
         mode: MatchMode,
     ) -> Self {
-        let selected = observed_messages(&schema);
-        let localizer = OnlineLocalizer::new(flow, &selected, mode);
+        let program = OnlineLocalizer::compile(flow, &observed_messages(&schema), mode);
+        Session::from_program(program, schema, meta)
+    }
+
+    /// A session over an already compiled localizer program — the one
+    /// construction path: [`with_meta`](Session::with_meta) compiles and
+    /// lands here, and the daemon lands here with a program from its
+    /// per-daemon cache. `program` must have been compiled for
+    /// [`observed_messages`]`(&schema)`; the match mode is the program's.
+    #[must_use]
+    pub fn from_program(program: Arc<LocalizerProgram>, schema: WireSchema, meta: PtwMeta) -> Self {
+        debug_assert_eq!(
+            program.selected(),
+            observed_messages(&schema).as_slice(),
+            "program compiled for another selected set"
+        );
+        let localizer = OnlineLocalizer::from_program(program);
         let v2 = (meta.version == PTW_VERSION_V2).then(|| V2StreamDecoder::new(&schema));
         Session {
             schema,
@@ -264,36 +280,13 @@ impl Session {
         self.flight = Some(flight);
     }
 
-    /// [`new`](Session::new) wired into a shared metric registry:
+    /// Wires the session into a shared metric registry:
     /// ingest/frame/record counters (aggregate and per-`session_id`),
     /// per-reason damage counters, and the localizer's frontier gauges —
     /// refreshed at every chunk boundary. Ingest results are identical
     /// with and without a registry.
-    #[must_use]
-    pub fn observed(
-        flow: &InterleavedFlow,
-        schema: WireSchema,
-        mode: MatchMode,
-        registry: Arc<Registry>,
-        session_id: u64,
-    ) -> Self {
-        Session::observed_with_meta(flow, schema, PtwMeta::v1(), mode, registry, session_id)
-    }
-
-    /// [`observed`](Session::observed) for an explicit container profile
-    /// (see [`with_meta`](Session::with_meta)).
-    #[must_use]
-    pub fn observed_with_meta(
-        flow: &InterleavedFlow,
-        schema: WireSchema,
-        meta: PtwMeta,
-        mode: MatchMode,
-        registry: Arc<Registry>,
-        session_id: u64,
-    ) -> Self {
-        let mut session = Session::with_meta(flow, schema, meta, mode);
-        session.obs = Some(SessionObserver::new(registry, session_id));
-        session
+    pub fn set_registry(&mut self, registry: Arc<Registry>, session_id: u64) {
+        self.obs = Some(SessionObserver::new(registry, session_id));
     }
 
     fn commit(&mut self, rec: &WireRecord) {
@@ -692,13 +685,8 @@ mod tests {
         recs[1].time = 1 << 20; // one isolated forward spike → damage
         let stream = encode_records(&schema, &recs, None).unwrap();
         let registry = Arc::new(Registry::new());
-        let mut session = Session::observed(
-            &u,
-            schema.clone(),
-            MatchMode::Prefix,
-            Arc::clone(&registry),
-            7,
-        );
+        let mut session = Session::new(&u, schema.clone(), MatchMode::Prefix);
+        session.set_registry(Arc::clone(&registry), 7);
         for chunk in stream.bytes.chunks(3) {
             session.push_chunk(chunk);
         }
@@ -779,13 +767,8 @@ mod tests {
 
         let stream = encode_records(&schema, &recs, None).unwrap();
         let registry = Arc::new(Registry::new());
-        let mut session = Session::observed(
-            &u,
-            schema.clone(),
-            MatchMode::Prefix,
-            Arc::clone(&registry),
-            9,
-        );
+        let mut session = Session::new(&u, schema.clone(), MatchMode::Prefix);
+        session.set_registry(Arc::clone(&registry), 9);
         for chunk in stream.bytes.chunks(2) {
             session.push_chunk(chunk);
         }

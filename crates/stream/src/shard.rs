@@ -41,6 +41,7 @@ use pstrace_soc::SocModel;
 
 use crate::error::StreamError;
 use crate::poll::{read_once, write_once, Backoff, Progress, Readiness};
+use crate::programs::ProgramCache;
 use crate::proto::{self, Chunk, Request};
 use crate::recover::RecoveredSession;
 use crate::server::{degrade, open_session, SessionLimits};
@@ -66,6 +67,8 @@ pub(crate) enum ShardMsg {
 #[derive(Debug)]
 pub(crate) struct FleetCtx {
     pub model: Arc<SocModel>,
+    /// Compiled localizer programs, shared by every shard's sessions.
+    pub programs: ProgramCache,
     /// The caller's root registry first, then one registry per shard.
     pub registries: Vec<Arc<Registry>>,
     /// Shard inboxes, indexed by shard — the handoff fabric.
@@ -484,14 +487,13 @@ impl Shard {
                 trace: r.trace,
                 schema: r.schema,
             };
-            let mut session =
-                match open_session(&self.ctx.model, &hello, &self.registry, r.session_id) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        self.note_degrade("wal-session-skipped", r.trace, r.session_id);
-                        continue;
-                    }
-                };
+            let mut session = match open_session(&self.ctx, &hello, &self.registry, r.session_id) {
+                Ok(s) => s,
+                Err(_) => {
+                    self.note_degrade("wal-session-skipped", r.trace, r.session_id);
+                    continue;
+                }
+            };
             session.set_flight(FlightHandle::new(
                 Arc::clone(&self.ctx.flight),
                 self.lane(),
@@ -870,7 +872,7 @@ impl Shard {
         } else {
             hello.trace
         };
-        let mut session = match open_session(&self.ctx.model, hello, &self.registry, session_id) {
+        let mut session = match open_session(&self.ctx, hello, &self.registry, session_id) {
             Ok(s) => s,
             Err(e) => {
                 self.registry.counter("pstrace_stream_failed_total").inc();

@@ -32,6 +32,8 @@ run cargo test -q --locked
 run cargo test -q --locked --workspace
 run cargo test -q --locked --test stream_smoke
 run cargo bench --no-run --locked --workspace
+# perfbench/ is its own workspace, so the builds above never compile it.
+run cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
 
 # v2 dialect smoke: the compressed-profile round-trip and corruption
 # proptests (codec crate), plus the v2 cases of the acceptance suites —

@@ -309,6 +309,18 @@ fn sharded_registry_merge_matches_a_single_registry_run() {
     );
     assert_eq!(single_snap.completed, 4);
     assert_eq!(single_snap.failed, 0);
+    // The program cache is per daemon, not per shard: one compile, then
+    // hits, whichever shard each session landed on.
+    for line in [
+        "pstrace_stream_program_cache_total{result=\"hit\"} 3\n",
+        "pstrace_stream_program_cache_total{result=\"miss\"} 1\n",
+        "pstrace_stream_program_cache_total{result=\"bypass\"} 0\n",
+    ] {
+        assert!(
+            sharded_expo.contains(line),
+            "missing `{line}` in exposition:\n{sharded_expo}"
+        );
+    }
 }
 
 #[test]
