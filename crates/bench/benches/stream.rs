@@ -1,11 +1,12 @@
 //! Live ingest throughput: in-process [`Session`] chunk pushes vs the
 //! full loopback TCP path, the online localizer's linear scaling
-//! against re-running the batch DP on every growing prefix, and the
+//! against re-running the batch DP on every growing prefix, the
+//! localizer's per-push cost on a live and on a dead frontier, and the
 //! session-open layer with and without a compiled localizer program.
 
 use std::sync::Arc;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_diag::{consistent_paths, MatchMode, OnlineLocalizer};
 use pstrace_flow::{executions, FlowIndex, IndexedMessage, InterleavedFlow, MessageId};
@@ -137,6 +138,56 @@ fn bench_online_localization(c: &mut Criterion) {
     group.finish();
 }
 
+/// The localizer layer alone, per scenario: each iteration pushes one
+/// execution's projection (Prefix mode, the scenario's 32-bit
+/// selection — what the daemon runs). `live` pushes it onto a fresh
+/// localizer, so every push lands on a frontier that carries mass;
+/// `dead` pushes it onto a localizer whose frontier a repeat of the
+/// projection already emptied — the state of most pushes in a long
+/// stream. Divide by the projection length for the per-push cost.
+fn bench_localizer_push(c: &mut Criterion) {
+    let model = SocModel::t2();
+    let mut group = c.benchmark_group("localizer_push");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    for n in 1..=3 {
+        let scenario = scenario_by_number(n).expect("scenario exists");
+        let (flow, schema) = selected_schema(&model, &scenario);
+        let selected = observed_messages(&schema);
+        let projection = executions(&flow)
+            .next()
+            .expect("nonempty flow")
+            .project(&selected);
+        let fresh = OnlineLocalizer::new(&flow, &selected, MatchMode::Prefix);
+        let mut dead = fresh.clone();
+        dead.push_all(projection.iter().chain(&projection).copied());
+        assert_eq!(
+            dead.frontier().support(),
+            0,
+            "the repeat empties the frontier"
+        );
+
+        group.bench_function(format!("live/scenario{n}"), |b| {
+            b.iter_batched(
+                || fresh.clone(),
+                |mut online| {
+                    online.push_all(projection.iter().copied());
+                    online.consistent()
+                },
+                BatchSize::SmallInput,
+            );
+        });
+        group.bench_function(format!("dead/scenario{n}"), |b| {
+            b.iter(|| {
+                dead.push_all(projection.iter().copied());
+                dead.consistent()
+            });
+        });
+    }
+    group.finish();
+}
+
 /// What the daemon pays to open one session from a hello's schema
 /// bytes. `cold` is the uncached open: interleave the scenario, parse
 /// the schema, compile the localizer. `cached` parses the schema and
@@ -178,6 +229,7 @@ criterion_group!(
     benches,
     bench_ingest,
     bench_online_localization,
+    bench_localizer_push,
     bench_session_open
 );
 criterion_main!(benches);

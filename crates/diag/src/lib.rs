@@ -8,8 +8,9 @@
 //!   metric: the fraction of interleaved-flow paths consistent with the
 //!   captured trace (exact for completed runs, prefix for hangs);
 //! * [`OnlineLocalizer`] — the streaming form of the same DP: one decoded
-//!   record folded in at a time in `O(edges)` amortized, bit-identical to
-//!   the batch result at every prefix (the engine behind `pstrace-stream`);
+//!   record folded in at a time, touching only the states that carry
+//!   mass, bit-identical to the batch result at every prefix (the engine
+//!   behind `pstrace-stream`);
 //! * [`Evidence`] / [`distill`] — per-witness verdicts (healthy, corrupt,
 //!   absent, unobserved) from a golden/buggy capture pair;
 //! * [`RootCause`] / [`scenario_causes`] / [`evaluate_causes`] — the

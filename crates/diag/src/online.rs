@@ -5,18 +5,33 @@
 //! observation — diagnosing a growing trace of `N` records this way costs
 //! `O(N² · edges)`. [`OnlineLocalizer`] keeps only the *frontier* of that
 //! table — one dense column of path mass per product state — and advances
-//! it by one column per record, so a live stream is localized in
-//! `O(edges)` amortized per message while staying bit-identical to
+//! it by one column per record, staying bit-identical to
 //! [`consistent_paths`] on every prefix of the observation.
+//!
+//! # What a push costs
+//!
+//! A push touches only the states that carry mass. The compiled
+//! [`LocalizerProgram`] indexes the selected edges by label, so pushing
+//! observation `o` walks the `o`-labeled edges whose source is in the
+//! column's support, then closes the states they reach over unselected
+//! edges in topological order. The cost is those matched edges plus the
+//! unselected closure of what they reach — never a sweep over the whole
+//! product. A push onto an empty frontier, or of a label no edge
+//! carries, does nothing.
+//!
+//! The localizer keeps the support of its column next to the column, and
+//! keeps the scratch column it builds the next one in **all-zero between
+//! pushes**: a push writes only the states it reaches and then zeroes the
+//! retired column's support, so no push ever clears a whole column.
 //!
 //! How each [`MatchMode`] is incrementalized:
 //!
 //! * **Exact** — the column is *start-anchored*: `F[s]` counts walks from
 //!   an initial state to `s` whose projection onto the selected set is
 //!   exactly the observation so far. Appending observation `o` rebuilds
-//!   the column in one topological sweep: selected edges matching `o`
-//!   consume the previous column, unselected edges propagate within the
-//!   new one. The count is the column mass over stop states.
+//!   the column: selected edges matching `o` consume the previous column,
+//!   unselected edges propagate within the new one. The count is the
+//!   column mass over stop states.
 //! * **Prefix** — same column; the count decomposes each matching path at
 //!   the edge consuming the newest observation, weighting the selected
 //!   inflow of every state by the precomputed unrestricted path count from
@@ -25,7 +40,7 @@
 //!   an initial state to `s` whose projection **ends with** the
 //!   observation so far. It is seeded with the unrestricted walk counts
 //!   (every projection ends with the empty observation) and advances with
-//!   the same sweep; appending to the observation extends the matched
+//!   the same push; appending to the observation extends the matched
 //!   suffix at the walk's end, so no previously folded record is ever
 //!   revisited. The count is again the mass over stop states.
 //! * **Substring** — counting *paths* (not occurrences) that contain the
@@ -33,16 +48,17 @@
 //!   per-state frontier survives when the pattern grows. The localizer
 //!   instead exploits monotonicity: the consistent set only shrinks as
 //!   the observation grows, so once the count reaches zero every later
-//!   push is `O(1)`; while it is nonzero the batch automaton DP is re-run
-//!   on the stored observation, whose useful length is bounded by the
-//!   longest projection any path can produce — a property of the flow,
-//!   not of the trace. Amortized over a long stream the per-message cost
-//!   is `O(edges)`. The end-anchored column is still maintained as the
+//!   push is `O(1)`. While the count is nonzero every push re-runs the
+//!   batch automaton DP on the stored observation — `O(N · edges)` for
+//!   an `N`-record observation, so `O(N² · edges)` over the live stretch
+//!   of a stream. The end-anchored column is still maintained as the
 //!   live occurrence frontier.
 //!
 //! Counts use the same saturating `u128` arithmetic as the batch DP;
 //! prefix equality is exact whenever no intermediate count saturates
-//! (astronomically far away for every modeled flow).
+//! (astronomically far away for every modeled flow). Saturating addition
+//! of non-negative values is order-independent, so visiting only the
+//! live states yields exactly the values a full topological sweep would.
 //!
 //! # Checkpoint and resync
 //!
@@ -64,6 +80,8 @@
 //!   observation — a designed degradation, visible in the report, instead
 //!   of a permanently dead frontier.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use pstrace_flow::{path_count, topological_order, IndexedMessage, InterleavedFlow, MessageId};
@@ -102,31 +120,26 @@ impl Frontier {
     }
 }
 
-/// Incoming-edge program of one product state, pre-resolved at
-/// compile time so a push never touches the flow again.
-#[derive(Debug, Clone, Default)]
-struct Inflow {
-    /// Sources of unselected incoming edges (propagate within a column).
-    unselected: Vec<u32>,
-    /// `(label, source)` of selected incoming edges (consume the
-    /// previous column when the label matches the pushed observation).
-    selected: Vec<(IndexedMessage, u32)>,
-}
-
 /// The immutable half of an [`OnlineLocalizer`]: everything that is fixed
-/// per `(flow, selected set, mode)` — topological order, per-state inflow
-/// program, continuation counts, path count and the seeded
-/// empty-observation column. Built once by [`OnlineLocalizer::compile`]
-/// and shared through an [`Arc`] by every localizer
+/// per `(flow, selected set, mode)` — topological order and ranks, the
+/// per-label selected-edge index, per-state unselected out-edges,
+/// continuation counts, path count and the seeded empty-observation
+/// column. Built once by [`OnlineLocalizer::compile`] and shared through
+/// an [`Arc`] by every localizer
 /// [`from_program`](OnlineLocalizer::from_program) builds, so opening
 /// another session over the same flow costs one column copy.
 #[derive(Debug)]
 pub struct LocalizerProgram {
     mode: MatchMode,
-    /// Forward topological order of the product states.
+    /// Forward topological order of the product states (rank → state).
     topo: Vec<u32>,
-    /// Per-state incoming-edge program (indexed by state).
-    inflow: Vec<Inflow>,
+    /// Each state's position in `topo` (state → rank).
+    rank: Vec<u32>,
+    /// Selected edges as `(source, target)`, grouped by label and sorted
+    /// by it, so a push finds its label's edges by binary search.
+    by_label: Vec<(IndexedMessage, Vec<(u32, u32)>)>,
+    /// Targets of each state's unselected out-edges (indexed by state).
+    unselected_out: Vec<Vec<u32>>,
     /// Stop states (dense indices).
     stops: Vec<u32>,
     /// Unrestricted path count from each state to a stop state
@@ -137,10 +150,12 @@ pub struct LocalizerProgram {
     /// The column and count for the empty observation: the state every
     /// localizer starts from and every resync returns to.
     seed: Vec<u128>,
+    /// The states with nonzero mass in `seed`.
+    seed_support: Vec<u32>,
     seed_consistent: u128,
     selected: Vec<MessageId>,
-    /// The flow, kept only by [`MatchMode::Substring`] for its bounded
-    /// batch recompute.
+    /// The flow, kept only by [`MatchMode::Substring`] for its batch
+    /// recompute.
     flow: Option<Arc<InterleavedFlow>>,
 }
 
@@ -157,6 +172,22 @@ impl LocalizerProgram {
             .iter()
             .fold(0u128, |a, &s| a.saturating_add(column[s as usize]))
     }
+
+    /// The selected edges labeled `m`, as `(source, target)`.
+    fn edges_labeled(&self, m: IndexedMessage) -> &[(u32, u32)] {
+        self.by_label
+            .binary_search_by_key(&m, |&(label, _)| label)
+            .map_or(&[], |i| &self.by_label[i].1)
+    }
+}
+
+/// The states with nonzero mass in `column`.
+fn support_of(column: &[u128]) -> impl Iterator<Item = u32> + '_ {
+    column
+        .iter()
+        .enumerate()
+        .filter(|&(_, &v)| v != 0)
+        .map(|(s, _)| s as u32)
 }
 
 /// Streaming counterpart of [`localize`](crate::localize): construct it
@@ -210,12 +241,20 @@ pub struct OnlineLocalizer {
     program: Arc<LocalizerProgram>,
     /// The live DP column.
     column: Frontier,
-    /// Scratch buffer for the next column (kept to avoid reallocation).
+    /// The states with nonzero mass in `column`, in no particular order.
+    support: Vec<u32>,
+    /// The next column while a push builds it; all-zero between pushes.
     scratch: Vec<u128>,
+    /// The states with nonzero mass in `scratch` while a push builds it;
+    /// empty between pushes.
+    scratch_support: Vec<u32>,
+    /// Topological ranks of reached states still to close over their
+    /// unselected out-edges; empty between pushes.
+    pending: BinaryHeap<Reverse<u32>>,
     consistent: u128,
     pushed: usize,
-    /// Substring mode keeps the observation for the bounded batch
-    /// recompute; empty in the other modes.
+    /// Substring mode keeps the observation for the batch recompute;
+    /// empty in the other modes.
     observed: Vec<IndexedMessage>,
     /// Times [`resync`](OnlineLocalizer::resync) was called.
     resyncs: usize,
@@ -226,7 +265,7 @@ pub struct OnlineLocalizer {
 /// A snapshot of an [`OnlineLocalizer`]'s mutable DP state, produced by
 /// [`OnlineLocalizer::checkpoint`] and reinstated by
 /// [`OnlineLocalizer::restore`]. The immutable [`LocalizerProgram`]
-/// (topological order, inflow lists, continuation counts) is *not*
+/// (topological order, edge index, continuation counts) is *not*
 /// duplicated — a checkpoint is one dense column plus counters, cheap
 /// enough to take at every chunk boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -249,10 +288,10 @@ impl OnlineLocalizer {
     }
 
     /// Compiles the immutable program for `flow` under the selected
-    /// message set and match mode. Compilation runs three
-    /// `O(states + edges)` sweeps; no reference to `flow` is kept except
+    /// message set and match mode. Compilation runs a few
+    /// `O(states + edges)` passes; no reference to `flow` is kept except
     /// in [`MatchMode::Substring`] (which keeps one shared copy for its
-    /// bounded recompute).
+    /// batch recompute).
     #[must_use]
     pub fn compile(
         flow: &InterleavedFlow,
@@ -264,20 +303,19 @@ impl OnlineLocalizer {
             .into_iter()
             .map(|i| i as u32)
             .collect();
-        let mut inflow = vec![Inflow::default(); n];
-        for s in flow.states() {
-            let inf = &mut inflow[s.index()];
-            for e in flow.edges_into(s) {
-                if selected.contains(&e.message.message) {
-                    inf.selected.push((e.message, e.from.index() as u32));
-                } else {
-                    inf.unselected.push(e.from.index() as u32);
-                }
-            }
+        let mut rank = vec![0u32; n];
+        for (r, &s) in topo.iter().enumerate() {
+            rank[s as usize] = r as u32;
         }
-        let mut is_initial = vec![false; n];
-        for &s in flow.initial_states() {
-            is_initial[s.index()] = true;
+        let mut by_label: BTreeMap<IndexedMessage, Vec<(u32, u32)>> = BTreeMap::new();
+        let mut unselected_out = vec![Vec::new(); n];
+        for e in flow.edges() {
+            let (src, dst) = (e.from.index() as u32, e.to.index() as u32);
+            if selected.contains(&e.message.message) {
+                by_label.entry(e.message).or_default().push((src, dst));
+            } else {
+                unselected_out[src as usize].push(dst);
+            }
         }
         let stops: Vec<u32> = flow
             .stop_states()
@@ -306,27 +344,32 @@ impl OnlineLocalizer {
         // unrestricted walk counts (every projection ends with ε).
         let end_anchored = matches!(mode, MatchMode::Suffix | MatchMode::Substring);
         let mut seed = vec![0u128; n];
+        for &s in flow.initial_states() {
+            seed[s.index()] = 1;
+        }
         for &u in &topo {
-            let s = u as usize;
-            let mut acc = u128::from(is_initial[s]);
-            for &src in &inflow[s].unselected {
-                acc = acc.saturating_add(seed[src as usize]);
+            let mass = seed[u as usize];
+            if mass == 0 {
+                continue;
             }
-            if end_anchored {
-                for &(_, src) in &inflow[s].selected {
-                    acc = acc.saturating_add(seed[src as usize]);
+            for e in flow.edges_from(flow.state_at(u as usize)) {
+                if end_anchored || !selected.contains(&e.message.message) {
+                    let next = &mut seed[e.to.index()];
+                    *next = next.saturating_add(mass);
                 }
             }
-            seed[s] = acc;
         }
 
         let mut program = LocalizerProgram {
             mode,
             topo,
-            inflow,
+            rank,
+            by_label: by_label.into_iter().collect(),
+            unselected_out,
             stops,
             to_stop,
             total: path_count(flow),
+            seed_support: support_of(&seed).collect(),
             seed,
             seed_consistent: 0,
             selected: selected.to_vec(),
@@ -348,7 +391,10 @@ impl OnlineLocalizer {
             column: Frontier {
                 values: program.seed.clone(),
             },
+            support: program.seed_support.clone(),
             scratch: vec![0; program.seed.len()],
+            scratch_support: Vec::new(),
+            pending: BinaryHeap::new(),
             consistent: program.seed_consistent,
             pushed: 0,
             observed: Vec::new(),
@@ -364,28 +410,69 @@ impl OnlineLocalizer {
         &self.program
     }
 
-    /// Advances the column by one observation in a single topological
-    /// sweep. Returns the Prefix-mode decomposition sum: the selected
-    /// inflow of each state weighted by its unrestricted continuation.
+    /// Advances the column by one observation, touching only the states
+    /// that carry or receive mass. Returns the Prefix-mode decomposition
+    /// sum: the selected inflow of each state weighted by its
+    /// unrestricted continuation.
     fn advance(&mut self, m: IndexedMessage) -> u128 {
-        let p = &*self.program;
-        let mut dot = 0u128;
-        for &u in &p.topo {
-            let s = u as usize;
-            let mut matched = 0u128;
-            for &(label, src) in &p.inflow[s].selected {
-                if label == m {
-                    matched = matched.saturating_add(self.column.values[src as usize]);
-                }
-            }
-            dot = dot.saturating_add(matched.saturating_mul(p.to_stop[s]));
-            let mut acc = matched;
-            for &src in &p.inflow[s].unselected {
-                acc = acc.saturating_add(self.scratch[src as usize]);
-            }
-            self.scratch[s] = acc;
+        if self.support.is_empty() {
+            // The column is all-zero, and stays so until a resync or
+            // restore.
+            return 0;
         }
-        std::mem::swap(&mut self.column.values, &mut self.scratch);
+        let p = &*self.program;
+        let column = &mut self.column.values;
+        let next = &mut self.scratch;
+        let reached = &mut self.scratch_support;
+
+        // Selected edges labeled `m` consume the old column.
+        for &(src, dst) in p.edges_labeled(m) {
+            let mass = column[src as usize];
+            if mass != 0 {
+                let slot = &mut next[dst as usize];
+                if *slot == 0 {
+                    reached.push(dst);
+                }
+                *slot = slot.saturating_add(mass);
+            }
+        }
+
+        // Every state reached so far was reached by a matching edge.
+        let mut dot = 0u128;
+        for &s in reached.iter() {
+            let s = s as usize;
+            dot = dot.saturating_add(next[s].saturating_mul(p.to_stop[s]));
+            if !p.unselected_out[s].is_empty() {
+                self.pending.push(Reverse(p.rank[s]));
+            }
+        }
+
+        // Unselected edges propagate within the new column. Popping in
+        // topological order means every state's inflow is complete
+        // before it passes its mass on.
+        while let Some(Reverse(r)) = self.pending.pop() {
+            let s = p.topo[r as usize] as usize;
+            let mass = next[s];
+            for &dst in &p.unselected_out[s] {
+                let slot = &mut next[dst as usize];
+                if *slot == 0 {
+                    reached.push(dst);
+                    if !p.unselected_out[dst as usize].is_empty() {
+                        self.pending.push(Reverse(p.rank[dst as usize]));
+                    }
+                }
+                *slot = slot.saturating_add(mass);
+            }
+        }
+
+        // Retire the old column so it is all-zero when it becomes the
+        // next push's scratch.
+        for &s in &self.support {
+            column[s as usize] = 0;
+        }
+        std::mem::swap(column, next);
+        std::mem::swap(&mut self.support, reached);
+        reached.clear();
         dot
     }
 
@@ -404,6 +491,7 @@ impl OnlineLocalizer {
                 self.observed.push(m);
                 // Monotone: once no path contains the observation, no
                 // extension can match — every further push is O(1).
+                // While it is nonzero this is an O(N · edges) batch run.
                 if self.consistent != 0 {
                     let p = &*self.program;
                     let flow = p.flow.as_ref().expect("substring mode keeps the flow");
@@ -494,6 +582,8 @@ impl OnlineLocalizer {
             "checkpoint belongs to a different flow"
         );
         self.column.values.clone_from(&checkpoint.column);
+        self.support.clear();
+        self.support.extend(support_of(&self.column.values));
         self.consistent = checkpoint.consistent;
         self.pushed = checkpoint.pushed;
         self.observed.clone_from(&checkpoint.observed);
@@ -512,6 +602,7 @@ impl OnlineLocalizer {
     /// [`pushed`](OnlineLocalizer::pushed) keeps counting across resyncs.
     pub fn resync(&mut self) {
         self.column.values.clone_from(&self.program.seed);
+        self.support.clone_from(&self.program.seed_support);
         self.consistent = self.program.seed_consistent;
         self.observed.clear();
         self.resyncs += 1;
@@ -541,7 +632,7 @@ impl OnlineLocalizer {
     pub fn record_frontier(&self, obs: &Registry) {
         let clamp = |v: u128| i64::try_from(v).unwrap_or(i64::MAX);
         obs.gauge("pstrace_localizer_frontier_support")
-            .set(i64::try_from(self.column.support()).unwrap_or(i64::MAX));
+            .set(i64::try_from(self.support.len()).unwrap_or(i64::MAX));
         obs.gauge("pstrace_localizer_consistent_paths")
             .set(clamp(self.consistent));
         obs.gauge("pstrace_localizer_records_pushed")
@@ -611,25 +702,46 @@ mod tests {
         let selected = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
         let exec = executions(&u).next().expect("the product has executions");
         let observed = exec.project(&selected);
-        let mut online = OnlineLocalizer::new(&u, &selected, MatchMode::Exact);
         let obs = Registry::new();
-        online.record_frontier(&obs);
-        assert_eq!(obs.gauge("pstrace_localizer_records_pushed").get(), 0);
-        assert!(obs.gauge("pstrace_localizer_frontier_support").get() > 0);
-        online.push_all(observed.iter().copied());
-        online.record_frontier(&obs);
-        assert_eq!(
-            obs.gauge("pstrace_localizer_records_pushed").get(),
-            observed.len() as i64
-        );
-        assert_eq!(
-            obs.gauge("pstrace_localizer_consistent_paths").get() as u128,
-            online.consistent()
-        );
-        assert_eq!(
-            obs.gauge("pstrace_localizer_frontier_support").get() as usize,
-            online.frontier().support()
-        );
+        for mode in MODES {
+            let mut online = OnlineLocalizer::new(&u, &selected, mode);
+            // The published support is the maintained one; it must equal
+            // a full scan of the column at every point.
+            let check = |online: &OnlineLocalizer, when: &str| {
+                online.record_frontier(&obs);
+                assert_eq!(
+                    obs.gauge("pstrace_localizer_frontier_support").get() as usize,
+                    online.frontier().support(),
+                    "{mode:?} {when}"
+                );
+            };
+            online.record_frontier(&obs);
+            assert_eq!(obs.gauge("pstrace_localizer_records_pushed").get(), 0);
+            assert!(obs.gauge("pstrace_localizer_frontier_support").get() > 0);
+            check(&online, "seeded");
+            let mut ckpt = None;
+            for (n, &m) in observed.iter().enumerate() {
+                online.push(m);
+                check(&online, "after a push");
+                if n == 1 {
+                    ckpt = Some(online.checkpoint());
+                }
+            }
+            assert_eq!(
+                obs.gauge("pstrace_localizer_records_pushed").get(),
+                observed.len() as i64
+            );
+            assert_eq!(
+                obs.gauge("pstrace_localizer_consistent_paths").get() as u128,
+                online.consistent()
+            );
+            online.resync();
+            check(&online, "after a resync");
+            online.push(observed[0]);
+            check(&online, "after a post-resync push");
+            online.restore(&ckpt.expect("the observation has two records"));
+            check(&online, "after a restore");
+        }
     }
 
     #[test]
@@ -835,6 +947,110 @@ mod tests {
         let obs = Registry::new();
         online.record_frontier(&obs);
         assert_eq!(obs.gauge("pstrace_localizer_resyncs").get(), 1);
+    }
+
+    /// Pushes `observed` one record at a time, asserting the count equals
+    /// batch localization of the prefix after every push.
+    fn assert_tracks_batch(
+        online: &mut OnlineLocalizer,
+        u: &InterleavedFlow,
+        observed: &[IndexedMessage],
+        selected: &[MessageId],
+    ) {
+        let mode = online.mode();
+        for n in 0..observed.len() {
+            online.push(observed[n]);
+            assert_eq!(
+                online.consistent(),
+                consistent_paths(u, &observed[..=n], selected, mode),
+                "{mode:?} after {}",
+                n + 1
+            );
+        }
+    }
+
+    #[test]
+    fn push_of_a_label_without_edges_matches_batch() {
+        let u = product(2);
+        let catalog = u.catalog();
+        let req = catalog.get("ReqE").unwrap();
+        let selected = [req, catalog.get("GntE").unwrap()];
+        let exec = executions(&u).next().unwrap();
+        // A selected message of an instance the product does not have:
+        // no edge carries this label.
+        let mut observed = vec![IndexedMessage::new(req, FlowIndex(9))];
+        observed.extend(exec.project(&selected));
+        for mode in MODES {
+            let mut online = OnlineLocalizer::new(&u, &selected, mode);
+            assert_tracks_batch(&mut online, &u, &observed, &selected);
+            assert_eq!(online.consistent(), 0, "{mode:?}");
+            assert_eq!(online.frontier().support(), 0, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn push_onto_an_empty_frontier_matches_batch() {
+        let u = product(2);
+        let catalog = u.catalog();
+        let selected = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
+        let exec = executions(&u).next().unwrap();
+        let projection = exec.project(&selected);
+        // The whole projection twice: the frontier dies partway through
+        // the repeat and every later push lands on it empty.
+        let observed: Vec<IndexedMessage> = projection.iter().chain(&projection).copied().collect();
+        for mode in MODES {
+            let mut online = OnlineLocalizer::new(&u, &selected, mode);
+            assert_tracks_batch(&mut online, &u, &observed, &selected);
+            assert_eq!(online.frontier().support(), 0, "{mode:?} died");
+            online.push(projection[0]);
+            assert_eq!(
+                online.consistent(),
+                consistent_paths(
+                    &u,
+                    &[&observed[..], &projection[..1]].concat(),
+                    &selected,
+                    mode
+                ),
+                "{mode:?}"
+            );
+            assert_eq!(online.frontier().mass(), 0, "{mode:?} stays dead");
+        }
+    }
+
+    #[test]
+    fn restore_from_before_the_frontier_died_matches_batch() {
+        let u = product(2);
+        let catalog = u.catalog();
+        let ack = catalog.get("Ack").unwrap();
+        let selected = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
+        let exec = executions(&u).next().unwrap();
+        let observed = exec.project(&selected);
+        for mode in MODES {
+            let mut online = OnlineLocalizer::new(&u, &selected, mode);
+            online.push(observed[0]);
+            let ckpt = online.checkpoint();
+            // Kill the frontier, then push more onto it while it is dead.
+            online.push(IndexedMessage::new(ack, FlowIndex(1)));
+            online.push(observed[1]);
+            assert_eq!(online.frontier().support(), 0, "{mode:?} died");
+
+            online.restore(&ckpt);
+            let mut fresh = OnlineLocalizer::new(&u, &selected, mode);
+            fresh.push(observed[0]);
+            assert_eq!(online.frontier(), fresh.frontier(), "{mode:?} restored");
+            // The restored support drives the push like the original.
+            for n in 1..observed.len() {
+                online.push(observed[n]);
+                fresh.push(observed[n]);
+                assert_eq!(
+                    online.consistent(),
+                    consistent_paths(&u, &observed[..=n], &selected, mode),
+                    "{mode:?} after restore, {} records",
+                    n + 1
+                );
+                assert_eq!(online.frontier(), fresh.frontier(), "{mode:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@ use pstrace_diag::{
 };
 use pstrace_flow::{
     examples::{cache_coherence, diamond},
-    executions, instantiate, path_count, InterleavedFlow, MessageId,
+    executions, instantiate, path_count, topological_order, IndexedMessage, InterleavedFlow,
+    MessageId,
 };
 
 fn product() -> InterleavedFlow {
@@ -22,6 +23,59 @@ fn product() -> InterleavedFlow {
 fn branching_product() -> InterleavedFlow {
     let (flow, _) = diamond();
     InterleavedFlow::build(&instantiate(&Arc::new(flow), 2)).unwrap()
+}
+
+/// A dense reference for [`OnlineLocalizer`]'s frontier: every push
+/// sweeps every product state in topological order and sums its whole
+/// inflow — the plain recurrence, with no support tracking. Kept here
+/// only as an oracle for the localizer's sparse push.
+#[derive(Clone)]
+struct DenseFrontier<'a> {
+    flow: &'a InterleavedFlow,
+    selected: &'a [MessageId],
+    topo: Vec<usize>,
+    column: Vec<u128>,
+}
+
+impl<'a> DenseFrontier<'a> {
+    fn new(flow: &'a InterleavedFlow, selected: &'a [MessageId], mode: MatchMode) -> Self {
+        let topo = topological_order(flow);
+        let end_anchored = matches!(mode, MatchMode::Suffix | MatchMode::Substring);
+        let mut column = vec![0u128; flow.state_count()];
+        for &s in &topo {
+            let state = flow.state_at(s);
+            let mut acc = u128::from(flow.initial_states().contains(&state));
+            for e in flow.edges_into(state) {
+                if end_anchored || !selected.contains(&e.message.message) {
+                    acc = acc.saturating_add(column[e.from.index()]);
+                }
+            }
+            column[s] = acc;
+        }
+        DenseFrontier {
+            flow,
+            selected,
+            topo,
+            column,
+        }
+    }
+
+    fn push(&mut self, m: IndexedMessage) {
+        let mut next = vec![0u128; self.column.len()];
+        for &s in &self.topo {
+            let mut acc = 0u128;
+            for e in self.flow.edges_into(self.flow.state_at(s)) {
+                let src = e.from.index();
+                if !self.selected.contains(&e.message.message) {
+                    acc = acc.saturating_add(next[src]);
+                } else if e.message == m {
+                    acc = acc.saturating_add(self.column[src]);
+                }
+            }
+            next[s] = acc;
+        }
+        self.column = next;
+    }
 }
 
 proptest! {
@@ -163,6 +217,83 @@ proptest! {
                 "prefix of {} records diverged ({:?})", n + 1, mode
             );
             prop_assert_eq!(online.total(), path_count(&u));
+        }
+    }
+
+    /// The sparse push keeps the whole frontier — not just the count —
+    /// equal to a dense sweep at every prefix, in all four modes, on
+    /// observations spliced with records of any indexed message
+    /// (unselected and unknown labels included), across a resync and a
+    /// checkpoint/restore. The count stays equal to batch localization of
+    /// the observation since the last resync.
+    #[test]
+    fn online_frontier_matches_dense_sweep_at_every_prefix(
+        branching in any::<bool>(),
+        exec_idx in 0usize..24,
+        pick in proptest::collection::vec(any::<bool>(), 4),
+        noise in proptest::collection::vec((0usize..64, 0usize..16), 0..6),
+        mode_idx in 0usize..4,
+        resync_at in 0usize..12,
+        checkpoint_at in 0usize..12,
+    ) {
+        let u = if branching { branching_product() } else { product() };
+        let alphabet = u.message_alphabet();
+        let selected: Vec<MessageId> = alphabet
+            .iter()
+            .zip(&pick)
+            .filter(|(_, &p)| p)
+            .map(|(m, _)| *m)
+            .collect();
+        let execs: Vec<_> = executions(&u).collect();
+        let mut observed = execs[exec_idx % execs.len()].project(&selected);
+        let labels = u.indexed_messages();
+        for &(label, at) in &noise {
+            observed.insert(at.min(observed.len()), labels[label % labels.len()]);
+        }
+        let mode = [MatchMode::Exact, MatchMode::Prefix, MatchMode::Suffix, MatchMode::Substring]
+            [mode_idx];
+        let mut online = OnlineLocalizer::new(&u, &selected, mode);
+        let mut dense = DenseFrontier::new(&u, &selected, mode);
+        prop_assert_eq!(online.frontier().values(), &dense.column[..], "seed ({:?})", mode);
+        // Where the observation the count is relative to starts, and the
+        // first record of the current pass.
+        let (mut from, mut start) = (0usize, 0usize);
+        let mut saved = None;
+        // The second pass rolls back to the checkpoint and replays the
+        // tail: the restored support must drive the sparse push exactly
+        // as the original one did.
+        for replay in [false, true] {
+            if replay {
+                let Some((checkpoint, dense_then, from_then, next)) = saved.take() else {
+                    break;
+                };
+                online.restore(&checkpoint);
+                dense = dense_then;
+                (from, start) = (from_then, next);
+                prop_assert_eq!(online.frontier().values(), &dense.column[..], "restored");
+            }
+            for (n, &m) in observed.iter().enumerate().skip(start) {
+                online.push(m);
+                dense.push(m);
+                prop_assert_eq!(
+                    online.frontier().values(), &dense.column[..],
+                    "frontier after {} records ({:?}, replay {})", n + 1, mode, replay
+                );
+                prop_assert_eq!(
+                    online.consistent(),
+                    consistent_paths(&u, &observed[from..=n], &selected, mode),
+                    "count after {} records ({:?}, replay {})", n + 1, mode, replay
+                );
+                if n == resync_at {
+                    online.resync();
+                    dense = DenseFrontier::new(&u, &selected, mode);
+                    from = n + 1;
+                    prop_assert_eq!(online.frontier().values(), &dense.column[..]);
+                }
+                if !replay && n == checkpoint_at {
+                    saved = Some((online.checkpoint(), dense.clone(), from, n + 1));
+                }
+            }
         }
     }
 

@@ -34,6 +34,13 @@ run cargo test -q --locked --test stream_smoke
 run cargo bench --no-run --locked --workspace
 # perfbench/ is its own workspace, so the builds above never compile it.
 run cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
+# One short live-long pass: fails unless every daemon report matched the
+# batch-DP oracle (`"correct": true`, `"failed": 0`).
+if command -v python3 >/dev/null 2>&1; then
+    run python3 scripts/check_perfbench.py
+else
+    echo "==> python3 not found; skipping perfbench correctness smoke"
+fi
 
 # v2 dialect smoke: the compressed-profile round-trip and corruption
 # proptests (codec crate), plus the v2 cases of the acceptance suites —
