@@ -1,16 +1,17 @@
 //! Wire codec throughput: encode and decode cost for selection-derived
-//! frame streams, the chunked decoder's scaling across the
-//! [`Parallelism`] settings (sequential vs chunked output is
-//! bit-identical, so the curves measure pure wall-clock), and the
-//! v1-vs-v2 dialect comparison (encode rec/s, decode MB/s, bytes/record,
-//! compression ratio — the EXPERIMENTS.md §wire table).
+//! frame streams, and the v1-vs-v2 dialect comparison (encode rec/s,
+//! decode MB/s, bytes/record, compression ratio — the EXPERIMENTS.md
+//! §wire table). Decode runs one-shot and incrementally in 256-byte
+//! chunks, the push pattern of a live session.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pstrace_codec::{decode_v2, encode_v2, DEFAULT_SYNC_EVERY};
-use pstrace_core::{Parallelism, SelectionConfig, Selector, TraceBufferSpec};
+use pstrace_codec::{decode_v2, encode_v2, ProfileV2, DEFAULT_SYNC_EVERY};
+use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_flow::{FlowIndex, IndexedMessage};
 use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace_wire::{decode_stream, decode_stream_chunked, encode_records, WireRecord, WireSchema};
+use pstrace_wire::{
+    decode_stream, encode_records, Decoded, FrameProfile, ProfileV1, WireRecord, WireSchema,
+};
 
 /// Builds the scenario-1 selection schema over the paper's 32-bit buffer
 /// plus a long synthetic record stream that exercises every slot.
@@ -61,32 +62,22 @@ fn bench_encode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decode(c: &mut Criterion) {
-    let (schema, records) = setup(20_000);
-    let stream = encode_records(&schema, &records, None).expect("encodes");
-    let mut group = c.benchmark_group(format!("wire_decode_{}_bytes", stream.bytes.len()));
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(5));
-    let settings = [
-        ("seq".to_owned(), Parallelism::Off),
-        ("threads_2".to_owned(), Parallelism::threads(2)),
-        ("threads_4".to_owned(), Parallelism::threads(4)),
-        ("auto".to_owned(), Parallelism::Auto),
-    ];
-    for (label, parallelism) in settings {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                black_box(decode_stream_chunked(
-                    &schema,
-                    &stream.bytes,
-                    Some(stream.bit_len),
-                    parallelism,
-                ))
-            });
-        });
+/// A live session's push pattern without the localizer: push 256-byte
+/// chunks, drain each into one reused buffer, then finish. Returns the
+/// records decoded.
+fn decode_incremental(profile: &dyn FrameProfile, schema: &WireSchema, bytes: &[u8]) -> usize {
+    let mut decoder = profile.decoder(schema);
+    let mut out = Decoded::default();
+    let mut records = 0;
+    for chunk in bytes.chunks(256) {
+        decoder.push(chunk);
+        decoder.drain(&mut out);
+        records += out.events.len();
+        out.events.clear();
+        out.damaged.clear();
     }
-    group.finish();
+    decoder.finish(None, &mut out);
+    records + out.events.len()
 }
 
 /// v1 vs v2 on the same 20k-record stream: wall-clock for both
@@ -126,8 +117,20 @@ fn bench_profiles(c: &mut Criterion) {
     group.bench_function("decode_v2", |b| {
         b.iter(|| black_box(decode_v2(&schema, &v2.bytes, Some(v2.bit_len))));
     });
+    group.bench_function("decode_incremental/v1/chunk256", |b| {
+        b.iter(|| black_box(decode_incremental(&ProfileV1, &schema, &v1.bytes)));
+    });
+    group.bench_function("decode_incremental/v2/chunk256", |b| {
+        b.iter(|| {
+            black_box(decode_incremental(
+                &ProfileV2::default(),
+                &schema,
+                &v2.bytes,
+            ))
+        });
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_encode, bench_decode, bench_profiles);
+criterion_group!(benches, bench_encode, bench_profiles);
 criterion_main!(benches);

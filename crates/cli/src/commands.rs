@@ -84,7 +84,7 @@ fn print_help() {
     println!("           [--no-packing] [--depth D] [--profile v1|v2] [--sync-every N]");
     println!("                                         pack a text trace into .ptw frames");
     println!("                                         (v2 = compressed dialect)");
-    println!("  trace    decode FILE [--out OUT.txt] [--threads N|auto|off]");
+    println!("  trace    decode FILE [--out OUT.txt]");
     println!("                                         decode a .ptw stream back to text");
     println!("                                         (the dialect is auto-detected)");
     println!("  serve    [--addr HOST:PORT] [--shards N] [--sessions N]");
@@ -697,18 +697,13 @@ fn cmd_trace_encode(argv: &[String]) -> CmdResult {
 /// Decodes a `.ptw` stream back into the text trace format, reporting
 /// damaged frames and the measured buffer utilization.
 fn cmd_trace_decode(argv: &[String]) -> CmdResult {
-    let args = Args::parse(
-        argv.iter().cloned(),
-        &["profile"],
-        &["out", "threads", "profile-json"],
-    )?;
+    let args = Args::parse(argv.iter().cloned(), &["profile"], &["out", "profile-json"])?;
     let profiler = Profiler::from_args(&args);
     let input = args
         .positional()
         .first()
         .ok_or("trace decode needs an input .ptw file")?;
     let model = SocModel::t2();
-    let parallelism = parse_parallelism(&args)?;
     let bytes = std::fs::read(input)?;
     let parsed = maybe_time(obs(&profiler), "read-ptw", || {
         wirecap::read_ptw_any(model.catalog(), &bytes)
@@ -721,14 +716,8 @@ fn cmd_trace_decode(argv: &[String]) -> CmdResult {
         Err(model_err) => return decode_flight(&bytes, &args, model_err),
     };
     let (trace, report) = maybe_time(obs(&profiler), "decode", || {
-        if meta.version == wirecap::PTW_VERSION_V2 {
-            let profile = pstrace_codec::ProfileV2 {
-                sync_every: meta.sync_every,
-            };
-            wirecap::decode_capture_with(&schema, &stream.bytes, Some(stream.bit_len), &profile)
-        } else {
-            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), parallelism)
-        }
+        let profile = pstrace_codec::profile_for(meta);
+        wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &*profile)
     });
     println!(
         "decoded {} v{} frames: {} records, {} idle, {} damaged ({:.2} % measured utilization)",
@@ -1675,16 +1664,11 @@ mod tests {
             "1"
         ]))
         .is_ok());
-        assert!(dispatch(&argv(&[
-            "trace",
-            "decode",
-            &ptw_s,
-            "--out",
-            &back_s,
-            "--threads",
-            "2"
-        ]))
-        .is_ok());
+        assert!(dispatch(&argv(&["trace", "decode", &ptw_s, "--out", &back_s])).is_ok());
+        assert!(
+            dispatch(&argv(&["trace", "decode", &ptw_s, "--threads", "2"])).is_err(),
+            "decode has one path; --threads belongs to select"
+        );
 
         // The decoded records are exactly the input records the selection
         // keeps (modulo subgroup truncation), so decoding is idempotent:

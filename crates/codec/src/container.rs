@@ -10,13 +10,14 @@
 
 use pstrace_flow::MessageCatalog;
 use pstrace_wire::{
-    decode_stream, read_ptw_any, write_ptw_with, DecodeReport, EncodedStream, FrameProfile,
+    decode_with, read_ptw_any, write_ptw_with, DecodeReport, EncodedStream, FrameProfile,
     ProfileV1, PtwMeta, WireError, WireRecord, WireSchema, PTW_VERSION, PTW_VERSION_V2,
 };
 
-use crate::v2::{decode_v2, ProfileV2};
+use crate::v2::ProfileV2;
 
-/// The profile a parsed container header names.
+/// The profile a parsed container header names — the one place a
+/// version byte chooses a dialect.
 ///
 /// # Panics
 ///
@@ -76,9 +77,10 @@ pub fn decode_ptw_payload(
     meta: PtwMeta,
     stream: &EncodedStream,
 ) -> DecodeReport {
-    if meta.version == PTW_VERSION_V2 {
-        decode_v2(schema, &stream.bytes, Some(stream.bit_len))
-    } else {
-        decode_stream(schema, &stream.bytes, Some(stream.bit_len))
-    }
+    decode_with(
+        &*profile_for(meta),
+        schema,
+        &stream.bytes,
+        Some(stream.bit_len),
+    )
 }

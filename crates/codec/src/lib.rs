@@ -13,8 +13,8 @@
 //!
 //! * `decode(encode(records)) == records` bit-identically, including
 //!   non-monotone timestamps (the wrap-around delta reproduces them
-//!   exactly, then the shared monotonicity pass reclassifies them the
-//!   same way v1 does);
+//!   exactly, then the shared [`TimePass`](pstrace_wire::TimePass)
+//!   reclassifies them the same way v1 does);
 //! * one flipped bit never panics and damages at most one sync block
 //!   (≤ `sync_every` records) — checksummed blocks with marker-based
 //!   resync cap error propagation just like v1's fixed-width frame

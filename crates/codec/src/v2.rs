@@ -45,8 +45,9 @@
 //!   raw lane width.
 
 use pstrace_wire::{
-    monotonize_events, BitReader, BitWriter, DamageReason, DamagedFrame, DecodeReport,
-    EncodedStream, FrameProfile, PtwMeta, WireError, WireRecord, WireSchema, SYNC_EVERY_RANGE,
+    decode_with, BitReader, BitWriter, DamageReason, DamagedFrame, DecodeReport, Decoded,
+    EncodedStream, FrameProfile, PtwMeta, RecordDecoder, StreamEnd, WireError, WireRecord,
+    WireSchema, SYNC_EVERY_RANGE,
 };
 
 /// The two marker bytes starting every sync block.
@@ -265,19 +266,22 @@ fn encode_block(schema: &WireSchema, items: &[(u64, WireRecord)]) -> Vec<u8> {
     out
 }
 
-/// Unpacks a block payload whose CRC already checked out. Returns `None`
-/// on any structural inconsistency (defensive: a CRC collision must cost
-/// the block, never a panic).
+/// Unpacks a block payload whose CRC already checked out, appending its
+/// records to `events` from ordinal `first` on. Returns `None` on any
+/// structural inconsistency (defensive: a CRC collision must cost the
+/// block, never a panic); the caller then drops what was appended.
 fn decode_block(
     schema: &WireSchema,
     payload: &[u8],
     records: usize,
     base_time: u64,
-) -> Option<Vec<WireRecord>> {
+    first: usize,
+    events: &mut Vec<(usize, WireRecord)>,
+) -> Option<()> {
     let mut st = DeltaState::new(schema, base_time);
     let mut r = BitReader::new(payload, payload.len() as u64 * 8);
-    let mut out = Vec::with_capacity(records);
-    while out.len() < records {
+    let mut done = 0;
+    while done < records {
         let tag = r.read(schema.tag_width())?;
         let slot = schema.slot_by_tag(tag)?;
         let width = slot.width;
@@ -287,7 +291,7 @@ fn decode_block(
             2 => 18 + r.read(8)? as usize,
             _ => r.read(16)? as usize,
         };
-        if run == 0 || out.len() + run > records {
+        if run == 0 || done + run > records {
             return None;
         }
         for _ in 0..run {
@@ -311,18 +315,22 @@ fn decode_block(
                 )
             };
             st.prev_value[tag as usize] = value;
-            out.push(WireRecord {
-                time,
-                message: pstrace_flow::IndexedMessage::new(
-                    slot.message,
-                    pstrace_flow::FlowIndex(index as u32),
-                ),
-                value,
-                partial: slot.is_partial(),
-            });
+            events.push((
+                first + done,
+                WireRecord {
+                    time,
+                    message: pstrace_flow::IndexedMessage::new(
+                        slot.message,
+                        pstrace_flow::FlowIndex(index as u32),
+                    ),
+                    value,
+                    partial: slot.is_partial(),
+                },
+            ));
+            done += 1;
         }
     }
-    Some(out)
+    Some(())
 }
 
 /// Serializes records into the v2 sync-block stream.
@@ -392,25 +400,25 @@ pub fn encode_v2(
     })
 }
 
-/// Incremental v2 decoder: feed bytes as they arrive, harvest a
-/// [`DecodeReport`] at the end. Complete sync blocks decode as soon as
-/// their last byte lands; damage hunting spans chunk boundaries.
-///
-/// This is the v2 counterpart of the v1 `StreamDecoder`, owning its
-/// schema so live sessions can hold one without borrowing.
+/// The v2 [`RecordDecoder`]: complete sync blocks decode as soon as
+/// their last byte lands, and damage hunting spans chunk boundaries.
 #[derive(Debug)]
 pub struct V2StreamDecoder {
     schema: WireSchema,
+    /// Stream bytes from the first one not yet consumed on; consumed
+    /// bytes are dropped at the start of the next push.
     buf: Vec<u8>,
     pos: usize,
     /// Absolute record ordinal — the v2 notion of a "frame index" for
-    /// events and damage, shared with the monotonicity pass.
+    /// events and damage, shared with the time pass.
     ordinal: usize,
     blocks: usize,
-    events: Vec<(usize, WireRecord)>,
-    damaged: Vec<DamagedFrame>,
+    /// Decoded since the last drain.
+    held: Decoded,
     skipped: u64,
     skipped_dirty: bool,
+    /// Whether any bytes were hunted over as damage.
+    lost_sync: bool,
 }
 
 impl V2StreamDecoder {
@@ -423,54 +431,11 @@ impl V2StreamDecoder {
             pos: 0,
             ordinal: 0,
             blocks: 0,
-            events: Vec::new(),
-            damaged: Vec::new(),
+            held: Decoded::default(),
             skipped: 0,
             skipped_dirty: false,
+            lost_sync: false,
         }
-    }
-
-    /// Feeds more stream bytes, decoding every block they complete.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-        self.drain(false);
-    }
-
-    /// Records reconstructed so far (before the final monotonicity pass).
-    #[must_use]
-    pub fn records_decoded(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Sync blocks seen so far (valid or damaged).
-    #[must_use]
-    pub fn blocks_seen(&self) -> usize {
-        self.blocks
-    }
-
-    /// Takes everything decoded since the last drain: raw `(ordinal,
-    /// record)` events and damage, **before** any monotonicity pass.
-    ///
-    /// This is the hook for consumers with their own stream state (the
-    /// live ingest session runs its one-record spike quarantine over
-    /// these), mirroring how v1 sessions consume `decode_frame_range`.
-    /// A decoder that has been drained yields only post-drain items from
-    /// [`finish`](Self::finish).
-    pub fn drain_new(&mut self) -> (Vec<(usize, WireRecord)>, Vec<DamagedFrame>) {
-        (
-            std::mem::take(&mut self.events),
-            std::mem::take(&mut self.damaged),
-        )
-    }
-
-    /// Flushes end-of-stream state (truncated tail block, trailing junk)
-    /// and drains the remainder, without consuming the decoder. For use
-    /// with [`drain_new`](Self::drain_new) by incremental consumers;
-    /// one-shot consumers call [`finish`](Self::finish) instead.
-    pub fn finish_tail(&mut self) -> (Vec<(usize, WireRecord)>, Vec<DamagedFrame>) {
-        self.drain(true);
-        self.flush_skip(true);
-        self.drain_new()
     }
 
     /// Whether the header at `pos` is a plausible, checksum-valid block
@@ -497,7 +462,8 @@ impl V2StreamDecoder {
     /// (`tail` true): they are container padding, not damage.
     fn flush_skip(&mut self, tail: bool) {
         if self.skipped > 0 && (self.skipped_dirty || !tail) {
-            self.damaged.push(DamagedFrame {
+            self.lost_sync = true;
+            self.held.damaged.push(DamagedFrame {
                 frame: self.ordinal,
                 reason: DamageReason::SyncLost {
                     bytes: self.skipped,
@@ -508,7 +474,18 @@ impl V2StreamDecoder {
         self.skipped_dirty = false;
     }
 
-    fn drain(&mut self, at_end: bool) {
+    /// Records a block whose records are lost.
+    fn corrupt_block(&mut self, records: usize) {
+        self.held.damaged.push(DamagedFrame {
+            frame: self.ordinal,
+            reason: DamageReason::SyncCorrupt {
+                records: records as u32,
+            },
+        });
+        self.ordinal += records;
+    }
+
+    fn scan(&mut self, at_end: bool) {
         loop {
             let avail = self.buf.len() - self.pos;
             if avail == 0 {
@@ -536,13 +513,7 @@ impl V2StreamDecoder {
                     // A real header, but the body never arrived.
                     self.flush_skip(false);
                     self.blocks += 1;
-                    self.damaged.push(DamagedFrame {
-                        frame: self.ordinal,
-                        reason: DamageReason::SyncCorrupt {
-                            records: records as u32,
-                        },
-                    });
-                    self.ordinal += records;
+                    self.corrupt_block(records);
                     self.pos = self.buf.len();
                 }
                 break;
@@ -551,75 +522,81 @@ impl V2StreamDecoder {
             self.blocks += 1;
             let block = &self.buf[self.pos..self.pos + block_len];
             let crc = u32::from_le_bytes(block[block_len - 4..].try_into().expect("4 bytes"));
-            let body_ok = fnv32(&block[..block_len - 4]) == crc;
-            let decoded = if body_ok {
-                decode_block(
+            let start = self.held.events.len();
+            let decoded = fnv32(&block[..block_len - 4]) == crc
+                && decode_block(
                     &self.schema,
                     &block[BLOCK_HEADER_BYTES..block_len - 4],
                     records,
                     base_time,
+                    self.ordinal,
+                    &mut self.held.events,
                 )
+                .is_some();
+            if decoded {
+                self.ordinal += records;
             } else {
-                None
-            };
-            match decoded {
-                Some(recs) => {
-                    for rec in recs {
-                        self.events.push((self.ordinal, rec));
-                        self.ordinal += 1;
-                    }
-                }
-                None => {
-                    self.damaged.push(DamagedFrame {
-                        frame: self.ordinal,
-                        reason: DamageReason::SyncCorrupt {
-                            records: records as u32,
-                        },
-                    });
-                    self.ordinal += records;
-                }
+                self.held.events.truncate(start);
+                self.corrupt_block(records);
             }
             self.pos += block_len;
         }
     }
+}
 
-    /// Finishes the stream and produces the report, running the same
-    /// stream-wide time-monotonicity pass as the v1 decoder.
-    ///
-    /// In the report, `frames` counts sync blocks, `idle_frames` is
-    /// always 0 (v2 has no idle pattern), and event/damage indices are
-    /// absolute record ordinals.
-    #[must_use]
-    pub fn finish(mut self) -> DecodeReport {
-        self.drain(true);
+impl RecordDecoder for V2StreamDecoder {
+    fn schema(&self) -> &WireSchema {
+        &self.schema
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        // Drop what the last push consumed. What follows `pos` arrived
+        // with that push (plus under one block header), so each byte is
+        // moved about once more, never once per push.
+        if self.pos > 0 {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+        self.scan(false);
+    }
+
+    fn drain(&mut self, out: &mut Decoded) {
+        out.append(&mut self.held);
+    }
+
+    /// Flushes the truncated tail block or trailing junk as sync damage.
+    /// `frames` counts sync blocks and `idle_frames` is always 0 (v2 has
+    /// no idle pattern). The stream is byte-aligned and self-delimiting,
+    /// so `bit_len` bounds it only through
+    /// [`payload_bytes`](RecordDecoder::payload_bytes).
+    fn finish(&mut self, _bit_len: Option<u64>, out: &mut Decoded) -> StreamEnd {
+        self.scan(true);
         self.flush_skip(true);
-        let tail_clean = !self
-            .damaged
-            .iter()
-            .any(|d| matches!(d.reason, DamageReason::SyncLost { .. }));
-        let mut damaged = self.damaged;
-        let kept = monotonize_events(self.events, &mut damaged);
-        damaged.sort_by_key(|d| d.frame);
-        DecodeReport {
-            records: kept.into_iter().map(|(_, r)| r).collect(),
-            damaged,
+        self.drain(out);
+        StreamEnd {
             frames: self.blocks,
             idle_frames: 0,
             trailing_bits: 0,
-            tail_clean,
-            occupied_bits: self.schema.occupied_bits(),
-            body_width: self.schema.body_width(),
+            tail_clean: !self.lost_sync,
+            end: usize::MAX,
         }
+    }
+
+    fn frames(&self) -> usize {
+        self.blocks
+    }
+
+    fn payload_bytes(&self, bit_len: u64) -> u64 {
+        bit_len / 8
     }
 }
 
-/// Decodes a complete v2 stream in one call.
+/// Decodes a complete v2 stream in one call: [`decode_with`] the v2
+/// profile.
 #[must_use]
 pub fn decode_v2(schema: &WireSchema, bytes: &[u8], bit_len: Option<u64>) -> DecodeReport {
-    let len = bit_len.map_or(bytes.len(), |b| ((b / 8) as usize).min(bytes.len()));
-    let mut dec = V2StreamDecoder::new(schema);
-    dec.push(&bytes[..len]);
-    dec.finish()
+    decode_with(&ProfileV2::default(), schema, bytes, bit_len)
 }
 
 /// The compressed sync-block dialect as a pluggable [`FrameProfile`].
@@ -651,8 +628,8 @@ impl FrameProfile for ProfileV2 {
         encode_v2(schema, records, self.sync_every, depth)
     }
 
-    fn decode(&self, schema: &WireSchema, bytes: &[u8], bit_len: Option<u64>) -> DecodeReport {
-        decode_v2(schema, bytes, bit_len)
+    fn decoder(&self, schema: &WireSchema) -> Box<dyn RecordDecoder> {
+        Box::new(V2StreamDecoder::new(schema))
     }
 }
 
@@ -660,7 +637,7 @@ impl FrameProfile for ProfileV2 {
 mod tests {
     use super::*;
     use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
-    use pstrace_wire::{decode_stream, encode_records};
+    use pstrace_wire::{decode_stream, encode_records, finish_report};
     use std::sync::Arc;
 
     fn setup() -> (Arc<MessageCatalog>, WireSchema) {
@@ -837,8 +814,53 @@ mod tests {
             for chunk in stream.bytes.chunks(chunk_size) {
                 dec.push(chunk);
             }
-            assert_eq!(dec.finish(), one_shot, "chunk {chunk_size}");
+            assert_eq!(
+                finish_report(&mut dec, Some(stream.bit_len)),
+                one_shot,
+                "chunk {chunk_size}"
+            );
         }
+    }
+
+    #[test]
+    fn retained_bytes_stay_within_one_block_plus_one_chunk() {
+        let (c, schema) = setup();
+        let recs = records(&c, 300_000);
+        let stream = encode_v2(&schema, &recs, 16, None).unwrap();
+        assert!(
+            stream.bytes.len() >= 1 << 20,
+            "push at least 1 MiB: {}",
+            stream.bytes.len()
+        );
+        let mut max_block = 0;
+        let mut at = 0;
+        while at < stream.bytes.len() {
+            let len = usize::from(u16::from_le_bytes([
+                stream.bytes[at + 2],
+                stream.bytes[at + 3],
+            ]));
+            max_block = max_block.max(len);
+            at += len;
+        }
+        let chunk = 256;
+        let mut dec = V2StreamDecoder::new(&schema);
+        let mut out = Decoded::default();
+        let mut records = 0;
+        for piece in stream.bytes.chunks(chunk) {
+            dec.push(piece);
+            assert!(
+                dec.buf.len() <= max_block + chunk,
+                "{} > {max_block} + {chunk}",
+                dec.buf.len()
+            );
+            dec.drain(&mut out);
+            records += out.events.len();
+            out.events.clear();
+        }
+        let end = dec.finish(Some(stream.bit_len), &mut out);
+        assert_eq!(records + out.events.len(), recs.len());
+        assert_eq!(end.frames, stream.frames);
+        assert!(end.tail_clean);
     }
 
     #[test]

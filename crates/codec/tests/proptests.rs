@@ -4,7 +4,10 @@
 use proptest::prelude::*;
 use pstrace_codec::{decode_v2, encode_v2, read_ptw_auto, V2StreamDecoder, DEFAULT_SYNC_EVERY};
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
-use pstrace_wire::{encode_records, write_ptw, DamageReason, WireRecord, WireSchema, PTW_VERSION};
+use pstrace_wire::{
+    encode_records, finish_report, write_ptw, DamageReason, RecordDecoder, WireRecord, WireSchema,
+    PTW_VERSION,
+};
 use std::sync::Arc;
 
 fn catalog() -> Arc<MessageCatalog> {
@@ -93,7 +96,7 @@ proptest! {
         for chunk in stream.bytes.chunks(chunk_raw) {
             dec.push(chunk);
         }
-        prop_assert_eq!(dec.finish(), report);
+        prop_assert_eq!(finish_report(&mut dec, Some(stream.bit_len)), report);
     }
 
     /// One flipped bit never panics and costs at most one sync block of

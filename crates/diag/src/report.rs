@@ -8,9 +8,7 @@
 //! computed from that captured trace.
 
 use pstrace_bug::{bug_catalog, detect_symptom, BugInterceptor, CaseStudy, Symptom};
-use pstrace_core::{
-    Parallelism, SelectError, SelectionConfig, SelectionReport, Selector, TraceBufferSpec,
-};
+use pstrace_core::{SelectError, SelectionConfig, SelectionReport, Selector, TraceBufferSpec};
 use pstrace_obs::{maybe_time, Registry};
 use pstrace_soc::{
     capture, wirecap, CapturedTrace, SimConfig, SimOutcome, Simulator, SocModel, TraceBufferConfig,
@@ -304,7 +302,7 @@ pub fn run_case_study_routed(
                 &schema,
                 &stream.bytes,
                 Some(stream.bit_len),
-                Parallelism::Off,
+                &wirecap::ProfileV1,
             );
             (trace, frames, report.is_clean(), report.utilization())
         };

@@ -230,10 +230,11 @@ pub struct SessionFaults {
 /// A composable, seed-keyed description of everything that will go
 /// wrong: fault kinds × rates × burst models at the three seams.
 ///
-/// Plans are plain data; the injectors ([`corrupt_wire`]
-/// (crate::corrupt_wire), [`ChaosStream`](crate::ChaosStream)) consume a
-/// plan plus a forked RNG and append to a [`FaultLedger`]
-/// (crate::FaultLedger). Identical `(plan, seed)` ⇒ identical ledger.
+/// Plans are plain data; the injectors
+/// ([`corrupt_wire`](crate::corrupt_wire),
+/// [`ChaosStream`](crate::ChaosStream)) consume a plan plus a forked RNG
+/// and append to a [`FaultLedger`](crate::FaultLedger). Identical
+/// `(plan, seed)` ⇒ identical ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Master seed; per-session streams fork off it.

@@ -232,7 +232,7 @@ pub enum Sample {
     },
 }
 
-/// The metric and span registry. See the [module docs](self).
+/// The metric and span registry. See the module docs.
 #[derive(Debug)]
 pub struct Registry {
     clock: Box<dyn Clock>,

@@ -4,21 +4,18 @@
 //! level (what survives), this module runs the same filtering through the
 //! bit-level wire codec of `pstrace-wire`: events become fixed-width
 //! frames in a circular frame ring, and decoding the ring's read-out
-//! reconstructs the capture. The two paths share
-//! [`record_for_event`](crate::trace::record_for_event), so for any
-//! simulation and configuration
+//! reconstructs the capture. The two paths share one record filter
+//! (`trace::record_for_event`), so for any simulation and configuration
 //! `decode(encode(events)) == capture(events)` bit-for-bit — including
 //! circular truncation to the newest `depth` records.
 
 use pstrace_flow::MessageCatalog;
-use pstrace_wire::decode_stream_chunked;
+use pstrace_wire::decode_with;
 pub use pstrace_wire::{
     read_ptw, read_ptw_any, write_ptw, write_ptw_with, DamageReason, DamagedFrame, DecodeReport,
     EncodedStream, Encoder, FrameProfile, ProfileV1, PtwMeta, StreamDecoder, WireError, WireRecord,
     WireSchema, PTW_VERSION_V2, SYNC_EVERY_RANGE,
 };
-
-use pstrace_core::Parallelism;
 
 use crate::engine::MessageEvent;
 use crate::protocol::SocModel;
@@ -116,20 +113,22 @@ pub fn encode_events(
     Ok(enc.finish())
 }
 
-/// Decodes a wire stream back into a [`CapturedTrace`], with the decode
-/// report alongside (damaged frames, idle frames, measured utilization).
+/// Decodes a wire stream under `profile` back into a [`CapturedTrace`],
+/// with the decode report alongside (damaged frames, idle frames,
+/// measured utilization). Corruption surfaces in the report's damage
+/// list under either profile, never as a panic.
 ///
 /// The records of the returned trace are exactly the report's surviving
-/// records; on a clean stream produced by [`encode_capture`] they equal
-/// the original capture.
+/// records; on a clean stream produced by [`encode_capture`] (v1) or
+/// [`encode_capture_with`] they equal the original capture.
 #[must_use]
 pub fn decode_capture(
     schema: &WireSchema,
     bytes: &[u8],
     bit_len: Option<u64>,
-    parallelism: Parallelism,
+    profile: &dyn FrameProfile,
 ) -> (CapturedTrace, DecodeReport) {
-    let report = decode_stream_chunked(schema, bytes, bit_len, parallelism);
+    let report = decode_with(profile, schema, bytes, bit_len);
     let trace = CapturedTrace::from_records(report.records.iter().map(to_trace).collect());
     (trace, report)
 }
@@ -180,21 +179,6 @@ pub fn encode_events_with(
     profile.encode(schema, &records, config.depth)
 }
 
-/// [`decode_capture`] under an explicit payload profile. Corruption
-/// surfaces in the report's damage list under either profile, never as a
-/// panic.
-#[must_use]
-pub fn decode_capture_with(
-    schema: &WireSchema,
-    bytes: &[u8],
-    bit_len: Option<u64>,
-    profile: &dyn FrameProfile,
-) -> (CapturedTrace, DecodeReport) {
-    let report = profile.decode(schema, bytes, bit_len);
-    let trace = CapturedTrace::from_records(report.records.iter().map(to_trace).collect());
-    (trace, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,12 +207,8 @@ mod tests {
         let schema = wire_schema(&model, &config, 32).unwrap();
         let direct = capture(&model, &out, &config);
         let stream = encode_events(model.catalog(), &schema, &out.events, &config).unwrap();
-        let (decoded, report) = decode_capture(
-            &schema,
-            &stream.bytes,
-            Some(stream.bit_len),
-            Parallelism::Off,
-        );
+        let (decoded, report) =
+            decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &ProfileV1);
         assert!(report.is_clean());
         assert_eq!(decoded, direct);
     }
@@ -246,7 +226,7 @@ mod tests {
             encode_events_with(model.catalog(), &schema, &out.events, &config, &ProfileV1).unwrap();
         assert_eq!(via_events, plain);
         let (decoded, report) =
-            decode_capture_with(&schema, &plain.bytes, Some(plain.bit_len), &ProfileV1);
+            decode_capture(&schema, &plain.bytes, Some(plain.bit_len), &ProfileV1);
         assert!(report.is_clean());
         assert_eq!(decoded, direct);
     }

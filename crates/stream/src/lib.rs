@@ -5,9 +5,10 @@
 //! crate closes the loop *during* capture:
 //!
 //! * [`Session`] — the per-stream state machine: chunked bytes are
-//!   decoded frame by frame ([`pstrace_wire::decode_frame_range`]), run
-//!   through an online mirror of the decoder's time-monotonicity pass
-//!   (one-record spike quarantine), and folded into an
+//!   decoded by the dialect's [`RecordDecoder`](pstrace_wire::RecordDecoder)
+//!   — the same one a batch decode runs — passed through the same
+//!   [`TimePass`](pstrace_wire::TimePass) (one-record spike
+//!   quarantine), and folded into an
 //!   [`OnlineLocalizer`](pstrace_diag::OnlineLocalizer) — the
 //!   consistent-path count is live at every chunk boundary;
 //! * [`proto`] — the length-prefixed chunk protocol with a `.ptw` schema

@@ -191,13 +191,6 @@ fn read_u32(r: &mut impl Read, what: &str) -> Result<u32, StreamError> {
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-fn read_u64(r: &mut impl Read, what: &str) -> Result<u64, StreamError> {
-    let b = read_exact(r, 8, what)?;
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b);
-    Ok(u64::from_le_bytes(a))
-}
-
 fn checked_len(len: u32, what: &str) -> Result<usize, StreamError> {
     if len > MAX_CHUNK_LEN {
         return Err(StreamError::Protocol(format!(
@@ -382,84 +375,6 @@ pub enum Request {
     Shutdown,
 }
 
-/// Reads and validates a client request (preamble plus, for sessions,
-/// the rest of the hello).
-///
-/// # Errors
-///
-/// Returns [`StreamError::Protocol`] on a bad magic, version, request
-/// kind, mode byte or oversized handshake.
-pub fn read_request(r: &mut impl Read) -> Result<Request, StreamError> {
-    let magic = read_exact(r, 4, "magic")?;
-    if magic != PROTO_MAGIC {
-        return Err(StreamError::Protocol("bad protocol magic".to_owned()));
-    }
-    let version = read_u8(r, "version")?;
-    if version != PROTO_VERSION {
-        return Err(StreamError::Protocol(format!(
-            "unsupported protocol version {version}"
-        )));
-    }
-    let read_hello_body = |r: &mut dyn Read| -> Result<Hello, StreamError> {
-        let mut r = r;
-        let scenario = read_u8(&mut r, "scenario")?;
-        let mode = mode_from_byte(read_u8(&mut r, "mode")?)?;
-        let tenant = {
-            let b = read_exact(&mut r, 4, "tenant id")?;
-            u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-        };
-        let trace = read_u64(&mut r, "trace-context id")?;
-        let schema_len = checked_len(read_u32(&mut r, "schema length")?, "schema")?;
-        let schema = read_exact(&mut r, schema_len, "schema handshake")?;
-        Ok(Hello {
-            scenario,
-            mode,
-            tenant,
-            trace,
-            schema,
-        })
-    };
-    match read_u8(r, "request kind")? {
-        REQ_SESSION => Ok(Request::Session(read_hello_body(r)?)),
-        REQ_METRICS => Ok(Request::Metrics),
-        REQ_SESSION_RESUME => {
-            let token = read_u64(r, "resume token")?;
-            let epoch = read_u64(r, "recovery epoch")?;
-            Ok(Request::Resume {
-                token,
-                epoch,
-                hello: read_hello_body(r)?,
-            })
-        }
-        REQ_SHUTDOWN => Ok(Request::Shutdown),
-        other => Err(StreamError::Protocol(format!(
-            "unknown request kind {other}"
-        ))),
-    }
-}
-
-/// Reads and validates a client hello (a [`Request::Session`]).
-///
-/// # Errors
-///
-/// Returns [`StreamError::Protocol`] on a bad magic, version, request
-/// kind (including a `METRICS` request, which carries no session), mode
-/// byte or oversized handshake.
-pub fn read_hello(r: &mut impl Read) -> Result<Hello, StreamError> {
-    match read_request(r)? {
-        Request::Session(hello) => Ok(hello),
-        Request::Metrics => Err(StreamError::Protocol(
-            "expected a session hello, got a metrics request".to_owned(),
-        )),
-        Request::Resume { .. } => Err(StreamError::Protocol(
-            "expected a session hello, got a resumable-session request".to_owned(),
-        )),
-        Request::Shutdown => Err(StreamError::Protocol(
-            "expected a session hello, got a shutdown request".to_owned(),
-        )),
-    }
-}
-
 /// One incoming chunk, as the server sees it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Chunk {
@@ -498,25 +413,6 @@ pub fn write_finish(w: &mut impl Write, bit_len: u64) -> Result<(), StreamError>
     w.write_all(&[CHUNK_FINISH])?;
     w.write_all(&bit_len.to_le_bytes())?;
     Ok(())
-}
-
-/// Reads the next chunk.
-///
-/// # Errors
-///
-/// Returns [`StreamError::Protocol`] on an unknown chunk tag, an
-/// oversized length, or a truncated chunk.
-pub fn read_chunk(r: &mut impl Read) -> Result<Chunk, StreamError> {
-    match read_u8(r, "chunk tag")? {
-        CHUNK_DATA => {
-            let len = checked_len(read_u32(r, "chunk length")?, "data chunk")?;
-            Ok(Chunk::Data(read_exact(r, len, "chunk payload")?))
-        }
-        CHUNK_FINISH => Ok(Chunk::Finish {
-            bit_len: read_u64(r, "stream bit length")?,
-        }),
-        other => Err(StreamError::Protocol(format!("unknown chunk tag {other}"))),
-    }
 }
 
 /// A cursor over a byte slice for the incremental (nonblocking) parsers:
@@ -713,15 +609,36 @@ pub fn read_reply(r: &mut impl Read) -> Result<String, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
+
+    /// Parses one complete request that spans exactly `wire`.
+    fn request(wire: &[u8]) -> Request {
+        let (parsed, used) = decode_request(wire).unwrap().expect("complete request");
+        assert_eq!(used, wire.len());
+        parsed
+    }
+
+    fn hello(wire: &[u8]) -> Hello {
+        match request(wire) {
+            Request::Session(hello) => hello,
+            other => panic!("expected a session hello, parsed {other:?}"),
+        }
+    }
+
+    const MODES: [MatchMode; 4] = [
+        MatchMode::Exact,
+        MatchMode::Prefix,
+        MatchMode::Suffix,
+        MatchMode::Substring,
+    ];
 
     #[test]
     fn hello_round_trips() {
         let mut buf = Vec::new();
         write_hello(&mut buf, 3, MatchMode::Suffix, b"schema-bytes").unwrap();
-        let hello = read_hello(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(
-            hello,
+            hello(&buf),
             Hello {
                 scenario: 3,
                 mode: MatchMode::Suffix,
@@ -736,11 +653,10 @@ mod tests {
     fn tenant_id_rides_both_hello_shapes() {
         let mut buf = Vec::new();
         write_hello_as(&mut buf, 2, MatchMode::Prefix, 0xdead_beef, 0, b"s").unwrap();
-        let hello = read_hello(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(hello.tenant, 0xdead_beef);
+        assert_eq!(hello(&buf).tenant, 0xdead_beef);
         let mut buf = Vec::new();
         write_resume_hello_as(&mut buf, 9, 0xE0, 1, MatchMode::Exact, 77, 0, b"x").unwrap();
-        match read_request(&mut Cursor::new(&buf)).unwrap() {
+        match request(&buf) {
             Request::Resume {
                 token,
                 epoch,
@@ -766,196 +682,42 @@ mod tests {
             b"s",
         )
         .unwrap();
-        let hello = read_hello(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(hello.trace, 0x1122_3344_5566_7788);
+        assert_eq!(hello(&buf).trace, 0x1122_3344_5566_7788);
         let mut buf = Vec::new();
         write_resume_hello_as(&mut buf, 5, 0, 1, MatchMode::Exact, 0, 0xabcd, b"x").unwrap();
-        match read_request(&mut Cursor::new(&buf)).unwrap() {
-            Request::Resume { token, hello, .. } => {
-                assert_eq!(token, 5);
-                assert_eq!(hello.trace, 0xabcd);
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        // The incremental parser sees the same id.
-        let (parsed, _) = decode_request(&buf).unwrap().expect("complete");
-        assert!(matches!(parsed, Request::Resume { hello, .. } if hello.trace == 0xabcd));
+        assert!(matches!(
+            request(&buf),
+            Request::Resume { token: 5, hello, .. } if hello.trace == 0xabcd
+        ));
     }
 
     #[test]
     fn shutdown_request_round_trips() {
         let mut buf = Vec::new();
         write_shutdown_request(&mut buf).unwrap();
-        assert_eq!(
-            read_request(&mut Cursor::new(&buf)).unwrap(),
-            Request::Shutdown
-        );
-        assert!(read_hello(&mut Cursor::new(&buf)).is_err());
-    }
-
-    #[test]
-    fn incremental_request_parser_agrees_with_the_blocking_one() {
-        let mut requests: Vec<Vec<u8>> = Vec::new();
-        let mut session = Vec::new();
-        write_hello_as(
-            &mut session,
-            1,
-            MatchMode::Prefix,
-            42,
-            0xfeed,
-            b"schema-bytes",
-        )
-        .unwrap();
-        requests.push(session);
-        let mut resume = Vec::new();
-        write_resume_hello_as(
-            &mut resume,
-            7,
-            0x1234,
-            2,
-            MatchMode::Suffix,
-            3,
-            0xbeef,
-            b"more",
-        )
-        .unwrap();
-        requests.push(resume);
-        let mut metrics = Vec::new();
-        write_metrics_request(&mut metrics).unwrap();
-        requests.push(metrics);
-        let mut shutdown = Vec::new();
-        write_shutdown_request(&mut shutdown).unwrap();
-        requests.push(shutdown);
-
-        for wire in requests {
-            let blocking = read_request(&mut Cursor::new(&wire)).unwrap();
-            // Every strict prefix is "need more bytes", never an error.
-            for cut in 0..wire.len() {
-                assert_eq!(
-                    decode_request(&wire[..cut]).unwrap(),
-                    None,
-                    "prefix of {cut} bytes must ask for more"
-                );
-            }
-            let (parsed, used) = decode_request(&wire).unwrap().expect("complete");
-            assert_eq!(parsed, blocking);
-            assert_eq!(used, wire.len());
-            // Trailing bytes (pipelined chunks) are left untouched.
-            let mut extra = wire.clone();
-            extra.extend_from_slice(&[0xAA; 9]);
-            let (again, used_again) = decode_request(&extra).unwrap().expect("complete");
-            assert_eq!(again, parsed);
-            assert_eq!(used_again, wire.len());
-        }
-    }
-
-    #[test]
-    fn incremental_parser_rejects_garbage_as_soon_as_it_can() {
-        assert!(decode_request(b"NO").is_err(), "magic mismatch at byte 1");
-        assert!(decode_request(b"PSTX").is_err());
-        assert!(matches!(decode_request(b"PST"), Ok(None)));
-        let mut bad_version = Vec::new();
-        write_metrics_request(&mut bad_version).unwrap();
-        bad_version[4] = 9;
-        assert!(decode_request(&bad_version).is_err());
-        let mut bad_kind = Vec::new();
-        write_metrics_request(&mut bad_kind).unwrap();
-        bad_kind[5] = 77;
-        assert!(decode_request(&bad_kind).is_err());
-        // An oversized schema length fails before the payload arrives.
-        let mut huge = Vec::new();
-        huge.extend_from_slice(&PROTO_MAGIC);
-        huge.extend_from_slice(&[PROTO_VERSION, REQ_SESSION, 1, 1]);
-        huge.extend_from_slice(&0u32.to_le_bytes());
-        huge.extend_from_slice(&0u64.to_le_bytes());
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_request(&huge).is_err());
-    }
-
-    #[test]
-    fn incremental_chunk_parser_agrees_with_the_blocking_one() {
-        let mut wire = Vec::new();
-        write_data(&mut wire, &[1, 2, 3, 4, 5]).unwrap();
-        write_finish(&mut wire, 40).unwrap();
-        for cut in 0..10 {
-            assert!(matches!(decode_chunk(&wire[..cut]), Ok(None)));
-        }
-        let (first, used) = decode_chunk(&wire).unwrap().expect("data chunk");
-        assert_eq!(first, Chunk::Data(vec![1, 2, 3, 4, 5]));
-        let (second, used2) = decode_chunk(&wire[used..]).unwrap().expect("finish");
-        assert_eq!(second, Chunk::Finish { bit_len: 40 });
-        assert_eq!(used + used2, wire.len());
-        assert!(decode_chunk(&[7u8]).is_err(), "unknown tag");
-        let mut huge = vec![CHUNK_DATA];
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_chunk(&huge).is_err(), "cap checked before payload");
-    }
-
-    #[test]
-    fn chunks_round_trip() {
-        let mut buf = Vec::new();
-        write_data(&mut buf, &[1, 2, 3]).unwrap();
-        write_finish(&mut buf, 99).unwrap();
-        let mut c = Cursor::new(&buf);
-        assert_eq!(read_chunk(&mut c).unwrap(), Chunk::Data(vec![1, 2, 3]));
-        assert_eq!(read_chunk(&mut c).unwrap(), Chunk::Finish { bit_len: 99 });
-    }
-
-    #[test]
-    fn replies_round_trip_and_carry_failure() {
-        let mut buf = Vec::new();
-        write_reply(&mut buf, true, "all good").unwrap();
-        assert_eq!(read_reply(&mut Cursor::new(&buf)).unwrap(), "all good");
-        let mut buf = Vec::new();
-        write_reply(&mut buf, false, "boom").unwrap();
-        assert!(matches!(
-            read_reply(&mut Cursor::new(&buf)),
-            Err(StreamError::Remote(m)) if m == "boom"
-        ));
-    }
-
-    #[test]
-    fn foreign_bytes_are_rejected() {
-        assert!(read_hello(&mut Cursor::new(b"nope....")).is_err());
-        let mut bad_version = Vec::new();
-        write_hello(&mut bad_version, 1, MatchMode::Exact, b"").unwrap();
-        bad_version[4] = 9;
-        assert!(read_hello(&mut Cursor::new(&bad_version)).is_err());
-        assert!(read_chunk(&mut Cursor::new(&[7u8])).is_err());
-        // A length prefix past the cap must error before allocating.
-        let mut huge = vec![CHUNK_DATA];
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_chunk(&mut Cursor::new(&huge)).is_err());
+        assert_eq!(request(&buf), Request::Shutdown);
     }
 
     #[test]
     fn metrics_request_round_trips_and_is_distinguished() {
         let mut buf = Vec::new();
         write_metrics_request(&mut buf).unwrap();
-        assert_eq!(
-            read_request(&mut Cursor::new(&buf)).unwrap(),
-            Request::Metrics
-        );
-        // read_hello refuses a metrics request.
-        assert!(read_hello(&mut Cursor::new(&buf)).is_err());
+        assert_eq!(request(&buf), Request::Metrics);
         let mut session = Vec::new();
         write_hello(&mut session, 2, MatchMode::Prefix, b"s").unwrap();
-        assert!(matches!(
-            read_request(&mut Cursor::new(&session)).unwrap(),
-            Request::Session(h) if h.scenario == 2
-        ));
+        assert!(matches!(request(&session), Request::Session(h) if h.scenario == 2));
         // An unassigned request kind is rejected.
         let mut bad = Vec::new();
         write_metrics_request(&mut bad).unwrap();
         bad[5] = 9;
-        assert!(read_request(&mut Cursor::new(&bad)).is_err());
+        assert!(decode_request(&bad).is_err());
     }
 
     #[test]
     fn resume_hello_and_ack_round_trip() {
         let mut buf = Vec::new();
         write_resume_hello(&mut buf, 42, 4, MatchMode::Prefix, b"schema").unwrap();
-        match read_request(&mut Cursor::new(&buf)).unwrap() {
+        match request(&buf) {
             Request::Resume {
                 token,
                 epoch,
@@ -983,17 +745,172 @@ mod tests {
     }
 
     #[test]
+    fn chunks_round_trip() {
+        let mut wire = Vec::new();
+        write_data(&mut wire, &[1, 2, 3]).unwrap();
+        write_finish(&mut wire, 99).unwrap();
+        let (first, used) = decode_chunk(&wire).unwrap().expect("data chunk");
+        assert_eq!(first, Chunk::Data(vec![1, 2, 3]));
+        let (second, used2) = decode_chunk(&wire[used..]).unwrap().expect("finish");
+        assert_eq!(second, Chunk::Finish { bit_len: 99 });
+        assert_eq!(used + used2, wire.len());
+    }
+
+    #[test]
+    fn foreign_bytes_are_rejected() {
+        assert!(decode_request(b"nope....").is_err());
+        let mut bad_version = Vec::new();
+        write_hello(&mut bad_version, 1, MatchMode::Exact, b"").unwrap();
+        bad_version[4] = 9;
+        assert!(decode_request(&bad_version).is_err());
+        assert!(decode_chunk(&[7u8]).is_err(), "unknown tag");
+        // A length prefix past the cap must error before allocating.
+        let mut huge = vec![CHUNK_DATA];
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_chunk(&huge).is_err());
+    }
+
+    #[test]
+    fn incremental_parser_rejects_garbage_as_soon_as_it_can() {
+        assert!(decode_request(b"NO").is_err(), "magic mismatch at byte 1");
+        assert!(decode_request(b"PSTX").is_err());
+        assert!(matches!(decode_request(b"PST"), Ok(None)));
+        let mut bad_kind = Vec::new();
+        write_metrics_request(&mut bad_kind).unwrap();
+        bad_kind[5] = 77;
+        assert!(decode_request(&bad_kind).is_err());
+        // An oversized schema length fails before the payload arrives.
+        let mut huge = Vec::new();
+        huge.extend_from_slice(&PROTO_MAGIC);
+        huge.extend_from_slice(&[PROTO_VERSION, REQ_SESSION, 1, 1]);
+        huge.extend_from_slice(&0u32.to_le_bytes());
+        huge.extend_from_slice(&0u64.to_le_bytes());
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_request(&huge).is_err());
+    }
+
+    #[test]
+    fn replies_round_trip_and_carry_failure() {
+        let mut buf = Vec::new();
+        write_reply(&mut buf, true, "all good").unwrap();
+        assert_eq!(read_reply(&mut Cursor::new(&buf)).unwrap(), "all good");
+        let mut buf = Vec::new();
+        write_reply(&mut buf, false, "boom").unwrap();
+        assert!(matches!(
+            read_reply(&mut Cursor::new(&buf)),
+            Err(StreamError::Remote(m)) if m == "boom"
+        ));
+    }
+
+    #[test]
     fn every_mode_round_trips_through_its_byte() {
-        for mode in [
-            MatchMode::Exact,
-            MatchMode::Prefix,
-            MatchMode::Suffix,
-            MatchMode::Substring,
-        ] {
+        for mode in MODES {
             assert_eq!(mode_from_byte(mode_to_byte(mode)).unwrap(), mode);
         }
         assert!(mode_from_byte(9).is_err());
         assert_eq!(mode_from_name("PREFIX").unwrap(), MatchMode::Prefix);
         assert!(mode_from_name("fuzzy").is_err());
+    }
+
+    /// The parse contract on one buffer: "need more bytes", a complete
+    /// item within the buffer, or a typed protocol error.
+    fn well_behaved<T>(parsed: Result<Option<(T, usize)>, StreamError>, len: usize) -> bool {
+        match parsed {
+            Ok(None) => true,
+            Ok(Some((_, used))) => used <= len,
+            Err(e) => matches!(e, StreamError::Protocol(_)),
+        }
+    }
+
+    /// Every strict prefix asks for more; the whole buffer parses back
+    /// to `expect`, leaving trailing (pipelined) bytes untouched.
+    fn parses_exactly<T: PartialEq + std::fmt::Debug>(
+        parse: impl Fn(&[u8]) -> Result<Option<(T, usize)>, StreamError>,
+        wire: &[u8],
+        expect: &T,
+    ) -> Result<(), TestCaseError> {
+        for cut in 0..wire.len() {
+            prop_assert!(
+                matches!(parse(&wire[..cut]), Ok(None)),
+                "prefix of {cut} bytes must ask for more"
+            );
+        }
+        let mut extra = wire.to_vec();
+        extra.extend_from_slice(&[0xAA; 9]);
+        for buf in [wire, extra.as_slice()] {
+            let (parsed, used) = parse(buf).unwrap().expect("complete");
+            prop_assert_eq!(&parsed, expect);
+            prop_assert_eq!(used, wire.len());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes never panic either parser, at any prefix.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(any::<u8>(), 0..=512),
+            magic in any::<bool>(),
+        ) {
+            // Half the cases start with a valid preamble, so the parsers
+            // get past the magic and version into the request body.
+            let mut wire = Vec::new();
+            if magic {
+                wire.extend_from_slice(&PROTO_MAGIC);
+                wire.push(PROTO_VERSION);
+            }
+            wire.extend_from_slice(&bytes);
+            for cut in 0..=wire.len() {
+                prop_assert!(well_behaved(decode_request(&wire[..cut]), cut));
+                prop_assert!(well_behaved(decode_chunk(&wire[..cut]), cut));
+            }
+        }
+
+        /// Every validly written request and chunk parses back equal,
+        /// and only the complete buffer does.
+        #[test]
+        fn written_requests_and_chunks_parse_back(
+            kind in 0u8..4,
+            fields in (any::<u8>(), 0usize..4, any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            schema in proptest::collection::vec(any::<u8>(), 0..64),
+            data in proptest::collection::vec(any::<u8>(), 0..64),
+            bit_len in any::<u64>(),
+        ) {
+            let (scenario, mode, tenant, trace, token, epoch) = fields;
+            let mode = MODES[mode];
+            let hello = Hello { scenario, mode, tenant, trace, schema: schema.clone() };
+            let mut wire = Vec::new();
+            let expect = match kind {
+                0 => {
+                    write_hello_as(&mut wire, scenario, mode, tenant, trace, &schema).unwrap();
+                    Request::Session(hello)
+                }
+                1 => {
+                    write_resume_hello_as(
+                        &mut wire, token, epoch, scenario, mode, tenant, trace, &schema,
+                    )
+                    .unwrap();
+                    Request::Resume { token, epoch, hello }
+                }
+                2 => {
+                    write_metrics_request(&mut wire).unwrap();
+                    Request::Metrics
+                }
+                _ => {
+                    write_shutdown_request(&mut wire).unwrap();
+                    Request::Shutdown
+                }
+            };
+            parses_exactly(decode_request, &wire, &expect)?;
+
+            let mut wire = Vec::new();
+            write_data(&mut wire, &data).unwrap();
+            parses_exactly(decode_chunk, &wire, &Chunk::Data(data.clone()))?;
+            let mut wire = Vec::new();
+            write_finish(&mut wire, bit_len).unwrap();
+            parses_exactly(decode_chunk, &wire, &Chunk::Finish { bit_len })?;
+        }
     }
 }

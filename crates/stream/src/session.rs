@@ -2,13 +2,14 @@
 //!
 //! A [`Session`] owns the receiving half of the streaming pipeline:
 //!
-//! * it buffers incoming chunk bytes and decodes every frame the moment
-//!   its last byte lands ([`pstrace_wire::decode_frame_range`]);
-//! * it mirrors the batch decoder's time-monotonicity pass *online* by
-//!   quarantining the newest accepted record for one step — a record is
-//!   only committed once its successor confirms it was not an isolated
-//!   forward time spike, so the committed record sequence is bit-identical
-//!   to [`pstrace_wire::decode_stream`]'s on every finished stream;
+//! * it pushes incoming chunk bytes into the dialect's
+//!   [`RecordDecoder`] — the very decoder a batch decode runs — which
+//!   decodes every frame or block the moment its last byte lands;
+//! * it runs the batch decoder's [`TimePass`] over each drained chunk,
+//!   so a record is only committed once its successor confirms it was
+//!   not an isolated forward time spike, and the committed record
+//!   sequence is bit-identical to [`pstrace_wire::decode_with`]'s on
+//!   every finished stream;
 //! * each committed record is folded into an
 //!   [`OnlineLocalizer`](pstrace_diag::OnlineLocalizer), so the
 //!   consistent-path count is live at every chunk boundary instead of
@@ -17,12 +18,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use pstrace_codec::V2StreamDecoder;
+use pstrace_codec::profile_for;
 use pstrace_diag::{Localization, LocalizerProgram, MatchMode, OnlineLocalizer};
 use pstrace_flow::{InterleavedFlow, MessageId};
 use pstrace_obs::{Counter, EventKind, FlightHandle, Registry};
 use pstrace_wire::{
-    decode_frame_range, DamageReason, DamagedFrame, PtwMeta, WireRecord, WireSchema, PTW_VERSION_V2,
+    DamageReason, DamagedFrame, Decoded, PtwMeta, RecordDecoder, Released, TimePass, WireRecord,
+    WireSchema,
 };
 
 /// The message set a schema observes, as the localization DP needs it:
@@ -179,28 +181,24 @@ impl SessionObserver {
     }
 }
 
-/// The per-session state machine: schema-owning decoder, the one-record
-/// spike quarantine, and the online localizer.
+/// The per-session state machine: the dialect's decoder, the time pass,
+/// and the online localizer.
 #[derive(Debug)]
 pub struct Session {
-    schema: WireSchema,
     localizer: OnlineLocalizer,
-    buf: Vec<u8>,
-    /// `Some` when the handshake negotiated the compressed v2 payload:
-    /// the incremental sync-block decoder replaces the fixed-width frame
-    /// walk. Records and damage still flow through the same quarantine
-    /// and localizer, so both dialects share one ingest semantics.
-    v2: Option<V2StreamDecoder>,
-    /// Frames fully decoded so far (v2: sync blocks seen).
+    /// The one incremental decoder of the handshaken dialect; it owns
+    /// the schema and keeps only the bytes it has not consumed.
+    decoder: Box<dyn RecordDecoder>,
+    /// The drain buffer, reused chunk after chunk.
+    decoded: Decoded,
+    /// Holds the newest record back one step so an isolated forward time
+    /// spike can still be reclassified as damage before it reaches the
+    /// localizer (the localizer cannot un-push).
+    time: TimePass,
+    /// Frames (v2: sync blocks) decoded so far.
     frames: usize,
     idle_frames: usize,
     damaged: Vec<DamagedFrame>,
-    /// The newest accepted record, held back one step so an isolated
-    /// forward time spike can still be reclassified as damage before it
-    /// reaches the localizer (the localizer cannot un-push).
-    pending: Option<(usize, WireRecord)>,
-    /// Time of the newest *committed* record.
-    committed_time: u64,
     /// Damaged frames seen since the last localizer resync — the gate
     /// that keeps clean-but-inconsistent streams from ever resyncing.
     damage_since_resync: usize,
@@ -225,10 +223,9 @@ impl Session {
         Session::with_meta(flow, schema, PtwMeta::v1(), mode)
     }
 
-    /// [`new`](Session::new) for an explicit container profile: a v2
-    /// meta routes chunk bytes through the compressed sync-block decoder
-    /// instead of the fixed-width frame walk. The quarantine, damage
-    /// accounting, resync gate, and localizer behave identically.
+    /// [`new`](Session::new) for an explicit container profile: the meta
+    /// picks the dialect's decoder. The time pass, damage accounting,
+    /// resync gate, and localizer behave identically for every dialect.
     #[must_use]
     pub fn with_meta(
         flow: &InterleavedFlow,
@@ -252,18 +249,14 @@ impl Session {
             observed_messages(&schema).as_slice(),
             "program compiled for another selected set"
         );
-        let localizer = OnlineLocalizer::from_program(program);
-        let v2 = (meta.version == PTW_VERSION_V2).then(|| V2StreamDecoder::new(&schema));
         Session {
-            schema,
-            localizer,
-            buf: Vec::new(),
-            v2,
+            localizer: OnlineLocalizer::from_program(program),
+            decoder: profile_for(meta).decoder(&schema),
+            decoded: Decoded::default(),
+            time: TimePass::default(),
             frames: 0,
             idle_frames: 0,
             damaged: Vec::new(),
-            pending: None,
-            committed_time: 0,
             damage_since_resync: 0,
             records: 0,
             bytes: 0,
@@ -291,7 +284,6 @@ impl Session {
 
     fn commit(&mut self, rec: &WireRecord) {
         self.localizer.push(rec.message);
-        self.committed_time = rec.time;
         self.records += 1;
         if let Some(o) = &self.obs {
             o.records.inc();
@@ -336,39 +328,29 @@ impl Session {
         }
     }
 
-    /// The online mirror of the batch decoder's monotonicity pass: at
-    /// most one record (the newest) is ever provisional.
-    fn accept(&mut self, frame: usize, rec: WireRecord) {
-        let prev = self.pending.map_or(self.committed_time, |(_, p)| p.time);
-        if rec.time >= prev {
-            if let Some((_, p)) = self.pending.take() {
-                self.commit(&p);
+    /// Drains the decoder and folds what it decoded into the session:
+    /// damage first, then each event through the time pass, committing
+    /// what it confirms to the localizer.
+    fn absorb(&mut self) {
+        let mut decoded = std::mem::take(&mut self.decoded);
+        self.decoder.drain(&mut decoded);
+        for d in decoded.damaged.drain(..) {
+            self.record_damage(d);
+        }
+        for (ordinal, rec) in decoded.events.drain(..) {
+            match self.time.accept(ordinal, rec) {
+                Some(Released::Record(r)) => self.commit(&r),
+                Some(Released::Damaged(d)) => self.record_damage(d),
+                None => {}
             }
-            self.pending = Some((frame, rec));
-            return;
         }
-        // The record regresses. If it is still consistent with the last
-        // *committed* time, the pending record was an isolated forward
-        // spike — damage it instead, exactly as the batch pass does.
-        if rec.time >= self.committed_time {
-            let (spike_frame, spike) = self.pending.take().expect("regression implies a pending");
-            self.record_damage(DamagedFrame {
-                frame: spike_frame,
-                reason: DamageReason::TimeSpike {
-                    time: spike.time,
-                    next: rec.time,
-                },
-            });
-            self.pending = Some((frame, rec));
-        } else {
-            self.record_damage(DamagedFrame {
-                frame,
-                reason: DamageReason::TimeRegression {
-                    time: rec.time,
-                    prev,
-                },
-            });
+        self.decoded = decoded;
+        let frames = self.decoder.frames();
+        if let Some(o) = &self.obs {
+            o.frames.add(frames.saturating_sub(self.frames) as u64);
         }
+        self.frames = frames;
+        self.idle_frames = self.decoder.idle_frames();
     }
 
     /// Feeds one chunk of raw stream bytes, decoding and localizing
@@ -380,50 +362,8 @@ impl Session {
             o.bytes.add(bytes.len() as u64);
             o.chunks.inc();
         }
-        if let Some(dec) = &mut self.v2 {
-            dec.push(bytes);
-            let (events, damaged) = dec.drain_new();
-            let blocks = dec.blocks_seen();
-            for d in damaged {
-                self.record_damage(d);
-            }
-            for (ordinal, rec) in events {
-                self.accept(ordinal, rec);
-            }
-            if let Some(o) = &self.obs {
-                o.frames.add((blocks - self.frames) as u64);
-            }
-            self.frames = blocks;
-            self.maybe_resync();
-            if let Some(o) = &self.obs {
-                self.localizer.record_frontier(&o.registry);
-            }
-            return;
-        }
-        self.buf.extend_from_slice(bytes);
-        let frame_bits = u64::from(self.schema.frame_bits());
-        let avail = self.buf.len() as u64 * 8;
-        let ready = (avail / frame_bits) as usize;
-        if ready > self.frames {
-            let range = decode_frame_range(
-                &self.schema,
-                &self.buf,
-                avail,
-                self.frames,
-                ready - self.frames,
-            );
-            self.idle_frames += range.idle_frames;
-            for damaged in range.damaged {
-                self.record_damage(damaged);
-            }
-            for (frame, rec) in range.events {
-                self.accept(frame, rec);
-            }
-            if let Some(o) = &self.obs {
-                o.frames.add((ready - self.frames) as u64);
-            }
-            self.frames = ready;
-        }
+        self.decoder.push(bytes);
+        self.absorb();
         self.maybe_resync();
         if let Some(o) = &self.obs {
             // Refresh the live frontier gauges once per chunk, not per
@@ -441,7 +381,7 @@ impl Session {
             chunks: self.chunks,
             frames: self.frames,
             idle_frames: self.idle_frames,
-            records: self.records + usize::from(self.pending.is_some()),
+            records: self.records + usize::from(self.time.is_holding()),
             damaged_frames: self.damaged.len(),
         }
     }
@@ -456,45 +396,25 @@ impl Session {
     /// The schema this session decodes with.
     #[must_use]
     pub fn schema(&self) -> &WireSchema {
-        &self.schema
+        self.decoder.schema()
     }
 
     /// Finishes the stream: flushes the quarantined record, truncates to
     /// the declared `bit_len` when given, and produces the report.
     #[must_use]
     pub fn finish(mut self, bit_len: Option<u64>) -> SessionReport {
-        if let Some(mut dec) = self.v2.take() {
-            // Flush the decoder's end-of-stream state: a truncated tail
-            // block or trailing junk becomes sync damage here. The v2
-            // stream is byte-aligned and self-delimiting, so a declared
-            // `bit_len` never truncates it the way v1 frame math can.
-            let (events, damaged) = dec.finish_tail();
-            for d in damaged {
-                self.record_damage(d);
-            }
-            for (ordinal, rec) in events {
-                self.accept(ordinal, rec);
-            }
-            self.frames = dec.blocks_seen();
-        } else if let Some(bits) = bit_len {
-            let frame_bits = u64::from(self.schema.frame_bits());
-            let declared = (bits.min(self.buf.len() as u64 * 8) / frame_bits) as usize;
-            if declared < self.frames {
-                // A caller-declared length undercuts the pushed bytes:
-                // drop everything decoded past the declared end.
-                self.frames = declared;
-                self.damaged.retain(|d| d.frame < declared);
-                if self.pending.is_some_and(|(f, _)| f >= declared) {
-                    self.pending = None;
-                }
-                // Committed records are already inside the localizer and
-                // cannot be dropped; declaring a shorter stream than was
-                // pushed is a caller error the report keeps visible via
-                // the frame counters.
-            }
-        }
-        if let Some((_, p)) = self.pending.take() {
-            self.commit(&p);
+        // The decoder flushes its tail (a truncated v2 block or trailing
+        // junk becomes damage) and learns the declared end.
+        let end = self.decoder.finish(bit_len, &mut self.decoded);
+        self.absorb();
+        // A declared length that undercuts the pushed bytes drops what
+        // was decoded past it. Committed records are already inside the
+        // localizer and cannot be dropped; declaring a shorter stream
+        // than was pushed is a caller error the report keeps visible via
+        // the frame counters.
+        self.damaged.retain(|d| d.frame < end.end);
+        if let Some(r) = self.time.flush(end.end) {
+            self.commit(&r);
         }
         self.maybe_resync();
         self.damaged.sort_by_key(|d| d.frame);
@@ -513,7 +433,7 @@ impl Session {
             resyncs: self.localizer.resyncs(),
             unknown_since: self.localizer.unknown_since(),
             mode: self.localizer.mode(),
-            utilization: self.schema.utilization(),
+            utilization: self.decoder.schema().utilization(),
             bytes_per_sec: self.bytes as f64 / elapsed,
             damaged: self.damaged,
         }
@@ -809,6 +729,30 @@ mod tests {
         assert_eq!(report.resyncs, 0);
         assert_eq!(report.localization.consistent, 0);
         assert!(!report.render().contains("resync"));
+    }
+
+    #[test]
+    fn a_short_declared_length_drops_only_the_held_record() {
+        let (u, schema) = setup();
+        let mut recs = records(&u);
+        let n = recs.len();
+        assert!(n >= 4, "precondition: a few records");
+        // The last frame regresses: damage past any declared end < n.
+        recs[n - 1].time = 0;
+        let stream = encode_records(&schema, &recs, None).unwrap();
+        let frame_bits = u64::from(schema.frame_bits());
+        // After the push, records 0..n-3 are committed, n-2 is held and
+        // n-1 is damage. Committed records stay whatever is declared;
+        // the held record and the damage go when they lie past the end.
+        for (declared, records) in [(n - 1, n - 1), (1, n - 2)] {
+            let mut session = Session::new(&u, schema.clone(), MatchMode::Prefix);
+            session.push_chunk(&stream.bytes);
+            assert_eq!(session.metrics().damaged_frames, 1);
+            let report = session.finish(Some(declared as u64 * frame_bits));
+            assert_eq!(report.metrics.frames, declared);
+            assert!(report.damaged.is_empty(), "{:?}", report.damaged);
+            assert_eq!(report.metrics.records, records, "declared {declared}");
+        }
     }
 
     #[test]

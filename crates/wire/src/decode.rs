@@ -1,21 +1,22 @@
-//! Streaming decoder: raw bits back into captured records.
+//! Decoding: raw payload bytes back into captured records.
 //!
-//! The decoder walks fixed-width frames, validating every field against
-//! the schema: the tag must name a real slot (or the idle pattern 0),
-//! every non-firing lane and all padding must be zero, and record times
-//! must be non-decreasing along the stream. A frame failing any check is
-//! flagged as *damaged* with a reason and decoding **resynchronizes at the
-//! next frame boundary** — corruption costs the damaged region, never the
-//! rest of the stream, and never a panic.
+//! Every dialect decodes through one shape, the [`RecordDecoder`]: bytes
+//! are pushed as they arrive, each push decodes every frame (or block)
+//! it completes, and [`finish`](RecordDecoder::finish) flushes the tail
+//! against the declared stream length. The raw `(ordinal, record)`
+//! events then pass through the one stream-wide [`TimePass`]. A batch
+//! decode is "push every byte, then finish" ([`finish_report`]); a live
+//! session runs the same decoder and the same time pass one chunk at a
+//! time, so the two agree by construction.
 //!
-//! Because frames are self-contained (absolute timestamps, per-frame
-//! tags), the stream splits into chunks that decode independently:
-//! [`decode_stream_chunked`] fans the frame range out across threads via
-//! the selection pipeline's [`Parallelism`] knob and produces bit-identical
-//! results to the sequential path (the time-monotonicity check runs as an
-//! order-preserving merge pass in both).
+//! The v1 decoder here walks fixed-width frames, validating every field
+//! against the schema: the tag must name a real slot (or the idle
+//! pattern 0), and every non-firing lane and all padding must be zero. A
+//! frame failing any check is flagged as *damaged* with a reason and
+//! decoding **resynchronizes at the next frame boundary** — corruption
+//! costs the damaged region, never the rest of the stream, and never a
+//! panic.
 
-use pstrace_core::Parallelism;
 use pstrace_flow::{FlowIndex, IndexedMessage};
 
 use crate::bits::BitReader;
@@ -163,6 +164,221 @@ impl DecodeReport {
     }
 }
 
+/// Raw decoder output, **before** the stream-wide [`TimePass`]: the
+/// buffer a caller owns and hands to [`RecordDecoder::drain`] again and
+/// again, so steady-state decoding allocates nothing per chunk.
+#[derive(Debug, Default)]
+pub struct Decoded {
+    /// `(ordinal, record)` pairs in stream order. The ordinal is the
+    /// v1 frame index or the v2 record ordinal — the index damage uses.
+    pub events: Vec<(usize, WireRecord)>,
+    /// Frames (or blocks) that failed validation, in stream order. Time
+    /// regressions and spikes are not here: they are a property of the
+    /// whole stream, which the [`TimePass`] judges.
+    pub damaged: Vec<DamagedFrame>,
+}
+
+impl Decoded {
+    /// Moves everything in `other` onto the end of `self`, leaving
+    /// `other` empty. Into an empty buffer the two swap storage instead
+    /// of copying, so a drain into a cleared buffer costs no copy.
+    pub fn append(&mut self, other: &mut Decoded) {
+        fn take<T>(to: &mut Vec<T>, from: &mut Vec<T>) {
+            if to.is_empty() {
+                std::mem::swap(to, from);
+            } else {
+                to.append(from);
+            }
+        }
+        take(&mut self.events, &mut other.events);
+        take(&mut self.damaged, &mut other.damaged);
+    }
+}
+
+/// The stream-level fields [`RecordDecoder::finish`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamEnd {
+    /// Complete frames (v2: sync blocks) inside the declared stream.
+    pub frames: usize,
+    /// Idle (all-zero tag) frames; always 0 for block dialects.
+    pub idle_frames: usize,
+    /// Bits past the last complete frame (byte padding or a truncated
+    /// frame).
+    pub trailing_bits: u64,
+    /// Whether every trailing bit was zero (v2: no sync was lost).
+    pub tail_clean: bool,
+    /// Ordinals at or past this bound lie beyond the declared end: a
+    /// consumer that drained them early drops them now. Block dialects
+    /// never decode past the bytes a declared length covers, so they
+    /// report `usize::MAX`.
+    pub end: usize,
+}
+
+/// One incremental payload decoder: the single bytes-to-records path of
+/// a dialect, shared by batch decode ([`finish_report`]) and live
+/// sessions. Obtain one from [`FrameProfile::decoder`](crate::FrameProfile::decoder).
+///
+/// A decoder keeps only the bytes it has not consumed yet, so its memory
+/// stays bounded by one frame (or block) plus one pushed chunk however
+/// long the stream runs.
+pub trait RecordDecoder: fmt::Debug + Send {
+    /// The schema this decoder reads.
+    fn schema(&self) -> &WireSchema;
+
+    /// Feeds more stream bytes, decoding every frame or block they
+    /// complete.
+    fn push(&mut self, bytes: &[u8]);
+
+    /// Moves the events and damage decoded since the last drain onto
+    /// the end of `out`.
+    fn drain(&mut self, out: &mut Decoded);
+
+    /// Ends the stream: flushes the tail, drops held items past the
+    /// declared `bit_len` (default: every byte pushed), drains the rest
+    /// into `out` and reports the stream-level fields. A finished
+    /// decoder takes no more bytes.
+    fn finish(&mut self, bit_len: Option<u64>, out: &mut Decoded) -> StreamEnd;
+
+    /// Complete frames (v2: sync blocks) seen so far.
+    fn frames(&self) -> usize;
+
+    /// Idle frames seen so far.
+    fn idle_frames(&self) -> usize {
+        0
+    }
+
+    /// How many payload bytes a declared length of `bit_len` bits
+    /// covers: every byte holding one of its bits for bit-granular
+    /// dialects (the default), whole bytes only for byte-aligned ones.
+    fn payload_bytes(&self, bit_len: u64) -> u64 {
+        bit_len.div_ceil(8)
+    }
+}
+
+/// What one [`TimePass::accept`] call lets out of the pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Released {
+    /// A record its successor confirmed: it is final.
+    Record(WireRecord),
+    /// A record judged a time regression or an isolated spike.
+    Damaged(DamagedFrame),
+}
+
+/// The stream-wide time pass: records must not run backwards in time.
+///
+/// At most one record — the newest — is ever held back, so the pass runs
+/// online as well as over a finished stream. A regressing record
+/// normally damages *itself* ([`DamageReason::TimeRegression`]); but
+/// when it is still consistent with the last committed record, the held
+/// record was an isolated forward spike (one flipped high time bit) and
+/// that one is damaged instead ([`DamageReason::TimeSpike`]), so
+/// corruption in a single frame never cascades down the tail.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TimePass {
+    /// The newest accepted record, not yet confirmed by a successor.
+    pending: Option<(usize, WireRecord)>,
+    /// Time of the newest committed record.
+    committed: u64,
+}
+
+impl TimePass {
+    /// Judges the next record in stream order. Returns the record this
+    /// one confirms, or the damage it reveals; at most one of the two.
+    pub fn accept(&mut self, ordinal: usize, rec: WireRecord) -> Option<Released> {
+        let prev = self.pending.map_or(self.committed, |(_, p)| p.time);
+        if rec.time >= prev {
+            let confirmed = self.pending.replace((ordinal, rec)).map(|(_, p)| p);
+            if let Some(p) = &confirmed {
+                self.committed = p.time;
+            }
+            return confirmed.map(Released::Record);
+        }
+        match self.pending {
+            Some((spike_ordinal, spike)) if rec.time >= self.committed => {
+                self.pending = Some((ordinal, rec));
+                Some(Released::Damaged(DamagedFrame {
+                    frame: spike_ordinal,
+                    reason: DamageReason::TimeSpike {
+                        time: spike.time,
+                        next: rec.time,
+                    },
+                }))
+            }
+            _ => Some(Released::Damaged(DamagedFrame {
+                frame: ordinal,
+                reason: DamageReason::TimeRegression {
+                    time: rec.time,
+                    prev,
+                },
+            })),
+        }
+    }
+
+    /// Whether a record is held back awaiting its successor.
+    #[must_use]
+    pub fn is_holding(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// Ends the stream: releases the held record, unless its ordinal is
+    /// at or past `end` (it lies beyond the declared stream).
+    pub fn flush(&mut self, end: usize) -> Option<WireRecord> {
+        let (ordinal, rec) = self.pending.take()?;
+        (ordinal < end).then(|| {
+            self.committed = rec.time;
+            rec
+        })
+    }
+}
+
+/// Finishes `decoder` and assembles the batch report: flush the tail,
+/// run the [`TimePass`] over every event, sort the damage by frame.
+#[must_use]
+pub fn finish_report(decoder: &mut dyn RecordDecoder, bit_len: Option<u64>) -> DecodeReport {
+    let mut out = Decoded::default();
+    let end = decoder.finish(bit_len, &mut out);
+    let Decoded {
+        events,
+        mut damaged,
+    } = out;
+    let mut pass = TimePass::default();
+    // Collected in place: the records reuse the events' allocation.
+    let mut records: Vec<WireRecord> = events
+        .into_iter()
+        .filter_map(|(ordinal, rec)| match pass.accept(ordinal, rec)? {
+            Released::Record(r) => Some(r),
+            Released::Damaged(d) => {
+                damaged.push(d);
+                None
+            }
+        })
+        .collect();
+    records.extend(pass.flush(end.end));
+    damaged.sort_by_key(|d| d.frame);
+    let schema = decoder.schema();
+    DecodeReport {
+        records,
+        damaged,
+        frames: end.frames,
+        idle_frames: end.idle_frames,
+        trailing_bits: end.trailing_bits,
+        tail_clean: end.tail_clean,
+        occupied_bits: schema.occupied_bits(),
+        body_width: schema.body_width(),
+    }
+}
+
+/// Decodes a complete v1 stream: [`decode_with`](crate::decode_with) the
+/// fixed-width frame profile.
+///
+/// `bit_len` is the exact stream length in bits when known (e.g. from a
+/// `.ptw` header); pass `None` to treat the whole byte slice as the
+/// stream (trailing sub-byte padding is then expected to be zero).
+#[must_use]
+pub fn decode_stream(schema: &WireSchema, bytes: &[u8], bit_len: Option<u64>) -> DecodeReport {
+    crate::decode_with(&crate::ProfileV1, schema, bytes, bit_len)
+}
+
 /// Outcome of examining one frame.
 enum RawFrame {
     Idle,
@@ -171,8 +387,8 @@ enum RawFrame {
 }
 
 /// Reads and validates one frame; the reader must sit on a frame boundary
-/// with at least `frame_bits` remaining.
-fn read_frame(schema: &WireSchema, r: &mut BitReader<'_>) -> RawFrame {
+/// with at least `frame_bits` remaining. `lanes` is scratch space.
+fn read_frame(schema: &WireSchema, r: &mut BitReader<'_>, lanes: &mut Vec<u64>) -> RawFrame {
     let tag = r.read(schema.tag_width()).expect("frame boundary checked");
     let index = r
         .read(schema.index_width())
@@ -180,7 +396,7 @@ fn read_frame(schema: &WireSchema, r: &mut BitReader<'_>) -> RawFrame {
     let time = r.read(schema.time_width()).expect("frame boundary checked");
 
     // Read every lane (validation needs them all) plus the padding.
-    let mut lanes = Vec::with_capacity(schema.slots().len());
+    lanes.clear();
     for slot in schema.slots() {
         lanes.push(r.read(slot.width).expect("frame boundary checked"));
     }
@@ -219,169 +435,6 @@ fn read_frame(schema: &WireSchema, r: &mut BitReader<'_>) -> RawFrame {
     })
 }
 
-/// Raw per-chunk decode output, before the monotonicity merge pass.
-#[derive(Debug, Default)]
-struct ChunkOutcome {
-    /// `(frame index, record)` pairs in stream order.
-    events: Vec<(usize, WireRecord)>,
-    damaged: Vec<DamagedFrame>,
-    idle: usize,
-}
-
-/// Raw decode of a frame range: per-frame outcomes **before** the
-/// stream-wide time-monotonicity pass.
-///
-/// This is the chunk-boundary building block consumers with their own
-/// stream state (e.g. a live ingest session holding records back for
-/// spike reclassification) use to decode frames as they land without
-/// borrowing a [`StreamDecoder`]'s schema lifetime.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FrameRange {
-    /// `(absolute frame index, record)` pairs, in stream order.
-    pub events: Vec<(usize, WireRecord)>,
-    /// Frames that failed per-frame validation, in stream order. Time
-    /// regressions/spikes are *not* detected here — they are a property
-    /// of the whole stream, not of a frame range.
-    pub damaged: Vec<DamagedFrame>,
-    /// Idle (all-zero tag) frames in the range.
-    pub idle_frames: usize,
-}
-
-/// Decodes the `count` frames starting at absolute frame `start` from a
-/// bit stream of exactly `bit_len` bits.
-///
-/// Frames are self-contained, so any range decodes independently; the
-/// caller is responsible for stream-wide concerns (time monotonicity,
-/// trailing-bit checks) — or can feed whole streams to [`decode_stream`]
-/// instead, which layers those on top of this.
-///
-/// # Panics
-///
-/// Panics when the requested range runs past `bit_len` or `bit_len`
-/// exceeds the byte buffer.
-#[must_use]
-pub fn decode_frame_range(
-    schema: &WireSchema,
-    bytes: &[u8],
-    bit_len: u64,
-    start: usize,
-    count: usize,
-) -> FrameRange {
-    assert!(
-        bit_len <= bytes.len() as u64 * 8,
-        "declared bit length exceeds the byte buffer"
-    );
-    let frame_bits = u64::from(schema.frame_bits());
-    assert!(
-        (start as u64 + count as u64) * frame_bits <= bit_len,
-        "frame range runs past the declared stream end"
-    );
-    let out = decode_chunk(schema, bytes, bit_len, start, count);
-    FrameRange {
-        events: out.events,
-        damaged: out.damaged,
-        idle_frames: out.idle,
-    }
-}
-
-/// Decodes `count` frames starting at frame `start`.
-fn decode_chunk(
-    schema: &WireSchema,
-    bytes: &[u8],
-    bit_len: u64,
-    start: usize,
-    count: usize,
-) -> ChunkOutcome {
-    let frame_bits = u64::from(schema.frame_bits());
-    let mut r = BitReader::new(bytes, bit_len);
-    r.seek(start as u64 * frame_bits);
-    let mut out = ChunkOutcome::default();
-    for i in 0..count {
-        let frame = start + i;
-        match read_frame(schema, &mut r) {
-            RawFrame::Idle => out.idle += 1,
-            RawFrame::Event(rec) => out.events.push((frame, rec)),
-            RawFrame::Damaged(reason) => out.damaged.push(DamagedFrame { frame, reason }),
-        }
-    }
-    out
-}
-
-/// The order-preserving merge pass: enforce non-decreasing record times
-/// across `events`, reclassifying violators as damaged frames pushed onto
-/// `damaged`. Returns the surviving `(frame, record)` pairs in order.
-///
-/// A regressing record normally damages *itself* ([`DamageReason::
-/// TimeRegression`]); but when it is still consistent with the record
-/// before last, the *previous* record was an isolated forward spike (one
-/// flipped high time bit) and that one is damaged instead
-/// ([`DamageReason::TimeSpike`]), so corruption in a single frame never
-/// cascades down the tail.
-///
-/// This is the shared stream-wide time pass: the batch decoder, the live
-/// session, and the v2 codec all run this exact function so damage
-/// semantics agree across profiles. `damaged` is left unsorted; callers
-/// assembling a report sort by frame index afterwards.
-pub fn monotonize_events(
-    events: Vec<(usize, WireRecord)>,
-    damaged: &mut Vec<DamagedFrame>,
-) -> Vec<(usize, WireRecord)> {
-    let mut kept: Vec<(usize, WireRecord)> = Vec::with_capacity(events.len());
-    for (frame, rec) in events {
-        let prev = kept.last().map_or(0, |(_, r)| r.time);
-        if rec.time >= prev {
-            kept.push((frame, rec));
-            continue;
-        }
-        let prev_prev = kept.len().checked_sub(2).map_or(0, |i| kept[i].1.time);
-        if rec.time >= prev_prev {
-            let (spike_frame, spike) = kept.pop().expect("regression implies a previous record");
-            damaged.push(DamagedFrame {
-                frame: spike_frame,
-                reason: DamageReason::TimeSpike {
-                    time: spike.time,
-                    next: rec.time,
-                },
-            });
-            kept.push((frame, rec));
-        } else {
-            damaged.push(DamagedFrame {
-                frame,
-                reason: DamageReason::TimeRegression {
-                    time: rec.time,
-                    prev,
-                },
-            });
-        }
-    }
-    kept
-}
-
-/// Assemble the report from per-frame outcomes: run [`monotonize_events`],
-/// sort the damage list, fill in the stream-level fields. Identical for
-/// sequential and chunked decodes.
-fn finalize(
-    schema: &WireSchema,
-    outcome: ChunkOutcome,
-    frames: usize,
-    trailing_bits: u64,
-    tail_clean: bool,
-) -> DecodeReport {
-    let mut damaged = outcome.damaged;
-    let kept = monotonize_events(outcome.events, &mut damaged);
-    damaged.sort_by_key(|d| d.frame);
-    DecodeReport {
-        records: kept.into_iter().map(|(_, r)| r).collect(),
-        damaged,
-        frames,
-        idle_frames: outcome.idle,
-        trailing_bits,
-        tail_clean,
-        occupied_bits: schema.occupied_bits(),
-        body_width: schema.body_width(),
-    }
-}
-
 /// Whether every bit in `bytes[bit_start .. bit_end)` is zero.
 fn bits_are_zero(bytes: &[u8], bit_start: u64, bit_end: u64) -> bool {
     let mut r = BitReader::new(bytes, bit_end);
@@ -397,140 +450,122 @@ fn bits_are_zero(bytes: &[u8], bit_start: u64, bit_end: u64) -> bool {
     true
 }
 
-/// Decodes a complete stream sequentially.
-///
-/// `bit_len` is the exact stream length in bits when known (e.g. from a
-/// `.ptw` header); pass `None` to treat the whole byte slice as the
-/// stream (trailing sub-byte padding is then expected to be zero).
-#[must_use]
-pub fn decode_stream(schema: &WireSchema, bytes: &[u8], bit_len: Option<u64>) -> DecodeReport {
-    decode_stream_chunked(schema, bytes, bit_len, Parallelism::Off)
-}
-
-/// [`decode_stream`] with the frame range fanned out across worker
-/// threads. Any [`Parallelism`] setting yields bit-identical reports; the
-/// knob only trades wall-clock for cores.
-#[must_use]
-pub fn decode_stream_chunked(
-    schema: &WireSchema,
-    bytes: &[u8],
-    bit_len: Option<u64>,
-    parallelism: Parallelism,
-) -> DecodeReport {
-    let bit_len = bit_len.unwrap_or(bytes.len() as u64 * 8);
-    assert!(
-        bit_len <= bytes.len() as u64 * 8,
-        "declared bit length exceeds the byte buffer"
-    );
-    let frame_bits = u64::from(schema.frame_bits());
-    let frames = (bit_len / frame_bits) as usize;
-    let trailing_bits = bit_len - frames as u64 * frame_bits;
-    let tail_clean =
-        trailing_bits == 0 || bits_are_zero(bytes, frames as u64 * frame_bits, bit_len);
-
-    let workers = parallelism.worker_count(frames);
-    let merged = if workers <= 1 || frames == 0 {
-        decode_chunk(schema, bytes, bit_len, 0, frames)
-    } else {
-        let per = frames.div_ceil(workers);
-        let mut chunks: Vec<ChunkOutcome> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut start = 0usize;
-            while start < frames {
-                let count = per.min(frames - start);
-                handles
-                    .push(scope.spawn(move || decode_chunk(schema, bytes, bit_len, start, count)));
-                start += count;
-            }
-            for h in handles {
-                chunks.push(h.join().expect("decode worker panicked"));
-            }
-        });
-        let mut merged = ChunkOutcome::default();
-        for mut c in chunks {
-            merged.events.append(&mut c.events);
-            merged.damaged.append(&mut c.damaged);
-            merged.idle += c.idle;
-        }
-        merged
-    };
-    finalize(schema, merged, frames, trailing_bits, tail_clean)
-}
-
-/// Incremental decoder: feed bytes as they arrive, harvest the report at
-/// the end. Complete frames are decoded as soon as their last byte lands.
+/// The v1 [`RecordDecoder`]: fixed-width frames, decoded as soon as
+/// their last bit lands. Frames are bit-aligned, so the buffer starts at
+/// a whole byte and `base` records that byte's stream bit offset.
 #[derive(Debug)]
-pub struct StreamDecoder<'a> {
-    schema: &'a WireSchema,
+pub struct StreamDecoder {
+    schema: WireSchema,
+    /// Stream bytes from bit `base` on; bytes wholly before the next
+    /// undecoded frame are dropped at the start of the next push.
     buf: Vec<u8>,
+    base: u64,
     /// Frames fully decoded so far.
     frames: usize,
-    outcome: ChunkOutcome,
+    idle: usize,
+    /// Decoded since the last drain.
+    held: Decoded,
+    /// `frames` as of the last drain: every outcome of a later frame is
+    /// still in `held`.
+    drained_frames: usize,
+    /// Scratch lane values of the frame being read.
+    lanes: Vec<u64>,
 }
 
-impl<'a> StreamDecoder<'a> {
-    /// A decoder over `schema` with an empty buffer.
+impl StreamDecoder {
+    /// A decoder over an owned copy of `schema` with an empty buffer.
     #[must_use]
-    pub fn new(schema: &'a WireSchema) -> Self {
+    pub fn new(schema: &WireSchema) -> Self {
         StreamDecoder {
-            schema,
+            schema: schema.clone(),
             buf: Vec::new(),
+            base: 0,
             frames: 0,
-            outcome: ChunkOutcome::default(),
+            idle: 0,
+            held: Decoded::default(),
+            drained_frames: 0,
+            lanes: Vec::with_capacity(schema.slots().len()),
         }
     }
 
-    /// Feeds more stream bytes, decoding every frame they complete.
-    pub fn push(&mut self, bytes: &[u8]) {
+    fn frame_bits(&self) -> u64 {
+        u64::from(self.schema.frame_bits())
+    }
+}
+
+impl RecordDecoder for StreamDecoder {
+    fn schema(&self) -> &WireSchema {
+        &self.schema
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        let frame_bits = self.frame_bits();
+        let next = self.frames as u64 * frame_bits;
+        let dead = ((next - self.base) / 8) as usize;
+        if dead > 0 {
+            self.buf.drain(..dead);
+            self.base += dead as u64 * 8;
+        }
         self.buf.extend_from_slice(bytes);
-        let frame_bits = u64::from(self.schema.frame_bits());
-        let avail = self.buf.len() as u64 * 8;
-        let ready = (avail / frame_bits) as usize;
-        if ready > self.frames {
-            let mut chunk = decode_chunk(
-                self.schema,
-                &self.buf,
-                avail,
-                self.frames,
-                ready - self.frames,
-            );
-            self.outcome.events.append(&mut chunk.events);
-            self.outcome.damaged.append(&mut chunk.damaged);
-            self.outcome.idle += chunk.idle;
-            self.frames = ready;
+        let ready = ((self.base + self.buf.len() as u64 * 8) / frame_bits) as usize;
+        let mut r = BitReader::new(&self.buf, self.buf.len() as u64 * 8);
+        r.seek(next - self.base);
+        for frame in self.frames..ready {
+            match read_frame(&self.schema, &mut r, &mut self.lanes) {
+                RawFrame::Idle => self.idle += 1,
+                RawFrame::Event(rec) => self.held.events.push((frame, rec)),
+                RawFrame::Damaged(reason) => self.held.damaged.push(DamagedFrame { frame, reason }),
+            }
+        }
+        self.frames = self.frames.max(ready);
+    }
+
+    fn drain(&mut self, out: &mut Decoded) {
+        out.append(&mut self.held);
+        self.drained_frames = self.frames;
+    }
+
+    fn finish(&mut self, bit_len: Option<u64>, out: &mut Decoded) -> StreamEnd {
+        let frame_bits = self.frame_bits();
+        let avail = self.base + self.buf.len() as u64 * 8;
+        let bit_len = bit_len.unwrap_or(avail).min(avail);
+        let frames = ((bit_len / frame_bits) as usize).min(self.frames);
+        if frames < self.frames {
+            // A declared length undercuts the pushed bytes: drop what was
+            // decoded past it, so no such frame reaches the time pass.
+            let held = self.held.events.len() + self.held.damaged.len();
+            self.held.events.retain(|(f, _)| *f < frames);
+            self.held.damaged.retain(|d| d.frame < frames);
+            if frames >= self.drained_frames {
+                // Every dropped frame was held, so those not dropped as
+                // events or damage were idle.
+                let kept = self.held.events.len() + self.held.damaged.len();
+                self.idle -= (self.frames - frames) - (held - kept);
+            }
+            self.frames = frames;
+        }
+        let trailing_bits = bit_len - frames as u64 * frame_bits;
+        // Bits already dropped with consumed bytes are not re-examined;
+        // only a declared length far below the pushed bytes reaches them.
+        let from = (frames as u64 * frame_bits).max(self.base);
+        let tail_clean =
+            from >= bit_len || bits_are_zero(&self.buf, from - self.base, bit_len - self.base);
+        self.drain(out);
+        StreamEnd {
+            frames,
+            idle_frames: self.idle,
+            trailing_bits,
+            tail_clean,
+            end: frames,
         }
     }
 
-    /// Frames fully decoded so far.
-    #[must_use]
-    pub fn frames_decoded(&self) -> usize {
+    fn frames(&self) -> usize {
         self.frames
     }
 
-    /// Records reconstructed so far (before the final monotonicity pass).
-    #[must_use]
-    pub fn records_decoded(&self) -> usize {
-        self.outcome.events.len()
-    }
-
-    /// Finishes the stream and produces the report. `bit_len` bounds the
-    /// stream exactly when known; defaults to every byte pushed.
-    #[must_use]
-    pub fn finish(self, bit_len: Option<u64>) -> DecodeReport {
-        let frame_bits = u64::from(self.schema.frame_bits());
-        let avail = self.buf.len() as u64 * 8;
-        let bit_len = bit_len.unwrap_or(avail).min(avail);
-        let frames = ((bit_len / frame_bits) as usize).min(self.frames);
-        let trailing_bits = bit_len - frames as u64 * frame_bits;
-        let tail_clean =
-            trailing_bits == 0 || bits_are_zero(&self.buf, frames as u64 * frame_bits, bit_len);
-        let mut outcome = self.outcome;
-        // Drop frames decoded past the declared stream end (possible when
-        // a caller-declared bit_len undercuts the pushed bytes).
-        outcome.events.retain(|(f, _)| *f < frames);
-        outcome.damaged.retain(|d| d.frame < frames);
-        finalize(self.schema, outcome, frames, trailing_bits, tail_clean)
+    fn idle_frames(&self) -> usize {
+        self.idle
     }
 }
 
@@ -626,30 +661,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_decode_is_bit_identical() {
-        let (c, schema) = setup();
-        let recs = records(&c, 101);
-        let stream = encode_records(&schema, &recs, None).unwrap();
-        let seq = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
-        for threads in [1, 2, 3, 8] {
-            let par = decode_stream_chunked(
-                &schema,
-                &stream.bytes,
-                Some(stream.bit_len),
-                Parallelism::threads(threads),
-            );
-            assert_eq!(par, seq, "{threads} threads");
-        }
-        let auto = decode_stream_chunked(
-            &schema,
-            &stream.bytes,
-            Some(stream.bit_len),
-            Parallelism::Auto,
-        );
-        assert_eq!(auto, seq);
-    }
-
-    #[test]
     fn corrupt_tag_is_flagged_and_resynced() {
         let (c, schema) = setup();
         let recs = records(&c, 9);
@@ -731,7 +742,7 @@ mod tests {
                 dec.push(chunk);
             }
             assert_eq!(
-                dec.finish(Some(stream.bit_len)),
+                finish_report(&mut dec, Some(stream.bit_len)),
                 one_shot,
                 "chunk {chunk_size}"
             );
@@ -739,35 +750,91 @@ mod tests {
     }
 
     #[test]
-    fn frame_range_decode_composes_to_the_full_stream() {
+    fn frames_past_a_short_declared_length_never_reach_the_time_pass() {
         let (c, schema) = setup();
-        let recs = records(&c, 25);
+        let mut recs = records(&c, 6);
+        // Frame 5 regresses below frame 4 but not below frame 3: were it
+        // released, frame 4 would be blamed as a time spike.
+        recs[5].time = recs[3].time;
         let stream = encode_records(&schema, &recs, None).unwrap();
-        let whole = decode_frame_range(&schema, &stream.bytes, stream.bit_len, 0, 25);
-        assert_eq!(whole.events.len(), 25);
-        assert!(whole.damaged.is_empty());
-        // Any split of the frame range concatenates to the whole.
-        for split in [1usize, 7, 12, 24] {
-            let head = decode_frame_range(&schema, &stream.bytes, stream.bit_len, 0, split);
-            let tail =
-                decode_frame_range(&schema, &stream.bytes, stream.bit_len, split, 25 - split);
-            let mut glued = head.clone();
-            glued.events.extend(tail.events.iter().copied());
-            glued.damaged.extend(tail.damaged.iter().copied());
-            glued.idle_frames += tail.idle_frames;
-            assert_eq!(glued, whole, "split at {split}");
-        }
-        // Frame indices in the tail are absolute, not range-relative.
-        let tail = decode_frame_range(&schema, &stream.bytes, stream.bit_len, 20, 5);
-        assert_eq!(tail.events[0].0, 20);
+        let declared = 5 * u64::from(schema.frame_bits());
+        let mut dec = StreamDecoder::new(&schema);
+        dec.push(&stream.bytes);
+        assert_eq!(dec.frames(), 6);
+        let report = finish_report(&mut dec, Some(declared));
+        assert!(report.damaged.is_empty(), "{:?}", report.damaged);
+        assert_eq!(report.records, recs[..5].to_vec());
+        assert_eq!(report.frames, 5);
+        assert_eq!(report.trailing_bits, 0);
+        assert_eq!(
+            report,
+            decode_stream(&schema, &stream.bytes, Some(declared))
+        );
     }
 
     #[test]
-    #[should_panic(expected = "runs past the declared stream end")]
-    fn frame_range_past_the_end_is_rejected() {
+    fn idle_frames_past_a_short_declared_length_are_not_counted() {
         let (c, schema) = setup();
-        let stream = encode_records(&schema, &records(&c, 3), None).unwrap();
-        let _ = decode_frame_range(&schema, &stream.bytes, stream.bit_len, 2, 2);
+        let frame_bits = u64::from(schema.frame_bits());
+        let one = encode_records(&schema, &records(&c, 1), None).unwrap();
+        // One event frame, then two idle (all-zero) frames.
+        let mut bytes = one.bytes.clone();
+        bytes.resize((3 * frame_bits).div_ceil(8) as usize, 0);
+        let mut dec = StreamDecoder::new(&schema);
+        dec.push(&bytes);
+        assert_eq!(dec.idle_frames(), 2);
+        let report = finish_report(&mut dec, Some(2 * frame_bits));
+        assert_eq!((report.frames, report.idle_frames), (2, 1));
+        assert_eq!(report.records.len(), 1);
+    }
+
+    #[test]
+    fn time_pass_holds_one_record_and_blames_spikes_not_tails() {
+        let (c, _) = setup();
+        let mut recs = records(&c, 4);
+        recs[1].time = 1 << 30;
+        let mut pass = TimePass::default();
+        assert_eq!(pass.accept(0, recs[0]), None);
+        assert!(pass.is_holding());
+        assert_eq!(pass.accept(1, recs[1]), Some(Released::Record(recs[0])));
+        // Record 2 regresses below the spike but not below record 0.
+        assert!(matches!(
+            pass.accept(2, recs[2]),
+            Some(Released::Damaged(DamagedFrame {
+                frame: 1,
+                reason: DamageReason::TimeSpike { .. }
+            }))
+        ));
+        assert_eq!(pass.accept(3, recs[3]), Some(Released::Record(recs[2])));
+        // The held record is dropped when it lies past the declared end.
+        let mut copy = pass;
+        assert_eq!(copy.flush(3), None);
+        assert_eq!(pass.flush(4), Some(recs[3]));
+        assert!(!pass.is_holding());
+    }
+
+    #[test]
+    fn retained_bytes_stay_within_one_frame_plus_one_chunk() {
+        let (c, schema) = setup();
+        let recs = records(&c, 150_000);
+        let stream = encode_records(&schema, &recs, None).unwrap();
+        assert!(stream.bytes.len() >= 1 << 20, "push at least 1 MiB");
+        let chunk = 256;
+        let bound = (schema.frame_bits() as usize).div_ceil(8) + 1 + chunk;
+        let mut dec = StreamDecoder::new(&schema);
+        let mut out = Decoded::default();
+        let mut records = 0;
+        for piece in stream.bytes.chunks(chunk) {
+            dec.push(piece);
+            assert!(dec.buf.len() <= bound, "{} > {bound}", dec.buf.len());
+            dec.drain(&mut out);
+            records += out.events.len();
+            out.events.clear();
+        }
+        let end = dec.finish(Some(stream.bit_len), &mut out);
+        assert_eq!(records + out.events.len(), recs.len());
+        assert_eq!(end.frames, recs.len());
+        assert!(end.tail_clean);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   resynchronization at frame boundaries, and report per-frame buffer
 //!   utilization *as measured* — the experimental counterpart of the
 //!   analytic `TraceBufferSpec::utilization` model;
+//! * [`RecordDecoder`] and [`TimePass`] are the one bytes-to-records
+//!   path every dialect and consumer shares: a batch decode
+//!   ([`decode_with`]) pushes every byte and finishes, a live session
+//!   pushes chunk by chunk through the same decoder and time pass;
 //! * [`write_ptw`] / [`read_ptw`] wrap a stream in the self-describing
 //!   `.ptw` container for on-disk exchange.
 //!
@@ -37,12 +41,12 @@ mod schema;
 
 pub use bits::{BitReader, BitWriter};
 pub use decode::{
-    decode_frame_range, decode_stream, decode_stream_chunked, monotonize_events, DamageReason,
-    DamagedFrame, DecodeReport, FrameRange, StreamDecoder,
+    decode_stream, finish_report, DamageReason, DamagedFrame, DecodeReport, Decoded, RecordDecoder,
+    Released, StreamDecoder, StreamEnd, TimePass,
 };
 pub use error::WireError;
 pub use frame::{encode_records, EncodedStream, Encoder, FrameRing, WireRecord};
-pub use profile::{FrameProfile, ProfileV1};
+pub use profile::{decode_with, FrameProfile, ProfileV1};
 pub use ptw::{
     read_ptw, read_ptw_any, read_ptw_header, read_ptw_schema, write_ptw, write_ptw_schema,
     write_ptw_schema_with, write_ptw_with, PtwMeta, PTW_MAGIC, PTW_VERSION, PTW_VERSION_V2,

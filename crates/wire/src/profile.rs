@@ -17,7 +17,7 @@
 //! panics — it costs a bounded window of records, surfaced through the
 //! same [`DecodeReport`] damage vocabulary.
 
-use crate::decode::{decode_stream, DecodeReport};
+use crate::decode::{finish_report, DecodeReport, RecordDecoder, StreamDecoder};
 use crate::error::WireError;
 use crate::frame::{encode_records, EncodedStream, WireRecord};
 use crate::ptw::PtwMeta;
@@ -49,14 +49,34 @@ pub trait FrameProfile {
         depth: Option<usize>,
     ) -> Result<EncodedStream, WireError>;
 
-    /// Decodes a payload stream, tolerating corruption: damaged regions
-    /// are reported, never panicked on, and never poison the rest of
-    /// the stream. `bit_len` bounds the stream exactly when known.
-    fn decode(&self, schema: &WireSchema, bytes: &[u8], bit_len: Option<u64>) -> DecodeReport;
+    /// A fresh incremental decoder for this dialect over `schema` — the
+    /// one decode path, for batch ([`decode_with`]) and live consumers
+    /// alike. It tolerates corruption: damaged regions are reported,
+    /// never panicked on, and never poison the rest of the stream.
+    fn decoder(&self, schema: &WireSchema) -> Box<dyn RecordDecoder>;
+}
+
+/// Decodes a complete payload under `profile`: push every byte the
+/// declared `bit_len` covers (default: all of `bytes`), then
+/// [`finish_report`].
+#[must_use]
+pub fn decode_with(
+    profile: &dyn FrameProfile,
+    schema: &WireSchema,
+    bytes: &[u8],
+    bit_len: Option<u64>,
+) -> DecodeReport {
+    let mut decoder = profile.decoder(schema);
+    let len = bit_len
+        .and_then(|b| usize::try_from(decoder.payload_bytes(b)).ok())
+        .map_or(bytes.len(), |n| n.min(bytes.len()));
+    decoder.push(&bytes[..len]);
+    finish_report(&mut *decoder, bit_len)
 }
 
 /// The identity profile: v1 fixed-width frames, exactly what
-/// [`encode_records`] and [`decode_stream`] have always produced.
+/// [`encode_records`] and [`decode_stream`](crate::decode_stream) have
+/// always produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileV1;
 
@@ -74,8 +94,8 @@ impl FrameProfile for ProfileV1 {
         encode_records(schema, records, depth)
     }
 
-    fn decode(&self, schema: &WireSchema, bytes: &[u8], bit_len: Option<u64>) -> DecodeReport {
-        decode_stream(schema, bytes, bit_len)
+    fn decoder(&self, schema: &WireSchema) -> Box<dyn RecordDecoder> {
+        Box::new(StreamDecoder::new(schema))
     }
 }
 
@@ -102,7 +122,7 @@ mod tests {
         assert_eq!(p.meta(), PtwMeta::v1());
         let stream = p.encode(&schema, &records, None).unwrap();
         assert_eq!(stream, encode_records(&schema, &records, None).unwrap());
-        let report = p.decode(&schema, &stream.bytes, Some(stream.bit_len));
+        let report = decode_with(&p, &schema, &stream.bytes, Some(stream.bit_len));
         assert!(report.is_clean());
         assert_eq!(report.records, records);
     }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
 use pstrace_wire::{
-    decode_stream, decode_stream_chunked, encode_records, read_ptw, write_ptw, WireRecord,
-    WireSchema,
+    decode_stream, encode_records, finish_report, read_ptw, write_ptw, RecordDecoder,
+    StreamDecoder, WireRecord, WireSchema,
 };
 use std::sync::Arc;
 
@@ -60,11 +60,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// decode(encode(records)) is the identity on every valid record
-    /// stream, sequentially and chunked, with and without circular depth.
+    /// stream, with and without circular depth, and pushing the stream
+    /// incrementally at random chunk sizes equals the one-shot decode.
     #[test]
     fn round_trip_is_identity(
         parts in proptest::collection::vec((any::<u8>(), 0u64..50, any::<u8>(), any::<u64>()), 0..120),
         depth_raw in 0usize..40,
+        chunks in proptest::collection::vec(1usize..64, 1..16),
     ) {
         let depth = (depth_raw > 0).then_some(depth_raw);
         let c = catalog();
@@ -85,15 +87,17 @@ proptest! {
         let report = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
         prop_assert!(report.is_clean());
         prop_assert_eq!(&report.records, &survivors);
-        for threads in [2usize, 5] {
-            let par = decode_stream_chunked(
-                &schema,
-                &stream.bytes,
-                Some(stream.bit_len),
-                pstrace_core::Parallelism::threads(threads),
-            );
-            prop_assert_eq!(&par, &report);
+        let mut dec = StreamDecoder::new(&schema);
+        let mut rest = stream.bytes.as_slice();
+        for &size in chunks.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at(size.min(rest.len()));
+            dec.push(head);
+            rest = tail;
         }
+        prop_assert_eq!(&finish_report(&mut dec, Some(stream.bit_len)), &report);
     }
 
     /// Random single-bit corruption never panics the decoder and never

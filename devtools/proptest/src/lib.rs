@@ -169,7 +169,7 @@ pub mod collection {
     use super::{Rng64, Strategy};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: a fixed length or a length range.
+    /// Length specification for [`vec()`]: a fixed length or a length range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -144,5 +144,6 @@ fi
 # job: lint
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --locked -- -D warnings
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 
 echo "==> ci-local: all green"

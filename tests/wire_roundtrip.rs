@@ -8,14 +8,16 @@
 //!   subgroup bits included;
 //! * a corrupted frame is flagged and decoding resynchronizes at the next
 //!   frame boundary instead of crashing or cascading;
-//! * the chunked decoder is bit-identical to the sequential one;
+//! * pushing a stream chunk by chunk is bit-identical to the one-shot
+//!   decode, in both dialects;
 //! * the `.ptw` container survives a disk round trip.
 
 use pstrace::codec::{ProfileV2, DEFAULT_SYNC_EVERY};
 use pstrace::faults::{corrupt_wire, FaultLedger, FaultPlan};
-use pstrace::select::{Parallelism, SelectionConfig, Selector, TraceBufferSpec};
-use pstrace::soc::wirecap;
+use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
+use pstrace::soc::wirecap::{self, FrameProfile, ProfileV1};
 use pstrace::soc::{capture, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace::wire::finish_report;
 use pstrace_rng::Rng64;
 
 fn paper_scenarios() -> Vec<UsageScenario> {
@@ -62,12 +64,8 @@ fn every_scenario_round_trips_bit_identically() {
             let direct = capture(&model, &out, &config);
             let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
                 .expect("records fit the schema");
-            let (decoded, report) = wirecap::decode_capture(
-                &schema,
-                &stream.bytes,
-                Some(stream.bit_len),
-                Parallelism::Off,
-            );
+            let (decoded, report) =
+                wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &ProfileV1);
             assert!(
                 report.is_clean(),
                 "{}: {:?}",
@@ -96,12 +94,8 @@ fn measured_utilization_matches_the_analytic_model() {
         let out = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(7)).run();
         let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
             .expect("records fit the schema");
-        let (_, report) = wirecap::decode_capture(
-            &schema,
-            &stream.bytes,
-            Some(stream.bit_len),
-            Parallelism::Off,
-        );
+        let (_, report) =
+            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &ProfileV1);
         assert!(
             (report.utilization() - modeled).abs() < 1e-12,
             "{}: measured {} != modeled {}",
@@ -140,7 +134,7 @@ fn corrupted_frame_is_flagged_and_decoding_resyncs() {
     }
 
     let (decoded, report) =
-        wirecap::decode_capture(&schema, &bytes, Some(stream.bit_len), Parallelism::Off);
+        wirecap::decode_capture(&schema, &bytes, Some(stream.bit_len), &ProfileV1);
     assert!(!report.is_clean(), "the damage must be flagged");
     assert!(
         report.damaged.iter().any(|d| d.frame == victim),
@@ -171,23 +165,32 @@ fn chunked_decode_is_bit_identical_to_sequential() {
     let scenario = UsageScenario::scenario3();
     let (config, schema, _) = selection_setup(&model, &scenario, None);
     let out = Simulator::new(&model, scenario, SimConfig::with_seed(99)).run();
-    let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
-        .expect("records fit the schema");
-    let (seq_trace, seq_report) = wirecap::decode_capture(
-        &schema,
-        &stream.bytes,
-        Some(stream.bit_len),
-        Parallelism::Off,
-    );
-    for parallelism in [
-        Parallelism::Auto,
-        Parallelism::threads(2),
-        Parallelism::threads(7),
-    ] {
-        let (trace, report) =
-            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), parallelism);
-        assert_eq!(trace, seq_trace, "{parallelism:?}");
-        assert_eq!(report, seq_report, "{parallelism:?}");
+    let profiles: [&dyn FrameProfile; 2] = [&ProfileV1, &ProfileV2 { sync_every: 16 }];
+    for profile in profiles {
+        let stream =
+            wirecap::encode_events_with(model.catalog(), &schema, &out.events, &config, profile)
+                .expect("records fit the schema");
+        let (seq_trace, seq_report) =
+            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), profile);
+        assert!(!seq_trace.records().is_empty());
+        let mut rng = Rng64::seed_from_u64(99);
+        for chunk in [1usize, 7, 256, 0] {
+            let mut decoder = profile.decoder(&schema);
+            let mut rest = stream.bytes.as_slice();
+            while !rest.is_empty() {
+                // Chunk 0 draws a fresh random size for every push.
+                let size = if chunk == 0 {
+                    rng.gen_range_u64(1, 64) as usize
+                } else {
+                    chunk
+                };
+                let (head, tail) = rest.split_at(size.min(rest.len()));
+                decoder.push(head);
+                rest = tail;
+            }
+            let report = finish_report(&mut *decoder, Some(stream.bit_len));
+            assert_eq!(report, seq_report, "{:?} chunk {chunk}", profile.meta());
+        }
     }
 }
 
@@ -212,12 +215,8 @@ fn every_scenario_round_trips_bit_identically_under_v2() {
                     &profile,
                 )
                 .expect("records fit the schema");
-                let (decoded, report) = wirecap::decode_capture_with(
-                    &schema,
-                    &stream.bytes,
-                    Some(stream.bit_len),
-                    &profile,
-                );
+                let (decoded, report) =
+                    wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &profile);
                 assert!(
                     report.is_clean(),
                     "{} sync {}: {:?}",
@@ -320,7 +319,7 @@ fn v2_corruption_from_the_fault_injector_stays_bounded() {
         let mut ledger = FaultLedger::new();
         let mangled = corrupt_wire(&flips, session, 8, &stream, &mut rng, &mut ledger);
         let (decoded, report) =
-            wirecap::decode_capture_with(&schema, &mangled.bytes, Some(mangled.bit_len), &profile);
+            wirecap::decode_capture(&schema, &mangled.bytes, Some(mangled.bit_len), &profile);
         if ledger.is_empty() {
             assert!(report.is_clean(), "clean bytes must decode clean");
             assert_eq!(decoded, direct);
@@ -356,7 +355,7 @@ fn v2_corruption_from_the_fault_injector_stays_bounded() {
     for session in 0..16u64 {
         let mangled = corrupt_wire(&plan, session, 8, &stream, &mut rng, &mut ledger);
         let (decoded, _) =
-            wirecap::decode_capture_with(&schema, &mangled.bytes, Some(mangled.bit_len), &profile);
+            wirecap::decode_capture(&schema, &mangled.bytes, Some(mangled.bit_len), &profile);
         let direct_records = direct.records();
         for r in decoded.records() {
             assert!(
@@ -386,12 +385,8 @@ fn ptw_container_survives_the_disk() {
     let (schema2, stream2) = wirecap::read_ptw(model.catalog(), &bytes).expect("valid container");
     assert_eq!(schema2, schema);
     assert_eq!(stream2, stream);
-    let (decoded, report) = wirecap::decode_capture(
-        &schema2,
-        &stream2.bytes,
-        Some(stream2.bit_len),
-        Parallelism::Auto,
-    );
+    let (decoded, report) =
+        wirecap::decode_capture(&schema2, &stream2.bytes, Some(stream2.bit_len), &ProfileV1);
     assert!(report.is_clean());
     assert_eq!(decoded, direct);
 }
