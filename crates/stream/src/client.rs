@@ -131,24 +131,6 @@ pub fn stream_ptw(
     ptw_bytes: &[u8],
     chunk_bytes: usize,
 ) -> Result<String, StreamError> {
-    stream_ptw_as(addr, catalog, scenario, mode, 0, ptw_bytes, chunk_bytes)
-}
-
-/// [`stream_ptw`] with an explicit tenant id on the hello, for daemons
-/// enforcing per-tenant quotas.
-///
-/// # Errors
-///
-/// As [`stream_ptw`].
-pub fn stream_ptw_as(
-    addr: impl ToSocketAddrs,
-    catalog: &MessageCatalog,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    ptw_bytes: &[u8],
-    chunk_bytes: usize,
-) -> Result<String, StreamError> {
     let (schema, bit_len, payload) = split_ptw(catalog, ptw_bytes)?;
 
     let stream = TcpStream::connect(addr)?;
@@ -156,7 +138,7 @@ pub fn stream_ptw_as(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
 
-    write_hello_as(&mut writer, scenario, mode, tenant, next_trace_id(), schema)?;
+    write_hello_as(&mut writer, scenario, mode, 0, next_trace_id(), schema)?;
     let chunk = chunk_bytes.max(1);
     for piece in payload.chunks(chunk) {
         write_data(&mut writer, piece)?;
@@ -229,7 +211,9 @@ fn resume_attempt<S: Read + Write>(
 /// returning an error consumes an attempt. After a mid-stream death the
 /// next attempt sends the server's resume token and continues from the
 /// acknowledged byte offset — never re-sending acknowledged bytes, never
-/// skipping unacknowledged ones.
+/// skipping unacknowledged ones. A fresh trace-context id is minted once
+/// per call and rides every reconnect's hello, so the daemon's flight
+/// recorder stitches all attempts into one logical session.
 ///
 /// # Errors
 ///
@@ -252,49 +236,12 @@ where
     S: Read + Write,
     F: FnMut(u32) -> io::Result<S>,
 {
-    stream_ptw_resumable_as(
-        connect,
-        catalog,
-        scenario,
-        mode,
-        0,
-        ptw_bytes,
-        chunk_bytes,
-        policy,
-    )
-}
-
-/// [`stream_ptw_resumable`] with an explicit tenant id riding every
-/// (re)connection's hello, for daemons enforcing per-tenant quotas.
-///
-/// A fresh trace-context id is minted once per call and rides every
-/// reconnect's hello, so the daemon's flight recorder stitches all
-/// attempts into one logical session.
-///
-/// # Errors
-///
-/// As [`stream_ptw_resumable`].
-#[allow(clippy::too_many_arguments)]
-pub fn stream_ptw_resumable_as<S, F>(
-    connect: F,
-    catalog: &MessageCatalog,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    ptw_bytes: &[u8],
-    chunk_bytes: usize,
-    policy: &RetryPolicy,
-) -> Result<String, StreamError>
-where
-    S: Read + Write,
-    F: FnMut(u32) -> io::Result<S>,
-{
     stream_ptw_resumable_traced(
         connect,
         catalog,
         scenario,
         mode,
-        tenant,
+        0,
         next_trace_id(),
         ptw_bytes,
         chunk_bytes,
@@ -302,9 +249,11 @@ where
     )
 }
 
-/// [`stream_ptw_resumable_as`] with a caller-chosen trace-context id
-/// (pass 0 to let the server assign one), for harnesses that need to
-/// find their session in a flight-recorder dump afterwards.
+/// [`stream_ptw_resumable`] with an explicit tenant id riding every
+/// (re)connection's hello, for daemons enforcing per-tenant quotas, and
+/// a caller-chosen trace-context id (pass 0 to let the server assign
+/// one), for harnesses that need to find their session in a
+/// flight-recorder dump afterwards.
 ///
 /// # Errors
 ///

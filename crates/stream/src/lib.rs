@@ -71,20 +71,17 @@ mod wal;
 
 /// The durability layer: WAL writing, checkpoints, and crash recovery.
 pub mod durable {
-    pub use crate::recover::{
-        recover_state, render_dry_run, RecoverError, RecoveredSession, RecoveredState,
-    };
+    pub use crate::recover::{recover_state, render_dry_run, RecoverError, RecoveredState};
     pub use crate::wal::{
         checkpoint_path, crash_armed, decode_entry, encode_entry, epoch_path, fresh_epoch,
-        mint_epoch, wal_path, write_checkpoint, CheckpointSession, DurabilityPolicy, WalRecord,
+        mint_epoch, wal_path, write_checkpoint, DurabilityPolicy, SessionRecord, WalRecord,
         WalWriter, CRASH_POINTS, SCHEMA_CHUNK_BYTES, WAL_BODY_BYTES, WAL_ENTRY_BYTES,
     };
 }
 
 pub use client::{
-    fetch_metrics, next_trace_id, request_shutdown, stream_ptw, stream_ptw_as,
-    stream_ptw_resumable, stream_ptw_resumable_as, stream_ptw_resumable_traced, stream_ptw_with,
-    RetryPolicy, DEFAULT_CHUNK_BYTES,
+    fetch_metrics, next_trace_id, request_shutdown, stream_ptw, stream_ptw_resumable,
+    stream_ptw_resumable_traced, stream_ptw_with, RetryPolicy, DEFAULT_CHUNK_BYTES,
 };
 pub use error::StreamError;
 pub use metrics::MetricsEndpoint;

@@ -47,9 +47,8 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -61,11 +60,10 @@ use pstrace_soc::{SocModel, UsageScenario};
 use pstrace_wire::read_ptw_header;
 
 use crate::error::StreamError;
-use crate::programs::ProgramCache;
 use crate::proto::Hello;
 use crate::recover::{recover_state, RecoveredState};
 use crate::session::{observed_messages, Session};
-use crate::shard::{run_shard, FleetCtx, ShardMsg, TenantGovernor};
+use crate::shard::{run_shard, FleetCtx, ShardMsg};
 use crate::wal::{fresh_epoch, mint_epoch, DurabilityPolicy};
 
 /// Default per-shard WAL disk budget before a checkpoint-and-truncate
@@ -279,17 +277,6 @@ impl Server {
         listener.set_nonblocking(true)?;
 
         let shard_count = config.shards.max(1);
-        let mut registries = Vec::with_capacity(shard_count + 1);
-        registries.push(Arc::clone(&registry));
-        registries.extend((0..shard_count).map(|_| Arc::new(Registry::new())));
-
-        let mut senders = Vec::with_capacity(shard_count);
-        let mut receivers = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let (tx, rx) = channel::<ShardMsg>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
 
         // Crash-only startup: with durability on, mint (or re-read) the
         // WAL directory's epoch and replay whatever a previous life left
@@ -297,7 +284,7 @@ impl Server {
         // same code path.
         let durable = config.durability != DurabilityPolicy::Off;
         let wal_dir = config.wal_dir.clone().filter(|_| durable);
-        let (epoch, recovered_state) = match &wal_dir {
+        let (epoch, recovered) = match &wal_dir {
             Some(dir) => {
                 let epoch = mint_epoch(dir)?;
                 let state = registry.time("stream-recover", || recover_state(dir, shard_count));
@@ -307,18 +294,9 @@ impl Server {
             // tokens from any other life are still rejected.
             None => (fresh_epoch(), None),
         };
-        let mut recovered: Vec<_> = (0..shard_count).map(|_| Mutex::new(Vec::new())).collect();
-        let mut recovered_max_token = 0;
-        let mut session_seq_start = 1;
-        let mut recover_counts = None;
-        if let Some(state) = recovered_state {
-            recovered_max_token = state.max_token;
-            session_seq_start = state.max_session_id + 1;
-            recover_counts = Some((state.sessions() as u64, state.replayed, state.skipped));
-            for (slot, sessions) in recovered.iter_mut().zip(state.shards) {
-                *slot = Mutex::new(sessions);
-            }
-        }
+        let recover_counts = recovered
+            .as_ref()
+            .map(|state| (state.sessions() as u64, state.replayed, state.skipped));
         if let Some((restored, replayed, skipped)) = recover_counts {
             registry
                 .counter("pstrace_recover_sessions_total")
@@ -331,34 +309,15 @@ impl Server {
                 .add(skipped);
         }
 
-        let ctx = Arc::new(FleetCtx {
+        let (ctx, receivers) = FleetCtx::new(
             model,
-            programs: ProgramCache::new(&registry),
-            registries,
-            senders,
-            session_seq: AtomicU64::new(session_seq_start),
-            shutdown: AtomicBool::new(false),
-            shutdown_requested: AtomicBool::new(false),
-            governor: TenantGovernor::new(
-                config.max_sessions,
-                config.tenant_quota,
-                Arc::clone(&registry),
-            ),
-            read_timeout: config.read_timeout,
-            handshake_timeout: config.handshake_timeout,
-            resume_grace: config.resume_grace,
-            drain_timeout: config.drain_timeout,
-            limits: config.limits,
-            flight: Arc::new(FlightRecorder::new(shard_count + 1, config.flight_capacity)),
-            flight_dump: config.flight_dump.clone(),
-            flight_spill: AtomicU64::new(0),
+            config,
+            Arc::clone(&registry),
             epoch,
-            durability: config.durability,
             wal_dir,
-            wal_budget: config.wal_budget,
-            recovered,
-            recovered_max_token,
-        });
+            recovered.unwrap_or_default(),
+        );
+        let ctx = Arc::new(ctx);
 
         // Lane-0 `fr-recover` events mark the crash/restart boundary in
         // the journal: what the replay restored, replayed and skipped

@@ -8,32 +8,40 @@
 //! governor (one short lock per session *open*, never per chunk) and the
 //! mpsc channels that deliver new sockets.
 //!
-//! Each tick a shard drains its inbox, speculatively reads every
-//! connection (see [`poll`](crate::poll)), advances the per-connection
-//! state machine over whatever bytes buffered (request → streaming →
-//! closing), flushes outboxes, applies deadlines, and purges expired
-//! parked sessions. A panic inside one connection's advance is caught
-//! and costs exactly that connection (`worker-respawn`), exactly as the
-//! old worker pool promised.
-//!
 //! Resume tokens encode their owning shard (`token % shard_count`), so a
 //! reconnect landing on the wrong shard is handed off — socket plus
 //! unconsumed bytes — to the owner over its inbox channel
 //! (`pstrace_stream_handoffs_total`), and session pinning survives any
 //! accept-order the reconnect storm produces.
+//!
+//! The file has two halves. The **session lifecycle** comes first: a
+//! `Live` session (durable record, ingest state machine, governor seat)
+//! enters through one way in (`open_live`, shared by fresh opens and
+//! crash recovery) and leaves through one way out (`end`, keyed by an
+//! `Outcome`: finished, failed or parked), with resume, expiry and WAL
+//! rotation in between. Lifecycle functions take requests and chunks and
+//! return what to send; none of them sees a socket, so a unit test
+//! drives them in process. The **socket shell** follows, from `Phase`
+//! down: each tick `run_shard` drains its inbox, speculatively reads
+//! every connection (see [`poll`](crate::poll)), decodes whatever bytes
+//! buffered, hands requests and chunks to the lifecycle, writes what it
+//! returned, applies deadlines and purges expired parked sessions. A
+//! panic inside one connection's step is caught and costs exactly that
+//! connection (`worker-respawn`).
 
 use std::collections::HashMap;
+use std::io;
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pstrace_codec::flight::write_flight_dump;
 use pstrace_codec::DEFAULT_SYNC_EVERY;
-use pstrace_diag::{MatchMode, OnlineLocalizer};
+use pstrace_diag::OnlineLocalizer;
 use pstrace_obs::{
     merged_samples, render_prometheus_samples, EventKind, FlightHandle, FlightRecorder, Registry,
 };
@@ -42,11 +50,11 @@ use pstrace_soc::SocModel;
 use crate::error::StreamError;
 use crate::poll::{read_once, write_once, Backoff, Progress, Readiness};
 use crate::programs::ProgramCache;
-use crate::proto::{self, Chunk, Request};
-use crate::recover::RecoveredSession;
-use crate::server::{degrade, open_session, SessionLimits};
+use crate::proto::{self, Chunk, Hello, Request};
+use crate::recover::RecoveredState;
+use crate::server::{degrade, open_session, ServerConfig, SessionLimits};
 use crate::session::Session;
-use crate::wal::{CheckpointSession, DurabilityPolicy, WalRecord, WalWriter};
+use crate::wal::{DurabilityPolicy, SessionRecord, WalRecord, WalWriter};
 
 /// How many bytes one connection may pull per tick before the loop moves
 /// on — fairness under a firehose client.
@@ -106,7 +114,7 @@ pub(crate) struct FleetCtx {
     pub wal_budget: u64,
     /// Sessions the startup replay rebuilt, one slot per shard — each
     /// shard takes (and re-parks) its slot before its first tick.
-    pub recovered: Vec<Mutex<Vec<RecoveredSession>>>,
+    pub recovered: Vec<Mutex<Vec<SessionRecord>>>,
     /// Highest resume token a previous life minted; token sequences
     /// restart above it so recovered tokens are never re-issued.
     pub recovered_max_token: u64,
@@ -117,6 +125,52 @@ pub(crate) struct FleetCtx {
 const FLIGHT_SPILL_DEBOUNCE_NS: u64 = 200_000_000;
 
 impl FleetCtx {
+    /// The shared state of a daemon with `config.shards` shards, plus one
+    /// inbox receiver per shard. `recovered` is what the startup replay
+    /// rebuilt (the default when there is no WAL). Nothing here owns a
+    /// socket, so a lifecycle test builds its shard from this alone.
+    pub(crate) fn new(
+        model: Arc<SocModel>,
+        config: &ServerConfig,
+        root: Arc<Registry>,
+        epoch: u64,
+        wal_dir: Option<PathBuf>,
+        recovered: RecoveredState,
+    ) -> (FleetCtx, Vec<Receiver<ShardMsg>>) {
+        let shard_count = config.shards.max(1);
+        let mut registries = Vec::with_capacity(shard_count + 1);
+        registries.push(Arc::clone(&root));
+        registries.extend((0..shard_count).map(|_| Arc::new(Registry::new())));
+        let (senders, receivers) = (0..shard_count).map(|_| channel()).unzip();
+        let mut slots = recovered.shards;
+        slots.resize_with(shard_count, Vec::new);
+        let ctx = FleetCtx {
+            model,
+            programs: ProgramCache::new(&root),
+            registries,
+            senders,
+            session_seq: AtomicU64::new(recovered.max_session_id + 1),
+            shutdown: AtomicBool::new(false),
+            shutdown_requested: AtomicBool::new(false),
+            governor: TenantGovernor::new(config.max_sessions, config.tenant_quota, root),
+            read_timeout: config.read_timeout,
+            handshake_timeout: config.handshake_timeout,
+            resume_grace: config.resume_grace,
+            drain_timeout: config.drain_timeout,
+            limits: config.limits,
+            flight: Arc::new(FlightRecorder::new(shard_count + 1, config.flight_capacity)),
+            flight_dump: config.flight_dump.clone(),
+            flight_spill: AtomicU64::new(0),
+            epoch,
+            durability: config.durability,
+            wal_dir,
+            wal_budget: config.wal_budget,
+            recovered: slots.into_iter().map(Mutex::new).collect(),
+            recovered_max_token: recovered.max_token,
+        };
+        (ctx, receivers)
+    }
+
     /// The merged Prometheus exposition across the root and every shard
     /// registry — what the METRICS verb and the scrape endpoint serve.
     pub(crate) fn exposition(&self) -> String {
@@ -283,32 +337,532 @@ impl Drop for Ticket {
     }
 }
 
-/// A streaming session attached to a live connection.
+/// One live session, streaming or parked: its durable record, its ingest
+/// state machine and its governor seat. A parked session is this plus a
+/// deadline in the shard's lot; parking and picking up move it whole.
 #[derive(Debug)]
-struct Active {
+struct Live {
+    record: SessionRecord,
     session: Session,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    schema: Vec<u8>,
-    /// `Some` for resumable sessions: the token that parks/picks it up.
-    token: Option<u64>,
-    ticket: Option<Ticket>,
-    /// The trace-context id following this session across reconnects
-    /// and shards (client-minted, or server-assigned when the hello
-    /// carried 0).
-    trace: u64,
-    /// The daemon-local session id the journal names it by.
-    session_id: u64,
+    /// Held for its `Drop`: the seat frees when the session ends, and
+    /// rides along while it is parked.
+    _ticket: Ticket,
 }
 
-/// The per-connection state machine.
+impl Live {
+    /// The resume token, `None` for a plain session.
+    fn token(&self) -> Option<u64> {
+        (self.record.token != 0).then_some(self.record.token)
+    }
+
+    /// How transport death ends this session: a resumable one parks, a
+    /// plain one fails with `why`.
+    fn death(&self, why: &str) -> Outcome {
+        match self.token() {
+            Some(_) => Outcome::Parked,
+            None => Outcome::Failed {
+                reason: "",
+                message: why.to_owned(),
+            },
+        }
+    }
+
+    /// What a checkpoint keeps of a resumable session (`None` for a
+    /// plain one).
+    fn checkpoint(&self) -> Option<SessionRecord> {
+        self.token()?;
+        Some(SessionRecord {
+            bytes: self.session.metrics().bytes,
+            ..self.record.clone()
+        })
+    }
+}
+
+/// How a session leaves the streaming phase: the key of the one way out.
+#[derive(Debug)]
+enum Outcome {
+    /// FINISH arrived: the client gets the report.
+    Finished { bit_len: u64 },
+    /// The session fails; `reason` rides its `Close` flight event and
+    /// `message` is the error reply, when a transport is left to carry
+    /// it.
+    Failed {
+        reason: &'static str,
+        message: String,
+    },
+    /// A resumable session's transport died: it waits out its grace
+    /// period under its token.
+    Parked,
+}
+
+/// What a request asks of the shell.
+#[derive(Debug)]
+enum Next {
+    /// Send a status reply, then close.
+    Reply(bool, String),
+    /// Stream into this session. A resumable one is first acked with its
+    /// token and the byte offset to resume from.
+    Stream(Box<Live>, Option<u64>),
+    /// Not ours: hand the socket, request bytes unconsumed, to the owning
+    /// shard.
+    Handoff(usize),
+}
+
+/// Why the one way in refused a session.
+enum Refused {
+    /// The governor shed it (quota or capacity).
+    Shed(Shed),
+    /// The hello named a bad scenario or schema.
+    Invalid(StreamError),
+}
+
+/// One shard's private state: the session lifecycle, with no sockets.
+struct Shard {
+    ctx: Arc<FleetCtx>,
+    index: usize,
+    registry: Arc<Registry>,
+    /// Parked sessions by token, each with its expiry deadline.
+    parked: HashMap<u64, (Live, Instant)>,
+    /// Per-shard resume-token sequence; tokens are
+    /// `seq * shard_count + index`, never 0, owner-recoverable.
+    resume_seq: u64,
+    /// This shard's write-ahead log (`None` when durability is off or
+    /// the WAL could not be opened — the shard degrades, never dies).
+    wal: Option<WalWriter>,
+}
+
+impl Shard {
+    /// Builds shard `index`: opens its WAL (after the startup replay read
+    /// the old one), seeds the token sequence above everything a previous
+    /// life minted so recovered tokens are never re-issued, and re-parks
+    /// the sessions recovery rebuilt for it.
+    fn new(ctx: Arc<FleetCtx>, index: usize) -> Shard {
+        let registry = Arc::clone(&ctx.registries[index + 1]);
+        // Eagerly materialize the gauge so an idle daemon's exposition
+        // still shows `pstrace_stream_active_sessions 0`.
+        let _ = registry.gauge("pstrace_stream_active_sessions");
+        let shard_count = ctx.senders.len();
+        let wal = ctx.wal_dir.as_ref().and_then(|dir| {
+            WalWriter::open(
+                dir,
+                index,
+                shard_count,
+                ctx.epoch,
+                ctx.durability,
+                ctx.wal_budget,
+            )
+            .map_err(|_| degrade(&registry, "wal-append-degraded"))
+            .ok()
+        });
+        let recovered = ctx.recovered[index]
+            .lock()
+            .map(|mut slot| std::mem::take(&mut *slot))
+            .unwrap_or_default();
+        let mut shard = Shard {
+            resume_seq: ctx.recovered_max_token / shard_count as u64 + 1,
+            ctx,
+            index,
+            registry,
+            parked: HashMap::new(),
+            wal,
+        };
+        shard.repark_recovered(recovered);
+        shard
+    }
+
+    fn shard_count(&self) -> usize {
+        self.ctx.senders.len()
+    }
+
+    /// This shard's flight-recorder lane (lane 0 is daemon scope).
+    fn lane(&self) -> usize {
+        self.index + 1
+    }
+
+    /// Journals one lifecycle event on this shard's lane.
+    fn note(&self, trace: u64, session: u64, kind: EventKind, reason: &str) {
+        self.ctx
+            .flight
+            .record(self.lane(), trace, session, kind, reason);
+    }
+
+    /// Bumps the degradation ladder *and* journals it: the counter and
+    /// the flight event move in lockstep, one for one.
+    fn note_degrade(&self, path: &str, trace: u64, session: u64) {
+        degrade(&self.registry, path);
+        self.ctx.degrade_flight(self.lane(), trace, session, path);
+    }
+
+    fn next_token(&mut self) -> u64 {
+        let token = self.resume_seq * self.shard_count() as u64 + self.index as u64;
+        self.resume_seq += 1;
+        token
+    }
+
+    /// Which shard owns `token`.
+    fn owner_of(&self, token: u64) -> usize {
+        (token % self.shard_count() as u64) as usize
+    }
+
+    /// Runs one WAL write. A failing write is a degradation
+    /// (`wal-append-degraded`), never a session error: the session
+    /// continues, it just loses crash durability.
+    fn journal(
+        &mut self,
+        trace: u64,
+        session: u64,
+        write: impl FnOnce(&mut WalWriter) -> io::Result<()>,
+    ) {
+        if self.wal.as_mut().is_some_and(|wal| write(wal).is_err()) {
+            self.note_degrade("wal-append-degraded", trace, session);
+        }
+    }
+
+    /// Appends one lifecycle entry to this shard's WAL.
+    fn wal_append(&mut self, record: WalRecord) {
+        self.journal(0, 0, |wal| wal.append(&record));
+    }
+
+    /// The one way in, shared by fresh opens and crash recovery: governor
+    /// admission, the session state machine over the hello's schema, its
+    /// flight handle and its durable record. `session_id` is `None` for a
+    /// fresh session, which is numbered only once admitted. Accounting a
+    /// refusal, journaling and the flight events are the caller's.
+    fn open_live(
+        &mut self,
+        hello: Hello,
+        token: u64,
+        session_id: Option<u64>,
+    ) -> Result<Live, Refused> {
+        let ticket = self
+            .ctx
+            .governor
+            .admit(hello.tenant)
+            .map_err(Refused::Shed)?;
+        let session_id =
+            session_id.unwrap_or_else(|| self.ctx.session_seq.fetch_add(1, Ordering::Relaxed));
+        // 0 on the hello means "server assigns": derive a trace id the
+        // timeline can still tie to the session, flagged into a range a
+        // client-minted id never occupies.
+        let trace = if hello.trace == 0 {
+            session_id | (1 << 63)
+        } else {
+            hello.trace
+        };
+        let mut session = open_session(&self.ctx, &hello, &self.registry, session_id)
+            .map_err(Refused::Invalid)?;
+        session.set_flight(FlightHandle::new(
+            Arc::clone(&self.ctx.flight),
+            self.lane(),
+            trace,
+            session_id,
+        ));
+        Ok(Live {
+            record: SessionRecord {
+                token,
+                session_id,
+                trace,
+                scenario: hello.scenario,
+                mode: proto::mode_to_byte(hello.mode),
+                tenant: hello.tenant,
+                schema: hello.schema,
+                bytes: 0,
+            },
+            session,
+            _ticket: ticket,
+        })
+    }
+
+    /// Opens a brand-new session, plain (`token` 0) or fresh-resumable.
+    fn open_streaming(&mut self, hello: Hello, token: u64) -> Next {
+        self.registry.counter("pstrace_stream_sessions_total").inc();
+        let hello_trace = hello.trace;
+        let error = match self.open_live(hello, token, None) {
+            Ok(live) => {
+                let r = &live.record;
+                let (trace, id) = (r.trace, r.session_id);
+                self.note(trace, id, EventKind::Open, "");
+                self.note(trace, id, EventKind::Handshake, "");
+                if token != 0 {
+                    // Journal the open group before the shell can ack the
+                    // token: under strict durability the fsync happens
+                    // here, so an acked token is always recoverable.
+                    self.journal(trace, id, |wal| {
+                        wal.append_open(token, id, trace, r.scenario, r.mode, r.tenant, &r.schema)
+                    });
+                }
+                return self.stream(live);
+            }
+            Err(Refused::Shed(shed)) => {
+                self.note(hello_trace, 0, EventKind::Shed, shed.reason);
+                if shed.reason == "tenant-quota-shed" {
+                    self.note(hello_trace, 0, EventKind::QuotaTrip, shed.reason);
+                }
+                self.note_degrade(shed.reason, hello_trace, 0);
+                self.registry
+                    .counter_with("pstrace_stream_shed_total", &[("reason", shed.reason)])
+                    .inc();
+                StreamError::Protocol(shed.message)
+            }
+            Err(Refused::Invalid(e)) => e,
+        };
+        self.registry.counter("pstrace_stream_failed_total").inc();
+        Next::Reply(false, error.to_string())
+    }
+
+    /// Re-parks the sessions crash recovery rebuilt for this shard: each
+    /// one re-enters through the one way in from its journaled hello and
+    /// waits out a fresh grace period under its pre-crash token.
+    fn repark_recovered(&mut self, sessions: Vec<SessionRecord>) {
+        for r in sessions {
+            let (token, session_id, trace) = (r.token, r.session_id, r.trace);
+            let live = proto::mode_from_byte(r.mode).ok().and_then(|mode| {
+                let hello = Hello {
+                    scenario: r.scenario,
+                    mode,
+                    tenant: r.tenant,
+                    trace,
+                    schema: r.schema,
+                };
+                self.open_live(hello, token, Some(session_id)).ok()
+            });
+            let Some(live) = live else {
+                // A bad journaled hello, or a restarted daemon smaller
+                // (or busier) than the dead one: shed rather than
+                // oversubscribe.
+                self.note_degrade("wal-session-skipped", trace, session_id);
+                continue;
+            };
+            self.registry
+                .counter("pstrace_stream_recovered_total")
+                .inc();
+            self.note(trace, session_id, EventKind::Recover, "sessions-restored");
+            self.park(live);
+        }
+    }
+
+    /// Parks a resumable session for a fresh grace period.
+    fn park(&mut self, live: Live) {
+        let deadline = Instant::now() + self.ctx.resume_grace;
+        self.parked.insert(live.record.token, (live, deadline));
+    }
+
+    /// Hands an opened or picked-up session to the shell for streaming.
+    fn stream(&self, live: Live) -> Next {
+        self.registry.gauge("pstrace_stream_active_sessions").add(1);
+        let ack = live.token().map(|_| live.session.metrics().bytes);
+        Next::Stream(Box::new(live), ack)
+    }
+
+    /// Dispatches one parsed request.
+    fn handle_request(&mut self, request: Request) -> Next {
+        match request {
+            Request::Metrics => {
+                self.registry
+                    .counter("pstrace_stream_metrics_requests_total")
+                    .inc();
+                Next::Reply(true, self.ctx.exposition())
+            }
+            Request::Shutdown => {
+                self.ctx.shutdown_requested.store(true, Ordering::SeqCst);
+                if !self.ctx.shutdown.swap(true, Ordering::SeqCst) {
+                    self.note(0, 0, EventKind::Shutdown, "");
+                }
+                Next::Reply(true, "shutting down: draining shards".to_owned())
+            }
+            Request::Session(hello) => self.open_streaming(hello, 0),
+            Request::Resume {
+                token: 0, hello, ..
+            } => {
+                let token = self.next_token();
+                self.open_streaming(hello, token)
+            }
+            Request::Resume {
+                token,
+                epoch,
+                hello,
+            } => {
+                let owner = self.owner_of(token);
+                if owner != self.index {
+                    self.registry.counter("pstrace_stream_handoffs_total").inc();
+                    self.note(hello.trace, token, EventKind::Handoff, "");
+                    return Next::Handoff(owner);
+                }
+                let picked = if epoch == self.ctx.epoch {
+                    self.pick_up(token, &hello)
+                } else {
+                    // The token was minted under a different WAL lineage
+                    // (another daemon, another --wal-dir, or a pre-crash
+                    // life whose journal this daemon never saw). Splicing
+                    // it into a live table would corrupt someone else's
+                    // session; shed it politely instead.
+                    self.note(hello.trace, token, EventKind::Shed, "resume-epoch-shed");
+                    self.note_degrade("resume-epoch-shed", hello.trace, token);
+                    self.registry
+                        .counter_with(
+                            "pstrace_stream_shed_total",
+                            &[("reason", "resume-epoch-shed")],
+                        )
+                        .inc();
+                    Err(StreamError::Protocol(format!(
+                        "resume token {token} carries recovery epoch {epoch}, \
+                         this daemon's epoch is {}; token rejected",
+                        self.ctx.epoch
+                    )))
+                };
+                match picked {
+                    Ok(live) => self.stream(live),
+                    Err(e) => Next::Reply(false, e.to_string()),
+                }
+            }
+        }
+    }
+
+    /// Picks a parked session back up by its token.
+    fn pick_up(&mut self, token: u64, hello: &Hello) -> Result<Live, StreamError> {
+        let Some((live, deadline)) = self.parked.remove(&token) else {
+            self.note_degrade("resume-expired", hello.trace, token);
+            return Err(StreamError::Protocol(format!(
+                "unknown or expired resume token {token}"
+            )));
+        };
+        if live.record.schema != hello.schema || live.record.scenario != hello.scenario {
+            // A mismatched resume is a client bug; the parked session
+            // goes back to wait for the right one.
+            self.parked.insert(token, (live, deadline));
+            return Err(StreamError::Protocol(
+                "resume hello does not match the parked session".to_owned(),
+            ));
+        }
+        self.registry.counter("pstrace_stream_resumed_total").inc();
+        self.note(
+            live.record.trace,
+            live.record.session_id,
+            EventKind::Resume,
+            "",
+        );
+        self.wal_append(WalRecord::Resume { token });
+        Ok(live)
+    }
+
+    /// Feeds one chunk into a streaming session; `Some` when the chunk
+    /// ends it.
+    fn handle_chunk(&mut self, live: &mut Live, chunk: Chunk) -> Option<Outcome> {
+        match chunk {
+            Chunk::Data(bytes) => {
+                live.session.push_chunk(&bytes);
+                let message = self.ctx.limits.exceeded(&live.session.metrics())?;
+                self.note_degrade("budget-close", live.record.trace, live.record.session_id);
+                Some(Outcome::Failed {
+                    reason: "budget-close",
+                    message,
+                })
+            }
+            Chunk::Finish { bit_len } => Some(Outcome::Finished { bit_len }),
+        }
+    }
+
+    /// The one way out of a streaming session: transport death, budget
+    /// close, FINISH and panic teardown all end here. The session stops
+    /// counting as active and its frontier gauges clear. A parked
+    /// session keeps its seat and token; any other end frees the seat,
+    /// and a resumable session journals `Complete` so recovery cannot
+    /// resurrect it. Returns the reply the client is owed, if any.
+    fn end(&mut self, live: Live, outcome: Outcome) -> Option<(bool, String)> {
+        self.registry.gauge("pstrace_stream_active_sessions").sub(1);
+        // However the session ends, it is no longer live-streaming:
+        // stale frontier gauges would sum wrongly across shards.
+        OnlineLocalizer::clear_frontier(&self.registry);
+        let (token, trace, id) = (live.token(), live.record.trace, live.record.session_id);
+        let reply = match outcome {
+            Outcome::Parked => {
+                self.registry.counter("pstrace_stream_parked_total").inc();
+                self.note(trace, id, EventKind::Park, "session-parked");
+                self.note_degrade("session-parked", trace, id);
+                self.wal_append(WalRecord::Park {
+                    token: live.record.token,
+                    bytes: live.session.metrics().bytes,
+                });
+                self.park(live);
+                return None;
+            }
+            Outcome::Finished { bit_len } => {
+                let scenario = live.record.scenario;
+                let report = live.session.finish(Some(bit_len));
+                self.note(trace, id, EventKind::Finish, "");
+                self.note(trace, id, EventKind::Close, "");
+                self.registry
+                    .counter("pstrace_stream_completed_total")
+                    .inc();
+                let text = format!(
+                    "session over scenario {scenario} ({:?} match)\n{}",
+                    report.mode,
+                    report.render()
+                );
+                (true, text)
+            }
+            Outcome::Failed { reason, message } => {
+                self.note(trace, id, EventKind::Close, reason);
+                self.registry.counter("pstrace_stream_failed_total").inc();
+                (false, message)
+            }
+        };
+        if let Some(token) = token {
+            self.wal_append(WalRecord::Complete { token });
+        }
+        Some(reply)
+    }
+
+    /// Drops every parked session whose grace period is over at `now`;
+    /// each expiry is journaled so recovery cannot resurrect a dead token.
+    fn expire_parked(&mut self, now: Instant) {
+        let expired: Vec<u64> = self
+            .parked
+            .iter()
+            .filter(|(_, (_, deadline))| *deadline <= now)
+            .map(|(&token, _)| token)
+            .collect();
+        for token in expired {
+            self.parked.remove(&token);
+            self.wal_append(WalRecord::Expire { token });
+        }
+    }
+
+    /// Checkpoint-and-truncate rotation once the WAL crosses its disk
+    /// budget: every live resumable session — parked here or `streaming`
+    /// in the shell — is compacted into the checkpoint, then the journal
+    /// restarts empty.
+    fn maybe_rotate<'a>(&mut self, streaming: impl Iterator<Item = &'a Live>) {
+        if !self.wal.as_ref().is_some_and(WalWriter::needs_rotation) {
+            return;
+        }
+        let live: Vec<SessionRecord> = self
+            .parked
+            .values()
+            .filter_map(|(live, _)| live.checkpoint())
+            .chain(streaming.filter_map(Live::checkpoint))
+            .collect();
+        // Rotation is the disk-pressure rung of the ladder: count it.
+        self.note_degrade("wal-rotate", 0, 0);
+        if self
+            .wal
+            .as_mut()
+            .is_some_and(|wal| wal.rotate(&live).is_err())
+        {
+            // The checkpoint (or truncate) failed; the old WAL still
+            // recovers everything, so degrade and carry on.
+            self.note_degrade("wal-checkpoint-degraded", 0, 0);
+        }
+    }
+}
+
+/// The per-connection state machine of the socket shell.
 #[derive(Debug)]
 enum Phase {
     /// Accumulating the request preamble.
     Request,
     /// Pumping chunks into a session.
-    Streaming(Box<Active>),
+    Streaming(Box<Live>),
     /// Reply queued; flush the outbox, then close.
     Closing,
 }
@@ -347,20 +901,14 @@ impl Conn {
     fn reply(&mut self, ok: bool, text: &str) {
         let _ = proto::write_reply(&mut self.outbox, ok, text);
     }
-}
 
-/// A resumable session waiting out its grace period, shard-local.
-#[derive(Debug)]
-struct ParkedSession {
-    session: Session,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    schema: Vec<u8>,
-    ticket: Option<Ticket>,
-    deadline: Instant,
-    trace: u64,
-    session_id: u64,
+    /// Takes the streaming session out, leaving the connection closing.
+    fn take_live(&mut self) -> Option<Box<Live>> {
+        match std::mem::replace(&mut self.phase, Phase::Closing) {
+            Phase::Streaming(live) => Some(live),
+            _ => None,
+        }
+    }
 }
 
 /// What `advance` decided about a connection.
@@ -371,211 +919,7 @@ enum Verdict {
     Handoff(usize),
 }
 
-/// One shard's private state.
-struct Shard {
-    ctx: Arc<FleetCtx>,
-    index: usize,
-    registry: Arc<Registry>,
-    parked: HashMap<u64, ParkedSession>,
-    /// Per-shard resume-token sequence; tokens are
-    /// `seq * shard_count + index`, never 0, owner-recoverable.
-    resume_seq: u64,
-    /// This shard's write-ahead log (`None` when durability is off or
-    /// the WAL could not be opened — the shard degrades, never dies).
-    wal: Option<WalWriter>,
-}
-
 impl Shard {
-    fn shard_count(&self) -> usize {
-        self.ctx.senders.len()
-    }
-
-    /// This shard's flight-recorder lane (lane 0 is daemon scope).
-    fn lane(&self) -> usize {
-        self.index + 1
-    }
-
-    /// Journals one lifecycle event on this shard's lane.
-    fn note(&self, trace: u64, session: u64, kind: EventKind, reason: &str) {
-        self.ctx
-            .flight
-            .record(self.lane(), trace, session, kind, reason);
-    }
-
-    /// Bumps the degradation ladder *and* journals it: the counter and
-    /// the flight event move in lockstep, one for one.
-    fn note_degrade(&self, path: &str, trace: u64, session: u64) {
-        degrade(&self.registry, path);
-        self.ctx.degrade_flight(self.lane(), trace, session, path);
-    }
-
-    fn next_token(&mut self) -> u64 {
-        let token = self.resume_seq * self.shard_count() as u64 + self.index as u64;
-        self.resume_seq += 1;
-        token
-    }
-
-    /// Which shard owns `token`.
-    fn owner_of(&self, token: u64) -> usize {
-        (token % self.shard_count() as u64) as usize
-    }
-
-    fn next_session_id(&self) -> u64 {
-        self.ctx.session_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Appends one lifecycle entry to this shard's WAL. A failing append
-    /// is a degradation (`wal-append-degraded`), never a session error:
-    /// the session continues, it just loses crash durability.
-    fn wal_append(&mut self, record: &WalRecord) {
-        let failed = match self.wal.as_mut() {
-            Some(wal) => wal.append(record).is_err(),
-            None => false,
-        };
-        if failed {
-            self.note_degrade("wal-append-degraded", 0, 0);
-        }
-    }
-
-    /// Journals a resumable session's open group (Open + schema chunks).
-    /// Under strict durability the group is fsynced before this returns,
-    /// so the token the caller is about to ack is already on disk.
-    fn wal_append_open(&mut self, active: &Active) {
-        let Some(token) = active.token else { return };
-        let failed = match self.wal.as_mut() {
-            Some(wal) => wal
-                .append_open(
-                    token,
-                    active.session_id,
-                    active.trace,
-                    active.scenario,
-                    proto::mode_to_byte(active.mode),
-                    active.tenant,
-                    &active.schema,
-                )
-                .is_err(),
-            None => false,
-        };
-        if failed {
-            self.note_degrade("wal-append-degraded", active.trace, active.session_id);
-        }
-    }
-
-    /// Re-parks the sessions crash recovery rebuilt for this shard: each
-    /// one re-admits through the governor, re-opens its session state
-    /// machine from the journaled hello, and waits out a fresh grace
-    /// period under its pre-crash token.
-    fn repark_recovered(&mut self, sessions: Vec<RecoveredSession>) {
-        for r in sessions {
-            let Ok(mode) = proto::mode_from_byte(r.mode) else {
-                self.note_degrade("wal-session-skipped", r.trace, r.session_id);
-                continue;
-            };
-            let ticket = match self.ctx.governor.admit(r.tenant) {
-                Ok(t) => t,
-                Err(_) => {
-                    // The restarted daemon is smaller (or busier) than
-                    // the dead one: shed rather than oversubscribe.
-                    self.note_degrade("wal-session-skipped", r.trace, r.session_id);
-                    continue;
-                }
-            };
-            let hello = proto::Hello {
-                scenario: r.scenario,
-                mode,
-                tenant: r.tenant,
-                trace: r.trace,
-                schema: r.schema,
-            };
-            let mut session = match open_session(&self.ctx, &hello, &self.registry, r.session_id) {
-                Ok(s) => s,
-                Err(_) => {
-                    self.note_degrade("wal-session-skipped", r.trace, r.session_id);
-                    continue;
-                }
-            };
-            session.set_flight(FlightHandle::new(
-                Arc::clone(&self.ctx.flight),
-                self.lane(),
-                r.trace,
-                r.session_id,
-            ));
-            self.registry
-                .counter("pstrace_stream_recovered_total")
-                .inc();
-            self.note(
-                r.trace,
-                r.session_id,
-                EventKind::Recover,
-                "sessions-restored",
-            );
-            self.parked.insert(
-                r.token,
-                ParkedSession {
-                    session,
-                    scenario: hello.scenario,
-                    mode,
-                    tenant: hello.tenant,
-                    schema: hello.schema,
-                    ticket: Some(ticket),
-                    deadline: Instant::now() + self.ctx.resume_grace,
-                    trace: r.trace,
-                    session_id: r.session_id,
-                },
-            );
-        }
-    }
-
-    /// Checkpoint-and-truncate rotation once the WAL crosses its disk
-    /// budget: every live resumable session (parked or mid-stream) is
-    /// compacted into the checkpoint, then the journal restarts empty.
-    fn maybe_rotate(&mut self, conns: &mut [Conn]) {
-        if !self.wal.as_ref().is_some_and(WalWriter::needs_rotation) {
-            return;
-        }
-        let mut live: Vec<CheckpointSession> = self
-            .parked
-            .iter()
-            .map(|(&token, p)| CheckpointSession {
-                token,
-                session_id: p.session_id,
-                trace: p.trace,
-                scenario: p.scenario,
-                mode: proto::mode_to_byte(p.mode),
-                tenant: p.tenant,
-                schema: p.schema.clone(),
-                bytes: p.session.metrics().bytes,
-            })
-            .collect();
-        for conn in conns {
-            if let Phase::Streaming(active) = &conn.phase {
-                if let Some(token) = active.token {
-                    live.push(CheckpointSession {
-                        token,
-                        session_id: active.session_id,
-                        trace: active.trace,
-                        scenario: active.scenario,
-                        mode: proto::mode_to_byte(active.mode),
-                        tenant: active.tenant,
-                        schema: active.schema.clone(),
-                        bytes: active.session.metrics().bytes,
-                    });
-                }
-            }
-        }
-        // Rotation is the disk-pressure rung of the ladder: count it.
-        self.note_degrade("wal-rotate", 0, 0);
-        let failed = match self.wal.as_mut() {
-            Some(wal) => wal.rotate(&live).is_err(),
-            None => false,
-        };
-        if failed {
-            // The checkpoint (or truncate) failed; the old WAL still
-            // recovers everything, so degrade and carry on.
-            self.note_degrade("wal-checkpoint-degraded", 0, 0);
-        }
-    }
-
     /// Reads whatever the socket has buffered (bounded per tick).
     fn pull(&self, conn: &mut Conn) -> bool {
         let mut moved = false;
@@ -621,55 +965,20 @@ impl Shard {
     }
 
     /// A streaming session's transport died (EOF, error, protocol damage
-    /// or idle deadline): park it when resumable, fail it when not.
+    /// or idle deadline).
     fn streaming_death(&mut self, conn: &mut Conn, why: &str) -> Verdict {
-        let Phase::Streaming(active) = std::mem::replace(&mut conn.phase, Phase::Closing) else {
+        let Some(live) = conn.take_live() else {
             return Verdict::Close;
         };
-        self.registry.gauge("pstrace_stream_active_sessions").sub(1);
-        // However the session ends here, it is no longer live-streaming:
-        // stale frontier gauges would sum wrongly across shards.
-        OnlineLocalizer::clear_frontier(&self.registry);
-        let active = *active;
-        if let Some(token) = active.token {
-            self.registry.counter("pstrace_stream_parked_total").inc();
-            self.note(
-                active.trace,
-                active.session_id,
-                EventKind::Park,
-                "session-parked",
-            );
-            self.note_degrade("session-parked", active.trace, active.session_id);
-            self.wal_append(&WalRecord::Park {
-                token,
-                bytes: active.session.metrics().bytes,
-            });
-            self.parked.insert(
-                token,
-                ParkedSession {
-                    session: active.session,
-                    scenario: active.scenario,
-                    mode: active.mode,
-                    tenant: active.tenant,
-                    schema: active.schema,
-                    ticket: active.ticket,
-                    deadline: Instant::now() + self.ctx.resume_grace,
-                    trace: active.trace,
-                    session_id: active.session_id,
-                },
-            );
-            Verdict::Close
-        } else {
-            self.registry.counter("pstrace_stream_failed_total").inc();
-            self.note(active.trace, active.session_id, EventKind::Close, "");
-            if conn.peer_gone {
-                Verdict::Close
-            } else {
-                // The transport still works (protocol damage): tell the
-                // client, then close.
-                conn.reply(false, why);
+        let outcome = live.death(why);
+        match self.end(*live, outcome) {
+            // The transport still works (protocol damage): tell the
+            // client, then close.
+            Some((ok, text)) if !conn.peer_gone => {
+                conn.reply(ok, &text);
                 Verdict::Keep
             }
+            _ => Verdict::Close,
         }
     }
 
@@ -679,34 +988,35 @@ impl Shard {
     fn process(&mut self, conn: &mut Conn) -> (Verdict, bool) {
         let mut moved = false;
         loop {
-            if matches!(conn.phase, Phase::Closing) {
-                // Anything the client pipelined after its request is
-                // irrelevant now.
-                conn.inbuf.clear();
-                return (Verdict::Keep, moved);
-            }
-            if matches!(conn.phase, Phase::Request) {
-                match proto::decode_request(&conn.inbuf) {
+            match &mut conn.phase {
+                Phase::Closing => {
+                    // Anything the client pipelined after its request is
+                    // irrelevant now.
+                    conn.inbuf.clear();
+                    return (Verdict::Keep, moved);
+                }
+                Phase::Request => match proto::decode_request(&conn.inbuf) {
                     Ok(Some((request, used))) => {
-                        if let Request::Resume { token, hello, .. } = &request {
-                            let owner = if *token == 0 {
-                                self.index
-                            } else {
-                                self.owner_of(*token)
-                            };
-                            if owner != self.index {
-                                // Not ours: hand the socket over with the
-                                // request bytes still unconsumed.
-                                self.registry.counter("pstrace_stream_handoffs_total").inc();
-                                self.note(hello.trace, *token, EventKind::Handoff, "");
-                                return (Verdict::Handoff(owner), true);
+                        match self.handle_request(request) {
+                            Next::Handoff(owner) => return (Verdict::Handoff(owner), true),
+                            Next::Reply(ok, text) => {
+                                conn.reply(ok, &text);
+                                conn.phase = Phase::Closing;
+                            }
+                            Next::Stream(live, ack) => {
+                                if let Some(offset) = ack {
+                                    let _ = proto::write_resume_ack(
+                                        &mut conn.outbox,
+                                        live.record.token,
+                                        offset,
+                                        self.ctx.epoch,
+                                    );
+                                }
+                                conn.phase = Phase::Streaming(live);
                             }
                         }
                         conn.inbuf.drain(..used);
                         moved = true;
-                        if let Verdict::Close = self.handle_request(conn, request) {
-                            return (Verdict::Close, moved);
-                        }
                     }
                     Ok(None) => {
                         if conn.peer_gone {
@@ -723,13 +1033,17 @@ impl Shard {
                         conn.phase = Phase::Closing;
                         return (Verdict::Keep, true);
                     }
-                }
-            } else {
-                match proto::decode_chunk(&conn.inbuf) {
+                },
+                Phase::Streaming(live) => match proto::decode_chunk(&conn.inbuf) {
                     Ok(Some((chunk, used))) => {
                         conn.inbuf.drain(..used);
                         moved = true;
-                        self.handle_chunk(conn, chunk);
+                        if let Some(outcome) = self.handle_chunk(live, chunk) {
+                            let live = conn.take_live().expect("the session was streaming");
+                            if let Some((ok, text)) = self.end(*live, outcome) {
+                                conn.reply(ok, &text);
+                            }
+                        }
                     }
                     Ok(None) => {
                         if conn.peer_gone {
@@ -745,245 +1059,7 @@ impl Shard {
                         let verdict = self.streaming_death(conn, &e.to_string());
                         return (verdict, true);
                     }
-                }
-            }
-        }
-    }
-
-    /// Dispatches one parsed request on a connection in `Request` phase.
-    fn handle_request(&mut self, conn: &mut Conn, request: Request) -> Verdict {
-        match request {
-            Request::Metrics => {
-                self.registry
-                    .counter("pstrace_stream_metrics_requests_total")
-                    .inc();
-                let exposition = self.ctx.exposition();
-                conn.reply(true, &exposition);
-                conn.phase = Phase::Closing;
-                Verdict::Keep
-            }
-            Request::Shutdown => {
-                conn.reply(true, "shutting down: draining shards");
-                conn.phase = Phase::Closing;
-                self.ctx.shutdown_requested.store(true, Ordering::SeqCst);
-                if !self.ctx.shutdown.swap(true, Ordering::SeqCst) {
-                    self.note(0, 0, EventKind::Shutdown, "");
-                }
-                Verdict::Keep
-            }
-            Request::Session(hello) => {
-                self.registry.counter("pstrace_stream_sessions_total").inc();
-                match self.open_streaming(&hello, None) {
-                    Ok(active) => {
-                        conn.phase = Phase::Streaming(Box::new(active));
-                    }
-                    // `open_streaming` already accounted the failure.
-                    Err(e) => {
-                        conn.reply(false, &e.to_string());
-                        conn.phase = Phase::Closing;
-                    }
-                }
-                Verdict::Keep
-            }
-            Request::Resume {
-                token,
-                epoch,
-                hello,
-            } => {
-                let opened = if token == 0 {
-                    // Fresh resumable session.
-                    self.registry.counter("pstrace_stream_sessions_total").inc();
-                    let token = self.next_token();
-                    self.open_streaming(&hello, Some(token))
-                } else if epoch != self.ctx.epoch {
-                    // The token was minted under a different WAL lineage
-                    // (another daemon, another --wal-dir, or a pre-crash
-                    // life whose journal this daemon never saw). Splicing
-                    // it into a live table would corrupt someone else's
-                    // session; shed it politely instead.
-                    self.note(hello.trace, token, EventKind::Shed, "resume-epoch-shed");
-                    self.note_degrade("resume-epoch-shed", hello.trace, token);
-                    self.registry
-                        .counter_with(
-                            "pstrace_stream_shed_total",
-                            &[("reason", "resume-epoch-shed")],
-                        )
-                        .inc();
-                    Err(StreamError::Protocol(format!(
-                        "resume token {token} carries recovery epoch {epoch}, \
-                         this daemon's epoch is {}; token rejected",
-                        self.ctx.epoch
-                    )))
-                } else {
-                    self.pick_up(token, &hello)
-                };
-                match opened {
-                    Ok(active) => {
-                        let token = active.token.expect("resumable sessions carry a token");
-                        let offset = active.session.metrics().bytes;
-                        let _ = proto::write_resume_ack(
-                            &mut conn.outbox,
-                            token,
-                            offset,
-                            self.ctx.epoch,
-                        );
-                        self.registry.gauge("pstrace_stream_active_sessions").add(1);
-                        conn.phase = Phase::Streaming(Box::new(active));
-                    }
-                    Err(e) => {
-                        conn.reply(false, &e.to_string());
-                        conn.phase = Phase::Closing;
-                    }
-                }
-                Verdict::Keep
-            }
-        }
-    }
-
-    /// Opens a brand-new session (plain or fresh-resumable): governor
-    /// admission, then scenario/schema validation. The plain path also
-    /// flips the active gauge here; the resume path does it after acking.
-    fn open_streaming(
-        &mut self,
-        hello: &proto::Hello,
-        token: Option<u64>,
-    ) -> Result<Active, StreamError> {
-        let ticket = match self.ctx.governor.admit(hello.tenant) {
-            Ok(t) => t,
-            Err(shed) => {
-                self.note(hello.trace, 0, EventKind::Shed, shed.reason);
-                if shed.reason == "tenant-quota-shed" {
-                    self.note(hello.trace, 0, EventKind::QuotaTrip, shed.reason);
-                }
-                self.note_degrade(shed.reason, hello.trace, 0);
-                self.registry
-                    .counter_with("pstrace_stream_shed_total", &[("reason", shed.reason)])
-                    .inc();
-                self.registry.counter("pstrace_stream_failed_total").inc();
-                return Err(StreamError::Protocol(shed.message));
-            }
-        };
-        let session_id = self.next_session_id();
-        // 0 on the hello means "server assigns": derive a trace id the
-        // timeline can still tie to the session, flagged into a range a
-        // client-minted id never occupies.
-        let trace = if hello.trace == 0 {
-            session_id | (1 << 63)
-        } else {
-            hello.trace
-        };
-        let mut session = match open_session(&self.ctx, hello, &self.registry, session_id) {
-            Ok(s) => s,
-            Err(e) => {
-                self.registry.counter("pstrace_stream_failed_total").inc();
-                return Err(e);
-            }
-        };
-        session.set_flight(FlightHandle::new(
-            Arc::clone(&self.ctx.flight),
-            self.lane(),
-            trace,
-            session_id,
-        ));
-        self.note(trace, session_id, EventKind::Open, "");
-        self.note(trace, session_id, EventKind::Handshake, "");
-        if token.is_none() {
-            self.registry.gauge("pstrace_stream_active_sessions").add(1);
-        }
-        let active = Active {
-            session,
-            scenario: hello.scenario,
-            mode: hello.mode,
-            tenant: hello.tenant,
-            schema: hello.schema.clone(),
-            token,
-            ticket: Some(ticket),
-            trace,
-            session_id,
-        };
-        // Journal the open group before the caller can ack the token:
-        // under strict durability the fsync happens here, so an acked
-        // token is always recoverable.
-        self.wal_append_open(&active);
-        Ok(active)
-    }
-
-    /// Picks a parked session back up by its token.
-    fn pick_up(&mut self, token: u64, hello: &proto::Hello) -> Result<Active, StreamError> {
-        let Some(parked) = self.parked.remove(&token) else {
-            self.note_degrade("resume-expired", hello.trace, token);
-            return Err(StreamError::Protocol(format!(
-                "unknown or expired resume token {token}"
-            )));
-        };
-        if parked.schema != hello.schema || parked.scenario != hello.scenario {
-            // A mismatched resume is a client bug; the parked session
-            // goes back to wait for the right one.
-            self.parked.insert(token, parked);
-            return Err(StreamError::Protocol(
-                "resume hello does not match the parked session".to_owned(),
-            ));
-        }
-        self.registry.counter("pstrace_stream_resumed_total").inc();
-        self.note(parked.trace, parked.session_id, EventKind::Resume, "");
-        self.wal_append(&WalRecord::Resume { token });
-        Ok(Active {
-            session: parked.session,
-            scenario: parked.scenario,
-            mode: parked.mode,
-            tenant: parked.tenant,
-            schema: parked.schema,
-            token: Some(token),
-            ticket: parked.ticket,
-            trace: parked.trace,
-            session_id: parked.session_id,
-        })
-    }
-
-    /// Feeds one chunk into the streaming session.
-    fn handle_chunk(&mut self, conn: &mut Conn, chunk: Chunk) {
-        let Phase::Streaming(active) = &mut conn.phase else {
-            return;
-        };
-        match chunk {
-            Chunk::Data(bytes) => {
-                active.session.push_chunk(&bytes);
-                if let Some(msg) = self.ctx.limits.exceeded(&active.session.metrics()) {
-                    let (trace, session_id) = (active.trace, active.session_id);
-                    self.note_degrade("budget-close", trace, session_id);
-                    self.note(trace, session_id, EventKind::Close, "budget-close");
-                    self.registry.counter("pstrace_stream_failed_total").inc();
-                    self.registry.gauge("pstrace_stream_active_sessions").sub(1);
-                    OnlineLocalizer::clear_frontier(&self.registry);
-                    conn.reply(false, &msg);
-                    conn.phase = Phase::Closing;
-                }
-            }
-            Chunk::Finish { bit_len } => {
-                let Phase::Streaming(active) = std::mem::replace(&mut conn.phase, Phase::Closing)
-                else {
-                    return;
-                };
-                let active = *active;
-                if let Some(token) = active.token {
-                    // The token is dead: recovery must not resurrect it.
-                    self.wal_append(&WalRecord::Complete { token });
-                }
-                let report = active.session.finish(Some(bit_len));
-                let text = format!(
-                    "session over scenario {} ({:?} match)\n{}",
-                    active.scenario,
-                    report.mode,
-                    report.render()
-                );
-                self.note(active.trace, active.session_id, EventKind::Finish, "");
-                self.note(active.trace, active.session_id, EventKind::Close, "");
-                self.registry
-                    .counter("pstrace_stream_completed_total")
-                    .inc();
-                self.registry.gauge("pstrace_stream_active_sessions").sub(1);
-                conn.reply(true, &text);
-                // The ticket drops here: the seat frees at completion.
+                },
             }
         }
     }
@@ -1037,62 +1113,11 @@ impl Shard {
         }
         (verdict, moved)
     }
-
-    /// Tears down a connection that is leaving the table (any path),
-    /// keeping the active-session gauge honest.
-    fn teardown(&mut self, conn: &mut Conn) {
-        if let Phase::Streaming(active) = &conn.phase {
-            self.note(
-                active.trace,
-                active.session_id,
-                EventKind::Close,
-                "worker-respawn",
-            );
-            self.registry.gauge("pstrace_stream_active_sessions").sub(1);
-            self.registry.counter("pstrace_stream_failed_total").inc();
-            OnlineLocalizer::clear_frontier(&self.registry);
-            conn.phase = Phase::Closing;
-        }
-    }
 }
 
 /// The shard thread body: tick until shutdown, then drain.
 pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<ShardMsg>) {
-    let registry = Arc::clone(&ctx.registries[index + 1]);
-    // Eagerly materialize the gauge so an idle daemon's exposition still
-    // shows `pstrace_stream_active_sessions 0`.
-    let _ = registry.gauge("pstrace_stream_active_sessions");
-    // Open this shard's WAL (after the startup replay read the old one)
-    // and seed the token sequence above everything a previous life
-    // minted, so recovered tokens are never re-issued.
-    let shard_count = ctx.senders.len() as u64;
-    let resume_seq = ctx.recovered_max_token / shard_count + 1;
-    let wal = match &ctx.wal_dir {
-        Some(dir) => WalWriter::open(
-            dir,
-            index,
-            shard_count as usize,
-            ctx.epoch,
-            ctx.durability,
-            ctx.wal_budget,
-        )
-        .map_err(|_| degrade(&registry, "wal-append-degraded"))
-        .ok(),
-        None => None,
-    };
-    let recovered = ctx.recovered[index]
-        .lock()
-        .map(|mut slot| std::mem::take(&mut *slot))
-        .unwrap_or_default();
-    let mut shard = Shard {
-        ctx,
-        index,
-        registry,
-        parked: HashMap::new(),
-        resume_seq,
-        wal,
-    };
-    shard.repark_recovered(recovered);
+    let mut shard = Shard::new(ctx, index);
     let mut conns: Vec<Conn> = Vec::new();
     let mut backoff = Backoff::new();
     let mut drain_deadline: Option<Instant> = None;
@@ -1147,29 +1172,27 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
                         .inc();
                     shard.note(0, 0, EventKind::Respawn, "worker-respawn");
                     shard.note_degrade("worker-respawn", 0, 0);
-                    let mut conn = conns.swap_remove(i);
-                    shard.teardown(&mut conn);
+                    // The panicked connection leaves the table; its
+                    // session ends like any other failure.
+                    if let Some(live) = conns.swap_remove(i).take_live() {
+                        let outcome = Outcome::Failed {
+                            reason: "worker-respawn",
+                            message: String::new(),
+                        };
+                        shard.end(*live, outcome);
+                    }
                     moved = true;
                 }
             }
         }
 
-        // Lazy purge of expired parked sessions; each expiry is
-        // journaled so recovery cannot resurrect a dead token.
-        let now = Instant::now();
-        let expired: Vec<u64> = shard
-            .parked
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(&token, _)| token)
-            .collect();
-        for token in expired {
-            shard.parked.remove(&token);
-            shard.wal_append(&WalRecord::Expire { token });
-        }
+        shard.expire_parked(Instant::now());
 
         // Disk-pressure rotation: checkpoint live sessions, truncate.
-        shard.maybe_rotate(&mut conns);
+        shard.maybe_rotate(conns.iter().filter_map(|conn| match &conn.phase {
+            Phase::Streaming(live) => Some(&**live),
+            _ => None,
+        }));
 
         if shard.ctx.shutdown.load(Ordering::Relaxed) {
             if drain_deadline.is_none() {
@@ -1191,5 +1214,258 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
         } else {
             backoff.idle_wait();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+    use std::path::Path;
+
+    use pstrace_diag::MatchMode;
+    use pstrace_soc::{wirecap, SimConfig, Simulator, TraceBufferConfig};
+    use pstrace_wire::{read_ptw_header, write_ptw};
+
+    use super::*;
+    use crate::recover::recover_state;
+    use crate::server::scenario_by_number;
+
+    const EPOCH: u64 = 0x5eed;
+
+    /// A lifecycle core on a temp strict WAL, plus one scenario-1 capture
+    /// split into its handshake and payload. No socket anywhere.
+    struct Rig {
+        shard: Shard,
+        dir: PathBuf,
+        hello: Hello,
+        payload: Vec<u8>,
+        bit_len: u64,
+    }
+
+    impl Drop for Rig {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn rig(tag: &str, config: ServerConfig) -> Rig {
+        let dir = std::env::temp_dir().join(format!("pstrace-life-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let model = SocModel::t2();
+        let scenario = scenario_by_number(1).unwrap();
+        let messages: Vec<_> = scenario.messages(&model).into_iter().step_by(2).collect();
+        let trace_config = TraceBufferConfig {
+            messages: messages.clone(),
+            groups: Vec::new(),
+            depth: None,
+        };
+        let width = messages.iter().map(|&m| model.catalog().width(m)).sum();
+        let schema = wirecap::wire_schema(&model, &trace_config, width).unwrap();
+        let run = Simulator::new(&model, scenario, SimConfig::with_seed(3)).run();
+        let stream =
+            wirecap::encode_events(model.catalog(), &schema, &run.events, &trace_config).unwrap();
+        let ptw = write_ptw(model.catalog(), &schema, &stream);
+        let (_, _, consumed) = read_ptw_header(model.catalog(), &ptw).unwrap();
+        let config = ServerConfig {
+            shards: 1,
+            durability: DurabilityPolicy::Strict,
+            wal_dir: Some(dir.clone()),
+            ..config
+        };
+        let (ctx, _) = FleetCtx::new(
+            Arc::new(model),
+            &config,
+            Arc::new(Registry::new()),
+            EPOCH,
+            Some(dir.clone()),
+            RecoveredState::default(),
+        );
+        Rig {
+            shard: Shard::new(Arc::new(ctx), 0),
+            dir,
+            hello: Hello {
+                scenario: 1,
+                mode: MatchMode::Prefix,
+                tenant: 0,
+                trace: 0,
+                schema: ptw[..consumed].to_vec(),
+            },
+            payload: stream.bytes,
+            bit_len: stream.bit_len,
+        }
+    }
+
+    impl Rig {
+        fn resume(&mut self, token: u64) -> (Box<Live>, u64) {
+            let request = Request::Resume {
+                token,
+                epoch: if token == 0 { 0 } else { EPOCH },
+                hello: self.hello.clone(),
+            };
+            match self.shard.handle_request(request) {
+                Next::Stream(live, Some(offset)) => (live, offset),
+                other => panic!("expected a resumable stream, got {other:?}"),
+            }
+        }
+
+        fn feed(&mut self, live: &mut Live, bytes: &[u8]) -> Option<Outcome> {
+            self.shard.handle_chunk(live, Chunk::Data(bytes.to_vec()))
+        }
+
+        fn active(&self) -> i64 {
+            self.shard
+                .registry
+                .gauge("pstrace_stream_active_sessions")
+                .get()
+        }
+
+        /// Recovery from the WAL directory must rebuild exactly the
+        /// tokens the core still holds: parked here, or `streaming`.
+        fn assert_durable(&self, streaming: &[&Live], step: &str) {
+            let held: BTreeSet<u64> = self
+                .shard
+                .parked
+                .keys()
+                .copied()
+                .chain(streaming.iter().filter_map(|live| live.token()))
+                .collect();
+            assert_eq!(recovered_tokens(&self.dir), held, "after {step}");
+        }
+    }
+
+    fn recovered_tokens(dir: &Path) -> BTreeSet<u64> {
+        recover_state(dir, 1)
+            .shards
+            .iter()
+            .flatten()
+            .map(|r| r.token)
+            .collect()
+    }
+
+    #[test]
+    fn park_resume_finish_keeps_the_journal_in_step() {
+        let mut rig = rig("resume", ServerConfig::default());
+        let (mut live, offset) = rig.resume(0);
+        assert_eq!(offset, 0);
+        let token = live
+            .token()
+            .expect("fresh resumable sessions carry a token");
+        rig.assert_durable(&[&live], "open");
+
+        let payload = rig.payload.clone();
+        let half = payload.len() / 2;
+        assert!(rig.feed(&mut live, &payload[..half]).is_none());
+        rig.assert_durable(&[&live], "data");
+
+        let outcome = live.death("transport closed");
+        assert!(matches!(outcome, Outcome::Parked));
+        assert!(
+            rig.shard.end(*live, outcome).is_none(),
+            "parking replies nothing"
+        );
+        assert_eq!(rig.active(), 0);
+        rig.assert_durable(&[], "park");
+
+        let (mut live, offset) = rig.resume(token);
+        assert_eq!(offset, half as u64, "resume acks the ingested offset");
+        assert_eq!(live.token(), Some(token));
+        rig.assert_durable(&[&live], "resume");
+
+        assert!(rig.feed(&mut live, &payload[half..]).is_none());
+        let outcome = rig
+            .shard
+            .handle_chunk(
+                &mut live,
+                Chunk::Finish {
+                    bit_len: rig.bit_len,
+                },
+            )
+            .expect("FINISH ends the session");
+        let (ok, report) = rig.shard.end(*live, outcome).expect("a report");
+        assert!(ok, "{report}");
+        assert!(report.starts_with("session over scenario 1"), "{report}");
+        rig.assert_durable(&[], "finish");
+        assert_eq!(rig.active(), 0);
+    }
+
+    #[test]
+    fn an_expired_parked_session_leaves_the_journal() {
+        let mut rig = rig("expire", ServerConfig::default());
+        let (live, _) = rig.resume(0);
+        let outcome = live.death("transport closed");
+        rig.shard.end(*live, outcome);
+        rig.assert_durable(&[], "park");
+
+        rig.shard.expire_parked(Instant::now());
+        assert_eq!(rig.shard.parked.len(), 1, "still inside its grace period");
+        let grace = rig.shard.ctx.resume_grace;
+        rig.shard
+            .expire_parked(Instant::now() + grace + Duration::from_secs(1));
+        assert!(rig.shard.parked.is_empty());
+        rig.assert_durable(&[], "expire");
+        assert_eq!(rig.active(), 0);
+    }
+
+    #[test]
+    fn a_budget_closed_resumable_session_is_not_recoverable() {
+        let config = ServerConfig {
+            limits: SessionLimits {
+                max_bytes: Some(16),
+                ..SessionLimits::default()
+            },
+            ..ServerConfig::default()
+        };
+        let mut rig = rig("budget", config);
+        let (mut live, _) = rig.resume(0);
+        rig.assert_durable(&[&live], "open");
+        let payload = rig.payload.clone();
+        let outcome = rig
+            .feed(&mut live, &payload)
+            .expect("the whole capture crosses a 16-byte budget");
+        assert!(matches!(
+            outcome,
+            Outcome::Failed {
+                reason: "budget-close",
+                ..
+            }
+        ));
+        let (ok, message) = rig.shard.end(*live, outcome).expect("an error reply");
+        assert!(!ok);
+        let budget = format!("byte budget ({} > 16)", payload.len());
+        assert!(message.contains(&budget), "{message}");
+        rig.assert_durable(&[], "budget-close");
+        assert_eq!(rig.active(), 0);
+    }
+
+    #[test]
+    fn rotation_checkpoints_parked_and_streaming_sessions() {
+        let config = ServerConfig {
+            wal_budget: 0,
+            ..ServerConfig::default()
+        };
+        let mut rig = rig("rotate", config);
+        let (parked, _) = rig.resume(0);
+        let (mut streaming, _) = rig.resume(0);
+        let outcome = parked.death("transport closed");
+        rig.shard.end(*parked, outcome);
+        rig.assert_durable(&[&streaming], "park one");
+
+        rig.shard.maybe_rotate(std::iter::once(&*streaming));
+        let wal = std::fs::read(crate::wal::wal_path(&rig.dir, 0)).unwrap();
+        assert_eq!(
+            wal.len(),
+            crate::wal::WAL_ENTRY_BYTES,
+            "rotation truncates the WAL to its epoch header"
+        );
+        rig.assert_durable(&[&streaming], "rotate");
+
+        let outcome = rig
+            .shard
+            .handle_chunk(&mut streaming, Chunk::Finish { bit_len: 0 })
+            .unwrap();
+        rig.shard.end(*streaming, outcome);
+        rig.assert_durable(&[], "finish after rotation");
+        assert_eq!(rig.shard.parked.len(), 1);
+        assert_eq!(rig.active(), 0);
     }
 }

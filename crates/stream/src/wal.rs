@@ -164,9 +164,11 @@ pub enum WalRecord {
         /// The resumed session's token.
         token: u64,
     },
-    /// The session finished with a report; its token is dead.
+    /// The session ended with a report or a failure; its token is dead.
+    /// Every resumable session that ends without parking journals one,
+    /// so recovery never resurrects it.
     Complete {
-        /// The finished session's token.
+        /// The ended session's token.
         token: u64,
     },
     /// The parked session outlived its grace period; its token is dead.
@@ -396,10 +398,11 @@ pub const CRASH_POINTS: [&str; 4] = [
     "wal-mid-rotation",
 ];
 
-/// Everything a checkpoint persists about one live resumable session.
-#[derive(Debug, Clone)]
-pub struct CheckpointSession {
-    /// The resume token.
+/// One resumable session's durable identity: what its open group
+/// journals, what a checkpoint compacts and what recovery rebuilds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionRecord {
+    /// The resume token the client holds (0 = not resumable).
     pub token: u64,
     /// The daemon-local session id.
     pub session_id: u64,
@@ -409,12 +412,45 @@ pub struct CheckpointSession {
     pub scenario: u8,
     /// Match-mode wire byte.
     pub mode: u8,
-    /// Tenant id.
+    /// Tenant id for quota accounting.
     pub tenant: u32,
     /// The raw schema handshake bytes.
     pub schema: Vec<u8>,
-    /// Payload bytes ingested (informational).
+    /// Payload bytes ingested (informational: a recovered session acks
+    /// offset 0 and the client resends).
     pub bytes: u64,
+}
+
+/// A session's open group: one Open entry (identity plus schema length
+/// and CRC), then the schema sliced into SchemaChunk entries.
+fn open_group(
+    token: u64,
+    session_id: u64,
+    trace: u64,
+    scenario: u8,
+    mode: u8,
+    tenant: u32,
+    schema: &[u8],
+) -> impl Iterator<Item = WalRecord> + '_ {
+    let open = WalRecord::Open {
+        token,
+        session_id,
+        trace,
+        scenario,
+        mode,
+        tenant,
+        schema_len: schema.len() as u32,
+        schema_crc: fnv32(schema),
+    };
+    let chunks = schema
+        .chunks(SCHEMA_CHUNK_BYTES)
+        .enumerate()
+        .map(move |(i, piece)| WalRecord::SchemaChunk {
+            token,
+            offset: (i * SCHEMA_CHUNK_BYTES) as u32,
+            data: piece.to_vec(),
+        });
+    std::iter::once(open).chain(chunks)
 }
 
 /// Mints (or re-reads) the WAL directory's recovery epoch: the value is
@@ -591,22 +627,8 @@ impl WalWriter {
         tenant: u32,
         schema: &[u8],
     ) -> io::Result<()> {
-        self.push(&WalRecord::Open {
-            token,
-            session_id,
-            trace,
-            scenario,
-            mode,
-            tenant,
-            schema_len: schema.len() as u32,
-            schema_crc: fnv32(schema),
-        })?;
-        for (i, piece) in schema.chunks(SCHEMA_CHUNK_BYTES).enumerate() {
-            self.push(&WalRecord::SchemaChunk {
-                token,
-                offset: (i * SCHEMA_CHUNK_BYTES) as u32,
-                data: piece.to_vec(),
-            })?;
+        for record in open_group(token, session_id, trace, scenario, mode, tenant, schema) {
+            self.push(&record)?;
         }
         self.commit()
     }
@@ -626,7 +648,7 @@ impl WalWriter {
     ///
     /// Propagates checkpoint/truncate i/o failures; on error the old WAL
     /// is untouched and recovery still works from it.
-    pub fn rotate(&mut self, live: &[CheckpointSession]) -> io::Result<()> {
+    pub fn rotate(&mut self, live: &[SessionRecord]) -> io::Result<()> {
         write_checkpoint(&self.dir, self.shard, self.shard_count, self.epoch, live)?;
         if crash_armed("wal-mid-rotation") {
             // Checkpoint renamed, WAL not yet truncated: recovery sees
@@ -673,7 +695,7 @@ pub fn write_checkpoint(
     shard: usize,
     shard_count: u32,
     epoch: u64,
-    live: &[CheckpointSession],
+    live: &[SessionRecord],
 ) -> io::Result<()> {
     let final_path = checkpoint_path(dir, shard);
     let tmp_path = final_path.with_extension("tmp");
@@ -684,23 +706,15 @@ pub fn write_checkpoint(
         shard_count,
     });
     for s in live {
-        entries.push(WalRecord::Open {
-            token: s.token,
-            session_id: s.session_id,
-            trace: s.trace,
-            scenario: s.scenario,
-            mode: s.mode,
-            tenant: s.tenant,
-            schema_len: s.schema.len() as u32,
-            schema_crc: fnv32(&s.schema),
-        });
-        for (i, piece) in s.schema.chunks(SCHEMA_CHUNK_BYTES).enumerate() {
-            entries.push(WalRecord::SchemaChunk {
-                token: s.token,
-                offset: (i * SCHEMA_CHUNK_BYTES) as u32,
-                data: piece.to_vec(),
-            });
-        }
+        entries.extend(open_group(
+            s.token,
+            s.session_id,
+            s.trace,
+            s.scenario,
+            s.mode,
+            s.tenant,
+            &s.schema,
+        ));
         entries.push(WalRecord::Park {
             token: s.token,
             bytes: s.bytes,
@@ -816,7 +830,7 @@ mod tests {
             wal.needs_rotation(),
             "epoch + open + 3 schema chunks = 5 entries hit the budget"
         );
-        wal.rotate(&[CheckpointSession {
+        wal.rotate(&[SessionRecord {
             token: 2,
             session_id: 1,
             trace: 0xbeef,

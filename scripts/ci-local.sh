@@ -34,8 +34,10 @@ run cargo test -q --locked --test stream_smoke
 run cargo bench --no-run --locked --workspace
 # perfbench/ is its own workspace, so the builds above never compile it.
 run cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
-# One short live-long pass: fails unless every daemon report matched the
-# batch-DP oracle (`"correct": true`, `"failed": 0`).
+# One short live-long pass and one short fleet-short pass (many short
+# resumable sessions on a strict WAL, the session lifecycle's path):
+# fails unless every daemon report matched the batch-DP oracle
+# (`"correct": true`, `"failed": 0`).
 if command -v python3 >/dev/null 2>&1; then
     run python3 scripts/check_perfbench.py
 else

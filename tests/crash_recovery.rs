@@ -1,6 +1,7 @@
 //! Crash-only ingest contracts: a parked session's resume token works
-//! across a daemon restart (checkpoint + WAL replay), tokens from a
-//! foreign WAL lineage are shed with a typed epoch rejection, and
+//! across a daemon restart (checkpoint + WAL replay), a session that
+//! ended without parking never comes back, tokens from a foreign WAL
+//! lineage are shed with a typed epoch rejection, and
 //! `pstrace stop` against a dead daemon fails fast with a typed
 //! connection error instead of burning a retry budget.
 
@@ -17,7 +18,7 @@ use pstrace::obs::EventKind;
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace::stream::durable::DurabilityPolicy;
-use pstrace::stream::{proto, request_shutdown, Server, ServerConfig, StreamError};
+use pstrace::stream::{proto, request_shutdown, Server, ServerConfig, SessionLimits, StreamError};
 use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
 
 /// A small scenario-1 capture split the way the PSTS handshake wants
@@ -223,6 +224,44 @@ fn parked_session_resumes_across_a_daemon_restart() {
         "recovered session diverged from the uninterrupted run:\n{resumed}\nvs\n{uninterrupted}"
     );
     second.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_budget_closed_resumable_session_is_not_recovered_after_a_restart() {
+    let _guard = watchdog(Duration::from_secs(120), "crash recovery budget close");
+    let dir = wal_dir("budget");
+    let cap = capture(400);
+    let config = ServerConfig {
+        limits: SessionLimits {
+            max_bytes: Some(16),
+            ..SessionLimits::default()
+        },
+        ..durable_config(&dir)
+    };
+    let server = Server::spawn(Arc::clone(&cap.model), &config).unwrap();
+    let mut s = connect(&server);
+    proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+    let ack = proto::read_reply(&mut s).unwrap();
+    let (token, _, _) = proto::parse_resume_ack(&ack).unwrap();
+    assert!(token > 0, "a resumable session got a token");
+    proto::write_data(&mut s, &cap.payload[..64]).unwrap();
+    s.flush().unwrap();
+    let err = proto::read_reply(&mut s).expect_err("64 bytes cross a 16-byte budget");
+    assert!(
+        matches!(&err, StreamError::Remote(m) if m == "session exceeded its byte budget (64 > 16)"),
+        "{err}"
+    );
+    drop(s);
+    server.shutdown();
+
+    // The session ended without parking, so its token is dead: a
+    // restart must not re-park it and hold a quota seat for it.
+    assert_eq!(
+        Server::recover(&dir, 2).sessions(),
+        0,
+        "a budget-closed session came back from the WAL"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

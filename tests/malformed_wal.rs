@@ -13,8 +13,8 @@ use pstrace::flow::{FlowIndex, IndexedMessage};
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace::stream::durable::{
-    checkpoint_path, recover_state, render_dry_run, wal_path, write_checkpoint, CheckpointSession,
-    DurabilityPolicy, RecoverError, WalRecord, WalWriter, WAL_ENTRY_BYTES,
+    checkpoint_path, recover_state, render_dry_run, wal_path, write_checkpoint, DurabilityPolicy,
+    RecoverError, SessionRecord, WalRecord, WalWriter, WAL_ENTRY_BYTES,
 };
 use pstrace::stream::{stream_ptw, Server, ServerConfig};
 use pstrace::wire::{encode_records, write_ptw, WireRecord};
@@ -136,7 +136,7 @@ fn short_checkpoint_is_ignored_but_the_wal_still_replays() {
         0,
         1,
         7,
-        &[CheckpointSession {
+        &[SessionRecord {
             token: 5,
             session_id: 5,
             trace: 0x105,
