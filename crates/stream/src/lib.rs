@@ -16,11 +16,12 @@
 //!   frames identically; v2 added a `METRICS` verb that returns the
 //!   daemon's Prometheus exposition, v3 adds `SESSION_RESUME` — a
 //!   token/offset ack that lets a session survive transport death;
-//! * [`Server`] — the std-only `pstraced` daemon, rebuilt as an
-//!   event loop for fleet scale: a backoff-retrying accept thread pins
-//!   each connection to one of N shard threads, every shard drives its
-//!   own nonblocking connection table (no locks on the ingest hot
-//!   path), resume tokens encode their owning shard so reconnects are
+//! * [`Server`] — the std-only `pstraced` daemon, built for fleet
+//!   scale with no polling: a blocking, backoff-retrying accept thread
+//!   pins each connection to one of N shard threads, pooled reader
+//!   threads block in `read` and feed each shard's inbox, every shard
+//!   sleeps until a message or its next deadline and owns its
+//!   connection table (no locks on the ingest hot path), resume tokens encode their owning shard so reconnects are
 //!   handed off rather than lost, per-tenant quotas and a global
 //!   session cap shed overload politely, per-session ingest budgets
 //!   ([`SessionLimits`]) and handshake deadlines bound each session,
@@ -60,9 +61,9 @@
 mod client;
 mod error;
 mod metrics;
-mod poll;
 mod programs;
 pub mod proto;
+mod reader;
 mod recover;
 mod server;
 mod session;

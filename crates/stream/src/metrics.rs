@@ -17,6 +17,8 @@ use std::time::Duration;
 
 use pstrace_obs::{merged_samples, render_prometheus_samples, Registry};
 
+use crate::server::wake_acceptor;
+
 /// A running scrape endpoint: one listener thread answering HTTP GETs
 /// with the registry's Prometheus exposition.
 #[derive(Debug)]
@@ -51,24 +53,24 @@ impl MetricsEndpoint {
     ) -> io::Result<MetricsEndpoint> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Nonblocking accept so the loop can poll the shutdown flag.
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let handle = {
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
+            // Blocks in accept; `stop` wakes it with a self-connect.
+            std::thread::Builder::new()
+                .name("pstrace-metrics".to_owned())
+                .spawn(move || loop {
+                    let accepted = listener.accept();
+                    if shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
                             let _ = answer(stream, &registries);
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
                         Err(_) => return,
                     }
-                }
-            })
+                })?
         };
         Ok(MetricsEndpoint {
             addr,
@@ -89,8 +91,9 @@ impl MetricsEndpoint {
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.listener.take() {
+            wake_acceptor(self.addr);
             let _ = h.join();
         }
     }
@@ -161,5 +164,18 @@ mod tests {
             "{response}"
         );
         endpoint.shutdown();
+    }
+
+    #[test]
+    fn stop_wakes_an_endpoint_bound_to_the_unspecified_address() {
+        let endpoint =
+            MetricsEndpoint::spawn("0.0.0.0:0", Arc::new(Registry::new())).expect("bind endpoint");
+        assert!(endpoint.local_addr().ip().is_unspecified());
+        let started = std::time::Instant::now();
+        endpoint.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the self-connect must reach the blocked accept over loopback"
+        );
     }
 }

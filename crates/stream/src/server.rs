@@ -9,15 +9,26 @@
 //!
 //! # Architecture
 //!
-//! The accept thread pins each socket to one of
-//! [`ServerConfig::shards`] by connection id; each shard (see the
-//! `shard` module) is a single event-loop thread owning its connection
-//! table, its parked-session lot and its own metrics
-//! [`Registry`](pstrace_obs::Registry) — the chunk-ingest hot path
-//! crosses no locks. Resume tokens encode their owning shard, so a
-//! reconnect landing anywhere is handed off to the owner and session
-//! pinning survives. [`Server::snapshot`] and the METRICS verb merge the
-//! per-shard registries (plus the caller's root registry) into one view
+//! Every daemon thread blocks until something happens; none polls. The
+//! accept thread (`pstrace-accept`) blocks in `accept` and pins each
+//! connection to one of [`ServerConfig::shards`] by connection id: it
+//! registers the connection with its shard, then hands the socket to a
+//! pooled reader thread (`pstrace-conn`, see the `reader` module) that
+//! blocks in `read` and forwards the bytes to the shard's inbox; a
+//! reader left without a connection for a handshake timeout retires. Each
+//! shard (`pstrace-shard-<i>`, see the `shard` module) is a single
+//! thread owning its connection table, its parked-session lot, its
+//! timers and its own metrics [`Registry`](pstrace_obs::Registry) — the
+//! chunk-ingest hot path crosses no locks. It blocks on its inbox until
+//! a message arrives or its next deadline is due. Final replies are
+//! written by the connection's reader, so a client that stops reading
+//! stalls only its own reader. Resume tokens encode their owning shard,
+//! so a reconnect landing anywhere is handed off to the owner and
+//! session pinning survives. Shutdown — [`Server::shutdown`] or the
+//! SHUTDOWN verb, one code path — flags the drain, wakes every shard and
+//! wakes the blocked `accept` with one loopback self-connect.
+//! [`Server::snapshot`] and the METRICS verb merge the per-shard
+//! registries (plus the caller's root registry) into one view
 //! ([`pstrace_obs::merged_samples`]).
 //!
 //! # Hardening
@@ -45,7 +56,7 @@
 //!   sessions are never evicted.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -61,6 +72,7 @@ use pstrace_wire::read_ptw_header;
 
 use crate::error::StreamError;
 use crate::proto::Hello;
+use crate::reader::{Link, ReadJob, Readers, Wire};
 use crate::recover::{recover_state, RecoveredState};
 use crate::session::{observed_messages, Session};
 use crate::shard::{run_shard, FleetCtx, ShardMsg};
@@ -129,7 +141,8 @@ pub struct ServerConfig {
     /// Deadline for the request preamble: a connection that has not
     /// produced its hello within this window is closed (degradation path
     /// `handshake-deadline`), so slow-loris connects cannot pin shards
-    /// for the full session timeout.
+    /// for the full session timeout. It is also how long a reader thread
+    /// with no connection to serve waits for one before it exits.
     pub handshake_timeout: Duration,
     /// How long a resumable session stays parked after transport death
     /// before its token expires.
@@ -273,8 +286,6 @@ impl Server {
                 io::Error::new(io::ErrorKind::InvalidInput, "empty bind address")
             })?)?;
         let addr = listener.local_addr()?;
-        // Nonblocking accept so the loop can poll the shutdown flag.
-        listener.set_nonblocking(true)?;
 
         let shard_count = config.shards.max(1);
 
@@ -316,6 +327,7 @@ impl Server {
             epoch,
             wal_dir,
             recovered.unwrap_or_default(),
+            Some(addr),
         );
         let ctx = Arc::new(ctx);
 
@@ -331,61 +343,27 @@ impl Server {
                 .record(0, 0, skipped, EventKind::Recover, "entries-skipped");
         }
 
-        let shards = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(index, rx)| {
-                let ctx = Arc::clone(&ctx);
-                std::thread::spawn(move || run_shard(ctx, index, &rx))
-            })
-            .collect();
-
-        let accept = {
-            let ctx = Arc::clone(&ctx);
-            let registry = Arc::clone(&registry);
-            std::thread::spawn(move || {
-                // A failing accept(2) (EMFILE, ECONNABORTED, …) is
-                // retried under capped exponential backoff, never fatal:
-                // the daemon must outlive transient resource pressure.
-                let initial = Duration::from_millis(5);
-                let cap = Duration::from_secs(1);
-                let mut backoff = initial;
-                let mut conn_id: u64 = 0;
-                while !ctx.shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            backoff = initial;
-                            // Pin by connection id: the shard owns this
-                            // socket for its whole life.
-                            let shard = (conn_id % ctx.senders.len() as u64) as usize;
-                            conn_id += 1;
-                            if ctx.senders[shard].send(ShardMsg::Conn(stream)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(initial);
-                        }
-                        Err(_) => {
-                            registry
-                                .counter("pstrace_stream_accept_retries_total")
-                                .inc();
-                            degrade(&registry, "accept-retry");
-                            ctx.degrade_flight(0, 0, 0, "accept-retry");
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(cap);
-                        }
-                    }
-                }
-            })
-        };
-
-        Ok(Server {
+        // Built before any thread starts, so a failed spawn returns
+        // through `Drop`, which stops and joins whatever did start.
+        let mut server = Server {
             addr,
             ctx,
-            accept: Some(accept),
-            shards,
-        })
+            accept: None,
+            shards: Vec::with_capacity(receivers.len()),
+        };
+        for (index, rx) in receivers.into_iter().enumerate() {
+            let ctx = Arc::clone(&server.ctx);
+            let shard = std::thread::Builder::new()
+                .name(format!("pstrace-shard-{index}"))
+                .spawn(move || run_shard(ctx, index, &rx))?;
+            server.shards.push(shard);
+        }
+        let ctx = Arc::clone(&server.ctx);
+        let accept = std::thread::Builder::new()
+            .name("pstrace-accept".to_owned())
+            .spawn(move || accept_loop(&listener, &ctx))?;
+        server.accept = Some(accept);
+        Ok(server)
     }
 
     /// The bound address (with the ephemeral port resolved).
@@ -481,12 +459,10 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        if !self.ctx.shutdown.swap(true, Ordering::SeqCst) {
-            // One Shutdown event total, whoever initiated the drain (the
-            // SHUTDOWN verb handler uses the same swap).
-            self.ctx.flight.record(0, 0, 0, EventKind::Shutdown, "");
-        }
+        self.ctx.begin_shutdown(0);
         if let Some(h) = self.accept.take() {
+            // Cuts short an accept-retry backoff.
+            h.thread().unpark();
             let _ = h.join();
         }
         for h in self.shards.drain(..) {
@@ -502,6 +478,76 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// The acceptor thread body: blocks in `accept` until a client connects
+/// or shutdown's self-connect wakes it. Each connection is registered
+/// with its shard before its reader starts, so the shard knows it before
+/// any of its bytes arrive.
+fn accept_loop(listener: &TcpListener, ctx: &FleetCtx) {
+    // A reader idle for as long as a connection may take to say hello
+    // is surplus: it retires.
+    let mut readers = Readers::new(ctx.handshake_timeout);
+    let registry = &ctx.registries[0];
+    // A failing accept(2) (EMFILE, ECONNABORTED, …) is retried under
+    // capped exponential backoff, never fatal: the daemon must outlive
+    // transient resource pressure.
+    let initial = Duration::from_millis(5);
+    let cap = Duration::from_secs(1);
+    let mut backoff = initial;
+    let mut conn_id: u64 = 0;
+    loop {
+        let accepted = listener.accept();
+        if ctx.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                registry
+                    .counter("pstrace_stream_accept_retries_total")
+                    .inc();
+                degrade(registry, "accept-retry");
+                ctx.degrade_flight(0, 0, 0, "accept-retry");
+                // `Server::stop` unparks this wait.
+                std::thread::park_timeout(backoff);
+                backoff = (backoff * 2).min(cap);
+                continue;
+            }
+        };
+        backoff = initial;
+        stream.set_nodelay(true).ok();
+        // Bounds the reader's reply write to a peer that stopped reading.
+        stream.set_write_timeout(Some(ctx.read_timeout)).ok();
+        // Pin by connection id: the shard owns this connection for its
+        // whole life (unless a resume hands it to the token's owner).
+        let id = conn_id;
+        conn_id += 1;
+        let inbox = &ctx.senders[(id % ctx.senders.len() as u64) as usize];
+        let wire = Wire::new(stream);
+        if inbox.send(ShardMsg::Conn(id, Link::new(&wire))).is_err() {
+            return;
+        }
+        readers.serve(ReadJob {
+            id,
+            wire,
+            shard: inbox.clone(),
+        });
+    }
+}
+
+/// Wakes a thread blocked in `accept` on `addr` by connecting to it once.
+/// An unspecified bind address is reached over loopback in the same
+/// address family.
+pub(crate) fn wake_acceptor(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 /// Folds daemon-level `pstrace_stream_*` series out of a sample set.

@@ -6,10 +6,10 @@
 //! [`Registry`](pstrace_obs::Registry), so the ingest hot path touches
 //! no cross-thread locks at all — the only shared state is the tenant
 //! governor (one short lock per session *open*, never per chunk) and the
-//! mpsc channels that deliver new sockets.
+//! mpsc inbox every message reaches the shard through.
 //!
 //! Resume tokens encode their owning shard (`token % shard_count`), so a
-//! reconnect landing on the wrong shard is handed off — socket plus
+//! reconnect landing on the wrong shard is handed off — connection plus
 //! unconsumed bytes — to the owner over its inbox channel
 //! (`pstrace_stream_handoffs_total`), and session pinning survives any
 //! accept-order the reconnect storm produces.
@@ -22,20 +22,28 @@
 //! rotation in between. Lifecycle functions take requests and chunks and
 //! return what to send; none of them sees a socket, so a unit test
 //! drives them in process. The **socket shell** follows, from `Phase`
-//! down: each tick `run_shard` drains its inbox, speculatively reads
-//! every connection (see [`poll`](crate::poll)), decodes whatever bytes
-//! buffered, hands requests and chunks to the lifecycle, writes what it
-//! returned, applies deadlines and purges expired parked sessions. A
-//! panic inside one connection's step is caught and costs exactly that
-//! connection (`worker-respawn`).
+//! down. `run_shard` blocks on its inbox until a message arrives or the
+//! earliest timer is due — it never ticks. A message names one
+//! connection (bytes its reader read, the peer's end of stream, the
+//! reader's last word), and only that connection advances: its bytes are
+//! decoded, requests and chunks go to the lifecycle, and a final reply
+//! goes back to the connection's reader (see [`reader`](crate::reader)),
+//! which writes it off the shard thread. Handshake and idle deadlines,
+//! parked-session expiry and the drain deadline share one timer set, and
+//! a wake fires only the timers that are due. A wake handles a bounded
+//! batch of messages before it fires timers, so a busy inbox cannot hold
+//! off deadlines or the drain. A draining shard stays up while it still
+//! relays for a connection it handed off. A panic inside one
+//! connection's step is caught and costs exactly that connection
+//! (`worker-respawn`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -48,27 +56,35 @@ use pstrace_obs::{
 use pstrace_soc::SocModel;
 
 use crate::error::StreamError;
-use crate::poll::{read_once, write_once, Backoff, Progress, Readiness};
 use crate::programs::ProgramCache;
 use crate::proto::{self, Chunk, Hello, Request};
+use crate::reader::Link;
 use crate::recover::RecoveredState;
-use crate::server::{degrade, open_session, ServerConfig, SessionLimits};
+use crate::server::{degrade, open_session, wake_acceptor, ServerConfig, SessionLimits};
 use crate::session::Session;
 use crate::wal::{DurabilityPolicy, SessionRecord, WalRecord, WalWriter};
 
-/// How many bytes one connection may pull per tick before the loop moves
-/// on — fairness under a firehose client.
-const READ_BUDGET: usize = 256 * 1024;
-
-/// What the accept thread (or a sibling shard) delivers to a shard.
+/// What reaches a shard: from the acceptor, a sibling shard or a
+/// connection's reader. Every variant but `Wake` names its connection by
+/// id.
 #[derive(Debug)]
 pub(crate) enum ShardMsg {
-    /// A freshly accepted socket, still unread.
-    Conn(TcpStream),
-    /// A mid-request handoff from a sibling: the socket plus every byte
-    /// read but not yet consumed (the resume request included) — the
-    /// receiver re-parses from the top.
-    Handoff(TcpStream, Vec<u8>),
+    /// A freshly accepted connection, registered before its reader can
+    /// send anything.
+    Conn(u64, Link),
+    /// A mid-request handoff from a sibling: the connection plus every
+    /// byte read but not yet consumed (the resume request included) — the
+    /// receiver re-parses from the top. The sibling relays the
+    /// connection's later messages, in order.
+    Handoff(u64, Link, Vec<u8>),
+    /// Bytes the connection's reader read.
+    Read(u64, Vec<u8>),
+    /// The peer closed its side (or the read failed): no more bytes.
+    Eof(u64),
+    /// The reader is done with the socket: the connection's last message.
+    Closed(u64),
+    /// The shutdown flag flipped.
+    Wake,
 }
 
 /// Everything shared between the accept thread and every shard.
@@ -118,6 +134,10 @@ pub(crate) struct FleetCtx {
     /// Highest resume token a previous life minted; token sequences
     /// restart above it so recovered tokens are never re-issued.
     pub recovered_max_token: u64,
+    /// The address the acceptor's listener is bound to (`None` for a core
+    /// built without one); shutdown connects to it once to wake the
+    /// acceptor.
+    pub listen_addr: Option<SocketAddr>,
 }
 
 /// Minimum recorder-clock time between automatic dump spills, so a
@@ -136,6 +156,7 @@ impl FleetCtx {
         epoch: u64,
         wal_dir: Option<PathBuf>,
         recovered: RecoveredState,
+        listen_addr: Option<SocketAddr>,
     ) -> (FleetCtx, Vec<Receiver<ShardMsg>>) {
         let shard_count = config.shards.max(1);
         let mut registries = Vec::with_capacity(shard_count + 1);
@@ -167,8 +188,26 @@ impl FleetCtx {
             wal_budget: config.wal_budget,
             recovered: slots.into_iter().map(Mutex::new).collect(),
             recovered_max_token: recovered.max_token,
+            listen_addr,
         };
         (ctx, receivers)
+    }
+
+    /// The one way to start the drain, whoever asks — the owning
+    /// process (`Server::stop`) or a client's SHUTDOWN verb: flips the
+    /// flag, journals the one `Shutdown` event on `lane`, wakes every
+    /// shard and the blocked acceptor. Later calls do nothing.
+    pub(crate) fn begin_shutdown(&self, lane: usize) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.flight.record(lane, 0, 0, EventKind::Shutdown, "");
+        for inbox in &self.senders {
+            let _ = inbox.send(ShardMsg::Wake);
+        }
+        if let Some(addr) = self.listen_addr {
+            wake_acceptor(addr);
+        }
     }
 
     /// The merged Prometheus exposition across the root and every shard
@@ -416,6 +455,17 @@ enum Refused {
     Invalid(StreamError),
 }
 
+/// What a due timer asks of the shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Timer {
+    /// A connection's handshake or idle deadline.
+    Conn(u64),
+    /// A parked session's grace period may be over.
+    Parked,
+    /// The drain at shutdown is out of time.
+    Drain,
+}
+
 /// One shard's private state: the session lifecycle, with no sockets.
 struct Shard {
     ctx: Arc<FleetCtx>,
@@ -423,6 +473,9 @@ struct Shard {
     registry: Arc<Registry>,
     /// Parked sessions by token, each with its expiry deadline.
     parked: HashMap<u64, (Live, Instant)>,
+    /// Every pending deadline, earliest first: the shard sleeps until the
+    /// first one unless a message wakes it sooner.
+    timers: BTreeSet<(Instant, Timer)>,
     /// Per-shard resume-token sequence; tokens are
     /// `seq * shard_count + index`, never 0, owner-recoverable.
     resume_seq: u64,
@@ -464,6 +517,7 @@ impl Shard {
             index,
             registry,
             parked: HashMap::new(),
+            timers: BTreeSet::new(),
             wal,
         };
         shard.repark_recovered(recovered);
@@ -645,6 +699,7 @@ impl Shard {
     fn park(&mut self, live: Live) {
         let deadline = Instant::now() + self.ctx.resume_grace;
         self.parked.insert(live.record.token, (live, deadline));
+        self.timers.insert((deadline, Timer::Parked));
     }
 
     /// Hands an opened or picked-up session to the shell for streaming.
@@ -665,9 +720,7 @@ impl Shard {
             }
             Request::Shutdown => {
                 self.ctx.shutdown_requested.store(true, Ordering::SeqCst);
-                if !self.ctx.shutdown.swap(true, Ordering::SeqCst) {
-                    self.note(0, 0, EventKind::Shutdown, "");
-                }
+                self.ctx.begin_shutdown(self.lane());
                 Next::Reply(true, "shutting down: draining shards".to_owned())
             }
             Request::Session(hello) => self.open_streaming(hello, 0),
@@ -863,43 +916,35 @@ enum Phase {
     Request,
     /// Pumping chunks into a session.
     Streaming(Box<Live>),
-    /// Reply queued; flush the outbox, then close.
+    /// Closed, its reply (if any) handed to the reader; waiting for the
+    /// reader's `Closed`.
     Closing,
 }
 
 /// One connection owned by a shard.
 #[derive(Debug)]
 struct Conn {
-    stream: TcpStream,
+    link: Link,
     inbuf: Vec<u8>,
-    outbox: Vec<u8>,
-    sent: usize,
     phase: Phase,
     opened: Instant,
     last_progress: Instant,
+    /// The deadline this connection holds in the shard's timer set.
+    armed: Option<Instant>,
     peer_gone: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, inbuf: Vec<u8>) -> Conn {
-        let now = Instant::now();
-        stream.set_nonblocking(true).ok();
-        stream.set_nodelay(true).ok();
+    fn new(link: Link, inbuf: Vec<u8>, now: Instant) -> Conn {
         Conn {
-            stream,
+            link,
             inbuf,
-            outbox: Vec::new(),
-            sent: 0,
             phase: Phase::Request,
             opened: now,
             last_progress: now,
+            armed: None,
             peer_gone: false,
         }
-    }
-
-    /// Queues a reply for the flush pass.
-    fn reply(&mut self, ok: bool, text: &str) {
-        let _ = proto::write_reply(&mut self.outbox, ok, text);
     }
 
     /// Takes the streaming session out, leaving the connection closing.
@@ -909,311 +954,369 @@ impl Conn {
             _ => None,
         }
     }
+
+    /// When this connection's phase times out: the handshake deadline
+    /// while the request is incomplete, the idle deadline while
+    /// streaming. A closing connection's reply write carries its own
+    /// timeout.
+    fn due(&self, ctx: &FleetCtx) -> Option<Instant> {
+        match self.phase {
+            Phase::Request => Some(self.opened + ctx.handshake_timeout),
+            Phase::Streaming(_) => Some(self.last_progress + ctx.read_timeout),
+            Phase::Closing => None,
+        }
+    }
+
+    /// Holds one timer at this connection's deadline. Progress only moves
+    /// the deadline later, so the timer already held stays until it pops
+    /// and is re-armed; only an earlier deadline replaces it.
+    fn arm(&mut self, id: u64, ctx: &FleetCtx, timers: &mut BTreeSet<(Instant, Timer)>) {
+        let Some(due) = self.due(ctx) else { return };
+        if self.armed.is_some_and(|armed| armed <= due) {
+            return;
+        }
+        if let Some(old) = self.armed.replace(due) {
+            timers.remove(&(old, Timer::Conn(id)));
+        }
+        timers.insert((due, Timer::Conn(id)));
+    }
+
+    /// Drops this connection's timer, if it holds one.
+    fn disarm(&mut self, id: u64, timers: &mut BTreeSet<(Instant, Timer)>) {
+        if let Some(old) = self.armed.take() {
+            timers.remove(&(old, Timer::Conn(id)));
+        }
+    }
 }
 
-/// What `advance` decided about a connection.
+/// What a step decided about a connection.
 enum Verdict {
     Keep,
-    Close,
-    /// Hand the socket (plus unconsumed bytes) to the owning shard.
+    /// Close, handing the reader this reply to write first.
+    Close(Option<(bool, String)>),
+    /// Hand the connection (plus unconsumed bytes) to the owning shard.
     Handoff(usize),
 }
 
 impl Shard {
-    /// Reads whatever the socket has buffered (bounded per tick).
-    fn pull(&self, conn: &mut Conn) -> bool {
-        let mut moved = false;
-        let mut buf = [0u8; 16 * 1024];
-        let mut budget = READ_BUDGET;
-        while budget > 0 && !conn.peer_gone {
-            match read_once(&mut conn.stream, &mut buf) {
-                Ok(Readiness::Data(n)) => {
-                    conn.inbuf.extend_from_slice(&buf[..n]);
-                    budget = budget.saturating_sub(n);
-                    conn.last_progress = Instant::now();
-                    moved = true;
-                }
-                Ok(Readiness::WouldBlock) => break,
-                Ok(Readiness::Eof) | Err(_) => conn.peer_gone = true,
-            }
-        }
-        moved
-    }
-
-    /// Flushes the outbox (bounded by the socket buffer).
-    fn push(&self, conn: &mut Conn) -> bool {
-        let mut moved = false;
-        while conn.sent < conn.outbox.len() {
-            match write_once(&mut conn.stream, &conn.outbox[conn.sent..]) {
-                Ok(Progress::Wrote(n)) => {
-                    conn.sent += n;
-                    conn.last_progress = Instant::now();
-                    moved = true;
-                }
-                Ok(Progress::WouldBlock) => break,
-                Err(_) => {
-                    conn.peer_gone = true;
-                    break;
-                }
-            }
-        }
-        if conn.sent == conn.outbox.len() && conn.sent > 0 {
-            conn.outbox.clear();
-            conn.sent = 0;
-        }
-        moved
-    }
-
     /// A streaming session's transport died (EOF, error, protocol damage
     /// or idle deadline).
     fn streaming_death(&mut self, conn: &mut Conn, why: &str) -> Verdict {
         let Some(live) = conn.take_live() else {
-            return Verdict::Close;
+            return Verdict::Close(None);
         };
         let outcome = live.death(why);
         match self.end(*live, outcome) {
             // The transport still works (protocol damage): tell the
             // client, then close.
-            Some((ok, text)) if !conn.peer_gone => {
-                conn.reply(ok, &text);
-                Verdict::Keep
-            }
-            _ => Verdict::Close,
+            Some(reply) if !conn.peer_gone => Verdict::Close(Some(reply)),
+            _ => Verdict::Close(None),
         }
     }
 
     /// Consumes as many complete protocol items as the inbuf holds,
-    /// advancing the phase machine. Returns a verdict plus whether
-    /// anything was consumed.
-    fn process(&mut self, conn: &mut Conn) -> (Verdict, bool) {
-        let mut moved = false;
+    /// advancing the phase machine.
+    fn process(&mut self, conn: &mut Conn) -> Verdict {
         loop {
             match &mut conn.phase {
                 Phase::Closing => {
                     // Anything the client pipelined after its request is
                     // irrelevant now.
                     conn.inbuf.clear();
-                    return (Verdict::Keep, moved);
+                    return Verdict::Keep;
                 }
                 Phase::Request => match proto::decode_request(&conn.inbuf) {
-                    Ok(Some((request, used))) => {
-                        match self.handle_request(request) {
-                            Next::Handoff(owner) => return (Verdict::Handoff(owner), true),
-                            Next::Reply(ok, text) => {
-                                conn.reply(ok, &text);
-                                conn.phase = Phase::Closing;
-                            }
-                            Next::Stream(live, ack) => {
-                                if let Some(offset) = ack {
-                                    let _ = proto::write_resume_ack(
-                                        &mut conn.outbox,
-                                        live.record.token,
-                                        offset,
-                                        self.ctx.epoch,
-                                    );
+                    Ok(Some((request, used))) => match self.handle_request(request) {
+                        Next::Handoff(owner) => return Verdict::Handoff(owner),
+                        Next::Reply(ok, text) => return Verdict::Close(Some((ok, text))),
+                        Next::Stream(live, ack) => {
+                            conn.inbuf.drain(..used);
+                            let token = live.record.token;
+                            conn.phase = Phase::Streaming(live);
+                            if let Some(offset) = ack {
+                                let mut bytes = Vec::new();
+                                let _ = proto::write_resume_ack(
+                                    &mut bytes,
+                                    token,
+                                    offset,
+                                    self.ctx.epoch,
+                                );
+                                if conn.link.write_ack(&bytes).is_err() {
+                                    conn.peer_gone = true;
+                                    return self.streaming_death(conn, "transport closed");
                                 }
-                                conn.phase = Phase::Streaming(live);
                             }
                         }
-                        conn.inbuf.drain(..used);
-                        moved = true;
-                    }
+                    },
                     Ok(None) => {
                         if conn.peer_gone {
                             // The peer hung up (or never spoke PSTS) before
                             // a full request landed.
                             self.note_degrade("handshake-deadline", 0, 0);
-                            return (Verdict::Close, moved);
+                            return Verdict::Close(None);
                         }
-                        return (Verdict::Keep, moved);
+                        return Verdict::Keep;
                     }
                     Err(e) => {
                         self.note_degrade("handshake-deadline", 0, 0);
-                        conn.reply(false, &e.to_string());
-                        conn.phase = Phase::Closing;
-                        return (Verdict::Keep, true);
+                        return Verdict::Close(Some((false, e.to_string())));
                     }
                 },
                 Phase::Streaming(live) => match proto::decode_chunk(&conn.inbuf) {
                     Ok(Some((chunk, used))) => {
                         conn.inbuf.drain(..used);
-                        moved = true;
                         if let Some(outcome) = self.handle_chunk(live, chunk) {
                             let live = conn.take_live().expect("the session was streaming");
-                            if let Some((ok, text)) = self.end(*live, outcome) {
-                                conn.reply(ok, &text);
-                            }
+                            return Verdict::Close(self.end(*live, outcome));
                         }
                     }
                     Ok(None) => {
                         if conn.peer_gone {
-                            let verdict = self.streaming_death(conn, "transport closed mid-stream");
-                            return (verdict, moved);
+                            return self.streaming_death(conn, "transport closed mid-stream");
                         }
-                        return (Verdict::Keep, moved);
+                        return Verdict::Keep;
                     }
-                    Err(e) => {
-                        // Same contract as the blocking pump: any chunk
-                        // error is transport death — resumable sessions
-                        // park and a reconnect picks them back up.
-                        let verdict = self.streaming_death(conn, &e.to_string());
-                        return (verdict, true);
-                    }
+                    // Any chunk error is transport death: resumable
+                    // sessions park and a reconnect picks them back up.
+                    Err(e) => return self.streaming_death(conn, &e.to_string()),
                 },
             }
         }
     }
 
-    /// One full step of a connection: read, process, flush, deadlines.
-    fn advance(&mut self, conn: &mut Conn) -> (Verdict, bool) {
-        let mut moved = self.pull(conn);
-        let (verdict, processed) = self.process(conn);
-        moved |= processed;
-        if !matches!(verdict, Verdict::Keep) {
-            // Best-effort flush of whatever reply got queued.
-            self.push(conn);
-            return (verdict, moved);
-        }
-        moved |= self.push(conn);
-
-        if conn.peer_gone {
-            // A write failed, so no reply can land anymore. (Read-side
-            // deaths were already handled in `process`.)
-            if matches!(conn.phase, Phase::Streaming(_)) {
-                return (self.streaming_death(conn, "transport closed"), moved);
+    /// A connection's deadline passed.
+    fn deadline(&mut self, conn: &mut Conn) -> Verdict {
+        match conn.phase {
+            Phase::Request => {
+                self.note_degrade("handshake-deadline", 0, 0);
+                Verdict::Close(Some((
+                    false,
+                    "handshake deadline: no complete request arrived in time".to_owned(),
+                )))
             }
-            return (Verdict::Close, moved);
+            Phase::Streaming(_) => self.streaming_death(conn, "session idle past deadline"),
+            Phase::Closing => Verdict::Keep,
         }
-        if matches!(conn.phase, Phase::Closing) && conn.outbox.is_empty() {
-            return (Verdict::Close, moved);
-        }
+    }
 
-        // Deadlines.
-        let now = Instant::now();
-        if matches!(conn.phase, Phase::Request)
-            && now.duration_since(conn.opened) > self.ctx.handshake_timeout
-        {
-            self.note_degrade("handshake-deadline", 0, 0);
-            conn.reply(
-                false,
-                "handshake deadline: no complete request arrived in time",
-            );
-            conn.phase = Phase::Closing;
-        } else if matches!(conn.phase, Phase::Streaming(_))
-            && now.duration_since(conn.last_progress) > self.ctx.read_timeout
-        {
-            return (
-                self.streaming_death(conn, "session idle past deadline"),
-                moved,
-            );
-        } else if matches!(conn.phase, Phase::Closing)
-            && now.duration_since(conn.last_progress) > self.ctx.read_timeout
-        {
-            return (Verdict::Close, moved);
+    /// A panic escaped a connection's step: the connection's session
+    /// ends like any other failure, and the connection closes.
+    fn respawn(&mut self, conn: &mut Conn) -> Verdict {
+        self.registry
+            .counter("pstrace_stream_worker_panics_total")
+            .inc();
+        self.note(0, 0, EventKind::Respawn, "worker-respawn");
+        self.note_degrade("worker-respawn", 0, 0);
+        if let Some(live) = conn.take_live() {
+            let outcome = Outcome::Failed {
+                reason: "worker-respawn",
+                message: String::new(),
+            };
+            self.end(*live, outcome);
         }
-        (verdict, moved)
+        Verdict::Close(None)
     }
 }
 
-/// The shard thread body: tick until shutdown, then drain.
+/// One shard's socket shell: the lifecycle core plus its connections.
+struct Shell {
+    shard: Shard,
+    /// Open connections by connection id.
+    conns: HashMap<u64, Conn>,
+    /// Connections handed off to another shard, by id. Their reader still
+    /// sends here; each message is relayed in arrival order, so the
+    /// owner sees the connection's bytes in order. `Closed` ends the
+    /// entry.
+    forward: HashMap<u64, usize>,
+}
+
+impl Shell {
+    /// Handles one inbox message; only the connection it names advances.
+    fn receive(&mut self, msg: ShardMsg, now: Instant) {
+        let id = match &msg {
+            ShardMsg::Conn(id, _)
+            | ShardMsg::Handoff(id, ..)
+            | ShardMsg::Read(id, _)
+            | ShardMsg::Eof(id)
+            | ShardMsg::Closed(id) => *id,
+            ShardMsg::Wake => return,
+        };
+        if let Some(&owner) = self.forward.get(&id) {
+            if matches!(msg, ShardMsg::Closed(_)) {
+                self.forward.remove(&id);
+            }
+            // An owner that already exited closed the connection with it.
+            let _ = self.shard.ctx.senders[owner].send(msg);
+            return;
+        }
+        match msg {
+            ShardMsg::Conn(id, link) => {
+                let mut conn = Conn::new(link, Vec::new(), now);
+                conn.arm(id, &self.shard.ctx, &mut self.shard.timers);
+                self.conns.insert(id, conn);
+            }
+            ShardMsg::Handoff(id, link, inbuf) => {
+                self.conns.insert(id, Conn::new(link, inbuf, now));
+                self.step(id, Shard::process);
+            }
+            ShardMsg::Read(id, bytes) => {
+                let Some(conn) = self.conns.get_mut(&id) else {
+                    return;
+                };
+                conn.link.received(bytes.len());
+                conn.last_progress = now;
+                if conn.inbuf.is_empty() {
+                    conn.inbuf = bytes;
+                } else {
+                    conn.inbuf.extend_from_slice(&bytes);
+                }
+                self.step(id, Shard::process);
+            }
+            ShardMsg::Eof(id) => {
+                let Some(conn) = self.conns.get_mut(&id) else {
+                    return;
+                };
+                conn.peer_gone = true;
+                self.step(id, Shard::process);
+            }
+            ShardMsg::Closed(id) => {
+                if let Some(mut conn) = self.conns.remove(&id) {
+                    conn.disarm(id, &mut self.shard.timers);
+                }
+            }
+            ShardMsg::Wake => {}
+        }
+    }
+
+    /// Runs one step of connection `id` and applies its verdict. A panic
+    /// costs exactly this connection.
+    fn step(&mut self, id: u64, f: fn(&mut Shard, &mut Conn) -> Verdict) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let shard = &mut self.shard;
+        let verdict = catch_unwind(AssertUnwindSafe(|| f(shard, conn)))
+            .unwrap_or_else(|_| shard.respawn(conn));
+        match verdict {
+            Verdict::Keep => conn.arm(id, &shard.ctx, &mut shard.timers),
+            Verdict::Close(reply) => {
+                conn.phase = Phase::Closing;
+                conn.disarm(id, &mut shard.timers);
+                let reply = reply.map(|(ok, text)| {
+                    let mut bytes = Vec::new();
+                    let _ = proto::write_reply(&mut bytes, ok, &text);
+                    bytes
+                });
+                conn.link.close(reply);
+            }
+            Verdict::Handoff(owner) => {
+                let mut conn = self.conns.remove(&id).expect("the connection just stepped");
+                conn.disarm(id, &mut self.shard.timers);
+                self.forward.insert(id, owner);
+                let msg = ShardMsg::Handoff(id, conn.link, conn.inbuf);
+                // An owner that already exited drops the message, and the
+                // connection closes with it.
+                let _ = self.shard.ctx.senders[owner].send(msg);
+            }
+        }
+    }
+
+    /// Fires every timer due at `now`. Returns whether the drain deadline
+    /// passed.
+    fn fire(&mut self, now: Instant) -> bool {
+        let (mut expire, mut drained) = (false, false);
+        while let Some(&(at, timer)) = self.shard.timers.first() {
+            if at > now {
+                break;
+            }
+            self.shard.timers.pop_first();
+            match timer {
+                Timer::Parked => expire = true,
+                Timer::Drain => drained = true,
+                Timer::Conn(id) => {
+                    let Some(conn) = self.conns.get_mut(&id) else {
+                        continue;
+                    };
+                    conn.armed = None;
+                    if conn.due(&self.shard.ctx).is_some_and(|due| due <= now) {
+                        self.step(id, Shard::deadline);
+                    } else {
+                        conn.arm(id, &self.shard.ctx, &mut self.shard.timers);
+                    }
+                }
+            }
+        }
+        if expire {
+            self.shard.expire_parked(now);
+        }
+        drained
+    }
+}
+
+/// The most inbox messages one wake handles before the shard fires its
+/// due timers, rotates its WAL and checks for shutdown.
+const WAKE_BATCH: usize = 64;
+
+/// The shard thread body: wait for a message or the next due timer,
+/// handle what woke it, and drain once shutdown is flagged.
 pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<ShardMsg>) {
-    let mut shard = Shard::new(ctx, index);
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut backoff = Backoff::new();
-    let mut drain_deadline: Option<Instant> = None;
-
+    let mut shell = Shell {
+        shard: Shard::new(ctx, index),
+        conns: HashMap::new(),
+        forward: HashMap::new(),
+    };
+    let mut draining = false;
     loop {
-        let mut moved = false;
-
-        // Inbox: new sockets and handoffs.
-        loop {
-            match inbox.try_recv() {
-                Ok(ShardMsg::Conn(stream)) => {
-                    conns.push(Conn::new(stream, Vec::new()));
-                    moved = true;
-                }
-                Ok(ShardMsg::Handoff(stream, inbuf)) => {
-                    conns.push(Conn::new(stream, inbuf));
-                    moved = true;
-                }
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
-        }
-
-        // Advance every connection; a panic costs exactly one.
-        let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
-            let stepped = catch_unwind(AssertUnwindSafe(|| shard.advance(conn)));
-            match stepped {
-                Ok((Verdict::Keep, m)) => {
-                    moved |= m;
-                    i += 1;
-                }
-                Ok((Verdict::Close, m)) => {
-                    moved |= m;
-                    conns.swap_remove(i);
-                }
-                Ok((Verdict::Handoff(owner), _)) => {
-                    let mut conn = conns.swap_remove(i);
-                    let inbuf = std::mem::take(&mut conn.inbuf);
-                    if shard.ctx.senders[owner]
-                        .send(ShardMsg::Handoff(conn.stream, inbuf))
-                        .is_err()
-                    {
-                        // The owner is gone (shutdown race): nothing to do.
-                    }
-                    moved = true;
-                }
-                Err(_) => {
-                    shard
-                        .registry
-                        .counter("pstrace_stream_worker_panics_total")
-                        .inc();
-                    shard.note(0, 0, EventKind::Respawn, "worker-respawn");
-                    shard.note_degrade("worker-respawn", 0, 0);
-                    // The panicked connection leaves the table; its
-                    // session ends like any other failure.
-                    if let Some(live) = conns.swap_remove(i).take_live() {
-                        let outcome = Outcome::Failed {
-                            reason: "worker-respawn",
-                            message: String::new(),
-                        };
-                        shard.end(*live, outcome);
-                    }
-                    moved = true;
+        let first = match shell.shard.timers.first() {
+            Some(&(at, _)) => {
+                match inbox.recv_timeout(at.saturating_duration_since(Instant::now())) {
+                    Ok(msg) => Some(msg),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
+            None => match inbox.recv() {
+                Ok(msg) => Some(msg),
+                Err(_) => break,
+            },
+        };
+        // A bounded batch: under sustained load the inbox never empties,
+        // and the timers, rotation and the shutdown check below must
+        // still run between batches.
+        let now = Instant::now();
+        let batch = first
+            .into_iter()
+            .chain(inbox.try_iter().take(WAKE_BATCH - 1));
+        for msg in batch {
+            shell.receive(msg, now);
         }
-
-        shard.expire_parked(Instant::now());
+        let drained = shell.fire(now);
 
         // Disk-pressure rotation: checkpoint live sessions, truncate.
-        shard.maybe_rotate(conns.iter().filter_map(|conn| match &conn.phase {
-            Phase::Streaming(live) => Some(&**live),
-            _ => None,
-        }));
+        shell
+            .shard
+            .maybe_rotate(shell.conns.values().filter_map(|conn| match &conn.phase {
+                Phase::Streaming(live) => Some(&**live),
+                _ => None,
+            }));
 
-        if shard.ctx.shutdown.load(Ordering::Relaxed) {
-            if drain_deadline.is_none() {
-                shard.note(0, 0, EventKind::Drain, "");
+        if shell.shard.ctx.shutdown.load(Ordering::SeqCst) {
+            if !draining {
+                draining = true;
+                shell.shard.note(0, 0, EventKind::Drain, "");
+                let deadline = now + shell.shard.ctx.drain_timeout;
+                shell.shard.timers.insert((deadline, Timer::Drain));
             }
-            let deadline =
-                *drain_deadline.get_or_insert_with(|| Instant::now() + shard.ctx.drain_timeout);
-            if conns.is_empty() || Instant::now() >= deadline {
-                // Lazy durability flushes once, here, at the drain edge.
-                if let Some(wal) = shard.wal.as_mut() {
-                    let _ = wal.sync();
-                }
-                return;
+            // A connection handed off from here still sends its bytes
+            // here, so this shard relays until its reader says `Closed`.
+            if (shell.conns.is_empty() && shell.forward.is_empty()) || drained {
+                break;
             }
         }
-
-        if moved {
-            backoff.note_progress();
-        } else {
-            backoff.idle_wait();
-        }
+    }
+    // Lazy durability flushes once, here, at the drain edge.
+    if let Some(wal) = shell.shard.wal.as_mut() {
+        let _ = wal.sync();
     }
 }
 
@@ -1279,6 +1382,7 @@ mod tests {
             EPOCH,
             Some(dir.clone()),
             RecoveredState::default(),
+            None,
         );
         Rig {
             shard: Shard::new(Arc::new(ctx), 0),

@@ -38,6 +38,9 @@ run cargo build --release --locked --offline --manifest-path perfbench/Cargo.tom
 # resumable sessions on a strict WAL, the session lifecycle's path):
 # fails unless every daemon report matched the batch-DP oracle
 # (`"correct": true`, `"failed": 0`).
+# To see where a run's CPU goes, per daemon thread (pstrace-accept,
+# pstrace-shard-<i>, pstrace-conn readers, pstrace-metrics), sample it
+# while it runs: python3 scripts/thread_cpu.py <pid> --seconds 4
 if command -v python3 >/dev/null 2>&1; then
     run python3 scripts/check_perfbench.py
 else
