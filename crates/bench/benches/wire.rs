@@ -2,20 +2,25 @@
 //! frame streams, and the v1-vs-v2 dialect comparison (encode rec/s,
 //! decode MB/s, bytes/record, compression ratio — the EXPERIMENTS.md
 //! §wire table). Decode runs one-shot and incrementally in 256-byte
-//! chunks, the push pattern of a live session.
+//! chunks, the push pattern of a live session, over a synthetic stream
+//! and over simulated scenario-1 captures — the traffic a live v2
+//! session carries.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pstrace_codec::{decode_v2, encode_v2, ProfileV2, DEFAULT_SYNC_EVERY};
 use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_flow::{FlowIndex, IndexedMessage};
-use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace_soc::{
+    capture, wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario,
+};
 use pstrace_wire::{
     decode_stream, encode_records, Decoded, FrameProfile, ProfileV1, WireRecord, WireSchema,
 };
 
-/// Builds the scenario-1 selection schema over the paper's 32-bit buffer
-/// plus a long synthetic record stream that exercises every slot.
-fn setup(records: usize) -> (WireSchema, Vec<WireRecord>) {
+/// The scenario-1 selection over the paper's 32-bit buffer, turned into
+/// a trace-buffer configuration and a wire schema as `pstrace debug`
+/// does.
+fn selection() -> (SocModel, TraceBufferConfig, WireSchema) {
     let model = SocModel::t2();
     let scenario = UsageScenario::scenario1();
     let buffer = TraceBufferSpec::new(32).expect("nonzero");
@@ -32,6 +37,13 @@ fn setup(records: usize) -> (WireSchema, Vec<WireRecord>) {
     };
     let schema =
         wirecap::wire_schema(&model, &config, buffer.width_bits()).expect("schema fits buffer");
+    (model, config, schema)
+}
+
+/// The scenario-1 schema plus a long synthetic record stream that
+/// exercises every slot: round-robin slots, index `i % 3`, time `+1`.
+fn setup(records: usize) -> (WireSchema, Vec<WireRecord>) {
+    let (_, _, schema) = selection();
     let slots = schema.slots().to_vec();
     let stream: Vec<WireRecord> = (0..records)
         .map(|i| {
@@ -45,6 +57,39 @@ fn setup(records: usize) -> (WireSchema, Vec<WireRecord>) {
         })
         .collect();
     (schema, stream)
+}
+
+/// The scenario-1 schema plus `records` records of back-to-back
+/// simulated scenario-1 runs (seeds 1, 2, ...) captured through the
+/// selected configuration, each run shifted to start after the last.
+/// Tag runs, index changes and time deltas follow the simulator, so
+/// the decoder's data-dependent fields vary like real captures.
+fn scenario1_capture(records: usize) -> (WireSchema, Vec<WireRecord>) {
+    let (model, config, schema) = selection();
+    let mut out = Vec::with_capacity(records);
+    let (mut base, mut seed) = (0u64, 0u64);
+    while out.len() < records {
+        seed += 1;
+        let sim = Simulator::new(
+            &model,
+            UsageScenario::scenario1(),
+            SimConfig::with_seed(seed),
+        );
+        let trace = capture(&model, &sim.run(), &config);
+        let mut last = base;
+        for r in trace.records() {
+            last = base + r.time;
+            out.push(WireRecord {
+                time: last,
+                message: r.message,
+                value: r.value,
+                partial: r.partial,
+            });
+        }
+        base = last + 1 + seed % 64;
+    }
+    out.truncate(records);
+    (schema, out)
 }
 
 fn bench_encode(c: &mut Criterion) {
@@ -121,6 +166,17 @@ fn bench_profiles(c: &mut Criterion) {
         b.iter(|| black_box(decode_incremental(&ProfileV1, &schema, &v1.bytes)));
     });
     group.bench_function("decode_incremental/v2/chunk256", |b| {
+        b.iter(|| {
+            black_box(decode_incremental(
+                &ProfileV2::default(),
+                &schema,
+                &v2.bytes,
+            ))
+        });
+    });
+    let (schema, captured) = scenario1_capture(20_000);
+    let v2 = encode_v2(&schema, &captured, DEFAULT_SYNC_EVERY, None).expect("encodes");
+    group.bench_function("decode_incremental/v2/scenario1_capture", |b| {
         b.iter(|| {
             black_box(decode_incremental(
                 &ProfileV2::default(),

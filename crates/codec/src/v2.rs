@@ -85,12 +85,9 @@ fn fold8(h: u32) -> u8 {
     (h ^ (h >> 8) ^ (h >> 16) ^ (h >> 24)) as u8
 }
 
+/// The low `w` bits of `v` (all of them for `w >= 64`), without a branch.
 fn mask(v: u64, w: u32) -> u64 {
-    if w >= 64 {
-        v
-    } else {
-        v & ((1u64 << w) - 1)
-    }
+    v & 1u64.checked_shl(w).unwrap_or(0).wrapping_sub(1)
 }
 
 /// `(a - b) mod 2^w`.
@@ -99,11 +96,12 @@ fn wrap_sub(a: u64, b: u64, w: u32) -> u64 {
 }
 
 /// Reinterprets a `w`-bit unsigned delta as signed two's complement.
+/// `d - 2^w` is computed wrapping: at `w == 63`, `2^63` is `i64::MIN`.
 fn to_signed(d: u64, w: u32) -> i64 {
     if w >= 64 || (d >> (w - 1)) & 1 == 0 {
         d as i64
     } else {
-        (d as i64) - (1i64 << w)
+        (d as i64).wrapping_sub(1i64 << w)
     }
 }
 
@@ -139,21 +137,29 @@ fn write_classed(w: &mut BitWriter, delta: u64, raw: u64, width: u32) {
     }
 }
 
-/// Mirrors [`write_classed`]: returns `(class, payload)` or `None` on a
-/// truncated reader.
-fn read_classed(r: &mut BitReader<'_>, width: u32) -> Option<(u8, u64)> {
+/// Field widths a 2-bit class selects for a `width`-bit field: nothing,
+/// the short delta, the medium delta, or the raw field.
+fn class_table(width: u32) -> [u32; 4] {
     let (short, medium) = class_widths(width);
-    let class = r.read(2)? as u8;
-    let payload = match class {
-        0 => 0,
-        1 => r.read(short)?,
-        2 => r.read(medium)?,
-        _ => r.read(width)?,
-    };
+    [0, short, medium, width]
+}
+
+/// Mirrors [`write_classed`] without branching on the class: reads the
+/// 2-bit class, then the `table[class]` bits it selects (a width-0 read
+/// yields 0). Returns `(class, payload)`, or `None` on a truncated reader.
+fn read_classed(r: &mut BitReader<'_>, table: &[u32; 4]) -> Option<(u64, u64)> {
+    let class = r.read(2)?;
+    let payload = r.read(table[(class & 3) as usize])?;
     Some((class, payload))
 }
 
+/// Run-length extension width and bias per 2-bit run class: a run of 1,
+/// `2 + u4`, `18 + u8`, or a raw `u16`.
+const RUN_BITS: [u32; 4] = [0, 4, 8, 16];
+const RUN_BIAS: [usize; 4] = [1, 2, 18, 0];
+
 /// Per-block delta state, reset at every sync point.
+#[derive(Debug)]
 struct DeltaState {
     prev_time: u64,
     prev_index: u64,
@@ -168,6 +174,13 @@ impl DeltaState {
             prev_index: 0,
             prev_value: vec![0; schema.slots().len() + 1],
         }
+    }
+
+    /// The sync-point reset, reusing the per-slot buffer.
+    fn reset(&mut self, base_time: u64) {
+        self.prev_time = base_time;
+        self.prev_index = 0;
+        self.prev_value.fill(0);
     }
 }
 
@@ -267,54 +280,55 @@ fn encode_block(schema: &WireSchema, items: &[(u64, WireRecord)]) -> Vec<u8> {
 }
 
 /// Unpacks a block payload whose CRC already checked out, appending its
-/// records to `events` from ordinal `first` on. Returns `None` on any
-/// structural inconsistency (defensive: a CRC collision must cost the
-/// block, never a panic); the caller then drops what was appended.
+/// records to `events` from ordinal `first` on. `st` is reset to the
+/// block's sync point first. Returns `None` on any structural
+/// inconsistency (defensive: a CRC collision must cost the block, never
+/// a panic); the caller then drops what was appended.
+///
+/// Data-dependent fields decode without branches: each class indexes a
+/// width table and the read happens unconditionally (width 0 reads 0),
+/// and the flow index is a masked select between the fresh and the
+/// previous one. Real captures break a tag run and change index on most
+/// records, so branching on those fields would mispredict constantly.
 fn decode_block(
     schema: &WireSchema,
+    st: &mut DeltaState,
     payload: &[u8],
     records: usize,
     base_time: u64,
     first: usize,
     events: &mut Vec<(usize, WireRecord)>,
 ) -> Option<()> {
-    let mut st = DeltaState::new(schema, base_time);
+    st.reset(base_time);
     let mut r = BitReader::new(payload, payload.len() as u64 * 8);
+    let time_width = schema.time_width();
+    let time_table = class_table(time_width);
+    let index_width = schema.index_width();
     let mut done = 0;
     while done < records {
         let tag = r.read(schema.tag_width())?;
         let slot = schema.slot_by_tag(tag)?;
         let width = slot.width;
-        let run = match r.read(2)? {
-            0 => 1usize,
-            1 => 2 + r.read(4)? as usize,
-            2 => 18 + r.read(8)? as usize,
-            _ => r.read(16)? as usize,
-        };
+        let value_table = class_table(width);
+        let run_class = (r.read(2)? & 3) as usize;
+        let run = RUN_BIAS[run_class] + r.read(RUN_BITS[run_class])? as usize;
         if run == 0 || done + run > records {
             return None;
         }
+        let prev_value = &mut st.prev_value[tag as usize];
         for _ in 0..run {
-            let index = if r.read(1)? == 1 {
-                let idx = r.read(schema.index_width())?;
-                st.prev_index = idx;
-                idx
-            } else {
-                st.prev_index
-            };
-            let (_, dtime) = read_classed(&mut r, schema.time_width())?;
-            let time = mask(st.prev_time.wrapping_add(dtime), schema.time_width());
+            let fresh = r.read(1)?;
+            let read = r.read(fresh as u32 * index_width)?;
+            let keep = fresh.wrapping_sub(1);
+            let index = (read & !keep) | (st.prev_index & keep);
+            st.prev_index = index;
+            let (_, dtime) = read_classed(&mut r, &time_table)?;
+            let time = mask(st.prev_time.wrapping_add(dtime), time_width);
             st.prev_time = time;
-            let (class, vraw) = read_classed(&mut r, width)?;
-            let value = if class == 3 {
-                vraw
-            } else {
-                mask(
-                    st.prev_value[tag as usize].wrapping_add(unzigzag(vraw) as u64),
-                    width,
-                )
-            };
-            st.prev_value[tag as usize] = value;
+            let (class, vraw) = read_classed(&mut r, &value_table)?;
+            let delta = mask(prev_value.wrapping_add(unzigzag(vraw) as u64), width);
+            let value = if class == 3 { vraw } else { delta };
+            *prev_value = value;
             events.push((
                 first + done,
                 WireRecord {
@@ -415,6 +429,8 @@ pub struct V2StreamDecoder {
     blocks: usize,
     /// Decoded since the last drain.
     held: Decoded,
+    /// Delta state, reset (not reallocated) at every block.
+    delta: DeltaState,
     skipped: u64,
     skipped_dirty: bool,
     /// Whether any bytes were hunted over as damage.
@@ -432,6 +448,7 @@ impl V2StreamDecoder {
             ordinal: 0,
             blocks: 0,
             held: Decoded::default(),
+            delta: DeltaState::new(schema, 0),
             skipped: 0,
             skipped_dirty: false,
             lost_sync: false,
@@ -518,15 +535,35 @@ impl V2StreamDecoder {
                 }
                 break;
             }
-            self.flush_skip(false);
-            self.blocks += 1;
             let block = &self.buf[self.pos..self.pos + block_len];
             let crc = u32::from_le_bytes(block[block_len - 4..].try_into().expect("4 bytes"));
+            let intact = fnv32(&block[..block_len - 4]) == crc;
+            let after = avail - block_len;
+            if !intact && after < BLOCK_HEADER_BYTES && !at_end {
+                // Whether to trust `block_len` depends on what follows.
+                break;
+            }
+            self.flush_skip(false);
+            self.blocks += 1;
+            if !intact
+                && after >= BLOCK_HEADER_BYTES
+                && self.header_at(self.pos + block_len).is_none()
+            {
+                // A failed block is skipped by its `block_len` only when
+                // a valid header (or the stream's end) follows. One flip
+                // can forge a header that passes `hdr_crc` (1 in 256),
+                // and its `block_len` must not swallow the blocks after
+                // it: consume the header and hunt through the body.
+                self.corrupt_block(records);
+                self.pos += BLOCK_HEADER_BYTES;
+                continue;
+            }
             let start = self.held.events.len();
-            let decoded = fnv32(&block[..block_len - 4]) == crc
+            let decoded = intact
                 && decode_block(
                     &self.schema,
-                    &block[BLOCK_HEADER_BYTES..block_len - 4],
+                    &mut self.delta,
+                    &self.buf[self.pos + BLOCK_HEADER_BYTES..self.pos + block_len - 4],
                     records,
                     base_time,
                     self.ordinal,
@@ -769,6 +806,33 @@ mod tests {
         for r in &report.records {
             assert!(recs.contains(r));
         }
+    }
+
+    #[test]
+    fn forged_block_len_costs_only_its_own_block() {
+        let (c, schema) = setup();
+        let recs = records(&c, 64);
+        let stream = encode_v2(&schema, &recs, 8, None).unwrap();
+        // Forge block 0's header the way an unlucky flip does: a larger
+        // `block_len` whose header still passes `hdr_crc`. Trusting it
+        // would swallow the next blocks too.
+        let mut bytes = stream.bytes.clone();
+        let len = u16::from_le_bytes([bytes[2], bytes[3]]);
+        bytes[2..4].copy_from_slice(&(len * 3 - 7).to_le_bytes());
+        bytes[BLOCK_HEADER_BYTES - 1] = fold8(fnv32(&bytes[..BLOCK_HEADER_BYTES - 1]));
+        let report = decode_v2(&schema, &bytes, Some(bytes.len() as u64 * 8));
+        assert_eq!(report.records, recs[8..].to_vec());
+        assert!(matches!(
+            report.damaged[0].reason,
+            DamageReason::SyncCorrupt { records: 8 }
+        ));
+        // Pushed a byte at a time, the decoder waits for the header after
+        // the failed block before deciding, and agrees.
+        let mut dec = V2StreamDecoder::new(&schema);
+        for b in bytes.chunks(1) {
+            dec.push(b);
+        }
+        assert_eq!(finish_report(&mut dec, None), report);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property-based tests for the v2 compressed dialect: round-trip
-//! identity, bounded damage under corruption, and no panics on garbage.
+//! identity, bounded damage under corruption, no panics on garbage, and
+//! v1/v2 agreement over randomly generated schemas.
 
 use proptest::prelude::*;
 use pstrace_codec::{decode_v2, encode_v2, read_ptw_auto, V2StreamDecoder, DEFAULT_SYNC_EVERY};
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
 use pstrace_wire::{
-    encode_records, finish_report, write_ptw, DamageReason, RecordDecoder, WireRecord, WireSchema,
-    PTW_VERSION,
+    decode_stream, encode_records, finish_report, write_ptw, DamageReason, RecordDecoder,
+    WireRecord, WireSchema, PTW_VERSION,
 };
 use std::sync::Arc;
 
@@ -184,6 +185,183 @@ proptest! {
         // The compressed file is never larger on non-trivial streams.
         if records.len() >= 32 {
             prop_assert!(v2_file.len() < v1_file.len());
+        }
+    }
+}
+
+/// The low `width` bits of `v`.
+fn low(v: u64, width: u32) -> u64 {
+    v & 1u64.checked_shl(width).unwrap_or(0).wrapping_sub(1)
+}
+
+/// A schema over freshly interned messages: one slot per `(width,
+/// subgroup, sub_raw)` lane spec — a full message of `width` bits, or a
+/// subgroup of `1 + sub_raw % (parent - 1)` bits of a `max(width, 2)`-bit
+/// parent — with the given time and index field widths.
+fn random_schema(
+    lanes: &[(u32, bool, u32)],
+    time_width: u32,
+    index_width: u32,
+) -> (Arc<MessageCatalog>, WireSchema) {
+    let mut c = MessageCatalog::new();
+    let (mut messages, mut groups) = (Vec::new(), Vec::new());
+    for (i, &(width, subgroup, sub_raw)) in lanes.iter().enumerate() {
+        if subgroup {
+            let parent_width = width.max(2);
+            let parent = c.intern(&format!("p{i}"), parent_width);
+            groups.push(c.intern_group(parent, "g", 1 + sub_raw % (parent_width - 1)));
+        } else {
+            messages.push(c.intern(&format!("m{i}"), width));
+        }
+    }
+    let body: u32 = lanes
+        .iter()
+        .map(|&(w, sub, raw)| if sub { 1 + raw % (w.max(2) - 1) } else { w })
+        .sum();
+    let schema = WireSchema::new(&c, &messages, &groups, body)
+        .unwrap()
+        .with_time_width(time_width)
+        .unwrap()
+        .with_index_width(index_width)
+        .unwrap();
+    (Arc::new(c), schema)
+}
+
+/// Valid records over `schema`'s slots from raw parts `(slot, dt, index,
+/// value, shape)`. `shape` steers each field's v2 class: the index is
+/// kept or fresh, the value repeats, drifts by a small signed delta, or
+/// is uniform, and times step by log-uniform deltas, clamped to the time
+/// field (so they stay non-decreasing).
+fn random_records(schema: &WireSchema, parts: &[(u16, u32, u32, u64, u8)]) -> Vec<WireRecord> {
+    let slots = schema.slots();
+    let max_time = low(u64::MAX, schema.time_width());
+    let mut prev_value = vec![0u64; slots.len()];
+    let (mut time, mut index) = (0u64, 0u64);
+    parts
+        .iter()
+        .map(|&(pick, dt, index_raw, value_raw, shape)| {
+            let k = usize::from(pick) % slots.len();
+            let slot = &slots[k];
+            time = time
+                .saturating_add(u64::from(dt >> (dt % 32)))
+                .min(max_time);
+            if shape & 1 == 1 {
+                index = low(u64::from(index_raw), schema.index_width());
+            }
+            let value = match (shape >> 1) % 3 {
+                0 => prev_value[k],
+                1 => prev_value[k].wrapping_add((value_raw % 8193).wrapping_sub(4096)),
+                _ => value_raw,
+            };
+            prev_value[k] = low(value, slot.width);
+            WireRecord {
+                time,
+                message: IndexedMessage::new(slot.message, FlowIndex(index as u32)),
+                value: prev_value[k],
+                partial: slot.is_partial(),
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Over random schemas — lane widths 1..=64 (so the 4- and 12-bit
+    /// class edges and full 64-bit lanes all occur), subgroup lanes,
+    /// 1..24 tags, time widths 1..=64 and index widths 1..=32 — v1 and
+    /// v2 both decode exactly the encoded records.
+    #[test]
+    fn random_schemas_decode_identically_in_both_dialects(
+        lanes in proptest::collection::vec((1u32..=64, any::<bool>(), any::<u32>()), 1..24),
+        time_width in 1u32..=64,
+        index_width in 1u32..=32,
+        parts in proptest::collection::vec(
+            (any::<u16>(), any::<u32>(), any::<u32>(), any::<u64>(), any::<u8>()),
+            0..120,
+        ),
+        sync_raw in 0u16..3,
+    ) {
+        let (_, schema) = random_schema(&lanes, time_width, index_width);
+        let records = random_records(&schema, &parts);
+        let v1 = encode_records(&schema, &records, None).unwrap();
+        let v1_report = decode_stream(&schema, &v1.bytes, Some(v1.bit_len));
+        prop_assert!(v1_report.is_clean(), "{:?}", v1_report.damaged);
+        prop_assert_eq!(&v1_report.records, &records);
+        let sync_every = [1u16, 7, DEFAULT_SYNC_EVERY][sync_raw as usize];
+        let v2 = encode_v2(&schema, &records, sync_every, None).unwrap();
+        let v2_report = decode_v2(&schema, &v2.bytes, Some(v2.bit_len));
+        prop_assert!(v2_report.is_clean(), "{:?}", v2_report.damaged);
+        prop_assert_eq!(&v2_report.records, &records);
+    }
+
+    /// Over the same random schemas, one flipped bit costs each dialect
+    /// only its own damage window. v1: damage lands on the flipped frame
+    /// or the one before it (the spike heuristic's neighbor), and every
+    /// other frame's record survives unchanged. v2: at most two sync
+    /// blocks of records are lost and every survivor is an original, in
+    /// order.
+    #[test]
+    fn random_schemas_contain_one_flip_to_each_dialects_window(
+        lanes in proptest::collection::vec((1u32..=64, any::<bool>(), any::<u32>()), 1..24),
+        time_width in 1u32..=64,
+        index_width in 1u32..=32,
+        parts in proptest::collection::vec(
+            (any::<u16>(), any::<u32>(), any::<u32>(), any::<u64>(), any::<u8>()),
+            1..100,
+        ),
+        flip_v1 in any::<u64>(),
+        flip_v2 in any::<u64>(),
+    ) {
+        let (_, schema) = random_schema(&lanes, time_width, index_width);
+        let records = random_records(&schema, &parts);
+
+        let v1 = encode_records(&schema, &records, None).unwrap();
+        let mut bytes = v1.bytes.clone();
+        let bit = flip_v1 % v1.bit_len;
+        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+        let report = decode_stream(&schema, &bytes, Some(v1.bit_len));
+        let flipped = (bit / u64::from(schema.frame_bits())) as usize;
+        for d in &report.damaged {
+            prop_assert!(
+                d.frame == flipped || d.frame + 1 == flipped,
+                "{:?} outside frames {}..={flipped}",
+                d,
+                flipped.saturating_sub(1)
+            );
+        }
+        // The originals of undamaged frames other than the flipped one,
+        // in order; the flipped frame may survive altered, or vanish (a
+        // one-bit frame flipped to idle).
+        let kept: Vec<(usize, WireRecord)> = records
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(f, _)| f != flipped && report.damaged.iter().all(|d| d.frame != f))
+            .collect();
+        let at = kept.iter().filter(|&&(f, _)| f < flipped).count();
+        let mut survivors = report.records.clone();
+        if survivors.len() == kept.len() + 1 {
+            survivors.remove(at);
+        }
+        let kept: Vec<WireRecord> = kept.into_iter().map(|(_, r)| r).collect();
+        prop_assert_eq!(survivors, kept);
+
+        let sync_every = 8u16;
+        let v2 = encode_v2(&schema, &records, sync_every, None).unwrap();
+        let mut bytes = v2.bytes.clone();
+        let bit = flip_v2 % v2.bit_len;
+        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+        let report = decode_v2(&schema, &bytes, Some(v2.bit_len));
+        prop_assert!(report.records.len() <= records.len());
+        let lost = records.len() - report.records.len();
+        prop_assert!(
+            lost <= 2 * usize::from(sync_every),
+            "lost {lost} records to one flipped bit (window {sync_every})"
+        );
+        let mut it = records.iter();
+        for r in &report.records {
+            prop_assert!(it.any(|orig| orig == r), "not an original (in order): {r:?}");
         }
     }
 }

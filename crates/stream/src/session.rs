@@ -127,8 +127,12 @@ impl SessionReport {
 }
 
 /// The observability hooks of one session: cached counter handles into a
-/// shared registry, so the per-record hot path costs one relaxed atomic
-/// add and never touches the registry's lock.
+/// shared registry, so publishing never touches the registry's lock.
+/// The per-record hot path touches no counter at all: the byte, chunk,
+/// frame and record counters are bumped once per drained chunk (and once
+/// more at `finish`), by what that chunk added — the cadence of the
+/// frontier gauges. At every chunk boundary the totals equal the
+/// session's own counts.
 #[derive(Debug)]
 struct SessionObserver {
     registry: Arc<Registry>,
@@ -139,6 +143,8 @@ struct SessionObserver {
     /// This session's own record counter
     /// (`pstrace_session_records_total{session="N"}`).
     session_records: Counter,
+    /// Committed records already added to the two record counters.
+    published_records: usize,
     /// This session's own damage counter
     /// (`pstrace_session_damaged_frames_total{session="N"}`).
     session_damaged: Counter,
@@ -156,6 +162,7 @@ impl SessionObserver {
                 .counter_with("pstrace_session_records_total", &[("session", &id)]),
             session_damaged: registry
                 .counter_with("pstrace_session_damaged_frames_total", &[("session", &id)]),
+            published_records: 0,
             registry,
         }
     }
@@ -285,9 +292,17 @@ impl Session {
     fn commit(&mut self, rec: &WireRecord) {
         self.localizer.push(rec.message);
         self.records += 1;
-        if let Some(o) = &self.obs {
-            o.records.inc();
-            o.session_records.inc();
+    }
+
+    /// Adds the records committed since the last call to the aggregate
+    /// and per-session record counters: once per drained chunk, not per
+    /// record.
+    fn publish_records(&mut self) {
+        if let Some(o) = &mut self.obs {
+            let fresh = (self.records - o.published_records) as u64;
+            o.records.add(fresh);
+            o.session_records.add(fresh);
+            o.published_records = self.records;
         }
     }
 
@@ -345,6 +360,7 @@ impl Session {
             }
         }
         self.decoded = decoded;
+        self.publish_records();
         let frames = self.decoder.frames();
         if let Some(o) = &self.obs {
             o.frames.add(frames.saturating_sub(self.frames) as u64);
@@ -415,6 +431,7 @@ impl Session {
         self.damaged.retain(|d| d.frame < end.end);
         if let Some(r) = self.time.flush(end.end) {
             self.commit(&r);
+            self.publish_records();
         }
         self.maybe_resync();
         self.damaged.sort_by_key(|d| d.frame);
@@ -659,6 +676,42 @@ mod tests {
         let plain_report = plain.finish(Some(stream.bit_len));
         assert_eq!(plain_report.damaged, report.damaged);
         assert_eq!(plain_report.localization, report.localization);
+    }
+
+    #[test]
+    fn record_counters_equal_committed_records_at_every_chunk_boundary() {
+        let (u, schema) = setup();
+        let clean = records(&u);
+        let mut spiked = records(&u);
+        spiked[1].time = 1 << 20; // isolated forward spike → damage
+        for (recs, spikes) in [(clean, 0), (spiked, 1)] {
+            let stream = encode_records(&schema, &recs, None).unwrap();
+            let registry = Arc::new(Registry::new());
+            let published = || {
+                (
+                    registry.counter("pstrace_stream_records_total").get(),
+                    registry
+                        .counter_with("pstrace_session_records_total", &[("session", "3")])
+                        .get(),
+                )
+            };
+            let mut session = Session::new(&u, schema.clone(), MatchMode::Prefix);
+            session.set_registry(Arc::clone(&registry), 3);
+            let mut held = 0;
+            for chunk in stream.bytes.chunks(3) {
+                session.push_chunk(chunk);
+                let committed = session.records as u64;
+                assert_eq!(published(), (committed, committed));
+                held += usize::from(session.time.is_holding());
+            }
+            assert!(held > 0, "the newest record is held back");
+            assert!(session.time.is_holding());
+            let report = session.finish(Some(stream.bit_len));
+            assert_eq!(report.damaged.len(), spikes);
+            assert_eq!(report.metrics.records, recs.len() - spikes);
+            let total = report.metrics.records as u64;
+            assert_eq!(published(), (total, total));
+        }
     }
 
     #[test]

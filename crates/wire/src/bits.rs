@@ -7,6 +7,12 @@
 //! least-significant field bit first. The final byte of a serialized
 //! stream is zero-padded.
 
+/// A mask of the low `width` bits; `width` 0 gives 0, 64 gives all ones.
+#[inline]
+fn low_bits(width: u32) -> u64 {
+    1u64.checked_shl(width).unwrap_or(0).wrapping_sub(1)
+}
+
 /// Appends bit fields to a growing byte buffer.
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
@@ -24,35 +30,30 @@ impl BitWriter {
 
     /// Writes the low `width` bits of `value` (LSB first).
     ///
+    /// The field, shifted to the stream's bit offset, spans at most
+    /// 71 bits: its low byte is ORed into the partial last byte (when
+    /// there is one) and the bytes above it are appended.
+    ///
     /// # Panics
     ///
     /// Panics if `width > 64` or if `value` has bits above `width` set —
     /// encoders must validate ranges before serializing.
+    #[inline]
     pub fn write(&mut self, value: u64, width: u32) {
         assert!(width <= 64, "field width {width} > 64");
         assert!(
-            width == 64 || value < (1u64 << width),
+            value & !low_bits(width) == 0,
             "value {value:#x} exceeds {width} bits"
         );
-        let mut remaining = width;
-        let mut v = value;
-        while remaining > 0 {
-            let bit_in_byte = (self.bit_len % 8) as u32;
-            if bit_in_byte == 0 {
-                self.bytes.push(0);
-            }
-            let take = remaining.min(8 - bit_in_byte);
-            let mask = if take == 64 {
-                u64::MAX
-            } else {
-                (1u64 << take) - 1
-            };
-            let chunk = (v & mask) as u8;
-            *self.bytes.last_mut().expect("byte pushed above") |= chunk << bit_in_byte;
-            v >>= take;
-            remaining -= take;
-            self.bit_len += u64::from(take);
+        let shift = (self.bit_len % 8) as u32;
+        let spanned = (shift + width).div_ceil(8) as usize;
+        let field = (u128::from(value) << shift).to_le_bytes();
+        if shift > 0 {
+            *self.bytes.last_mut().expect("a partial byte") |= field[0];
         }
+        self.bytes
+            .extend_from_slice(&field[usize::from(shift > 0)..spanned]);
+        self.bit_len += u64::from(width);
     }
 
     /// Total bits written.
@@ -75,6 +76,20 @@ impl BitWriter {
 }
 
 /// Reads bit fields from a byte slice at an arbitrary bit offset.
+///
+/// A read loads the 64-bit little-endian word starting at the byte that
+/// holds the read position — one `u64::from_le_bytes` over an 8-byte
+/// slice — and shifts the position's bit offset out of it: the word then
+/// holds the next `64 - offset` (at least 57) stream bits. A field that
+/// fits is one shift and one mask; only a field wider than 56 bits at an
+/// unaligned position takes its top bits from the ninth byte. Within 8
+/// bytes of the buffer end the word is assembled from the bytes left. The
+/// word may reach past `bit_len` into the final byte's padding; the
+/// `remaining` check keeps those bits out of every field.
+///
+/// The reader keeps no window across reads: each read reloads the word
+/// at its own position. Reloading costs one load; a cached window would
+/// cost a refill branch that data-dependent field widths mispredict.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
@@ -116,30 +131,45 @@ impl<'a> BitReader<'a> {
 
     /// Bits left to read.
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> u64 {
         self.bit_len - self.pos
     }
 
     /// Reads the next `width` bits (LSB first); `None` once fewer than
-    /// `width` bits remain.
+    /// `width` bits remain, leaving the position unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 64`.
+    #[inline]
     pub fn read(&mut self, width: u32) -> Option<u64> {
         assert!(width <= 64, "field width {width} > 64");
         if self.remaining() < u64::from(width) {
             return None;
         }
-        let mut out = 0u64;
-        let mut got = 0u32;
-        while got < width {
-            let byte = self.bytes[(self.pos / 8) as usize];
-            let bit_in_byte = (self.pos % 8) as u32;
-            let take = (width - got).min(8 - bit_in_byte);
-            let mask = (1u16 << take) - 1;
-            let chunk = u64::from((u16::from(byte >> bit_in_byte)) & mask);
-            out |= chunk << got;
-            got += take;
-            self.pos += u64::from(take);
-        }
-        Some(out)
+        let at = (self.pos / 8) as usize;
+        let skip = (self.pos % 8) as u32;
+        let bits = match self.bytes.get(at..at + 8) {
+            Some(eight) => {
+                let word = u64::from_le_bytes(eight.try_into().expect("8 bytes")) >> skip;
+                if width + skip > 64 {
+                    // `remaining` guarantees the ninth byte exists.
+                    word | u64::from(self.bytes[at + 8]) << (64 - skip)
+                } else {
+                    word
+                }
+            }
+            None => {
+                self.bytes[at..]
+                    .iter()
+                    .rev()
+                    .fold(0u64, |word, &b| (word << 8) | u64::from(b))
+                    >> skip
+            }
+        };
+        self.pos += u64::from(width);
+        Some(bits & low_bits(width))
     }
 }
 

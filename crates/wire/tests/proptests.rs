@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
 use pstrace_wire::{
-    decode_stream, encode_records, finish_report, read_ptw, write_ptw, RecordDecoder,
-    StreamDecoder, WireRecord, WireSchema,
+    decode_stream, encode_records, finish_report, read_ptw, write_ptw, BitReader, BitWriter,
+    RecordDecoder, StreamDecoder, WireRecord, WireSchema,
 };
 use std::sync::Arc;
 
@@ -172,5 +172,155 @@ proptest! {
         let (schema2, stream2) = read_ptw(&c, &file).unwrap();
         prop_assert_eq!(schema2, schema);
         prop_assert_eq!(stream2, stream);
+    }
+}
+
+/// The byte-at-a-time bit reader and writer the word-at-a-time
+/// [`BitReader`] and [`BitWriter`] replaced, kept as their oracle: one
+/// byte per step, no word loads, no shortcuts.
+mod bytewise {
+    pub struct Reader<'a> {
+        bytes: &'a [u8],
+        pos: u64,
+        bit_len: u64,
+    }
+
+    impl<'a> Reader<'a> {
+        pub fn new(bytes: &'a [u8], bit_len: u64) -> Self {
+            assert!(bit_len <= bytes.len() as u64 * 8);
+            Reader {
+                bytes,
+                pos: 0,
+                bit_len,
+            }
+        }
+
+        pub fn seek(&mut self, pos: u64) {
+            assert!(pos <= self.bit_len);
+            self.pos = pos;
+        }
+
+        pub fn remaining(&self) -> u64 {
+            self.bit_len - self.pos
+        }
+
+        pub fn read(&mut self, width: u32) -> Option<u64> {
+            assert!(width <= 64);
+            if self.remaining() < u64::from(width) {
+                return None;
+            }
+            let mut out = 0u64;
+            let mut got = 0u32;
+            while got < width {
+                let byte = self.bytes[(self.pos / 8) as usize];
+                let bit_in_byte = (self.pos % 8) as u32;
+                let take = (width - got).min(8 - bit_in_byte);
+                let mask = (1u16 << take) - 1;
+                out |= u64::from(u16::from(byte >> bit_in_byte) & mask) << got;
+                got += take;
+                self.pos += u64::from(take);
+            }
+            Some(out)
+        }
+    }
+
+    #[derive(Default)]
+    pub struct Writer {
+        pub bytes: Vec<u8>,
+        pub bit_len: u64,
+    }
+
+    impl Writer {
+        pub fn write(&mut self, value: u64, width: u32) {
+            let mut remaining = width;
+            let mut v = value;
+            while remaining > 0 {
+                let bit_in_byte = (self.bit_len % 8) as u32;
+                if bit_in_byte == 0 {
+                    self.bytes.push(0);
+                }
+                let take = remaining.min(8 - bit_in_byte);
+                let chunk = (v & ((1u64 << take) - 1)) as u8;
+                *self.bytes.last_mut().expect("byte pushed above") |= chunk << bit_in_byte;
+                v = v.checked_shr(take).unwrap_or(0);
+                remaining -= take;
+                self.bit_len += u64::from(take);
+            }
+        }
+    }
+}
+
+/// The low `width` bits of `v`.
+fn low(v: u64, width: u32) -> u64 {
+    v & 1u64.checked_shl(width).unwrap_or(0).wrapping_sub(1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The word-at-a-time reader agrees with the byte-wise oracle read
+    /// for read: same value, `None` at the same calls, same `remaining()`
+    /// — at every width 0..=64, after random seeks (uniform, and into the
+    /// last 72 bits), over buffers of 0..40 bytes whose `bit_len` may end
+    /// mid-byte, so reads keep landing within 8 bytes of the end.
+    #[test]
+    fn bytewise_oracle_reader_agrees(
+        bytes in proptest::collection::vec(any::<u8>(), 0..40),
+        cut in 0u64..8,
+        ops in proptest::collection::vec((0u32..=64, any::<u64>(), 0u8..6), 1..64),
+    ) {
+        let bit_len = (bytes.len() as u64 * 8).saturating_sub(cut);
+        let mut fast = BitReader::new(&bytes, bit_len);
+        let mut slow = bytewise::Reader::new(&bytes, bit_len);
+        for &(width, target, op) in &ops {
+            let seek = match op {
+                0 => Some(target % (bit_len + 1)),
+                1 => Some(bit_len.saturating_sub(target % 72)),
+                _ => None,
+            };
+            if let Some(pos) = seek {
+                fast.seek(pos);
+                slow.seek(pos);
+            }
+            prop_assert_eq!(fast.read(width), slow.read(width), "width {}", width);
+            prop_assert_eq!(fast.remaining(), slow.remaining());
+        }
+    }
+
+    /// The word-at-a-time writer produces the byte-wise oracle's bytes
+    /// after every field (`as_bytes`) and at the end (`into_bytes`), and
+    /// the reader reads the fields back.
+    #[test]
+    fn bytewise_oracle_writer_agrees(
+        fields in proptest::collection::vec((0u32..=64, any::<u64>(), 0u8..4), 0..48),
+    ) {
+        let fields: Vec<(u64, u32)> = fields
+            .iter()
+            .map(|&(width, raw, shape)| {
+                // Mix all-ones and sparse values in with uniform ones.
+                let raw = match shape {
+                    0 => u64::MAX,
+                    1 => raw & 0x8000_0000_0000_0001,
+                    _ => raw,
+                };
+                (low(raw, width), width)
+            })
+            .collect();
+        let mut fast = BitWriter::new();
+        let mut slow = bytewise::Writer::default();
+        for &(value, width) in &fields {
+            fast.write(value, width);
+            slow.write(value, width);
+            prop_assert_eq!(fast.as_bytes(), slow.bytes.as_slice());
+            prop_assert_eq!(fast.bit_len(), slow.bit_len);
+        }
+        let bit_len = fast.bit_len();
+        let bytes = fast.into_bytes();
+        prop_assert_eq!(&bytes, &slow.bytes);
+        let mut r = BitReader::new(&bytes, bit_len);
+        for &(value, width) in &fields {
+            prop_assert_eq!(r.read(width), Some(value));
+        }
+        prop_assert_eq!(r.remaining(), 0);
     }
 }

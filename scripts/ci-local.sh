@@ -54,6 +54,12 @@ run cargo test -q --locked -p pstrace-codec
 run cargo test -q --locked --test wire_roundtrip v2_
 run cargo test -q --locked --test malformed_ptw v2_
 
+# Bit I/O oracle deep fuzz: the word-at-a-time BitReader/BitWriter
+# against the byte-wise reference kept in the wire proptests, at 4096
+# cases per property (widths 0..=64, random seeks, mid-byte ends, reads
+# within 8 bytes of the buffer end).
+run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-wire --test proptests bytewise_oracle
+
 # v2 size gate: every reference-corpus scenario must encode to <= 0.8x
 # its v1 size through the real CLI, and both dialects must decode to
 # byte-identical text traces.
