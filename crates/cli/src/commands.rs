@@ -642,41 +642,31 @@ fn cmd_trace_encode(argv: &[String]) -> CmdResult {
             dropped += 1;
         }
     }
+    let profile = pstrace_codec::profile_for(if v2 {
+        wirecap::PtwMeta::v2(sync_every)
+    } else {
+        wirecap::PtwMeta::v1()
+    });
     let (file, summary) = maybe_time(obs(&profiler), "encode-frames", || {
-        if v2 {
-            let stream = pstrace_codec::encode_v2(&schema, &records, sync_every, depth)?;
-            let overwritten = depth.map_or(0, |d| records.len().saturating_sub(d));
-            let summary = format!(
+        let stream = profile.encode(&schema, &records, depth)?;
+        let overwritten = wirecap::overwritten(records.len(), depth);
+        let summary = if v2 {
+            format!(
                 "encoded {} records into {} v2 sync blocks every {sync_every} records \
                  ({dropped} records dropped by the selection, {overwritten} lost to wraparound)",
                 records.len() - overwritten,
                 stream.frames,
-            );
-            let file = wirecap::write_ptw_with(
-                model.catalog(),
-                &schema,
-                wirecap::PtwMeta::v2(sync_every),
-                &stream,
-            );
-            Ok::<_, Box<dyn Error>>((file, summary))
+            )
         } else {
-            let mut enc = wirecap::Encoder::new(&schema, depth);
-            for r in &records {
-                enc.push(r)?;
-            }
-            let stream = enc.finish();
-            let summary = format!(
+            format!(
                 "encoded {} frames of {} bits ({dropped} records dropped by the selection, \
-                 {} lost to wraparound)",
+                 {overwritten} lost to wraparound)",
                 stream.frames,
                 schema.frame_bits(),
-                enc.overwritten()
-            );
-            Ok((
-                wirecap::write_ptw(model.catalog(), &schema, &stream),
-                summary,
-            ))
-        }
+            )
+        };
+        let file = wirecap::write_ptw_with(model.catalog(), &schema, profile.meta(), &stream);
+        Ok::<_, Box<dyn Error>>((file, summary))
     })?;
     maybe_time(obs(&profiler), "write-ptw", || {
         std::fs::write(out_path, file)

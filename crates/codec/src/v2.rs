@@ -45,9 +45,9 @@
 //!   raw lane width.
 
 use pstrace_wire::{
-    decode_with, BitReader, BitWriter, DamageReason, DamagedFrame, DecodeReport, Decoded,
-    EncodedStream, FrameProfile, PtwMeta, RecordDecoder, StreamEnd, WireError, WireRecord,
-    WireSchema, SYNC_EVERY_RANGE,
+    check_record, decode_with, overwritten, BitReader, BitWriter, DamageReason, DamagedFrame,
+    DecodeReport, Decoded, EncodedStream, FrameProfile, PtwMeta, RecordDecoder, StreamEnd,
+    WireError, WireRecord, WireSchema, SYNC_EVERY_RANGE,
 };
 
 /// The two marker bytes starting every sync block.
@@ -184,37 +184,6 @@ impl DeltaState {
     }
 }
 
-/// Validates a record against the schema exactly like the v1 encoder, so
-/// both profiles reject the same inputs with the same typed errors.
-fn validate(schema: &WireSchema, record: &WireRecord) -> Result<u64, WireError> {
-    let (tag, slot) = schema
-        .slot_for(record.message.message, record.partial)
-        .ok_or_else(|| WireError::UnknownSlot {
-            message: format!("#{}", record.message.message.index()),
-            partial: record.partial,
-        })?;
-    let fits = |v: u64, w: u32| w >= 64 || v < (1u64 << w);
-    if !fits(record.value, slot.width) {
-        return Err(WireError::ValueOverflow {
-            value: record.value,
-            width: slot.width,
-        });
-    }
-    if !fits(record.time, schema.time_width()) {
-        return Err(WireError::TimeOverflow {
-            time: record.time,
-            width: schema.time_width(),
-        });
-    }
-    if !fits(u64::from(record.message.index.0), schema.index_width()) {
-        return Err(WireError::IndexOverflow {
-            index: record.message.index.0,
-            width: schema.index_width(),
-        });
-    }
-    Ok(tag)
-}
-
 /// Packs one block of `(tag, record)` pairs into bytes.
 fn encode_block(schema: &WireSchema, items: &[(u64, WireRecord)]) -> Vec<u8> {
     debug_assert!(!items.is_empty());
@@ -244,7 +213,7 @@ fn encode_block(schema: &WireSchema, items: &[(u64, WireRecord)]) -> Vec<u8> {
                 w.write(run as u64, 16);
             }
         }
-        let width = schema.slot_by_tag(tag).expect("validated tag").width;
+        let width = schema.slot_by_tag(tag).expect("checked tag").width;
         for (_, rec) in &items[i..i + run] {
             let index = u64::from(rec.message.index.0);
             if index == st.prev_index {
@@ -349,40 +318,37 @@ fn decode_block(
 
 /// Serializes records into the v2 sync-block stream.
 ///
-/// `depth` models the circular trace buffer at record granularity (one v1
-/// frame carries exactly one record, so the retained set is identical to
-/// v1's ring): `Some(n)` keeps the newest `n` records.
+/// `depth` models the circular trace buffer at record granularity under
+/// the same [`overwritten`] rule as v1 (one v1 frame carries exactly one
+/// record, so the retained set is identical): `Some(n)` keeps the newest
+/// `n` records.
 ///
 /// # Errors
 ///
-/// The same per-record errors as the v1 encoder (unknown slot, field
-/// overflow), checked before any block is emitted.
+/// The first [`check_record`] error, exactly as v1: every record is
+/// checked, including those the ring overwrites, before any block is
+/// emitted.
 ///
 /// # Panics
 ///
-/// Panics on `depth == Some(0)` or a `sync_every` outside
-/// [`SYNC_EVERY_RANGE`], mirroring the v1 ring's zero-depth rejection.
+/// Panics on `depth == Some(0)` (before any record is checked) or a
+/// `sync_every` outside [`SYNC_EVERY_RANGE`].
 pub fn encode_v2(
     schema: &WireSchema,
     records: &[WireRecord],
     sync_every: u16,
     depth: Option<usize>,
 ) -> Result<EncodedStream, WireError> {
-    assert!(
-        depth != Some(0),
-        "circular trace-buffer depth must be at least 1 entry"
-    );
+    let skip = overwritten(records.len(), depth);
     assert!(
         (SYNC_EVERY_RANGE.0..=SYNC_EVERY_RANGE.1).contains(&sync_every),
         "sync_every {sync_every} outside {SYNC_EVERY_RANGE:?}"
     );
-    let mut tagged = Vec::with_capacity(records.len());
-    for rec in records {
-        tagged.push((validate(schema, rec)?, *rec));
-    }
-    if let Some(d) = depth {
-        if tagged.len() > d {
-            tagged.drain(..tagged.len() - d);
+    let mut tagged = Vec::with_capacity(records.len() - skip);
+    for (i, rec) in records.iter().enumerate() {
+        let (tag, _) = check_record(schema, rec)?;
+        if i >= skip {
+            tagged.push((tag, *rec));
         }
     }
     let mut bytes = Vec::new();

@@ -1,13 +1,17 @@
 //! Property-based tests for the v2 compressed dialect: round-trip
 //! identity, bounded damage under corruption, no panics on garbage, and
-//! v1/v2 agreement over randomly generated schemas.
+//! v1/v2 agreement over randomly generated schemas, on decode and on
+//! encode (same errors, same retained records).
 
 use proptest::prelude::*;
-use pstrace_codec::{decode_v2, encode_v2, read_ptw_auto, V2StreamDecoder, DEFAULT_SYNC_EVERY};
+use pstrace_codec::{
+    decode_v2, encode_v2, read_ptw_auto, ProfileV2, V2StreamDecoder, DEFAULT_SYNC_EVERY,
+};
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
 use pstrace_wire::{
-    decode_stream, encode_records, finish_report, write_ptw, DamageReason, RecordDecoder,
-    WireRecord, WireSchema, PTW_VERSION,
+    decode_stream, decode_with, encode_records, finish_report, overwritten, write_ptw,
+    DamageReason, FrameProfile, ProfileV1, RecordDecoder, WireError, WireRecord, WireSchema,
+    PTW_VERSION,
 };
 use std::sync::Arc;
 
@@ -363,5 +367,80 @@ proptest! {
         for r in &report.records {
             prop_assert!(it.any(|orig| orig == r), "not an original (in order): {r:?}");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Both dialects encode through the wire crate's one record check and
+    /// one circular-buffer rule. Over random schemas, with at most one
+    /// fault injected at a random position — an unknown slot, or a value,
+    /// time or index one past its field — v1 and v2 return the same
+    /// typed error, even when the faulty record is one the ring
+    /// overwrites. With no fault both keep exactly the newest `depth`
+    /// records.
+    #[test]
+    fn encode_agreement_across_dialects(
+        lanes in proptest::collection::vec((1u32..=64, any::<bool>(), any::<u32>()), 1..24),
+        time_width in 1u32..=64,
+        index_width in 1u32..=32,
+        parts in proptest::collection::vec(
+            (any::<u16>(), any::<u32>(), any::<u32>(), any::<u64>(), any::<u8>()),
+            1..120,
+        ),
+        fault in 0u8..5,
+        at in any::<usize>(),
+        depth_raw in 0usize..48,
+        sync_raw in 0u16..3,
+    ) {
+        let (_, schema) = random_schema(&lanes, time_width, index_width);
+        let mut records = random_records(&schema, &parts);
+        let depth = (depth_raw > 0).then_some(depth_raw);
+        let at = at % records.len();
+        let r = &mut records[at];
+        let slot_width = schema.slot_for(r.message.message, r.partial).unwrap().1.width;
+        let expected = match fault {
+            1 => {
+                r.partial = !r.partial;
+                Some(WireError::UnknownSlot {
+                    message: format!("#{}", r.message.message.index()),
+                    partial: r.partial,
+                })
+            }
+            2 if slot_width < 64 => {
+                r.value = 1 << slot_width;
+                Some(WireError::ValueOverflow { value: r.value, width: slot_width })
+            }
+            3 if time_width < 64 => {
+                r.time = 1 << time_width;
+                Some(WireError::TimeOverflow { time: r.time, width: time_width })
+            }
+            4 if index_width < 32 => {
+                r.message.index = FlowIndex(1 << index_width);
+                Some(WireError::IndexOverflow { index: 1 << index_width, width: index_width })
+            }
+            _ => None,
+        };
+
+        let v2_profile = ProfileV2 { sync_every: [1u16, 7, DEFAULT_SYNC_EVERY][sync_raw as usize] };
+        let v1 = ProfileV1.encode(&schema, &records, depth);
+        let v2 = v2_profile.encode(&schema, &records, depth);
+        if let Some(err) = expected {
+            prop_assert_eq!(v1.clone().unwrap_err(), err);
+            prop_assert_eq!(v2.unwrap_err(), v1.unwrap_err());
+            return Ok(());
+        }
+        let kept = &records[overwritten(records.len(), depth)..];
+        prop_assert_eq!(kept.len(), depth.map_or(records.len(), |d| d.min(records.len())));
+        let v1 = v1.unwrap();
+        prop_assert_eq!(v1.frames, kept.len());
+        let v1_report = decode_with(&ProfileV1, &schema, &v1.bytes, Some(v1.bit_len));
+        prop_assert!(v1_report.is_clean(), "{:?}", v1_report.damaged);
+        prop_assert_eq!(&v1_report.records[..], kept);
+        let v2 = v2.unwrap();
+        let v2_report = decode_with(&v2_profile, &schema, &v2.bytes, Some(v2.bit_len));
+        prop_assert!(v2_report.is_clean(), "{:?}", v2_report.damaged);
+        prop_assert_eq!(&v2_report.records[..], kept);
     }
 }

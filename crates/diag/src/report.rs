@@ -294,9 +294,14 @@ pub fn run_case_study_routed(
         let schema = wirecap::wire_schema(model, &trace_config, config.buffer_bits)
             .expect("a selection-derived schema fits its own buffer");
         let trip = |events: &SimOutcome| {
-            let stream =
-                wirecap::encode_events(model.catalog(), &schema, &events.events, &trace_config)
-                    .expect("simulated records fit the schema's field widths");
+            let stream = wirecap::encode_events(
+                model.catalog(),
+                &schema,
+                &events.events,
+                &trace_config,
+                &wirecap::ProfileV1,
+            )
+            .expect("simulated records fit the schema's field widths");
             let frames = stream.frames;
             let (trace, report) = wirecap::decode_capture(
                 &schema,

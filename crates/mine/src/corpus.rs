@@ -10,7 +10,7 @@
 //! corpus exercises the same frame machinery as production `.ptw` files.
 
 use pstrace_flow::MessageId;
-use pstrace_soc::wirecap::{encode_events, wire_schema};
+use pstrace_soc::wirecap::{encode_events, wire_schema, ProfileV1};
 use pstrace_soc::{capture, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_wire::{decode_stream, WireError};
 
@@ -56,7 +56,13 @@ pub fn scenario_executions(
         let outcome = Simulator::new(model, scenario.clone(), SimConfig::with_seed(seed)).run();
         if wire {
             let schema = wire_schema(model, &config, full_body_width(model, scenario))?;
-            let stream = encode_events(model.catalog(), &schema, &outcome.events, &config)?;
+            let stream = encode_events(
+                model.catalog(),
+                &schema,
+                &outcome.events,
+                &config,
+                &ProfileV1,
+            )?;
             let report = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
             skipped += report.damaged.len() as u64;
             logs.push(ExecutionLog::from_wire_records(&report.records));

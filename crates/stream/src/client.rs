@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use pstrace_diag::MatchMode;
 use pstrace_flow::MessageCatalog;
-use pstrace_wire::read_ptw_header;
+use pstrace_wire::split_ptw;
 
 use crate::error::StreamError;
 use crate::proto::{
@@ -82,31 +82,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Splits a `.ptw` container into `(schema prefix, bit_len, payload)`,
-/// validating it against `catalog` exactly as the server will.
-fn split_ptw<'a>(
-    catalog: &MessageCatalog,
-    ptw_bytes: &'a [u8],
-) -> Result<(&'a [u8], u64, &'a [u8]), StreamError> {
-    let (_, _, consumed) = read_ptw_header(catalog, ptw_bytes)?;
-    let schema = &ptw_bytes[..consumed];
-    let rest = &ptw_bytes[consumed..];
-    if rest.len() < 8 {
-        return Err(StreamError::Protocol(
-            "container is truncated before the payload length".to_owned(),
-        ));
-    }
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&rest[..8]);
-    let bit_len = u64::from_le_bytes(len_bytes);
-    let payload_len = usize::try_from(bit_len.div_ceil(8))
-        .map_err(|_| StreamError::Protocol("payload length overflows".to_owned()))?;
-    let payload = rest
-        .get(8..8 + payload_len)
-        .ok_or_else(|| StreamError::Protocol("container payload is truncated".to_owned()))?;
-    Ok((schema, bit_len, payload))
-}
-
 /// Replays the `.ptw` container in `ptw_bytes` to the daemon at `addr`
 /// in `chunk_bytes`-sized data chunks, and returns the server's session
 /// report.
@@ -131,19 +106,19 @@ pub fn stream_ptw(
     ptw_bytes: &[u8],
     chunk_bytes: usize,
 ) -> Result<String, StreamError> {
-    let (schema, bit_len, payload) = split_ptw(catalog, ptw_bytes)?;
+    let ptw = split_ptw(catalog, ptw_bytes)?;
 
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
 
-    write_hello_as(&mut writer, scenario, mode, 0, next_trace_id(), schema)?;
+    write_hello_as(&mut writer, scenario, mode, 0, next_trace_id(), ptw.header)?;
     let chunk = chunk_bytes.max(1);
-    for piece in payload.chunks(chunk) {
+    for piece in ptw.payload.chunks(chunk) {
         write_data(&mut writer, piece)?;
     }
-    write_finish(&mut writer, bit_len)?;
+    write_finish(&mut writer, ptw.bit_len)?;
     writer.flush()?;
 
     read_reply(&mut reader)
@@ -274,15 +249,15 @@ where
     S: Read + Write,
     F: FnMut(u32) -> io::Result<S>,
 {
-    let (schema, bit_len, payload) = split_ptw(catalog, ptw_bytes)?;
+    let ptw = split_ptw(catalog, ptw_bytes)?;
     let args = AttemptArgs {
         scenario,
         mode,
         tenant,
         trace,
-        schema,
-        bit_len,
-        payload,
+        schema: ptw.header,
+        bit_len: ptw.bit_len,
+        payload: ptw.payload,
         chunk: chunk_bytes.max(1),
     };
     let mut token = 0u64;

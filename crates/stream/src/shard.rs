@@ -1365,8 +1365,14 @@ mod tests {
         let width = messages.iter().map(|&m| model.catalog().width(m)).sum();
         let schema = wirecap::wire_schema(&model, &trace_config, width).unwrap();
         let run = Simulator::new(&model, scenario, SimConfig::with_seed(3)).run();
-        let stream =
-            wirecap::encode_events(model.catalog(), &schema, &run.events, &trace_config).unwrap();
+        let stream = wirecap::encode_events(
+            model.catalog(),
+            &schema,
+            &run.events,
+            &trace_config,
+            &wirecap::ProfileV1,
+        )
+        .unwrap();
         let ptw = write_ptw(model.catalog(), &schema, &stream);
         let (_, _, consumed) = read_ptw_header(model.catalog(), &ptw).unwrap();
         let config = ServerConfig {

@@ -1,4 +1,4 @@
-//! Frame encoding and the circular trace-buffer model.
+//! Frame encoding, the per-record check and the circular-buffer rule.
 //!
 //! Each captured record becomes one fixed-width frame:
 //!
@@ -6,18 +6,20 @@
 //! | tag | index | time | body (W bits: one lane per slot, zero padding) |
 //! ```
 //!
-//! written through a [`FrameRing`] that models the on-chip circular trace
-//! buffer: once `depth` frames are resident, the next write overwrites the
-//! oldest frame, so reading the buffer out yields only the newest `depth`
-//! frames — exactly the retention semantics of the modeled capture path.
-
-use std::collections::VecDeque;
+//! written into one stream that models the on-chip circular trace
+//! buffer: once `depth` frames are resident, the next write overwrites
+//! the oldest frame, so reading the buffer out yields only the newest
+//! `depth` frames — exactly the retention semantics of the modeled
+//! capture path.
+//!
+//! The per-record check ([`check_record`]) and the retention rule
+//! ([`overwritten`]) live here once; the v2 dialect calls both.
 
 use pstrace_flow::IndexedMessage;
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::BitWriter;
 use crate::error::WireError;
-use crate::schema::WireSchema;
+use crate::schema::{Slot, WireSchema};
 
 /// One decoded (or to-be-encoded) trace record — the wire-level mirror of
 /// the SoC substrate's `TraceRecord`, expressed in flow-formalism types
@@ -59,8 +61,20 @@ impl EncodedStream {
     }
 }
 
-/// Encodes one record as a standalone frame (its own little bit buffer).
-fn encode_frame(schema: &WireSchema, record: &WireRecord) -> Result<Vec<u8>, WireError> {
+/// The one per-record encode check, shared by every dialect: the
+/// record's `(tag, slot)` in `schema`, or the typed error naming the
+/// first field that does not fit.
+///
+/// # Errors
+///
+/// [`WireError::UnknownSlot`] when `(message, partial)` has no slot,
+/// else [`WireError::ValueOverflow`], [`WireError::TimeOverflow`] or
+/// [`WireError::IndexOverflow`], checked in that order.
+#[inline]
+pub fn check_record<'s>(
+    schema: &'s WireSchema,
+    record: &WireRecord,
+) -> Result<(u64, &'s Slot), WireError> {
     let (tag, slot) = schema
         .slot_for(record.message.message, record.partial)
         .ok_or_else(|| WireError::UnknownSlot {
@@ -86,175 +100,82 @@ fn encode_frame(schema: &WireSchema, record: &WireRecord) -> Result<Vec<u8>, Wir
             width: schema.index_width(),
         });
     }
+    Ok((tag, slot))
+}
 
-    let mut w = BitWriter::new();
+/// The one circular-buffer rule, shared by every dialect: how many of
+/// `len` records a `depth`-entry ring overwrites (`None` models an
+/// unbounded stream port). The newest `len - overwritten` survive.
+///
+/// # Panics
+///
+/// Panics on `Some(0)`: a zero-entry circular buffer can never hold a
+/// record (the capture path rejects that depth for the same reason).
+#[must_use]
+pub fn overwritten(len: usize, depth: Option<usize>) -> usize {
+    assert!(
+        depth != Some(0),
+        "circular trace-buffer depth must be at least 1 entry"
+    );
+    depth.map_or(0, |d| len.saturating_sub(d))
+}
+
+/// Appends one checked record as a `frame_bits`-wide frame.
+fn write_frame(w: &mut BitWriter, schema: &WireSchema, tag: u64, slot: &Slot, record: &WireRecord) {
     w.write(tag, schema.tag_width());
     w.write(u64::from(record.message.index.0), schema.index_width());
     w.write(record.time, schema.time_width());
     // Body: zeros up to the firing lane, the payload, zeros to the end.
-    let mut cursor = 0u32;
-    while cursor < slot.offset {
-        let step = (slot.offset - cursor).min(64);
-        w.write(0, step);
-        cursor += step;
-    }
+    write_zeros(w, slot.offset);
     w.write(record.value, slot.width);
-    cursor += slot.width;
-    while cursor < schema.body_width() {
-        let step = (schema.body_width() - cursor).min(64);
+    write_zeros(w, schema.body_width() - slot.offset - slot.width);
+}
+
+fn write_zeros(w: &mut BitWriter, mut bits: u32) {
+    while bits > 0 {
+        let step = bits.min(64);
         w.write(0, step);
-        cursor += step;
-    }
-    debug_assert_eq!(w.bit_len(), u64::from(schema.frame_bits()));
-    Ok(w.into_bytes())
-}
-
-/// The circular frame buffer: bounded depth with oldest-first overwrite.
-#[derive(Debug, Clone)]
-pub struct FrameRing {
-    depth: Option<usize>,
-    frames: VecDeque<Vec<u8>>,
-    /// Frames overwritten by wraparound.
-    overwritten: usize,
-}
-
-impl FrameRing {
-    /// A ring of `depth` frames; `None` models an unbounded stream port.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `Some(0)`: a zero-entry circular buffer can never hold a
-    /// frame (the capture path rejects that depth for the same reason).
-    #[must_use]
-    pub fn new(depth: Option<usize>) -> Self {
-        assert!(
-            depth != Some(0),
-            "circular trace-buffer depth must be at least 1 entry"
-        );
-        FrameRing {
-            depth,
-            frames: VecDeque::new(),
-            overwritten: 0,
-        }
-    }
-
-    /// Writes one frame, overwriting the oldest on wraparound.
-    pub fn push(&mut self, frame: Vec<u8>) {
-        if let Some(depth) = self.depth {
-            if self.frames.len() == depth {
-                self.frames.pop_front();
-                self.overwritten += 1;
-            }
-        }
-        self.frames.push_back(frame);
-    }
-
-    /// Frames currently resident.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether nothing has survived.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Frames lost to wraparound so far.
-    #[must_use]
-    pub fn overwritten(&self) -> usize {
-        self.overwritten
-    }
-
-    /// Linearizes the surviving frames oldest-first into one bit stream.
-    #[must_use]
-    pub fn read_out(&self, frame_bits: u32) -> EncodedStream {
-        let mut w = BitWriter::new();
-        for frame in &self.frames {
-            let mut r = BitReader::new(frame, u64::from(frame_bits));
-            let mut left = frame_bits;
-            while left > 0 {
-                let step = left.min(64);
-                w.write(r.read(step).expect("frame holds frame_bits"), step);
-                left -= step;
-            }
-        }
-        let bit_len = w.bit_len();
-        EncodedStream {
-            bytes: w.into_bytes(),
-            bit_len,
-            frames: self.frames.len(),
-        }
+        bits -= step;
     }
 }
 
-/// Streaming encoder: records in, circular-buffered bit stream out.
-#[derive(Debug, Clone)]
-pub struct Encoder<'a> {
-    schema: &'a WireSchema,
-    ring: FrameRing,
-}
-
-impl<'a> Encoder<'a> {
-    /// An encoder over `schema` with the given circular depth (in frames;
-    /// `None` = unbounded).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero depth (see [`FrameRing::new`]).
-    #[must_use]
-    pub fn new(schema: &'a WireSchema, depth: Option<usize>) -> Self {
-        Encoder {
-            schema,
-            ring: FrameRing::new(depth),
-        }
-    }
-
-    /// Encodes one record into the ring.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] when the record has no slot or a field does
-    /// not fit its width.
-    pub fn push(&mut self, record: &WireRecord) -> Result<(), WireError> {
-        let frame = encode_frame(self.schema, record)?;
-        self.ring.push(frame);
-        Ok(())
-    }
-
-    /// Frames lost to wraparound so far.
-    #[must_use]
-    pub fn overwritten(&self) -> usize {
-        self.ring.overwritten()
-    }
-
-    /// Reads the buffer out as a linear bit stream (oldest frame first).
-    #[must_use]
-    pub fn finish(&self) -> EncodedStream {
-        self.ring.read_out(self.schema.frame_bits())
-    }
-}
-
-/// Encodes a record slice in one call (capture order, circular `depth`).
+/// Encodes a record slice as v1 fixed-width frames, in capture order,
+/// into a circular buffer of `depth` frames (`None` = unbounded): the
+/// read-out holds the newest frames, oldest first.
+///
+/// Every record is checked, including those the ring overwrites.
 ///
 /// # Errors
 ///
-/// Returns the first per-record encoding error.
+/// Returns the first per-record [`check_record`] error.
 ///
 /// # Panics
 ///
-/// Panics on a zero depth (see [`FrameRing::new`]).
+/// Panics on a zero depth (see [`overwritten`]), before any record is
+/// checked.
 pub fn encode_records(
     schema: &WireSchema,
     records: &[WireRecord],
     depth: Option<usize>,
 ) -> Result<EncodedStream, WireError> {
-    let mut enc = Encoder::new(schema, depth);
-    for r in records {
-        enc.push(r)?;
+    let skip = overwritten(records.len(), depth);
+    let mut w = BitWriter::new();
+    for (i, record) in records.iter().enumerate() {
+        let (tag, slot) = check_record(schema, record)?;
+        if i >= skip {
+            write_frame(&mut w, schema, tag, slot, record);
+        }
     }
-    Ok(enc.finish())
+    let bit_len = w.bit_len();
+    debug_assert_eq!(
+        bit_len,
+        (records.len() - skip) as u64 * u64::from(schema.frame_bits())
+    );
+    Ok(EncodedStream {
+        bytes: w.into_bytes(),
+        bit_len,
+        frames: records.len() - skip,
+    })
 }
 
 #[cfg(test)]
@@ -302,18 +223,28 @@ mod tests {
         let records: Vec<WireRecord> = (0..10).map(|i| rec(&c, "a", 1, i, i % 16)).collect();
         let stream = encode_records(&schema, &records, Some(4)).unwrap();
         assert_eq!(stream.frames, 4);
-        let mut enc = Encoder::new(&schema, Some(4));
-        for r in &records {
-            enc.push(r).unwrap();
-        }
-        assert_eq!(enc.overwritten(), 6);
-        assert_eq!(enc.finish(), stream);
+        assert_eq!(overwritten(records.len(), Some(4)), 6);
+        assert_eq!(
+            stream,
+            encode_records(&schema, &records[6..], None).unwrap()
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least 1 entry")]
     fn zero_depth_ring_is_rejected() {
-        let _ = FrameRing::new(Some(0));
+        let _ = overwritten(3, Some(0));
+    }
+
+    #[test]
+    fn overwritten_records_are_still_checked() {
+        let (c, schema) = setup();
+        let mut records: Vec<WireRecord> = (0..10).map(|i| rec(&c, "a", 1, i, i % 16)).collect();
+        records[0].value = 0x10;
+        assert!(matches!(
+            encode_records(&schema, &records, Some(1)).unwrap_err(),
+            WireError::ValueOverflow { value: 0x10, .. }
+        ));
     }
 
     #[test]

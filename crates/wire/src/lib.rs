@@ -8,9 +8,12 @@
 //!   per-message tag bits sized by the selected combination, one body
 //!   lane per selected message at its flow-spec width, packed-subgroup
 //!   lanes truncated exactly as Step 3 lays them out;
-//! * [`Encoder`] serializes captured records into fixed-width frames
-//!   through a [`FrameRing`] that models the on-chip circular buffer
-//!   (wraparound overwrites the oldest frames);
+//! * [`encode_records`] serializes captured records into fixed-width
+//!   frames of one bit stream that models the on-chip circular buffer
+//!   (wraparound overwrites the oldest frames); [`check_record`] and
+//!   [`overwritten`] are the one per-record check and the one retention
+//!   rule every dialect's encoder shares, so a [`FrameProfile`] differs
+//!   from another only in its bit layout;
 //! * [`StreamDecoder`] / [`decode_stream`] reconstruct the capture
 //!   incrementally, tolerate corrupted frames via tag-based
 //!   resynchronization at frame boundaries, and report per-frame buffer
@@ -45,11 +48,11 @@ pub use decode::{
     Released, StreamDecoder, StreamEnd, TimePass,
 };
 pub use error::WireError;
-pub use frame::{encode_records, EncodedStream, Encoder, FrameRing, WireRecord};
+pub use frame::{check_record, encode_records, overwritten, EncodedStream, WireRecord};
 pub use profile::{decode_with, FrameProfile, ProfileV1};
 pub use ptw::{
-    read_ptw, read_ptw_any, read_ptw_header, read_ptw_schema, write_ptw, write_ptw_schema,
-    write_ptw_schema_with, write_ptw_with, PtwMeta, PTW_MAGIC, PTW_VERSION, PTW_VERSION_V2,
-    SUPPORTED_VERSIONS, SYNC_EVERY_RANGE,
+    read_ptw, read_ptw_any, read_ptw_header, read_ptw_schema, split_ptw, write_ptw,
+    write_ptw_schema, write_ptw_schema_with, write_ptw_with, PtwMeta, PtwParts, PTW_MAGIC,
+    PTW_VERSION, PTW_VERSION_V2, SUPPORTED_VERSIONS, SYNC_EVERY_RANGE,
 };
 pub use schema::{Slot, SlotKind, WireSchema, DEFAULT_INDEX_WIDTH, DEFAULT_TIME_WIDTH};

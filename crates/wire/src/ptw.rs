@@ -245,18 +245,31 @@ pub fn read_ptw(
     Ok((schema, stream))
 }
 
-/// Parses a `.ptw` buffer of **any supported version** into its schema,
-/// profile meta, and raw payload stream. The payload is *not* decoded —
-/// for v1 its frame count is derived from the frame width, for v2 the
-/// `frames` field is left 0 (block structure is the codec's concern).
+/// A `.ptw` container split into its parts, borrowing the header and
+/// payload bytes from the buffer it was parsed from.
+#[derive(Debug, Clone)]
+pub struct PtwParts<'a> {
+    /// The schema rebuilt from the header.
+    pub schema: WireSchema,
+    /// The profile meta (version byte and v2 sync cadence).
+    pub meta: PtwMeta,
+    /// The schema prefix, magic through the slot table — the live
+    /// protocol's handshake, verbatim.
+    pub header: &'a [u8],
+    /// The declared payload length in bits.
+    pub bit_len: u64,
+    /// Exactly the `⌈bit_len / 8⌉` payload bytes.
+    pub payload: &'a [u8],
+}
+
+/// Splits a `.ptw` buffer of **any supported version** into its parts
+/// without copying: the one container-payload parser behind
+/// [`read_ptw_any`] and the replay client. The payload is *not* decoded.
 ///
 /// # Errors
 ///
 /// As [`read_ptw`], minus the profile restriction.
-pub fn read_ptw_any(
-    catalog: &MessageCatalog,
-    bytes: &[u8],
-) -> Result<(WireSchema, PtwMeta, EncodedStream), WireError> {
+pub fn split_ptw<'a>(catalog: &MessageCatalog, bytes: &'a [u8]) -> Result<PtwParts<'a>, WireError> {
     let (schema, meta, consumed) = read_ptw_header(catalog, bytes)?;
     let mut c = Cursor {
         bytes,
@@ -267,20 +280,40 @@ pub fn read_ptw_any(
         reason: "payload length overflows".to_owned(),
     })?;
     let payload = c.take(payload_len, "payload")?;
-    let frames = if meta.version == PTW_VERSION {
-        (bit_len / u64::from(schema.frame_bits())) as usize
+    Ok(PtwParts {
+        schema,
+        meta,
+        header: &bytes[..consumed],
+        bit_len,
+        payload,
+    })
+}
+
+/// Parses a `.ptw` buffer of **any supported version** into its schema,
+/// profile meta, and raw payload stream (an owned copy of
+/// [`split_ptw`]'s parts). For v1 the frame count is derived from the
+/// frame width, for v2 the `frames` field is left 0 (block structure is
+/// the codec's concern).
+///
+/// # Errors
+///
+/// As [`read_ptw`], minus the profile restriction.
+pub fn read_ptw_any(
+    catalog: &MessageCatalog,
+    bytes: &[u8],
+) -> Result<(WireSchema, PtwMeta, EncodedStream), WireError> {
+    let parts = split_ptw(catalog, bytes)?;
+    let frames = if parts.meta.version == PTW_VERSION {
+        (parts.bit_len / u64::from(parts.schema.frame_bits())) as usize
     } else {
         0
     };
-    Ok((
-        schema,
-        meta,
-        EncodedStream {
-            bytes: payload.to_vec(),
-            bit_len,
-            frames,
-        },
-    ))
+    let stream = EncodedStream {
+        bytes: parts.payload.to_vec(),
+        bit_len: parts.bit_len,
+        frames,
+    };
+    Ok((parts.schema, parts.meta, stream))
 }
 
 /// Parses the **v1** schema prefix written by [`write_ptw_schema`],
@@ -471,6 +504,13 @@ mod tests {
         let (schema2, stream2) = read_ptw(&c, &bytes).unwrap();
         assert_eq!(schema2, schema);
         assert_eq!(stream2, stream);
+        // The borrowed split sees the same parts, the header verbatim.
+        let parts = split_ptw(&c, &bytes).unwrap();
+        assert_eq!(parts.header, &write_ptw_schema(&c, &schema)[..]);
+        assert_eq!(
+            (parts.bit_len, parts.payload),
+            (stream.bit_len, &stream.bytes[..])
+        );
     }
 
     #[test]

@@ -45,7 +45,13 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Encode the capture into wire frames.
     let schema = wirecap::wire_schema(&model, &trace_config, 32)?;
-    let stream = wirecap::encode_events(model.catalog(), &schema, &buggy.events, &trace_config)?;
+    let stream = wirecap::encode_events(
+        model.catalog(),
+        &schema,
+        &buggy.events,
+        &trace_config,
+        &wirecap::ProfileV1,
+    )?;
     println!(
         "captured {} frames of {} bits each\n",
         stream.frames,

@@ -60,6 +60,12 @@ run cargo test -q --locked --test malformed_ptw v2_
 # within 8 bytes of the buffer end).
 run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-wire --test proptests bytewise_oracle
 
+# Encode agreement deep fuzz: v1 and v2 encoders over random schemas
+# with one injected fault (unknown slot, value/time/index overflow) at a
+# random position, overwritten ones included, must return the same typed
+# error; with no fault both keep exactly the newest `depth` records.
+run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-codec --test proptests encode_agreement
+
 # v2 size gate: every reference-corpus scenario must encode to <= 0.8x
 # its v1 size through the real CLI, and both dialects must decode to
 # byte-identical text traces.

@@ -30,7 +30,8 @@
 //!   the SigSeT / PRNet baseline selectors of §5.4, plus the USB-like
 //!   comparison design;
 //! * [`wire`] — the bit-packed wire format: selection-derived frame
-//!   schemas, a circular-buffer frame encoder, a damage-tolerant
+//!   schemas, the one per-record check and circular-buffer rule every
+//!   dialect's encoder shares, the v1 frame encoder, a damage-tolerant
 //!   streaming decoder and the `.ptw` on-disk container;
 //! * [`codec`] — the compressed `.ptw` v2 dialect: delta-coded
 //!   timestamps with periodic absolute sync blocks, zig-zag lane deltas

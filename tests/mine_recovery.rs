@@ -169,8 +169,14 @@ fn mining_chaos_corrupted_capture_skips_frames_without_panicking() {
     let plan = FaultPlan::standard(0xBAD5EED);
     for seed in default_seeds(6) {
         let outcome = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(seed)).run();
-        let stream = wirecap::encode_events(model.catalog(), &schema, &outcome.events, &config)
-            .expect("records fit the schema");
+        let stream = wirecap::encode_events(
+            model.catalog(),
+            &schema,
+            &outcome.events,
+            &config,
+            &wirecap::ProfileV1,
+        )
+        .expect("records fit the schema");
         let mangled = corrupt_wire(
             &plan,
             seed,

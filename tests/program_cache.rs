@@ -36,7 +36,14 @@ fn capture(model: &SocModel, n: u8, messages: &[MessageId], seed: u64) -> Vec<u8
     let schema = wirecap::wire_schema(model, &config, width).unwrap();
     let scenario = scenario_by_number(n).unwrap();
     let run = Simulator::new(model, scenario, SimConfig::with_seed(seed)).run();
-    let stream = wirecap::encode_events(model.catalog(), &schema, &run.events, &config).unwrap();
+    let stream = wirecap::encode_events(
+        model.catalog(),
+        &schema,
+        &run.events,
+        &config,
+        &wirecap::ProfileV1,
+    )
+    .unwrap();
     write_ptw(model.catalog(), &schema, &stream)
 }
 

@@ -56,8 +56,14 @@ fn loopback_stream_reproduces_batch_debug_localization() {
     );
 
     let schema = wirecap::wire_schema(&model, &trace_config, 32).unwrap();
-    let stream =
-        wirecap::encode_events(model.catalog(), &schema, &buggy.events, &trace_config).unwrap();
+    let stream = wirecap::encode_events(
+        model.catalog(),
+        &schema,
+        &buggy.events,
+        &trace_config,
+        &wirecap::ProfileV1,
+    )
+    .unwrap();
     let ptw = write_ptw(model.catalog(), &schema, &stream);
 
     // Serve on an ephemeral loopback port and replay the capture in

@@ -62,8 +62,9 @@ fn every_scenario_round_trips_bit_identically() {
             let (config, schema, _) = selection_setup(&model, &scenario, depth);
             let out = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(2018)).run();
             let direct = capture(&model, &out, &config);
-            let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
-                .expect("records fit the schema");
+            let stream =
+                wirecap::encode_events(model.catalog(), &schema, &out.events, &config, &ProfileV1)
+                    .expect("records fit the schema");
             let (decoded, report) =
                 wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &ProfileV1);
             assert!(
@@ -92,8 +93,9 @@ fn measured_utilization_matches_the_analytic_model() {
     for scenario in paper_scenarios() {
         let (config, schema, modeled) = selection_setup(&model, &scenario, None);
         let out = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(7)).run();
-        let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
-            .expect("records fit the schema");
+        let stream =
+            wirecap::encode_events(model.catalog(), &schema, &out.events, &config, &ProfileV1)
+                .expect("records fit the schema");
         let (_, report) =
             wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &ProfileV1);
         assert!(
@@ -119,7 +121,7 @@ fn corrupted_frame_is_flagged_and_decoding_resyncs() {
     let (config, schema, _) = selection_setup(&model, &scenario, None);
     let out = Simulator::new(&model, scenario, SimConfig::with_seed(2018)).run();
     let direct = capture(&model, &out, &config);
-    let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
+    let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config, &ProfileV1)
         .expect("records fit the schema");
     assert!(stream.frames >= 4, "fixture needs a few frames");
 
@@ -168,7 +170,7 @@ fn chunked_decode_is_bit_identical_to_sequential() {
     let profiles: [&dyn FrameProfile; 2] = [&ProfileV1, &ProfileV2 { sync_every: 16 }];
     for profile in profiles {
         let stream =
-            wirecap::encode_events_with(model.catalog(), &schema, &out.events, &config, profile)
+            wirecap::encode_events(model.catalog(), &schema, &out.events, &config, profile)
                 .expect("records fit the schema");
         let (seq_trace, seq_report) =
             wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), profile);
@@ -207,7 +209,7 @@ fn every_scenario_round_trips_bit_identically_under_v2() {
             let direct = capture(&model, &out, &config);
             for sync_every in [1u16, 16, DEFAULT_SYNC_EVERY] {
                 let profile = ProfileV2 { sync_every };
-                let stream = wirecap::encode_events_with(
+                let stream = wirecap::encode_events(
                     model.catalog(),
                     &schema,
                     &out.events,
@@ -270,9 +272,9 @@ fn v2_is_at_least_20_percent_smaller_on_every_scenario() {
     for scenario in paper_scenarios() {
         let (config, schema, _) = selection_setup(&model, &scenario, None);
         let events = reference_corpus(&model, &scenario, 8);
-        let v1 = wirecap::encode_events(model.catalog(), &schema, &events, &config)
+        let v1 = wirecap::encode_events(model.catalog(), &schema, &events, &config, &ProfileV1)
             .expect("records fit the schema");
-        let v2 = wirecap::encode_events_with(
+        let v2 = wirecap::encode_events(
             model.catalog(),
             &schema,
             &events,
@@ -304,9 +306,8 @@ fn v2_corruption_from_the_fault_injector_stays_bounded() {
     let direct = capture(&model, &out, &config);
     let sync_every = 8u16;
     let profile = ProfileV2 { sync_every };
-    let stream =
-        wirecap::encode_events_with(model.catalog(), &schema, &out.events, &config, &profile)
-            .expect("records fit the schema");
+    let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config, &profile)
+        .expect("records fit the schema");
 
     // Flips-only plan: every ledger entry is one flipped bit, so the
     // loss budget is exact — at most two sync windows per flip (the
@@ -374,7 +375,7 @@ fn ptw_container_survives_the_disk() {
     let (config, schema, _) = selection_setup(&model, &scenario, Some(8));
     let out = Simulator::new(&model, scenario, SimConfig::with_seed(5)).run();
     let direct = capture(&model, &out, &config);
-    let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config)
+    let stream = wirecap::encode_events(model.catalog(), &schema, &out.events, &config, &ProfileV1)
         .expect("records fit the schema");
 
     let path = std::env::temp_dir().join("pstrace_wire_roundtrip.ptw");
