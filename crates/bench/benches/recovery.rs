@@ -13,7 +13,9 @@ use pstrace_diag::MatchMode;
 use pstrace_flow::{FlowIndex, IndexedMessage};
 use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_stream::durable::DurabilityPolicy;
-use pstrace_stream::{stream_ptw_with, RetryPolicy, Server, ServerConfig, DEFAULT_WAL_BUDGET};
+use pstrace_stream::{
+    connect, replay, Replay, RetryPolicy, Server, ServerConfig, DEFAULT_WAL_BUDGET,
+};
 use pstrace_wire::{encode_records, write_ptw, WireRecord};
 
 /// Scenario-1 ingest fixture: a synthetic 20k-record `.ptw` container.
@@ -51,7 +53,11 @@ fn setup(records: usize) -> Vec<u8> {
 fn bench_wal_overhead(c: &mut Criterion) {
     let ptw = setup(20_000);
     let model = Arc::new(SocModel::t2());
-    let policy = RetryPolicy::default();
+    let plan = Replay {
+        chunk_bytes: 4096,
+        policy: RetryPolicy::default(),
+        ..Replay::new(1, MatchMode::Prefix)
+    };
 
     let mut group = c.benchmark_group("recovery_wal_overhead_20k_records");
     group.sample_size(10);
@@ -89,14 +95,11 @@ fn bench_wal_overhead(c: &mut Criterion) {
         group.bench_function(format!("resumable_tcp_4k_chunks_{policy_name}"), |b| {
             b.iter(|| {
                 black_box(
-                    stream_ptw_with(
-                        addr,
+                    replay(
+                        |_| connect(addr, &plan.policy),
                         model.catalog(),
-                        1,
-                        MatchMode::Prefix,
                         &ptw,
-                        4096,
-                        &policy,
+                        &plan,
                     )
                     .expect("replay succeeds"),
                 )

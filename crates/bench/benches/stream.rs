@@ -12,7 +12,7 @@ use pstrace_diag::{consistent_paths, MatchMode, OnlineLocalizer};
 use pstrace_flow::{executions, FlowIndex, IndexedMessage, InterleavedFlow, MessageId};
 use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_stream::{
-    observed_messages, scenario_by_number, stream_ptw, Server, ServerConfig, Session,
+    connect, observed_messages, replay, scenario_by_number, Replay, Server, ServerConfig, Session,
 };
 use pstrace_wire::{
     encode_records, read_ptw_header, write_ptw, write_ptw_schema, WireRecord, WireSchema,
@@ -90,10 +90,19 @@ fn bench_ingest(c: &mut Criterion) {
     group.bench_function("loopback_tcp_4k_chunks", |b| {
         let server = Server::spawn(Arc::clone(&model), &ServerConfig::default()).expect("binds");
         let addr = server.local_addr();
+        let plan = Replay {
+            chunk_bytes: 4096,
+            ..Replay::new(1, MatchMode::Prefix)
+        };
         b.iter(|| {
             black_box(
-                stream_ptw(addr, model.catalog(), 1, MatchMode::Prefix, &ptw, 4096)
-                    .expect("replay succeeds"),
+                replay(
+                    |_| connect(addr, &plan.policy),
+                    model.catalog(),
+                    &ptw,
+                    &plan,
+                )
+                .expect("replay succeeds"),
             )
         });
         server.shutdown();

@@ -109,7 +109,8 @@ fn print_help() {
     println!("                                         a recovery breach");
     println!("  stream   FILE.ptw [--addr HOST:PORT] [--scenario N] [--mode M] [--chunk B]");
     println!("           [--retries N]                 replay a .ptw capture to a daemon");
-    println!("                                         (--retries uses the resumable client)");
+    println!("                                         (--retries N > 0 opens a resumable");
+    println!("                                         session that reconnects up to N times)");
     println!("  metrics  [--addr HOST:PORT] [--json]   fetch a daemon's Prometheus metrics");
     println!("                                         (--json re-renders the exposition as");
     println!("                                         machine-readable JSON)");
@@ -798,7 +799,6 @@ fn cmd_serve(argv: &[String]) -> CmdResult {
         &[
             "addr",
             "shards",
-            "threads",
             "sessions",
             "max-sessions",
             "tenant-quota",
@@ -809,11 +809,7 @@ fn cmd_serve(argv: &[String]) -> CmdResult {
             "wal-budget",
         ],
     )?;
-    // `--threads` is the pre-fleet spelling of `--shards`; still honored.
-    let shards = match args.option_opt::<usize>("shards")? {
-        Some(n) => n,
-        None => args.option_or("threads", 2usize)?,
-    };
+    let shards = args.option_or("shards", 2usize)?;
     // `--flight-dump PATH` names the spill file; bare `--flight-recorder`
     // takes the conventional name. The in-memory journal itself is
     // always on — these only decide whether (and where) it spills.
@@ -875,18 +871,7 @@ fn cmd_serve(argv: &[String]) -> CmdResult {
         }
         None => None,
     };
-    loop {
-        if server.shutdown_requested() {
-            break;
-        }
-        if let Some(limit) = sessions {
-            let snap = server.snapshot();
-            if snap.completed + snap.failed >= limit {
-                break;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    server.wait(sessions);
     if let Some(endpoint) = endpoint {
         endpoint.shutdown();
     }
@@ -900,7 +885,8 @@ fn cmd_serve(argv: &[String]) -> CmdResult {
 fn cmd_stop(argv: &[String]) -> CmdResult {
     let args = Args::parse(argv.iter().cloned(), &[], &["addr"])?;
     let addr = args.option("addr").unwrap_or("127.0.0.1:7455");
-    println!("{}", pstrace_stream::request_shutdown(addr)?);
+    let ack = pstrace_stream::send_request(addr, &pstrace_stream::proto::Request::Shutdown)?;
+    println!("{ack}");
     Ok(())
 }
 
@@ -1028,46 +1014,30 @@ fn cmd_stream(argv: &[String]) -> CmdResult {
     let ptw = std::fs::read(input)?;
     let scenario = args.option_or("scenario", 1u8)?;
     let mode = pstrace_stream::proto::mode_from_name(args.option("mode").unwrap_or("prefix"))?;
-    let chunk = args.option_or("chunk", pstrace_stream::DEFAULT_CHUNK_BYTES)?;
-    let retries: Option<u32> = args.option_opt("retries")?;
+    let plan = pstrace_stream::Replay {
+        chunk_bytes: args.option_or("chunk", pstrace_stream::DEFAULT_CHUNK_BYTES)?,
+        policy: pstrace_stream::RetryPolicy {
+            max_reconnects: args.option_or("retries", 0)?,
+            ..pstrace_stream::RetryPolicy::default()
+        },
+        ..pstrace_stream::Replay::new(scenario, mode)
+    };
     let model = SocModel::t2();
-
-    // With --retries the hardened resumable client replays the capture:
-    // connect/read timeouts plus up to N reconnects resuming at the
-    // server's acked byte offset. Without it, the plain one-shot client.
-    let replay = |addr: std::net::SocketAddr| match retries {
-        Some(n) => {
-            let policy = pstrace_stream::RetryPolicy {
-                max_reconnects: n,
-                ..pstrace_stream::RetryPolicy::default()
-            };
-            pstrace_stream::stream_ptw_with(
-                addr,
-                model.catalog(),
-                scenario,
-                mode,
-                &ptw,
-                chunk,
-                &policy,
-            )
-        }
-        None => pstrace_stream::stream_ptw(addr, model.catalog(), scenario, mode, &ptw, chunk),
+    // `--retries N` allows N reconnects, each resuming at the server's
+    // acked byte offset; without it the session is plain and one-shot.
+    let replay = |addr: &str| {
+        let connect = |_| pstrace_stream::connect(addr, &plan.policy);
+        pstrace_stream::replay(connect, model.catalog(), &ptw, &plan)
     };
 
     match args.option("addr") {
-        Some(addr) => {
-            let addr = std::net::ToSocketAddrs::to_socket_addrs(addr)?
-                .next()
-                .ok_or("--addr resolved to nothing")?;
-            let report = replay(addr)?;
-            print!("{report}");
-        }
+        Some(addr) => print!("{}", replay(addr)?),
         None => {
             let server = pstrace_stream::Server::spawn(
                 Arc::new(SocModel::t2()),
                 &pstrace_stream::ServerConfig::default(),
             )?;
-            let report = replay(server.local_addr());
+            let report = replay(&server.local_addr().to_string());
             let snap = server.snapshot();
             server.shutdown();
             print!("{}", report?);
@@ -1084,7 +1054,7 @@ fn cmd_stream(argv: &[String]) -> CmdResult {
 fn cmd_metrics(argv: &[String]) -> CmdResult {
     let args = Args::parse(argv.iter().cloned(), &["json"], &["addr"])?;
     let addr = args.option("addr").unwrap_or("127.0.0.1:7455");
-    let exposition = pstrace_stream::fetch_metrics(addr)?;
+    let exposition = pstrace_stream::send_request(addr, &pstrace_stream::proto::Request::Metrics)?;
     if args.flag("json") {
         let json = pstrace_obs::prometheus_to_json(&exposition)
             .map_err(|e| format!("metrics exposition did not parse: {e}"))?;
@@ -1134,7 +1104,6 @@ fn cmd_chaos(argv: &[String]) -> CmdResult {
             "records",
             "chunk",
             "shards",
-            "threads",
             "concurrency",
             "flight-dump",
         ],
@@ -1149,11 +1118,7 @@ fn cmd_chaos(argv: &[String]) -> CmdResult {
     config.sessions = args.option_or("sessions", config.sessions)?;
     config.records = args.option_or("records", config.records)?;
     config.chunk_bytes = args.option_or("chunk", config.chunk_bytes)?;
-    // `--threads` is the pre-fleet spelling of `--shards`; still honored.
-    config.shards = match args.option_opt::<usize>("shards")? {
-        Some(n) => n,
-        None => args.option_or("threads", config.shards)?,
-    };
+    config.shards = args.option_or("shards", config.shards)?;
     config.concurrency = args.option_or("concurrency", config.concurrency)?;
     config.flight_dump = args.option("flight-dump").map(std::path::PathBuf::from);
 

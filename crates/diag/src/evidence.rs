@@ -240,13 +240,16 @@ pub fn distill(
     evidence
 }
 
-fn worst(a: Verdict, b: Verdict) -> Verdict {
-    use Verdict::{Absent, Corrupt, Healthy, Occurred};
+/// The worse of two verdicts: Absent > Corrupt > Occurred > Healthy >
+/// Unobserved.
+pub(crate) fn worst(a: Verdict, b: Verdict) -> Verdict {
+    use Verdict::{Absent, Corrupt, Healthy, Occurred, Unobserved};
     match (a, b) {
         (Absent, _) | (_, Absent) => Absent,
         (Corrupt, _) | (_, Corrupt) => Corrupt,
         (Occurred, _) | (_, Occurred) => Occurred,
-        _ => Healthy,
+        (Healthy, _) | (_, Healthy) => Healthy,
+        (Unobserved, Unobserved) => Unobserved,
     }
 }
 

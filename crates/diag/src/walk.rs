@@ -14,7 +14,7 @@ use pstrace_flow::FlowIndex;
 use pstrace_soc::{CapturedTrace, IpPair, SocModel, UsageScenario};
 
 use crate::causes::{evaluate_causes, CauseReport, RootCause};
-use crate::evidence::{index_to_kind, infer_flow_order, Evidence, Verdict, Witness};
+use crate::evidence::{index_to_kind, infer_flow_order, worst, Evidence, Verdict, Witness};
 
 /// One step of the investigation walk.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,17 +71,6 @@ impl InvestigationWalk {
             .iter()
             .map(|s| (s.step, total - s.causes_remaining))
             .collect()
-    }
-}
-
-fn worst(a: Verdict, b: Verdict) -> Verdict {
-    use Verdict::{Absent, Corrupt, Healthy, Occurred, Unobserved};
-    match (a, b) {
-        (Absent, _) | (_, Absent) => Absent,
-        (Corrupt, _) | (_, Corrupt) => Corrupt,
-        (Occurred, _) | (_, Occurred) => Occurred,
-        (Healthy, _) | (_, Healthy) => Healthy,
-        (Unobserved, Unobserved) => Unobserved,
     }
 }
 

@@ -30,9 +30,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use pstrace_diag::MatchMode;
-use pstrace_stream::{
-    next_trace_id, request_shutdown, stream_ptw, stream_ptw_resumable_traced, RetryPolicy,
-};
+use pstrace_stream::proto::Request;
+use pstrace_stream::{connect, replay, send_request, Replay, RetryPolicy};
 
 use crate::ledger::FaultLedger;
 use crate::plan::FaultKind;
@@ -446,25 +445,23 @@ pub fn run_crash_soak(config: &CrashSoakConfig) -> Result<CrashSoakReport, Strin
                 if s >= config.sessions {
                     break;
                 }
-                let session = s as u64;
-                let trace = next_trace_id();
+                let plan = Replay {
+                    tenant: (s as u64 % TENANT_CYCLE) as u32,
+                    chunk_bytes,
+                    policy,
+                    ..Replay::new(1, MatchMode::Prefix)
+                };
                 let register = Arc::clone(&register);
-                let result = stream_ptw_resumable_traced(
-                    move |_attempt| -> io::Result<TcpStream> {
-                        let addr = *register.lock().expect("address register poisoned");
-                        let stream = TcpStream::connect_timeout(&addr, policy.connect_timeout)?;
-                        stream.set_nodelay(true).ok();
-                        stream.set_read_timeout(Some(policy.read_timeout)).ok();
-                        Ok(stream)
+                let result = replay(
+                    move |_attempt| {
+                        connect(
+                            *register.lock().expect("address register poisoned"),
+                            &policy,
+                        )
                     },
                     fixture.model.catalog(),
-                    1,
-                    MatchMode::Prefix,
-                    (session % TENANT_CYCLE) as u32,
-                    trace,
                     &fixture.clean_ptw,
-                    chunk_bytes,
-                    &policy,
+                    &plan,
                 );
                 let _ = slots[s].set(result.ok());
             });
@@ -521,21 +518,10 @@ pub fn run_crash_soak(config: &CrashSoakConfig) -> Result<CrashSoakReport, Strin
     // The restarted daemon must serve a clean session exactly like
     // batch — recovery bent nothing.
     let addr = *register.lock().expect("address register poisoned");
-    let probe = stream_ptw(
-        addr,
-        fixture.model.catalog(),
-        1,
-        MatchMode::Prefix,
-        &fixture.clean_ptw,
-        chunk_bytes,
-    );
-    let (probe_completed, probe_matches_batch) = match &probe {
-        Ok(report) => (true, report.contains(&fixture.batch_localization)),
-        Err(_) => (false, false),
-    };
+    let (probe_completed, probe_matches_batch) = fixture.probe(addr, chunk_bytes);
 
     // Graceful drain of daemon #2; escalate only if the verb is ignored.
-    let _ = request_shutdown(addr);
+    let _ = send_request(addr, &Request::Shutdown);
     daemon.reap(Duration::from_secs(10));
 
     Ok(CrashSoakReport {

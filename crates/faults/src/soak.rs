@@ -38,8 +38,8 @@ use pstrace_flow::{FlowIndex, IndexedMessage};
 use pstrace_obs::{FlightHandle, FlightRecorder, FlightSnapshot, Registry, Sample};
 use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_stream::{
-    next_trace_id, observed_messages, stream_ptw, stream_ptw_resumable_traced, RetryPolicy, Server,
-    ServerConfig, StatsSnapshot,
+    connect, next_trace_id, observed_messages, replay, Replay, RetryPolicy, Server, ServerConfig,
+    StatsSnapshot,
 };
 use pstrace_wire::{decode_stream, encode_records, write_ptw, EncodedStream, WireRecord};
 
@@ -228,6 +228,26 @@ pub(crate) struct Fixture {
     pub(crate) batch_localization: String,
 }
 
+impl Fixture {
+    /// Replays the clean capture to the daemon at `addr` over one plain
+    /// session: `(completed, matches_batch)`.
+    pub(crate) fn probe(&self, addr: SocketAddr, chunk_bytes: usize) -> (bool, bool) {
+        let plan = Replay {
+            chunk_bytes,
+            ..Replay::new(1, MatchMode::Prefix)
+        };
+        match replay(
+            |_| connect(addr, &plan.policy),
+            self.model.catalog(),
+            &self.clean_ptw,
+            &plan,
+        ) {
+            Ok(report) => (true, report.contains(&self.batch_localization)),
+            Err(_) => (false, false),
+        }
+    }
+}
+
 pub(crate) fn build_fixture(records: usize) -> Result<Fixture, String> {
     let model = SocModel::t2();
     let scenario = UsageScenario::scenario1();
@@ -330,13 +350,17 @@ fn run_one_session(
     let transport_ledger = Arc::new(Mutex::new(FaultLedger::new()));
     let connector_ledger = Arc::clone(&transport_ledger);
     let transport_faults = plan.transport;
-    let result = stream_ptw_resumable_traced(
+    let plan = Replay {
+        tenant: (session % TENANT_CYCLE) as u32,
+        trace,
+        chunk_bytes,
+        policy,
+        ..Replay::new(1, MatchMode::Prefix)
+    };
+    let result = replay(
         move |attempt| -> io::Result<ChaosStream<TcpStream>> {
-            let stream = TcpStream::connect_timeout(&addr, policy.connect_timeout)?;
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(policy.read_timeout)).ok();
             Ok(ChaosStream::with_ledger(
-                stream,
+                connect(addr, &policy)?,
                 transport_faults,
                 srng.fork(0x7a_0000 + u64::from(attempt)),
                 session,
@@ -345,13 +369,8 @@ fn run_one_session(
             .with_flight(fault_handle.clone()))
         },
         fixture.model.catalog(),
-        1,
-        MatchMode::Prefix,
-        (session % TENANT_CYCLE) as u32,
-        trace,
         &ptw,
-        chunk_bytes,
-        &policy,
+        &plan,
     );
 
     let transport = mem::take(
@@ -473,20 +492,9 @@ pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, String> {
             .add(count as u64);
     }
 
-    // The clean probe: one undamaged capture through the plain client.
-    // The daemon must still accept it and answer exactly like batch.
-    let probe = stream_ptw(
-        addr,
-        fixture.model.catalog(),
-        1,
-        MatchMode::Prefix,
-        &fixture.clean_ptw,
-        chunk_bytes,
-    );
-    let (probe_completed, probe_matches_batch) = match &probe {
-        Ok(report) => (true, report.contains(&fixture.batch_localization)),
-        Err(_) => (false, false),
-    };
+    // The clean probe: one undamaged capture over a plain session. The
+    // daemon must still accept it and answer exactly like batch.
+    let (probe_completed, probe_matches_batch) = fixture.probe(addr, chunk_bytes);
 
     // Counters live across the root registry *and* every shard's — the
     // server's own merge is the only honest aggregate.

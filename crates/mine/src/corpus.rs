@@ -9,7 +9,6 @@
 //! pushing each capture through the real wire encode/decode path so the
 //! corpus exercises the same frame machinery as production `.ptw` files.
 
-use pstrace_flow::MessageId;
 use pstrace_soc::wirecap::{encode_events, wire_schema, ProfileV1};
 use pstrace_soc::{capture, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_wire::{decode_stream, WireError};
@@ -95,12 +94,6 @@ pub fn scenario_miner(
 #[must_use]
 pub fn default_seeds(count: u64) -> Vec<u64> {
     (0..count).map(|i| 0xA11CE ^ (i * 7919)).collect()
-}
-
-/// Messages of the scenario, re-exported for CLI convenience.
-#[must_use]
-pub fn scenario_message_set(model: &SocModel, scenario: &UsageScenario) -> Vec<MessageId> {
-    scenario.messages(model)
 }
 
 #[cfg(test)]

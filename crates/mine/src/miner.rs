@@ -7,7 +7,6 @@ use std::sync::Arc;
 use pstrace_codec::read_ptw_auto;
 use pstrace_flow::{MessageCatalog, MessageId, StateId};
 use pstrace_obs::{maybe_time, Registry};
-use pstrace_soc::CapturedTrace;
 use pstrace_wire::{DecodeReport, WireError};
 
 use crate::assemble::{assemble_cluster, enumerate_paths, AssembleConfig, CandidateFlow};
@@ -123,20 +122,9 @@ impl Miner {
         &self.config
     }
 
-    /// Number of executions in the corpus.
-    #[must_use]
-    pub fn corpus_len(&self) -> usize {
-        self.logs.len()
-    }
-
     /// Adds one execution log to the corpus.
     pub fn push_log(&mut self, log: ExecutionLog) {
         self.logs.push(log);
-    }
-
-    /// Adds a modeled trace-buffer capture to the corpus.
-    pub fn push_trace(&mut self, trace: &CapturedTrace) {
-        self.push_log(ExecutionLog::from_trace(trace));
     }
 
     /// Adds a decoded wire capture, accounting its damaged frames.

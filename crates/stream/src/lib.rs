@@ -33,11 +33,12 @@
 //!   shutdown — including the v4 `SHUTDOWN` verb — drains every shard;
 //! * [`MetricsEndpoint`] — an HTTP/1.0 scrape endpoint over the same
 //!   registry, for off-the-shelf Prometheus scrapers;
-//! * [`stream_ptw`] and [`fetch_metrics`] — the replay and scrape
-//!   clients behind `pstrace stream` / `pstrace metrics`;
-//! * [`stream_ptw_with`] / [`stream_ptw_resumable`] — the hardened
-//!   client: connect/read timeouts ([`RetryPolicy`]) and bounded
-//!   reconnect-with-backoff resuming at the server's acked byte offset;
+//! * [`replay`] — the one replay loop behind `pstrace stream`: a plain
+//!   session, or with a reconnect budget ([`RetryPolicy`]) a resumable
+//!   one that reconnects with backoff and resumes at the server's acked
+//!   byte offset; [`connect`] is its TCP connector and
+//!   [`send_request`] the one-shot `METRICS` / `SHUTDOWN` request
+//!   behind `pstrace metrics` / `pstrace stop`;
 //! * [`durable`] — the crash-only layer: an append-only per-shard WAL of
 //!   session lifecycle state (checksummed fixed-size entries reusing the
 //!   codec v2 CRC discipline) plus compacted checkpoints, replayed by
@@ -81,8 +82,8 @@ pub mod durable {
 }
 
 pub use client::{
-    fetch_metrics, next_trace_id, request_shutdown, stream_ptw, stream_ptw_resumable,
-    stream_ptw_resumable_traced, stream_ptw_with, RetryPolicy, DEFAULT_CHUNK_BYTES,
+    connect, next_trace_id, replay, send_request, stream_ptw_resumable, Replay, RetryPolicy,
+    DEFAULT_CHUNK_BYTES,
 };
 pub use error::StreamError;
 pub use metrics::MetricsEndpoint;

@@ -207,27 +207,49 @@ fn checked_schema_len(schema: &[u8]) -> Result<u32, StreamError> {
         .ok_or_else(|| StreamError::Protocol("schema handshake too large".to_owned()))
 }
 
-/// Writes a client hello for the anonymous tenant (tenant 0) with a
-/// server-assigned trace-context id.
+/// Writes `request` as [`decode_request`] reads it back: the preamble,
+/// then the resume token and epoch and the hello, as the kind needs.
+///
+/// The hello goes out field by field, one write call each, so a
+/// fault-injecting transport sees every field as its own opportunity.
 ///
 /// # Errors
 ///
-/// Propagates socket write failures.
-pub fn write_hello(
-    w: &mut impl Write,
-    scenario: u8,
-    mode: MatchMode,
-    schema: &[u8],
-) -> Result<(), StreamError> {
-    write_hello_as(w, scenario, mode, 0, 0, schema)
+/// Rejects a schema handshake over [`MAX_CHUNK_LEN`] before writing
+/// anything; propagates socket write failures.
+pub fn write_request(w: &mut impl Write, request: &Request) -> Result<(), StreamError> {
+    let (kind, hello) = match request {
+        Request::Session(hello) => (REQ_SESSION, Some(hello)),
+        Request::Resume { hello, .. } => (REQ_SESSION_RESUME, Some(hello)),
+        Request::Metrics => (REQ_METRICS, None),
+        Request::Shutdown => (REQ_SHUTDOWN, None),
+    };
+    let hello = hello
+        .map(|h| checked_schema_len(&h.schema).map(|len| (h, len)))
+        .transpose()?;
+    w.write_all(&PROTO_MAGIC)?;
+    w.write_all(&[PROTO_VERSION, kind])?;
+    if let Request::Resume { token, epoch, .. } = request {
+        w.write_all(&token.to_le_bytes())?;
+        w.write_all(&epoch.to_le_bytes())?;
+    }
+    if let Some((h, schema_len)) = hello {
+        w.write_all(&[h.scenario, mode_to_byte(h.mode)])?;
+        w.write_all(&h.tenant.to_le_bytes())?;
+        w.write_all(&h.trace.to_le_bytes())?;
+        w.write_all(&schema_len.to_le_bytes())?;
+        w.write_all(&h.schema)?;
+    }
+    Ok(())
 }
 
-/// Writes a client hello carrying an explicit tenant id and
-/// trace-context id (0 = let the server assign one).
+/// Writes a `SESSION` hello carrying an explicit tenant id and
+/// trace-context id (0 = let the server assign one): [`write_request`]
+/// over a [`Request::Session`].
 ///
 /// # Errors
 ///
-/// Propagates socket write failures.
+/// As [`write_request`].
 pub fn write_hello_as(
     w: &mut impl Write,
     scenario: u8,
@@ -236,64 +258,14 @@ pub fn write_hello_as(
     trace: u64,
     schema: &[u8],
 ) -> Result<(), StreamError> {
-    let schema_len = checked_schema_len(schema)?;
-    w.write_all(&PROTO_MAGIC)?;
-    w.write_all(&[PROTO_VERSION, REQ_SESSION, scenario, mode_to_byte(mode)])?;
-    w.write_all(&tenant.to_le_bytes())?;
-    w.write_all(&trace.to_le_bytes())?;
-    w.write_all(&schema_len.to_le_bytes())?;
-    w.write_all(schema)?;
-    Ok(())
-}
-
-/// Writes a resumable-session hello for the anonymous tenant: preamble,
-/// the resume token (0 opens a fresh resumable session), then the usual
-/// hello fields.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_resume_hello(
-    w: &mut impl Write,
-    token: u64,
-    scenario: u8,
-    mode: MatchMode,
-    schema: &[u8],
-) -> Result<(), StreamError> {
-    write_resume_hello_as(w, token, 0, scenario, mode, 0, 0, schema)
-}
-
-/// [`write_resume_hello`] carrying the recovery epoch plus an explicit
-/// tenant id and trace-context id. Reconnects reuse the original trace
-/// id, so the flight recorder sees one id across the session's whole
-/// life, and quote back the epoch from the ack that minted the token so
-/// the server can tell its own tokens from another lineage's.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-#[allow(clippy::too_many_arguments)]
-pub fn write_resume_hello_as(
-    w: &mut impl Write,
-    token: u64,
-    epoch: u64,
-    scenario: u8,
-    mode: MatchMode,
-    tenant: u32,
-    trace: u64,
-    schema: &[u8],
-) -> Result<(), StreamError> {
-    let schema_len = checked_schema_len(schema)?;
-    w.write_all(&PROTO_MAGIC)?;
-    w.write_all(&[PROTO_VERSION, REQ_SESSION_RESUME])?;
-    w.write_all(&token.to_le_bytes())?;
-    w.write_all(&epoch.to_le_bytes())?;
-    w.write_all(&[scenario, mode_to_byte(mode)])?;
-    w.write_all(&tenant.to_le_bytes())?;
-    w.write_all(&trace.to_le_bytes())?;
-    w.write_all(&schema_len.to_le_bytes())?;
-    w.write_all(schema)?;
-    Ok(())
+    let hello = Hello {
+        scenario,
+        mode,
+        tenant,
+        trace,
+        schema: schema.to_vec(),
+    };
+    write_request(w, &Request::Session(hello))
 }
 
 /// Writes the server's resume ack (reply framing, so rejections travel
@@ -329,30 +301,6 @@ pub fn parse_resume_ack(text: &str) -> Result<(u64, u64, u64), StreamError> {
         return Err(bad());
     }
     Ok((token, offset, epoch))
-}
-
-/// Writes a `METRICS` request: preamble only, nothing follows.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_metrics_request(w: &mut impl Write) -> Result<(), StreamError> {
-    w.write_all(&PROTO_MAGIC)?;
-    w.write_all(&[PROTO_VERSION, REQ_METRICS])?;
-    Ok(())
-}
-
-/// Writes a `SHUTDOWN` request: preamble only, nothing follows. The
-/// daemon acks (reply framing), stops accepting, drains its shards and
-/// exits.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
-pub fn write_shutdown_request(w: &mut impl Write) -> Result<(), StreamError> {
-    w.write_all(&PROTO_MAGIC)?;
-    w.write_all(&[PROTO_VERSION, REQ_SHUTDOWN])?;
-    Ok(())
 }
 
 /// One parsed client request.
@@ -612,20 +560,6 @@ mod tests {
     use proptest::prelude::*;
     use std::io::Cursor;
 
-    /// Parses one complete request that spans exactly `wire`.
-    fn request(wire: &[u8]) -> Request {
-        let (parsed, used) = decode_request(wire).unwrap().expect("complete request");
-        assert_eq!(used, wire.len());
-        parsed
-    }
-
-    fn hello(wire: &[u8]) -> Hello {
-        match request(wire) {
-            Request::Session(hello) => hello,
-            other => panic!("expected a session hello, parsed {other:?}"),
-        }
-    }
-
     const MODES: [MatchMode; 4] = [
         MatchMode::Exact,
         MatchMode::Prefix,
@@ -633,104 +567,68 @@ mod tests {
         MatchMode::Substring,
     ];
 
-    #[test]
-    fn hello_round_trips() {
-        let mut buf = Vec::new();
-        write_hello(&mut buf, 3, MatchMode::Suffix, b"schema-bytes").unwrap();
-        assert_eq!(
-            hello(&buf),
-            Hello {
-                scenario: 3,
-                mode: MatchMode::Suffix,
-                tenant: 0,
-                trace: 0,
-                schema: b"schema-bytes".to_vec(),
-            }
-        );
-    }
-
-    #[test]
-    fn tenant_id_rides_both_hello_shapes() {
-        let mut buf = Vec::new();
-        write_hello_as(&mut buf, 2, MatchMode::Prefix, 0xdead_beef, 0, b"s").unwrap();
-        assert_eq!(hello(&buf).tenant, 0xdead_beef);
-        let mut buf = Vec::new();
-        write_resume_hello_as(&mut buf, 9, 0xE0, 1, MatchMode::Exact, 77, 0, b"x").unwrap();
-        match request(&buf) {
-            Request::Resume {
-                token,
-                epoch,
-                hello,
-            } => {
-                assert_eq!(token, 9);
-                assert_eq!(epoch, 0xE0);
-                assert_eq!(hello.tenant, 77);
-            }
-            other => panic!("parsed {other:?}"),
+    fn hello(scenario: u8, schema: &[u8]) -> Hello {
+        Hello {
+            scenario,
+            mode: MatchMode::Prefix,
+            tenant: 0,
+            trace: 0,
+            schema: schema.to_vec(),
         }
     }
 
-    #[test]
-    fn trace_context_id_rides_both_hello_shapes() {
+    fn wire(request: &Request) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_hello_as(
-            &mut buf,
-            2,
-            MatchMode::Prefix,
-            7,
-            0x1122_3344_5566_7788,
-            b"s",
-        )
-        .unwrap();
-        assert_eq!(hello(&buf).trace, 0x1122_3344_5566_7788);
-        let mut buf = Vec::new();
-        write_resume_hello_as(&mut buf, 5, 0, 1, MatchMode::Exact, 0, 0xabcd, b"x").unwrap();
-        assert!(matches!(
-            request(&buf),
-            Request::Resume { token: 5, hello, .. } if hello.trace == 0xabcd
-        ));
+        write_request(&mut buf, request).unwrap();
+        buf
     }
 
     #[test]
-    fn shutdown_request_round_trips() {
-        let mut buf = Vec::new();
-        write_shutdown_request(&mut buf).unwrap();
-        assert_eq!(request(&buf), Request::Shutdown);
-    }
-
-    #[test]
-    fn metrics_request_round_trips_and_is_distinguished() {
-        let mut buf = Vec::new();
-        write_metrics_request(&mut buf).unwrap();
-        assert_eq!(request(&buf), Request::Metrics);
-        let mut session = Vec::new();
-        write_hello(&mut session, 2, MatchMode::Prefix, b"s").unwrap();
-        assert!(matches!(request(&session), Request::Session(h) if h.scenario == 2));
-        // An unassigned request kind is rejected.
-        let mut bad = Vec::new();
-        write_metrics_request(&mut bad).unwrap();
+    fn an_unassigned_request_kind_is_rejected() {
+        let mut bad = wire(&Request::Metrics);
         bad[5] = 9;
         assert!(decode_request(&bad).is_err());
     }
 
-    #[test]
-    fn resume_hello_and_ack_round_trip() {
-        let mut buf = Vec::new();
-        write_resume_hello(&mut buf, 42, 4, MatchMode::Prefix, b"schema").unwrap();
-        match request(&buf) {
-            Request::Resume {
-                token,
-                epoch,
-                hello,
-            } => {
-                assert_eq!(token, 42);
-                assert_eq!(epoch, 0, "the anonymous helper quotes no epoch");
-                assert_eq!(hello.scenario, 4);
-                assert_eq!(hello.mode, MatchMode::Prefix);
-                assert_eq!(hello.schema, b"schema");
-            }
-            other => panic!("parsed {other:?}"),
+    /// Counts the write calls a request takes: a fault-injecting
+    /// transport treats each as one fault opportunity, so the sequence
+    /// is part of the chaos ledger's contract.
+    #[derive(Default)]
+    struct Calls(Vec<usize>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
         }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_resume_hello_goes_out_as_nine_writes() {
+        let request = Request::Resume {
+            token: 1,
+            epoch: 2,
+            hello: hello(1, b"schema"),
+        };
+        let mut calls = Calls::default();
+        write_request(&mut calls, &request).unwrap();
+        assert_eq!(calls.0, [4, 2, 8, 8, 2, 4, 8, 4, 6]);
+    }
+
+    #[test]
+    fn an_oversized_schema_is_rejected_before_any_byte() {
+        let request = Request::Session(hello(1, &vec![0; MAX_CHUNK_LEN as usize + 1]));
+        let mut calls = Calls::default();
+        assert!(write_request(&mut calls, &request).is_err());
+        assert!(calls.0.is_empty());
+    }
+
+    #[test]
+    fn resume_ack_round_trips() {
         let mut ack = Vec::new();
         write_resume_ack(&mut ack, 42, 1024, 0xE9).unwrap();
         let text = read_reply(&mut Cursor::new(&ack)).unwrap();
@@ -759,8 +657,7 @@ mod tests {
     #[test]
     fn foreign_bytes_are_rejected() {
         assert!(decode_request(b"nope....").is_err());
-        let mut bad_version = Vec::new();
-        write_hello(&mut bad_version, 1, MatchMode::Exact, b"").unwrap();
+        let mut bad_version = wire(&Request::Session(hello(1, b"")));
         bad_version[4] = 9;
         assert!(decode_request(&bad_version).is_err());
         assert!(decode_chunk(&[7u8]).is_err(), "unknown tag");
@@ -775,8 +672,7 @@ mod tests {
         assert!(decode_request(b"NO").is_err(), "magic mismatch at byte 1");
         assert!(decode_request(b"PSTX").is_err());
         assert!(matches!(decode_request(b"PST"), Ok(None)));
-        let mut bad_kind = Vec::new();
-        write_metrics_request(&mut bad_kind).unwrap();
+        let mut bad_kind = wire(&Request::Metrics);
         bad_kind[5] = 77;
         assert!(decode_request(&bad_kind).is_err());
         // An oversized schema length fails before the payload arrives.
@@ -880,29 +776,14 @@ mod tests {
         ) {
             let (scenario, mode, tenant, trace, token, epoch) = fields;
             let mode = MODES[mode];
-            let hello = Hello { scenario, mode, tenant, trace, schema: schema.clone() };
-            let mut wire = Vec::new();
+            let hello = Hello { scenario, mode, tenant, trace, schema };
             let expect = match kind {
-                0 => {
-                    write_hello_as(&mut wire, scenario, mode, tenant, trace, &schema).unwrap();
-                    Request::Session(hello)
-                }
-                1 => {
-                    write_resume_hello_as(
-                        &mut wire, token, epoch, scenario, mode, tenant, trace, &schema,
-                    )
-                    .unwrap();
-                    Request::Resume { token, epoch, hello }
-                }
-                2 => {
-                    write_metrics_request(&mut wire).unwrap();
-                    Request::Metrics
-                }
-                _ => {
-                    write_shutdown_request(&mut wire).unwrap();
-                    Request::Shutdown
-                }
+                0 => Request::Session(hello),
+                1 => Request::Resume { token, epoch, hello },
+                2 => Request::Metrics,
+                _ => Request::Shutdown,
             };
+            let wire = wire(&expect);
             parses_exactly(decode_request, &wire, &expect)?;
 
             let mut wire = Vec::new();

@@ -59,7 +59,7 @@ use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -420,11 +420,36 @@ impl Server {
         fold_samples(&self.merged_samples())
     }
 
-    /// Whether a client's SHUTDOWN verb asked the daemon to drain (the
-    /// serve loop polls this to exit).
+    /// Whether a client's SHUTDOWN verb asked the daemon to drain.
     #[must_use]
     pub fn shutdown_requested(&self) -> bool {
         self.ctx.shutdown_requested.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until a client's SHUTDOWN verb asks the daemon to drain or,
+    /// given `sessions`, until that many sessions have completed or
+    /// failed. Sleeps in between: only a session ending or the drain
+    /// starting wakes it.
+    pub fn wait(&self, sessions: Option<u64>) {
+        let done = || {
+            self.shutdown_requested()
+                || sessions.is_some_and(|n| {
+                    let snap = self.snapshot();
+                    snap.completed + snap.failed >= n
+                })
+        };
+        let mut waiters = self
+            .ctx
+            .waiters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *waiters += 1;
+        let mut waiters = self
+            .ctx
+            .settled
+            .wait_while(waiters, |_| !done())
+            .unwrap_or_else(PoisonError::into_inner);
+        *waiters -= 1;
     }
 
     /// The daemon's always-on flight recorder.

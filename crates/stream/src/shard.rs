@@ -44,7 +44,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use pstrace_codec::flight::write_flight_dump;
@@ -104,6 +104,11 @@ pub(crate) struct FleetCtx {
     /// Set (alongside `shutdown`) when a client's SHUTDOWN verb — rather
     /// than the owning process — asked for the drain.
     pub shutdown_requested: AtomicBool,
+    /// Threads blocked in `Server::wait`; `settled` wakes them.
+    pub waiters: Mutex<usize>,
+    /// Notified when a session ends or the drain starts, while anyone
+    /// waits.
+    pub settled: Condvar,
     pub governor: TenantGovernor,
     pub read_timeout: Duration,
     pub handshake_timeout: Duration,
@@ -173,6 +178,8 @@ impl FleetCtx {
             session_seq: AtomicU64::new(recovered.max_session_id + 1),
             shutdown: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
+            waiters: Mutex::new(0),
+            settled: Condvar::new(),
             governor: TenantGovernor::new(config.max_sessions, config.tenant_quota, root),
             read_timeout: config.read_timeout,
             handshake_timeout: config.handshake_timeout,
@@ -207,6 +214,17 @@ impl FleetCtx {
         }
         if let Some(addr) = self.listen_addr {
             wake_acceptor(addr);
+        }
+        self.wake_waiters();
+    }
+
+    /// Wakes the `Server::wait` callers, if any, to re-check their
+    /// condition. The lock orders this after a caller's check, so a wake
+    /// cannot slip in between its check and its wait.
+    pub(crate) fn wake_waiters(&self) {
+        let waiters = self.waiters.lock().unwrap_or_else(PoisonError::into_inner);
+        if *waiters > 0 {
+            self.settled.notify_all();
         }
     }
 
@@ -661,6 +679,7 @@ impl Shard {
             Err(Refused::Invalid(e)) => e,
         };
         self.registry.counter("pstrace_stream_failed_total").inc();
+        self.ctx.wake_waiters();
         Next::Reply(false, error.to_string())
     }
 
@@ -863,6 +882,7 @@ impl Shard {
         if let Some(token) = token {
             self.wal_append(WalRecord::Complete { token });
         }
+        self.ctx.wake_waiters();
         Some(reply)
     }
 

@@ -17,10 +17,8 @@
 //! The sum of lane widths is the schema's *occupied bits* — identical to
 //! the analytic `width_packed` of the selection report, which is what
 //! makes decoder-side utilization a measurement of the same quantity
-//! [`TraceBufferSpec::utilization`](pstrace_core::TraceBufferSpec::utilization)
-//! models.
+//! `TraceBufferSpec::utilization` models.
 
-use pstrace_core::{SelectionReport, TraceBufferSpec};
 use pstrace_flow::{GroupId, MessageCatalog, MessageId};
 
 use crate::error::WireError;
@@ -162,29 +160,6 @@ impl WireSchema {
             time_width: DEFAULT_TIME_WIDTH,
             body_width,
         })
-    }
-
-    /// Builds the schema of a finished selection: Step 2's chosen messages
-    /// plus Step 3's packed subgroups over `buffer`.
-    ///
-    /// The schema's [`occupied_bits`](Self::occupied_bits) equals the
-    /// report's `width_packed` by construction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WireSchema::new`] errors (impossible for a report
-    /// produced by the selector over the same buffer).
-    pub fn from_selection(
-        catalog: &MessageCatalog,
-        report: &SelectionReport,
-        buffer: TraceBufferSpec,
-    ) -> Result<Self, WireError> {
-        WireSchema::new(
-            catalog,
-            &report.chosen.messages,
-            &report.packed_groups,
-            buffer.width_bits(),
-        )
     }
 
     /// Overrides the flow-index field width (1–32 bits).

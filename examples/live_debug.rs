@@ -12,7 +12,7 @@ use pstrace::bug::{bug_catalog, case_studies, BugInterceptor};
 use pstrace::diag::MatchMode;
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig};
-use pstrace::stream::{stream_ptw, Server, ServerConfig, Session};
+use pstrace::stream::{connect, replay, Replay, Server, ServerConfig, Session};
 use pstrace::wire::write_ptw;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -86,13 +86,15 @@ fn main() -> Result<(), Box<dyn Error>> {
     let ptw = write_ptw(model.catalog(), &schema, &stream);
     let server = Server::spawn(Arc::new(SocModel::t2()), &ServerConfig::default())?;
     println!("loopback daemon on {}", server.local_addr());
-    let remote = stream_ptw(
-        server.local_addr(),
+    let plan = Replay {
+        chunk_bytes: 64,
+        ..Replay::new(case.number, MatchMode::Prefix)
+    };
+    let remote = replay(
+        |_| connect(server.local_addr(), &plan.policy),
         model.catalog(),
-        case.number,
-        MatchMode::Prefix,
         &ptw,
-        64,
+        &plan,
     )?;
     server.shutdown();
     println!("{remote}");

@@ -66,6 +66,12 @@ run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-wire --test propte
 # error; with no fault both keep exactly the newest `depth` records.
 run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-codec --test proptests encode_agreement
 
+# PSTS codec deep fuzz: every request kind `write_request` emits and
+# every chunk parses back equal through `decode_request`/`decode_chunk`,
+# only once complete, and arbitrary bytes never panic either parser, at
+# 4096 cases per property.
+run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-stream --lib proto::
+
 # v2 size gate: every reference-corpus scenario must encode to <= 0.8x
 # its v1 size through the real CLI, and both dialects must decode to
 # byte-identical text traces.

@@ -18,7 +18,8 @@ use pstrace::obs::EventKind;
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace::stream::durable::DurabilityPolicy;
-use pstrace::stream::{proto, request_shutdown, Server, ServerConfig, SessionLimits, StreamError};
+use pstrace::stream::proto::{self, Hello, Request};
+use pstrace::stream::{send_request, Server, ServerConfig, SessionLimits, StreamError};
 use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
 
 /// A small scenario-1 capture split the way the PSTS handshake wants
@@ -80,6 +81,23 @@ fn connect(server: &Server) -> TcpStream {
     stream
 }
 
+/// A scenario-1, prefix-mode resumable-session request: token 0 opens
+/// fresh.
+fn resume(token: u64, epoch: u64, schema: &[u8]) -> Request {
+    let hello = Hello {
+        scenario: 1,
+        mode: MatchMode::Prefix,
+        tenant: 0,
+        trace: 0,
+        schema: schema.to_vec(),
+    };
+    Request::Resume {
+        token,
+        epoch,
+        hello,
+    }
+}
+
 fn wal_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pstrace-crashrec-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -102,7 +120,7 @@ fn durable_config(dir: &Path) -> ServerConfig {
 /// final report text.
 fn run_resumable(server: &Server, cap: &Capture) -> String {
     let mut s = connect(server);
-    proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+    proto::write_request(&mut s, &resume(0, 0, &cap.schema)).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
     let (_token, offset, _epoch) = proto::parse_resume_ack(&ack).unwrap();
     assert_eq!(offset, 0);
@@ -151,7 +169,7 @@ fn parked_session_resumes_across_a_daemon_restart() {
     let half = cap.payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&first);
-        proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, &cap.schema)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, offset, epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert!(token > 0);
@@ -192,17 +210,7 @@ fn parked_session_resumes_across_a_daemon_restart() {
 
     let resumed = {
         let mut s = connect(&second);
-        proto::write_resume_hello_as(
-            &mut s,
-            token,
-            epoch,
-            1,
-            MatchMode::Prefix,
-            0,
-            0,
-            &cap.schema,
-        )
-        .unwrap();
+        proto::write_request(&mut s, &resume(token, epoch, &cap.schema)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (acked, offset, acked_epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert_eq!(acked, token, "resume ack changed the token");
@@ -241,7 +249,7 @@ fn a_budget_closed_resumable_session_is_not_recovered_after_a_restart() {
     };
     let server = Server::spawn(Arc::clone(&cap.model), &config).unwrap();
     let mut s = connect(&server);
-    proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+    proto::write_request(&mut s, &resume(0, 0, &cap.schema)).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
     let (token, _, _) = proto::parse_resume_ack(&ack).unwrap();
     assert!(token > 0, "a resumable session got a token");
@@ -276,7 +284,7 @@ fn foreign_lineage_tokens_are_shed_with_a_typed_epoch_rejection() {
     let a = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir_a)).unwrap();
     let (token, epoch) = {
         let mut s = connect(&a);
-        proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, &cap.schema)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
         (token, epoch)
@@ -293,17 +301,7 @@ fn foreign_lineage_tokens_are_shed_with_a_typed_epoch_rejection() {
         "distinct WAL lineages mint distinct epochs"
     );
     let mut s = connect(&b);
-    proto::write_resume_hello_as(
-        &mut s,
-        token,
-        epoch,
-        1,
-        MatchMode::Prefix,
-        0,
-        0,
-        &cap.schema,
-    )
-    .unwrap();
+    proto::write_request(&mut s, &resume(token, epoch, &cap.schema)).unwrap();
     let err = proto::read_reply(&mut s).expect_err("foreign token must be rejected");
     let msg = err.to_string();
     assert!(
@@ -338,20 +336,23 @@ fn stop_against_a_dead_daemon_fails_fast_with_a_typed_error() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.local_addr().unwrap()
     };
-    let started = Instant::now();
-    let err = request_shutdown(addr).expect_err("no daemon is listening");
-    let elapsed = started.elapsed();
-    assert!(
-        matches!(err, StreamError::Unreachable { .. }),
-        "typed connection error, not a generic i/o failure: {err}"
-    );
-    let msg = err.to_string();
-    assert!(
-        msg.contains("unreachable") && msg.contains(&addr.port().to_string()),
-        "the error names the dead address: {msg}"
-    );
-    assert!(
-        elapsed < Duration::from_secs(3),
-        "stop must fail fast, not burn a retry budget: {elapsed:?}"
-    );
+    // `pstrace stop` and `pstrace metrics` share the one-shot request.
+    for request in [Request::Shutdown, Request::Metrics] {
+        let started = Instant::now();
+        let err = send_request(addr, &request).expect_err("no daemon is listening");
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(err, StreamError::Unreachable { .. }),
+            "typed connection error, not a generic i/o failure: {err}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("unreachable") && msg.contains(&addr.port().to_string()),
+            "the error names the dead address: {msg}"
+        );
+        assert!(
+            elapsed < Duration::from_secs(3),
+            "{request:?} must fail fast, not burn a retry budget: {elapsed:?}"
+        );
+    }
 }

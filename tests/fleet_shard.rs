@@ -13,7 +13,8 @@ use pstrace::faults::watchdog;
 use pstrace::flow::{FlowIndex, IndexedMessage};
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace::stream::{proto, request_shutdown, stream_ptw, Server, ServerConfig, StatsSnapshot};
+use pstrace::stream::proto::{self, Hello, Request};
+use pstrace::stream::{replay, send_request, Replay, Server, ServerConfig, StatsSnapshot};
 use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
 
 /// A small scenario-1 capture split the way the PSTS handshake wants
@@ -77,11 +78,38 @@ fn connect(server: &Server) -> TcpStream {
     stream
 }
 
+/// A scenario-1, prefix-mode hello for the anonymous tenant.
+fn hello(schema: &[u8]) -> Hello {
+    Hello {
+        scenario: 1,
+        mode: MatchMode::Prefix,
+        tenant: 0,
+        trace: 0,
+        schema: schema.to_vec(),
+    }
+}
+
+/// Replays the capture over one plain session in 64-byte chunks.
+fn replay_plain(server: &Server, cap: &Capture) -> Result<String, pstrace::stream::StreamError> {
+    let plan = Replay {
+        chunk_bytes: 64,
+        ..Replay::new(1, MatchMode::Prefix)
+    };
+    let addr = server.local_addr();
+    let connect = |_| pstrace::stream::connect(addr, &plan.policy);
+    replay(connect, cap.model.catalog(), &cap.ptw, &plan)
+}
+
 /// One uninterrupted resumable session over a raw socket; returns the
 /// final report text.
 fn run_resumable(server: &Server, cap: &Capture) -> String {
     let mut s = connect(server);
-    proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+    let request = Request::Resume {
+        token: 0,
+        epoch: 0,
+        hello: hello(&cap.schema),
+    };
+    proto::write_request(&mut s, &request).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
     let (_token, offset, _epoch) = proto::parse_resume_ack(&ack).unwrap();
     assert_eq!(offset, 0);
@@ -136,7 +164,12 @@ fn resume_pins_the_session_across_reconnect_and_shards() {
     let half = cap.payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&server);
-        proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &cap.schema).unwrap();
+        let request = Request::Resume {
+            token: 0,
+            epoch: 0,
+            hello: hello(&cap.schema),
+        };
+        proto::write_request(&mut s, &request).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, offset, epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert!(token > 0, "fresh resumable session got token {token}");
@@ -161,17 +194,12 @@ fn resume_pins_the_session_across_reconnect_and_shards() {
     // owner — the daemon must hand it off, not lose it.
     let resumed = {
         let mut s = connect(&server);
-        proto::write_resume_hello_as(
-            &mut s,
+        let request = Request::Resume {
             token,
             epoch,
-            1,
-            MatchMode::Prefix,
-            0,
-            0,
-            &cap.schema,
-        )
-        .unwrap();
+            hello: hello(&cap.schema),
+        };
+        proto::write_request(&mut s, &request).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (acked, offset, _) = proto::parse_resume_ack(&ack).unwrap();
         assert_eq!(acked, token, "resume ack changed the token");
@@ -219,7 +247,16 @@ fn over_quota_tenants_are_shed_deterministically() {
     // Tenant 7 occupies its whole quota with one in-flight session:
     // hello acked, payload half-sent, connection held open.
     let mut held = connect(&server);
-    proto::write_resume_hello_as(&mut held, 0, 0, 1, MatchMode::Prefix, 7, 0, &cap.schema).unwrap();
+    let tenant_7 = Hello {
+        tenant: 7,
+        ..hello(&cap.schema)
+    };
+    let request = Request::Resume {
+        token: 0,
+        epoch: 0,
+        hello: tenant_7.clone(),
+    };
+    proto::write_request(&mut held, &request).unwrap();
     let ack = proto::read_reply(&mut held).unwrap();
     proto::parse_resume_ack(&ack).unwrap();
 
@@ -227,20 +264,11 @@ fn over_quota_tenants_are_shed_deterministically() {
     // quota named; the governor's answer does not depend on which shard
     // the connection lands on.
     for _ in 0..3 {
-        let err = stream_ptw(
-            server.local_addr(),
-            cap.model.catalog(),
-            1,
-            MatchMode::Prefix,
-            &cap.ptw,
-            64,
-        )
-        .map(|_| ());
-        // `stream_ptw` defaults to tenant 0 — prove the quota is
+        // `Replay::new` defaults to tenant 0 — prove the quota is
         // per-tenant by running tenant 7 raw instead.
-        err.expect("tenant 0 is under quota and must be served");
+        replay_plain(&server, &cap).expect("tenant 0 is under quota and must be served");
         let mut s = connect(&server);
-        proto::write_hello_as(&mut s, 1, MatchMode::Prefix, 7, 0, &cap.schema).unwrap();
+        proto::write_request(&mut s, &Request::Session(tenant_7.clone())).unwrap();
         s.flush().unwrap();
         let verdict = proto::read_reply(&mut s);
         let msg = verdict.expect_err("tenant 7 is at quota").to_string();
@@ -283,15 +311,7 @@ fn sharded_registry_merge_matches_a_single_registry_run() {
         )
         .unwrap();
         for _ in 0..4 {
-            stream_ptw(
-                server.local_addr(),
-                cap.model.catalog(),
-                1,
-                MatchMode::Prefix,
-                &cap.ptw,
-                64,
-            )
-            .unwrap();
+            replay_plain(&server, &cap).unwrap();
         }
         let exposition = pstrace::obs::render_prometheus_samples(&server.merged_samples());
         (server.shutdown(), exposition)
@@ -339,17 +359,9 @@ fn shutdown_verb_drains_the_daemon_and_frees_the_port() {
     let addr = server.local_addr();
 
     // A session completes before the shutdown request: normal service.
-    stream_ptw(
-        addr,
-        cap.model.catalog(),
-        1,
-        MatchMode::Prefix,
-        &cap.ptw,
-        64,
-    )
-    .unwrap();
+    replay_plain(&server, &cap).unwrap();
 
-    let ack = request_shutdown(addr).unwrap();
+    let ack = send_request(addr, &Request::Shutdown).unwrap();
     assert!(ack.contains("draining"), "shutdown ack: {ack}");
     assert!(server.shutdown_requested());
 

@@ -28,7 +28,8 @@ use pstrace::mine::{evaluate, ExecutionLog, LogRecord, Miner, MiningConfig};
 use pstrace::obs::EventKind;
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace::stream::{proto, Server, ServerConfig};
+use pstrace::stream::proto::{self, Hello, Request};
+use pstrace::stream::{Server, ServerConfig};
 use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
 
 /// A small scenario-1 capture split the way the PSTS handshake wants
@@ -101,6 +102,23 @@ fn poll_until(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
     false
 }
 
+/// A scenario-1, prefix-mode resumable-session request carrying trace
+/// id `trace`: token 0 opens fresh.
+fn resume(token: u64, epoch: u64, trace: u64, schema: &[u8]) -> Request {
+    let hello = Hello {
+        scenario: 1,
+        mode: MatchMode::Prefix,
+        tenant: 0,
+        trace,
+        schema: schema.to_vec(),
+    };
+    Request::Resume {
+        token,
+        epoch,
+        hello,
+    }
+}
+
 #[test]
 fn trace_context_follows_a_session_across_reconnect_and_shards() {
     let _guard = watchdog(Duration::from_secs(120), "flight trace continuity");
@@ -123,8 +141,7 @@ fn trace_context_follows_a_session_across_reconnect_and_shards() {
     let half = cap.payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&server);
-        proto::write_resume_hello_as(&mut s, 0, 0, 1, MatchMode::Prefix, 0, TRACE, &cap.schema)
-            .unwrap();
+        proto::write_request(&mut s, &resume(0, 0, TRACE, &cap.schema)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, offset, epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert!(token > 0);
@@ -146,17 +163,7 @@ fn trace_context_follows_a_session_across_reconnect_and_shards() {
     // the token's owner: a cross-shard handoff.
     {
         let mut s = connect(&server);
-        proto::write_resume_hello_as(
-            &mut s,
-            token,
-            epoch,
-            1,
-            MatchMode::Prefix,
-            0,
-            TRACE,
-            &cap.schema,
-        )
-        .unwrap();
+        proto::write_request(&mut s, &resume(token, epoch, TRACE, &cap.schema)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (acked, offset, _) = proto::parse_resume_ack(&ack).unwrap();
         assert_eq!(acked, token);
@@ -245,8 +252,7 @@ fn recovery_is_journaled_as_fr_recover_events() {
     let first = Server::spawn(Arc::clone(&cap.model), &config).unwrap();
     {
         let mut s = connect(&first);
-        proto::write_resume_hello_as(&mut s, 0, 0, 1, MatchMode::Prefix, 0, TRACE, &cap.schema)
-            .unwrap();
+        proto::write_request(&mut s, &resume(0, 0, TRACE, &cap.schema)).unwrap();
         proto::read_reply(&mut s).unwrap();
         for piece in cap.payload[..cap.payload.len() / 2].chunks(64) {
             proto::write_data(&mut s, piece).unwrap();

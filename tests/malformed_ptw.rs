@@ -3,7 +3,7 @@
 //! the replay client, and a live daemon session.
 
 use std::io::BufReader;
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
 use pstrace::codec::{decode_v2, encode_v2, read_ptw_auto};
@@ -11,11 +11,28 @@ use pstrace::diag::MatchMode;
 use pstrace::flow::{FlowIndex, IndexedMessage};
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace::stream::{proto, stream_ptw, Server, ServerConfig, StreamError};
+use pstrace::stream::proto::{self, Hello, Request};
+use pstrace::stream::{connect, replay, Replay, Server, ServerConfig, StreamError};
 use pstrace::wire::{
     decode_stream, encode_records, read_ptw, write_ptw, write_ptw_with, DamageReason, PtwMeta,
     WireError, WireRecord, WireSchema,
 };
+
+/// Replays `ptw` as a scenario-`scenario` capture to the daemon at
+/// `addr` over one plain session in `chunk`-byte chunks.
+fn replay_plain(
+    addr: impl ToSocketAddrs + Copy,
+    model: &SocModel,
+    scenario: u8,
+    ptw: &[u8],
+    chunk: usize,
+) -> Result<String, StreamError> {
+    let plan = Replay {
+        chunk_bytes: chunk,
+        ..Replay::new(scenario, MatchMode::Prefix)
+    };
+    replay(|_| connect(addr, &plan.policy), model.catalog(), ptw, &plan)
+}
 
 /// A small valid scenario-1 capture: `(schema, ptw bytes, payload bits)`.
 fn fixture(records: usize) -> (SocModel, WireSchema, Vec<u8>) {
@@ -94,15 +111,9 @@ fn mid_file_eof_is_a_typed_error_everywhere() {
 
     // The replay client validates the same way before touching a socket,
     // so a daemon never sees the malformed container.
-    let err = stream_ptw(
-        "127.0.0.1:1", // never connected: validation fails first
-        model.catalog(),
-        1,
-        MatchMode::Prefix,
-        mid,
-        64,
-    )
-    .expect_err("client rejects the truncated container");
+    // Never connected: validation fails first.
+    let err = replay_plain("127.0.0.1:1", &model, 1, mid, 64)
+        .expect_err("client rejects the truncated container");
     assert!(
         !matches!(err, StreamError::Io(_)),
         "must fail on validation, not transport: {err}"
@@ -125,15 +136,8 @@ fn zero_length_body_decodes_to_zero_frames_and_streams_cleanly() {
 
     // Live: the session completes with zero records.
     let server = Server::spawn(Arc::new(SocModel::t2()), &ServerConfig::default()).unwrap();
-    let reply = stream_ptw(
-        server.local_addr(),
-        model.catalog(),
-        1,
-        MatchMode::Prefix,
-        &ptw,
-        64,
-    )
-    .expect("zero-length session completes");
+    let reply = replay_plain(server.local_addr(), &model, 1, &ptw, 64)
+        .expect("zero-length session completes");
     assert!(reply.contains("records"), "report renders: {reply}");
     let snap = server.snapshot();
     assert_eq!(snap.completed, 1);
@@ -250,15 +254,8 @@ fn v2_container_streams_to_a_live_daemon() {
     let (model, _, recs, ptw) = v2_fixture(40, 8);
     let server = Server::spawn(Arc::new(SocModel::t2()), &ServerConfig::default()).unwrap();
     for chunk in [1usize, 7, 64] {
-        let reply = stream_ptw(
-            server.local_addr(),
-            model.catalog(),
-            1,
-            MatchMode::Prefix,
-            &ptw,
-            chunk,
-        )
-        .expect("v2 session completes");
+        let reply = replay_plain(server.local_addr(), &model, 1, &ptw, chunk)
+            .expect("v2 session completes");
         assert!(reply.contains("records"), "report renders: {reply}");
     }
     let snap = server.snapshot();
@@ -278,7 +275,14 @@ fn garbage_handshake_is_rejected_and_the_daemon_survives() {
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    proto::write_hello(&mut writer, 1, MatchMode::Prefix, b"this is not a schema").unwrap();
+    let hello = Hello {
+        scenario: 1,
+        mode: MatchMode::Prefix,
+        tenant: 0,
+        trace: 0,
+        schema: b"this is not a schema".to_vec(),
+    };
+    proto::write_request(&mut writer, &Request::Session(hello)).unwrap();
     let err = proto::read_reply(&mut reader).expect_err("server rejects garbage schema");
     assert!(
         matches!(err, StreamError::Remote(_)),
@@ -288,16 +292,14 @@ fn garbage_handshake_is_rejected_and_the_daemon_survives() {
     drop(writer);
 
     // A bad scenario number on an otherwise valid handshake likewise.
-    let err = stream_ptw(addr, model.catalog(), 77, MatchMode::Prefix, &ptw, 64)
-        .expect_err("scenario 77 does not exist");
+    let err = replay_plain(addr, &model, 77, &ptw, 64).expect_err("scenario 77 does not exist");
     assert!(
         matches!(err, StreamError::Remote(_)),
         "typed rejection: {err}"
     );
 
     // The daemon shrugged both off: a valid session still completes.
-    stream_ptw(addr, model.catalog(), 1, MatchMode::Prefix, &ptw, 64)
-        .expect("daemon survives malformed handshakes");
+    replay_plain(addr, &model, 1, &ptw, 64).expect("daemon survives malformed handshakes");
     let snap = server.snapshot();
     assert_eq!(snap.completed, 1);
     assert!(snap.failed >= 2, "both rejections were counted: {snap:?}");

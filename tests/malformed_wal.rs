@@ -16,7 +16,7 @@ use pstrace::stream::durable::{
     checkpoint_path, recover_state, render_dry_run, wal_path, write_checkpoint, DurabilityPolicy,
     RecoverError, SessionRecord, WalRecord, WalWriter, WAL_ENTRY_BYTES,
 };
-use pstrace::stream::{stream_ptw, Server, ServerConfig};
+use pstrace::stream::{connect, replay, Replay, Server, ServerConfig};
 use pstrace::wire::{encode_records, write_ptw, WireRecord};
 
 fn wal_dir(tag: &str) -> PathBuf {
@@ -223,13 +223,15 @@ fn garbage_journal_never_blocks_a_daemon_boot() {
         },
     )
     .expect("a garbage journal must not block startup");
-    let reply = stream_ptw(
-        server.local_addr(),
+    let plan = Replay {
+        chunk_bytes: 64,
+        ..Replay::new(1, MatchMode::Prefix)
+    };
+    let reply = replay(
+        |_| connect(server.local_addr(), &plan.policy),
         model.catalog(),
-        1,
-        MatchMode::Prefix,
         &ptw,
-        64,
+        &plan,
     )
     .expect("the recovered daemon serves");
     assert!(reply.contains("records"), "report renders: {reply}");

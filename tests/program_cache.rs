@@ -5,14 +5,15 @@
 //! its cap.
 
 use std::io::BufReader;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use pstrace::diag::MatchMode;
 use pstrace::flow::MessageId;
 use pstrace::soc::{wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig};
+use pstrace::stream::proto::{self, Hello, Request};
 use pstrace::stream::{
-    proto, scenario_by_number, stream_ptw, Server, ServerConfig, Session, StreamError,
+    connect, replay, scenario_by_number, Replay, Server, ServerConfig, Session, StreamError,
     PROGRAM_CACHE_CAP,
 };
 use pstrace::wire::{read_ptw_any, write_ptw, write_ptw_schema};
@@ -95,10 +96,26 @@ fn cache_counts(server: &Server) -> (u64, u64, u64) {
     (count("hit"), count("miss"), count("bypass"))
 }
 
+/// Replays `ptw` to the daemon at `addr` over one plain session in
+/// 64-byte chunks.
+fn replay_plain(
+    addr: SocketAddr,
+    model: &SocModel,
+    n: u8,
+    mode: MatchMode,
+    ptw: &[u8],
+) -> Result<String, StreamError> {
+    let plan = Replay {
+        chunk_bytes: 64,
+        ..Replay::new(n, mode)
+    };
+    replay(|_| connect(addr, &plan.policy), model.catalog(), ptw, &plan)
+}
+
 /// Streams `ptw` to the daemon and checks the reply against the
 /// in-process feed of the same bytes.
 fn stream_and_check(server: &Server, model: &SocModel, n: u8, mode: MatchMode, ptw: &[u8]) {
-    let live = stream_ptw(server.local_addr(), model.catalog(), n, mode, ptw, 64).unwrap();
+    let live = replay_plain(server.local_addr(), model, n, mode, ptw).unwrap();
     let local = in_process(model, n, mode, ptw);
     assert_eq!(
         stable_lines(&live),
@@ -121,14 +138,21 @@ fn rejected_hellos_compile_nothing() {
         let stream = TcpStream::connect(addr).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
-        proto::write_hello(&mut writer, scenario, MatchMode::Prefix, &schema_bytes).unwrap();
+        let hello = Hello {
+            scenario,
+            mode: MatchMode::Prefix,
+            tenant: 0,
+            trace: 0,
+            schema: schema_bytes,
+        };
+        proto::write_request(&mut writer, &Request::Session(hello)).unwrap();
         let err = proto::read_reply(&mut reader).expect_err("malformed hello is rejected");
         assert!(
             matches!(err, StreamError::Remote(_)),
             "typed rejection: {err}"
         );
     }
-    let err = stream_ptw(addr, model.catalog(), 9, MatchMode::Prefix, &ptw, 64)
+    let err = replay_plain(addr, &model, 9, MatchMode::Prefix, &ptw)
         .expect_err("scenario 9 does not exist");
     assert!(
         matches!(err, StreamError::Remote(_)),

@@ -18,8 +18,9 @@ use pstrace::flow::{FlowIndex, IndexedMessage};
 use pstrace::obs::{render_prometheus_samples, Registry};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig};
 use pstrace::stream::durable::DurabilityPolicy;
+use pstrace::stream::proto::{self, Hello, Request};
 use pstrace::stream::{
-    proto, scenario_by_number, stream_ptw, Server, ServerConfig, Session, StreamError,
+    replay, scenario_by_number, Replay, Server, ServerConfig, Session, StreamError,
 };
 use pstrace::wire::{encode_records, read_ptw_any, read_ptw_schema, write_ptw, WireRecord};
 
@@ -96,6 +97,26 @@ fn connect(server: &Server) -> TcpStream {
     stream
 }
 
+/// A hello for a scenario-1 capture in prefix mode.
+fn hello(schema: &[u8]) -> Hello {
+    Hello {
+        scenario: 1,
+        mode: MatchMode::Prefix,
+        tenant: 0,
+        trace: 0,
+        schema: schema.to_vec(),
+    }
+}
+
+/// A resumable-session request: token 0 opens fresh.
+fn resume(token: u64, epoch: u64, schema: &[u8]) -> Request {
+    Request::Resume {
+        token,
+        epoch,
+        hello: hello(schema),
+    }
+}
+
 fn poll_until(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
     let start = Instant::now();
     while start.elapsed() < deadline {
@@ -170,7 +191,7 @@ fn a_silent_resumable_session_parks_then_expires() {
 
     // Hello, ack, then nothing: the idle deadline parks the session.
     let mut s = connect(&server);
-    proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &schema).unwrap();
+    proto::write_request(&mut s, &resume(0, 0, &schema)).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
     let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
     assert!(
@@ -193,8 +214,7 @@ fn a_silent_resumable_session_parks_then_expires() {
         "the parked session never expired"
     );
     let mut s = connect(&server);
-    proto::write_resume_hello_as(&mut s, token, epoch, 1, MatchMode::Prefix, 0, 0, &schema)
-        .unwrap();
+    proto::write_request(&mut s, &resume(token, epoch, &schema)).unwrap();
     let err = proto::read_reply(&mut s).expect_err("an expired token is refused");
     assert!(
         matches!(&err, StreamError::Remote(m) if m.contains("unknown or expired resume token")),
@@ -267,7 +287,7 @@ fn shutdown_under_sustained_load_returns_within_the_drain_timeout() {
             );
             std::thread::spawn(move || {
                 let started = Instant::now();
-                proto::write_hello(&mut s, 1, MatchMode::Prefix, &schema).unwrap();
+                proto::write_request(&mut s, &Request::Session(hello(&schema))).unwrap();
                 'send: while !stop.load(Ordering::Relaxed) && started.elapsed().as_secs() < 15 {
                     for piece in payload.chunks(16 * 1024) {
                         if proto::write_data(&mut s, piece).is_err() {
@@ -321,7 +341,7 @@ fn a_pipelined_cross_shard_resume_gets_the_oracle_report() {
     let half = payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&server);
-        proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &schema).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, &schema)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
         for piece in payload[..half].chunks(4096) {
@@ -341,8 +361,7 @@ fn a_pipelined_cross_shard_resume_gets_the_oracle_report() {
     // out in one write: the resume request, the rest of the payload and
     // FINISH.
     let mut wire = Vec::new();
-    proto::write_resume_hello_as(&mut wire, token, epoch, 1, MatchMode::Prefix, 0, 0, &schema)
-        .unwrap();
+    proto::write_request(&mut wire, &resume(token, epoch, &schema)).unwrap();
     for piece in payload[half..].chunks(4096) {
         proto::write_data(&mut wire, piece).unwrap();
     }
@@ -393,7 +412,7 @@ fn a_handed_off_connection_still_finishes_during_a_drain() {
     let third = payload.len() / 3;
     let (token, epoch) = {
         let mut s = connect(&server);
-        proto::write_resume_hello(&mut s, 0, 1, MatchMode::Prefix, &schema).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, &schema)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
         for piece in payload[..third].chunks(4096) {
@@ -409,8 +428,7 @@ fn a_handed_off_connection_still_finishes_during_a_drain() {
     );
     let mut s = connect(&server);
     let mut wire = Vec::new();
-    proto::write_resume_hello_as(&mut wire, token, epoch, 1, MatchMode::Prefix, 0, 0, &schema)
-        .unwrap();
+    proto::write_request(&mut wire, &resume(token, epoch, &schema)).unwrap();
     for piece in payload[third..2 * third].chunks(4096) {
         proto::write_data(&mut wire, piece).unwrap();
     }
@@ -483,7 +501,7 @@ fn a_metrics_client_that_never_reads_does_not_stall_its_shard() {
     };
 
     let mut stuck = connect(&server);
-    proto::write_metrics_request(&mut stuck).unwrap();
+    proto::write_request(&mut stuck, &Request::Metrics).unwrap();
     assert!(
         poll_until(Duration::from_secs(30), || requests() == 1),
         "the METRICS request was never served"
@@ -492,13 +510,15 @@ fn a_metrics_client_that_never_reads_does_not_stall_its_shard() {
     let model = SocModel::t2();
     let ptw = capture(&model, 64);
     let started = Instant::now();
-    let report = stream_ptw(
-        server.local_addr(),
+    let plan = Replay {
+        chunk_bytes: 64,
+        ..Replay::new(1, MatchMode::Prefix)
+    };
+    let report = replay(
+        |_| pstrace::stream::connect(server.local_addr(), &plan.policy),
         model.catalog(),
-        1,
-        MatchMode::Prefix,
         &ptw,
-        64,
+        &plan,
     )
     .unwrap();
     let took = started.elapsed();

@@ -8,7 +8,8 @@ use pstrace::bug::{bug_catalog, case_studies, BugInterceptor};
 use pstrace::diag::{run_case_study, CaseStudyConfig, MatchMode};
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig};
-use pstrace::stream::{fetch_metrics, stream_ptw, Server, ServerConfig};
+use pstrace::stream::proto::Request;
+use pstrace::stream::{connect, replay, send_request, Replay, Server, ServerConfig};
 use pstrace::wire::write_ptw;
 
 /// The localization line (`  localization    : C of T interleaved-flow
@@ -69,19 +70,21 @@ fn loopback_stream_reproduces_batch_debug_localization() {
     // Serve on an ephemeral loopback port and replay the capture in
     // small chunks so the session crosses many frame boundaries.
     let server = Server::spawn(Arc::new(SocModel::t2()), &ServerConfig::default()).unwrap();
-    let report = stream_ptw(
-        server.local_addr(),
+    let plan = Replay {
+        chunk_bytes: 64,
+        ..Replay::new(case.number, MatchMode::Prefix)
+    };
+    let report = replay(
+        |_| connect(server.local_addr(), &plan.policy),
         model.catalog(),
-        case.number,
-        MatchMode::Prefix,
         &ptw,
-        64,
+        &plan,
     )
     .unwrap();
 
     // The METRICS verb on the same daemon: the Prometheus exposition must
     // agree with the session the daemon just served.
-    let exposition = fetch_metrics(server.local_addr()).unwrap();
+    let exposition = send_request(server.local_addr(), &Request::Metrics).unwrap();
     for line in [
         "pstrace_stream_sessions_total 1",
         "pstrace_stream_completed_total 1",
