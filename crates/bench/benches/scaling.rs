@@ -1,25 +1,15 @@
 //! Scalability sweep: selection cost as a function of concurrent flow
 //! instances — the paper's third contribution is making scalability an
-//! explicit objective. Two angles:
-//!
-//! * `beam_select_vs_instances` — the beam strategy's cost as the
-//!   interleaving grows (the scalable algorithm);
-//! * `rank_parallelism` — the exhaustive ranking stage at different
-//!   [`Parallelism`] settings over one pre-enumerated candidate set and one
-//!   pre-built [`MiCache`], isolating the thread fan-out (the scalable
-//!   implementation). Sequential vs parallel output is bit-identical, so
-//!   the curves measure pure wall-clock.
+//! explicit objective. `select_vs_instances` times the whole Steps 1–3
+//! [`Selector`] as the interleaving grows; `rank_instrumentation` holds
+//! its observed path to the ≤ 2 % overhead budget.
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pstrace_core::{
-    beam_select, enumerate_combinations, rank_combinations_cached, rank_combinations_observed,
-    Parallelism, SelectionConfig, Selector, TraceBufferSpec,
-};
+use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_diag::MatchMode;
 use pstrace_flow::{FlowIndex, IndexedMessage};
-use pstrace_infogain::{LogBase, MiCache};
 use pstrace_obs::{EventKind, FlightHandle, FlightRecorder, Registry};
 use pstrace_soc::{wirecap, FlowKind, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_stream::Session;
@@ -39,116 +29,51 @@ fn scaling_scenario(instances: u32) -> UsageScenario {
 
 fn bench_scaling(c: &mut Criterion) {
     let model = SocModel::t2();
-    let mut group = c.benchmark_group("beam_select_vs_instances");
+    let mut group = c.benchmark_group("select_vs_instances");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(8));
     for instances in [1u32, 2, 3] {
         let scenario = scaling_scenario(instances);
         let product = scenario.interleaving(&model).expect("interleaves");
-        let buffer = TraceBufferSpec::new(32).expect("nonzero");
+        let config = SelectionConfig::new(TraceBufferSpec::new(32).expect("nonzero"));
         group.bench_function(
             format!("{instances}x_states_{}", product.state_count()),
             |b| {
-                b.iter(|| {
-                    beam_select(&product, buffer.width_bits(), 4, LogBase::Nats)
-                        .expect("beam selects")
-                });
+                b.iter(|| Selector::new(&product, config).select().expect("selects"));
             },
         );
     }
     group.finish();
 }
 
-fn bench_rank_parallelism(c: &mut Criterion) {
-    let model = SocModel::t2();
-    // The largest scenario of the sweep above (145800 product states):
-    // every candidate scoring merges long per-message term lists, so the
-    // scoring loop dominates and the thread fan-out has real work to split.
-    let scenario = scaling_scenario(3);
-    let product = scenario.interleaving(&model).expect("interleaves");
-    let catalog = product.catalog().clone();
-    let buffer = TraceBufferSpec::new(32).expect("nonzero");
-    let candidates = enumerate_combinations(
-        &catalog,
-        &product.message_alphabet(),
-        buffer.width_bits(),
-        2_000_000,
-    )
-    .expect("within limit");
-    let cache = MiCache::new(&product, LogBase::Nats);
-
-    let mut group = c.benchmark_group(format!("rank_parallelism_{}cands", candidates.len()));
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(8));
-    let settings = [
-        ("seq".to_owned(), Parallelism::Off),
-        ("threads_2".to_owned(), Parallelism::threads(2)),
-        ("threads_4".to_owned(), Parallelism::threads(4)),
-        ("auto".to_owned(), Parallelism::Auto),
-    ];
-    for (label, parallelism) in settings {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                black_box(rank_combinations_cached(
-                    &product,
-                    &candidates,
-                    &cache,
-                    parallelism,
-                ))
-            });
-        });
-    }
-    group.finish();
-}
-
-/// Instrumentation overhead: the same exhaustive ranking over the
-/// 3-instance scenario with and without a live [`Registry`]. The observed
-/// path pays one registry construction, a handful of counter/gauge
-/// updates and one span per run — the per-candidate scoring loop is
-/// untouched, so the two curves must stay within a few percent.
+/// Instrumentation overhead: the same selection over the 3-instance
+/// scenario (145800 product states) with and without a live
+/// [`Registry`]. The observed path pays one registry construction, one
+/// counter update and four phase spans per run — the search and scoring
+/// loops are untouched, so the two curves must stay within a few percent.
 fn bench_instrumentation_overhead(c: &mut Criterion) {
     let model = SocModel::t2();
     let scenario = scaling_scenario(3);
     let product = scenario.interleaving(&model).expect("interleaves");
-    let catalog = product.catalog().clone();
-    let buffer = TraceBufferSpec::new(32).expect("nonzero");
-    let candidates = enumerate_combinations(
-        &catalog,
-        &product.message_alphabet(),
-        buffer.width_bits(),
-        2_000_000,
-    )
-    .expect("within limit");
-    let cache = MiCache::new(&product, LogBase::Nats);
+    let selector = Selector::new(
+        &product,
+        SelectionConfig::new(TraceBufferSpec::new(32).expect("nonzero")),
+    );
 
-    let mut group = c.benchmark_group(format!("rank_instrumentation_{}cands", candidates.len()));
+    let mut group = c.benchmark_group("rank_instrumentation_3x");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(8));
     group.bench_function("plain", |b| {
-        b.iter(|| {
-            black_box(rank_combinations_cached(
-                &product,
-                &candidates,
-                &cache,
-                Parallelism::Off,
-            ))
-        });
+        b.iter(|| black_box(selector.select().expect("selects")));
     });
     group.bench_function("observed", |b| {
         b.iter(|| {
             // A fresh registry each run: construction and span recording
             // are part of the cost being measured.
             let registry = Registry::new();
-            black_box(rank_combinations_observed(
-                &product,
-                &candidates,
-                &cache,
-                Parallelism::Off,
-                Some(&registry),
-            ))
+            black_box(selector.select_observed(Some(&registry)).expect("selects"))
         });
     });
     group.finish();
@@ -234,7 +159,6 @@ fn bench_recorder_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_scaling,
-    bench_rank_parallelism,
     bench_instrumentation_overhead,
     bench_recorder_overhead
 );

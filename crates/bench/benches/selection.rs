@@ -3,7 +3,7 @@
 //! per usage scenario (the paper's scalability objective, §1).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use pstrace_core::{SelectionConfig, Selector, Strategy, TraceBufferSpec};
+use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_infogain::{mutual_information, LogBase};
 use pstrace_soc::{SocModel, UsageScenario};
 
@@ -40,20 +40,9 @@ fn bench_selection(c: &mut Criterion) {
     for scenario in UsageScenario::all_paper_scenarios() {
         let product = scenario.interleaving(&model).expect("interleaves");
         let buffer = TraceBufferSpec::new(32).expect("nonzero");
-        group.bench_function(format!("{}/exhaustive", scenario.name()), |b| {
+        group.bench_function(scenario.name(), |b| {
             b.iter_batched(
                 || SelectionConfig::new(buffer),
-                |config| Selector::new(&product, config).select().expect("selects"),
-                BatchSize::SmallInput,
-            );
-        });
-        group.bench_function(format!("{}/beam", scenario.name()), |b| {
-            b.iter_batched(
-                || {
-                    let mut config = SelectionConfig::new(buffer);
-                    config.strategy = Strategy::Beam { width: 8 };
-                    config
-                },
                 |config| Selector::new(&product, config).select().expect("selects"),
                 BatchSize::SmallInput,
             );

@@ -41,18 +41,6 @@ pub enum Symptom {
     },
 }
 
-impl Symptom {
-    /// The indexed message at which the symptom is observed, if any
-    /// (hangs are observed by absence, not by a message).
-    #[must_use]
-    pub fn symptom_message(&self) -> Option<IndexedMessage> {
-        match self {
-            Symptom::Hang { .. } => None,
-            Symptom::BadTrap { message, .. } | Symptom::Misroute { message, .. } => Some(*message),
-        }
-    }
-}
-
 impl std::fmt::Display for Symptom {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -187,6 +175,5 @@ mod tests {
             cycles: 512,
         };
         assert!(s.to_string().contains("HANG"));
-        assert_eq!(s.symptom_message(), None);
     }
 }

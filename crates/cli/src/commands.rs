@@ -8,7 +8,7 @@ use pstrace_codec::flight::{
     flight_catalog, flight_message_name, lifecycle_flow, lifecycle_messages, read_flight_dump,
     render_chrome, render_timeline, FlightDump,
 };
-use pstrace_core::{Parallelism, SelectionConfig, Selector, Strategy, TraceBufferSpec};
+use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_diag::{run_case_study_observed, scenario_causes, CaseStudyConfig, MatchMode};
 use pstrace_flow::{dot, path_count, FlowIndex, IndexedFlow, IndexedMessage, InterleavedFlow};
 use pstrace_mine::{evaluate, ExecutionLog, LogRecord, Miner, MiningConfig};
@@ -72,8 +72,8 @@ fn print_help() {
     println!();
     println!("subcommands:");
     println!("  scenarios                              list the modeled usage scenarios");
-    println!("  select   --scenario N [--buffer BITS] [--no-packing] [--beam W]");
-    println!("           [--threads N|auto|off]        run Steps 1-3 message selection");
+    println!("  select   --scenario N [--buffer BITS] [--no-packing]");
+    println!("                                         run Steps 1-3 message selection");
     println!("  simulate --scenario N [--seed S] [--bug ID] [--trace]");
     println!("                                         run the SoC simulator");
     println!("  debug    --case N [--buffer BITS] [--depth D] [--no-packing] [--wire]");
@@ -137,7 +137,7 @@ fn print_help() {
     println!("  usb      [--budget N] [--cycles N] [--seed S]");
     println!("                                         USB baseline comparison");
     println!("  select-file FILE [--buffer BITS] [--instances N] [--no-packing]");
-    println!("           [--threads N|auto|off]        select over flows parsed from FILE");
+    println!("                                         select over flows parsed from FILE");
     println!("  stats                                  USB netlist structure report");
     println!("  vcd      [--cycles N] [--seed S] [--restored] [--out FILE]");
     println!("                                         dump a USB waveform as VCD");
@@ -206,25 +206,11 @@ fn cmd_scenarios() -> CmdResult {
     Ok(())
 }
 
-/// Parses the `--threads` option: a thread count, `off`, or `auto`
-/// (the default). Selection output is bit-identical for every setting.
-fn parse_parallelism(args: &Args) -> Result<Parallelism, Box<dyn Error>> {
-    match args.option("threads") {
-        None => Ok(Parallelism::Auto),
-        Some(v) if v.eq_ignore_ascii_case("auto") => Ok(Parallelism::Auto),
-        Some(v) if v.eq_ignore_ascii_case("off") => Ok(Parallelism::Off),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => Ok(Parallelism::threads(n)),
-            Err(_) => Err(format!("--threads takes a count, `auto` or `off`, not `{v}`").into()),
-        },
-    }
-}
-
 fn cmd_select(argv: &[String]) -> CmdResult {
     let args = Args::parse(
         argv.iter().cloned(),
         &["no-packing", "profile"],
-        &["scenario", "buffer", "beam", "threads", "profile-json"],
+        &["scenario", "buffer", "profile-json"],
     )?;
     let profiler = Profiler::from_args(&args);
     let model = SocModel::t2();
@@ -232,10 +218,6 @@ fn cmd_select(argv: &[String]) -> CmdResult {
     let buffer = TraceBufferSpec::new(args.option_or("buffer", 32u32)?)?;
     let mut config = SelectionConfig::new(buffer);
     config.packing = !args.flag("no-packing");
-    config.parallelism = parse_parallelism(&args)?;
-    if let Some(width) = args.option_opt::<usize>("beam")? {
-        config.strategy = Strategy::Beam { width };
-    }
 
     let product = maybe_time(obs(&profiler), "interleave", || {
         scenario.interleaving(&model)
@@ -485,7 +467,7 @@ fn cmd_select_file(argv: &[String]) -> CmdResult {
     let args = Args::parse(
         argv.iter().cloned(),
         &["no-packing", "profile"],
-        &["buffer", "instances", "threads", "profile-json"],
+        &["buffer", "instances", "profile-json"],
     )?;
     let profiler = Profiler::from_args(&args);
     let path = args
@@ -512,7 +494,6 @@ fn cmd_select_file(argv: &[String]) -> CmdResult {
     let buffer = TraceBufferSpec::new(args.option_or("buffer", 32u32)?)?;
     let mut config = SelectionConfig::new(buffer);
     config.packing = !args.flag("no-packing");
-    config.parallelism = parse_parallelism(&args)?;
     let report = Selector::new(&product, config).select_observed(obs(&profiler))?;
 
     println!(
@@ -1492,17 +1473,15 @@ mod tests {
             assert!(dispatch(&a).is_ok(), "scenario {n}");
         }
         assert!(dispatch(&argv(&["select", "--scenario", "9"])).is_err());
-        assert!(dispatch(&argv(&["select", "--beam", "4"])).is_ok());
         assert!(dispatch(&argv(&["select", "--no-packing"])).is_ok());
     }
 
     #[test]
-    fn select_accepts_thread_settings() {
-        for t in ["off", "auto", "1", "4"] {
-            let a = argv(&["select", "--scenario", "1", "--threads", t]);
-            assert!(dispatch(&a).is_ok(), "--threads {t}");
+    fn select_rejects_the_removed_search_options() {
+        for removed in ["--beam", "--threads"] {
+            let a = argv(&["select", "--scenario", "1", removed, "4"]);
+            assert!(dispatch(&a).is_err(), "select {removed}");
         }
-        assert!(dispatch(&argv(&["select", "--threads", "many"])).is_err());
     }
 
     #[test]
@@ -1622,7 +1601,7 @@ mod tests {
         assert!(dispatch(&argv(&["trace", "decode", &ptw_s, "--out", &back_s])).is_ok());
         assert!(
             dispatch(&argv(&["trace", "decode", &ptw_s, "--threads", "2"])).is_err(),
-            "decode has one path; --threads belongs to select"
+            "decode has one path and no --threads"
         );
 
         // The decoded records are exactly the input records the selection
@@ -1689,6 +1668,10 @@ mod tests {
             "2"
         ]))
         .is_ok());
+        assert!(
+            dispatch(&argv(&["select-file", &path, "--threads", "off"])).is_err(),
+            "select-file has no --threads"
+        );
         assert!(dispatch(&argv(&["select-file", "/nonexistent/file"])).is_err());
         std::fs::remove_file(&tmp).ok();
     }

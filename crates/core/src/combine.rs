@@ -4,8 +4,10 @@
 //! bit width fits the trace buffer are candidates for tracing. Enumeration
 //! is exact but pruned: messages are sorted by ascending width so whole
 //! subtrees that cannot fit are skipped, and a configurable candidate limit
-//! guards against combinatorial blow-up on large alphabets (where the beam
-//! strategy of [`rank`](crate::rank) should be used instead).
+//! guards against combinatorial blow-up on large alphabets. The
+//! [`Selector`](crate::Selector) does not enumerate: this is for callers
+//! that need every candidate (Figure 5, partitioned selection) and the
+//! exhaustive oracle in tests.
 
 use pstrace_flow::{MessageCatalog, MessageId};
 
@@ -108,7 +110,7 @@ fn enumerate_rec(
 }
 
 /// Counts feasible combinations without materializing them (useful for
-/// reporting and for deciding between exhaustive and beam strategies).
+/// reporting how many candidates exhaustive ranking would score).
 #[must_use]
 pub fn count_combinations(
     catalog: &MessageCatalog,

@@ -11,15 +11,14 @@ pub enum SelectError {
     ZeroWidthBuffer,
     /// The interleaved flow uses no messages, so there is nothing to select.
     NoMessages,
-    /// Exhaustive enumeration would exceed the configured candidate limit;
-    /// retry with [`Strategy::Beam`](crate::Strategy::Beam) or raise the
-    /// limit.
+    /// More candidate combinations than `limit` would have to be
+    /// materialized: by [`enumerate_combinations`](crate::enumerate_combinations),
+    /// or by the [`Selector`](crate::Selector)'s search when that many
+    /// combinations lie within rounding error of the best gain.
     CombinationLimitExceeded {
-        /// The configured maximum number of candidate combinations.
+        /// The maximum number of candidate combinations.
         limit: usize,
     },
-    /// The beam width was zero.
-    ZeroBeamWidth,
 }
 
 impl fmt::Display for SelectError {
@@ -29,11 +28,9 @@ impl fmt::Display for SelectError {
             SelectError::NoMessages => {
                 write!(f, "interleaved flow has no messages to select from")
             }
-            SelectError::CombinationLimitExceeded { limit } => write!(
-                f,
-                "candidate combinations exceed the limit of {limit}; use beam search or raise the limit"
-            ),
-            SelectError::ZeroBeamWidth => write!(f, "beam width must be positive"),
+            SelectError::CombinationLimitExceeded { limit } => {
+                write!(f, "candidate combinations exceed the limit of {limit}")
+            }
         }
     }
 }
@@ -50,7 +47,6 @@ mod tests {
             SelectError::ZeroWidthBuffer,
             SelectError::NoMessages,
             SelectError::CombinationLimitExceeded { limit: 10 },
-            SelectError::ZeroBeamWidth,
         ] {
             let s = e.to_string();
             assert!(s.chars().next().unwrap().is_lowercase());

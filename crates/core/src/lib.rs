@@ -9,8 +9,9 @@
 //!    whose total bit width (Definition 6) fits the
 //!    [`TraceBufferSpec`];
 //! 2. **Step 2** — [`rank_combinations`]: evaluate each candidate's mutual
-//!    information gain over the interleaved flow and keep the best (a
-//!    [`beam_select`] variant scales to large alphabets);
+//!    information gain over the interleaved flow and keep the best (the
+//!    [`Selector`] finds the same best by a bounded search over
+//!    per-message contributions, without enumerating Step 1);
 //! 3. **Step 3** — [`pack`]: greedily fill leftover buffer bits with
 //!    message *subgroups* (named bit slices of wider messages).
 //!
@@ -62,8 +63,5 @@ pub use packing::{pack, pack_cached, Packing};
 pub use partition::{
     even_partitions, partitioned_select, Partition, PartitionOutcome, PartitionReport,
 };
-pub use rank::{
-    beam_select, beam_select_cached, rank_combinations, rank_combinations_cached,
-    rank_combinations_observed, Parallelism, RankedCombination,
-};
-pub use selector::{SelectionConfig, SelectionReport, Selector, Strategy};
+pub use rank::{rank_combinations, rank_combinations_cached, RankedCombination};
+pub use selector::{SelectionConfig, SelectionReport, Selector};

@@ -1,20 +1,21 @@
 //! Step 2: ranking candidate combinations by mutual information gain
-//! (§3.2), plus a scalable beam-search alternative to exhaustive
-//! enumeration.
+//! (§3.2).
 //!
-//! Both paths run on top of the per-message [`MiCache`], which turns each
-//! combination scoring from a full pass over the interleaving's edges into
-//! a merge of pre-computed per-message terms. Exhaustive ranking can
-//! additionally fan the scoring loop out across worker threads — see
-//! [`Parallelism`] — with a deterministic merge, so the parallel ranking is
-//! bit-identical to the sequential one at any thread count.
+//! Two paths share one ranking rule (`rank_order`) and one scorer
+//! ([`MiCache::combination_mi`]):
+//!
+//! * [`rank_combinations`] scores and ranks a given candidate list — the
+//!   full ranked list `fig5` needs, and the exhaustive oracle in tests;
+//! * the [`Selector`](crate::Selector) finds the winner by a bounded
+//!   search over per-message contributions (`search_near_best`), then
+//!   ranks only the handful of sets the search collects. It returns the
+//!   same winner as ranking every feasible combination, bit for bit,
+//!   without enumerating them.
 
 use std::cmp::Ordering;
-use std::num::NonZeroUsize;
 
 use pstrace_flow::{InterleavedFlow, MessageCatalog, MessageId};
 use pstrace_infogain::{LogBase, MiCache};
-use pstrace_obs::Registry;
 
 use crate::error::SelectError;
 
@@ -27,57 +28,6 @@ pub struct RankedCombination {
     pub gain: f64,
     /// Total bit width `W(M)` of the combination.
     pub width: u32,
-}
-
-/// How the candidate-scoring loop distributes work across threads.
-///
-/// All variants produce bit-identical output: workers score disjoint,
-/// contiguous chunks of the candidate list, each result lands in its
-/// candidate's original slot, and one stable sort on the main thread
-/// orders the merged list. Changing the thread count changes only the
-/// wall-clock, never the ranking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Use the machine's available parallelism, scaled down so every
-    /// worker has a meaningful chunk of candidates.
-    #[default]
-    Auto,
-    /// Use exactly this many worker threads.
-    Threads(NonZeroUsize),
-    /// Score sequentially on the calling thread.
-    Off,
-}
-
-/// Minimum candidates per worker under [`Parallelism::Auto`]: spawning a
-/// thread for fewer than this costs more than it saves.
-const MIN_CHUNK_PER_WORKER: usize = 32;
-
-impl Parallelism {
-    /// Convenience constructor clamping `n` to at least one thread.
-    #[must_use]
-    pub fn threads(n: usize) -> Self {
-        match NonZeroUsize::new(n) {
-            Some(n) => Parallelism::Threads(n),
-            None => Parallelism::Off,
-        }
-    }
-
-    /// Number of workers to use for `items` units of work.
-    #[must_use]
-    pub fn worker_count(self, items: usize) -> usize {
-        let hw = || {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        };
-        match self {
-            Parallelism::Off => 1,
-            Parallelism::Threads(n) => n.get().min(items.max(1)),
-            Parallelism::Auto => hw()
-                .min(items / MIN_CHUNK_PER_WORKER)
-                .clamp(1, items.max(1)),
-        }
-    }
 }
 
 /// The deterministic ranking order: higher gain, then larger width (which
@@ -113,9 +63,8 @@ fn score_one(combo: &[MessageId], catalog: &MessageCatalog, cache: &MiCache) -> 
 /// this rule.
 ///
 /// Convenience wrapper over [`rank_combinations_cached`]: builds a
-/// [`MiCache`] for `flow` and scores sequentially. Callers ranking more
-/// than once (or alongside packing) should build the cache themselves and
-/// call the cached variant.
+/// [`MiCache`] for `flow`. Callers ranking more than once (or alongside
+/// packing) should build the cache themselves and call the cached variant.
 #[must_use]
 pub fn rank_combinations(
     flow: &InterleavedFlow,
@@ -123,185 +72,151 @@ pub fn rank_combinations(
     base: LogBase,
 ) -> Vec<RankedCombination> {
     let cache = MiCache::new(flow, base);
-    rank_combinations_cached(flow, candidates, &cache, Parallelism::Off)
+    rank_combinations_cached(flow, candidates, &cache)
 }
 
-/// [`rank_combinations`] over a pre-built [`MiCache`], with the scoring
-/// loop optionally fanned out across worker threads.
-///
-/// Workers score disjoint contiguous chunks of `candidates`; every result
-/// is written to its candidate's original index and the merged list is
-/// ordered by one stable sort on the calling thread, so the output is
-/// bit-identical for every [`Parallelism`] setting.
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different flow (the per-message terms
-/// would not correspond to `flow`'s catalog); in debug builds this
-/// surfaces as a width/gain mismatch in downstream assertions.
+/// [`rank_combinations`] over a pre-built [`MiCache`], which must have been
+/// built for `flow`.
 #[must_use]
 pub fn rank_combinations_cached(
     flow: &InterleavedFlow,
     candidates: &[Vec<MessageId>],
     cache: &MiCache,
-    parallelism: Parallelism,
-) -> Vec<RankedCombination> {
-    rank_combinations_observed(flow, candidates, cache, parallelism, None)
-}
-
-/// [`rank_combinations_cached`] with optional instrumentation.
-///
-/// With a registry, each scoring worker is timed as a `rank-worker` span
-/// on its own logical thread lane (tid = worker index + 1) and the chosen
-/// fan-out lands in the `pstrace_select_rank_workers` gauge — enough to
-/// read worker utilization off the Chrome-trace timeline. The scoring
-/// inner loop itself stays untouched: per-candidate instrumentation would
-/// contend across workers, and the observed path must stay bit-identical
-/// to (and nearly as fast as) the plain one.
-#[must_use]
-pub fn rank_combinations_observed(
-    flow: &InterleavedFlow,
-    candidates: &[Vec<MessageId>],
-    cache: &MiCache,
-    parallelism: Parallelism,
-    obs: Option<&Registry>,
 ) -> Vec<RankedCombination> {
     let catalog = flow.catalog();
-    let workers = parallelism.worker_count(candidates.len());
-    if let Some(registry) = obs {
-        registry
-            .gauge("pstrace_select_rank_workers")
-            .set(i64::try_from(workers).unwrap_or(i64::MAX));
-        registry
-            .counter("pstrace_select_candidates_total")
-            .add(candidates.len() as u64);
-    }
-    let mut ranked: Vec<RankedCombination> = if workers <= 1 {
-        let _span = obs.map(|r| r.span_on("rank-worker", 1));
-        candidates
-            .iter()
-            .map(|combo| score_one(combo, catalog, cache))
-            .collect()
-    } else {
-        let mut slots: Vec<Option<RankedCombination>> = vec![None; candidates.len()];
-        let chunk = candidates.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for (wid, (cand_chunk, out_chunk)) in candidates
-                .chunks(chunk)
-                .zip(slots.chunks_mut(chunk))
-                .enumerate()
-            {
-                s.spawn(move || {
-                    let _span = obs.map(|r| r.span_on("rank-worker", wid as u32 + 1));
-                    for (combo, slot) in cand_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = Some(score_one(combo, catalog, cache));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every candidate chunk was scored"))
-            .collect()
-    };
+    let mut ranked: Vec<RankedCombination> = candidates
+        .iter()
+        .map(|combo| score_one(combo, catalog, cache))
+        .collect();
     ranked.sort_by(rank_order);
     ranked
 }
 
-/// Greedy beam search over combinations, for message alphabets too large to
-/// enumerate exhaustively (the paper makes scalability an explicit
-/// objective; this is the scalable path).
+/// Collects every non-empty combination of `messages` that fits
+/// `budget_bits` and whose additive gain (the sum of its
+/// [`MiCache::message_delta`]s) lies within rounding error of the best
+/// additive gain `G*`. Ranking the collected sets with
+/// [`rank_combinations_cached`] yields the same first entry as ranking
+/// every feasible combination.
 ///
-/// Keeps the `beam_width` best partial combinations, extending each with
-/// every message that still fits the budget, until no extension improves
-/// any beam entry. Returns the best combination found.
+/// Why the winner is always collected. Let `W` be the exhaustive winner
+/// (the largest [`MiCache::combination_mi`] among feasible sets), `S*` the
+/// set whose additive sum the knapsack reports as `G*`, `R(S)` the real
+/// sum of a set's cached terms, and `b` =
+/// [`MiCache::summation_error_bound`], which bounds the error of every
+/// floating-point sum of cached terms in any order and association. Then,
+/// for any floating-point evaluation `F(W)` of `W`'s additive gain,
 ///
-/// Convenience wrapper over [`beam_select_cached`].
+/// ```text
+/// F(W) ≥ R(W) − b                      (F sums W's terms)
+///      ≥ combination_mi(W) − 2b        (so does combination_mi)
+///      ≥ combination_mi(S*) − 2b       (W wins the exact ranking)
+///      ≥ R(S*) − 3b
+///      ≥ G* − 4b                       (G* sums S*'s terms).
+/// ```
+///
+/// (If `S*` is empty, `R(W) ≥ 0 = G*` directly: every contribution is a
+/// KL divergence times a probability, so non-negative in real arithmetic.)
+/// The threshold is therefore `G* − 4b`. `b` uses `n·ε` for `γ_n ≈ n·ε/2`,
+/// so the one rounding of the subtraction `G* − 4b` is covered too.
+///
+/// Pruning never drops `W`: the knapsack table holds, for each suffix of
+/// messages and each remaining width, the best additive gain still
+/// reachable, and rounding is monotone, so a node's `gain + best` is at
+/// least a floating-point evaluation of `W`'s additive gain whenever the
+/// node lies on `W`'s branch — which is at least the threshold by the
+/// chain above.
 ///
 /// # Errors
 ///
-/// * [`SelectError::ZeroBeamWidth`] if `beam_width` is zero;
-/// * [`SelectError::NoMessages`] if the interleaving has no messages.
-pub fn beam_select(
-    flow: &InterleavedFlow,
+/// * [`SelectError::NoMessages`] if `messages` is empty;
+/// * [`SelectError::CombinationLimitExceeded`] if more than `limit` sets
+///   lie within the bound.
+pub(crate) fn search_near_best(
+    catalog: &MessageCatalog,
+    messages: &[MessageId],
     budget_bits: u32,
-    beam_width: usize,
-    base: LogBase,
-) -> Result<RankedCombination, SelectError> {
-    let cache = MiCache::new(flow, base);
-    beam_select_cached(flow, budget_bits, beam_width, &cache)
-}
-
-/// [`beam_select`] over a pre-built [`MiCache`], scoring every extension
-/// incrementally: each message's MI contribution is disjoint from every
-/// other's, so extending a combination costs one cached lookup
-/// (`entry.gain + cache.message_delta(m)`) instead of a pass over the
-/// interleaving's edges.
-///
-/// # Errors
-///
-/// * [`SelectError::ZeroBeamWidth`] if `beam_width` is zero;
-/// * [`SelectError::NoMessages`] if the interleaving has no messages.
-pub fn beam_select_cached(
-    flow: &InterleavedFlow,
-    budget_bits: u32,
-    beam_width: usize,
     cache: &MiCache,
-) -> Result<RankedCombination, SelectError> {
-    if beam_width == 0 {
-        return Err(SelectError::ZeroBeamWidth);
-    }
-    let alphabet = flow.message_alphabet();
-    if alphabet.is_empty() {
+    limit: usize,
+) -> Result<Vec<Vec<MessageId>>, SelectError> {
+    if messages.is_empty() {
         return Err(SelectError::NoMessages);
     }
-    let catalog = flow.catalog();
+    let mut ids: Vec<MessageId> = messages.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    // (message, width, additive gain) of every message that fits alone.
+    let items: Vec<(MessageId, usize, f64)> = ids
+        .into_iter()
+        .filter(|&m| catalog.width(m) <= budget_bits)
+        .map(|m| (m, catalog.width(m) as usize, cache.message_delta(m)))
+        .collect();
 
-    let mut beam: Vec<RankedCombination> = vec![RankedCombination {
-        messages: Vec::new(),
-        gain: 0.0,
-        width: 0,
-    }];
-    let mut best = beam[0].clone();
-
-    loop {
-        let mut extensions: Vec<RankedCombination> = Vec::new();
-        for entry in &beam {
-            for &m in &alphabet {
-                if entry.messages.contains(&m) {
-                    continue;
-                }
-                let width = entry.width + catalog.width(m);
-                if width > budget_bits {
-                    continue;
-                }
-                let mut messages = entry.messages.clone();
-                messages.push(m);
-                messages.sort_unstable();
-                if extensions.iter().any(|e| e.messages == messages) {
-                    continue;
-                }
-                let gain = entry.gain + cache.message_delta(m);
-                extensions.push(RankedCombination {
-                    messages,
-                    gain,
-                    width,
-                });
-            }
+    // 0/1 knapsack over (message suffix, remaining bits): `best[i][c]` is
+    // the largest additive gain of any subset of `items[i..]` within `c`
+    // bits (the empty subset gives 0). Room past the total width of every
+    // item changes nothing, so the table stops there.
+    let cols = (budget_bits as usize).min(items.iter().map(|&(_, w, _)| w).sum()) + 1;
+    let mut best = vec![0.0f64; (items.len() + 1) * cols];
+    for (i, &(_, width, delta)) in items.iter().enumerate().rev() {
+        for c in 0..cols {
+            let skip = best[(i + 1) * cols + c];
+            best[i * cols + c] = if width <= c {
+                skip.max(delta + best[(i + 1) * cols + c - width])
+            } else {
+                skip
+            };
         }
-        if extensions.is_empty() {
-            break;
-        }
-        extensions.sort_by(rank_order);
-        extensions.truncate(beam_width);
-        if extensions[0].gain > best.gain
-            || (extensions[0].gain == best.gain && extensions[0].width > best.width)
-        {
-            best = extensions[0].clone();
-        }
-        beam = extensions;
     }
-    Ok(best)
+    let threshold = best[cols - 1] - 4.0 * cache.summation_error_bound();
+
+    let mut search = NearBest {
+        items: &items,
+        best: &best,
+        cols,
+        threshold,
+        limit,
+        current: Vec::new(),
+        found: Vec::new(),
+    };
+    search.visit(0, cols - 1, 0.0)?;
+    Ok(search.found)
+}
+
+/// Depth-first state of [`search_near_best`].
+struct NearBest<'a> {
+    items: &'a [(MessageId, usize, f64)],
+    best: &'a [f64],
+    cols: usize,
+    threshold: f64,
+    limit: usize,
+    current: Vec<MessageId>,
+    found: Vec<Vec<MessageId>>,
+}
+
+impl NearBest<'_> {
+    /// Decides `items[i..]` with `room` bits left and `gain` collected.
+    fn visit(&mut self, i: usize, room: usize, gain: f64) -> Result<(), SelectError> {
+        if gain + self.best[i * self.cols + room] < self.threshold {
+            return Ok(());
+        }
+        if i == self.items.len() {
+            if !self.current.is_empty() {
+                if self.found.len() >= self.limit {
+                    return Err(SelectError::CombinationLimitExceeded { limit: self.limit });
+                }
+                self.found.push(self.current.clone());
+            }
+            return Ok(());
+        }
+        let (message, width, delta) = self.items[i];
+        if width <= room {
+            self.current.push(message);
+            self.visit(i + 1, room - width, gain + delta)?;
+            self.current.pop();
+        }
+        self.visit(i + 1, room, gain)
+    }
 }
 
 #[cfg(test)]
@@ -347,35 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn beam_matches_exhaustive_on_the_running_example() {
-        let u = product();
-        let catalog = u.catalog().clone();
-        let candidates = enumerate_combinations(&catalog, &u.message_alphabet(), 2, 100).unwrap();
-        let exhaustive = rank_combinations(&u, &candidates, LogBase::Nats);
-        let beam = beam_select(&u, 2, 4, LogBase::Nats).unwrap();
-        assert_eq!(beam.messages, exhaustive[0].messages);
-        assert!((beam.gain - exhaustive[0].gain).abs() < 1e-12);
-    }
-
-    #[test]
-    fn beam_rejects_zero_width() {
-        let u = product();
-        assert_eq!(
-            beam_select(&u, 2, 0, LogBase::Nats).unwrap_err(),
-            SelectError::ZeroBeamWidth
-        );
-    }
-
-    #[test]
-    fn beam_with_tiny_budget_returns_empty_combination() {
-        let u = product();
-        // Budget of 0 bits: no message fits; the empty combination remains.
-        let best = beam_select(&u, 0, 4, LogBase::Nats).unwrap();
-        assert!(best.messages.is_empty());
-        assert_eq!(best.gain, 0.0);
-    }
-
-    #[test]
     fn ranking_is_deterministic_under_permutation() {
         let u = product();
         let catalog = u.catalog().clone();
@@ -388,82 +274,48 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ranking_is_bit_identical_to_sequential() {
-        let u = product();
-        let catalog = u.catalog().clone();
-        let candidates = enumerate_combinations(&catalog, &u.message_alphabet(), 4, 100).unwrap();
-        let cache = MiCache::new(&u, LogBase::Nats);
-        let sequential = rank_combinations_cached(&u, &candidates, &cache, Parallelism::Off);
-        for threads in [1usize, 2, 3, 4, 7] {
-            let parallel =
-                rank_combinations_cached(&u, &candidates, &cache, Parallelism::threads(threads));
-            assert_eq!(sequential.len(), parallel.len());
-            for (s, p) in sequential.iter().zip(&parallel) {
-                assert_eq!(s.messages, p.messages);
-                assert_eq!(s.gain.to_bits(), p.gain.to_bits(), "thread count {threads}");
-                assert_eq!(s.width, p.width);
-            }
-        }
-        let auto = rank_combinations_cached(&u, &candidates, &cache, Parallelism::Auto);
-        assert_eq!(sequential, auto);
-    }
-
-    #[test]
-    fn observed_ranking_is_bit_identical_and_records_worker_spans() {
-        let u = product();
-        let catalog = u.catalog().clone();
-        let candidates = enumerate_combinations(&catalog, &u.message_alphabet(), 4, 100).unwrap();
-        let cache = MiCache::new(&u, LogBase::Nats);
-        let plain = rank_combinations_cached(&u, &candidates, &cache, Parallelism::threads(3));
-        let obs = Registry::new();
-        let observed = rank_combinations_observed(
-            &u,
-            &candidates,
-            &cache,
-            Parallelism::threads(3),
-            Some(&obs),
-        );
-        assert_eq!(plain, observed);
-        let workers = Parallelism::threads(3).worker_count(candidates.len());
-        let spans = obs.spans();
-        assert_eq!(
-            spans.iter().filter(|s| s.name == "rank-worker").count(),
-            workers
-        );
-        // Worker lanes are 1-based so the main lane (tid 0) stays free.
-        assert!(spans.iter().all(|s| s.tid >= 1));
-        assert_eq!(
-            obs.gauge("pstrace_select_rank_workers").get(),
-            workers as i64
-        );
-        assert_eq!(
-            obs.counter("pstrace_select_candidates_total").get(),
-            candidates.len() as u64
-        );
-    }
-
-    #[test]
     fn cached_ranking_matches_uncached() {
         let u = product();
         let catalog = u.catalog().clone();
         let candidates = enumerate_combinations(&catalog, &u.message_alphabet(), 3, 100).unwrap();
         let uncached = rank_combinations(&u, &candidates, LogBase::Nats);
         let cache = MiCache::new(&u, LogBase::Nats);
-        let cached = rank_combinations_cached(&u, &candidates, &cache, Parallelism::Auto);
+        let cached = rank_combinations_cached(&u, &candidates, &cache);
         assert_eq!(uncached, cached);
     }
 
     #[test]
-    fn worker_count_respects_bounds() {
-        assert_eq!(Parallelism::Off.worker_count(1000), 1);
-        assert_eq!(Parallelism::threads(4).worker_count(1000), 4);
-        // Never more workers than items.
-        assert_eq!(Parallelism::threads(8).worker_count(3), 3);
-        assert_eq!(Parallelism::threads(0), Parallelism::Off);
-        // Auto never exceeds items / MIN_CHUNK_PER_WORKER but stays >= 1.
-        assert_eq!(Parallelism::Auto.worker_count(1), 1);
-        assert_eq!(Parallelism::Auto.worker_count(0), 1);
-        let w = Parallelism::Auto.worker_count(10_000);
-        assert!((1..=10_000 / MIN_CHUNK_PER_WORKER).contains(&w));
+    fn search_collects_the_exhaustive_winner_and_few_others() {
+        let u = product();
+        let catalog = u.catalog().clone();
+        let alphabet = u.message_alphabet();
+        let cache = MiCache::new(&u, LogBase::Nats);
+        for bits in 1..=4 {
+            let all = enumerate_combinations(&catalog, &alphabet, bits, 100).unwrap();
+            let near = search_near_best(&catalog, &alphabet, bits, &cache, 100).unwrap();
+            assert!(!near.is_empty() && near.len() <= all.len());
+            assert!(near.iter().all(|c| all.contains(c)), "{bits} bits");
+            assert_eq!(
+                rank_combinations_cached(&u, &near, &cache)[0],
+                rank_combinations_cached(&u, &all, &cache)[0],
+                "{bits} bits"
+            );
+        }
+    }
+
+    #[test]
+    fn search_finds_nothing_when_no_message_fits() {
+        let u = product();
+        let cache = MiCache::new(&u, LogBase::Nats);
+        let near = search_near_best(u.catalog(), &u.message_alphabet(), 0, &cache, 100).unwrap();
+        assert!(near.is_empty());
+    }
+
+    #[test]
+    fn search_limit_surfaces() {
+        let u = product();
+        let cache = MiCache::new(&u, LogBase::Nats);
+        let err = search_near_best(u.catalog(), &u.message_alphabet(), 2, &cache, 0).unwrap_err();
+        assert_eq!(err, SelectError::CombinationLimitExceeded { limit: 0 });
     }
 }

@@ -5,34 +5,14 @@ use pstrace_infogain::{LogBase, MiCache};
 use pstrace_obs::{maybe_time, Registry};
 
 use crate::buffer::TraceBufferSpec;
-use crate::combine::enumerate_combinations;
 use crate::coverage::flow_spec_coverage;
 use crate::error::SelectError;
 use crate::packing::{pack_cached, Packing};
-use crate::rank::{beam_select_cached, rank_combinations_observed, Parallelism, RankedCombination};
+use crate::rank::{rank_combinations_cached, search_near_best, RankedCombination};
 
-/// How Step 1/2 explore the combination space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Enumerate every width-feasible combination (exact, as in the paper's
-    /// running example). Fails with
-    /// [`SelectError::CombinationLimitExceeded`] beyond `limit` candidates.
-    Exhaustive {
-        /// Maximum number of candidates to materialize.
-        limit: usize,
-    },
-    /// Greedy beam search (scalable path for large message alphabets).
-    Beam {
-        /// Number of partial combinations kept per round.
-        width: usize,
-    },
-}
-
-impl Default for Strategy {
-    fn default() -> Self {
-        Strategy::Exhaustive { limit: 2_000_000 }
-    }
-}
+/// Most combinations Step 2 re-ranks exactly before giving up with
+/// [`SelectError::CombinationLimitExceeded`].
+const NEAR_BEST_LIMIT: usize = 2_000_000;
 
 /// Configuration of a [`Selector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,38 +23,30 @@ pub struct SelectionConfig {
     pub log_base: LogBase,
     /// Whether to run the Step 3 packing loop.
     pub packing: bool,
-    /// Exploration strategy for Steps 1–2.
-    pub strategy: Strategy,
-    /// Thread fan-out of the candidate-scoring loop. Any setting yields
-    /// bit-identical selections; this only trades wall-clock for cores.
-    pub parallelism: Parallelism,
 }
 
 impl SelectionConfig {
-    /// Paper-faithful defaults for the given buffer: nats, packing enabled,
-    /// exhaustive enumeration, automatic scoring parallelism.
+    /// Paper-faithful defaults for the given buffer: nats, packing enabled.
     #[must_use]
     pub fn new(buffer: TraceBufferSpec) -> Self {
         SelectionConfig {
             buffer,
             log_base: LogBase::Nats,
             packing: true,
-            strategy: Strategy::default(),
-            parallelism: Parallelism::default(),
         }
     }
 }
 
-/// The full outcome of a selection run, including intermediate candidates
-/// so experiments (e.g. the paper's Figure 5 correlation study) can audit
-/// every evaluated combination.
+/// The full outcome of a selection run. Experiments that need every
+/// ranked candidate (e.g. the paper's Figure 5 correlation study) rank
+/// them with [`enumerate_combinations`](crate::enumerate_combinations) and
+/// [`rank_combinations`](crate::rank_combinations).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionReport {
-    /// The winning combination of Step 2.
+    /// The winning combination of Step 2: the first of every width-feasible
+    /// combination under the ranking rule of
+    /// [`rank_combinations`](crate::rank_combinations).
     pub chosen: RankedCombination,
-    /// Every evaluated candidate, ranked (exhaustive strategy only; empty
-    /// for beam search).
-    pub candidates: Vec<RankedCombination>,
     /// Subgroups packed in Step 3 (empty when packing is disabled).
     pub packed_groups: Vec<GroupId>,
     /// Effective message set: chosen messages plus packed-subgroup parents.
@@ -162,88 +134,62 @@ impl<'a> Selector<'a> {
 
     /// Runs Steps 1–3 and returns the full report.
     ///
+    /// Steps 1–2 pick the same combination as ranking every width-feasible
+    /// combination would, bit for bit, but without enumerating them: a
+    /// knapsack over per-message MI contributions bounds the best gain, a
+    /// depth-first search collects the few combinations within rounding
+    /// error of it, and only those are ranked exactly.
+    ///
     /// # Errors
     ///
     /// * [`SelectError::NoMessages`] if the interleaving has no messages;
-    /// * [`SelectError::CombinationLimitExceeded`] if exhaustive
-    ///   enumeration exceeds its limit;
-    /// * [`SelectError::ZeroBeamWidth`] if the beam width is zero.
+    /// * [`SelectError::CombinationLimitExceeded`] if more than two million
+    ///   combinations lie within rounding error of the best gain.
     pub fn select(&self) -> Result<SelectionReport, SelectError> {
         self.select_observed(None)
     }
 
     /// [`select`](Selector::select) with optional instrumentation: with a
-    /// registry, each pipeline phase (`mi-cache`, `enumerate`, `rank` /
-    /// `beam`, `pack`, `coverage`) is timed as a span, and candidate-count
-    /// plus MI-cache hit/miss counters are recorded. The selection itself
-    /// is bit-identical with and without a registry.
+    /// registry, each pipeline phase (`mi-cache`, `rank` — the bounded
+    /// search plus the exact ranking of what it collects —, `pack`,
+    /// `coverage`) is timed as a span, and
+    /// `pstrace_select_candidates_total` counts the combinations ranked
+    /// exactly. The selection itself is bit-identical with and without a
+    /// registry.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`select`](Selector::select).
     pub fn select_observed(&self, obs: Option<&Registry>) -> Result<SelectionReport, SelectError> {
         let flow = self.flow;
-        let catalog = flow.catalog().clone();
         let buffer = self.config.buffer;
-        let log_base = self.config.log_base;
 
-        // One cache serves Step 2 ranking, beam extension deltas, and the
-        // Step 3 packing loop.
-        let cache = maybe_time(obs, "mi-cache", || MiCache::new(flow, log_base));
+        // One cache serves the Step 2 search and ranking and the Step 3
+        // packing loop.
+        let cache = maybe_time(obs, "mi-cache", || MiCache::new(flow, self.config.log_base));
 
-        let (chosen, candidates) = match self.config.strategy {
-            Strategy::Exhaustive { limit } => {
-                let alphabet = flow.message_alphabet();
-                let combos = maybe_time(obs, "enumerate", || {
-                    enumerate_combinations(&catalog, &alphabet, buffer.width_bits(), limit)
-                })?;
-                if combos.is_empty() {
-                    // No single message fits; Step 2 selects nothing and
-                    // Step 3 packing gets the whole buffer.
-                    (
-                        RankedCombination {
-                            messages: Vec::new(),
-                            gain: 0.0,
-                            width: 0,
-                        },
-                        Vec::new(),
-                    )
-                } else {
-                    let ranked = maybe_time(obs, "rank", || {
-                        rank_combinations_observed(
-                            flow,
-                            &combos,
-                            &cache,
-                            self.config.parallelism,
-                            obs,
-                        )
-                    });
-                    if let Some(registry) = obs {
-                        // Recounted after the fact so the scoring hot loop
-                        // carries no shared atomic traffic.
-                        let (mut hits, mut misses) = (0u64, 0u64);
-                        for combo in &combos {
-                            let (h, m) = cache.lookup_stats(combo);
-                            hits += h;
-                            misses += m;
-                        }
-                        registry
-                            .counter("pstrace_select_mi_cache_hits_total")
-                            .add(hits);
-                        registry
-                            .counter("pstrace_select_mi_cache_misses_total")
-                            .add(misses);
-                    }
-                    (ranked[0].clone(), ranked)
-                }
-            }
-            Strategy::Beam { width } => (
-                maybe_time(obs, "beam", || {
-                    beam_select_cached(flow, buffer.width_bits(), width, &cache)
-                })?,
-                Vec::new(),
-            ),
-        };
+        let ranked = maybe_time(obs, "rank", || {
+            search_near_best(
+                flow.catalog(),
+                &flow.message_alphabet(),
+                buffer.width_bits(),
+                &cache,
+                NEAR_BEST_LIMIT,
+            )
+            .map(|near| rank_combinations_cached(flow, &near, &cache))
+        })?;
+        if let Some(registry) = obs {
+            registry
+                .counter("pstrace_select_candidates_total")
+                .add(ranked.len() as u64);
+        }
+        // No single message fits: Step 2 selects nothing and Step 3
+        // packing gets the whole buffer.
+        let chosen = ranked.into_iter().next().unwrap_or(RankedCombination {
+            messages: Vec::new(),
+            gain: 0.0,
+            width: 0,
+        });
 
         let width_unpacked = chosen.width;
         let utilization_unpacked = buffer.utilization(width_unpacked);
@@ -270,7 +216,6 @@ impl<'a> Selector<'a> {
 
         Ok(SelectionReport {
             chosen,
-            candidates,
             packed_groups: packing.groups.clone(),
             effective_messages,
             width_unpacked,
@@ -310,32 +255,11 @@ mod tests {
             .map(|&m| catalog.name(m))
             .collect();
         assert_eq!(names, ["ReqE", "GntE"]);
-        assert_eq!(report.candidates.len(), 6);
         assert!(report.packed_groups.is_empty(), "no subgroups declared");
         assert_eq!(report.width_unpacked, 2);
         assert_eq!(report.utilization(), 1.0);
         assert!((report.coverage() - 0.7333).abs() < 1e-4);
         assert!((report.gain_packed - 1.073).abs() < 1e-3);
-    }
-
-    #[test]
-    fn beam_strategy_selects_the_same_combination() {
-        let u = running_example();
-        let mut config = SelectionConfig::new(TraceBufferSpec::new(2).unwrap());
-        config.strategy = Strategy::Beam { width: 4 };
-        let report = Selector::new(&u, config).select().unwrap();
-        let catalog = u.catalog();
-        let names: Vec<&str> = report
-            .chosen
-            .messages
-            .iter()
-            .map(|&m| catalog.name(m))
-            .collect();
-        assert_eq!(names, ["ReqE", "GntE"]);
-        assert!(
-            report.candidates.is_empty(),
-            "beam reports no candidate list"
-        );
     }
 
     #[test]
@@ -412,44 +336,10 @@ mod tests {
         let observed = selector.select_observed(Some(&obs)).unwrap();
         assert_eq!(plain, observed);
         let phases: Vec<String> = obs.spans().iter().map(|s| s.name.clone()).collect();
-        for expected in [
-            "mi-cache",
-            "enumerate",
-            "rank-worker",
-            "rank",
-            "pack",
-            "coverage",
-        ] {
-            assert!(
-                phases.iter().any(|p| p == expected),
-                "missing phase {expected} in {phases:?}"
-            );
-        }
-        // Running example: 6 candidates, all single/pair lookups hit.
-        assert_eq!(obs.counter("pstrace_select_candidates_total").get(), 6);
-        assert!(obs.counter("pstrace_select_mi_cache_hits_total").get() > 0);
-        assert_eq!(obs.counter("pstrace_select_mi_cache_misses_total").get(), 0);
-    }
-
-    #[test]
-    fn observed_beam_selection_times_the_beam_phase() {
-        let u = running_example();
-        let mut config = SelectionConfig::new(TraceBufferSpec::new(2).unwrap());
-        config.strategy = Strategy::Beam { width: 4 };
-        let obs = pstrace_obs::Registry::new();
-        let report = Selector::new(&u, config)
-            .select_observed(Some(&obs))
-            .unwrap();
-        assert!(!report.chosen.messages.is_empty());
-        assert!(obs.spans().iter().any(|s| s.name == "beam"));
-    }
-
-    #[test]
-    fn combination_limit_surfaces() {
-        let u = running_example();
-        let mut config = SelectionConfig::new(TraceBufferSpec::new(3).unwrap());
-        config.strategy = Strategy::Exhaustive { limit: 2 };
-        let err = Selector::new(&u, config).select().unwrap_err();
-        assert_eq!(err, SelectError::CombinationLimitExceeded { limit: 2 });
+        assert_eq!(phases, ["mi-cache", "rank", "pack", "coverage"]);
+        // Running example at 2 bits: ReqE, GntE and Ack contribute equally,
+        // so the three pairs tie in real arithmetic and all three are
+        // re-ranked exactly; the three singletons are not.
+        assert_eq!(obs.counter("pstrace_select_candidates_total").get(), 3);
     }
 }

@@ -279,14 +279,6 @@ impl MessageCatalog {
             .map(|(i, g)| (GroupId(i as u32), g))
     }
 
-    /// Subgroups of the message `parent`.
-    pub fn groups_of(
-        &self,
-        parent: MessageId,
-    ) -> impl Iterator<Item = (GroupId, &MessageGroup)> + '_ {
-        self.iter_groups().filter(move |(_, g)| g.parent == parent)
-    }
-
     /// Sum of the widths of `messages` (`W(M)` of Definition 6).
     ///
     /// Duplicate ids are counted once: a message combination is a *set*.
@@ -352,7 +344,7 @@ mod tests {
         assert_eq!(c.group(tid).width(), 6);
         assert_eq!(c.group_qualified_name(tid), "dmusiidata.cputhreadid");
         assert_eq!(c.get_group("dmusiidata.cputhreadid"), Some(tid));
-        assert_eq!(c.groups_of(data).count(), 1);
+        assert_eq!(c.iter_groups().count(), 1);
     }
 
     #[test]

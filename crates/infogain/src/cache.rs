@@ -27,16 +27,15 @@
 //! terms in the same merged order performs the exact same sequence of
 //! floating-point additions.
 //!
-//! For greedy extension loops (beam search, Step-3 packing) the cache also
-//! exposes [`MiCache::message_delta`]: the *incremental* gain of adding one
-//! more message, exact in real arithmetic and within a few ULPs of the
-//! merged sum in floating point.
+//! Every indexed message's contribution is `p(y)·KL(p(x|y) ‖ p(x))`, so
+//! it is non-negative in real arithmetic, and contributions add up across
+//! messages: [`MiCache::message_delta`] is the exact incremental gain of one
+//! more message, and [`MiCache::summation_error_bound`] bounds how far any
+//! floating-point sum of the cached terms can stray from the real one. Step
+//! 2's bounded search is built on these two facts.
 
-use std::collections::HashMap;
+use pstrace_flow::{FlowIndex, InterleavedFlow, MessageId, ProductStateId};
 
-use pstrace_flow::{InterleavedFlow, MessageId};
-
-use crate::joint::JointDistribution;
 use crate::pmf::LogBase;
 
 /// One indexed message's cached slice of the MI sum.
@@ -60,9 +59,6 @@ struct MessageEntry {
     /// Flat sum of all terms (one accumulator, ys then terms in order):
     /// the message's standalone MI, also its exact additive delta.
     contribution: f64,
-    /// Total marginal probability mass Σ p(y) over this message's indexed
-    /// instances.
-    marginal_mass: f64,
 }
 
 /// Per-message MI cache over one interleaved flow and one logarithm base.
@@ -97,63 +93,86 @@ struct MessageEntry {
 #[derive(Debug, Clone)]
 pub struct MiCache {
     base: LogBase,
-    entries: HashMap<MessageId, MessageEntry>,
+    /// Indexed by [`MessageId::index`]; messages that label no edge keep an
+    /// empty entry.
+    entries: Vec<MessageEntry>,
     state_count: usize,
     total_edges: u64,
+    /// Number of cached terms, over every message.
+    term_count: usize,
+    /// `Σ |t|` over every cached term.
+    abs_term_sum: f64,
 }
 
 impl MiCache {
     /// Builds the cache in one pass over `flow`'s edges.
     #[must_use]
     pub fn new(flow: &InterleavedFlow, base: LogBase) -> Self {
-        // Single-message statistics, keyed by indexed message in
-        // first-encounter order (mirrors JointDistribution's bookkeeping
-        // for the full-alphabet combination).
-        let mut y_order: HashMap<pstrace_flow::IndexedMessage, usize> = HashMap::new();
-        let mut ys: Vec<(pstrace_flow::IndexedMessage, usize)> = Vec::new(); // (y, first_pos)
-        let mut y_counts: Vec<u64> = Vec::new();
-        let mut xy_maps: Vec<HashMap<pstrace_flow::ProductStateId, u64>> = Vec::new();
-
+        // Dense ids for indexed messages: `(message, flow index)` maps to
+        // `dense[message · |indices| + position of the index]`, assigned in
+        // first-encounter edge order (mirrors JointDistribution's
+        // bookkeeping for the full-alphabet combination). An edge's indexed
+        // message carries its slot's flow index, so the slot finds the
+        // position; two slots that share a flow index share their indexed
+        // messages, as they do there.
+        let catalog_len = flow.catalog().len();
+        let mut indices: Vec<FlowIndex> = flow.flows().iter().map(|f| f.index()).collect();
+        indices.sort_unstable();
+        indices.dedup();
+        let slot_pos: Vec<usize> = flow
+            .flows()
+            .iter()
+            .map(|f| {
+                indices
+                    .binary_search(&f.index())
+                    .expect("every slot's index is listed")
+            })
+            .collect();
+        let mut dense: Vec<u32> = vec![u32::MAX; catalog_len * indices.len()];
+        let mut ys: Vec<(MessageId, usize)> = Vec::new(); // (message, first_pos)
+        let mut targets: Vec<Vec<ProductStateId>> = Vec::new();
         for (pos, edge) in flow.edges().iter().enumerate() {
-            let yi = *y_order.entry(edge.message).or_insert_with(|| {
-                ys.push((edge.message, pos));
-                y_counts.push(0);
-                xy_maps.push(HashMap::new());
-                ys.len() - 1
-            });
-            y_counts[yi] += 1;
-            *xy_maps[yi].entry(edge.to).or_insert(0) += 1;
+            let key = edge.message.message.index() * indices.len() + slot_pos[edge.slot];
+            if dense[key] == u32::MAX {
+                dense[key] = u32::try_from(ys.len()).expect("indexed message overflow");
+                ys.push((edge.message.message, pos));
+                targets.push(Vec::new());
+            }
+            targets[dense[key] as usize].push(edge.to);
         }
 
         let total_edges = flow.edge_count() as u64;
         let state_count = flow.state_count();
         let p_x = 1.0 / state_count as f64;
 
-        let mut entries: HashMap<MessageId, MessageEntry> = HashMap::new();
-        for (yi, &(y, first_pos)) in ys.iter().enumerate() {
+        let mut entries: Vec<MessageEntry> = vec![MessageEntry::default(); catalog_len];
+        let (mut term_count, mut abs_term_sum) = (0usize, 0.0f64);
+        for (&(message, first_pos), to) in ys.iter().zip(&mut targets) {
             // Exactly the summand sequence of
-            // `JointDistribution::mutual_information` for this y.
-            let mut pairs: Vec<(pstrace_flow::ProductStateId, u64)> =
-                xy_maps[yi].iter().map(|(&s, &c)| (s, c)).collect();
-            pairs.sort_unstable_by_key(|(s, _)| *s);
-            let p_y = y_counts[yi] as f64 / total_edges as f64;
-            let y_total = y_counts[yi] as f64;
-            let terms: Vec<f64> = pairs
-                .iter()
-                .map(|&(_, count)| {
-                    let p_x_given_y = count as f64 / y_total;
-                    let p_xy = p_x_given_y * p_y;
-                    p_xy * base.log(p_xy / (p_x * p_y))
-                })
-                .collect();
-            let entry = entries.entry(y.message).or_default();
-            entry.marginal_mass += p_y;
-            entry.ys.push(IndexedEntry { first_pos, terms });
+            // `JointDistribution::mutual_information` for this y: one term
+            // per distinct target state, in ascending state order.
+            to.sort_unstable();
+            let p_y = to.len() as f64 / total_edges as f64;
+            let y_total = to.len() as f64;
+            let mut terms: Vec<f64> = Vec::new();
+            let mut start = 0;
+            while start < to.len() {
+                let run = to[start..].iter().take_while(|&&s| s == to[start]).count();
+                start += run;
+                let p_x_given_y = run as f64 / y_total;
+                let p_xy = p_x_given_y * p_y;
+                let term = p_xy * base.log(p_xy / (p_x * p_y));
+                abs_term_sum += term.abs();
+                terms.push(term);
+            }
+            term_count += terms.len();
+            // ys are in edge-scan order, so each message's instances stay
+            // sorted by first_pos.
+            entries[message.index()]
+                .ys
+                .push(IndexedEntry { first_pos, terms });
         }
-        for entry in entries.values_mut() {
-            // ys were inserted in edge-scan order, so they are already
-            // sorted by first_pos; keep the invariant explicit.
-            entry.ys.sort_unstable_by_key(|y| y.first_pos);
+        for entry in &mut entries {
             let mut sum = 0.0;
             for y in &entry.ys {
                 for &t in &y.terms {
@@ -168,6 +187,8 @@ impl MiCache {
             entries,
             state_count,
             total_edges,
+            term_count,
+            abs_term_sum,
         }
     }
 
@@ -191,8 +212,10 @@ impl MiCache {
     }
 
     /// Mutual information of `combination`, bit-identical to
-    /// [`JointDistribution::from_combination`] followed by
-    /// [`JointDistribution::mutual_information`] with this cache's base.
+    /// [`JointDistribution::from_combination`](crate::JointDistribution::from_combination)
+    /// followed by
+    /// [`JointDistribution::mutual_information`](crate::JointDistribution::mutual_information)
+    /// with this cache's base.
     ///
     /// Duplicate message ids are ignored (as the from-scratch membership
     /// test does); messages that never label an edge contribute nothing.
@@ -208,7 +231,7 @@ impl MiCache {
                 continue;
             }
             seen.push(m);
-            if let Some(entry) = self.entries.get(&m) {
+            if let Some(entry) = self.entries.get(m.index()) {
                 ys.extend(entry.ys.iter());
             }
         }
@@ -225,80 +248,40 @@ impl MiCache {
     /// The exact incremental MI of adding `message` to any combination not
     /// already containing it: per-message contributions are disjoint, so
     /// `MI(C ∪ {m}) = MI(C) + message_delta(m)` in real arithmetic (in
-    /// floating point the two sides agree to a few ULPs; use
+    /// floating point the two sides differ by at most
+    /// [`MiCache::summation_error_bound`] each; use
     /// [`MiCache::combination_mi`] where bit-stability matters).
     ///
     /// Returns `0.0` for messages that never label an edge.
     #[must_use]
     pub fn message_delta(&self, message: MessageId) -> f64 {
-        self.entries.get(&message).map_or(0.0, |e| e.contribution)
+        self.entries
+            .get(message.index())
+            .map_or(0.0, |e| e.contribution)
     }
 
-    /// Total marginal mass `Σ p(y)` over `message`'s indexed instances —
-    /// the cached single-message marginal.
-    #[must_use]
-    pub fn message_marginal(&self, message: MessageId) -> f64 {
-        self.entries.get(&message).map_or(0.0, |e| e.marginal_mass)
-    }
-
-    /// Number of indexed instances of `message` observed on edges.
-    #[must_use]
-    pub fn indexed_instance_count(&self, message: MessageId) -> usize {
-        self.entries.get(&message).map_or(0, |e| e.ys.len())
-    }
-
-    /// Whether `message` labels at least one edge (i.e. the cache holds an
-    /// entry for it and a lookup would hit).
-    #[must_use]
-    pub fn contains(&self, message: MessageId) -> bool {
-        self.entries.contains_key(&message)
-    }
-
-    /// Counts the `(hits, misses)` a [`MiCache::combination_mi`] call over
-    /// `combination` performs against the per-message table, deduplicating
-    /// the way the scoring path does.
+    /// An upper bound on the rounding error of *any* floating-point sum
+    /// over *any* subset of the cached terms, in any order and any
+    /// association (flat like [`MiCache::combination_mi`], or per-message
+    /// [`MiCache::message_delta`]s added up).
     ///
-    /// This exists for observability: the ranking hot path stays free of
-    /// instrumentation (shared atomic hit counters would contend across
-    /// worker threads), and profilers recount after the fact instead.
+    /// A sum of `k` floating-point numbers `x_i` computed by any binary
+    /// tree of additions differs from the real sum by at most
+    /// `γ_{k−1} · Σ|x_i|`, with `γ_k = k·u / (1 − k·u)` and unit roundoff
+    /// `u = ε/2` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    /// §4.2). With `n` cached terms in all, `k ≤ n` and `n·u ≤ 1/2`, so
+    /// `γ_{k−1} ≤ 2·n·u = n·ε`, and this returns `n · ε · Σ|t|` over every
+    /// cached term.
     #[must_use]
-    pub fn lookup_stats(&self, combination: &[MessageId]) -> (u64, u64) {
-        let mut seen: Vec<MessageId> = Vec::with_capacity(combination.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for &m in combination {
-            if seen.contains(&m) {
-                continue;
-            }
-            seen.push(m);
-            if self.contains(m) {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-        }
-        (hits, misses)
-    }
-
-    /// Debug helper: asserts the cache reproduces the from-scratch value
-    /// for `combination`. Used by tests; cheap enough to call ad hoc.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cached and from-scratch values differ in any bit.
-    pub fn verify_against(&self, flow: &InterleavedFlow, combination: &[MessageId]) {
-        let cached = self.combination_mi(combination);
-        let scratch =
-            JointDistribution::from_combination(flow, combination).mutual_information(self.base);
-        assert!(
-            cached.to_bits() == scratch.to_bits(),
-            "cache mismatch for {combination:?}: cached {cached:e} vs scratch {scratch:e}"
-        );
+    pub fn summation_error_bound(&self) -> f64 {
+        self.term_count as f64 * f64::EPSILON * self.abs_term_sum
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::joint::JointDistribution;
     use pstrace_flow::{examples::cache_coherence, instantiate};
     use std::sync::Arc;
 
@@ -322,7 +305,10 @@ mod tests {
                     .filter(|(i, _)| mask & (1 << i) != 0)
                     .map(|(_, &m)| m)
                     .collect();
-                cache.verify_against(&u, &combo);
+                let cached = cache.combination_mi(&combo);
+                let scratch =
+                    JointDistribution::from_combination(&u, &combo).mutual_information(base);
+                assert_eq!(cached.to_bits(), scratch.to_bits(), "mask {mask:#b}");
             }
         }
     }
@@ -351,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn deltas_are_additive_to_ulp() {
+    fn deltas_are_additive_within_the_error_bound() {
         let (u, catalog) = product();
         let cache = MiCache::new(&u, LogBase::Nats);
         let all: Vec<MessageId> = catalog.iter().map(|(id, _)| id).collect();
@@ -362,7 +348,7 @@ mod tests {
             combo.push(m);
             let merged = cache.combination_mi(&combo);
             assert!(
-                (additive - merged).abs() <= 1e-12 * merged.abs().max(1.0),
+                (additive - merged).abs() <= 2.0 * cache.summation_error_bound(),
                 "additive {additive} vs merged {merged}"
             );
         }
@@ -385,31 +371,17 @@ mod tests {
     }
 
     #[test]
-    fn lookup_stats_dedup_and_miss_counting() {
+    fn messages_off_the_flow_contribute_nothing() {
         let (u, catalog) = product();
         let cache = MiCache::new(&u, LogBase::Nats);
         let req = catalog.get("ReqE").unwrap();
-        let gnt = catalog.get("GntE").unwrap();
-        assert!(cache.contains(req));
-        // A freshly interned message never labels an edge of the product.
+        // A freshly interned message lies past the cache's catalog.
         let mut extended = (*catalog).clone();
         let bogus = extended.intern("NeverSent", 1);
-        assert!(!cache.contains(bogus));
-        assert_eq!(cache.lookup_stats(&[req, gnt]), (2, 0));
-        assert_eq!(cache.lookup_stats(&[req, req, gnt]), (2, 0));
-        assert_eq!(cache.lookup_stats(&[req, bogus]), (1, 1));
-        assert_eq!(cache.lookup_stats(&[]), (0, 0));
-    }
-
-    #[test]
-    fn marginals_and_instance_counts_match_joint() {
-        let (u, catalog) = product();
-        let cache = MiCache::new(&u, LogBase::Nats);
-        for (m, _) in catalog.iter() {
-            let j = JointDistribution::from_combination(&u, &[m]);
-            let mass: f64 = (0..j.indexed_messages().len()).map(|i| j.p_y(i)).sum();
-            assert!((cache.message_marginal(m) - mass).abs() < 1e-15);
-            assert_eq!(cache.indexed_instance_count(m), j.indexed_messages().len());
-        }
+        assert_eq!(cache.message_delta(bogus), 0.0);
+        assert_eq!(
+            cache.combination_mi(&[req, bogus]).to_bits(),
+            cache.combination_mi(&[req]).to_bits()
+        );
     }
 }

@@ -171,31 +171,6 @@ impl JointDistribution {
         base.log(self.state_count as f64)
     }
 
-    /// Entropy of the observation variable over the *observed* outcomes,
-    /// `H(Y) = -Σ_y p(y)·log p(y)`.
-    ///
-    /// For a strict subset of the alphabet the marginal is subnormalized
-    /// (the residual mass is the "no selected message" event); its
-    /// contribution is included as one aggregate outcome so `H(Y)` stays a
-    /// true entropy.
-    #[must_use]
-    pub fn entropy_y(&self, base: LogBase) -> f64 {
-        let mut h = 0.0;
-        let mut mass = 0.0;
-        for i in 0..self.ys.len() {
-            let p = self.p_y(i);
-            if p > 0.0 {
-                h -= p * base.log(p);
-                mass += p;
-            }
-        }
-        let residual = 1.0 - mass;
-        if residual > 1e-15 {
-            h -= residual * base.log(residual);
-        }
-        h
-    }
-
     /// Conditional entropy `H(X|Y) = Σ_y p(y)·H(X|y) + p(∅)·H(X)`, where
     /// the unobserved residual event `∅` tells the debugger nothing and
     /// therefore leaves the full prior entropy.
@@ -323,10 +298,6 @@ mod tests {
         let combo = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
         let j = JointDistribution::from_combination(&u, &combo);
         assert!((j.entropy_x(LogBase::Nats) - (15f64).ln()).abs() < 1e-12);
-        let hy = j.entropy_y(LogBase::Nats);
-        // 4 outcomes at 1/6 each plus a 1/3 residual event.
-        let expect = -(4.0 * (1.0 / 6.0) * (1.0f64 / 6.0).ln() + (1.0 / 3.0) * (1.0f64 / 3.0).ln());
-        assert!((hy - expect).abs() < 1e-12);
         // Conditioning cannot increase entropy.
         assert!(j.conditional_entropy_x(LogBase::Nats) <= j.entropy_x(LogBase::Nats) + 1e-12);
     }

@@ -29,14 +29,6 @@ pub struct NetlistStats {
     pub max_fanout: usize,
 }
 
-impl NetlistStats {
-    /// Total combinational gate count.
-    #[must_use]
-    pub fn gate_count(&self) -> usize {
-        self.gates.values().sum()
-    }
-}
-
 /// Computes [`NetlistStats`] for `netlist`.
 ///
 /// # Examples
@@ -177,7 +169,7 @@ mod tests {
         assert_eq!(stats.gates["and"], 1);
         assert_eq!(stats.gates["not"], 1);
         assert_eq!(stats.gates["xor"], 1);
-        assert_eq!(stats.gate_count(), 3);
+        assert_eq!(stats.gates.values().sum::<usize>(), 3);
         // a -> x -> y: depth 2; z over flop boundary: depth 1.
         assert_eq!(stats.max_cone_depth, 2);
         // `a` feeds x and z.

@@ -307,23 +307,6 @@ impl UsbDesign {
         out
     }
 
-    /// The messages with at least one but not all signals in `signals`
-    /// (Table 4's "partial" marks).
-    #[must_use]
-    pub fn messages_partially_covered_by(&self, signals: &[SignalId]) -> Vec<MessageId> {
-        let mut out: Vec<MessageId> = self
-            .message_signals
-            .iter()
-            .filter(|(_, sigs)| {
-                let hits = sigs.iter().filter(|s| signals.contains(s)).count();
-                hits > 0 && hits < sigs.len()
-            })
-            .map(|(m, _)| *m)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// The signals carrying the given messages (deduplicated, in message
     /// order).
     #[must_use]
@@ -507,8 +490,6 @@ mod tests {
         let token_in = usb.catalog.get("TOKEN_IN").unwrap();
         let covered = usb.messages_covered_by(&[rx_data, rx_valid]);
         assert!(covered.contains(&token_in));
-        let partial = usb.messages_partially_covered_by(&[rx_data]);
-        assert!(partial.contains(&token_in));
         assert!(!usb.messages_covered_by(&[rx_data]).contains(&token_in));
     }
 }

@@ -429,19 +429,6 @@ impl SocModel {
         self.endpoints(message).map(|p| p.src)
     }
 
-    /// All messages sourced by `ip`.
-    #[must_use]
-    pub fn messages_from(&self, ip: Ip) -> Vec<MessageId> {
-        let mut v: Vec<MessageId> = self
-            .endpoints
-            .iter()
-            .filter(|(_, p)| p.src == ip)
-            .map(|(m, _)| *m)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Distinct legal IP pairs over the given messages (§5.6).
     #[must_use]
     pub fn legal_ip_pairs(&self, messages: &[MessageId]) -> Vec<IpPair> {
@@ -552,8 +539,12 @@ mod tests {
     #[test]
     fn dmu_sources_five_messages() {
         let model = SocModel::t2();
-        let from_dmu = model.messages_from(Ip::Dmu);
-        let names: Vec<&str> = from_dmu.iter().map(|&m| model.catalog().name(m)).collect();
+        let names: Vec<&str> = model
+            .catalog()
+            .iter()
+            .filter(|&(m, _)| model.source_ip(m) == Some(Ip::Dmu))
+            .map(|(m, _)| model.catalog().name(m))
+            .collect();
         assert_eq!(
             names,
             ["dmupioack", "reqtot", "dmusiidata", "dmarreq", "dmawreq"]

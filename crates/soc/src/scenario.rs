@@ -163,14 +163,9 @@ impl UsageScenario {
         self.flows.iter().any(|&(k, _)| k == kind)
     }
 
-    /// Total number of flow instances.
-    #[must_use]
-    pub fn instance_count(&self) -> u32 {
-        self.flows.iter().map(|&(_, n)| n).sum()
-    }
-
     /// Instantiates the scenario's flows with globally unique indices
-    /// `1..=instance_count`, in declaration order.
+    /// `1..=n`, where `n` is the total instance count, in declaration
+    /// order.
     #[must_use]
     pub fn instances(&self, model: &SocModel) -> Vec<IndexedFlow> {
         let mut out = Vec::new();

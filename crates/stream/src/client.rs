@@ -260,12 +260,32 @@ fn send_session<S: Read + Write>(
                 StreamError::Protocol(format!("server acked an impossible offset {acked_offset}"))
             })?;
     }
-    for piece in payload[offset..].chunks(chunk) {
-        write_data(transport, piece)?;
+    let sent = payload[offset..]
+        .chunks(chunk)
+        .try_for_each(|piece| write_data(transport, piece))
+        .and_then(|()| write_finish(transport, ptw.bit_len))
+        .and_then(|()| Ok(transport.flush()?));
+    match sent {
+        Ok(()) => read_reply(transport),
+        // A server that rejects the hello replies and closes without
+        // reading the rest, so a write can find the connection closed.
+        // Its reply, when it arrived, is the verdict; otherwise the write
+        // error stands.
+        Err(StreamError::Io(e))
+            if matches!(
+                e.kind(),
+                io::ErrorKind::BrokenPipe
+                    | io::ErrorKind::ConnectionReset
+                    | io::ErrorKind::ConnectionAborted
+            ) =>
+        {
+            match read_reply(transport) {
+                Err(verdict @ StreamError::Remote(_)) => Err(verdict),
+                _ => Err(StreamError::Io(e)),
+            }
+        }
+        Err(e) => Err(e),
     }
-    write_finish(transport, ptw.bit_len)?;
-    transport.flush()?;
-    read_reply(transport)
 }
 
 /// [`replay`] of a default-tenant capture with a minted trace id, kept
@@ -380,5 +400,74 @@ mod tests {
     fn the_reconnect_budget_picks_the_session_kind() {
         assert_eq!(request_kinds(0), [REQ_SESSION]);
         assert_eq!(request_kinds(2), [REQ_SESSION_RESUME; 3]);
+    }
+
+    /// A transport whose peer takes the hello, answers `reply` and hangs
+    /// up: every later write finds the connection closed.
+    struct HangsUpAfterHello {
+        room: usize,
+        reply: io::Cursor<Vec<u8>>,
+    }
+
+    impl Write for HangsUpAfterHello {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if buf.len() > self.room {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.room -= buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for HangsUpAfterHello {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reply.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_rejection_that_hangs_up_mid_upload_is_the_verdict() {
+        let model = SocModel::t2();
+        let messages = scenario_by_number(1).unwrap().messages(&model);
+        let config = TraceBufferConfig::messages_only(&messages);
+        let width = messages.iter().map(|&m| model.catalog().width(m)).sum();
+        let schema = wirecap::wire_schema(&model, &config, width).unwrap();
+        let encoded = encode_records(&schema, &[], None).unwrap();
+        let ptw = write_ptw(model.catalog(), &schema, &encoded);
+        let plan = Replay {
+            trace: 1,
+            ..Replay::new(9, MatchMode::Prefix)
+        };
+        let mut hello = Vec::new();
+        let request = Request::Session(Hello {
+            scenario: 9,
+            mode: MatchMode::Prefix,
+            tenant: 0,
+            trace: 1,
+            schema: split_ptw(model.catalog(), &ptw).unwrap().header.to_vec(),
+        });
+        write_request(&mut hello, &request).unwrap();
+        let mut reply = Vec::new();
+        crate::proto::write_reply(&mut reply, false, "no scenario 9").unwrap();
+
+        let transport = HangsUpAfterHello {
+            room: hello.len(),
+            reply: io::Cursor::new(reply),
+        };
+        let mut once = Some(transport);
+        let result = replay(
+            |_| Ok(once.take().expect("one attempt")),
+            model.catalog(),
+            &ptw,
+            &plan,
+        );
+        assert!(
+            matches!(&result, Err(StreamError::Remote(m)) if m.contains("no scenario 9")),
+            "{result:?}"
+        );
     }
 }

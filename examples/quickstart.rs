@@ -11,7 +11,11 @@ use std::error::Error;
 use std::sync::Arc;
 
 use pstrace::flow::{examples::cache_coherence, instantiate, path_count, InterleavedFlow};
-use pstrace::select::{flow_spec_coverage, SelectionConfig, Selector, TraceBufferSpec};
+use pstrace::infogain::LogBase;
+use pstrace::select::{
+    enumerate_combinations, flow_spec_coverage, rank_combinations, SelectionConfig, Selector,
+    TraceBufferSpec,
+};
 
 fn main() -> Result<(), Box<dyn Error>> {
     // Figure 1a: the exclusive-line-access flow between an L1 and the
@@ -29,12 +33,17 @@ fn main() -> Result<(), Box<dyn Error>> {
         path_count(&product),
     );
 
-    // §3: select messages for a 2-bit trace buffer.
+    // §3: select messages for a 2-bit trace buffer. Steps 1-2 spelled out:
+    // every combination that fits, ranked by mutual information gain.
     let buffer = TraceBufferSpec::new(2)?;
-    let report = Selector::new(&product, SelectionConfig::new(buffer)).select()?;
-
+    let candidates = enumerate_combinations(
+        &catalog,
+        &product.message_alphabet(),
+        buffer.width_bits(),
+        1_000,
+    )?;
     println!("\nstep 1/2 candidates (gain in nats, descending):");
-    for cand in &report.candidates {
+    for cand in &rank_combinations(&product, &candidates, LogBase::Nats) {
         let names: Vec<&str> = cand.messages.iter().map(|&m| catalog.name(m)).collect();
         let coverage = flow_spec_coverage(&product, &cand.messages);
         println!(
@@ -46,6 +55,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
+    // The selector finds the same winner without ranking every candidate.
+    let report = Selector::new(&product, SelectionConfig::new(buffer)).select()?;
     let chosen: Vec<&str> = report
         .chosen
         .messages

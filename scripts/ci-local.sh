@@ -72,6 +72,12 @@ run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-codec --test propt
 # 4096 cases per property.
 run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-stream --lib proto::
 
+# Selection oracle deep fuzz: on random flows with symmetric instances
+# and mirrored flows (so gains tie in real arithmetic), the selector's
+# bounded search must return exactly what exhaustive ranking returns,
+# every f64 compared bit for bit, at 4096 cases per property.
+run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-core --test proptests
+
 # v2 size gate: every reference-corpus scenario must encode to <= 0.8x
 # its v1 size through the real CLI, and both dialects must decode to
 # byte-identical text traces.

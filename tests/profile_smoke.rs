@@ -9,7 +9,7 @@ use pstrace::obs::{
     phase_summaries, render_chrome_trace, render_profile_table, validate_json, JsonValue,
     ManualClock, Registry, MANUAL_TICK_NS,
 };
-use pstrace::select::{Parallelism, SelectionConfig, Selector, TraceBufferSpec};
+use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{SocModel, UsageScenario};
 
 fn manual_registry() -> Registry {
@@ -20,26 +20,21 @@ fn manual_registry() -> Registry {
 fn selection_profile_table_is_golden_under_the_manual_clock() {
     let model = SocModel::t2();
     let product = UsageScenario::scenario1().interleaving(&model).unwrap();
-    let mut config = SelectionConfig::new(TraceBufferSpec::new(32).unwrap());
-    // Sequential ranking: exactly one `rank-worker` span, every machine.
-    config.parallelism = Parallelism::Off;
+    let config = SelectionConfig::new(TraceBufferSpec::new(32).unwrap());
     let registry = manual_registry();
     Selector::new(&product, config)
         .select_observed(Some(&registry))
         .unwrap();
 
-    // Every non-nested span is exactly one tick; `rank` nests the
-    // worker span, so it spans three clock reads (3 ticks).
+    // No span nests another, so every phase is exactly one tick.
     let expected = "\
-phase         calls         total          mean       %
------------  ------  ------------  ------------  ------
-mi-cache          1       1.000ms       1.000ms   12.5%
-enumerate         1       1.000ms       1.000ms   12.5%
-rank-worker       1       1.000ms       1.000ms   12.5%
-rank              1       3.000ms       3.000ms   37.5%
-pack              1       1.000ms       1.000ms   12.5%
-coverage          1       1.000ms       1.000ms   12.5%
-total             6       8.000ms
+phase      calls         total          mean       %
+--------  ------  ------------  ------------  ------
+mi-cache       1       1.000ms       1.000ms   25.0%
+rank           1       1.000ms       1.000ms   25.0%
+pack           1       1.000ms       1.000ms   25.0%
+coverage       1       1.000ms       1.000ms   25.0%
+total          4       4.000ms
 ";
     assert_eq!(render_profile_table(&registry), expected);
 }
@@ -82,7 +77,6 @@ fn case_study_chrome_trace_validates_and_names_every_phase() {
     for phase in [
         "interleave",
         "mi-cache",
-        "enumerate",
         "rank",
         "pack",
         "coverage",

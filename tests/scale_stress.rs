@@ -5,12 +5,11 @@
 use std::time::Instant;
 
 use pstrace::flow::path_count;
-use pstrace::infogain::LogBase;
-use pstrace::select::{beam_select, TraceBufferSpec};
+use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{FlowKind, SocModel, UsageScenario};
 
 /// A ~146k-state interleaving (3×3 flows, 27 concurrent instances' worth
-/// of product structure) must build, count paths and beam-select within
+/// of product structure) must build, count paths and select within
 /// seconds.
 #[test]
 #[ignore = "multi-second stress run; execute with -- --ignored"]
@@ -36,11 +35,11 @@ fn hundred_thousand_state_interleaving() {
     assert!(t1.elapsed().as_secs() < 30, "path DP too slow");
 
     let t2 = Instant::now();
-    let buffer = TraceBufferSpec::new(32).unwrap();
-    let best = beam_select(&product, buffer.width_bits(), 4, LogBase::Nats).unwrap();
+    let config = SelectionConfig::new(TraceBufferSpec::new(32).unwrap());
+    let best = Selector::new(&product, config).select().unwrap().chosen;
     assert!(!best.messages.is_empty());
     assert!(best.gain > 0.0);
-    assert!(t2.elapsed().as_secs() < 60, "beam selection too slow");
+    assert!(t2.elapsed().as_secs() < 60, "selection too slow");
 }
 
 /// The product state budget aborts cleanly instead of exhausting memory.
