@@ -1,9 +1,9 @@
 //! WAL append overhead: the same 20k-record resumable ingest against a
 //! loopback daemon with durability off, lazy (append, no fsync) and
-//! strict (fsync per lifecycle append). The WAL journals session
-//! *lifecycle*, not payload, so the per-session cost is a handful of
-//! 64-byte appends — the budget is <= 5% over `--durability off`
-//! (recorded in EXPERIMENTS.md).
+//! strict (one fsync per session, for its open group). The WAL journals
+//! session *lifecycle*, not payload, so the per-session cost is a
+//! handful of 64-byte appends — the budget is <= 5% over
+//! `--durability off` (recorded in EXPERIMENTS.md).
 
 use std::sync::Arc;
 

@@ -169,8 +169,10 @@ pub struct ServerConfig {
     pub flight_dump: Option<PathBuf>,
     /// WAL fsync policy: `Off` keeps the pre-durability behavior (a
     /// crash loses every parked session), `Lazy` survives daemon death,
-    /// `Strict` fsyncs every lifecycle append before the client sees its
-    /// ack. Requires [`ServerConfig::wal_dir`] to take effect.
+    /// `Strict` also survives a power loss: one fsync per resumable
+    /// session puts its open group on stable storage before the token is
+    /// acked, and the later lifecycle entries ride the next one.
+    /// Requires [`ServerConfig::wal_dir`] to take effect.
     pub durability: DurabilityPolicy,
     /// Where the per-shard WALs, checkpoints and the epoch file live.
     /// On spawn the daemon replays whatever a previous life left here
@@ -235,6 +237,8 @@ pub struct StatsSnapshot {
     pub shed: u64,
     /// Resume connections handed off to their owning shard.
     pub handoffs: u64,
+    /// WAL syncs (`fdatasync`/`fsync`) issued across all shards.
+    pub fsyncs: u64,
 }
 
 /// Bumps `pstrace_degradation_events_total{path=…}` — the one series
@@ -575,9 +579,9 @@ pub(crate) fn wake_acceptor(addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
-/// Folds daemon-level `pstrace_stream_*` series out of a sample set.
-/// Labeled series (damage reasons, shed reasons) are summed over their
-/// labels.
+/// Folds daemon-level `pstrace_stream_*` and `pstrace_wal_*` series out
+/// of a sample set. Labeled series (damage reasons, shed reasons) are
+/// summed over their labels.
 fn fold_samples(samples: &[(MetricKey, Sample)]) -> StatsSnapshot {
     let mut snap = StatsSnapshot::default();
     for (key, sample) in samples {
@@ -597,6 +601,7 @@ fn fold_samples(samples: &[(MetricKey, Sample)]) -> StatsSnapshot {
             "pstrace_stream_accept_retries_total" => snap.accept_retries += v,
             "pstrace_stream_shed_total" => snap.shed += v,
             "pstrace_stream_handoffs_total" => snap.handoffs += v,
+            "pstrace_wal_fsyncs_total" => snap.fsyncs += v,
             _ => {}
         }
     }

@@ -525,6 +525,11 @@ impl Shard {
             .map_err(|_| degrade(&registry, "wal-append-degraded"))
             .ok()
         });
+        if let Some(wal) = &wal {
+            registry
+                .counter("pstrace_wal_fsyncs_total")
+                .add(wal.syncs());
+        }
         let recovered = ctx.recovered[index]
             .lock()
             .map(|mut slot| std::mem::take(&mut *slot))
@@ -576,6 +581,24 @@ impl Shard {
         (token % self.shard_count() as u64) as usize
     }
 
+    /// Runs one operation on this shard's WAL, if it has one, and
+    /// publishes the syncs it issued as `pstrace_wal_fsyncs_total`.
+    /// Returns whether it failed.
+    fn wal_failed(&mut self, op: impl FnOnce(&mut WalWriter) -> io::Result<()>) -> bool {
+        let Some(wal) = self.wal.as_mut() else {
+            return false;
+        };
+        let before = wal.syncs();
+        let failed = op(wal).is_err();
+        let synced = wal.syncs() - before;
+        if synced > 0 {
+            self.registry
+                .counter("pstrace_wal_fsyncs_total")
+                .add(synced);
+        }
+        failed
+    }
+
     /// Runs one WAL write. A failing write is a degradation
     /// (`wal-append-degraded`), never a session error: the session
     /// continues, it just loses crash durability.
@@ -585,7 +608,7 @@ impl Shard {
         session: u64,
         write: impl FnOnce(&mut WalWriter) -> io::Result<()>,
     ) {
-        if self.wal.as_mut().is_some_and(|wal| write(wal).is_err()) {
+        if self.wal_failed(write) {
             self.note_degrade("wal-append-degraded", trace, session);
         }
     }
@@ -657,8 +680,9 @@ impl Shard {
                 self.note(trace, id, EventKind::Handshake, "");
                 if token != 0 {
                     // Journal the open group before the shell can ack the
-                    // token: under strict durability the fsync happens
-                    // here, so an acked token is always recoverable.
+                    // token: under strict durability the session's one
+                    // fsync happens here, so an acked token is always
+                    // recoverable.
                     self.journal(trace, id, |wal| {
                         wal.append_open(token, id, trace, r.scenario, r.mode, r.tenant, &r.schema)
                     });
@@ -838,8 +862,11 @@ impl Shard {
     /// close, FINISH and panic teardown all end here. The session stops
     /// counting as active and its frontier gauges clear. A parked
     /// session keeps its seat and token; any other end frees the seat,
-    /// and a resumable session journals `Complete` so recovery cannot
-    /// resurrect it. Returns the reply the client is owed, if any.
+    /// and a resumable session journals `Complete` so recovery does not
+    /// resurrect it. The entry is not synced: if a power loss drops it,
+    /// recovery re-parks the ended session, whose token then replays to
+    /// the same report or expires. Returns the reply the client is owed,
+    /// if any.
     fn end(&mut self, live: Live, outcome: Outcome) -> Option<(bool, String)> {
         self.registry.gauge("pstrace_stream_active_sessions").sub(1);
         // However the session ends, it is no longer live-streaming:
@@ -887,7 +914,9 @@ impl Shard {
     }
 
     /// Drops every parked session whose grace period is over at `now`;
-    /// each expiry is journaled so recovery cannot resurrect a dead token.
+    /// each expiry is journaled so recovery does not resurrect a dead
+    /// token (after a power loss that drops the entry, the re-parked
+    /// session simply expires again).
     fn expire_parked(&mut self, now: Instant) {
         let expired: Vec<u64> = self
             .parked
@@ -917,11 +946,7 @@ impl Shard {
             .collect();
         // Rotation is the disk-pressure rung of the ladder: count it.
         self.note_degrade("wal-rotate", 0, 0);
-        if self
-            .wal
-            .as_mut()
-            .is_some_and(|wal| wal.rotate(&live).is_err())
-        {
+        if self.wal_failed(|wal| wal.rotate(&live)) {
             // The checkpoint (or truncate) failed; the old WAL still
             // recovers everything, so degrade and carry on.
             self.note_degrade("wal-checkpoint-degraded", 0, 0);
@@ -1334,10 +1359,10 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
             }
         }
     }
-    // Lazy durability flushes once, here, at the drain edge.
-    if let Some(wal) = shell.shard.wal.as_mut() {
-        let _ = wal.sync();
-    }
+    // The drain edge syncs what no open group has yet: the whole
+    // journal under lazy durability, the trailing park, resume, complete
+    // and expire entries under strict.
+    let _ = shell.shard.wal_failed(WalWriter::sync);
 }
 
 #[cfg(test)]

@@ -35,6 +35,20 @@
 //! resends from the start, so the reassembled stream (and therefore the
 //! localization) is byte-identical to an uninterrupted run.
 //!
+//! # When it syncs
+//!
+//! Every append reaches the page cache at once, so a daemon crash keeps
+//! every entry under both policies. Under [`DurabilityPolicy::Strict`]
+//! the open group is the only per-session sync point: one `fdatasync`
+//! before the resume token is acked. Park, Resume, Complete and Expire
+//! are written without a sync and become durable with the next
+//! open-group commit, rotation or drain. A power loss can drop that
+//! unsynced tail, and recovery tolerates it: Resume is ignored anyway, a
+//! lost Park loses only its informational byte count, and a lost
+//! Complete or Expire re-parks a session that had already ended. Its
+//! token then either replays from offset 0 to the same report or expires
+//! under the resume grace.
+//!
 //! # Checkpoints and rotation
 //!
 //! When a shard's WAL crosses its disk budget, the shard writes a
@@ -76,8 +90,10 @@ pub enum DurabilityPolicy {
     /// Append without fsync: entries survive a daemon crash (the kernel
     /// still has them) but not a host power loss.
     Lazy,
-    /// fsync after every lifecycle append: an acked resume token is on
-    /// stable storage before the client sees the ack.
+    /// One fsync per open group: an acked resume token is on stable
+    /// storage before the client sees the ack. The other lifecycle
+    /// entries ride the next open group, rotation or drain; losing them
+    /// to a power cut only re-parks sessions that had already ended.
     Strict,
 }
 
@@ -517,6 +533,7 @@ pub struct WalWriter {
     seq: u32,
     written: u64,
     budget: u64,
+    syncs: u64,
 }
 
 impl WalWriter {
@@ -550,13 +567,10 @@ impl WalWriter {
             seq: 0,
             written,
             budget: budget.max(4 * WAL_ENTRY_BYTES as u64),
+            syncs: 0,
         };
         if wal.written == 0 {
-            wal.append(&WalRecord::Epoch {
-                epoch,
-                shard: shard as u32,
-                shard_count: shard_count as u32,
-            })?;
+            wal.start()?;
         }
         Ok(wal)
     }
@@ -567,20 +581,23 @@ impl WalWriter {
         &self.path
     }
 
-    /// Appends one entry, honoring the fsync policy and the armed crash
-    /// points.
+    /// How many `fdatasync`/`fsync` calls this writer has completed,
+    /// the checkpoint's included: under [`DurabilityPolicy::Strict`],
+    /// one per open group, none per other append, two per rotation.
+    #[must_use]
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// Appends one entry without syncing it, honoring the armed crash
+    /// points. The entry is in the page cache when this returns; under
+    /// [`DurabilityPolicy::Strict`] it reaches stable storage with the
+    /// next open group, rotation or [`WalWriter::sync`].
     ///
     /// # Errors
     ///
     /// Propagates file i/o failures (the caller degrades, never dies).
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        self.push(record)?;
-        self.commit()
-    }
-
-    /// Writes one entry without honoring the fsync policy; pair with
-    /// [`WalWriter::commit`] to sync a whole group in one fsync.
-    fn push(&mut self, record: &WalRecord) -> io::Result<()> {
         let entry = encode_entry(self.seq, record);
         if crash_armed("wal-mid-entry") {
             // Half an entry on disk, then death: recovery must classify
@@ -599,19 +616,11 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Syncs pending entries per the policy (one fsync per group under
-    /// strict, a no-op otherwise).
-    fn commit(&mut self) -> io::Result<()> {
-        if self.policy == DurabilityPolicy::Strict {
-            self.file.sync_data()?;
-        }
-        Ok(())
-    }
-
     /// Appends the open group of a resumable session: one Open entry
     /// plus however many SchemaChunk entries the handshake needs. Under
-    /// [`DurabilityPolicy::Strict`] the group is on stable storage when
-    /// this returns — append it *before* acking the token.
+    /// [`DurabilityPolicy::Strict`] one `fdatasync` puts the group, and
+    /// every entry appended before it, on stable storage before this
+    /// returns — append it *before* acking the token.
     ///
     /// # Errors
     ///
@@ -628,9 +637,12 @@ impl WalWriter {
         schema: &[u8],
     ) -> io::Result<()> {
         for record in open_group(token, session_id, trace, scenario, mode, tenant, schema) {
-            self.push(&record)?;
+            self.append(&record)?;
         }
-        self.commit()
+        if self.policy == DurabilityPolicy::Strict {
+            self.sync()?;
+        }
+        Ok(())
     }
 
     /// Whether the WAL has crossed its disk budget and wants a
@@ -650,16 +662,22 @@ impl WalWriter {
     /// is untouched and recovery still works from it.
     pub fn rotate(&mut self, live: &[SessionRecord]) -> io::Result<()> {
         write_checkpoint(&self.dir, self.shard, self.shard_count, self.epoch, live)?;
+        self.syncs += 1;
         if crash_armed("wal-mid-rotation") {
             // Checkpoint renamed, WAL not yet truncated: recovery sees
             // both and must fold them idempotently.
             std::process::abort();
         }
-        let file = File::create(&self.path)?;
-        self.file = file;
-        self.file.set_len(0)?;
+        self.file = File::create(&self.path)?;
         self.seq = 0;
         self.written = 0;
+        self.start()
+    }
+
+    /// Starts an empty journal with its Epoch header; under
+    /// [`DurabilityPolicy::Strict`] one `fsync` makes the fresh file and
+    /// its header durable.
+    fn start(&mut self) -> io::Result<()> {
         self.append(&WalRecord::Epoch {
             epoch: self.epoch,
             shard: self.shard as u32,
@@ -667,18 +685,21 @@ impl WalWriter {
         })?;
         if self.policy == DurabilityPolicy::Strict {
             self.file.sync_all()?;
+            self.syncs += 1;
         }
         Ok(())
     }
 
-    /// Flushes buffered appends to stable storage (lazy policy's
-    /// shutdown path).
+    /// Puts every appended entry on stable storage: the strict policy's
+    /// open-group commit, and the drain edge under both policies.
     ///
     /// # Errors
     ///
     /// Propagates fsync failures.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()
+        self.file.sync_data()?;
+        self.syncs += 1;
+        Ok(())
     }
 }
 

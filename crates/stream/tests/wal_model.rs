@@ -1,0 +1,386 @@
+//! Model-based WAL recovery: random session lifecycles (open, park,
+//! resume, complete, expire, rotate) run against a strict [`WalWriter`]
+//! and an in-memory reference model of the tokens the daemon holds.
+//!
+//! - Cut at every entry boundary and at a torn byte offset inside every
+//!   entry, recovery equals the model at that prefix.
+//! - Cut at the last sync point (a power loss), recovery keeps every
+//!   acked, still-live token, and any extra token belongs to a session
+//!   that had already ended.
+//! - Under strict durability the writer syncs once per open group, twice
+//!   per rotation (checkpoint and fresh journal), and never for any
+//!   other append.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use proptest::prelude::*;
+use pstrace_stream::durable::{
+    checkpoint_path, recover_state, wal_path, DurabilityPolicy, SessionRecord, WalRecord,
+    WalWriter, WAL_ENTRY_BYTES,
+};
+
+const ENTRY: usize = WAL_ENTRY_BYTES;
+
+/// One lifecycle step as generated: a kind, which session it picks and
+/// a size (schema length or ingested bytes).
+type Step = (u8, u8, u16);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Open,
+    Park,
+    Resume,
+    Complete,
+    Expire,
+    Rotate,
+}
+
+impl Kind {
+    fn of(step: Step) -> Kind {
+        // Opens come up twice as often, so sequences build a population.
+        match step.0 % 7 {
+            0 | 1 => Kind::Open,
+            2 => Kind::Park,
+            3 => Kind::Resume,
+            4 => Kind::Complete,
+            5 => Kind::Expire,
+            _ => Kind::Rotate,
+        }
+    }
+}
+
+/// The reference model after one step: the records of the sessions the
+/// daemon still holds, and the tokens whose sessions have ended.
+#[derive(Debug, Clone, Default)]
+struct Model {
+    live: BTreeMap<u64, SessionRecord>,
+    parked: BTreeSet<u64>,
+    ended: BTreeSet<u64>,
+}
+
+/// What one step left behind.
+#[derive(Debug)]
+struct Cut {
+    /// The step's kind, `None` for a generation's starting point.
+    kind: Option<Kind>,
+    /// Journal length after the step.
+    wal_len: usize,
+    /// Journal length at the writer's last sync.
+    synced_len: usize,
+    /// Syncs the step issued.
+    syncs: u64,
+    model: Model,
+}
+
+/// One journal between rotations: the checkpoint it started from, its
+/// final bytes and the cut after each of its steps.
+#[derive(Debug)]
+struct Generation {
+    checkpoint: Option<Vec<u8>>,
+    wal: Vec<u8>,
+    cuts: Vec<Cut>,
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let n = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "pstrace-wal-model-{tag}-{}-{n}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A session's durable identity, derived from its token.
+fn record(token: u64, schema_len: usize) -> SessionRecord {
+    SessionRecord {
+        token,
+        session_id: token + 1000,
+        trace: token ^ 0xabc0,
+        scenario: 1 + (token % 5) as u8,
+        mode: (token % 4) as u8,
+        tenant: (token % 3) as u32,
+        schema: (0..schema_len)
+            .map(|i| (token as usize * 31 + i) as u8)
+            .collect(),
+        bytes: 0,
+    }
+}
+
+/// Picks the `pick`-th (mod count) token of `tokens`, if any.
+fn nth(tokens: impl Iterator<Item = u64> + Clone, pick: u8) -> Option<u64> {
+    let n = tokens.clone().count();
+    (n > 0).then(|| tokens.clone().nth(usize::from(pick) % n).unwrap())
+}
+
+/// Runs `steps` against a strict writer and the model, recording every
+/// generation of the journal. Steps with no eligible session are skipped.
+fn run(steps: &[Step]) -> Vec<Generation> {
+    let dir = scratch_dir("run");
+    let mut wal = WalWriter::open(&dir, 0, 1, 7, DurabilityPolicy::Strict, u64::MAX).unwrap();
+    assert_eq!(wal.syncs(), 1, "a fresh journal syncs its header once");
+    let wal_file = wal_path(&dir, 0);
+    let mut model = Model::default();
+    let start = |model: &Model, checkpoint: Option<Vec<u8>>| Generation {
+        checkpoint,
+        wal: Vec::new(),
+        cuts: vec![Cut {
+            kind: None,
+            wal_len: ENTRY,
+            synced_len: ENTRY,
+            syncs: 0,
+            model: model.clone(),
+        }],
+    };
+    let mut generations = Vec::new();
+    let mut current = start(&model, None);
+    let mut next_token = 1u64;
+    for &step in steps {
+        let (_, pick, size) = step;
+        let kind = Kind::of(step);
+        let streaming = model
+            .live
+            .keys()
+            .copied()
+            .filter(|t| !model.parked.contains(t));
+        let parked = model.parked.iter().copied();
+        let before = wal.syncs();
+        match kind {
+            Kind::Open => {
+                let r = record(next_token, 1 + usize::from(size) % 120);
+                next_token += 1;
+                wal.append_open(
+                    r.token,
+                    r.session_id,
+                    r.trace,
+                    r.scenario,
+                    r.mode,
+                    r.tenant,
+                    &r.schema,
+                )
+                .unwrap();
+                model.live.insert(r.token, r);
+            }
+            Kind::Park => {
+                let Some(token) = nth(streaming, pick) else {
+                    continue;
+                };
+                let bytes = u64::from(size);
+                wal.append(&WalRecord::Park { token, bytes }).unwrap();
+                model.live.get_mut(&token).unwrap().bytes = bytes;
+                model.parked.insert(token);
+            }
+            Kind::Resume => {
+                let Some(token) = nth(parked, pick) else {
+                    continue;
+                };
+                wal.append(&WalRecord::Resume { token }).unwrap();
+                model.parked.remove(&token);
+            }
+            Kind::Complete | Kind::Expire => {
+                let token = if kind == Kind::Complete {
+                    nth(streaming, pick)
+                } else {
+                    nth(parked, pick)
+                };
+                let Some(token) = token else {
+                    continue;
+                };
+                let entry = if kind == Kind::Complete {
+                    WalRecord::Complete { token }
+                } else {
+                    WalRecord::Expire { token }
+                };
+                wal.append(&entry).unwrap();
+                model.live.remove(&token);
+                model.parked.remove(&token);
+                model.ended.insert(token);
+            }
+            Kind::Rotate => {
+                current.wal = std::fs::read(&wal_file).unwrap();
+                let live: Vec<SessionRecord> = model.live.values().cloned().collect();
+                wal.rotate(&live).unwrap();
+                generations.push(std::mem::replace(
+                    &mut current,
+                    start(
+                        &model,
+                        Some(std::fs::read(checkpoint_path(&dir, 0)).unwrap()),
+                    ),
+                ));
+                let first = &mut current.cuts[0];
+                first.kind = Some(Kind::Rotate);
+                first.syncs = wal.syncs() - before;
+                continue;
+            }
+        }
+        let syncs = wal.syncs() - before;
+        let wal_len = std::fs::metadata(&wal_file).unwrap().len() as usize;
+        let synced_len = if syncs > 0 {
+            wal_len
+        } else {
+            current.cuts.last().unwrap().synced_len
+        };
+        current.cuts.push(Cut {
+            kind: Some(kind),
+            wal_len,
+            synced_len,
+            syncs,
+            model: model.clone(),
+        });
+    }
+    current.wal = std::fs::read(&wal_file).unwrap();
+    generations.push(current);
+    drop(wal);
+    std::fs::remove_dir_all(&dir).ok();
+    generations
+}
+
+/// Lays `checkpoint` and `wal` out as shard 0's files in `dir` and
+/// recovers them: token → record, plus the damage sites recovery found.
+fn recover(
+    dir: &Path,
+    checkpoint: Option<&[u8]>,
+    wal: &[u8],
+) -> (BTreeMap<u64, SessionRecord>, usize) {
+    std::fs::create_dir_all(dir).unwrap();
+    let cp = checkpoint_path(dir, 0);
+    match checkpoint {
+        Some(bytes) => std::fs::write(&cp, bytes).unwrap(),
+        None => {
+            let _ = std::fs::remove_file(&cp);
+        }
+    }
+    std::fs::write(wal_path(dir, 0), wal).unwrap();
+    let state = recover_state(dir, 1);
+    let sessions = state.shards[0]
+        .iter()
+        .map(|r| (r.token, r.clone()))
+        .collect();
+    (sessions, state.errors.len())
+}
+
+/// A record without its informational byte count.
+fn identity(r: &SessionRecord) -> SessionRecord {
+    SessionRecord {
+        bytes: 0,
+        ..r.clone()
+    }
+}
+
+/// Recovery at every entry boundary, and at one torn offset inside every
+/// entry, equals the model after the last step wholly inside the cut.
+/// Checkpoint-plus-old-journal (a crash between a rotation's rename and
+/// its truncate) equals the model at the rotation.
+fn check_cuts(generations: &[Generation], tear: u8) {
+    let dir = scratch_dir("cuts");
+    for (g, gen) in generations.iter().enumerate() {
+        let entries = gen.wal.len() / ENTRY;
+        for k in 0..=entries {
+            let torn = 1 + (usize::from(tear) + 7 * k) % (ENTRY - 1);
+            for len in [k * ENTRY, k * ENTRY + torn] {
+                if len > gen.wal.len() {
+                    continue;
+                }
+                let expected = &gen
+                    .cuts
+                    .iter()
+                    .rev()
+                    .find(|c| c.wal_len <= len)
+                    .unwrap_or(&gen.cuts[0])
+                    .model
+                    .live;
+                let (got, damage) = recover(&dir, gen.checkpoint.as_deref(), &gen.wal[..len]);
+                let at = format!(
+                    "generation {g}, journal cut at byte {len} of {}",
+                    gen.wal.len()
+                );
+                assert_eq!(&got, expected, "{at}");
+                assert_eq!(damage, usize::from(len % ENTRY != 0), "{at}: damage sites");
+            }
+        }
+        if let Some(next) = generations.get(g + 1) {
+            let (got, _) = recover(&dir, next.checkpoint.as_deref(), &gen.wal);
+            assert_eq!(
+                got, next.cuts[0].model.live,
+                "rotation {g}: the new checkpoint beside the old journal"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// After every step, a power loss keeps the checkpoint and the journal
+/// up to its last sync. Every session the daemon still holds (so every
+/// acked, live token) recovers with its identity; any other recovered
+/// token belongs to a session that had already ended.
+fn check_power_loss(generations: &[Generation]) {
+    let dir = scratch_dir("power");
+    let mut opened: BTreeMap<u64, SessionRecord> = BTreeMap::new();
+    for (g, gen) in generations.iter().enumerate() {
+        for (i, cut) in gen.cuts.iter().enumerate() {
+            for r in cut.model.live.values() {
+                opened.entry(r.token).or_insert_with(|| identity(r));
+            }
+            let (got, _) = recover(&dir, gen.checkpoint.as_deref(), &gen.wal[..cut.synced_len]);
+            let at = format!("generation {g}, power loss after step {i} ({:?})", cut.kind);
+            for (token, r) in &cut.model.live {
+                let kept = got.get(token).map(identity);
+                assert_eq!(kept, Some(identity(r)), "{at}: live token {token}");
+            }
+            for (token, r) in &got {
+                if cut.model.live.contains_key(token) {
+                    continue;
+                }
+                assert!(
+                    cut.model.ended.contains(token),
+                    "{at}: token {token} was never acked or is still live"
+                );
+                assert_eq!(
+                    Some(&identity(r)),
+                    opened.get(token),
+                    "{at}: an ended session {token} came back changed"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One sync per open group, two per rotation, none for anything else.
+fn check_syncs(generations: &[Generation]) {
+    for cut in generations.iter().flat_map(|g| &g.cuts) {
+        let expected = match cut.kind {
+            None => 0,
+            Some(Kind::Open) => 1,
+            Some(Kind::Rotate) => 2,
+            Some(_) => 0,
+        };
+        assert_eq!(cut.syncs, expected, "syncs for {:?}", cut.kind);
+    }
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec((0u8..7, any::<u8>(), any::<u16>()), 1..32)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn wal_model_recovery_matches_the_model_at_every_cut(steps in steps(), tear in any::<u8>()) {
+        check_cuts(&run(&steps), tear);
+    }
+
+    #[test]
+    fn wal_model_power_loss_keeps_every_acked_live_token(steps in steps()) {
+        check_power_loss(&run(&steps));
+    }
+
+    #[test]
+    fn wal_model_syncs_once_per_open_group(steps in steps()) {
+        check_syncs(&run(&steps));
+    }
+}

@@ -78,6 +78,14 @@ run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-stream --lib proto
 # every f64 compared bit for bit, at 4096 cases per property.
 run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-core --test proptests
 
+# WAL model deep fuzz: random open/park/resume/complete/expire/rotate
+# sequences over a strict WalWriter. Recovery at every entry boundary
+# and torn offset must equal the reference model, a power loss at the
+# last sync must keep every acked live token, and the writer must sync
+# once per open group and never for any other append, at 4096 cases per
+# property.
+run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-stream --test wal_model wal_model_
+
 # v2 size gate: every reference-corpus scenario must encode to <= 0.8x
 # its v1 size through the real CLI, and both dialects must decode to
 # byte-identical text traces.

@@ -1,9 +1,11 @@
 //! Crash-only ingest contracts: a parked session's resume token works
 //! across a daemon restart (checkpoint + WAL replay), a session that
-//! ended without parking never comes back, tokens from a foreign WAL
-//! lineage are shed with a typed epoch rejection, and
-//! `pstrace stop` against a dead daemon fails fast with a typed
-//! connection error instead of burning a retry budget.
+//! ended without parking never comes back, a finished session whose
+//! unsynced `Complete` a power loss dropped replays to the same report
+//! or expires, strict durability costs one fsync per resumable session,
+//! tokens from a foreign WAL lineage are shed with a typed epoch
+//! rejection, and `pstrace stop` against a dead daemon fails fast with a
+//! typed connection error instead of burning a retry budget.
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -17,15 +19,21 @@ use pstrace::flow::{FlowIndex, IndexedMessage};
 use pstrace::obs::EventKind;
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace::stream::durable::DurabilityPolicy;
+use pstrace::stream::durable::{
+    decode_entry, wal_path, DurabilityPolicy, WalRecord, WAL_ENTRY_BYTES,
+};
 use pstrace::stream::proto::{self, Hello, Request};
-use pstrace::stream::{send_request, Server, ServerConfig, SessionLimits, StreamError};
+use pstrace::stream::{
+    connect as client_connect, replay, send_request, Replay, RetryPolicy, Server, ServerConfig,
+    SessionLimits, StreamError,
+};
 use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
 
 /// A small scenario-1 capture split the way the PSTS handshake wants
 /// it: schema prefix, payload bit length, payload bytes.
 struct Capture {
     model: Arc<SocModel>,
+    ptw: Vec<u8>,
     schema: Vec<u8>,
     bit_len: u64,
     payload: Vec<u8>,
@@ -66,6 +74,7 @@ fn capture(records: usize) -> Capture {
     let payload = rest[8..].to_vec();
     Capture {
         model: Arc::new(model),
+        ptw,
         schema: schema_bytes,
         bit_len,
         payload,
@@ -116,20 +125,21 @@ fn durable_config(dir: &Path) -> ServerConfig {
     }
 }
 
-/// One uninterrupted resumable session over a raw socket; returns the
-/// final report text.
-fn run_resumable(server: &Server, cap: &Capture) -> String {
+/// One uninterrupted resumable session over a raw socket: `token` 0
+/// opens fresh, anything else resumes. Returns the token and the final
+/// report text.
+fn run_resumable(server: &Server, cap: &Capture, token: u64, epoch: u64) -> (u64, String) {
     let mut s = connect(server);
-    proto::write_request(&mut s, &resume(0, 0, &cap.schema)).unwrap();
+    proto::write_request(&mut s, &resume(token, epoch, &cap.schema)).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
-    let (_token, offset, _epoch) = proto::parse_resume_ack(&ack).unwrap();
+    let (acked, offset, _epoch) = proto::parse_resume_ack(&ack).unwrap();
     assert_eq!(offset, 0);
     for piece in cap.payload.chunks(64) {
         proto::write_data(&mut s, piece).unwrap();
     }
     proto::write_finish(&mut s, cap.bit_len).unwrap();
     s.flush().unwrap();
-    proto::read_reply(&mut s).unwrap()
+    (acked, proto::read_reply(&mut s).unwrap())
 }
 
 /// Everything but the wall-clock-dependent ingest line (B/s varies).
@@ -162,7 +172,7 @@ fn parked_session_resumes_across_a_daemon_restart() {
     // leaves its Open + Park group in the WAL — the crash-only property
     // is that restart and crash recovery are the same code path.
     let first = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir)).unwrap();
-    let uninterrupted = run_resumable(&first, &cap);
+    let (_, uninterrupted) = run_resumable(&first, &cap, 0, 0);
     let daemon_epoch = first.epoch();
     assert_ne!(daemon_epoch, 0, "a durable daemon mints a nonzero epoch");
 
@@ -270,6 +280,148 @@ fn a_budget_closed_resumable_session_is_not_recovered_after_a_restart() {
         0,
         "a budget-closed session came back from the WAL"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_reparked_finished_session_replays_to_the_same_report() {
+    let _guard = watchdog(Duration::from_secs(120), "crash recovery re-parked finish");
+    let dir = wal_dir("reparked");
+    let cap = capture(400);
+
+    // Life #1: finish resumable sessions until each of the two shards
+    // has finished one; each shard's journal then ends in that session's
+    // Complete.
+    let first = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir)).unwrap();
+    let epoch = first.epoch();
+    let mut finished: [Option<(u64, String)>; 2] = [None, None];
+    for _ in 0..16 {
+        if finished.iter().all(Option::is_some) {
+            break;
+        }
+        let (token, report) = run_resumable(&first, &cap, 0, 0);
+        finished[(token % 2) as usize] = Some((token, report));
+    }
+    first.shutdown();
+    let [Some((kept, report)), Some((untouched, _))] = finished else {
+        panic!("sixteen sessions never reached both shards: {finished:?}");
+    };
+
+    // A power loss drops each journal's unsynced tail: the Complete.
+    for (shard, token) in [(0, kept), (1, untouched)] {
+        let path = wal_path(&dir, shard);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - WAL_ENTRY_BYTES;
+        let tail: &[u8; WAL_ENTRY_BYTES] = bytes[at..].try_into().unwrap();
+        let (_, last) = decode_entry(tail, &path, at as u64).unwrap();
+        assert_eq!(
+            last,
+            WalRecord::Complete { token },
+            "shard {shard}'s last entry"
+        );
+        bytes.truncate(at);
+        std::fs::write(&path, bytes).unwrap();
+    }
+    let recovered: Vec<u64> = Server::recover(&dir, 2)
+        .shards
+        .iter()
+        .flatten()
+        .map(|r| r.token)
+        .collect();
+    assert!(
+        recovered.contains(&kept) && recovered.contains(&untouched),
+        "both finished sessions come back without their Complete: {recovered:?}"
+    );
+
+    // Life #2 re-parks both under a short grace.
+    let config = ServerConfig {
+        resume_grace: Duration::from_secs(3),
+        ..durable_config(&dir)
+    };
+    let second = Server::spawn(Arc::clone(&cap.model), &config).unwrap();
+    assert!(
+        poll_until(Duration::from_secs(30), || second.snapshot().recovered >= 2),
+        "the finished sessions were not re-parked: {:?}",
+        second.snapshot()
+    );
+    // Resumed, the kept token acks offset 0, and the same capture yields
+    // the same report: only the wall-clock ingest line may differ.
+    let (acked, replayed) = run_resumable(&second, &cap, kept, epoch);
+    assert_eq!(acked, kept);
+    assert_eq!(
+        stable_lines(&replayed),
+        stable_lines(&report),
+        "a re-parked finished session diverged:\n{replayed}\nvs\n{report}"
+    );
+
+    // The untouched one expires under the grace, journals its Expire,
+    // and its token is refused from then on.
+    let journaled = |token: u64| {
+        Server::recover(&dir, 2)
+            .shards
+            .iter()
+            .flatten()
+            .any(|r| r.token == token)
+    };
+    assert!(
+        poll_until(Duration::from_secs(30), || !journaled(untouched)),
+        "the untouched re-parked session never expired"
+    );
+    assert!(
+        !journaled(kept),
+        "the replayed session journaled its Complete"
+    );
+    let mut s = connect(&second);
+    proto::write_request(&mut s, &resume(untouched, epoch, &cap.schema)).unwrap();
+    let err = proto::read_reply(&mut s).expect_err("an expired token is refused");
+    assert!(
+        matches!(&err, StreamError::Remote(m) if m.contains("expired resume token")),
+        "{err}"
+    );
+    drop(s);
+    second.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn strict_wal_syncs_once_per_resumable_session() {
+    let _guard = watchdog(Duration::from_secs(120), "strict WAL sync count");
+    let dir = wal_dir("syncs");
+    let cap = capture(200);
+    let server = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir)).unwrap();
+    // Each shard's fresh journal syncs its Epoch header once.
+    assert!(
+        poll_until(Duration::from_secs(30), || server.snapshot().fsyncs >= 2),
+        "the shards never opened their journals: {:?}",
+        server.snapshot()
+    );
+    let before = server.snapshot().fsyncs;
+    assert_eq!(before, 2);
+
+    let plan = Replay {
+        chunk_bytes: 64,
+        policy: RetryPolicy {
+            max_reconnects: 2,
+            ..RetryPolicy::default()
+        },
+        ..Replay::new(1, MatchMode::Prefix)
+    };
+    let addr = server.local_addr();
+    const SESSIONS: u64 = 6;
+    for _ in 0..SESSIONS {
+        replay(
+            |_| client_connect(addr, &plan.policy),
+            cap.model.catalog(),
+            &cap.ptw,
+            &plan,
+        )
+        .unwrap();
+    }
+    // One fsync per session, its open group's; Complete rides the next.
+    let snap = server.snapshot();
+    assert_eq!(snap.completed, SESSIONS, "{snap:?}");
+    assert_eq!(snap.fsyncs - before, SESSIONS, "{snap:?}");
+    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
