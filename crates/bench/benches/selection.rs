@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace_infogain::{mutual_information, LogBase};
+use pstrace_infogain::mutual_information;
 use pstrace_soc::{SocModel, UsageScenario};
 
 fn bench_interleaving(c: &mut Criterion) {
@@ -25,7 +25,7 @@ fn bench_mutual_information(c: &mut Criterion) {
         let product = scenario.interleaving(&model).expect("interleaves");
         let alphabet = product.message_alphabet();
         group.bench_function(scenario.name(), |b| {
-            b.iter(|| mutual_information(&product, &alphabet, LogBase::Nats));
+            b.iter(|| mutual_information(&product, &alphabet));
         });
     }
     group.finish();

@@ -15,7 +15,6 @@ use pstrace_core::{
 };
 use pstrace_diag::{consistent_paths, MatchMode};
 use pstrace_flow::path_count;
-use pstrace_infogain::LogBase;
 use pstrace_obs::{render_profile_table, Registry};
 use pstrace_soc::{capture, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
 
@@ -45,8 +44,8 @@ fn main() {
             .chosen;
         let (cov, cnt) = registry.time("ablation-selectors", || {
             (
-                coverage_greedy_select(&product, buffer, LogBase::Nats),
-                count_greedy_select(&product, buffer, LogBase::Nats),
+                coverage_greedy_select(&product, buffer),
+                count_greedy_select(&product, buffer),
             )
         });
 

@@ -7,7 +7,7 @@
 //! (gain, coverage) series sorted by gain and a rank-correlation summary.
 
 use pstrace_core::{enumerate_combinations, flow_spec_coverage, rank_combinations};
-use pstrace_infogain::LogBase;
+use pstrace_infogain::MiCache;
 use pstrace_obs::{render_profile_table, Registry};
 use pstrace_soc::{SocModel, UsageScenario};
 
@@ -25,7 +25,7 @@ fn main() {
                 .expect("enumeration fits the limit")
         });
         let mut ranked = registry.time("rank", || {
-            rank_combinations(&product, &combos, LogBase::Nats)
+            rank_combinations(&product, &combos, &MiCache::new(&product))
         });
         ranked.reverse(); // ascending gain for the series
 

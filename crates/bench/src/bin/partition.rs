@@ -10,7 +10,6 @@ use pstrace_bench::pct;
 use pstrace_core::{
     even_partitions, partitioned_select, SelectionConfig, Selector, TraceBufferSpec,
 };
-use pstrace_infogain::LogBase;
 use pstrace_soc::{SocModel, UsageScenario};
 
 fn main() {
@@ -48,8 +47,8 @@ fn main() {
         }
         groups.sort_by(|a, b| a.0.cmp(&b.0));
         let partitions = even_partitions(&groups, 32);
-        let part = partitioned_select(&product, &partitions, LogBase::Nats)
-            .expect("partitioned selection succeeds");
+        let part =
+            partitioned_select(&product, &partitions).expect("partitioned selection succeeds");
         println!(
             "{:<18} {:<14} {:>8.4} {:>9} {:>12}",
             "",

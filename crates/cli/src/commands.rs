@@ -18,6 +18,7 @@ use pstrace_soc::{
     tracefile, value::mask_to_width, wirecap, FlowKind, SimConfig, Simulator, SocModel,
     TraceBufferConfig, UsageScenario,
 };
+use pstrace_stream::scenario_by_number;
 
 use crate::args::Args;
 use crate::profile::{obs, Profiler};
@@ -147,17 +148,6 @@ fn print_help() {
     println!("the span timeline as Chrome trace-event JSON). On trace encode,");
     println!("--profile instead picks the wire dialect: v1 (fixed-width frames) or");
     println!("v2 (delta/RLE-compressed sync blocks, cadence --sync-every N).");
-}
-
-fn scenario_by_number(n: u8) -> Result<UsageScenario, Box<dyn Error>> {
-    match n {
-        1 => Ok(UsageScenario::scenario1()),
-        2 => Ok(UsageScenario::scenario2()),
-        3 => Ok(UsageScenario::scenario3()),
-        4 => Ok(UsageScenario::scenario_dma()),
-        5 => Ok(UsageScenario::scenario_coherence()),
-        other => Err(format!("no scenario {other}; use 1-5").into()),
-    }
 }
 
 fn flow_by_abbrev(

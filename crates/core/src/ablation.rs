@@ -7,7 +7,7 @@
 //! and compare what each choice costs.
 
 use pstrace_flow::{InterleavedFlow, MessageId};
-use pstrace_infogain::{mutual_information, LogBase};
+use pstrace_infogain::mutual_information;
 
 use crate::buffer::TraceBufferSpec;
 use crate::coverage::flow_spec_coverage;
@@ -23,7 +23,6 @@ use crate::rank::RankedCombination;
 pub fn coverage_greedy_select(
     flow: &InterleavedFlow,
     buffer: TraceBufferSpec,
-    log_base: LogBase,
 ) -> RankedCombination {
     let catalog = flow.catalog().clone();
     let alphabet = flow.message_alphabet();
@@ -64,7 +63,7 @@ pub fn coverage_greedy_select(
         }
     }
     selected.sort_unstable();
-    let gain = mutual_information(flow, &selected, log_base);
+    let gain = mutual_information(flow, &selected);
     RankedCombination {
         messages: selected,
         gain,
@@ -77,11 +76,7 @@ pub fn coverage_greedy_select(
 /// greedily while they fit — a cheap knapsack heuristic that ignores where
 /// in the flow the messages sit.
 #[must_use]
-pub fn count_greedy_select(
-    flow: &InterleavedFlow,
-    buffer: TraceBufferSpec,
-    log_base: LogBase,
-) -> RankedCombination {
+pub fn count_greedy_select(flow: &InterleavedFlow, buffer: TraceBufferSpec) -> RankedCombination {
     let catalog = flow.catalog().clone();
     let mut candidates: Vec<(MessageId, usize, u32)> = flow
         .message_alphabet()
@@ -108,7 +103,7 @@ pub fn count_greedy_select(
         }
     }
     selected.sort_unstable();
-    let gain = mutual_information(flow, &selected, log_base);
+    let gain = mutual_information(flow, &selected);
     RankedCombination {
         messages: selected,
         gain,
@@ -135,8 +130,8 @@ mod tests {
         let mut config = SelectionConfig::new(buffer);
         config.packing = false;
         let info = Selector::new(&u, config).select().unwrap();
-        let cov = coverage_greedy_select(&u, buffer, LogBase::Nats);
-        let cnt = count_greedy_select(&u, buffer, LogBase::Nats);
+        let cov = coverage_greedy_select(&u, buffer);
+        let cnt = count_greedy_select(&u, buffer);
         assert!(info.chosen.gain >= cov.gain - 1e-12);
         assert!(info.chosen.gain >= cnt.gain - 1e-12);
     }
@@ -147,8 +142,8 @@ mod tests {
         for bits in 1..=4 {
             let buffer = TraceBufferSpec::new(bits).unwrap();
             for combo in [
-                coverage_greedy_select(&u, buffer, LogBase::Nats),
-                count_greedy_select(&u, buffer, LogBase::Nats),
+                coverage_greedy_select(&u, buffer),
+                count_greedy_select(&u, buffer),
             ] {
                 assert!(combo.width <= bits);
                 let real_width = u
@@ -165,7 +160,7 @@ mod tests {
         // (11/15); coverage-greedy must land on one of them.
         let u = running_example();
         let buffer = TraceBufferSpec::new(2).unwrap();
-        let combo = coverage_greedy_select(&u, buffer, LogBase::Nats);
+        let combo = coverage_greedy_select(&u, buffer);
         let cov = flow_spec_coverage(&u, &combo.messages);
         assert!((cov - 11.0 / 15.0).abs() < 1e-12);
     }
@@ -174,7 +169,7 @@ mod tests {
     fn count_greedy_fills_by_density() {
         let u = running_example();
         let buffer = TraceBufferSpec::new(3).unwrap();
-        let combo = count_greedy_select(&u, buffer, LogBase::Nats);
+        let combo = count_greedy_select(&u, buffer);
         // All messages are 1 bit with 2 instances each: everything fits.
         assert_eq!(combo.messages.len(), 3);
         assert_eq!(combo.width, 3);
@@ -185,12 +180,12 @@ mod tests {
         let u = running_example();
         let buffer = TraceBufferSpec::new(2).unwrap();
         assert_eq!(
-            coverage_greedy_select(&u, buffer, LogBase::Nats),
-            coverage_greedy_select(&u, buffer, LogBase::Nats)
+            coverage_greedy_select(&u, buffer),
+            coverage_greedy_select(&u, buffer)
         );
         assert_eq!(
-            count_greedy_select(&u, buffer, LogBase::Nats),
-            count_greedy_select(&u, buffer, LogBase::Nats)
+            count_greedy_select(&u, buffer),
+            count_greedy_select(&u, buffer)
         );
     }
 }

@@ -4,10 +4,11 @@
 //! bit width fits the trace buffer are candidates for tracing. Enumeration
 //! is exact but pruned: messages are sorted by ascending width so whole
 //! subtrees that cannot fit are skipped, and a configurable candidate limit
-//! guards against combinatorial blow-up on large alphabets. The
-//! [`Selector`](crate::Selector) does not enumerate: this is for callers
-//! that need every candidate (Figure 5, partitioned selection) and the
-//! exhaustive oracle in tests.
+//! guards against combinatorial blow-up on large alphabets. Selection
+//! does not enumerate (neither the [`Selector`](crate::Selector) nor
+//! [`partitioned_select`](crate::partitioned_select)): this is for callers
+//! that need every candidate (Figure 5, the quickstart's ranked list) and
+//! the exhaustive oracle in tests.
 
 use pstrace_flow::{MessageCatalog, MessageId};
 

@@ -13,7 +13,8 @@ pub enum SelectError {
     NoMessages,
     /// More candidate combinations than `limit` would have to be
     /// materialized: by [`enumerate_combinations`](crate::enumerate_combinations),
-    /// or by the [`Selector`](crate::Selector)'s search when that many
+    /// or by Step 2's search (the [`Selector`](crate::Selector) and
+    /// [`partitioned_select`](crate::partitioned_select)) when that many
     /// combinations lie within rounding error of the best gain.
     CombinationLimitExceeded {
         /// The maximum number of candidate combinations.

@@ -9,11 +9,17 @@
 //!    whose total bit width (Definition 6) fits the
 //!    [`TraceBufferSpec`];
 //! 2. **Step 2** — [`rank_combinations`]: evaluate each candidate's mutual
-//!    information gain over the interleaved flow and keep the best (the
-//!    [`Selector`] finds the same best by a bounded search over
-//!    per-message contributions, without enumerating Step 1);
+//!    information gain over the interleaved flow and keep the best. The
+//!    [`Selector`] and [`partitioned_select`] find the same best without
+//!    enumerating Step 1: a bounded search over per-message contributions,
+//!    then an exact ranking of the few sets it collects;
 //! 3. **Step 3** — [`pack`]: greedily fill leftover buffer bits with
 //!    message *subgroups* (named bit slices of wider messages).
+//!
+//! Ranking, packing and partitioned selection score combinations with
+//! one [`MiCache`] per interleaving; every gain is in nats.
+//!
+//! [`MiCache`]: pstrace_infogain::MiCache
 //!
 //! The [`Selector`] facade runs the full pipeline and produces a
 //! [`SelectionReport`] with every metric the paper's evaluation tables use:
@@ -59,9 +65,9 @@ pub use buffer::TraceBufferSpec;
 pub use combine::{count_combinations, enumerate_combinations};
 pub use coverage::{buffer_utilization, flow_spec_coverage};
 pub use error::SelectError;
-pub use packing::{pack, pack_cached, Packing};
+pub use packing::{pack, Packing};
 pub use partition::{
     even_partitions, partitioned_select, Partition, PartitionOutcome, PartitionReport,
 };
-pub use rank::{rank_combinations, rank_combinations_cached, RankedCombination};
+pub use rank::{rank_combinations, RankedCombination};
 pub use selector::{SelectionConfig, SelectionReport, Selector};

@@ -9,7 +9,7 @@
 //! gain and coverage are computed with the parent message added.
 
 use pstrace_flow::{GroupId, InterleavedFlow, MessageId};
-use pstrace_infogain::{LogBase, MiCache};
+use pstrace_infogain::MiCache;
 
 use crate::buffer::TraceBufferSpec;
 
@@ -48,6 +48,9 @@ impl Packing {
 ///
 /// `base` is the combination chosen in Step 2 (its width must already fit
 /// the buffer; any excess makes the leftover zero and packing a no-op).
+/// Every union is scored with `cache`, which must have been built for
+/// `flow`, so the greedy loop's repeated scorings reuse the cached
+/// per-message terms instead of re-walking the interleaving's edges.
 /// Subgroups whose parent is already traced — either in `base` or via an
 /// earlier packed subgroup — are skipped, since they add no flow-level
 /// information.
@@ -58,7 +61,7 @@ impl Packing {
 /// use std::sync::Arc;
 /// use pstrace_flow::{FlowBuilder, FlowIndex, IndexedFlow, InterleavedFlow, MessageCatalog};
 /// use pstrace_core::{pack, TraceBufferSpec};
-/// use pstrace_infogain::LogBase;
+/// use pstrace_infogain::MiCache;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut catalog = MessageCatalog::new();
@@ -78,7 +81,7 @@ impl Packing {
 /// // (2 bits) the 6-bit `wide.field` subgroup packs exactly.
 /// let buffer = TraceBufferSpec::new(8)?;
 /// let base = [catalog.get("small").unwrap()];
-/// let packing = pack(&u, &base, buffer, LogBase::Nats);
+/// let packing = pack(&u, &base, buffer, &MiCache::new(&u));
 /// assert_eq!(packing.groups.len(), 1);
 /// assert_eq!(packing.occupied_bits, 8);
 /// # Ok(())
@@ -86,21 +89,6 @@ impl Packing {
 /// ```
 #[must_use]
 pub fn pack(
-    flow: &InterleavedFlow,
-    base: &[MessageId],
-    buffer: TraceBufferSpec,
-    log_base: LogBase,
-) -> Packing {
-    let cache = MiCache::new(flow, log_base);
-    pack_cached(flow, base, buffer, &cache)
-}
-
-/// [`pack`] over a pre-built [`MiCache`], so the greedy loop's repeated
-/// union scorings reuse the cached per-message terms instead of re-walking
-/// the interleaving's edges each round. Produces bit-identical results to
-/// the uncached path.
-#[must_use]
-pub fn pack_cached(
     flow: &InterleavedFlow,
     base: &[MessageId],
     buffer: TraceBufferSpec,
@@ -207,7 +195,7 @@ mod tests {
         let (u, catalog) = packing_fixture();
         let buffer = TraceBufferSpec::new(12).unwrap();
         let base = [catalog.get("narrow").unwrap()];
-        let p = pack(&u, &base, buffer, LogBase::Nats);
+        let p = pack(&u, &base, buffer, &MiCache::new(&u));
         // Leftover 10 bits: both the 6-bit and the 4-bit subgroup fit.
         assert_eq!(p.groups.len(), 2);
         assert_eq!(p.occupied_bits, 12);
@@ -219,9 +207,9 @@ mod tests {
     fn packing_never_decreases_gain() {
         let (u, catalog) = packing_fixture();
         let base = [catalog.get("narrow").unwrap()];
-        let base_gain = mutual_information(&u, &base, LogBase::Nats);
+        let base_gain = mutual_information(&u, &base);
         let buffer = TraceBufferSpec::new(12).unwrap();
-        let p = pack(&u, &base, buffer, LogBase::Nats);
+        let p = pack(&u, &base, buffer, &MiCache::new(&u));
         assert!(p.gain >= base_gain);
     }
 
@@ -230,7 +218,7 @@ mod tests {
         let (u, catalog) = packing_fixture();
         let buffer = TraceBufferSpec::new(2).unwrap();
         let base = [catalog.get("narrow").unwrap()];
-        let p = pack(&u, &base, buffer, LogBase::Nats);
+        let p = pack(&u, &base, buffer, &MiCache::new(&u));
         assert!(p.groups.is_empty());
         assert_eq!(p.occupied_bits, 2);
     }
@@ -244,7 +232,7 @@ mod tests {
             catalog.get("narrow").unwrap(),
             catalog.get("wide_a").unwrap(),
         ];
-        let p = pack(&u, &base, buffer, LogBase::Nats);
+        let p = pack(&u, &base, buffer, &MiCache::new(&u));
         let names: Vec<String> = p
             .groups
             .iter()
@@ -261,32 +249,17 @@ mod tests {
         // with higher union gain must be chosen first.
         let buffer = TraceBufferSpec::new(8).unwrap();
         let base = [catalog.get("narrow").unwrap()];
-        let p = pack(&u, &base, buffer, LogBase::Nats);
+        let p = pack(&u, &base, buffer, &MiCache::new(&u));
         assert!(!p.groups.is_empty());
         // Whichever was chosen, occupied bits never exceed the buffer.
         assert!(p.occupied_bits <= 8);
     }
 
     #[test]
-    fn cached_packing_is_bit_identical() {
-        let (u, catalog) = packing_fixture();
-        let cache = MiCache::new(&u, LogBase::Nats);
-        for bits in [2u32, 6, 8, 12, 32] {
-            let buffer = TraceBufferSpec::new(bits).unwrap();
-            let base = [catalog.get("narrow").unwrap()];
-            let uncached = pack(&u, &base, buffer, LogBase::Nats);
-            let cached = pack_cached(&u, &base, buffer, &cache);
-            assert_eq!(uncached.groups, cached.groups);
-            assert_eq!(uncached.occupied_bits, cached.occupied_bits);
-            assert_eq!(uncached.gain.to_bits(), cached.gain.to_bits());
-        }
-    }
-
-    #[test]
     fn empty_base_still_packs() {
         let (u, _) = packing_fixture();
         let buffer = TraceBufferSpec::new(6).unwrap();
-        let p = pack(&u, &[], buffer, LogBase::Nats);
+        let p = pack(&u, &[], buffer, &MiCache::new(&u));
         // Exactly one group fits: either the 6-bit field (filling the
         // buffer) or the 4-bit tag (leaving 2 bits nothing fits into).
         assert_eq!(p.groups.len(), 1);

@@ -7,12 +7,11 @@
 //! be quantified against the paper's unified-buffer selection.
 
 use pstrace_flow::{InterleavedFlow, MessageId};
-use pstrace_infogain::{mutual_information, LogBase};
+use pstrace_infogain::MiCache;
 
-use crate::combine::enumerate_combinations;
 use crate::coverage::flow_spec_coverage;
 use crate::error::SelectError;
-use crate::rank::rank_combinations;
+use crate::rank::rank_near_best;
 
 /// One partition of the trace fabric.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,21 +53,24 @@ pub struct PartitionReport {
 /// Selects messages independently per partition and reports the combined
 /// quality of the union.
 ///
-/// Each partition runs the paper's Steps 1–2 restricted to its own
-/// message set and budget (no packing — partitions are usually too narrow
-/// for subgroups to matter, and the comparison stays clean).
+/// Each partition runs the [`Selector`](crate::Selector)'s Step 2
+/// restricted to its own message set and budget, so it picks what ranking
+/// every combination of its messages that fits would pick (no packing —
+/// partitions are usually too narrow for subgroups to matter, and the
+/// comparison stays clean).
 ///
 /// # Errors
 ///
-/// Returns [`SelectError::CombinationLimitExceeded`] if a partition's
-/// message set is too large to enumerate. Partitions whose messages are
-/// all too wide simply select nothing.
+/// Returns [`SelectError::CombinationLimitExceeded`] if more than two
+/// million of a partition's combinations lie within rounding error of its
+/// best gain. Partitions whose messages are all too wide simply select
+/// nothing.
 pub fn partitioned_select(
     flow: &InterleavedFlow,
     partitions: &[Partition],
-    log_base: LogBase,
 ) -> Result<PartitionReport, SelectError> {
-    let catalog = flow.catalog().clone();
+    // One cache scores every partition's search and the union.
+    let cache = MiCache::new(flow);
     let mut outcomes = Vec::new();
     let mut effective: Vec<MessageId> = Vec::new();
     let mut used_total = 0u32;
@@ -84,15 +86,10 @@ pub fn partitioned_select(
             });
             continue;
         }
-        let combos =
-            enumerate_combinations(&catalog, &partition.messages, partition.bits, 2_000_000)?;
-        let (selected, used) = if combos.is_empty() {
-            (Vec::new(), 0)
-        } else {
-            let ranked = rank_combinations(flow, &combos, log_base);
-            let best = &ranked[0];
-            (best.messages.clone(), best.width)
-        };
+        let best = rank_near_best(flow, &partition.messages, partition.bits, &cache)?
+            .into_iter()
+            .next();
+        let (selected, used) = best.map_or((Vec::new(), 0), |b| (b.messages, b.width));
         for &m in &selected {
             if !effective.contains(&m) {
                 effective.push(m);
@@ -107,7 +104,7 @@ pub fn partitioned_select(
     }
 
     effective.sort_unstable();
-    let gain = mutual_information(flow, &effective, log_base);
+    let gain = cache.combination_mi(&effective);
     let coverage = flow_spec_coverage(flow, &effective);
     let utilization = if bits_total == 0 {
         0.0
@@ -187,7 +184,7 @@ mod tests {
                 bits: 1,
             },
         ];
-        let partitioned = partitioned_select(&u, &partitions, LogBase::Nats).unwrap();
+        let partitioned = partitioned_select(&u, &partitions).unwrap();
 
         assert!(unified.chosen.gain >= partitioned.gain - 1e-12);
         assert_eq!(partitioned.effective_messages.len(), 2);
@@ -203,7 +200,7 @@ mod tests {
             messages: Vec::new(),
             bits: 4,
         }];
-        let report = partitioned_select(&u, &partitions, LogBase::Nats).unwrap();
+        let report = partitioned_select(&u, &partitions).unwrap();
         assert!(report.effective_messages.is_empty());
         assert_eq!(report.gain, 0.0);
         assert_eq!(report.utilization, 0.0);
@@ -219,7 +216,7 @@ mod tests {
             messages: vec![req],
             bits: 0,
         }];
-        let report = partitioned_select(&u, &partitions, LogBase::Nats).unwrap();
+        let report = partitioned_select(&u, &partitions).unwrap();
         assert!(report.effective_messages.is_empty());
     }
 

@@ -1,23 +1,29 @@
 //! Step 2: ranking candidate combinations by mutual information gain
 //! (§3.2).
 //!
-//! Two paths share one ranking rule (`rank_order`) and one scorer
-//! ([`MiCache::combination_mi`]):
+//! One ranking rule (`rank_order`) and one scorer
+//! ([`MiCache::combination_mi`]) serve two callers:
 //!
 //! * [`rank_combinations`] scores and ranks a given candidate list — the
 //!   full ranked list `fig5` needs, and the exhaustive oracle in tests;
-//! * the [`Selector`](crate::Selector) finds the winner by a bounded
-//!   search over per-message contributions (`search_near_best`), then
-//!   ranks only the handful of sets the search collects. It returns the
-//!   same winner as ranking every feasible combination, bit for bit,
-//!   without enumerating them.
+//! * `rank_near_best` is Step 2 of every selection (the
+//!   [`Selector`](crate::Selector) and
+//!   [`partitioned_select`](crate::partitioned_select)): a bounded search
+//!   over per-message contributions (`search_near_best`), then an exact
+//!   ranking of only the handful of sets the search collects. Its first
+//!   entry is the winner of ranking every feasible combination, bit for
+//!   bit, without enumerating them.
 
 use std::cmp::Ordering;
 
 use pstrace_flow::{InterleavedFlow, MessageCatalog, MessageId};
-use pstrace_infogain::{LogBase, MiCache};
+use pstrace_infogain::MiCache;
 
 use crate::error::SelectError;
+
+/// Most combinations Step 2 ranks exactly before giving up with
+/// [`SelectError::CombinationLimitExceeded`].
+const NEAR_BEST_LIMIT: usize = 2_000_000;
 
 /// A candidate message combination annotated with its selection metrics.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,30 +61,14 @@ fn score_one(combo: &[MessageId], catalog: &MessageCatalog, cache: &MiCache) -> 
 }
 
 /// Evaluates and ranks `candidates` by mutual information gain, highest
-/// first.
+/// first, scoring each with `cache`, which must have been built for `flow`.
 ///
 /// Ties are broken deterministically: higher gain, then larger width (which
 /// favours trace-buffer utilization), then lexicographically smaller message
 /// ids. The paper's running example selects `{ReqE, GntE}` under exactly
 /// this rule.
-///
-/// Convenience wrapper over [`rank_combinations_cached`]: builds a
-/// [`MiCache`] for `flow`. Callers ranking more than once (or alongside
-/// packing) should build the cache themselves and call the cached variant.
 #[must_use]
 pub fn rank_combinations(
-    flow: &InterleavedFlow,
-    candidates: &[Vec<MessageId>],
-    base: LogBase,
-) -> Vec<RankedCombination> {
-    let cache = MiCache::new(flow, base);
-    rank_combinations_cached(flow, candidates, &cache)
-}
-
-/// [`rank_combinations`] over a pre-built [`MiCache`], which must have been
-/// built for `flow`.
-#[must_use]
-pub fn rank_combinations_cached(
     flow: &InterleavedFlow,
     candidates: &[Vec<MessageId>],
     cache: &MiCache,
@@ -92,12 +82,39 @@ pub fn rank_combinations_cached(
     ranked
 }
 
+/// Step 2 over the combinations of `messages` that fit `budget_bits`:
+/// collects the sets within rounding error of the best additive gain
+/// ([`search_near_best`]) and ranks them with [`rank_combinations`]. The
+/// first entry is the winner of ranking every feasible combination, bit
+/// for bit; the list is empty when no single message fits.
+///
+/// # Errors
+///
+/// * [`SelectError::NoMessages`] if `messages` is empty;
+/// * [`SelectError::CombinationLimitExceeded`] if more than two million
+///   combinations lie within rounding error of the best gain.
+pub(crate) fn rank_near_best(
+    flow: &InterleavedFlow,
+    messages: &[MessageId],
+    budget_bits: u32,
+    cache: &MiCache,
+) -> Result<Vec<RankedCombination>, SelectError> {
+    search_near_best(
+        flow.catalog(),
+        messages,
+        budget_bits,
+        cache,
+        NEAR_BEST_LIMIT,
+    )
+    .map(|near| rank_combinations(flow, &near, cache))
+}
+
 /// Collects every non-empty combination of `messages` that fits
 /// `budget_bits` and whose additive gain (the sum of its
 /// [`MiCache::message_delta`]s) lies within rounding error of the best
 /// additive gain `G*`. Ranking the collected sets with
-/// [`rank_combinations_cached`] yields the same first entry as ranking
-/// every feasible combination.
+/// [`rank_combinations`] yields the same first entry as ranking every
+/// feasible combination.
 ///
 /// Why the winner is always collected. Let `W` be the exhaustive winner
 /// (the largest [`MiCache::combination_mi`] among feasible sets), `S*` the
@@ -132,7 +149,7 @@ pub fn rank_combinations_cached(
 /// * [`SelectError::NoMessages`] if `messages` is empty;
 /// * [`SelectError::CombinationLimitExceeded`] if more than `limit` sets
 ///   lie within the bound.
-pub(crate) fn search_near_best(
+fn search_near_best(
     catalog: &MessageCatalog,
     messages: &[MessageId],
     budget_bits: u32,
@@ -236,7 +253,7 @@ mod tests {
         let u = product();
         let catalog = u.catalog().clone();
         let candidates = enumerate_combinations(&catalog, &u.message_alphabet(), 2, 100).unwrap();
-        let ranked = rank_combinations(&u, &candidates, LogBase::Nats);
+        let ranked = rank_combinations(&u, &candidates, &MiCache::new(&u));
         assert_eq!(ranked.len(), 6);
         let best = &ranked[0];
         let names: Vec<&str> = best.messages.iter().map(|&m| catalog.name(m)).collect();
@@ -254,7 +271,7 @@ mod tests {
         let u = product();
         let catalog = u.catalog().clone();
         let candidates = enumerate_combinations(&catalog, &u.message_alphabet(), 2, 100).unwrap();
-        let ranked = rank_combinations(&u, &candidates, LogBase::Nats);
+        let ranked = rank_combinations(&u, &candidates, &MiCache::new(&u));
         let (pairs, singles): (Vec<_>, Vec<_>) = ranked.iter().partition(|r| r.messages.len() == 2);
         let min_pair = pairs.iter().map(|r| r.gain).fold(f64::MAX, f64::min);
         let max_single = singles.iter().map(|r| r.gain).fold(0.0, f64::max);
@@ -267,21 +284,10 @@ mod tests {
         let catalog = u.catalog().clone();
         let mut candidates =
             enumerate_combinations(&catalog, &u.message_alphabet(), 3, 100).unwrap();
-        let ranked_a = rank_combinations(&u, &candidates, LogBase::Nats);
+        let ranked_a = rank_combinations(&u, &candidates, &MiCache::new(&u));
         candidates.reverse();
-        let ranked_b = rank_combinations(&u, &candidates, LogBase::Nats);
+        let ranked_b = rank_combinations(&u, &candidates, &MiCache::new(&u));
         assert_eq!(ranked_a, ranked_b);
-    }
-
-    #[test]
-    fn cached_ranking_matches_uncached() {
-        let u = product();
-        let catalog = u.catalog().clone();
-        let candidates = enumerate_combinations(&catalog, &u.message_alphabet(), 3, 100).unwrap();
-        let uncached = rank_combinations(&u, &candidates, LogBase::Nats);
-        let cache = MiCache::new(&u, LogBase::Nats);
-        let cached = rank_combinations_cached(&u, &candidates, &cache);
-        assert_eq!(uncached, cached);
     }
 
     #[test]
@@ -289,15 +295,15 @@ mod tests {
         let u = product();
         let catalog = u.catalog().clone();
         let alphabet = u.message_alphabet();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         for bits in 1..=4 {
             let all = enumerate_combinations(&catalog, &alphabet, bits, 100).unwrap();
             let near = search_near_best(&catalog, &alphabet, bits, &cache, 100).unwrap();
             assert!(!near.is_empty() && near.len() <= all.len());
             assert!(near.iter().all(|c| all.contains(c)), "{bits} bits");
             assert_eq!(
-                rank_combinations_cached(&u, &near, &cache)[0],
-                rank_combinations_cached(&u, &all, &cache)[0],
+                rank_combinations(&u, &near, &cache)[0],
+                rank_combinations(&u, &all, &cache)[0],
                 "{bits} bits"
             );
         }
@@ -306,7 +312,7 @@ mod tests {
     #[test]
     fn search_finds_nothing_when_no_message_fits() {
         let u = product();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         let near = search_near_best(u.catalog(), &u.message_alphabet(), 0, &cache, 100).unwrap();
         assert!(near.is_empty());
     }
@@ -314,7 +320,7 @@ mod tests {
     #[test]
     fn search_limit_surfaces() {
         let u = product();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         let err = search_near_best(u.catalog(), &u.message_alphabet(), 2, &cache, 0).unwrap_err();
         assert_eq!(err, SelectError::CombinationLimitExceeded { limit: 0 });
     }

@@ -1,37 +1,30 @@
 //! The end-to-end message selection pipeline (§3, Steps 1–3).
 
 use pstrace_flow::{GroupId, InterleavedFlow, MessageId};
-use pstrace_infogain::{LogBase, MiCache};
+use pstrace_infogain::MiCache;
 use pstrace_obs::{maybe_time, Registry};
 
 use crate::buffer::TraceBufferSpec;
 use crate::coverage::flow_spec_coverage;
 use crate::error::SelectError;
-use crate::packing::{pack_cached, Packing};
-use crate::rank::{rank_combinations_cached, search_near_best, RankedCombination};
-
-/// Most combinations Step 2 re-ranks exactly before giving up with
-/// [`SelectError::CombinationLimitExceeded`].
-const NEAR_BEST_LIMIT: usize = 2_000_000;
+use crate::packing::{pack, Packing};
+use crate::rank::{rank_near_best, RankedCombination};
 
 /// Configuration of a [`Selector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectionConfig {
     /// The trace buffer width constraint.
     pub buffer: TraceBufferSpec,
-    /// Logarithm base of the information measure (paper: nats).
-    pub log_base: LogBase,
     /// Whether to run the Step 3 packing loop.
     pub packing: bool,
 }
 
 impl SelectionConfig {
-    /// Paper-faithful defaults for the given buffer: nats, packing enabled.
+    /// Paper-faithful defaults for the given buffer: packing enabled.
     #[must_use]
     pub fn new(buffer: TraceBufferSpec) -> Self {
         SelectionConfig {
             buffer,
-            log_base: LogBase::Nats,
             packing: true,
         }
     }
@@ -166,17 +159,10 @@ impl<'a> Selector<'a> {
 
         // One cache serves the Step 2 search and ranking and the Step 3
         // packing loop.
-        let cache = maybe_time(obs, "mi-cache", || MiCache::new(flow, self.config.log_base));
+        let cache = maybe_time(obs, "mi-cache", || MiCache::new(flow));
 
         let ranked = maybe_time(obs, "rank", || {
-            search_near_best(
-                flow.catalog(),
-                &flow.message_alphabet(),
-                buffer.width_bits(),
-                &cache,
-                NEAR_BEST_LIMIT,
-            )
-            .map(|near| rank_combinations_cached(flow, &near, &cache))
+            rank_near_best(flow, &flow.message_alphabet(), buffer.width_bits(), &cache)
         })?;
         if let Some(registry) = obs {
             registry
@@ -195,9 +181,7 @@ impl<'a> Selector<'a> {
         let utilization_unpacked = buffer.utilization(width_unpacked);
 
         let packing = if self.config.packing {
-            maybe_time(obs, "pack", || {
-                pack_cached(flow, &chosen.messages, buffer, &cache)
-            })
+            maybe_time(obs, "pack", || pack(flow, &chosen.messages, buffer, &cache))
         } else {
             Packing {
                 groups: Vec::new(),

@@ -1,26 +1,36 @@
 //! The exhaustive oracle for the selector: Steps 1–3 done the long way.
 
 use pstrace_core::{
-    enumerate_combinations, flow_spec_coverage, pack_cached, rank_combinations_cached,
-    RankedCombination, SelectionReport, TraceBufferSpec,
+    enumerate_combinations, flow_spec_coverage, pack, rank_combinations, RankedCombination,
+    SelectionReport, TraceBufferSpec,
 };
-use pstrace_flow::InterleavedFlow;
+use pstrace_flow::{InterleavedFlow, MessageId};
 use pstrace_infogain::MiCache;
 
-/// Steps 1–3 by exhaustive enumeration and ranking.
-pub fn oracle(flow: &InterleavedFlow, cache: &MiCache, bits: u32) -> SelectionReport {
-    let buffer = TraceBufferSpec::new(bits).unwrap();
-    let combos =
-        enumerate_combinations(flow.catalog(), &flow.message_alphabet(), bits, 2_000_000).unwrap();
-    let chosen = rank_combinations_cached(flow, &combos, cache)
+/// Steps 1–2 by exhaustive enumeration and ranking: the best combination
+/// of `messages` within `bits`, or the empty one when none fits.
+pub fn exhaustive_best(
+    flow: &InterleavedFlow,
+    cache: &MiCache,
+    messages: &[MessageId],
+    bits: u32,
+) -> RankedCombination {
+    let combos = enumerate_combinations(flow.catalog(), messages, bits, 2_000_000).unwrap();
+    rank_combinations(flow, &combos, cache)
         .into_iter()
         .next()
         .unwrap_or(RankedCombination {
             messages: Vec::new(),
             gain: 0.0,
             width: 0,
-        });
-    let packing = pack_cached(flow, &chosen.messages, buffer, cache);
+        })
+}
+
+/// Steps 1–3 by exhaustive enumeration and ranking.
+pub fn oracle(flow: &InterleavedFlow, cache: &MiCache, bits: u32) -> SelectionReport {
+    let buffer = TraceBufferSpec::new(bits).unwrap();
+    let chosen = exhaustive_best(flow, cache, &flow.message_alphabet(), bits);
+    let packing = pack(flow, &chosen.messages, buffer, cache);
     let effective_messages = packing.effective_messages(flow, &chosen.messages);
     SelectionReport {
         width_unpacked: chosen.width,

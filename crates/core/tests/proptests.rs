@@ -12,7 +12,7 @@ use pstrace_core::{
 use pstrace_flow::{
     instantiate, FlowBuilder, FlowIndex, IndexedFlow, InterleavedFlow, MessageCatalog,
 };
-use pstrace_infogain::{LogBase, MiCache};
+use pstrace_infogain::MiCache;
 
 use common::{assert_bitwise_equal, oracle};
 
@@ -109,7 +109,7 @@ proptest! {
         let (u, _) = random_interleaving(&widths_a, &widths_b, copies, with_groups);
         let buffer = TraceBufferSpec::new(budget).unwrap();
         let report = Selector::new(&u, SelectionConfig::new(buffer)).select().unwrap();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         assert_bitwise_equal(&report, &oracle(&u, &cache, budget), "random flow");
 
         prop_assert!(report.width_packed <= budget);

@@ -8,6 +8,7 @@
 //! less the debugger has to explore.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use pstrace_flow::{path_count, topological_order, IndexedMessage, InterleavedFlow, MessageId};
 
@@ -214,6 +215,20 @@ impl Localization {
     }
 }
 
+/// The one-line report every front end prints:
+/// `C of T interleaved-flow paths (P.PP%)`.
+impl fmt::Display for Localization {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} of {} interleaved-flow paths ({:.2}%)",
+            self.consistent,
+            self.total,
+            self.fraction() * 100.0
+        )
+    }
+}
+
 /// Convenience wrapper computing both counts.
 #[must_use]
 pub fn localize(
@@ -371,6 +386,15 @@ mod tests {
         let loc = localize(&u, &[], &[], MatchMode::Exact);
         assert_eq!(loc.consistent, loc.total);
         assert_eq!(loc.fraction(), 1.0);
+    }
+
+    #[test]
+    fn display_is_the_report_line() {
+        let loc = Localization {
+            consistent: 1,
+            total: 6,
+        };
+        assert_eq!(loc.to_string(), "1 of 6 interleaved-flow paths (16.67%)");
     }
 
     #[test]

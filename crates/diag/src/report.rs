@@ -156,13 +156,7 @@ impl CaseStudyReport {
                 let _ = writeln!(out, "  symptom         : none observed");
             }
         }
-        let _ = writeln!(
-            out,
-            "  localization    : {} of {} interleaved-flow paths ({:.2}%)",
-            self.localization.consistent,
-            self.localization.total,
-            self.path_localization() * 100.0
-        );
+        let _ = writeln!(out, "  localization    : {}", self.localization);
         let _ = writeln!(
             out,
             "  investigation   : {} messages over {} of {} legal IP pairs",

@@ -287,12 +287,7 @@ pub(crate) fn build_fixture(records: usize) -> Result<Fixture, String> {
     let observed: Vec<IndexedMessage> = report.records.iter().map(|r| r.message).collect();
     let selected = observed_messages(&schema);
     let loc = localize(&flow, &observed, &selected, MatchMode::Prefix);
-    let batch_localization = format!(
-        "  localization    : {} of {} interleaved-flow paths ({:.2}%)",
-        loc.consistent,
-        loc.total,
-        loc.fraction() * 100.0
-    );
+    let batch_localization = format!("  localization    : {loc}");
 
     Ok(Fixture {
         model: Arc::new(model),

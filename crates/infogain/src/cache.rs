@@ -20,7 +20,7 @@
 //! [`MiCache`] stores, for every catalog message, the list of its indexed
 //! messages in first-edge order, each with its pre-computed MI summand
 //! terms. [`MiCache::combination_mi`] then reproduces
-//! `JointDistribution::from_combination(..).mutual_information(..)`
+//! `JointDistribution::from_combination(..).mutual_information()`
 //! **bit-identically**: the from-scratch computation visits indexed
 //! messages in first-encounter edge order and accumulates the per-state
 //! terms left to right into a single accumulator, so replaying the cached
@@ -35,8 +35,6 @@
 //! 2's bounded search is built on these two facts.
 
 use pstrace_flow::{FlowIndex, InterleavedFlow, MessageId, ProductStateId};
-
-use crate::pmf::LogBase;
 
 /// One indexed message's cached slice of the MI sum.
 #[derive(Debug, Clone)]
@@ -61,9 +59,9 @@ struct MessageEntry {
     contribution: f64,
 }
 
-/// Per-message MI cache over one interleaved flow and one logarithm base.
+/// Per-message MI cache (in nats) over one interleaved flow.
 ///
-/// Build once per `(flow, base)` with [`MiCache::new`], then score any
+/// Build once per flow with [`MiCache::new`], then score any
 /// number of combinations with [`MiCache::combination_mi`] — each scoring
 /// costs a merge of the combination's cached term lists instead of a full
 /// pass over the interleaving's edges.
@@ -73,26 +71,25 @@ struct MessageEntry {
 /// ```
 /// use std::sync::Arc;
 /// use pstrace_flow::{examples::cache_coherence, instantiate, InterleavedFlow};
-/// use pstrace_infogain::{mutual_information, LogBase, MiCache};
+/// use pstrace_infogain::{mutual_information, MiCache};
 ///
 /// # fn main() -> Result<(), pstrace_flow::FlowError> {
 /// let (flow, catalog) = cache_coherence();
 /// let product = InterleavedFlow::build(&instantiate(&Arc::new(flow), 2))?;
-/// let cache = MiCache::new(&product, LogBase::Nats);
+/// let cache = MiCache::new(&product);
 ///
 /// let combo = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
 /// // Bit-identical to the from-scratch computation, at a fraction of the
 /// // cost when scoring many combinations.
 /// assert_eq!(
 ///     cache.combination_mi(&combo),
-///     mutual_information(&product, &combo, LogBase::Nats),
+///     mutual_information(&product, &combo),
 /// );
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct MiCache {
-    base: LogBase,
     /// Indexed by [`MessageId::index`]; messages that label no edge keep an
     /// empty entry.
     entries: Vec<MessageEntry>,
@@ -107,7 +104,7 @@ pub struct MiCache {
 impl MiCache {
     /// Builds the cache in one pass over `flow`'s edges.
     #[must_use]
-    pub fn new(flow: &InterleavedFlow, base: LogBase) -> Self {
+    pub fn new(flow: &InterleavedFlow) -> Self {
         // Dense ids for indexed messages: `(message, flow index)` maps to
         // `dense[message · |indices| + position of the index]`, assigned in
         // first-encounter edge order (mirrors JointDistribution's
@@ -161,7 +158,7 @@ impl MiCache {
                 start += run;
                 let p_x_given_y = run as f64 / y_total;
                 let p_xy = p_x_given_y * p_y;
-                let term = p_xy * base.log(p_xy / (p_x * p_y));
+                let term = p_xy * (p_xy / (p_x * p_y)).ln();
                 abs_term_sum += term.abs();
                 terms.push(term);
             }
@@ -183,19 +180,12 @@ impl MiCache {
         }
 
         MiCache {
-            base,
             entries,
             state_count,
             total_edges,
             term_count,
             abs_term_sum,
         }
-    }
-
-    /// The logarithm base the cached terms were computed in.
-    #[must_use]
-    pub fn base(&self) -> LogBase {
-        self.base
     }
 
     /// Number of product states `|S|` of the underlying interleaving.
@@ -214,8 +204,7 @@ impl MiCache {
     /// Mutual information of `combination`, bit-identical to
     /// [`JointDistribution::from_combination`](crate::JointDistribution::from_combination)
     /// followed by
-    /// [`JointDistribution::mutual_information`](crate::JointDistribution::mutual_information)
-    /// with this cache's base.
+    /// [`JointDistribution::mutual_information`](crate::JointDistribution::mutual_information).
     ///
     /// Duplicate message ids are ignored (as the from-scratch membership
     /// test does); messages that never label an edge contribute nothing.
@@ -295,28 +284,25 @@ mod tests {
     fn matches_scratch_bitwise_on_all_subsets() {
         let (u, catalog) = product();
         let all: Vec<MessageId> = catalog.iter().map(|(id, _)| id).collect();
-        for base in [LogBase::Nats, LogBase::Bits] {
-            let cache = MiCache::new(&u, base);
-            // All 2^n subsets of the running example's alphabet.
-            for mask in 0u32..(1 << all.len()) {
-                let combo: Vec<MessageId> = all
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, &m)| m)
-                    .collect();
-                let cached = cache.combination_mi(&combo);
-                let scratch =
-                    JointDistribution::from_combination(&u, &combo).mutual_information(base);
-                assert_eq!(cached.to_bits(), scratch.to_bits(), "mask {mask:#b}");
-            }
+        let cache = MiCache::new(&u);
+        // All 2^n subsets of the running example's alphabet.
+        for mask in 0u32..(1 << all.len()) {
+            let combo: Vec<MessageId> = all
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &m)| m)
+                .collect();
+            let cached = cache.combination_mi(&combo);
+            let scratch = JointDistribution::from_combination(&u, &combo).mutual_information();
+            assert_eq!(cached.to_bits(), scratch.to_bits(), "mask {mask:#b}");
         }
     }
 
     #[test]
     fn order_of_combination_does_not_matter() {
         let (u, catalog) = product();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         let req = catalog.get("ReqE").unwrap();
         let gnt = catalog.get("GntE").unwrap();
         assert_eq!(
@@ -328,7 +314,7 @@ mod tests {
     #[test]
     fn duplicates_are_ignored() {
         let (u, catalog) = product();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         let req = catalog.get("ReqE").unwrap();
         assert_eq!(
             cache.combination_mi(&[req, req]).to_bits(),
@@ -339,7 +325,7 @@ mod tests {
     #[test]
     fn deltas_are_additive_within_the_error_bound() {
         let (u, catalog) = product();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         let all: Vec<MessageId> = catalog.iter().map(|(id, _)| id).collect();
         let mut combo: Vec<MessageId> = Vec::new();
         let mut additive = 0.0;
@@ -357,14 +343,14 @@ mod tests {
     #[test]
     fn empty_combination_is_zero() {
         let (u, _) = product();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         assert_eq!(cache.combination_mi(&[]), 0.0);
     }
 
     #[test]
     fn running_example_value() {
         let (u, catalog) = product();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         let combo = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
         let gain = cache.combination_mi(&combo);
         assert!((gain - (2.0 / 3.0) * 5f64.ln()).abs() < 1e-12);
@@ -373,7 +359,7 @@ mod tests {
     #[test]
     fn messages_off_the_flow_contribute_nothing() {
         let (u, catalog) = product();
-        let cache = MiCache::new(&u, LogBase::Nats);
+        let cache = MiCache::new(&u);
         let req = catalog.get("ReqE").unwrap();
         // A freshly interned message lies past the cache's catalog.
         let mut extended = (*catalog).clone();

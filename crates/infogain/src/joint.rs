@@ -21,8 +21,6 @@ use std::collections::HashMap;
 
 use pstrace_flow::{IndexedMessage, InterleavedFlow, MessageId, ProductStateId};
 
-use crate::pmf::LogBase;
-
 /// Empirical joint distribution of interleaved-flow states `X` and indexed
 /// messages `Y` for one candidate message combination.
 ///
@@ -34,7 +32,7 @@ use crate::pmf::LogBase;
 /// ```
 /// use std::sync::Arc;
 /// use pstrace_flow::{examples::cache_coherence, instantiate, InterleavedFlow};
-/// use pstrace_infogain::{JointDistribution, LogBase};
+/// use pstrace_infogain::JointDistribution;
 ///
 /// # fn main() -> Result<(), pstrace_flow::FlowError> {
 /// let (flow, catalog) = cache_coherence();
@@ -43,7 +41,7 @@ use crate::pmf::LogBase;
 /// let joint = JointDistribution::from_combination(&product, &combo);
 ///
 /// // Worked example of §3.2: I(X; Y₁) = 1.073 (nats).
-/// let gain = joint.mutual_information(LogBase::Nats);
+/// let gain = joint.mutual_information();
 /// assert!((gain - 1.073).abs() < 1e-3);
 /// # Ok(())
 /// # }
@@ -165,10 +163,10 @@ impl JointDistribution {
         self.state_count
     }
 
-    /// Entropy of the uniform state prior, `H(X) = log |S|`.
+    /// Entropy of the uniform state prior, `H(X) = ln |S|`.
     #[must_use]
-    pub fn entropy_x(&self, base: LogBase) -> f64 {
-        base.log(self.state_count as f64)
+    pub fn entropy_x(&self) -> f64 {
+        (self.state_count as f64).ln()
     }
 
     /// Conditional entropy `H(X|Y) = Σ_y p(y)·H(X|y) + p(∅)·H(X)`, where
@@ -179,7 +177,7 @@ impl JointDistribution {
     /// [`JointDistribution::mutual_information`]); the identity is pinned
     /// by tests.
     #[must_use]
-    pub fn conditional_entropy_x(&self, base: LogBase) -> f64 {
+    pub fn conditional_entropy_x(&self) -> f64 {
         let mut h = 0.0;
         let mut mass = 0.0;
         for (i, pairs) in self.xy_counts.iter().enumerate() {
@@ -192,20 +190,20 @@ impl JointDistribution {
             let mut h_x_given_y = 0.0;
             for &(_, count) in pairs {
                 let p = count as f64 / y_total;
-                h_x_given_y -= p * base.log(p);
+                h_x_given_y -= p * p.ln();
             }
             h += p_y * h_x_given_y;
         }
-        h + (1.0 - mass) * self.entropy_x(base)
+        h + (1.0 - mass) * self.entropy_x()
     }
 
     /// Mutual information gain `I(X; Y) = Σ_{x,y} p(x,y)·log(p(x,y) /
-    /// (p(x)·p(y)))` in the requested base.
+    /// (p(x)·p(y)))`, in nats.
     ///
     /// Equivalent to `Σ_y p(y)·KL(p(X|y) ‖ p(X))`, hence always
-    /// non-negative and at most `log |S|`.
+    /// non-negative and at most `ln |S|`.
     #[must_use]
-    pub fn mutual_information(&self, base: LogBase) -> f64 {
+    pub fn mutual_information(&self) -> f64 {
         let p_x = self.p_x();
         let mut total = 0.0;
         for (i, pairs) in self.xy_counts.iter().enumerate() {
@@ -217,7 +215,7 @@ impl JointDistribution {
             for &(_, count) in pairs {
                 let p_x_given_y = count as f64 / y_total;
                 let p_xy = p_x_given_y * p_y;
-                total += p_xy * base.log(p_xy / (p_x * p_y));
+                total += p_xy * (p_xy / (p_x * p_y)).ln();
             }
         }
         total
@@ -272,7 +270,7 @@ mod tests {
         let (u, catalog) = product();
         let combo = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
         let j = JointDistribution::from_combination(&u, &combo);
-        let gain = j.mutual_information(LogBase::Nats);
+        let gain = j.mutual_information();
         // Closed form: (2/3)·ln 5 = 1.07295…
         assert!((gain - (2.0 / 3.0) * 5f64.ln()).abs() < 1e-12);
         assert!((gain - 1.073).abs() < 1e-3);
@@ -286,8 +284,8 @@ mod tests {
         for k in 0..=all.len() {
             let combo = &all[..k];
             let j = JointDistribution::from_combination(&u, combo);
-            let lhs = j.mutual_information(LogBase::Nats);
-            let rhs = j.entropy_x(LogBase::Nats) - j.conditional_entropy_x(LogBase::Nats);
+            let lhs = j.mutual_information();
+            let rhs = j.entropy_x() - j.conditional_entropy_x();
             assert!((lhs - rhs).abs() < 1e-12, "k = {k}: {lhs} vs {rhs}");
         }
     }
@@ -297,9 +295,9 @@ mod tests {
         let (u, catalog) = product();
         let combo = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
         let j = JointDistribution::from_combination(&u, &combo);
-        assert!((j.entropy_x(LogBase::Nats) - (15f64).ln()).abs() < 1e-12);
+        assert!((j.entropy_x() - (15f64).ln()).abs() < 1e-12);
         // Conditioning cannot increase entropy.
-        assert!(j.conditional_entropy_x(LogBase::Nats) <= j.entropy_x(LogBase::Nats) + 1e-12);
+        assert!(j.conditional_entropy_x() <= j.entropy_x() + 1e-12);
     }
 
     #[test]
@@ -307,7 +305,7 @@ mod tests {
         let (u, _) = product();
         let j = JointDistribution::from_combination(&u, &[]);
         assert_eq!(j.indexed_messages().len(), 0);
-        assert_eq!(j.mutual_information(LogBase::Nats), 0.0);
+        assert_eq!(j.mutual_information(), 0.0);
     }
 
     #[test]
@@ -315,19 +313,9 @@ mod tests {
         let (u, catalog) = product();
         let all: Vec<_> = catalog.iter().map(|(id, _)| id).collect();
         let j = JointDistribution::from_combination(&u, &all);
-        let gain = j.mutual_information(LogBase::Nats);
+        let gain = j.mutual_information();
         assert!(gain >= 0.0);
         assert!(gain <= (u.state_count() as f64).ln() + 1e-12);
-    }
-
-    #[test]
-    fn bits_and_nats_differ_by_ln2() {
-        let (u, catalog) = product();
-        let combo = [catalog.get("Ack").unwrap()];
-        let j = JointDistribution::from_combination(&u, &combo);
-        let nats = j.mutual_information(LogBase::Nats);
-        let bits = j.mutual_information(LogBase::Bits);
-        assert!((nats - bits * 2f64.ln()).abs() < 1e-12);
     }
 
     #[test]

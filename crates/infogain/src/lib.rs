@@ -6,10 +6,12 @@
 //! observed variable `Y` ranges over the indexed messages of a candidate
 //! combination, and both marginal and conditional are estimated by edge
 //! counting over the interleaving. See [`JointDistribution`] for the exact
-//! estimator and [`mutual_information`] for the one-call entry point.
+//! estimator, [`mutual_information`] for the one-call entry point and
+//! [`MiCache`] for the scorer every selection path uses.
 //!
-//! The paper's worked example (`I(X;Y₁) = 1.073`) pins the logarithm base
-//! to nats; [`LogBase`] lets callers switch to bits.
+//! Every measure is in nats: the paper's worked example
+//! (`I(X;Y₁) = (2/3)·ln 5 = 1.073`) is only reproduced with the natural
+//! logarithm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,9 +20,7 @@
 mod cache;
 mod joint;
 mod mi;
-mod pmf;
 
 pub use cache::MiCache;
 pub use joint::JointDistribution;
-pub use mi::{mutual_information, mutual_information_nats};
-pub use pmf::{entropy_of, LogBase, Pmf, PmfError};
+pub use mi::mutual_information;

@@ -1,12 +1,11 @@
-//! Convenience entry points for mutual information gain.
+//! Convenience entry point for mutual information gain.
 
 use pstrace_flow::{InterleavedFlow, MessageId};
 
 use crate::joint::JointDistribution;
-use crate::pmf::LogBase;
 
 /// Mutual information gain of the interleaved-flow state `X` relative to
-/// the indexed messages of `combination` (§3.2), in the requested base.
+/// the indexed messages of `combination` (§3.2), in nats.
 ///
 /// This is the selection metric of the paper: higher gain means observing
 /// the combination's messages tells the debugger more about where the
@@ -17,26 +16,20 @@ use crate::pmf::LogBase;
 /// ```
 /// use std::sync::Arc;
 /// use pstrace_flow::{examples::cache_coherence, instantiate, InterleavedFlow};
-/// use pstrace_infogain::{mutual_information, LogBase};
+/// use pstrace_infogain::mutual_information;
 ///
 /// # fn main() -> Result<(), pstrace_flow::FlowError> {
 /// let (flow, catalog) = cache_coherence();
 /// let product = InterleavedFlow::build(&instantiate(&Arc::new(flow), 2))?;
 /// let combo = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
-/// let gain = mutual_information(&product, &combo, LogBase::Nats);
+/// let gain = mutual_information(&product, &combo);
 /// assert!((gain - 1.073).abs() < 1e-3);
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn mutual_information(flow: &InterleavedFlow, combination: &[MessageId], base: LogBase) -> f64 {
-    JointDistribution::from_combination(flow, combination).mutual_information(base)
-}
-
-/// Mutual information gain in nats (the paper's convention).
-#[must_use]
-pub fn mutual_information_nats(flow: &InterleavedFlow, combination: &[MessageId]) -> f64 {
-    mutual_information(flow, combination, LogBase::Nats)
+pub fn mutual_information(flow: &InterleavedFlow, combination: &[MessageId]) -> f64 {
+    JointDistribution::from_combination(flow, combination).mutual_information()
 }
 
 #[cfg(test)]
@@ -50,11 +43,9 @@ mod tests {
         let (flow, catalog) = cache_coherence();
         let u = InterleavedFlow::build(&instantiate(&Arc::new(flow), 2)).unwrap();
         let combo = [catalog.get("ReqE").unwrap()];
-        let direct = mutual_information(&u, &combo, LogBase::Nats);
-        let via_joint =
-            JointDistribution::from_combination(&u, &combo).mutual_information(LogBase::Nats);
+        let direct = mutual_information(&u, &combo);
+        let via_joint = JointDistribution::from_combination(&u, &combo).mutual_information();
         assert_eq!(direct, via_joint);
-        assert_eq!(mutual_information_nats(&u, &combo), direct);
     }
 
     #[test]
@@ -66,9 +57,9 @@ mod tests {
         let req = catalog.get("ReqE").unwrap();
         let gnt = catalog.get("GntE").unwrap();
         let ack = catalog.get("Ack").unwrap();
-        let best = mutual_information_nats(&u, &[req, gnt]);
+        let best = mutual_information(&u, &[req, gnt]);
         for single in [req, gnt, ack] {
-            assert!(mutual_information_nats(&u, &[single]) < best);
+            assert!(mutual_information(&u, &[single]) < best);
         }
     }
 }

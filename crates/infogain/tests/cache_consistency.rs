@@ -8,13 +8,13 @@ use std::sync::Arc;
 use pstrace_flow::{
     examples::cache_coherence, instantiate, FlowBuilder, InterleavedFlow, MessageCatalog, MessageId,
 };
-use pstrace_infogain::{mutual_information, JointDistribution, LogBase, MiCache};
+use pstrace_infogain::{mutual_information, JointDistribution, MiCache};
 
 /// Every subset of `alphabet` (up to 2^16 of them) scores identically
 /// through the cache and from scratch.
-fn assert_all_subsets_bitwise(flow: &InterleavedFlow, alphabet: &[MessageId], base: LogBase) {
+fn assert_all_subsets_bitwise(flow: &InterleavedFlow, alphabet: &[MessageId]) {
     assert!(alphabet.len() <= 16, "subset sweep too large");
-    let cache = MiCache::new(flow, base);
+    let cache = MiCache::new(flow);
     for mask in 0u32..(1 << alphabet.len()) {
         let combo: Vec<MessageId> = alphabet
             .iter()
@@ -23,7 +23,7 @@ fn assert_all_subsets_bitwise(flow: &InterleavedFlow, alphabet: &[MessageId], ba
             .map(|(_, &m)| m)
             .collect();
         let cached = cache.combination_mi(&combo);
-        let scratch = mutual_information(flow, &combo, base);
+        let scratch = mutual_information(flow, &combo);
         assert_eq!(
             cached.to_bits(),
             scratch.to_bits(),
@@ -39,9 +39,7 @@ fn running_example_all_subsets_all_instance_counts() {
     let alphabet: Vec<MessageId> = catalog.iter().map(|(id, _)| id).collect();
     for instances in 1..=3u32 {
         let product = InterleavedFlow::build(&instantiate(&flow, instances)).unwrap();
-        for base in [LogBase::Nats, LogBase::Bits] {
-            assert_all_subsets_bitwise(&product, &alphabet, base);
-        }
+        assert_all_subsets_bitwise(&product, &alphabet);
     }
 }
 
@@ -70,7 +68,7 @@ fn asymmetric_widths_and_reused_messages() {
     let alphabet: Vec<MessageId> = catalog.iter().map(|(id, _)| id).collect();
     for instances in 1..=3u32 {
         let product = InterleavedFlow::build(&instantiate(&flow, instances)).unwrap();
-        assert_all_subsets_bitwise(&product, &alphabet, LogBase::Nats);
+        assert_all_subsets_bitwise(&product, &alphabet);
     }
 }
 
@@ -80,15 +78,14 @@ fn cache_agrees_with_joint_distribution_internals() {
     // and the additive identity holds to floating-point accuracy.
     let (flow, catalog) = cache_coherence();
     let product = InterleavedFlow::build(&instantiate(&Arc::new(flow), 2)).unwrap();
-    let cache = MiCache::new(&product, LogBase::Nats);
+    let cache = MiCache::new(&product);
     assert_eq!(cache.total_edges(), product.edge_count() as u64);
     assert_eq!(cache.state_count(), product.state_count());
 
     let mut running: Vec<MessageId> = Vec::new();
     let mut additive = 0.0;
     for (m, _) in catalog.iter() {
-        let single =
-            JointDistribution::from_combination(&product, &[m]).mutual_information(LogBase::Nats);
+        let single = JointDistribution::from_combination(&product, &[m]).mutual_information();
         assert_eq!(cache.message_delta(m).to_bits(), single.to_bits());
 
         additive += cache.message_delta(m);

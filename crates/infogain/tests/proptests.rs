@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use pstrace_flow::{FlowBuilder, FlowIndex, IndexedFlow, InterleavedFlow, MessageCatalog};
-use pstrace_infogain::{mutual_information, JointDistribution, LogBase, Pmf};
+use pstrace_infogain::{mutual_information, JointDistribution};
 
 fn linear_pair(a: usize, b: usize) -> (InterleavedFlow, Arc<MessageCatalog>) {
     let mut c = MessageCatalog::new();
@@ -56,7 +56,7 @@ proptest! {
             .filter(|(_, &p)| p)
             .map(|(m, _)| *m)
             .collect();
-        let gain = mutual_information(&u, &combo, LogBase::Nats);
+        let gain = mutual_information(&u, &combo);
         prop_assert!(gain >= -1e-12);
         prop_assert!(gain <= (u.state_count() as f64).ln() + 1e-9);
     }
@@ -73,8 +73,8 @@ proptest! {
             .filter(|(_, &p)| p)
             .map(|(m, _)| *m)
             .collect();
-        let sub = mutual_information(&u, &combo, LogBase::Nats);
-        let full = mutual_information(&u, &alphabet, LogBase::Nats);
+        let sub = mutual_information(&u, &combo);
+        let full = mutual_information(&u, &alphabet);
         prop_assert!(sub <= full + 1e-12);
     }
 
@@ -98,15 +98,5 @@ proptest! {
         // Full-alphabet marginals sum to 1 (every edge is selected).
         let total: f64 = (0..j.indexed_messages().len()).map(|i| j.p_y(i)).sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    /// PMFs from counts are valid and have entropy ≤ log n.
-    #[test]
-    fn pmf_entropy_bound(counts in proptest::collection::vec(0u64..100, 1..12)) {
-        prop_assume!(counts.iter().sum::<u64>() > 0);
-        let p = Pmf::from_counts(&counts).unwrap();
-        let h = p.entropy(LogBase::Nats);
-        prop_assert!(h >= -1e-12);
-        prop_assert!(h <= (p.len() as f64).ln() + 1e-9);
     }
 }

@@ -115,13 +115,7 @@ impl SessionReport {
                 since
             );
         }
-        let _ = writeln!(
-            out,
-            "  localization    : {} of {} interleaved-flow paths ({:.2}%)",
-            self.localization.consistent,
-            self.localization.total,
-            self.localization.fraction() * 100.0
-        );
+        let _ = writeln!(out, "  localization    : {}", self.localization);
         out
     }
 }

@@ -11,7 +11,7 @@ use std::error::Error;
 use std::sync::Arc;
 
 use pstrace::flow::{examples::cache_coherence, instantiate, path_count, InterleavedFlow};
-use pstrace::infogain::LogBase;
+use pstrace::infogain::MiCache;
 use pstrace::select::{
     enumerate_combinations, flow_spec_coverage, rank_combinations, SelectionConfig, Selector,
     TraceBufferSpec,
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         1_000,
     )?;
     println!("\nstep 1/2 candidates (gain in nats, descending):");
-    for cand in &rank_combinations(&product, &candidates, LogBase::Nats) {
+    for cand in &rank_combinations(&product, &candidates, &MiCache::new(&product)) {
         let names: Vec<&str> = cand.messages.iter().map(|&m| catalog.name(m)).collect();
         let coverage = flow_spec_coverage(&product, &cand.messages);
         println!(

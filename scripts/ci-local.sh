@@ -28,6 +28,14 @@ run() {
 
 # job: test (stable)
 run cargo build --release --locked
+# Paper results goldens: every docs/results/<bin>.txt must be exactly
+# the start of its pstrace-bench binary's stdout; only a blank line and
+# the wall-clock block may follow.
+if command -v python3 >/dev/null 2>&1; then
+    run python3 scripts/check_results.py
+else
+    echo "==> python3 not found; skipping results goldens"
+fi
 run cargo test -q --locked
 run cargo test -q --locked --workspace
 run cargo test -q --locked --test stream_smoke

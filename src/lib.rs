@@ -118,7 +118,7 @@ pub mod prelude {
     pub use pstrace_flow::{
         instantiate, Flow, FlowBuilder, IndexedFlow, InterleavedFlow, MessageCatalog,
     };
-    pub use pstrace_infogain::{mutual_information, LogBase};
+    pub use pstrace_infogain::mutual_information;
     pub use pstrace_soc::{SimConfig, Simulator, SocModel, UsageScenario};
 }
 

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use pstrace::flow::{examples::cache_coherence, instantiate, path_count, InterleavedFlow};
-use pstrace::infogain::{mutual_information, LogBase};
+use pstrace::infogain::mutual_information;
 use pstrace::prelude::*;
 use pstrace::select::{enumerate_combinations, flow_spec_coverage};
 
@@ -35,7 +35,7 @@ fn figure_2_interleaving_shape() {
 fn section_3_2_worked_example() {
     let (product, catalog) = running_example();
     let combo = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
-    let gain = mutual_information(&product, &combo, LogBase::Nats);
+    let gain = mutual_information(&product, &combo);
     assert!((gain - 1.073).abs() < 1e-3, "I(X;Y1) = 1.073");
     // Closed form from the paper's probabilities: (2/3)·ln 5.
     assert!((gain - (2.0 / 3.0) * 5.0_f64.ln()).abs() < 1e-12);
