@@ -24,8 +24,7 @@ fn corpus_miner(model: &SocModel, seeds: u64, config: MiningConfig) -> (Miner, u
     let mut miner = Miner::new(model.catalog().clone(), config);
     let mut records = 0u64;
     for scenario in paper_scenarios() {
-        let (logs, _) =
-            scenario_executions(model, &scenario, &seeds, true).expect("corpus encodes");
+        let (logs, _) = scenario_executions(model, &scenario, &seeds).expect("corpus encodes");
         for log in logs {
             records += log.len() as u64;
             miner.push_log(log);

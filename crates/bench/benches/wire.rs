@@ -7,14 +7,14 @@
 //! session carries.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pstrace_codec::{decode_v2, encode_v2, ProfileV2, DEFAULT_SYNC_EVERY};
+use pstrace_codec::{encode_v2, ProfileV2, DEFAULT_SYNC_EVERY};
 use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_flow::{FlowIndex, IndexedMessage};
 use pstrace_soc::{
     capture, wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario,
 };
 use pstrace_wire::{
-    decode_stream, encode_records, Decoded, FrameProfile, ProfileV1, WireRecord, WireSchema,
+    decode_with, encode_records, Decoded, FrameProfile, ProfileV1, WireRecord, WireSchema,
 };
 
 /// The scenario-1 selection over the paper's 32-bit buffer, turned into
@@ -77,14 +77,9 @@ fn scenario1_capture(records: usize) -> (WireSchema, Vec<WireRecord>) {
         );
         let trace = capture(&model, &sim.run(), &config);
         let mut last = base;
-        for r in trace.records() {
+        for &r in trace.records() {
             last = base + r.time;
-            out.push(WireRecord {
-                time: last,
-                message: r.message,
-                value: r.value,
-                partial: r.partial,
-            });
+            out.push(WireRecord { time: last, ..r });
         }
         base = last + 1 + seed % 64;
     }
@@ -157,10 +152,18 @@ fn bench_profiles(c: &mut Criterion) {
         });
     });
     group.bench_function("decode_v1", |b| {
-        b.iter(|| black_box(decode_stream(&schema, &v1.bytes, Some(v1.bit_len))));
+        b.iter(|| {
+            black_box(decode_with(
+                &ProfileV1,
+                &schema,
+                &v1.bytes,
+                Some(v1.bit_len),
+            ))
+        });
     });
     group.bench_function("decode_v2", |b| {
-        b.iter(|| black_box(decode_v2(&schema, &v2.bytes, Some(v2.bit_len))));
+        let v2p = ProfileV2::default();
+        b.iter(|| black_box(decode_with(&v2p, &schema, &v2.bytes, Some(v2.bit_len))));
     });
     group.bench_function("decode_incremental/v1/chunk256", |b| {
         b.iter(|| black_box(decode_incremental(&ProfileV1, &schema, &v1.bytes)));

@@ -15,8 +15,7 @@ use pstrace_mine::{evaluate, ExecutionLog, LogRecord, Miner, MiningConfig};
 use pstrace_obs::maybe_time;
 use pstrace_rtl::{prnet_select, sigset_select, simulate, RandomStimulus, UsbDesign};
 use pstrace_soc::{
-    tracefile, value::mask_to_width, wirecap, FlowKind, SimConfig, Simulator, SocModel,
-    TraceBufferConfig, UsageScenario,
+    tracefile, wirecap, FlowKind, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario,
 };
 use pstrace_stream::scenario_by_number;
 
@@ -127,7 +126,7 @@ fn print_help() {
     println!("           [--json FILE] [--flight-dump FILE.ptw]");
     println!("                                         fleet-scale concurrent ingest soak;");
     println!("                                         prints aggregate records/s");
-    println!("  mine     [FILES.ptw...] [--scenario N|all] [--seeds K] [--no-wire]");
+    println!("  mine     [FILES.ptw...] [--scenario N|all] [--seeds K]");
     println!("           [--min-support N] [--min-path-support N] [--top N]");
     println!("           [--out DIR] [--dot] [--eval] [--require N] [--threshold F]");
     println!("           [--flight]                    infer flow DAGs from decoded captures");
@@ -529,7 +528,8 @@ fn cmd_trace(argv: &[String]) -> CmdResult {
 }
 
 /// Packs a text trace file into `.ptw` wire frames through the
-/// scenario's selection-derived schema: records outside the selection
+/// scenario's selection-derived schema. Each record passes the capture
+/// rule ([`TraceBufferConfig::admit`]): records outside the selection
 /// are dropped (as the real buffer would drop them), full records of a
 /// packed parent are truncated to the subgroup lane.
 fn cmd_trace_encode(argv: &[String]) -> CmdResult {
@@ -590,30 +590,12 @@ fn cmd_trace_encode(argv: &[String]) -> CmdResult {
         wirecap::wire_schema(&model, &trace_config, buffer.width_bits())
     })?;
 
-    let mut records: Vec<wirecap::WireRecord> = Vec::new();
-    let mut dropped = 0usize;
-    for r in trace.records() {
-        let m = r.message.message;
-        if schema.slot_for(m, r.partial).is_some() {
-            records.push(wirecap::WireRecord {
-                time: r.time,
-                message: r.message,
-                value: r.value,
-                partial: r.partial,
-            });
-        } else if let Some((_, slot)) = (!r.partial).then(|| schema.slot_for(m, true)).flatten() {
-            // Full record of a packed parent: the buffer records only
-            // the subgroup bits.
-            records.push(wirecap::WireRecord {
-                time: r.time,
-                message: r.message,
-                value: mask_to_width(r.value, slot.width),
-                partial: true,
-            });
-        } else {
-            dropped += 1;
-        }
-    }
+    let records: Vec<wirecap::WireRecord> = trace
+        .records()
+        .iter()
+        .filter_map(|&r| trace_config.admit(model.catalog(), r))
+        .collect();
+    let dropped = trace.len() - records.len();
     let profile = pstrace_codec::profile_for(if v2 {
         wirecap::PtwMeta::v2(sync_every)
     } else {
@@ -1172,8 +1154,8 @@ fn cmd_fleet(argv: &[String]) -> CmdResult {
 /// Infers candidate flow DAGs from decoded captures.
 ///
 /// Input is either one or more `.ptw` files (positional) or simulated
-/// scenario corpora (`--scenario N|all`, `--seeds K`, wire round-trip
-/// unless `--no-wire`). Candidates are ranked by acceptance × minimality;
+/// scenario corpora (`--scenario N|all`, `--seeds K`, each run through a
+/// wire round trip). Candidates are ranked by acceptance × minimality;
 /// `--out DIR` writes parseable `.flow` specs (plus annotated `.dot`
 /// graphs with `--dot`), and `--eval` scores the candidates against the
 /// model's ground-truth flows, printing the recovery verdict line that CI
@@ -1182,7 +1164,7 @@ fn cmd_fleet(argv: &[String]) -> CmdResult {
 fn cmd_mine(argv: &[String]) -> CmdResult {
     let args = Args::parse(
         argv.iter().cloned(),
-        &["dot", "eval", "no-wire", "profile", "flight"],
+        &["dot", "eval", "profile", "flight"],
         &[
             "scenario",
             "seeds",
@@ -1247,10 +1229,9 @@ fn cmd_mine(argv: &[String]) -> CmdResult {
             }
         };
         let seeds = pstrace_mine::default_seeds(args.option_or("seeds", 8u64)?);
-        let wire = !args.flag("no-wire");
         maybe_time(obs(&profiler), "corpus", || -> CmdResult {
             for sc in &scenarios {
-                let (logs, _skipped) = pstrace_mine::scenario_executions(&model, sc, &seeds, wire)?;
+                let (logs, _skipped) = pstrace_mine::scenario_executions(&model, sc, &seeds)?;
                 for log in logs {
                     miner.push_log(log);
                 }
@@ -1380,7 +1361,7 @@ fn flight_execution_log(dump: &FlightDump) -> ExecutionLog {
             })
         })
         .collect();
-    ExecutionLog::from_records(records)
+    ExecutionLog { records }
 }
 
 fn cmd_stats() -> CmdResult {

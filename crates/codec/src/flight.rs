@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use pstrace_flow::{Flow, FlowBuilder, FlowIndex, IndexedMessage, MessageCatalog, MessageId};
-use pstrace_obs::{reason_label, EventKind, FlightEvent};
+use pstrace_obs::{json_escape, reason_label, EventKind, FlightEvent};
 use pstrace_wire::{
     read_ptw_any, write_ptw_with, PtwMeta, WireError, WireRecord, WireSchema, PTW_VERSION_V2,
 };
@@ -327,22 +327,6 @@ pub fn render_timeline(dump: &FlightDump) -> String {
                     reason
                 );
             }
-        }
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            other => out.push(other),
         }
     }
     out

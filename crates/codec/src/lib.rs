@@ -20,7 +20,7 @@
 //!   resync cap error propagation just like v1's fixed-width frame
 //!   boundaries, at a fraction of the wire size;
 //! * v1 files keep decoding byte-identically through the same entry
-//!   points ([`read_ptw_auto`] routes by version).
+//!   points ([`decode_ptw_payload`] routes by the header's version).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,8 +29,8 @@ mod container;
 pub mod flight;
 mod v2;
 
-pub use container::{decode_ptw_payload, profile_for, read_ptw_auto, write_ptw_profile};
+pub use container::{decode_ptw_payload, profile_for, write_ptw_profile};
 pub use v2::{
-    decode_v2, encode_v2, fnv32, ProfileV2, V2StreamDecoder, BLOCK_HEADER_BYTES,
-    DEFAULT_SYNC_EVERY, MIN_BLOCK_BYTES, SYNC_MARKER,
+    encode_v2, fnv32, ProfileV2, V2StreamDecoder, BLOCK_HEADER_BYTES, DEFAULT_SYNC_EVERY,
+    MIN_BLOCK_BYTES, SYNC_MARKER,
 };

@@ -45,9 +45,9 @@
 //!   raw lane width.
 
 use pstrace_wire::{
-    check_record, decode_with, overwritten, BitReader, BitWriter, DamageReason, DamagedFrame,
-    DecodeReport, Decoded, EncodedStream, FrameProfile, PtwMeta, RecordDecoder, StreamEnd,
-    WireError, WireRecord, WireSchema, SYNC_EVERY_RANGE,
+    check_record, overwritten, BitReader, BitWriter, DamageReason, DamagedFrame, Decoded,
+    EncodedStream, FrameProfile, PtwMeta, RecordDecoder, StreamEnd, WireError, WireRecord,
+    WireSchema, SYNC_EVERY_RANGE,
 };
 
 /// The two marker bytes starting every sync block.
@@ -595,13 +595,6 @@ impl RecordDecoder for V2StreamDecoder {
     }
 }
 
-/// Decodes a complete v2 stream in one call: [`decode_with`] the v2
-/// profile.
-#[must_use]
-pub fn decode_v2(schema: &WireSchema, bytes: &[u8], bit_len: Option<u64>) -> DecodeReport {
-    decode_with(&ProfileV2::default(), schema, bytes, bit_len)
-}
-
 /// The compressed sync-block dialect as a pluggable [`FrameProfile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileV2 {
@@ -640,8 +633,12 @@ impl FrameProfile for ProfileV2 {
 mod tests {
     use super::*;
     use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
-    use pstrace_wire::{decode_stream, encode_records, finish_report};
+    use pstrace_wire::{decode_with, encode_records, finish_report, ProfileV1};
     use std::sync::Arc;
+
+    const V2: ProfileV2 = ProfileV2 {
+        sync_every: DEFAULT_SYNC_EVERY,
+    };
 
     fn setup() -> (Arc<MessageCatalog>, WireSchema) {
         let mut c = MessageCatalog::new();
@@ -684,7 +681,7 @@ mod tests {
         let recs = records(&c, 200);
         for sync_every in [1u16, 3, 64, 4096] {
             let stream = encode_v2(&schema, &recs, sync_every, None).unwrap();
-            let report = decode_v2(&schema, &stream.bytes, Some(stream.bit_len));
+            let report = decode_with(&V2, &schema, &stream.bytes, Some(stream.bit_len));
             assert!(
                 report.is_clean(),
                 "cadence {sync_every}: {:?}",
@@ -701,11 +698,11 @@ mod tests {
         let (c, schema) = setup();
         let recs = records(&c, 50);
         let stream = encode_v2(&schema, &recs, 8, Some(17)).unwrap();
-        let report = decode_v2(&schema, &stream.bytes, Some(stream.bit_len));
+        let report = decode_with(&V2, &schema, &stream.bytes, Some(stream.bit_len));
         assert_eq!(report.records, recs[50 - 17..].to_vec());
         // Identical retained set to v1's circular ring.
         let v1 = encode_records(&schema, &recs, Some(17)).unwrap();
-        let v1_report = decode_stream(&schema, &v1.bytes, Some(v1.bit_len));
+        let v1_report = decode_with(&ProfileV1, &schema, &v1.bytes, Some(v1.bit_len));
         assert_eq!(report.records, v1_report.records);
     }
 
@@ -717,10 +714,10 @@ mod tests {
         recs[10].time = 1 << 30;
         recs[25].time = 2;
         let v1 = encode_records(&schema, &recs, None).unwrap();
-        let v1_report = decode_stream(&schema, &v1.bytes, Some(v1.bit_len));
+        let v1_report = decode_with(&ProfileV1, &schema, &v1.bytes, Some(v1.bit_len));
         for sync_every in [4u16, 64] {
             let stream = encode_v2(&schema, &recs, sync_every, None).unwrap();
-            let report = decode_v2(&schema, &stream.bytes, Some(stream.bit_len));
+            let report = decode_with(&V2, &schema, &stream.bytes, Some(stream.bit_len));
             // Same surviving records, same damage reasons on the same
             // record ordinals (v1 frame index == record ordinal here).
             assert_eq!(report.records, v1_report.records, "cadence {sync_every}");
@@ -754,7 +751,7 @@ mod tests {
         let mut bytes = stream.bytes.clone();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
-        let report = decode_v2(&schema, &bytes, Some(bytes.len() as u64 * 8));
+        let report = decode_with(&V2, &schema, &bytes, Some(bytes.len() as u64 * 8));
         assert!(!report.is_clean() || report.records.len() < recs.len());
         let lost = recs.len() - report.records.len();
         assert!(
@@ -786,7 +783,7 @@ mod tests {
         let len = u16::from_le_bytes([bytes[2], bytes[3]]);
         bytes[2..4].copy_from_slice(&(len * 3 - 7).to_le_bytes());
         bytes[BLOCK_HEADER_BYTES - 1] = fold8(fnv32(&bytes[..BLOCK_HEADER_BYTES - 1]));
-        let report = decode_v2(&schema, &bytes, Some(bytes.len() as u64 * 8));
+        let report = decode_with(&V2, &schema, &bytes, Some(bytes.len() as u64 * 8));
         assert_eq!(report.records, recs[8..].to_vec());
         assert!(matches!(
             report.damaged[0].reason,
@@ -807,7 +804,7 @@ mod tests {
         let recs = records(&c, 64);
         let stream = encode_v2(&schema, &recs, 16, None).unwrap();
         let cut = stream.bytes.len() - 7; // mid final block
-        let report = decode_v2(&schema, &stream.bytes[..cut], None);
+        let report = decode_with(&V2, &schema, &stream.bytes[..cut], None);
         assert_eq!(report.records, recs[..48].to_vec());
         assert_eq!(report.damaged.len(), 1);
         assert!(matches!(
@@ -823,7 +820,7 @@ mod tests {
         let stream = encode_v2(&schema, &recs, 16, None).unwrap();
         let mut bytes = vec![0xA5u8; 11];
         bytes.extend_from_slice(&stream.bytes);
-        let report = decode_v2(&schema, &bytes, None);
+        let report = decode_with(&V2, &schema, &bytes, None);
         assert_eq!(report.records, recs);
         assert_eq!(report.damaged.len(), 1);
         assert!(matches!(
@@ -838,7 +835,7 @@ mod tests {
         let (c, schema) = setup();
         let recs = records(&c, 150);
         let stream = encode_v2(&schema, &recs, 32, None).unwrap();
-        let one_shot = decode_v2(&schema, &stream.bytes, Some(stream.bit_len));
+        let one_shot = decode_with(&V2, &schema, &stream.bytes, Some(stream.bit_len));
         for chunk_size in [1usize, 3, 7, 19, 64] {
             let mut dec = V2StreamDecoder::new(&schema);
             for chunk in stream.bytes.chunks(chunk_size) {
@@ -898,7 +895,7 @@ mod tests {
         let (_, schema) = setup();
         let stream = encode_v2(&schema, &[], 64, None).unwrap();
         assert!(stream.bytes.is_empty());
-        let report = decode_v2(&schema, &stream.bytes, None);
+        let report = decode_with(&V2, &schema, &stream.bytes, None);
         assert!(report.is_clean());
         assert!(report.records.is_empty());
         assert_eq!(report.frames, 0);

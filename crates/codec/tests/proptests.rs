@@ -5,13 +5,12 @@
 
 use proptest::prelude::*;
 use pstrace_codec::{
-    decode_v2, encode_v2, read_ptw_auto, ProfileV2, V2StreamDecoder, DEFAULT_SYNC_EVERY,
+    decode_ptw_payload, encode_v2, ProfileV2, V2StreamDecoder, DEFAULT_SYNC_EVERY,
 };
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
 use pstrace_wire::{
-    decode_stream, decode_with, encode_records, finish_report, overwritten, write_ptw,
-    DamageReason, FrameProfile, ProfileV1, RecordDecoder, WireError, WireRecord, WireSchema,
-    PTW_VERSION,
+    decode_with, encode_records, finish_report, overwritten, read_ptw_any, write_ptw, DamageReason,
+    FrameProfile, ProfileV1, RecordDecoder, WireError, WireRecord, WireSchema, PTW_VERSION,
 };
 use std::sync::Arc;
 
@@ -94,7 +93,8 @@ proptest! {
             Some(d) if records.len() > d => records[records.len() - d..].to_vec(),
             _ => records.clone(),
         };
-        let report = decode_v2(&schema, &stream.bytes, Some(stream.bit_len));
+        let report =
+            decode_with(&ProfileV2::default(), &schema, &stream.bytes, Some(stream.bit_len));
         prop_assert!(report.is_clean(), "{:?}", report.damaged);
         prop_assert_eq!(&report.records, &survivors);
         let mut dec = V2StreamDecoder::new(&schema);
@@ -121,7 +121,7 @@ proptest! {
         let mut bytes = stream.bytes.clone();
         let bit = flip_raw % stream.bit_len;
         bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-        let report = decode_v2(&schema, &bytes, Some(stream.bit_len));
+        let report = decode_with(&ProfileV2::default(), &schema, &bytes, Some(stream.bit_len));
         prop_assert!(report.records.len() <= records.len());
         let lost = records.len() - report.records.len();
         prop_assert!(
@@ -144,7 +144,7 @@ proptest! {
     fn v2_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
         let c = catalog();
         let schema = schema(&c);
-        let report = decode_v2(&schema, &bytes, None);
+        let report = decode_with(&ProfileV2::default(), &schema, &bytes, None);
         for d in &report.damaged {
             let is_sync_vocab = matches!(
                 d.reason,
@@ -157,8 +157,9 @@ proptest! {
         }
     }
 
-    /// The auto-reading container entry point routes v1 and v2 files to
-    /// their own decoders: v1 files keep decoding exactly as before.
+    /// The version-negotiating container reader plus payload decode
+    /// route v1 and v2 files to their own decoders: v1 files keep
+    /// decoding exactly as before.
     #[test]
     fn container_auto_read_round_trips_both_profiles(
         parts in proptest::collection::vec((any::<u8>(), 0u64..20, any::<u8>(), any::<u64>()), 0..60),
@@ -169,7 +170,8 @@ proptest! {
 
         let v1_stream = encode_records(&schema, &records, None).unwrap();
         let v1_file = write_ptw(&c, &schema, &v1_stream);
-        let (s1, m1, r1) = read_ptw_auto(&c, &v1_file).unwrap();
+        let (s1, m1, p1) = read_ptw_any(&c, &v1_file).unwrap();
+        let r1 = decode_ptw_payload(&s1, m1, &p1);
         prop_assert_eq!(&s1, &schema);
         prop_assert_eq!(m1.version, PTW_VERSION);
         prop_assert_eq!(&r1.records, &records);
@@ -182,7 +184,8 @@ proptest! {
             None,
         )
         .unwrap();
-        let (s2, m2, r2) = read_ptw_auto(&c, &v2_file).unwrap();
+        let (s2, m2, p2) = read_ptw_any(&c, &v2_file).unwrap();
+        let r2 = decode_ptw_payload(&s2, m2, &p2);
         prop_assert_eq!(&s2, &schema);
         prop_assert_eq!(m2.sync_every, 32);
         prop_assert_eq!(&r2.records, &records);
@@ -289,12 +292,12 @@ proptest! {
         let (_, schema) = random_schema(&lanes, time_width, index_width);
         let records = random_records(&schema, &parts);
         let v1 = encode_records(&schema, &records, None).unwrap();
-        let v1_report = decode_stream(&schema, &v1.bytes, Some(v1.bit_len));
+        let v1_report = decode_with(&ProfileV1, &schema, &v1.bytes, Some(v1.bit_len));
         prop_assert!(v1_report.is_clean(), "{:?}", v1_report.damaged);
         prop_assert_eq!(&v1_report.records, &records);
         let sync_every = [1u16, 7, DEFAULT_SYNC_EVERY][sync_raw as usize];
         let v2 = encode_v2(&schema, &records, sync_every, None).unwrap();
-        let v2_report = decode_v2(&schema, &v2.bytes, Some(v2.bit_len));
+        let v2_report = decode_with(&ProfileV2::default(), &schema, &v2.bytes, Some(v2.bit_len));
         prop_assert!(v2_report.is_clean(), "{:?}", v2_report.damaged);
         prop_assert_eq!(&v2_report.records, &records);
     }
@@ -324,7 +327,7 @@ proptest! {
         let mut bytes = v1.bytes.clone();
         let bit = flip_v1 % v1.bit_len;
         bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-        let report = decode_stream(&schema, &bytes, Some(v1.bit_len));
+        let report = decode_with(&ProfileV1, &schema, &bytes, Some(v1.bit_len));
         let flipped = (bit / u64::from(schema.frame_bits())) as usize;
         for d in &report.damaged {
             prop_assert!(
@@ -356,7 +359,7 @@ proptest! {
         let mut bytes = v2.bytes.clone();
         let bit = flip_v2 % v2.bit_len;
         bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-        let report = decode_v2(&schema, &bytes, Some(v2.bit_len));
+        let report = decode_with(&ProfileV2::default(), &schema, &bytes, Some(v2.bit_len));
         prop_assert!(report.records.len() <= records.len());
         let lost = records.len() - report.records.len();
         prop_assert!(

@@ -7,7 +7,6 @@
 //! is the consistent fraction of all root-to-stop paths — the smaller, the
 //! less the debugger has to explore.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use pstrace_flow::{path_count, topological_order, IndexedMessage, InterleavedFlow, MessageId};
@@ -33,8 +32,22 @@ pub enum MatchMode {
 /// Counts the root-to-stop paths of `flow` whose projection onto
 /// `selected` matches `observed` under `mode`.
 ///
-/// Dynamic programming over `(product state, observation position)`; cost
-/// is `O(states × (observed.len() + 1) + edges × (observed.len() + 1))`.
+/// One dynamic program for every mode, over `(product state, matcher
+/// state)`: the matcher state `q` is how much of `observed` the
+/// projection has matched so far, and a path counts when it reaches a
+/// stop state with `q == observed.len()`. The mode picks only the step a
+/// selected message takes:
+///
+/// * start-anchored modes ([`Exact`](MatchMode::Exact),
+///   [`Prefix`](MatchMode::Prefix)) treat a mismatch before the end of
+///   `observed` as a dead state; the others fall back through KMP
+///   failure links, which keeps the matcher deterministic and the count
+///   free of double counting across overlapping alignments;
+/// * end-anchored modes ([`Exact`](MatchMode::Exact),
+///   [`Suffix`](MatchMode::Suffix)) leave the accepting state on a
+///   further selected message; the others keep it absorbing.
+///
+/// Cost is `O((states + edges) × (observed.len() + 1))` matcher steps.
 ///
 /// # Examples
 ///
@@ -69,68 +82,13 @@ pub fn consistent_paths(
     selected: &[MessageId],
     mode: MatchMode,
 ) -> u128 {
-    if mode == MatchMode::Suffix || mode == MatchMode::Substring {
-        return consistent_paths_automaton(flow, observed, selected, mode);
-    }
     let n = flow.state_count();
     let len = observed.len();
-    // ways[s][k] = number of paths from state s to a stop state whose
-    // projection equals observed[k..] (Exact) or has it as prefix (Prefix).
-    let mut ways = vec![vec![0u128; len + 1]; n];
-    for &s in flow.stop_states() {
-        // Exact and Prefix both require the whole observation consumed by
-        // the time a stop state is reached (Suffix is handled above).
-        ways[s.index()][len] = 1;
-    }
-    let order = topological_order(flow);
-    for &u in order.iter().rev() {
-        let state = flow.state_at(u);
-        // Start from whatever stop-state seeding already placed there.
-        let mut acc = ways[u].clone();
-        for e in flow.edges_from(state) {
-            let to = e.to.index();
-            if selected.contains(&e.message.message) {
-                for k in 0..len {
-                    if observed[k] == e.message {
-                        acc[k] = acc[k].saturating_add(ways[to][k + 1]);
-                    }
-                }
-                if mode == MatchMode::Prefix {
-                    // Beyond the observed prefix, further selected
-                    // messages are allowed (they were never captured
-                    // because the run died, or the buffer wrapped).
-                    acc[len] = acc[len].saturating_add(ways[to][len]);
-                }
-            } else {
-                for k in 0..=len {
-                    acc[k] = acc[k].saturating_add(ways[to][k]);
-                }
-            }
-        }
-        ways[u] = acc;
-    }
-    flow.initial_states()
-        .iter()
-        .fold(0u128, |a, s| a.saturating_add(ways[s.index()][0]))
-}
+    let start_anchored = matches!(mode, MatchMode::Exact | MatchMode::Prefix);
+    let end_anchored = matches!(mode, MatchMode::Exact | MatchMode::Suffix);
 
-/// Suffix-mode path counting via a KMP matching automaton.
-///
-/// A path's projection ends with `observed` exactly when the automaton
-/// tracking the longest suffix-of-input that is a prefix-of-`observed`
-/// finishes in its accepting state. The DP runs over
-/// `(product state, automaton state)`; determinism of the automaton keeps
-/// the count free of double counting across overlapping alignments.
-fn consistent_paths_automaton(
-    flow: &InterleavedFlow,
-    observed: &[IndexedMessage],
-    selected: &[MessageId],
-    mode: MatchMode,
-) -> u128 {
-    let n = flow.state_count();
-    let len = observed.len();
-
-    // KMP failure function over the observed sequence.
+    // KMP failure function over the observed sequence (start-anchored
+    // modes never fall back, so they never read it).
     let mut fail = vec![0usize; len + 1];
     for i in 1..len {
         let mut k = fail[i];
@@ -142,44 +100,46 @@ fn consistent_paths_automaton(
         }
         fail[i + 1] = k;
     }
-    // delta(q, m): automaton step. Suffix mode continues past full
-    // matches (accepting iff the input *ends* with `observed`); substring
-    // mode makes the accepting state absorbing (accepting iff `observed`
-    // appeared anywhere).
-    let step = |mut q: usize, m: IndexedMessage| -> usize {
-        if mode == MatchMode::Substring && q == len {
-            return len;
+    // The matcher's step on one selected message; `None` is the dead
+    // state.
+    let step = |mut q: usize, m: IndexedMessage| -> Option<usize> {
+        if q == len && !end_anchored {
+            return Some(len);
         }
         loop {
             if q < len && observed[q] == m {
-                return q + 1;
+                return Some(q + 1);
+            }
+            if start_anchored {
+                return None;
             }
             if q == 0 {
-                return 0;
+                return Some(0);
             }
             q = fail[q];
         }
     };
 
-    // f[s][q] = paths from s (automaton in q) to a stop state whose
-    // remaining projection drives the automaton to `len` at the end.
+    // f[s][q] = paths from s (matcher in q) to a stop state whose
+    // remaining projection drives the matcher to `len` at the end.
     let order = topological_order(flow);
     let mut f = vec![vec![0u128; len + 1]; n];
     for &s in flow.stop_states() {
-        // With a non-empty observation only the accepting state counts;
-        // an empty observation is matched by every path (and `len == 0`
-        // makes state 0 the accepting state anyway).
+        // Only the accepting state counts; an empty observation makes
+        // state 0 the accepting state.
         f[s.index()][len] = 1;
     }
     for &u in order.iter().rev() {
         let state = flow.state_at(u);
+        // Start from whatever stop-state seeding already placed there.
         let mut acc = f[u].clone();
         for e in flow.edges_from(state) {
             let to = e.to.index();
             if selected.contains(&e.message.message) {
                 for (q, slot) in acc.iter_mut().enumerate() {
-                    let q2 = step(q, e.message);
-                    *slot = slot.saturating_add(f[to][q2]);
+                    if let Some(q2) = step(q, e.message) {
+                        *slot = slot.saturating_add(f[to][q2]);
+                    }
                 }
             } else {
                 for (q, slot) in acc.iter_mut().enumerate() {
@@ -316,10 +276,6 @@ impl LocalizationStats {
         self.fractions.is_empty()
     }
 }
-
-/// Mapping from observation histograms to per-message state; kept private.
-#[allow(dead_code)]
-type ObservationKey = HashMap<IndexedMessage, u32>;
 
 #[cfg(test)]
 mod tests {

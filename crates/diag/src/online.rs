@@ -84,7 +84,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
-use pstrace_flow::{path_count, topological_order, IndexedMessage, InterleavedFlow, MessageId};
+use pstrace_flow::{paths_to_stop, topological_order, IndexedMessage, InterleavedFlow, MessageId};
 use pstrace_obs::Registry;
 
 use crate::localize::{consistent_paths, Localization, MatchMode};
@@ -322,21 +322,12 @@ impl OnlineLocalizer {
             .iter()
             .map(|s| s.index() as u32)
             .collect();
-        let mut is_stop = vec![false; n];
-        for &s in &stops {
-            is_stop[s as usize] = true;
-        }
-
         // Unrestricted continuation counts: paths from s to a stop state.
-        let mut to_stop = vec![0u128; n];
-        for &u in topo.iter().rev() {
-            let mut acc = u128::from(is_stop[u as usize]);
-            let state = flow.state_at(u as usize);
-            for e in flow.edges_from(state) {
-                acc = acc.saturating_add(to_stop[e.to.index()]);
-            }
-            to_stop[u as usize] = acc;
-        }
+        let to_stop = paths_to_stop(flow);
+        let total = flow
+            .initial_states()
+            .iter()
+            .fold(0u128, |a, s| a.saturating_add(to_stop[s.index()]));
 
         // The empty-observation column. Start-anchored modes close the
         // initial states over unselected edges only (walks whose
@@ -368,7 +359,7 @@ impl OnlineLocalizer {
             unselected_out,
             stops,
             to_stop,
-            total: path_count(flow),
+            total,
             seed_support: support_of(&seed).collect(),
             seed,
             seed_consistent: 0,
@@ -663,7 +654,7 @@ mod tests {
     use super::*;
     use pstrace_flow::{
         examples::{cache_coherence, diamond},
-        executions, instantiate, FlowIndex,
+        executions, instantiate, path_count, FlowIndex,
     };
 
     fn product(instances: u32) -> InterleavedFlow {

@@ -41,7 +41,7 @@ use pstrace_stream::{
     connect, next_trace_id, observed_messages, replay, Replay, RetryPolicy, Server, ServerConfig,
     StatsSnapshot,
 };
-use pstrace_wire::{decode_stream, encode_records, write_ptw, EncodedStream, WireRecord};
+use pstrace_wire::{decode_with, encode_records, write_ptw, EncodedStream, ProfileV1, WireRecord};
 
 use crate::chaos::ChaosStream;
 use crate::ledger::FaultLedger;
@@ -283,7 +283,7 @@ pub(crate) fn build_fixture(records: usize) -> Result<Fixture, String> {
 
     // The batch pipeline's answer on the clean capture — the line the
     // post-storm probe must reproduce bit-for-bit.
-    let report = decode_stream(&schema, &encoded.bytes, Some(encoded.bit_len));
+    let report = decode_with(&ProfileV1, &schema, &encoded.bytes, Some(encoded.bit_len));
     let observed: Vec<IndexedMessage> = report.records.iter().map(|r| r.message).collect();
     let selected = observed_messages(&schema);
     let loc = localize(&flow, &observed, &selected, MatchMode::Prefix);

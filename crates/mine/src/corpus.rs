@@ -5,13 +5,13 @@
 //! (the paper's width-constrained trace buffer) deliberately drops
 //! messages and can never support recovery of a full flow DAG. The
 //! corpus therefore captures **all** messages of the scenario's flows
-//! with a trace-buffer body wide enough for every payload, optionally
-//! pushing each capture through the real wire encode/decode path so the
-//! corpus exercises the same frame machinery as production `.ptw` files.
+//! with a trace-buffer body wide enough for every payload, pushing each
+//! capture through the real wire encode/decode path so the corpus
+//! exercises the same frame machinery as production `.ptw` files.
 
 use pstrace_soc::wirecap::{encode_events, wire_schema, ProfileV1};
-use pstrace_soc::{capture, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace_wire::{decode_stream, WireError};
+use pstrace_soc::{SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace_wire::{decode_with, WireError};
 
 use crate::miner::Miner;
 use crate::seq::ExecutionLog;
@@ -38,37 +38,30 @@ pub fn full_body_width(model: &SocModel, scenario: &UsageScenario) -> u32 {
 
 /// Simulates `scenario` once per seed and returns the execution logs.
 ///
-/// With `wire` set, every capture is encoded into wire frames and
-/// decoded back before mining — the corpus then reflects exactly what a
-/// `.ptw` consumer would see (including any skipped frames, returned as
-/// the second tuple element).
+/// Every capture is encoded into wire frames and decoded back before
+/// mining — the corpus reflects exactly what a `.ptw` consumer would see
+/// (including any skipped frames, returned as the second tuple element).
 pub fn scenario_executions(
     model: &SocModel,
     scenario: &UsageScenario,
     seeds: &[u64],
-    wire: bool,
 ) -> Result<(Vec<ExecutionLog>, u64), WireError> {
     let config = full_capture_config(model, scenario);
     let mut logs = Vec::with_capacity(seeds.len());
     let mut skipped = 0u64;
     for &seed in seeds {
         let outcome = Simulator::new(model, scenario.clone(), SimConfig::with_seed(seed)).run();
-        if wire {
-            let schema = wire_schema(model, &config, full_body_width(model, scenario))?;
-            let stream = encode_events(
-                model.catalog(),
-                &schema,
-                &outcome.events,
-                &config,
-                &ProfileV1,
-            )?;
-            let report = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
-            skipped += report.damaged.len() as u64;
-            logs.push(ExecutionLog::from_wire_records(&report.records));
-        } else {
-            let trace = capture(model, &outcome, &config);
-            logs.push(ExecutionLog::from_trace(&trace));
-        }
+        let schema = wire_schema(model, &config, full_body_width(model, scenario))?;
+        let stream = encode_events(
+            model.catalog(),
+            &schema,
+            &outcome.events,
+            &config,
+            &ProfileV1,
+        )?;
+        let report = decode_with(&ProfileV1, &schema, &stream.bytes, Some(stream.bit_len));
+        skipped += report.damaged.len() as u64;
+        logs.push(ExecutionLog::from_records(&report.records));
     }
     Ok((logs, skipped))
 }
@@ -78,10 +71,9 @@ pub fn scenario_miner(
     model: &SocModel,
     scenario: &UsageScenario,
     seeds: &[u64],
-    wire: bool,
     config: crate::miner::MiningConfig,
 ) -> Result<Miner, WireError> {
-    let (logs, _skipped) = scenario_executions(model, scenario, seeds, wire)?;
+    let (logs, _skipped) = scenario_executions(model, scenario, seeds)?;
     let mut miner = Miner::new(model.catalog().clone(), config);
     for log in logs {
         miner.push_log(log);
@@ -102,22 +94,6 @@ mod tests {
     use crate::miner::MiningConfig;
 
     #[test]
-    fn modeled_and_wire_corpora_agree_on_clean_runs() {
-        let model = SocModel::t2();
-        let scenario = UsageScenario::scenario1();
-        let seeds = default_seeds(2);
-        let (modeled, _) = scenario_executions(&model, &scenario, &seeds, false).expect("modeled");
-        let (wired, skipped) = scenario_executions(&model, &scenario, &seeds, true).expect("wire");
-        assert_eq!(skipped, 0, "clean encode/decode must not drop frames");
-        assert_eq!(modeled.len(), wired.len());
-        for (m, w) in modeled.iter().zip(&wired) {
-            let ms: Vec<_> = m.records.iter().map(|r| r.message).collect();
-            let ws: Vec<_> = w.records.iter().map(|r| r.message).collect();
-            assert_eq!(ms, ws, "wire round-trip must preserve the message stream");
-        }
-    }
-
-    #[test]
     fn scenario_miner_recovers_linear_pior_flow() {
         let model = SocModel::t2();
         let scenario = UsageScenario::scenario1();
@@ -125,7 +101,6 @@ mod tests {
             &model,
             &scenario,
             &default_seeds(4),
-            true,
             MiningConfig::default(),
         )
         .expect("miner");

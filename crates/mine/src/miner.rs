@@ -4,10 +4,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pstrace_codec::read_ptw_auto;
+use pstrace_codec::decode_ptw_payload;
 use pstrace_flow::{MessageCatalog, MessageId, StateId};
 use pstrace_obs::{maybe_time, Registry};
-use pstrace_wire::{DecodeReport, WireError};
+use pstrace_wire::{read_ptw_any, DecodeReport, WireError};
 
 use crate::assemble::{assemble_cluster, enumerate_paths, AssembleConfig, CandidateFlow};
 use crate::seq::ExecutionLog;
@@ -130,7 +130,7 @@ impl Miner {
     /// Adds a decoded wire capture, accounting its damaged frames.
     pub fn push_decoded(&mut self, report: &DecodeReport) {
         self.skipped_frames += report.damaged.len() as u64;
-        self.push_log(ExecutionLog::from_wire_records(&report.records));
+        self.push_log(ExecutionLog::from_records(&report.records));
     }
 
     /// Parses and decodes a `.ptw` byte stream into the corpus. Both the
@@ -140,7 +140,8 @@ impl Miner {
     /// Damaged frames are skipped (and counted); only a malformed file
     /// header/schema is an error.
     pub fn push_ptw(&mut self, bytes: &[u8]) -> Result<usize, WireError> {
-        let (_, _, report) = read_ptw_auto(&self.catalog, bytes)?;
+        let (schema, meta, stream) = read_ptw_any(&self.catalog, bytes)?;
+        let report = decode_ptw_payload(&schema, meta, &stream);
         let added = report.records.len();
         self.push_decoded(&report);
         Ok(added)
@@ -360,15 +361,15 @@ mod tests {
     }
 
     fn log_of(records: &[(u64, MessageId, u32)]) -> ExecutionLog {
-        ExecutionLog::from_records(
-            records
+        ExecutionLog {
+            records: records
                 .iter()
                 .map(|&(t, m, i)| LogRecord {
                     time: t,
                     message: IndexedMessage::new(m, FlowIndex(i)),
                 })
                 .collect(),
-        )
+        }
     }
 
     #[test]

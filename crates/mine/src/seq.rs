@@ -9,7 +9,6 @@
 //! preserves end to end.
 
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageId};
-use pstrace_soc::CapturedTrace;
 use pstrace_wire::WireRecord;
 
 /// One record of an execution log: when an indexed message was observed.
@@ -32,30 +31,11 @@ pub struct ExecutionLog {
 }
 
 impl ExecutionLog {
-    /// Builds a log from raw records.
+    /// Builds a log from captured records (a modeled capture's
+    /// [`records`](pstrace_soc::CapturedTrace::records) or a decode
+    /// report's), keeping each record's time and indexed message.
     #[must_use]
-    pub fn from_records(records: Vec<LogRecord>) -> Self {
-        ExecutionLog { records }
-    }
-
-    /// Builds a log from a modeled trace-buffer capture.
-    #[must_use]
-    pub fn from_trace(trace: &CapturedTrace) -> Self {
-        ExecutionLog {
-            records: trace
-                .records()
-                .iter()
-                .map(|r| LogRecord {
-                    time: r.time,
-                    message: r.message,
-                })
-                .collect(),
-        }
-    }
-
-    /// Builds a log from decoded wire records.
-    #[must_use]
-    pub fn from_wire_records(records: &[WireRecord]) -> Self {
+    pub fn from_records(records: &[WireRecord]) -> Self {
         ExecutionLog {
             records: records
                 .iter()
@@ -154,20 +134,22 @@ mod tests {
 
     #[test]
     fn splits_by_instance_preserving_order() {
-        let log = ExecutionLog::from_records(vec![
-            LogRecord {
-                time: 1,
-                message: im(0, 2),
-            },
-            LogRecord {
-                time: 2,
-                message: im(1, 1),
-            },
-            LogRecord {
-                time: 3,
-                message: im(2, 2),
-            },
-        ]);
+        let log = ExecutionLog {
+            records: vec![
+                LogRecord {
+                    time: 1,
+                    message: im(0, 2),
+                },
+                LogRecord {
+                    time: 2,
+                    message: im(1, 1),
+                },
+                LogRecord {
+                    time: 3,
+                    message: im(2, 2),
+                },
+            ],
+        };
         let seqs = log.instance_sequences();
         assert_eq!(seqs.len(), 2);
         assert_eq!(seqs[0].index, FlowIndex(1));

@@ -121,7 +121,12 @@ pub fn render_prometheus_samples(samples: &[(MetricKey, Sample)]) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: backslash, quote
+/// and every control character (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00XX`). The one escaper behind every JSON document the workspace
+/// renders.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -49,8 +49,8 @@ mod span;
 
 pub use clock::{Clock, ManualClock, WallClock, MANUAL_TICK_NS};
 pub use export::{
-    prometheus_to_json, render_chrome_trace, render_chrome_trace_spans, render_profile_table,
-    render_prometheus, render_prometheus_samples, validate_json, JsonValue,
+    json_escape, prometheus_to_json, render_chrome_trace, render_chrome_trace_spans,
+    render_profile_table, render_prometheus, render_prometheus_samples, validate_json, JsonValue,
 };
 pub use metrics::{
     maybe_time, merged_samples, Counter, Gauge, Histogram, MetricKey, Registry, Sample,

@@ -47,5 +47,9 @@ pub use engine::{
 };
 pub use ip::{Ip, IpPair};
 pub use protocol::{FlowKind, SocModel};
+/// The captured record is [`pstrace_wire::WireRecord`]; this alias is
+/// named only by `perfbench/src/fixture.rs` and goes with the next
+/// change to the benchmark (ROADMAP item 4).
+pub use pstrace_wire::WireRecord as TraceRecord;
 pub use scenario::UsageScenario;
-pub use trace::{capture, capture_events, CapturedTrace, TraceBufferConfig, TraceRecord};
+pub use trace::{capture, capture_events, CapturedTrace, TraceBufferConfig};

@@ -7,7 +7,8 @@
 //! the run is invisible — absence of a message in the captured trace is
 //! itself debugging evidence (§5.7).
 
-use pstrace_flow::{GroupId, IndexedMessage, MessageId};
+use pstrace_flow::{GroupId, IndexedMessage, MessageCatalog, MessageId};
+use pstrace_wire::WireRecord;
 
 use crate::engine::{MessageEvent, SimOutcome};
 use crate::protocol::SocModel;
@@ -72,38 +73,50 @@ impl TraceBufferConfig {
         out.dedup();
         out
     }
-}
 
-/// One record in the captured trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Cycle of the original message.
-    pub time: u64,
-    /// The indexed message observed.
-    pub message: IndexedMessage,
-    /// The recorded bits: the full payload for fully traced messages, or
-    /// the payload truncated to the widest traced subgroup.
-    pub value: u64,
-    /// Whether only a subgroup (not the full message) was recorded.
-    pub partial: bool,
+    /// The capture rule: what the buffer keeps of `rec`, if anything. A
+    /// fully traced message keeps a full record and drops a partial one;
+    /// otherwise the widest traced subgroup keeps the record as partial,
+    /// its value masked to the subgroup's width; every other record is
+    /// dropped. Simulation capture, the wire encoder and re-encoding a
+    /// trace file all apply this one rule, and it is idempotent: a kept
+    /// record is kept unchanged.
+    #[must_use]
+    pub fn admit(&self, catalog: &MessageCatalog, rec: WireRecord) -> Option<WireRecord> {
+        let m = rec.message.message;
+        if self.messages.contains(&m) {
+            return (!rec.partial).then_some(rec);
+        }
+        // Widest traced subgroup of this message, if any.
+        self.groups
+            .iter()
+            .map(|&g| catalog.group(g))
+            .filter(|g| g.parent() == m)
+            .max_by_key(|g| g.width())
+            .map(|group| WireRecord {
+                value: mask_to_width(rec.value, group.width()),
+                partial: true,
+                ..rec
+            })
+    }
 }
 
 /// The content of the trace buffer after a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CapturedTrace {
-    records: Vec<TraceRecord>,
+    records: Vec<WireRecord>,
 }
 
 impl CapturedTrace {
     /// Builds a trace from raw records (e.g. parsed from a trace file).
     #[must_use]
-    pub fn from_records(records: Vec<TraceRecord>) -> Self {
+    pub fn from_records(records: Vec<WireRecord>) -> Self {
         CapturedTrace { records }
     }
 
     /// The records in capture order.
     #[must_use]
-    pub fn records(&self) -> &[TraceRecord] {
+    pub fn records(&self) -> &[WireRecord] {
         &self.records
     }
 
@@ -156,42 +169,9 @@ pub fn capture(
     capture_events(model, &outcome.events, config)
 }
 
-/// The record a single event leaves in the buffer, if the configuration
-/// observes its message: the full payload for fully traced messages, or
-/// the payload truncated to the widest traced subgroup. Shared by the
-/// modeled capture path and the wire encoder so both see identical
-/// filtering semantics.
-#[must_use]
-pub(crate) fn record_for_event(
-    catalog: &pstrace_flow::MessageCatalog,
-    config: &TraceBufferConfig,
-    e: &MessageEvent,
-) -> Option<TraceRecord> {
-    let m = e.message.message;
-    if config.messages.contains(&m) {
-        return Some(TraceRecord {
-            time: e.time,
-            message: e.message,
-            value: e.value,
-            partial: false,
-        });
-    }
-    // Widest traced subgroup of this message, if any.
-    config
-        .groups
-        .iter()
-        .map(|&g| catalog.group(g))
-        .filter(|g| g.parent() == m)
-        .max_by_key(|g| g.width())
-        .map(|group| TraceRecord {
-            time: e.time,
-            message: e.message,
-            value: mask_to_width(e.value, group.width()),
-            partial: true,
-        })
-}
-
-/// [`capture`] over a raw event slice.
+/// [`capture`] over a raw event slice: each event passes
+/// [`TraceBufferConfig::admit`], then a circular buffer keeps only the
+/// newest `depth` records.
 ///
 /// # Panics
 ///
@@ -207,11 +187,7 @@ pub fn capture_events(
         config.depth != Some(0),
         "circular trace-buffer depth must be at least 1 entry"
     );
-    let catalog = model.catalog();
-    let mut records: Vec<TraceRecord> = events
-        .iter()
-        .filter_map(|e| record_for_event(catalog, config, e))
-        .collect();
+    let mut records = admitted(model.catalog(), config, events);
     if let Some(depth) = config.depth {
         // Circular buffer: only the newest `depth` records survive.
         if records.len() > depth {
@@ -219,6 +195,26 @@ pub fn capture_events(
         }
     }
     CapturedTrace { records }
+}
+
+/// The records `config` admits from `events`, in event order, before
+/// any circular truncation: the input both [`capture_events`] and the
+/// wire encoder start from.
+pub(crate) fn admitted(
+    catalog: &MessageCatalog,
+    config: &TraceBufferConfig,
+    events: &[MessageEvent],
+) -> Vec<WireRecord> {
+    let full = |e: &MessageEvent| WireRecord {
+        time: e.time,
+        message: e.message,
+        value: e.value,
+        partial: false,
+    };
+    events
+        .iter()
+        .filter_map(|e| config.admit(catalog, full(e)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -279,6 +275,36 @@ mod tests {
             .find(|e| e.message.message == catalog.get("dmusiidata").unwrap())
             .unwrap();
         assert_eq!(rec.value, full.value & 0x3f);
+    }
+
+    #[test]
+    fn admit_is_the_capture_rule_for_full_and_partial_records() {
+        let model = SocModel::t2();
+        let c = model.catalog();
+        let (siincu, dmu) = (c.get("siincu").unwrap(), c.get("dmusiidata").unwrap());
+        let grant = c.get("grant").unwrap();
+        let config = TraceBufferConfig {
+            messages: vec![siincu],
+            groups: vec![
+                c.get_group("dmusiidata.mondoid").unwrap(),
+                c.get_group("dmusiidata.cputhreadid").unwrap(),
+            ],
+            depth: None,
+        };
+        let rec = |m, partial, value| WireRecord {
+            time: 9,
+            message: IndexedMessage::new(m, pstrace_flow::FlowIndex(1)),
+            value,
+            partial,
+        };
+        let (full, part) = (rec(siincu, false, 7), rec(siincu, true, 7));
+        assert_eq!(config.admit(c, full), Some(full));
+        assert_eq!(config.admit(c, part), None);
+        assert_eq!(config.admit(c, rec(grant, false, 7)), None);
+        // Else the widest subgroup (mondoid, 8 bits) wins, full or partial.
+        let kept = Some(rec(dmu, true, 0xff));
+        assert_eq!(config.admit(c, rec(dmu, false, 0xfff)), kept);
+        assert_eq!(config.admit(c, rec(dmu, true, 0xfff)), kept);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 use std::fmt;
 
 use pstrace_flow::{FlowIndex, IndexedMessage};
+use pstrace_wire::WireRecord;
 
 use crate::protocol::SocModel;
-use crate::trace::{CapturedTrace, TraceRecord};
+use crate::trace::CapturedTrace;
 
 /// Error raised while parsing a trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +149,7 @@ pub fn read_trace(model: &SocModel, text: &str) -> Result<CapturedTrace, TraceFi
                 })
             }
         };
-        records.push(TraceRecord {
+        records.push(WireRecord {
             time,
             message: IndexedMessage::new(message, FlowIndex(index)),
             value,

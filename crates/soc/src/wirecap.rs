@@ -1,16 +1,16 @@
 //! Wire-format capture: the encode path beside [`capture`](crate::capture).
 //!
 //! Where [`capture`](crate::capture) models the trace buffer at the record
-//! level (what survives), this module runs the same filtering through the
+//! level (what survives), this module runs the same records through the
 //! bit-level wire codec of `pstrace-wire`: [`encode_events`] hands the
-//! filtered records to a payload profile (v1 fixed-width frames or the
+//! admitted records to a payload profile (v1 fixed-width frames or the
 //! codec's v2 sync blocks), and decoding its read-out reconstructs the
-//! capture. The two paths share one record filter
-//! (`trace::record_for_event`) but not the circular truncation, which
-//! [`capture`](crate::capture) applies on its own, so for any simulation,
-//! configuration and profile `decode(encode(events)) == capture(events)`
-//! bit-for-bit checks the wire crate's retention rule against an
-//! independent oracle.
+//! capture. The two paths share one capture rule
+//! ([`TraceBufferConfig::admit`]) and one record type ([`WireRecord`]) but
+//! not the circular truncation, which [`capture`](crate::capture) applies
+//! on its own, so for any simulation, configuration and profile
+//! `decode(encode(events)) == capture(events)` bit-for-bit checks the wire
+//! crate's retention rule against an independent oracle.
 
 use pstrace_flow::MessageCatalog;
 use pstrace_wire::decode_with;
@@ -22,7 +22,7 @@ pub use pstrace_wire::{
 
 use crate::engine::MessageEvent;
 use crate::protocol::SocModel;
-use crate::trace::{record_for_event, CapturedTrace, TraceBufferConfig, TraceRecord};
+use crate::trace::{admitted, CapturedTrace, TraceBufferConfig};
 
 /// Builds the wire schema of a trace-buffer configuration over a
 /// `body_width`-bit buffer: one lane per fully traced message in
@@ -45,12 +45,12 @@ pub fn wire_schema(
     )
 }
 
-/// Encodes a raw event stream under `profile`: filters each event
-/// through the capture semantics of `config` (full messages win, widest
-/// subgroup truncates), then hands the survivors to the profile, which
-/// keeps the newest `config.depth` of them (the wire crate's one
-/// circular-buffer rule). The capture and retention semantics are
-/// profile-independent; only the bit layout differs.
+/// Encodes a raw event stream under `profile`: passes each event
+/// through the capture rule [`TraceBufferConfig::admit`], then hands the
+/// survivors to the profile, which keeps the newest `config.depth` of
+/// them (the wire crate's one circular-buffer rule). The capture and
+/// retention semantics are profile-independent; only the bit layout
+/// differs.
 ///
 /// # Errors
 ///
@@ -68,16 +68,7 @@ pub fn encode_events(
     config: &TraceBufferConfig,
     profile: &dyn FrameProfile,
 ) -> Result<EncodedStream, WireError> {
-    let records: Vec<WireRecord> = events
-        .iter()
-        .filter_map(|e| record_for_event(catalog, config, e))
-        .map(|r| WireRecord {
-            time: r.time,
-            message: r.message,
-            value: r.value,
-            partial: r.partial,
-        })
-        .collect();
+    let records = admitted(catalog, config, events);
     profile.encode(schema, &records, config.depth)
 }
 
@@ -97,17 +88,7 @@ pub fn decode_capture(
     profile: &dyn FrameProfile,
 ) -> (CapturedTrace, DecodeReport) {
     let report = decode_with(profile, schema, bytes, bit_len);
-    let records = report
-        .records
-        .iter()
-        .map(|r| TraceRecord {
-            time: r.time,
-            message: r.message,
-            value: r.value,
-            partial: r.partial,
-        })
-        .collect();
-    (CapturedTrace::from_records(records), report)
+    (CapturedTrace::from_records(report.records.clone()), report)
 }
 
 #[cfg(test)]

@@ -2,9 +2,11 @@
 
 use proptest::prelude::*;
 use pstrace_flow::{FlowIndex, IndexedMessage, InterleavedFlow, ProductStateId};
+use pstrace_soc::value::mask_to_width;
+use pstrace_soc::wirecap::{self, ProfileV1, WireRecord};
 use pstrace_soc::{
     capture, tracefile, CapturedTrace, SimConfig, Simulator, SocModel, TraceBufferConfig,
-    TraceRecord, UsageScenario,
+    UsageScenario,
 };
 
 /// Replays an observed indexed-message sequence against the scenario's
@@ -109,9 +111,9 @@ proptest! {
     ) {
         let model = SocModel::t2();
         let messages = UsageScenario::scenario1().messages(&model);
-        let records: Vec<TraceRecord> = parts
+        let records: Vec<WireRecord> = parts
             .iter()
-            .map(|&(time, index, pick, value, partial)| TraceRecord {
+            .map(|&(time, index, pick, value, partial)| WireRecord {
                 time,
                 message: IndexedMessage::new(
                     messages[usize::from(pick) % messages.len()],
@@ -138,8 +140,8 @@ proptest! {
     ) {
         let model = SocModel::t2();
         let messages = UsageScenario::scenario1().messages(&model);
-        let records: Vec<TraceRecord> = (0..n_good)
-            .map(|i| TraceRecord {
+        let records: Vec<WireRecord> = (0..n_good)
+            .map(|i| WireRecord {
                 time: i as u64,
                 message: IndexedMessage::new(messages[i % messages.len()], FlowIndex(1)),
                 value: i as u64,
@@ -188,5 +190,80 @@ proptest! {
         let model = SocModel::t2();
         let text = String::from_utf8_lossy(&bytes);
         let _ = tracefile::read_trace(&model, &text);
+    }
+
+    /// The capture rule on configurations no selection produces: random
+    /// full messages, random subgroups (both `dmusiidata` ones at once,
+    /// and one whose parent is fully traced), any depth, a body as wide
+    /// as all lanes. The capture equals an independent oracle (the
+    /// schema's own lane choice per event), the v1 wire path reproduces
+    /// it, and `admit` keeps every record it admitted unchanged, which
+    /// re-encoding a decoded trace relies on.
+    #[test]
+    fn capture_rule_holds_on_arbitrary_configs(
+        seed in any::<u64>(),
+        scenario_no in 1u8..=5,
+        full_pick in proptest::collection::vec(0u8..4, 64),
+        group_pick in proptest::collection::vec(any::<bool>(), 16),
+        both_dmu in any::<bool>(),
+        covered in any::<u8>(),
+        depth in 0usize..=64,
+    ) {
+        let model = SocModel::t2();
+        let catalog = model.catalog();
+        let scenario = match scenario_no {
+            1 => UsageScenario::scenario1(),
+            2 => UsageScenario::scenario2(),
+            3 => UsageScenario::scenario3(),
+            4 => UsageScenario::scenario_coherence(),
+            _ => UsageScenario::scenario_dma(),
+        };
+        let all_groups: Vec<_> = catalog.iter_groups().map(|(g, _)| g).collect();
+        let messages = catalog.iter().zip(&full_pick).filter(|(_, &p)| p == 0);
+        let groups = all_groups.iter().zip(&group_pick).filter(|(_, &p)| p);
+        let mut config = TraceBufferConfig {
+            messages: messages.map(|((m, _), _)| m).collect(),
+            groups: groups.map(|(&g, _)| g).collect(),
+            depth: (depth > 0).then_some(depth),
+        };
+        if both_dmu {
+            config.groups.push(catalog.get_group("dmusiidata.cputhreadid").unwrap());
+            config.groups.push(catalog.get_group("dmusiidata.mondoid").unwrap());
+        }
+        let covered = all_groups[usize::from(covered) % all_groups.len()];
+        config.groups.push(covered);
+        config.messages.push(catalog.group(covered).parent());
+        let body = config.messages.iter().map(|&m| catalog.width(m)).sum::<u32>()
+            + config.groups.iter().map(|&g| catalog.group(g).width()).sum::<u32>();
+        let out = Simulator::new(&model, scenario, SimConfig::with_seed(seed)).run();
+        let direct = capture(&model, &out, &config);
+        let schema = wirecap::wire_schema(&model, &config, body).unwrap();
+
+        let mut oracle: Vec<WireRecord> = out
+            .events
+            .iter()
+            .filter_map(|e| {
+                let m = e.message.message;
+                let (partial, value) = match schema.slot_for(m, false) {
+                    Some(_) => (false, e.value),
+                    None => (true, mask_to_width(e.value, schema.slot_for(m, true)?.1.width)),
+                };
+                Some(WireRecord { time: e.time, message: e.message, value, partial })
+            })
+            .collect();
+        if let Some(d) = config.depth {
+            oracle.drain(..oracle.len().saturating_sub(d));
+        }
+        prop_assert_eq!(direct.records(), &oracle[..]);
+
+        let stream = wirecap::encode_events(catalog, &schema, &out.events, &config, &ProfileV1)
+            .unwrap();
+        let (decoded, report) =
+            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &ProfileV1);
+        prop_assert!(report.is_clean());
+        prop_assert_eq!(&decoded, &direct);
+        for &r in direct.records() {
+            prop_assert_eq!(config.admit(catalog, r), Some(r));
+        }
     }
 }

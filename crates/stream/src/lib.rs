@@ -50,7 +50,7 @@
 //!
 //! The contract inherited from the batch side holds end to end: a
 //! session's committed record sequence is bit-identical to
-//! [`pstrace_wire::decode_stream`]'s, and its localization is
+//! a batch [`pstrace_wire::decode_with`]'s, and its localization is
 //! bit-identical to batch [`localize`](pstrace_diag::localize) on that
 //! sequence — streaming changes *when* the answer exists, never what it
 //! is.

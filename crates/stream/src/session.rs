@@ -455,7 +455,7 @@ impl Session {
 mod tests {
     use super::*;
     use pstrace_flow::{examples::cache_coherence, instantiate, IndexedMessage};
-    use pstrace_wire::{decode_stream, encode_records};
+    use pstrace_wire::{decode_with, encode_records, ProfileV1};
     use std::sync::Arc;
 
     fn setup() -> (InterleavedFlow, WireSchema) {
@@ -500,7 +500,7 @@ mod tests {
         let (u, schema) = setup();
         let recs = records(&u);
         let stream = encode_records(&schema, &recs, None).unwrap();
-        let batch = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
+        let batch = decode_with(&ProfileV1, &schema, &stream.bytes, Some(stream.bit_len));
         let selected = observed_messages(&schema);
         let observed: Vec<IndexedMessage> = batch.records.iter().map(|r| r.message).collect();
         let expect = pstrace_diag::localize(&u, &observed, &selected, MatchMode::Prefix);
@@ -521,12 +521,13 @@ mod tests {
 
     #[test]
     fn v2_session_matches_batch_decode_and_batch_localize() {
-        use pstrace_codec::{decode_v2, encode_v2};
+        use pstrace_codec::{encode_v2, ProfileV2};
 
         let (u, schema) = setup();
         let recs = records(&u);
         let stream = encode_v2(&schema, &recs, 4, None).unwrap();
-        let batch = decode_v2(&schema, &stream.bytes, Some(stream.bit_len));
+        let v2 = ProfileV2::default();
+        let batch = decode_with(&v2, &schema, &stream.bytes, Some(stream.bit_len));
         assert!(batch.is_clean());
         let selected = observed_messages(&schema);
         let observed: Vec<IndexedMessage> = batch.records.iter().map(|r| r.message).collect();
@@ -548,7 +549,7 @@ mod tests {
 
     #[test]
     fn v2_session_contains_mid_stream_damage_like_the_batch_decoder() {
-        use pstrace_codec::{decode_v2, encode_v2};
+        use pstrace_codec::{encode_v2, ProfileV2};
 
         let (u, schema) = setup();
         let recs = records(&u);
@@ -556,7 +557,7 @@ mod tests {
         let mut bytes = stream.bytes.clone();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        let batch = decode_v2(&schema, &bytes, Some(stream.bit_len));
+        let batch = decode_with(&ProfileV2::default(), &schema, &bytes, Some(stream.bit_len));
 
         let mut session = Session::with_meta(&u, schema.clone(), PtwMeta::v2(2), MatchMode::Prefix);
         for chunk in bytes.chunks(3) {
@@ -579,7 +580,7 @@ mod tests {
         let mut recs = records(&u);
         recs[1].time = 1 << 20; // isolated forward spike
         let stream = encode_records(&schema, &recs, None).unwrap();
-        let batch = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
+        let batch = decode_with(&ProfileV1, &schema, &stream.bytes, Some(stream.bit_len));
         assert_eq!(batch.damaged.len(), 1, "the spike must be damage");
 
         let mut session = Session::new(&u, schema.clone(), MatchMode::Prefix);
@@ -596,7 +597,7 @@ mod tests {
         recs[2].time = 0;
         recs[1].time = 7; // rec 2 regresses below rec 1 and rec 0
         let stream = encode_records(&schema, &recs, None).unwrap();
-        let batch = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
+        let batch = decode_with(&ProfileV1, &schema, &stream.bytes, Some(stream.bit_len));
         let mut session = Session::new(&u, schema.clone(), MatchMode::Prefix);
         session.push_chunk(&stream.bytes);
         let report = session.finish(Some(stream.bit_len));

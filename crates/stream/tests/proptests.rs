@@ -7,12 +7,12 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use pstrace_codec::{decode_v2, encode_v2};
+use pstrace_codec::{encode_v2, ProfileV2};
 use pstrace_diag::{localize, MatchMode};
 use pstrace_flow::{examples::cache_coherence, instantiate, FlowIndex, IndexedMessage};
 use pstrace_flow::{InterleavedFlow, MessageCatalog};
 use pstrace_stream::{observed_messages, Session};
-use pstrace_wire::{decode_stream, encode_records, PtwMeta, WireRecord, WireSchema};
+use pstrace_wire::{decode_with, encode_records, ProfileV1, PtwMeta, WireRecord, WireSchema};
 
 fn setup() -> (InterleavedFlow, Arc<MessageCatalog>, WireSchema) {
     let (flow, catalog) = cache_coherence();
@@ -82,9 +82,9 @@ proptest! {
             }
         }
         let batch = if dialect == 0 {
-            decode_stream(&schema, &bytes, Some(stream.bit_len))
+            decode_with(&ProfileV1, &schema, &bytes, Some(stream.bit_len))
         } else {
-            decode_v2(&schema, &bytes, Some(stream.bit_len))
+            decode_with(&ProfileV2::default(), &schema, &bytes, Some(stream.bit_len))
         };
 
         let mut session = Session::with_meta(&u, schema.clone(), meta, mode);

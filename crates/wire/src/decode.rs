@@ -368,17 +368,6 @@ pub fn finish_report(decoder: &mut dyn RecordDecoder, bit_len: Option<u64>) -> D
     }
 }
 
-/// Decodes a complete v1 stream: [`decode_with`](crate::decode_with) the
-/// fixed-width frame profile.
-///
-/// `bit_len` is the exact stream length in bits when known (e.g. from a
-/// `.ptw` header); pass `None` to treat the whole byte slice as the
-/// stream (trailing sub-byte padding is then expected to be zero).
-#[must_use]
-pub fn decode_stream(schema: &WireSchema, bytes: &[u8], bit_len: Option<u64>) -> DecodeReport {
-    crate::decode_with(&crate::ProfileV1, schema, bytes, bit_len)
-}
-
 /// Outcome of examining one frame.
 enum RawFrame {
     Idle,
@@ -573,6 +562,7 @@ impl RecordDecoder for StreamDecoder {
 mod tests {
     use super::*;
     use crate::frame::encode_records;
+    use crate::{decode_with, ProfileV1};
     use pstrace_flow::MessageCatalog;
     use std::sync::Arc;
 
@@ -651,7 +641,7 @@ mod tests {
         let (c, schema) = setup();
         let recs = records(&c, 30);
         let stream = encode_records(&schema, &recs, None).unwrap();
-        let report = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
+        let report = decode_with(&ProfileV1, &schema, &stream.bytes, Some(stream.bit_len));
         assert!(report.is_clean(), "{:?}", report.damaged);
         assert_eq!(report.records, recs);
         assert_eq!(report.frames, 30);
@@ -670,7 +660,7 @@ mod tests {
         let frame_bits = u64::from(schema.frame_bits());
         let bit = 4 * frame_bits;
         bytes[(bit / 8) as usize] ^= 0b11 << (bit % 8); // tag_width = 2, slots = 3 → tag 0..=3 all valid... flip both bits
-        let report = decode_stream(&schema, &bytes, Some(stream.bit_len));
+        let report = decode_with(&ProfileV1, &schema, &bytes, Some(stream.bit_len));
         // Whatever the flip produced (different slot → lane spill, idle →
         // dirty idle, or out-of-range tag), frame 4 must be damaged and
         // every other record must survive.
@@ -693,7 +683,7 @@ mod tests {
         let mut recs = records(&c, 6);
         recs[3].time = 1; // behind record 2's time (6)
         let stream = encode_records(&schema, &recs, None).unwrap();
-        let report = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
+        let report = decode_with(&ProfileV1, &schema, &stream.bytes, Some(stream.bit_len));
         assert_eq!(report.records.len(), 5);
         assert_eq!(report.damaged.len(), 1);
         assert!(matches!(
@@ -709,7 +699,7 @@ mod tests {
         let mut recs = records(&c, 8);
         recs[3].time = 1 << 30; // isolated forward spike, e.g. a flipped bit
         let stream = encode_records(&schema, &recs, None).unwrap();
-        let report = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
+        let report = decode_with(&ProfileV1, &schema, &stream.bytes, Some(stream.bit_len));
         assert_eq!(report.damaged.len(), 1, "{:?}", report.damaged);
         assert_eq!(report.damaged[0].frame, 3);
         assert!(matches!(
@@ -724,7 +714,8 @@ mod tests {
         let (_, schema) = setup();
         let frame_bytes = (schema.frame_bits() as usize * 3).div_ceil(8);
         let bytes = vec![0u8; frame_bytes];
-        let report = decode_stream(&schema, &bytes, Some(u64::from(schema.frame_bits()) * 3));
+        let bit_len = u64::from(schema.frame_bits()) * 3;
+        let report = decode_with(&ProfileV1, &schema, &bytes, Some(bit_len));
         assert_eq!(report.idle_frames, 3);
         assert!(report.records.is_empty());
         assert!(report.is_clean());
@@ -735,7 +726,7 @@ mod tests {
         let (c, schema) = setup();
         let recs = records(&c, 40);
         let stream = encode_records(&schema, &recs, None).unwrap();
-        let one_shot = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
+        let one_shot = decode_with(&ProfileV1, &schema, &stream.bytes, Some(stream.bit_len));
         for chunk_size in [1usize, 3, 7, 64] {
             let mut dec = StreamDecoder::new(&schema);
             for chunk in stream.bytes.chunks(chunk_size) {
@@ -768,7 +759,7 @@ mod tests {
         assert_eq!(report.trailing_bits, 0);
         assert_eq!(
             report,
-            decode_stream(&schema, &stream.bytes, Some(declared))
+            decode_with(&ProfileV1, &schema, &stream.bytes, Some(declared))
         );
     }
 
@@ -844,7 +835,7 @@ mod tests {
         let stream = encode_records(&schema, &recs, None).unwrap();
         // Chop the stream mid-frame.
         let cut = stream.bit_len - 10;
-        let report = decode_stream(&schema, &stream.bytes, Some(cut));
+        let report = decode_with(&ProfileV1, &schema, &stream.bytes, Some(cut));
         assert_eq!(report.frames, 2);
         assert_eq!(report.records.len(), 2);
         assert!(report.trailing_bits > 0);

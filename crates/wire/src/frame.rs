@@ -21,9 +21,9 @@ use crate::bits::BitWriter;
 use crate::error::WireError;
 use crate::schema::{Slot, WireSchema};
 
-/// One decoded (or to-be-encoded) trace record — the wire-level mirror of
-/// the SoC substrate's `TraceRecord`, expressed in flow-formalism types
-/// only.
+/// One captured trace record, expressed in flow-formalism types only:
+/// the one record type from the simulator's capture through the trace
+/// file to the `.ptw` encoder and decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireRecord {
     /// Capture cycle.

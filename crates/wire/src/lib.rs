@@ -14,7 +14,7 @@
 //!   [`overwritten`] are the one per-record check and the one retention
 //!   rule every dialect's encoder shares, so a [`FrameProfile`] differs
 //!   from another only in its bit layout;
-//! * [`StreamDecoder`] / [`decode_stream`] reconstruct the capture
+//! * [`StreamDecoder`] reconstructs the capture
 //!   incrementally, tolerate corrupted frames via tag-based
 //!   resynchronization at frame boundaries, and report per-frame buffer
 //!   utilization *as measured* — the experimental counterpart of the
@@ -44,8 +44,8 @@ mod schema;
 
 pub use bits::{BitReader, BitWriter};
 pub use decode::{
-    decode_stream, finish_report, DamageReason, DamagedFrame, DecodeReport, Decoded, RecordDecoder,
-    Released, StreamDecoder, StreamEnd, TimePass,
+    finish_report, DamageReason, DamagedFrame, DecodeReport, Decoded, RecordDecoder, Released,
+    StreamDecoder, StreamEnd, TimePass,
 };
 pub use error::WireError;
 pub use frame::{check_record, encode_records, overwritten, EncodedStream, WireRecord};

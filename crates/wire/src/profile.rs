@@ -57,8 +57,11 @@ pub trait FrameProfile {
 }
 
 /// Decodes a complete payload under `profile`: push every byte the
-/// declared `bit_len` covers (default: all of `bytes`), then
-/// [`finish_report`].
+/// declared `bit_len` covers, then [`finish_report`].
+///
+/// `bit_len` is the exact stream length in bits when known (e.g. from a
+/// `.ptw` header); `None` treats the whole byte slice as the stream
+/// (trailing sub-byte padding is then expected to be zero).
 #[must_use]
 pub fn decode_with(
     profile: &dyn FrameProfile,
@@ -75,7 +78,7 @@ pub fn decode_with(
 }
 
 /// The identity profile: v1 fixed-width frames, exactly what
-/// [`encode_records`] and [`decode_stream`](crate::decode_stream) have
+/// [`encode_records`] and [`StreamDecoder`](crate::StreamDecoder) have
 /// always produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileV1;

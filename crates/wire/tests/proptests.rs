@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
 use pstrace_wire::{
-    decode_stream, encode_records, finish_report, read_ptw, write_ptw, BitReader, BitWriter,
-    RecordDecoder, StreamDecoder, WireRecord, WireSchema,
+    decode_with, encode_records, finish_report, read_ptw, write_ptw, BitReader, BitWriter,
+    ProfileV1, RecordDecoder, StreamDecoder, WireRecord, WireSchema,
 };
 use std::sync::Arc;
 
@@ -84,7 +84,7 @@ proptest! {
             Some(d) if records.len() > d => records[records.len() - d..].to_vec(),
             _ => records.clone(),
         };
-        let report = decode_stream(&schema, &stream.bytes, Some(stream.bit_len));
+        let report = decode_with(&ProfileV1, &schema, &stream.bytes, Some(stream.bit_len));
         prop_assert!(report.is_clean());
         prop_assert_eq!(&report.records, &survivors);
         let mut dec = StreamDecoder::new(&schema);
@@ -122,7 +122,7 @@ proptest! {
         let mut bytes = stream.bytes.clone();
         let bit = flip_raw % stream.bit_len;
         bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-        let report = decode_stream(&schema, &bytes, Some(stream.bit_len));
+        let report = decode_with(&ProfileV1, &schema, &bytes, Some(stream.bit_len));
         // One flipped bit touches exactly one frame: everything else must
         // decode unchanged, and the stream never gains records.
         prop_assert!(report.records.len() <= records.len());
@@ -145,7 +145,7 @@ proptest! {
     fn garbage_streams_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let c = catalog();
         let schema = schema(&c);
-        let report = decode_stream(&schema, &bytes, None);
+        let report = decode_with(&ProfileV1, &schema, &bytes, None);
         prop_assert_eq!(
             report.frames,
             bytes.len() * 8 / schema.frame_bits() as usize

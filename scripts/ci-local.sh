@@ -187,6 +187,13 @@ if ! $skip_msrv; then
 fi
 
 # job: lint
+# Dead code is deleted, not silenced: no `allow(dead_code)` in the Rust
+# sources.
+echo "==> no allow(dead_code) in crates/ src/ tests/ examples/"
+if grep -rnE --include='*.rs' 'allow\([^)]*dead_code' crates/ src/ tests/ examples/; then
+    echo "allow(dead_code) found: delete the dead code instead" >&2
+    exit 1
+fi
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --locked -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked

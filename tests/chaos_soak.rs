@@ -18,7 +18,7 @@ use pstrace::flow::{FlowIndex, IndexedMessage};
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace::stream::observed_messages;
-use pstrace::wire::{decode_stream, encode_records, WireRecord};
+use pstrace::wire::{decode_with, encode_records, ProfileV1, WireRecord};
 
 #[test]
 fn seeded_soak_injects_over_10k_faults_and_survives() {
@@ -181,7 +181,7 @@ fn online_localization_matches_batch_on_every_undamaged_prefix() {
         })
         .collect();
     let encoded = encode_records(&schema, &stream, None).expect("encodes");
-    let report = decode_stream(&schema, &encoded.bytes, Some(encoded.bit_len));
+    let report = decode_with(&ProfileV1, &schema, &encoded.bytes, Some(encoded.bit_len));
     assert!(report.damaged.is_empty(), "the clean stream has no damage");
 
     let observed: Vec<IndexedMessage> = report.records.iter().map(|r| r.message).collect();

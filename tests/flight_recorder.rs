@@ -359,7 +359,7 @@ fn chaos_soak_dump_mines_back_the_lifecycle_flow() {
             })
         })
         .collect();
-    let log = ExecutionLog::from_records(records).retain_messages(&lifecycle);
+    let log = ExecutionLog { records }.retain_messages(&lifecycle);
     assert!(
         log.len() >= 4 * config.sessions,
         "every completed session contributes a full lifecycle: {} records",

@@ -6,7 +6,7 @@ use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
-use pstrace::codec::{decode_v2, encode_v2, read_ptw_auto};
+use pstrace::codec::{decode_ptw_payload, encode_v2, ProfileV2};
 use pstrace::diag::MatchMode;
 use pstrace::flow::{FlowIndex, IndexedMessage};
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
@@ -14,8 +14,8 @@ use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace::stream::proto::{self, Hello, Request};
 use pstrace::stream::{connect, replay, Replay, Server, ServerConfig, StreamError};
 use pstrace::wire::{
-    decode_stream, encode_records, read_ptw, write_ptw, write_ptw_with, DamageReason, PtwMeta,
-    WireError, WireRecord, WireSchema,
+    decode_with, encode_records, read_ptw, read_ptw_any, write_ptw, write_ptw_with, DamageReason,
+    ProfileV1, PtwMeta, WireError, WireRecord, WireSchema,
 };
 
 /// Replays `ptw` as a scenario-`scenario` capture to the daemon at
@@ -130,7 +130,12 @@ fn zero_length_body_decodes_to_zero_frames_and_streams_cleanly() {
     // Batch: a valid container with zero frames, not an error.
     let (schema_back, stream_back) = read_ptw(model.catalog(), &ptw).expect("parses");
     assert_eq!(schema_back.frame_bits(), schema.frame_bits());
-    let report = decode_stream(&schema_back, &stream_back.bytes, Some(stream_back.bit_len));
+    let report = decode_with(
+        &ProfileV1,
+        &schema_back,
+        &stream_back.bytes,
+        Some(stream_back.bit_len),
+    );
     assert_eq!(report.frames, 0);
     assert!(report.records.is_empty());
 
@@ -186,7 +191,9 @@ fn v2_container_is_a_typed_error_for_v1_only_readers() {
     assert!(msg.contains("v2") && msg.contains("v1"), "{msg}");
 
     // The codec-aware entry point decodes it fully.
-    let (_, meta, report) = read_ptw_auto(model.catalog(), &ptw).expect("codec reader accepts v2");
+    let (schema, meta, stream) =
+        read_ptw_any(model.catalog(), &ptw).expect("codec reader accepts v2");
+    let report = decode_ptw_payload(&schema, meta, &stream);
     assert_eq!(meta.version, 2);
     assert!(report.is_clean(), "{:?}", report.damaged);
     assert_eq!(report.records.len(), 40);
@@ -195,7 +202,7 @@ fn v2_container_is_a_typed_error_for_v1_only_readers() {
     // and the message names the supported range.
     let mut future = ptw;
     future[4] = 9;
-    let err = read_ptw_auto(model.catalog(), &future).expect_err("version 9 is unknown");
+    let err = read_ptw_any(model.catalog(), &future).expect_err("version 9 is unknown");
     assert!(
         matches!(err, WireError::BadVersion { .. }),
         "typed: {err:?}"
@@ -213,9 +220,10 @@ fn truncated_v2_sync_block_is_bounded_damage_never_a_panic() {
     // Chop the payload mid-block at every granularity: the decoder
     // reports the torn tail block as sync damage and keeps everything
     // before it; it never panics and never invents records.
+    let v2 = ProfileV2::default();
     for cut in 1..payload.len() {
         let torn = &payload[..cut];
-        let report = decode_v2(&schema, torn, Some(torn.len() as u64 * 8));
+        let report = decode_with(&v2, &schema, torn, Some(torn.len() as u64 * 8));
         assert!(
             report.records.len() <= recs.len(),
             "cut {cut}: more records out than in"
@@ -243,7 +251,7 @@ fn truncated_v2_sync_block_is_bounded_damage_never_a_panic() {
 
     // A container truncated mid-payload stays a typed error, as in v1.
     let mid = &ptw[..ptw.len() - payload.len() / 2];
-    assert!(read_ptw_auto(model.catalog(), mid).is_err());
+    assert!(read_ptw_any(model.catalog(), mid).is_err());
 }
 
 #[test]

@@ -25,7 +25,7 @@ use pstrace::mine::{
 };
 use pstrace::obs::Registry;
 use pstrace::soc::{wirecap, FlowKind, SimConfig, Simulator, SocModel, UsageScenario};
-use pstrace::wire::decode_stream;
+use pstrace::wire::{decode_with, ProfileV1};
 use pstrace_rng::Rng64;
 
 fn paper_scenarios() -> Vec<UsageScenario> {
@@ -44,7 +44,7 @@ fn combined_miner(model: &SocModel, seeds_per_scenario: u64) -> Miner {
     let mut miner = Miner::new(model.catalog().clone(), MiningConfig::default());
     for scenario in paper_scenarios() {
         let (logs, skipped) =
-            scenario_executions(model, &scenario, &seeds, true).expect("corpus encodes");
+            scenario_executions(model, &scenario, &seeds).expect("corpus encodes");
         assert_eq!(skipped, 0, "clean corpora must decode without damage");
         for log in logs {
             miner.push_log(log);
@@ -111,8 +111,8 @@ fn mined_pio_read_localization_is_byte_identical() {
     // built over the model's own catalog Arc, so `with_flow` accepts it.
     let seeds = default_seeds(8);
     let mut miner = Miner::new(model.catalog().clone(), MiningConfig::default());
-    let (logs, _) = scenario_executions(&model, &UsageScenario::scenario1(), &seeds, true)
-        .expect("corpus encodes");
+    let (logs, _) =
+        scenario_executions(&model, &UsageScenario::scenario1(), &seeds).expect("corpus encodes");
     for log in logs {
         miner.push_log(log);
     }
@@ -185,7 +185,7 @@ fn mining_chaos_corrupted_capture_skips_frames_without_panicking() {
             &mut rng,
             &mut ledger,
         );
-        let report = decode_stream(&schema, &mangled.bytes, Some(mangled.bit_len));
+        let report = decode_with(&ProfileV1, &schema, &mangled.bytes, Some(mangled.bit_len));
         miner.push_decoded(&report);
     }
     assert!(!ledger.is_empty(), "the standard plan must inject faults");

@@ -2,7 +2,8 @@
 //! capture path on every paper scenario.
 //!
 //! * `decode(encode(capture)) == capture` bit-for-bit on every scenario's
-//!   selection — including circular-depth truncation;
+//!   selection — including circular-depth truncation — and, in the v2
+//!   dialect, on random configurations no selection produces;
 //! * measured per-frame utilization equals the analytic
 //!   `TraceBufferSpec::utilization` of the selection (Table 3), packed
 //!   subgroup bits included;
@@ -81,6 +82,44 @@ fn every_scenario_round_trips_bit_identically() {
                 depth
             );
         }
+    }
+}
+
+#[test]
+fn capture_rule_round_trips_configs_no_selection_produces() {
+    // Random full messages and subgroups (overlapping ones of a parent,
+    // ones of a fully traced parent), any depth, a body as wide as all
+    // lanes: the v2 dialect reproduces the modeled capture. The v1 half
+    // is `pstrace-soc`'s proptest `capture_rule_holds_on_arbitrary_configs`,
+    // which cannot reach `ProfileV2`.
+    let model = SocModel::t2();
+    let catalog = model.catalog();
+    let all_groups: Vec<_> = catalog.iter_groups().map(|(g, _)| g).collect();
+    let mut rng = Rng64::seed_from_u64(0xad317);
+    for case in 0..64 {
+        let messages = catalog.iter().map(|(m, _)| m);
+        let groups = all_groups.iter().copied();
+        let mut config = TraceBufferConfig {
+            messages: messages.filter(|_| rng.gen_index(4) == 0).collect(),
+            groups: groups.filter(|_| rng.gen_bool()).collect(),
+            depth: Some(rng.gen_index(65)).filter(|&d| d > 0),
+        };
+        let covered = all_groups[rng.gen_index(all_groups.len())];
+        config.groups.push(covered);
+        config.messages.push(catalog.group(covered).parent());
+        let lanes = config.messages.iter().map(|&m| catalog.width(m));
+        let body = lanes.chain(config.groups.iter().map(|&g| catalog.group(g).width()));
+        let scenario = paper_scenarios()[rng.gen_index(5)].clone();
+        let out = Simulator::new(&model, scenario, SimConfig::with_seed(rng.next_u64())).run();
+        let direct = capture(&model, &out, &config);
+        let schema = wirecap::wire_schema(&model, &config, body.sum()).expect("lanes fit the body");
+        let v2 = ProfileV2::default();
+        let stream = wirecap::encode_events(catalog, &schema, &out.events, &config, &v2)
+            .expect("admitted records fit the schema");
+        let (decoded, report) =
+            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &v2);
+        assert!(report.is_clean(), "case {case}: {:?}", report.damaged);
+        assert_eq!(decoded, direct, "case {case}");
     }
 }
 
