@@ -5,50 +5,15 @@
 use std::io::Write as _;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_diag::MatchMode;
-use pstrace_faults::{corrupt_wire, ChaosStream, FaultLedger, FaultPlan};
-use pstrace_flow::{FlowIndex, IndexedMessage, InterleavedFlow};
+use pstrace_faults::{corrupt_wire, ChaosStream, FaultLedger, FaultPlan, Fixture};
 use pstrace_rng::Rng64;
-use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_stream::Session;
-use pstrace_wire::{encode_records, EncodedStream, WireRecord, WireSchema};
-
-/// The scenario-1 fixture shared with the stream bench: interleaved
-/// flow, selection-derived schema, and a synthetic encoded stream.
-fn setup(records: usize) -> (InterleavedFlow, WireSchema, EncodedStream) {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer = TraceBufferSpec::new(32).expect("nonzero");
-    let flow = scenario.interleaving(&model).expect("interleaves");
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .expect("selection succeeds");
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema =
-        wirecap::wire_schema(&model, &config, buffer.width_bits()).expect("schema fits buffer");
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).expect("encodes");
-    (flow, schema, encoded)
-}
 
 fn bench_wire_corruptor(c: &mut Criterion) {
-    let (_, schema, encoded) = setup(20_000);
+    let Fixture {
+        schema, encoded, ..
+    } = Fixture::new(20_000).expect("fixture builds");
     let plan = FaultPlan::heavy(11);
 
     let mut group = c.benchmark_group("chaos_corrupt_wire_20k_frames");
@@ -98,7 +63,12 @@ fn bench_chaos_transport(c: &mut Criterion) {
 }
 
 fn bench_faulted_vs_clean_ingest(c: &mut Criterion) {
-    let (flow, schema, clean) = setup(20_000);
+    let Fixture {
+        flow,
+        schema,
+        encoded: clean,
+        ..
+    } = Fixture::new(20_000).expect("fixture builds");
     let plan = FaultPlan::standard(7);
     let mut rng = Rng64::seed_from_u64(7);
     let mut ledger = FaultLedger::new();

@@ -8,50 +8,16 @@
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_diag::MatchMode;
-use pstrace_flow::{FlowIndex, IndexedMessage};
-use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace_faults::Fixture;
+use pstrace_soc::SocModel;
 use pstrace_stream::durable::DurabilityPolicy;
 use pstrace_stream::{
     connect, replay, Replay, RetryPolicy, Server, ServerConfig, DEFAULT_WAL_BUDGET,
 };
-use pstrace_wire::{encode_records, write_ptw, WireRecord};
-
-/// Scenario-1 ingest fixture: a synthetic 20k-record `.ptw` container.
-fn setup(records: usize) -> Vec<u8> {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer = TraceBufferSpec::new(32).expect("nonzero");
-    let flow = scenario.interleaving(&model).expect("interleaves");
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .expect("selection succeeds");
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema =
-        wirecap::wire_schema(&model, &config, buffer.width_bits()).expect("schema fits buffer");
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).expect("encodes");
-    write_ptw(model.catalog(), &schema, &encoded)
-}
 
 fn bench_wal_overhead(c: &mut Criterion) {
-    let ptw = setup(20_000);
+    let ptw = Fixture::new(20_000).expect("fixture builds").ptw;
     let model = Arc::new(SocModel::t2());
     let plan = Replay {
         chunk_bytes: 4096,

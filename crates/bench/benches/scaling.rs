@@ -9,11 +9,10 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_diag::MatchMode;
-use pstrace_flow::{FlowIndex, IndexedMessage};
+use pstrace_faults::Fixture;
 use pstrace_obs::{EventKind, FlightHandle, FlightRecorder, Registry};
-use pstrace_soc::{wirecap, FlowKind, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace_soc::{FlowKind, SocModel, UsageScenario};
 use pstrace_stream::Session;
-use pstrace_wire::{encode_records, WireRecord};
 
 fn scaling_scenario(instances: u32) -> UsageScenario {
     UsageScenario::custom(
@@ -87,33 +86,12 @@ fn bench_instrumentation_overhead(c: &mut Criterion) {
 /// a couple percent (the ≤ 2 % budget EXPERIMENTS.md pins, like
 /// `rank_instrumentation`).
 fn bench_recorder_overhead(c: &mut Criterion) {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer = TraceBufferSpec::new(32).expect("nonzero");
-    let flow = scenario.interleaving(&model).expect("interleaves");
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .expect("selection succeeds");
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema =
-        wirecap::wire_schema(&model, &config, buffer.width_bits()).expect("schema fits buffer");
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..20_000)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).expect("encodes");
+    let Fixture {
+        flow,
+        schema,
+        encoded,
+        ..
+    } = Fixture::new(20_000).expect("fixture builds");
     let payload = encoded.bytes;
     let bit_len = encoded.bit_len;
 

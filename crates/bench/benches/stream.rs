@@ -9,14 +9,13 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_diag::{consistent_paths, MatchMode, OnlineLocalizer};
-use pstrace_flow::{executions, FlowIndex, IndexedMessage, InterleavedFlow, MessageId};
+use pstrace_faults::Fixture;
+use pstrace_flow::{executions, IndexedMessage, InterleavedFlow, MessageId};
 use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_stream::{
     connect, observed_messages, replay, scenario_by_number, Replay, Server, ServerConfig, Session,
 };
-use pstrace_wire::{
-    encode_records, read_ptw_header, write_ptw, write_ptw_schema, WireRecord, WireSchema,
-};
+use pstrace_wire::{read_ptw_header, split_ptw, write_ptw_schema, PtwParts, WireSchema};
 
 /// The interleaving of `scenario` and the wire schema of its 32-bit
 /// trace-buffer selection.
@@ -26,51 +25,18 @@ fn selected_schema(model: &SocModel, scenario: &UsageScenario) -> (InterleavedFl
     let selection = Selector::new(&flow, SelectionConfig::new(buffer))
         .select()
         .expect("selection succeeds");
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
+    let config = TraceBufferConfig::from_selection(&selection, None);
     let schema =
         wirecap::wire_schema(model, &config, buffer.width_bits()).expect("schema fits buffer");
     (flow, schema)
 }
 
-/// Scenario-1 ingest fixture: the interleaved flow, its selection-derived
-/// wire schema, and a synthetic `records`-long encoded stream.
-fn setup(records: usize) -> (InterleavedFlow, WireSchema, Vec<u8>, u64) {
-    let model = SocModel::t2();
-    let (flow, schema) = selected_schema(&model, &UsageScenario::scenario1());
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).expect("encodes");
-    let ptw = write_ptw(model.catalog(), &schema, &encoded);
-    (flow, schema, ptw, encoded.bit_len)
-}
-
-/// The schema-prefix length and payload of a `.ptw` container, so the
-/// in-process path can replay exactly the bytes the client would send.
-fn payload_of(ptw: &[u8]) -> Vec<u8> {
-    let model = SocModel::t2();
-    let (_, consumed) =
-        pstrace_wire::read_ptw_schema(model.catalog(), ptw).expect("container parses");
-    ptw[consumed + 8..].to_vec()
-}
-
 fn bench_ingest(c: &mut Criterion) {
-    let (flow, schema, ptw, bit_len) = setup(20_000);
-    let payload = payload_of(&ptw);
-    let model = Arc::new(SocModel::t2());
+    let fx = Fixture::new(20_000).expect("fixture builds");
+    let (flow, schema, model) = (&fx.flow, &fx.schema, &fx.model);
+    let PtwParts {
+        bit_len, payload, ..
+    } = split_ptw(model.catalog(), &fx.ptw).expect("container parses");
 
     let mut group = c.benchmark_group("stream_ingest_20k_records");
     group.sample_size(10);
@@ -79,7 +45,7 @@ fn bench_ingest(c: &mut Criterion) {
 
     group.bench_function("in_process_session_4k_chunks", |b| {
         b.iter(|| {
-            let mut session = Session::new(&flow, schema.clone(), MatchMode::Prefix);
+            let mut session = Session::new(flow, schema.clone(), MatchMode::Prefix);
             for chunk in payload.chunks(4096) {
                 session.push_chunk(chunk);
             }
@@ -88,7 +54,7 @@ fn bench_ingest(c: &mut Criterion) {
     });
 
     group.bench_function("loopback_tcp_4k_chunks", |b| {
-        let server = Server::spawn(Arc::clone(&model), &ServerConfig::default()).expect("binds");
+        let server = Server::spawn(Arc::clone(model), &ServerConfig::default()).expect("binds");
         let addr = server.local_addr();
         let plan = Replay {
             chunk_bytes: 4096,
@@ -99,7 +65,7 @@ fn bench_ingest(c: &mut Criterion) {
                 replay(
                     |_| connect(addr, &plan.policy),
                     model.catalog(),
-                    &ptw,
+                    &fx.ptw,
                     &plan,
                 )
                 .expect("replay succeeds"),
@@ -111,7 +77,9 @@ fn bench_ingest(c: &mut Criterion) {
 }
 
 fn bench_online_localization(c: &mut Criterion) {
-    let (flow, _, _, _) = setup(0);
+    let flow = UsageScenario::scenario1()
+        .interleaving(&SocModel::t2())
+        .expect("interleaves");
     let alphabet = flow.message_alphabet();
     let selected: Vec<MessageId> = alphabet.iter().take(2).copied().collect();
     // A long observation: cycle projected records of a real execution so

@@ -9,7 +9,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pstrace_codec::{encode_v2, ProfileV2, DEFAULT_SYNC_EVERY};
 use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace_flow::{FlowIndex, IndexedMessage};
+use pstrace_faults::slot_cycling_records;
 use pstrace_soc::{
     capture, wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario,
 };
@@ -30,32 +30,17 @@ fn selection() -> (SocModel, TraceBufferConfig, WireSchema) {
     )
     .select()
     .expect("selection succeeds");
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
+    let config = TraceBufferConfig::from_selection(&selection, None);
     let schema =
         wirecap::wire_schema(&model, &config, buffer.width_bits()).expect("schema fits buffer");
     (model, config, schema)
 }
 
 /// The scenario-1 schema plus a long synthetic record stream that
-/// exercises every slot: round-robin slots, index `i % 3`, time `+1`.
+/// exercises every slot ([`slot_cycling_records`]).
 fn setup(records: usize) -> (WireSchema, Vec<WireRecord>) {
     let (_, _, schema) = selection();
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
+    let stream = slot_cycling_records(&schema, records);
     (schema, stream)
 }
 

@@ -581,11 +581,7 @@ fn cmd_trace_encode(argv: &[String]) -> CmdResult {
         scenario.interleaving(&model)
     })?;
     let selection = Selector::new(&product, sel_config).select_observed(obs(&profiler))?;
-    let trace_config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth,
-    };
+    let trace_config = TraceBufferConfig::from_selection(&selection, depth);
     let schema = maybe_time(obs(&profiler), "wire-schema", || {
         wirecap::wire_schema(&model, &trace_config, buffer.width_bits())
     })?;

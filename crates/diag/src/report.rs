@@ -275,11 +275,7 @@ pub fn run_case_study_routed(
     let symptom = detect_symptom(&golden, &buggy);
 
     // The trace buffer sees only the selected messages/subgroups.
-    let trace_config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: config.depth,
-    };
+    let trace_config = TraceBufferConfig::from_selection(&selection, config.depth);
     // Either capture directly at the record level, or push the events
     // through the wire codec and debug from the decoded streams.
     let mut wire_summary = None;

@@ -33,9 +33,9 @@ use pstrace_diag::MatchMode;
 use pstrace_stream::proto::Request;
 use pstrace_stream::{connect, replay, send_request, Replay, RetryPolicy};
 
+use crate::fixture::Fixture;
 use crate::ledger::FaultLedger;
 use crate::plan::FaultKind;
-use crate::soak::build_fixture;
 
 /// Tenants cycle as in the chaos soak so per-tenant accounting is live.
 const TENANT_CYCLE: u64 = 4;
@@ -386,7 +386,7 @@ fn wait_listening(addr: SocketAddr, daemon: &mut DaemonGuard, patience: Duration
 /// induced session failures are *data*, reported in the
 /// [`CrashSoakReport`].
 pub fn run_crash_soak(config: &CrashSoakConfig) -> Result<CrashSoakReport, String> {
-    let fixture = build_fixture(config.records.max(1))?;
+    let fixture = Fixture::new(config.records.max(1))?;
     std::fs::create_dir_all(&config.wal_dir)
         .map_err(|e| format!("wal dir {:?} not creatable: {e}", config.wal_dir))?;
 
@@ -460,7 +460,7 @@ pub fn run_crash_soak(config: &CrashSoakConfig) -> Result<CrashSoakReport, Strin
                         )
                     },
                     fixture.model.catalog(),
-                    &fixture.clean_ptw,
+                    &fixture.ptw,
                     &plan,
                 );
                 let _ = slots[s].set(result.ok());

@@ -37,6 +37,7 @@
 
 mod chaos;
 mod crash;
+mod fixture;
 mod ledger;
 mod plan;
 mod soak;
@@ -45,10 +46,11 @@ mod wire;
 
 pub use chaos::ChaosStream;
 pub use crash::{flip_wal_byte, run_crash_soak, tear_wal_tail, CrashSoakConfig, CrashSoakReport};
+pub use fixture::{slot_cycling_records, Fixture};
 pub use ledger::{FaultEvent, FaultLedger};
 pub use plan::{
     BurstModel, FaultGate, FaultKind, FaultPlan, Seam, SessionFaults, TransportFaults, WireFaults,
 };
 pub use soak::{run_soak, SoakConfig, SoakReport};
-pub use watchdog::{watchdog, Watchdog};
+pub use watchdog::{poll_until, stable_lines, watchdog, Watchdog};
 pub use wire::corrupt_wire;

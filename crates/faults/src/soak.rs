@@ -2,14 +2,15 @@
 //! daemon, scored for survival.
 //!
 //! [`run_soak`] spins up a real [`pstrace_stream::Server`] on a loopback
-//! socket, then replays a synthetic scenario-1 capture through it once
-//! per session — each capture corrupted at the wire seam by
-//! [`corrupt_wire`](crate::corrupt_wire), each transport wrapped in a
-//! [`ChaosStream`], each session driven by the hardened resumable client
-//! so transport deaths exercise the park/resume path. Afterward it
-//! streams one *clean* probe session and checks the daemon's
-//! localization line against the batch pipeline's — the proof that the
-//! storm neither killed the daemon nor bent its answers.
+//! socket, then replays the synthetic scenario-1 capture of
+//! [`Fixture`](crate::Fixture) (the one the ingest benches and tests
+//! replay too) through it once per session — each copy corrupted at the
+//! wire seam by [`corrupt_wire`](crate::corrupt_wire), each transport
+//! wrapped in a [`ChaosStream`], each session driven by the hardened
+//! resumable client so transport deaths exercise the park/resume path.
+//! Afterward it streams one *clean* probe session and checks the
+//! daemon's localization line against the batch pipeline's — the proof
+//! that the storm neither killed the daemon nor bent its answers.
 //!
 //! Fleet mode: [`SoakConfig::concurrency`] fans the storm out over that
 //! many client threads against a daemon running
@@ -32,18 +33,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace_diag::{localize, MatchMode};
-use pstrace_flow::{FlowIndex, IndexedMessage};
+use pstrace_diag::MatchMode;
 use pstrace_obs::{FlightHandle, FlightRecorder, FlightSnapshot, Registry, Sample};
-use pstrace_soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace_stream::{
-    connect, next_trace_id, observed_messages, replay, Replay, RetryPolicy, Server, ServerConfig,
-    StatsSnapshot,
+    connect, next_trace_id, replay, Replay, RetryPolicy, Server, ServerConfig, StatsSnapshot,
 };
-use pstrace_wire::{decode_with, encode_records, write_ptw, EncodedStream, ProfileV1, WireRecord};
+use pstrace_wire::write_ptw;
 
 use crate::chaos::ChaosStream;
+use crate::fixture::Fixture;
 use crate::ledger::FaultLedger;
 use crate::plan::FaultPlan;
 use crate::wire::corrupt_wire;
@@ -216,88 +214,6 @@ impl SoakReport {
     }
 }
 
-/// The scenario-1 soak fixture (mirrors the ingest bench): interleaved
-/// flow, selection-derived schema, and a synthetic encoded stream.
-/// Shared with the crash harness, which replays the clean capture and
-/// checks the same batch localization line.
-pub(crate) struct Fixture {
-    pub(crate) model: Arc<SocModel>,
-    pub(crate) schema: pstrace_wire::WireSchema,
-    pub(crate) encoded: EncodedStream,
-    pub(crate) clean_ptw: Vec<u8>,
-    pub(crate) batch_localization: String,
-}
-
-impl Fixture {
-    /// Replays the clean capture to the daemon at `addr` over one plain
-    /// session: `(completed, matches_batch)`.
-    pub(crate) fn probe(&self, addr: SocketAddr, chunk_bytes: usize) -> (bool, bool) {
-        let plan = Replay {
-            chunk_bytes,
-            ..Replay::new(1, MatchMode::Prefix)
-        };
-        match replay(
-            |_| connect(addr, &plan.policy),
-            self.model.catalog(),
-            &self.clean_ptw,
-            &plan,
-        ) {
-            Ok(report) => (true, report.contains(&self.batch_localization)),
-            Err(_) => (false, false),
-        }
-    }
-}
-
-pub(crate) fn build_fixture(records: usize) -> Result<Fixture, String> {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer =
-        TraceBufferSpec::new(32).map_err(|e| format!("trace buffer spec rejected: {e}"))?;
-    let flow = scenario
-        .interleaving(&model)
-        .map_err(|e| format!("scenario does not interleave: {e}"))?;
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .map_err(|e| format!("selection failed: {e}"))?;
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema = wirecap::wire_schema(&model, &config, buffer.width_bits())
-        .map_err(|e| format!("schema does not fit the buffer: {e}"))?;
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1u64 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).map_err(|e| format!("encode: {e}"))?;
-    let clean_ptw = write_ptw(model.catalog(), &schema, &encoded);
-
-    // The batch pipeline's answer on the clean capture — the line the
-    // post-storm probe must reproduce bit-for-bit.
-    let report = decode_with(&ProfileV1, &schema, &encoded.bytes, Some(encoded.bit_len));
-    let observed: Vec<IndexedMessage> = report.records.iter().map(|r| r.message).collect();
-    let selected = observed_messages(&schema);
-    let loc = localize(&flow, &observed, &selected, MatchMode::Prefix);
-    let batch_localization = format!("  localization    : {loc}");
-
-    Ok(Fixture {
-        model: Arc::new(model),
-        schema,
-        encoded,
-        clean_ptw,
-        batch_localization,
-    })
-}
-
 /// What one storm session left behind: its verdict and its two
 /// per-seam ledgers, merged into the run ledger in session order.
 struct SessionOutcome {
@@ -391,7 +307,7 @@ fn run_one_session(
 /// session failures are *data*, reported in the [`SoakReport`].
 pub fn run_soak(config: &SoakConfig) -> Result<SoakReport, String> {
     let plan = &config.plan;
-    let fixture = build_fixture(config.records.max(1))?;
+    let fixture = Fixture::new(config.records.max(1))?;
     let registry = Arc::new(Registry::new());
     let concurrency = config.concurrency.max(1);
 

@@ -6,6 +6,11 @@
 //! dropped its [`Watchdog`] by the limit, the process prints what it was
 //! doing and exits with status 124 (the same convention as
 //! `timeout(1)`), so the harness fails fast with the culprit named.
+//!
+//! Two helpers for the same tests ride along: [`poll_until`] waits on a
+//! daemon-side condition with its own deadline, and [`stable_lines`]
+//! strips the one wall-clock-dependent line from a session report so
+//! two reports compare line for line.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,6 +51,29 @@ pub fn watchdog(limit: Duration, what: &str) -> Watchdog {
         disarmed,
         timer: Some(timer),
     }
+}
+
+/// Checks `check` every 10 ms until it holds or `deadline` has passed
+/// since the call: whether it held in time.
+pub fn poll_until(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
+    let start = Instant::now();
+    while start.elapsed() < deadline {
+        if check() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    false
+}
+
+/// The lines of a session report minus its `ingest` line, whose B/s
+/// figure depends on the wall clock.
+#[must_use]
+pub fn stable_lines(report: &str) -> Vec<&str> {
+    report
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("ingest"))
+        .collect()
 }
 
 impl Drop for Watchdog {

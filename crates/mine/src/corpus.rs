@@ -9,9 +9,9 @@
 //! capture through the real wire encode/decode path so the corpus
 //! exercises the same frame machinery as production `.ptw` files.
 
-use pstrace_soc::wirecap::{encode_events, wire_schema, ProfileV1};
+use pstrace_soc::wirecap::{encode_events, wire_schema};
 use pstrace_soc::{SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace_wire::{decode_with, WireError};
+use pstrace_wire::{decode_with, ProfileV1, WireError};
 
 use crate::miner::Miner;
 use crate::seq::ExecutionLog;

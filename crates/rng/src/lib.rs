@@ -33,6 +33,23 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+/// SplitMix64's increment: 2^64 divided by the golden ratio, made odd.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The SplitMix64 output function of `x`: one golden-ratio increment,
+/// then the finalizer's two xor-shift-multiply rounds. A bijection on
+/// `u64`; [`Rng64`] draws it over a counting state, and every other
+/// seeded hash in the workspace (payload values, epochs, trace ids)
+/// calls this one copy.
+#[inline]
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// A deterministic 64-bit PRNG (SplitMix64).
 ///
 /// The full generator state is one `u64`; cloning snapshots the stream.
@@ -48,13 +65,12 @@ impl Rng64 {
         Rng64 { state: seed }
     }
 
-    /// The next raw 64-bit draw.
+    /// The next raw 64-bit draw: [`splitmix64`] of the current state,
+    /// which then advances by the golden-ratio increment.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        out
     }
 
     /// Uniform draw in `lo..=hi` (inclusive bounds).

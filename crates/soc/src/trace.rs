@@ -7,6 +7,7 @@
 //! the run is invisible — absence of a message in the captured trace is
 //! itself debugging evidence (§5.7).
 
+use pstrace_core::SelectionReport;
 use pstrace_flow::{GroupId, IndexedMessage, MessageCatalog, MessageId};
 use pstrace_wire::WireRecord;
 
@@ -37,6 +38,19 @@ impl TraceBufferConfig {
             messages: messages.to_vec(),
             groups: Vec::new(),
             depth: None,
+        }
+    }
+
+    /// The buffer a selection wires up: its Step-2 messages traced in
+    /// full plus its Step-3 packed subgroups, holding `depth` entries
+    /// (`None` = unbounded). The one hand-off from message selection to
+    /// the trace buffer.
+    #[must_use]
+    pub fn from_selection(selection: &SelectionReport, depth: Option<usize>) -> Self {
+        TraceBufferConfig {
+            messages: selection.chosen.messages.clone(),
+            groups: selection.packed_groups.clone(),
+            depth,
         }
     }
 

@@ -8,15 +8,9 @@
 
 use pstrace_flow::IndexedMessage;
 
-/// SplitMix64 — a small, high-quality 64-bit mixer.
-#[must_use]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+// The workspace's one SplitMix64 mixer; perfbench's fixture names it
+// under this path.
+pub use pstrace_rng::splitmix64;
 
 /// The deterministic payload carried by the `occurrence`-th emission of
 /// `message` in a run seeded with `seed`, truncated to `width` bits.

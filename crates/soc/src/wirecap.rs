@@ -13,11 +13,13 @@
 //! crate's retention rule against an independent oracle.
 
 use pstrace_flow::MessageCatalog;
-use pstrace_wire::decode_with;
+use pstrace_wire::{decode_with, DecodeReport, EncodedStream, FrameProfile, WireSchema};
+// Re-exported only for the crates that reach the wire codec through
+// this one: `pstrace-diag` and `pstrace-cli` have no `pstrace-wire`
+// dependency. Everything else imports these from `pstrace_wire`.
 pub use pstrace_wire::{
-    overwritten, read_ptw, read_ptw_any, write_ptw, write_ptw_with, DamageReason, DamagedFrame,
-    DecodeReport, EncodedStream, FrameProfile, ProfileV1, PtwMeta, StreamDecoder, WireError,
-    WireRecord, WireSchema, PTW_VERSION_V2, SYNC_EVERY_RANGE,
+    overwritten, read_ptw_any, write_ptw_with, ProfileV1, PtwMeta, WireError, WireRecord,
+    SYNC_EVERY_RANGE,
 };
 
 use crate::engine::MessageEvent;
@@ -77,9 +79,10 @@ pub fn encode_events(
 /// measured utilization). Corruption surfaces in the report's damage
 /// list under either profile, never as a panic.
 ///
-/// The records of the returned trace are exactly the report's surviving
-/// records; on a clean stream produced by [`encode_events`] under the
-/// same profile they equal the original capture.
+/// The surviving records move into the returned trace, so the report
+/// carries the counts and the damage list but no records. On a clean
+/// stream produced by [`encode_events`] under the same profile the trace
+/// equals the original capture.
 #[must_use]
 pub fn decode_capture(
     schema: &WireSchema,
@@ -87,8 +90,9 @@ pub fn decode_capture(
     bit_len: Option<u64>,
     profile: &dyn FrameProfile,
 ) -> (CapturedTrace, DecodeReport) {
-    let report = decode_with(profile, schema, bytes, bit_len);
-    (CapturedTrace::from_records(report.records.clone()), report)
+    let mut report = decode_with(profile, schema, bytes, bit_len);
+    let records = std::mem::take(&mut report.records);
+    (CapturedTrace::from_records(records), report)
 }
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 use proptest::prelude::*;
 use pstrace_flow::{FlowIndex, IndexedMessage, InterleavedFlow, ProductStateId};
 use pstrace_soc::value::mask_to_width;
-use pstrace_soc::wirecap::{self, ProfileV1, WireRecord};
 use pstrace_soc::{
-    capture, tracefile, CapturedTrace, SimConfig, Simulator, SocModel, TraceBufferConfig,
+    capture, tracefile, wirecap, CapturedTrace, SimConfig, Simulator, SocModel, TraceBufferConfig,
     UsageScenario,
 };
+use pstrace_wire::{ProfileV1, WireRecord};
 
 /// Replays an observed indexed-message sequence against the scenario's
 /// interleaved flow, returning the reached product state if the sequence is

@@ -45,11 +45,7 @@ pub fn next_trace_id() -> u64 {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_nanos() as u64);
-    // SplitMix64 finalizer over the clock reading.
-    let mut z = nanos.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = pstrace_soc::value::splitmix64(nanos);
     ((seq << 32) | (z & 0xffff_fffe) | 1) & !(1 << 63)
 }
 

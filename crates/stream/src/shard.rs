@@ -1372,7 +1372,7 @@ mod tests {
 
     use pstrace_diag::MatchMode;
     use pstrace_soc::{wirecap, SimConfig, Simulator, TraceBufferConfig};
-    use pstrace_wire::{read_ptw_header, write_ptw};
+    use pstrace_wire::{read_ptw_header, write_ptw, ProfileV1};
 
     use super::*;
     use crate::recover::recover_state;
@@ -1415,7 +1415,7 @@ mod tests {
             &schema,
             &run.events,
             &trace_config,
-            &wirecap::ProfileV1,
+            &ProfileV1,
         )
         .unwrap();
         let ptw = write_ptw(model.catalog(), &schema, &stream);

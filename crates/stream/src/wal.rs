@@ -513,11 +513,8 @@ pub fn fresh_epoch() -> u64 {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(1, |d| d.as_nanos() as u64);
-    // SplitMix64 finalizer, pinned away from 0.
-    let mut z = nanos.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) | 1
+    // Pinned away from 0.
+    pstrace_soc::value::splitmix64(nanos) | 1
 }
 
 /// The append half of one shard's WAL.

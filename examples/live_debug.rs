@@ -13,7 +13,7 @@ use pstrace::diag::MatchMode;
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig};
 use pstrace::stream::{connect, replay, Replay, Server, ServerConfig, Session};
-use pstrace::wire::write_ptw;
+use pstrace::wire::{write_ptw, ProfileV1};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let model = SocModel::t2();
@@ -33,11 +33,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let flow = scenario.interleaving(&model)?;
     let selection =
         Selector::new(&flow, SelectionConfig::new(TraceBufferSpec::new(32)?)).select()?;
-    let trace_config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
+    let trace_config = TraceBufferConfig::from_selection(&selection, None);
     let sim = Simulator::new(&model, scenario, SimConfig::with_seed(case.seed));
     let catalog = bug_catalog(&model);
     let mut interceptor = BugInterceptor::new(&model, case.bugs(&catalog));
@@ -50,7 +46,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         &schema,
         &buggy.events,
         &trace_config,
-        &wirecap::ProfileV1,
+        &ProfileV1,
     )?;
     println!(
         "captured {} frames of {} bits each\n",

@@ -104,9 +104,14 @@ else
 fi
 
 # Chaos-soak smoke: a seeded fault-injection run against a live daemon.
-# The command exits nonzero if the survival criteria are breached.
+# The command exits nonzero if the survival criteria are breached, and
+# its fault-ledger fingerprint is pinned: the synthetic capture, the
+# fault plan and the injectors must all stay bit-identical.
+chaos_log="$(mktemp -t pstrace-chaos-XXXXXX.log)"
 run cargo run -q --release --locked -p pstrace-cli --bin pstrace -- \
-    chaos --seed 7 --sessions 3 --intensity light --records 400
+    chaos --seed 7 --sessions 3 --intensity light --records 400 | tee "$chaos_log"
+run grep -q "fingerprint 611f2d9db8d62ded" "$chaos_log"
+rm -f "$chaos_log"
 
 # Fleet-soak smoke: 256 chaos-wrapped sessions from 64 concurrent clients
 # against a 4-shard daemon. Exits nonzero on any worker panic, shed-free

@@ -13,12 +13,10 @@
 
 use pstrace::codec::flight::read_flight_dump;
 use pstrace::diag::{consistent_paths, MatchMode, OnlineLocalizer};
-use pstrace::faults::{run_soak, FaultPlan, SoakConfig};
-use pstrace::flow::{FlowIndex, IndexedMessage};
-use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace::faults::{run_soak, FaultPlan, Fixture, SoakConfig};
+use pstrace::flow::IndexedMessage;
 use pstrace::stream::observed_messages;
-use pstrace::wire::{decode_with, encode_records, ProfileV1, WireRecord};
+use pstrace::wire::{decode_with, ProfileV1};
 
 #[test]
 fn seeded_soak_injects_over_10k_faults_and_survives() {
@@ -155,41 +153,21 @@ fn flight_journal_agrees_with_degradation_counters() {
 fn online_localization_matches_batch_on_every_undamaged_prefix() {
     // The scenario-1 fixture the soak replays, kept small enough to run
     // the batch DP at every prefix length.
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer = TraceBufferSpec::new(32).expect("nonzero");
-    let flow = scenario.interleaving(&model).expect("interleaves");
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .expect("selection succeeds");
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema = wirecap::wire_schema(&model, &config, buffer.width_bits()).expect("schema fits");
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..64)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1u64 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).expect("encodes");
-    let report = decode_with(&ProfileV1, &schema, &encoded.bytes, Some(encoded.bit_len));
+    let fx = Fixture::new(64).expect("fixture builds");
+    let report = decode_with(
+        &ProfileV1,
+        &fx.schema,
+        &fx.encoded.bytes,
+        Some(fx.encoded.bit_len),
+    );
     assert!(report.damaged.is_empty(), "the clean stream has no damage");
 
     let observed: Vec<IndexedMessage> = report.records.iter().map(|r| r.message).collect();
-    let selected = observed_messages(&schema);
-    let mut online = OnlineLocalizer::new(&flow, &selected, MatchMode::Prefix);
+    let selected = observed_messages(&fx.schema);
+    let mut online = OnlineLocalizer::new(&fx.flow, &selected, MatchMode::Prefix);
     for n in 1..=observed.len() {
         online.push(observed[n - 1]);
-        let batch = consistent_paths(&flow, &observed[..n], &selected, MatchMode::Prefix);
+        let batch = consistent_paths(&fx.flow, &observed[..n], &selected, MatchMode::Prefix);
         assert_eq!(
             online.consistent(),
             batch,

@@ -74,11 +74,7 @@ fn selection_and_localization_work_on_branching_flows() {
     let trace = capture(
         &model,
         &out,
-        &TraceBufferConfig {
-            messages: report.chosen.messages.clone(),
-            groups: report.packed_groups.clone(),
-            depth: None,
-        },
+        &TraceBufferConfig::from_selection(&report, None),
     );
     let consistent = consistent_paths(
         &product,

@@ -14,11 +14,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pstrace::diag::MatchMode;
-use pstrace::faults::watchdog;
-use pstrace::flow::{FlowIndex, IndexedMessage};
+use pstrace::faults::{poll_until, stable_lines, watchdog, Fixture};
 use pstrace::obs::EventKind;
-use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace::stream::durable::{
     decode_entry, wal_path, DurabilityPolicy, WalRecord, WAL_ENTRY_BYTES,
 };
@@ -27,67 +24,14 @@ use pstrace::stream::{
     connect as client_connect, replay, send_request, Replay, RetryPolicy, Server, ServerConfig,
     SessionLimits, StreamError,
 };
-use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
-
-/// A small scenario-1 capture split the way the PSTS handshake wants
-/// it: schema prefix, payload bit length, payload bytes.
-struct Capture {
-    model: Arc<SocModel>,
-    ptw: Vec<u8>,
-    schema: Vec<u8>,
-    bit_len: u64,
-    payload: Vec<u8>,
-}
-
-fn capture(records: usize) -> Capture {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer = TraceBufferSpec::new(32).unwrap();
-    let flow = scenario.interleaving(&model).unwrap();
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .unwrap();
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema = wirecap::wire_schema(&model, &config, buffer.width_bits()).unwrap();
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1u64 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).unwrap();
-    let ptw = write_ptw(model.catalog(), &schema, &encoded);
-    let (_, consumed) = read_ptw_schema(model.catalog(), &ptw).unwrap();
-    let schema_bytes = ptw[..consumed].to_vec();
-    let rest = &ptw[consumed..];
-    let bit_len = u64::from_le_bytes(rest[..8].try_into().unwrap());
-    let payload = rest[8..].to_vec();
-    Capture {
-        model: Arc::new(model),
-        ptw,
-        schema: schema_bytes,
-        bit_len,
-        payload,
-    }
-}
+use pstrace::wire::{split_ptw, PtwParts};
 
 fn connect(server: &Server) -> TcpStream {
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
+    let policy = RetryPolicy {
+        read_timeout: Duration::from_secs(10),
+        ..RetryPolicy::default()
+    };
+    client_connect(server.local_addr(), &policy).unwrap()
 }
 
 /// A scenario-1, prefix-mode resumable-session request: token 0 opens
@@ -128,9 +72,9 @@ fn durable_config(dir: &Path) -> ServerConfig {
 /// One uninterrupted resumable session over a raw socket: `token` 0
 /// opens fresh, anything else resumes. Returns the token and the final
 /// report text.
-fn run_resumable(server: &Server, cap: &Capture, token: u64, epoch: u64) -> (u64, String) {
+fn run_resumable(server: &Server, cap: &PtwParts, token: u64, epoch: u64) -> (u64, String) {
     let mut s = connect(server);
-    proto::write_request(&mut s, &resume(token, epoch, &cap.schema)).unwrap();
+    proto::write_request(&mut s, &resume(token, epoch, cap.header)).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
     let (acked, offset, _epoch) = proto::parse_resume_ack(&ack).unwrap();
     assert_eq!(offset, 0);
@@ -142,36 +86,18 @@ fn run_resumable(server: &Server, cap: &Capture, token: u64, epoch: u64) -> (u64
     (acked, proto::read_reply(&mut s).unwrap())
 }
 
-/// Everything but the wall-clock-dependent ingest line (B/s varies).
-fn stable_lines(report: &str) -> Vec<&str> {
-    report
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("ingest"))
-        .collect()
-}
-
-fn poll_until(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if check() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
-
 #[test]
 fn parked_session_resumes_across_a_daemon_restart() {
     let _guard = watchdog(Duration::from_secs(120), "crash recovery resume");
     let dir = wal_dir("resume");
-    let cap = capture(400);
+    let fx = Fixture::new(400).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
 
     // Life #1: a reference run, then a session that dies half-streamed
     // and parks. Shutting the daemon down with the session still parked
     // leaves its Open + Park group in the WAL — the crash-only property
     // is that restart and crash recovery are the same code path.
-    let first = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir)).unwrap();
+    let first = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir)).unwrap();
     let (_, uninterrupted) = run_resumable(&first, &cap, 0, 0);
     let daemon_epoch = first.epoch();
     assert_ne!(daemon_epoch, 0, "a durable daemon mints a nonzero epoch");
@@ -179,7 +105,7 @@ fn parked_session_resumes_across_a_daemon_restart() {
     let half = cap.payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&first);
-        proto::write_request(&mut s, &resume(0, 0, &cap.schema)).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, cap.header)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, offset, epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert!(token > 0);
@@ -200,7 +126,7 @@ fn parked_session_resumes_across_a_daemon_restart() {
 
     // Life #2: same WAL directory. Recovery must re-mint the same epoch,
     // re-park the journaled session, and honor the pre-crash token.
-    let second = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir)).unwrap();
+    let second = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir)).unwrap();
     assert_eq!(second.epoch(), epoch, "the epoch survives restarts");
     assert!(
         poll_until(Duration::from_secs(30), || second.snapshot().recovered >= 1),
@@ -220,7 +146,7 @@ fn parked_session_resumes_across_a_daemon_restart() {
 
     let resumed = {
         let mut s = connect(&second);
-        proto::write_request(&mut s, &resume(token, epoch, &cap.schema)).unwrap();
+        proto::write_request(&mut s, &resume(token, epoch, cap.header)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (acked, offset, acked_epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert_eq!(acked, token, "resume ack changed the token");
@@ -249,7 +175,8 @@ fn parked_session_resumes_across_a_daemon_restart() {
 fn a_budget_closed_resumable_session_is_not_recovered_after_a_restart() {
     let _guard = watchdog(Duration::from_secs(120), "crash recovery budget close");
     let dir = wal_dir("budget");
-    let cap = capture(400);
+    let fx = Fixture::new(400).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
     let config = ServerConfig {
         limits: SessionLimits {
             max_bytes: Some(16),
@@ -257,9 +184,9 @@ fn a_budget_closed_resumable_session_is_not_recovered_after_a_restart() {
         },
         ..durable_config(&dir)
     };
-    let server = Server::spawn(Arc::clone(&cap.model), &config).unwrap();
+    let server = Server::spawn(Arc::clone(&fx.model), &config).unwrap();
     let mut s = connect(&server);
-    proto::write_request(&mut s, &resume(0, 0, &cap.schema)).unwrap();
+    proto::write_request(&mut s, &resume(0, 0, cap.header)).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
     let (token, _, _) = proto::parse_resume_ack(&ack).unwrap();
     assert!(token > 0, "a resumable session got a token");
@@ -287,12 +214,13 @@ fn a_budget_closed_resumable_session_is_not_recovered_after_a_restart() {
 fn a_reparked_finished_session_replays_to_the_same_report() {
     let _guard = watchdog(Duration::from_secs(120), "crash recovery re-parked finish");
     let dir = wal_dir("reparked");
-    let cap = capture(400);
+    let fx = Fixture::new(400).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
 
     // Life #1: finish resumable sessions until each of the two shards
     // has finished one; each shard's journal then ends in that session's
     // Complete.
-    let first = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir)).unwrap();
+    let first = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir)).unwrap();
     let epoch = first.epoch();
     let mut finished: [Option<(u64, String)>; 2] = [None, None];
     for _ in 0..16 {
@@ -338,7 +266,7 @@ fn a_reparked_finished_session_replays_to_the_same_report() {
         resume_grace: Duration::from_secs(3),
         ..durable_config(&dir)
     };
-    let second = Server::spawn(Arc::clone(&cap.model), &config).unwrap();
+    let second = Server::spawn(Arc::clone(&fx.model), &config).unwrap();
     assert!(
         poll_until(Duration::from_secs(30), || second.snapshot().recovered >= 2),
         "the finished sessions were not re-parked: {:?}",
@@ -372,7 +300,7 @@ fn a_reparked_finished_session_replays_to_the_same_report() {
         "the replayed session journaled its Complete"
     );
     let mut s = connect(&second);
-    proto::write_request(&mut s, &resume(untouched, epoch, &cap.schema)).unwrap();
+    proto::write_request(&mut s, &resume(untouched, epoch, cap.header)).unwrap();
     let err = proto::read_reply(&mut s).expect_err("an expired token is refused");
     assert!(
         matches!(&err, StreamError::Remote(m) if m.contains("expired resume token")),
@@ -387,8 +315,8 @@ fn a_reparked_finished_session_replays_to_the_same_report() {
 fn strict_wal_syncs_once_per_resumable_session() {
     let _guard = watchdog(Duration::from_secs(120), "strict WAL sync count");
     let dir = wal_dir("syncs");
-    let cap = capture(200);
-    let server = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir)).unwrap();
+    let fx = Fixture::new(200).unwrap();
+    let server = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir)).unwrap();
     // Each shard's fresh journal syncs its Epoch header once.
     assert!(
         poll_until(Duration::from_secs(30), || server.snapshot().fsyncs >= 2),
@@ -411,8 +339,8 @@ fn strict_wal_syncs_once_per_resumable_session() {
     for _ in 0..SESSIONS {
         replay(
             |_| client_connect(addr, &plan.policy),
-            cap.model.catalog(),
-            &cap.ptw,
+            fx.model.catalog(),
+            &fx.ptw,
             &plan,
         )
         .unwrap();
@@ -430,13 +358,14 @@ fn foreign_lineage_tokens_are_shed_with_a_typed_epoch_rejection() {
     let _guard = watchdog(Duration::from_secs(120), "crash recovery epoch shed");
     let dir_a = wal_dir("lineage-a");
     let dir_b = wal_dir("lineage-b");
-    let cap = capture(200);
+    let fx = Fixture::new(200).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
 
     // A token minted by daemon A (WAL lineage A)…
-    let a = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir_a)).unwrap();
+    let a = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir_a)).unwrap();
     let (token, epoch) = {
         let mut s = connect(&a);
-        proto::write_request(&mut s, &resume(0, 0, &cap.schema)).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, cap.header)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
         (token, epoch)
@@ -446,14 +375,14 @@ fn foreign_lineage_tokens_are_shed_with_a_typed_epoch_rejection() {
     // …presented to daemon B (lineage B): splicing it into B's tables
     // would corrupt someone else's session, so B sheds it politely and
     // accounts the shed under its own reason label.
-    let b = Server::spawn(Arc::clone(&cap.model), &durable_config(&dir_b)).unwrap();
+    let b = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir_b)).unwrap();
     assert_ne!(
         b.epoch(),
         epoch,
         "distinct WAL lineages mint distinct epochs"
     );
     let mut s = connect(&b);
-    proto::write_request(&mut s, &resume(token, epoch, &cap.schema)).unwrap();
+    proto::write_request(&mut s, &resume(token, epoch, cap.header)).unwrap();
     let err = proto::read_reply(&mut s).expect_err("foreign token must be rejected");
     let msg = err.to_string();
     assert!(

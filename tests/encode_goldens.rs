@@ -10,8 +10,8 @@
 
 use pstrace::codec::ProfileV2;
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace::soc::wirecap::{self, EncodedStream, FrameProfile, ProfileV1};
-use pstrace::soc::{SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace::soc::{wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace::wire::{EncodedStream, FrameProfile, ProfileV1};
 
 /// `(scenario, dialect, depth, digest)`, in loop order.
 const GOLDENS: [(usize, &str, Option<usize>, u64); 27] = [
@@ -84,11 +84,7 @@ fn encode_events_bytes_are_pinned() {
         let out = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(7)).run();
         for (name, profile) in dialects {
             for depth in [None, Some(4), Some(1)] {
-                let config = TraceBufferConfig {
-                    messages: selection.chosen.messages.clone(),
-                    groups: selection.packed_groups.clone(),
-                    depth,
-                };
+                let config = TraceBufferConfig::from_selection(&selection, depth);
                 let schema = wirecap::wire_schema(&model, &config, buffer.width_bits())
                     .expect("schema fits buffer");
                 let stream =

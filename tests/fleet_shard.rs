@@ -6,76 +6,22 @@
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pstrace::diag::MatchMode;
-use pstrace::faults::watchdog;
-use pstrace::flow::{FlowIndex, IndexedMessage};
-use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace::faults::{poll_until, stable_lines, watchdog, Fixture};
 use pstrace::stream::proto::{self, Hello, Request};
-use pstrace::stream::{replay, send_request, Replay, Server, ServerConfig, StatsSnapshot};
-use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
-
-/// A small scenario-1 capture split the way the PSTS handshake wants
-/// it: schema prefix, payload bit length, payload bytes.
-struct Capture {
-    model: Arc<SocModel>,
-    ptw: Vec<u8>,
-    schema: Vec<u8>,
-    bit_len: u64,
-    payload: Vec<u8>,
-}
-
-fn capture(records: usize) -> Capture {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer = TraceBufferSpec::new(32).unwrap();
-    let flow = scenario.interleaving(&model).unwrap();
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .unwrap();
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema = wirecap::wire_schema(&model, &config, buffer.width_bits()).unwrap();
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1u64 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).unwrap();
-    let ptw = write_ptw(model.catalog(), &schema, &encoded);
-    let (_, consumed) = read_ptw_schema(model.catalog(), &ptw).unwrap();
-    let schema_bytes = ptw[..consumed].to_vec();
-    let rest = &ptw[consumed..];
-    let bit_len = u64::from_le_bytes(rest[..8].try_into().unwrap());
-    let payload = rest[8..].to_vec();
-    Capture {
-        model: Arc::new(model),
-        ptw,
-        schema: schema_bytes,
-        bit_len,
-        payload,
-    }
-}
+use pstrace::stream::{
+    replay, send_request, Replay, RetryPolicy, Server, ServerConfig, StatsSnapshot,
+};
+use pstrace::wire::{split_ptw, PtwParts};
 
 fn connect(server: &Server) -> TcpStream {
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
+    let policy = RetryPolicy {
+        read_timeout: Duration::from_secs(10),
+        ..RetryPolicy::default()
+    };
+    pstrace::stream::connect(server.local_addr(), &policy).unwrap()
 }
 
 /// A scenario-1, prefix-mode hello for the anonymous tenant.
@@ -90,24 +36,24 @@ fn hello(schema: &[u8]) -> Hello {
 }
 
 /// Replays the capture over one plain session in 64-byte chunks.
-fn replay_plain(server: &Server, cap: &Capture) -> Result<String, pstrace::stream::StreamError> {
+fn replay_plain(server: &Server, fx: &Fixture) -> Result<String, pstrace::stream::StreamError> {
     let plan = Replay {
         chunk_bytes: 64,
         ..Replay::new(1, MatchMode::Prefix)
     };
     let addr = server.local_addr();
     let connect = |_| pstrace::stream::connect(addr, &plan.policy);
-    replay(connect, cap.model.catalog(), &cap.ptw, &plan)
+    replay(connect, fx.model.catalog(), &fx.ptw, &plan)
 }
 
 /// One uninterrupted resumable session over a raw socket; returns the
 /// final report text.
-fn run_resumable(server: &Server, cap: &Capture) -> String {
+fn run_resumable(server: &Server, cap: &PtwParts) -> String {
     let mut s = connect(server);
     let request = Request::Resume {
         token: 0,
         epoch: 0,
-        hello: hello(&cap.schema),
+        hello: hello(cap.header),
     };
     proto::write_request(&mut s, &request).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
@@ -121,31 +67,13 @@ fn run_resumable(server: &Server, cap: &Capture) -> String {
     proto::read_reply(&mut s).unwrap()
 }
 
-/// Everything but the wall-clock-dependent ingest line (B/s varies).
-fn stable_lines(report: &str) -> Vec<&str> {
-    report
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("ingest"))
-        .collect()
-}
-
-fn poll_until(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if check() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
-
 #[test]
 fn resume_pins_the_session_across_reconnect_and_shards() {
     let _guard = watchdog(Duration::from_secs(120), "fleet resume pinning");
-    let cap = capture(400);
+    let fx = Fixture::new(400).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
     let server = Server::spawn(
-        Arc::clone(&cap.model),
+        Arc::clone(&fx.model),
         &ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             shards: 4,
@@ -167,7 +95,7 @@ fn resume_pins_the_session_across_reconnect_and_shards() {
         let request = Request::Resume {
             token: 0,
             epoch: 0,
-            hello: hello(&cap.schema),
+            hello: hello(cap.header),
         };
         proto::write_request(&mut s, &request).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
@@ -197,7 +125,7 @@ fn resume_pins_the_session_across_reconnect_and_shards() {
         let request = Request::Resume {
             token,
             epoch,
-            hello: hello(&cap.schema),
+            hello: hello(cap.header),
         };
         proto::write_request(&mut s, &request).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
@@ -232,9 +160,10 @@ fn resume_pins_the_session_across_reconnect_and_shards() {
 #[test]
 fn over_quota_tenants_are_shed_deterministically() {
     let _guard = watchdog(Duration::from_secs(120), "fleet tenant quota");
-    let cap = capture(120);
+    let fx = Fixture::new(120).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
     let server = Server::spawn(
-        Arc::clone(&cap.model),
+        Arc::clone(&fx.model),
         &ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             shards: 2,
@@ -249,7 +178,7 @@ fn over_quota_tenants_are_shed_deterministically() {
     let mut held = connect(&server);
     let tenant_7 = Hello {
         tenant: 7,
-        ..hello(&cap.schema)
+        ..hello(cap.header)
     };
     let request = Request::Resume {
         token: 0,
@@ -266,7 +195,7 @@ fn over_quota_tenants_are_shed_deterministically() {
     for _ in 0..3 {
         // `Replay::new` defaults to tenant 0 — prove the quota is
         // per-tenant by running tenant 7 raw instead.
-        replay_plain(&server, &cap).expect("tenant 0 is under quota and must be served");
+        replay_plain(&server, &fx).expect("tenant 0 is under quota and must be served");
         let mut s = connect(&server);
         proto::write_request(&mut s, &Request::Session(tenant_7.clone())).unwrap();
         s.flush().unwrap();
@@ -299,10 +228,10 @@ fn over_quota_tenants_are_shed_deterministically() {
 
 #[test]
 fn sharded_registry_merge_matches_a_single_registry_run() {
-    let cap = capture(300);
+    let fx = Fixture::new(300).unwrap();
     let run = |shards: usize| -> (StatsSnapshot, String) {
         let server = Server::spawn(
-            Arc::clone(&cap.model),
+            Arc::clone(&fx.model),
             &ServerConfig {
                 addr: "127.0.0.1:0".to_owned(),
                 shards,
@@ -311,7 +240,7 @@ fn sharded_registry_merge_matches_a_single_registry_run() {
         )
         .unwrap();
         for _ in 0..4 {
-            replay_plain(&server, &cap).unwrap();
+            replay_plain(&server, &fx).unwrap();
         }
         let exposition = pstrace::obs::render_prometheus_samples(&server.merged_samples());
         (server.shutdown(), exposition)
@@ -346,9 +275,9 @@ fn sharded_registry_merge_matches_a_single_registry_run() {
 #[test]
 fn shutdown_verb_drains_the_daemon_and_frees_the_port() {
     let _guard = watchdog(Duration::from_secs(60), "fleet shutdown drain");
-    let cap = capture(120);
+    let fx = Fixture::new(120).unwrap();
     let server = Server::spawn(
-        Arc::clone(&cap.model),
+        Arc::clone(&fx.model),
         &ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             shards: 3,
@@ -359,7 +288,7 @@ fn shutdown_verb_drains_the_daemon_and_frees_the_port() {
     let addr = server.local_addr();
 
     // A session completes before the shutdown request: normal service.
-    replay_plain(&server, &cap).unwrap();
+    replay_plain(&server, &fx).unwrap();
 
     let ack = send_request(addr, &Request::Shutdown).unwrap();
     assert!(ack.contains("draining"), "shutdown ack: {ack}");

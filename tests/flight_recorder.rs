@@ -15,91 +15,27 @@
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pstrace::codec::flight::{
     flight_catalog, flight_message_name, lifecycle_flow, lifecycle_messages, read_flight_dump,
     render_timeline,
 };
 use pstrace::diag::MatchMode;
-use pstrace::faults::{run_soak, watchdog, FaultPlan, SoakConfig};
+use pstrace::faults::{poll_until, run_soak, watchdog, FaultPlan, Fixture, SoakConfig};
 use pstrace::flow::{FlowIndex, IndexedMessage};
 use pstrace::mine::{evaluate, ExecutionLog, LogRecord, Miner, MiningConfig};
 use pstrace::obs::EventKind;
-use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
 use pstrace::stream::proto::{self, Hello, Request};
-use pstrace::stream::{Server, ServerConfig};
-use pstrace::wire::{encode_records, read_ptw_schema, write_ptw, WireRecord};
-
-/// A small scenario-1 capture split the way the PSTS handshake wants
-/// it: schema prefix, payload bit length, payload bytes.
-struct Capture {
-    model: Arc<SocModel>,
-    schema: Vec<u8>,
-    bit_len: u64,
-    payload: Vec<u8>,
-}
-
-fn capture(records: usize) -> Capture {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer = TraceBufferSpec::new(32).unwrap();
-    let flow = scenario.interleaving(&model).unwrap();
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .unwrap();
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema = wirecap::wire_schema(&model, &config, buffer.width_bits()).unwrap();
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1u64 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).unwrap();
-    let ptw = write_ptw(model.catalog(), &schema, &encoded);
-    let (_, consumed) = read_ptw_schema(model.catalog(), &ptw).unwrap();
-    let schema_bytes = ptw[..consumed].to_vec();
-    let rest = &ptw[consumed..];
-    let bit_len = u64::from_le_bytes(rest[..8].try_into().unwrap());
-    let payload = rest[8..].to_vec();
-    Capture {
-        model: Arc::new(model),
-        schema: schema_bytes,
-        bit_len,
-        payload,
-    }
-}
+use pstrace::stream::{RetryPolicy, Server, ServerConfig};
+use pstrace::wire::split_ptw;
 
 fn connect(server: &Server) -> TcpStream {
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
-}
-
-fn poll_until(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if check() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
+    let policy = RetryPolicy {
+        read_timeout: Duration::from_secs(10),
+        ..RetryPolicy::default()
+    };
+    pstrace::stream::connect(server.local_addr(), &policy).unwrap()
 }
 
 /// A scenario-1, prefix-mode resumable-session request carrying trace
@@ -123,9 +59,10 @@ fn resume(token: u64, epoch: u64, trace: u64, schema: &[u8]) -> Request {
 fn trace_context_follows_a_session_across_reconnect_and_shards() {
     let _guard = watchdog(Duration::from_secs(120), "flight trace continuity");
     const TRACE: u64 = 0x7e57_f11e_0001;
-    let cap = capture(400);
+    let fx = Fixture::new(400).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
     let server = Server::spawn(
-        Arc::clone(&cap.model),
+        Arc::clone(&fx.model),
         &ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             shards: 4,
@@ -141,7 +78,7 @@ fn trace_context_follows_a_session_across_reconnect_and_shards() {
     let half = cap.payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&server);
-        proto::write_request(&mut s, &resume(0, 0, TRACE, &cap.schema)).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, TRACE, cap.header)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, offset, epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert!(token > 0);
@@ -163,7 +100,7 @@ fn trace_context_follows_a_session_across_reconnect_and_shards() {
     // the token's owner: a cross-shard handoff.
     {
         let mut s = connect(&server);
-        proto::write_request(&mut s, &resume(token, epoch, TRACE, &cap.schema)).unwrap();
+        proto::write_request(&mut s, &resume(token, epoch, TRACE, cap.header)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (acked, offset, _) = proto::parse_resume_ack(&ack).unwrap();
         assert_eq!(acked, token);
@@ -236,7 +173,8 @@ fn recovery_is_journaled_as_fr_recover_events() {
     const TRACE: u64 = 0x7e57_f11e_0002;
     let dir = std::env::temp_dir().join(format!("pstrace-flight-recover-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cap = capture(400);
+    let fx = Fixture::new(400).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         shards: 2,
@@ -249,10 +187,10 @@ fn recovery_is_journaled_as_fr_recover_events() {
 
     // Life #1: park one session mid-stream, then shut down with it
     // still parked — its Open + Park group stays journaled in the WAL.
-    let first = Server::spawn(Arc::clone(&cap.model), &config).unwrap();
+    let first = Server::spawn(Arc::clone(&fx.model), &config).unwrap();
     {
         let mut s = connect(&first);
-        proto::write_request(&mut s, &resume(0, 0, TRACE, &cap.schema)).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, TRACE, cap.header)).unwrap();
         proto::read_reply(&mut s).unwrap();
         for piece in cap.payload[..cap.payload.len() / 2].chunks(64) {
             proto::write_data(&mut s, piece).unwrap();
@@ -269,7 +207,7 @@ fn recovery_is_journaled_as_fr_recover_events() {
     // Life #2 recovers it, and the flight journal says so: lane-0
     // fr-recover events carrying the restored/replayed/skipped counts,
     // at daemon scope (trace 0), with the interned reason labels.
-    let second = Server::spawn(Arc::clone(&cap.model), &config).unwrap();
+    let second = Server::spawn(Arc::clone(&fx.model), &config).unwrap();
     assert!(
         poll_until(Duration::from_secs(30), || second.snapshot().recovered >= 1),
         "no session recovered: {:?}",

@@ -8,14 +8,13 @@ use std::sync::Arc;
 
 use pstrace::codec::{decode_ptw_payload, encode_v2, ProfileV2};
 use pstrace::diag::MatchMode;
-use pstrace::flow::{FlowIndex, IndexedMessage};
-use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace::faults::{slot_cycling_records, Fixture};
+use pstrace::soc::SocModel;
 use pstrace::stream::proto::{self, Hello, Request};
 use pstrace::stream::{connect, replay, Replay, Server, ServerConfig, StreamError};
 use pstrace::wire::{
-    decode_with, encode_records, read_ptw, read_ptw_any, write_ptw, write_ptw_with, DamageReason,
-    ProfileV1, PtwMeta, WireError, WireRecord, WireSchema,
+    decode_with, encode_records, read_ptw, read_ptw_any, split_ptw, write_ptw, write_ptw_with,
+    DamageReason, ProfileV1, PtwMeta, WireError, WireRecord, WireSchema,
 };
 
 /// Replays `ptw` as a scenario-`scenario` capture to the daemon at
@@ -34,41 +33,9 @@ fn replay_plain(
     replay(|_| connect(addr, &plan.policy), model.catalog(), ptw, &plan)
 }
 
-/// A small valid scenario-1 capture: `(schema, ptw bytes, payload bits)`.
-fn fixture(records: usize) -> (SocModel, WireSchema, Vec<u8>) {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer = TraceBufferSpec::new(32).expect("nonzero");
-    let flow = scenario.interleaving(&model).expect("interleaves");
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .expect("selection succeeds");
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema = wirecap::wire_schema(&model, &config, buffer.width_bits()).expect("schema fits");
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1u64 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).expect("encodes");
-    let ptw = write_ptw(model.catalog(), &schema, &encoded);
-    (model, schema, ptw)
-}
-
 #[test]
 fn truncated_header_is_a_typed_error() {
-    let (model, _, ptw) = fixture(40);
+    let Fixture { model, ptw, .. } = Fixture::new(40).unwrap();
     // Every truncation point inside the header must error, never panic.
     for cut in [0usize, 1, 3, 4, 5, 8, 12, 13] {
         let err = read_ptw(model.catalog(), &ptw[..cut.min(ptw.len())]);
@@ -78,7 +45,7 @@ fn truncated_header_is_a_typed_error() {
 
 #[test]
 fn garbage_catalog_names_are_a_typed_error() {
-    let (model, _, ptw) = fixture(40);
+    let Fixture { model, ptw, .. } = Fixture::new(40).unwrap();
     // Stomp the slot table (everything past the fixed 13-byte header):
     // slot names become garbage the catalog cannot resolve.
     let mut bad = ptw.clone();
@@ -97,16 +64,16 @@ fn garbage_catalog_names_are_a_typed_error() {
 
 #[test]
 fn mid_file_eof_is_a_typed_error_everywhere() {
-    let (model, _, ptw) = fixture(40);
-    let (_, consumed) = pstrace::wire::read_ptw_schema(model.catalog(), &ptw).expect("valid");
+    let Fixture { model, ptw, .. } = Fixture::new(40).unwrap();
+    let parts = split_ptw(model.catalog(), &ptw).expect("valid");
+    let consumed = parts.header.len();
 
     // Cut inside the payload-length field.
     let short_len = &ptw[..consumed + 3];
     assert!(read_ptw(model.catalog(), short_len).is_err());
 
     // Cut mid-payload: the declared bit length outruns the bytes.
-    let payload_len = ptw.len() - consumed - 8;
-    let mid = &ptw[..consumed + 8 + payload_len / 2];
+    let mid = &ptw[..consumed + 8 + parts.payload.len() / 2];
     assert!(read_ptw(model.catalog(), mid).is_err());
 
     // The replay client validates the same way before touching a socket,
@@ -122,7 +89,7 @@ fn mid_file_eof_is_a_typed_error_everywhere() {
 
 #[test]
 fn zero_length_body_decodes_to_zero_frames_and_streams_cleanly() {
-    let (model, schema, _) = fixture(1);
+    let Fixture { model, schema, .. } = Fixture::new(1).unwrap();
     let empty = encode_records(&schema, &[], None).expect("empty stream encodes");
     assert_eq!(empty.bit_len, 0);
     let ptw = write_ptw(model.catalog(), &schema, &empty);
@@ -152,20 +119,12 @@ fn zero_length_body_decodes_to_zero_frames_and_streams_cleanly() {
 
 /// A valid v2 (compressed) container over the same scenario-1 schema:
 /// `(model, schema, records, ptw bytes)`.
-fn v2_fixture(records: usize, sync_every: u16) -> (SocModel, WireSchema, Vec<WireRecord>, Vec<u8>) {
-    let (model, schema, _) = fixture(records);
-    let slots = schema.slots().to_vec();
-    let recs: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1u64 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
+fn v2_fixture(
+    records: usize,
+    sync_every: u16,
+) -> (Arc<SocModel>, WireSchema, Vec<WireRecord>, Vec<u8>) {
+    let Fixture { model, schema, .. } = Fixture::new(records).unwrap();
+    let recs = slot_cycling_records(&schema, records);
     let encoded = encode_v2(&schema, &recs, sync_every, None).expect("encodes");
     let ptw = write_ptw_with(model.catalog(), &schema, PtwMeta::v2(sync_every), &encoded);
     (model, schema, recs, ptw)
@@ -213,9 +172,7 @@ fn v2_container_is_a_typed_error_for_v1_only_readers() {
 #[test]
 fn truncated_v2_sync_block_is_bounded_damage_never_a_panic() {
     let (model, schema, recs, ptw) = v2_fixture(48, 8);
-    // Recover the payload span: schema header + 8-byte bit-length prefix.
-    let (_, _, consumed) = pstrace::wire::read_ptw_header(model.catalog(), &ptw).unwrap();
-    let payload = ptw[consumed + 8..].to_vec();
+    let payload = split_ptw(model.catalog(), &ptw).unwrap().payload.to_vec();
 
     // Chop the payload mid-block at every granularity: the decoder
     // reports the torn tail block as sync damage and keeps everything
@@ -274,7 +231,7 @@ fn v2_container_streams_to_a_live_daemon() {
 
 #[test]
 fn garbage_handshake_is_rejected_and_the_daemon_survives() {
-    let (model, _, ptw) = fixture(40);
+    let Fixture { model, ptw, .. } = Fixture::new(40).unwrap();
     let server = Server::spawn(Arc::new(SocModel::t2()), &ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 

@@ -8,16 +8,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use pstrace::diag::MatchMode;
-use pstrace::faults::{flip_wal_byte, tear_wal_tail};
-use pstrace::flow::{FlowIndex, IndexedMessage};
-use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace::soc::{wirecap, SocModel, TraceBufferConfig, UsageScenario};
+use pstrace::faults::{flip_wal_byte, tear_wal_tail, Fixture};
+use pstrace::soc::SocModel;
 use pstrace::stream::durable::{
     checkpoint_path, recover_state, render_dry_run, wal_path, write_checkpoint, DurabilityPolicy,
     RecoverError, SessionRecord, WalRecord, WalWriter, WAL_ENTRY_BYTES,
 };
 use pstrace::stream::{connect, replay, Replay, Server, ServerConfig};
-use pstrace::wire::{encode_records, write_ptw, WireRecord};
 
 fn wal_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pstrace-malwal-{tag}-{}", std::process::id()));
@@ -172,38 +169,6 @@ fn short_checkpoint_is_ignored_but_the_wal_still_replays() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A small valid scenario-1 capture for the live-daemon check.
-fn capture_ptw(records: usize) -> (SocModel, Vec<u8>) {
-    let model = SocModel::t2();
-    let scenario = UsageScenario::scenario1();
-    let buffer = TraceBufferSpec::new(32).unwrap();
-    let flow = scenario.interleaving(&model).unwrap();
-    let selection = Selector::new(&flow, SelectionConfig::new(buffer))
-        .select()
-        .unwrap();
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
-    let schema = wirecap::wire_schema(&model, &config, buffer.width_bits()).unwrap();
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1u64 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
-    let encoded = encode_records(&schema, &stream, None).unwrap();
-    let ptw = write_ptw(model.catalog(), &schema, &encoded);
-    (model, ptw)
-}
-
 #[test]
 fn garbage_journal_never_blocks_a_daemon_boot() {
     let dir = wal_dir("garbage");
@@ -212,7 +177,7 @@ fn garbage_journal_never_blocks_a_daemon_boot() {
     // restores nothing, and the daemon comes up serving.
     std::fs::write(wal_path(&dir, 0), [0xFF; 3 * WAL_ENTRY_BYTES + 7]).unwrap();
 
-    let (model, ptw) = capture_ptw(60);
+    let Fixture { model, ptw, .. } = Fixture::new(60).unwrap();
     let server = Server::spawn(
         Arc::new(SocModel::t2()),
         &ServerConfig {

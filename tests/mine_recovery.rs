@@ -174,7 +174,7 @@ fn mining_chaos_corrupted_capture_skips_frames_without_panicking() {
             &schema,
             &outcome.events,
             &config,
-            &wirecap::ProfileV1,
+            &ProfileV1,
         )
         .expect("records fit the schema");
         let mangled = corrupt_wire(

@@ -9,6 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use pstrace::diag::MatchMode;
+use pstrace::faults::stable_lines;
 use pstrace::flow::MessageId;
 use pstrace::soc::{wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig};
 use pstrace::stream::proto::{self, Hello, Request};
@@ -16,7 +17,7 @@ use pstrace::stream::{
     connect, replay, scenario_by_number, Replay, Server, ServerConfig, Session, StreamError,
     PROGRAM_CACHE_CAP,
 };
-use pstrace::wire::{read_ptw_any, write_ptw, write_ptw_schema};
+use pstrace::wire::{read_ptw_any, write_ptw, write_ptw_schema, ProfileV1};
 
 const MODES: [MatchMode; 4] = [
     MatchMode::Exact,
@@ -37,14 +38,8 @@ fn capture(model: &SocModel, n: u8, messages: &[MessageId], seed: u64) -> Vec<u8
     let schema = wirecap::wire_schema(model, &config, width).unwrap();
     let scenario = scenario_by_number(n).unwrap();
     let run = Simulator::new(model, scenario, SimConfig::with_seed(seed)).run();
-    let stream = wirecap::encode_events(
-        model.catalog(),
-        &schema,
-        &run.events,
-        &config,
-        &wirecap::ProfileV1,
-    )
-    .unwrap();
+    let stream =
+        wirecap::encode_events(model.catalog(), &schema, &run.events, &config, &ProfileV1).unwrap();
     write_ptw(model.catalog(), &schema, &stream)
 }
 
@@ -71,14 +66,6 @@ fn in_process(model: &SocModel, n: u8, mode: MatchMode, ptw: &[u8]) -> String {
         report.mode,
         report.render()
     )
-}
-
-/// Everything but the wall-clock-dependent ingest line (B/s varies).
-fn stable_lines(report: &str) -> Vec<&str> {
-    report
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("ingest"))
-        .collect()
 }
 
 /// `(hit, miss, bypass)` of `pstrace_stream_program_cache_total`.

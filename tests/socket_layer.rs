@@ -13,16 +13,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pstrace::diag::MatchMode;
-use pstrace::faults::watchdog;
-use pstrace::flow::{FlowIndex, IndexedMessage};
+use pstrace::faults::{poll_until, slot_cycling_records, stable_lines, watchdog};
 use pstrace::obs::{render_prometheus_samples, Registry};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig};
 use pstrace::stream::durable::DurabilityPolicy;
 use pstrace::stream::proto::{self, Hello, Request};
 use pstrace::stream::{
-    replay, scenario_by_number, Replay, Server, ServerConfig, Session, StreamError,
+    replay, scenario_by_number, Replay, RetryPolicy, Server, ServerConfig, Session, StreamError,
 };
-use pstrace::wire::{encode_records, read_ptw_any, read_ptw_schema, write_ptw, WireRecord};
+use pstrace::wire::{encode_records, read_ptw_any, split_ptw, write_ptw, PtwParts};
 
 /// A scenario-1 `.ptw` capture of `records` synthetic records, every
 /// other scenario message traced on a full-width lane.
@@ -40,29 +39,9 @@ fn capture(model: &SocModel, records: usize) -> Vec<u8> {
     };
     let width = messages.iter().map(|&m| model.catalog().width(m)).sum();
     let schema = wirecap::wire_schema(model, &config, width).unwrap();
-    let slots = schema.slots().to_vec();
-    let stream: Vec<WireRecord> = (0..records)
-        .map(|i| {
-            let slot = &slots[i % slots.len()];
-            WireRecord {
-                time: i as u64,
-                message: IndexedMessage::new(slot.message, FlowIndex(1 + (i % 3) as u32)),
-                value: (i as u64 * 0x9e37) & ((1u64 << slot.width) - 1),
-                partial: slot.is_partial(),
-            }
-        })
-        .collect();
+    let stream = slot_cycling_records(&schema, records);
     let encoded = encode_records(&schema, &stream, None).unwrap();
     write_ptw(model.catalog(), &schema, &encoded)
-}
-
-/// A capture split the way the PSTS handshake wants it: schema prefix,
-/// payload bit length, payload bytes.
-fn split(model: &SocModel, ptw: &[u8]) -> (Vec<u8>, u64, Vec<u8>) {
-    let (_, consumed) = read_ptw_schema(model.catalog(), ptw).unwrap();
-    let rest = &ptw[consumed..];
-    let bit_len = u64::from_le_bytes(rest[..8].try_into().unwrap());
-    (ptw[..consumed].to_vec(), bit_len, rest[8..].to_vec())
 }
 
 /// The report an in-process session renders for `ptw`, headed like the
@@ -80,21 +59,12 @@ fn in_process(model: &SocModel, ptw: &[u8]) -> String {
     )
 }
 
-/// Everything but the wall-clock-dependent ingest line (B/s varies).
-fn stable_lines(report: &str) -> Vec<&str> {
-    report
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("ingest"))
-        .collect()
-}
-
 fn connect(server: &Server) -> TcpStream {
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
+    let policy = RetryPolicy {
+        read_timeout: Duration::from_secs(10),
+        ..RetryPolicy::default()
+    };
+    pstrace::stream::connect(server.local_addr(), &policy).unwrap()
 }
 
 /// A hello for a scenario-1 capture in prefix mode.
@@ -115,17 +85,6 @@ fn resume(token: u64, epoch: u64, schema: &[u8]) -> Request {
         epoch,
         hello: hello(schema),
     }
-}
-
-fn poll_until(deadline: Duration, mut check: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        if check() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
 }
 
 fn degradations(server: &Server, path: &str) -> u64 {
@@ -175,7 +134,8 @@ fn a_silent_connection_gets_the_handshake_deadline_reply() {
 fn a_silent_resumable_session_parks_then_expires() {
     let _guard = watchdog(Duration::from_secs(60), "park then expire");
     let model = SocModel::t2();
-    let (schema, _, _) = split(&model, &capture(&model, 64));
+    let ptw = capture(&model, 64);
+    let schema = split_ptw(model.catalog(), &ptw).unwrap().header;
     let dir = wal_dir("expire");
     let server = Server::spawn(
         Arc::new(SocModel::t2()),
@@ -191,7 +151,7 @@ fn a_silent_resumable_session_parks_then_expires() {
 
     // Hello, ack, then nothing: the idle deadline parks the session.
     let mut s = connect(&server);
-    proto::write_request(&mut s, &resume(0, 0, &schema)).unwrap();
+    proto::write_request(&mut s, &resume(0, 0, schema)).unwrap();
     let ack = proto::read_reply(&mut s).unwrap();
     let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
     assert!(
@@ -214,7 +174,7 @@ fn a_silent_resumable_session_parks_then_expires() {
         "the parked session never expired"
     );
     let mut s = connect(&server);
-    proto::write_request(&mut s, &resume(token, epoch, &schema)).unwrap();
+    proto::write_request(&mut s, &resume(token, epoch, schema)).unwrap();
     let err = proto::read_reply(&mut s).expect_err("an expired token is refused");
     assert!(
         matches!(&err, StreamError::Remote(m) if m.contains("unknown or expired resume token")),
@@ -260,7 +220,12 @@ fn shutdown_with_a_silent_connection_returns_within_the_drain_timeout() {
 fn shutdown_under_sustained_load_returns_within_the_drain_timeout() {
     let _guard = watchdog(Duration::from_secs(60), "drain under load");
     let model = SocModel::t2();
-    let (schema, _, payload) = split(&model, &capture(&model, 60_000));
+    let ptw = capture(&model, 60_000);
+    let PtwParts {
+        header: schema,
+        payload,
+        ..
+    } = split_ptw(model.catalog(), &ptw).unwrap();
     let drain = Duration::from_millis(300);
     let server = Server::spawn(
         Arc::new(SocModel::t2()),
@@ -281,8 +246,8 @@ fn shutdown_under_sustained_load_returns_within_the_drain_timeout() {
         .map(|_| {
             let (mut s, schema, payload, stop) = (
                 connect(&server),
-                schema.clone(),
-                payload.clone(),
+                schema.to_vec(),
+                payload.to_vec(),
                 Arc::clone(&stop),
             );
             std::thread::spawn(move || {
@@ -323,7 +288,12 @@ fn a_pipelined_cross_shard_resume_gets_the_oracle_report() {
     let _guard = watchdog(Duration::from_secs(60), "pipelined handoff");
     let model = SocModel::t2();
     let ptw = capture(&model, 60_000);
-    let (schema, bit_len, payload) = split(&model, &ptw);
+    let PtwParts {
+        header: schema,
+        bit_len,
+        payload,
+        ..
+    } = split_ptw(model.catalog(), &ptw).unwrap();
     assert!(
         payload.len() > 256 * 1024,
         "the pipelined tail must outrun one read"
@@ -341,7 +311,7 @@ fn a_pipelined_cross_shard_resume_gets_the_oracle_report() {
     let half = payload.len() / 2;
     let (token, epoch) = {
         let mut s = connect(&server);
-        proto::write_request(&mut s, &resume(0, 0, &schema)).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, schema)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
         for piece in payload[..half].chunks(4096) {
@@ -361,7 +331,7 @@ fn a_pipelined_cross_shard_resume_gets_the_oracle_report() {
     // out in one write: the resume request, the rest of the payload and
     // FINISH.
     let mut wire = Vec::new();
-    proto::write_request(&mut wire, &resume(token, epoch, &schema)).unwrap();
+    proto::write_request(&mut wire, &resume(token, epoch, schema)).unwrap();
     for piece in payload[half..].chunks(4096) {
         proto::write_data(&mut wire, piece).unwrap();
     }
@@ -397,7 +367,12 @@ fn a_handed_off_connection_still_finishes_during_a_drain() {
     let _guard = watchdog(Duration::from_secs(60), "handoff during drain");
     let model = SocModel::t2();
     let ptw = capture(&model, 60_000);
-    let (schema, bit_len, payload) = split(&model, &ptw);
+    let PtwParts {
+        header: schema,
+        bit_len,
+        payload,
+        ..
+    } = split_ptw(model.catalog(), &ptw).unwrap();
     let server = Server::spawn(
         Arc::new(SocModel::t2()),
         &ServerConfig {
@@ -412,7 +387,7 @@ fn a_handed_off_connection_still_finishes_during_a_drain() {
     let third = payload.len() / 3;
     let (token, epoch) = {
         let mut s = connect(&server);
-        proto::write_request(&mut s, &resume(0, 0, &schema)).unwrap();
+        proto::write_request(&mut s, &resume(0, 0, schema)).unwrap();
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
         for piece in payload[..third].chunks(4096) {
@@ -428,7 +403,7 @@ fn a_handed_off_connection_still_finishes_during_a_drain() {
     );
     let mut s = connect(&server);
     let mut wire = Vec::new();
-    proto::write_request(&mut wire, &resume(token, epoch, &schema)).unwrap();
+    proto::write_request(&mut wire, &resume(token, epoch, schema)).unwrap();
     for piece in payload[third..2 * third].chunks(4096) {
         proto::write_data(&mut wire, piece).unwrap();
     }

@@ -10,7 +10,7 @@ use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace::soc::{wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig};
 use pstrace::stream::proto::Request;
 use pstrace::stream::{connect, replay, send_request, Replay, Server, ServerConfig};
-use pstrace::wire::write_ptw;
+use pstrace::wire::{write_ptw, ProfileV1};
 
 /// The localization line (`  localization    : C of T interleaved-flow
 /// paths (P%)`) of a rendered report.
@@ -41,11 +41,7 @@ fn loopback_stream_reproduces_batch_debug_localization() {
     let mut sel_config = SelectionConfig::new(TraceBufferSpec::new(32).unwrap());
     sel_config.packing = true;
     let selection = Selector::new(&interleaving, sel_config).select().unwrap();
-    let trace_config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth: None,
-    };
+    let trace_config = TraceBufferConfig::from_selection(&selection, None);
 
     let sim = Simulator::new(&model, scenario, SimConfig::with_seed(case.seed));
     let catalog = bug_catalog(&model);
@@ -62,7 +58,7 @@ fn loopback_stream_reproduces_batch_debug_localization() {
         &schema,
         &buggy.events,
         &trace_config,
-        &wirecap::ProfileV1,
+        &ProfileV1,
     )
     .unwrap();
     let ptw = write_ptw(model.catalog(), &schema, &stream);

@@ -11,14 +11,20 @@
 //!   frame boundary instead of crashing or cascading;
 //! * pushing a stream chunk by chunk is bit-identical to the one-shot
 //!   decode, in both dialects;
-//! * the `.ptw` container survives a disk round trip.
+//! * the `.ptw` container survives a disk round trip;
+//! * batch, daemon and trace buffer localize over one message set for
+//!   every selection of scenarios 1–5 at 1–48 bits, packed or not.
 
 use pstrace::codec::{ProfileV2, DEFAULT_SYNC_EVERY};
 use pstrace::faults::{corrupt_wire, FaultLedger, FaultPlan};
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
-use pstrace::soc::wirecap::{self, FrameProfile, ProfileV1};
-use pstrace::soc::{capture, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario};
-use pstrace::wire::finish_report;
+use pstrace::soc::{
+    capture, wirecap, SimConfig, Simulator, SocModel, TraceBufferConfig, UsageScenario,
+};
+use pstrace::stream::observed_messages;
+use pstrace::wire::{
+    decode_with, finish_report, read_ptw, write_ptw, FrameProfile, ProfileV1, WireSchema,
+};
 use pstrace_rng::Rng64;
 
 fn paper_scenarios() -> Vec<UsageScenario> {
@@ -37,7 +43,7 @@ fn selection_setup(
     model: &SocModel,
     scenario: &UsageScenario,
     depth: Option<usize>,
-) -> (TraceBufferConfig, wirecap::WireSchema, f64) {
+) -> (TraceBufferConfig, WireSchema, f64) {
     let buffer = TraceBufferSpec::new(32).expect("nonzero");
     let selection = Selector::new(
         &scenario.interleaving(model).expect("interleaves"),
@@ -45,11 +51,7 @@ fn selection_setup(
     )
     .select()
     .expect("selection succeeds");
-    let config = TraceBufferConfig {
-        messages: selection.chosen.messages.clone(),
-        groups: selection.packed_groups.clone(),
-        depth,
-    };
+    let config = TraceBufferConfig::from_selection(&selection, depth);
     let schema =
         wirecap::wire_schema(model, &config, buffer.width_bits()).expect("schema fits buffer");
     (config, schema, selection.utilization())
@@ -121,6 +123,47 @@ fn capture_rule_round_trips_configs_no_selection_produces() {
         assert!(report.is_clean(), "case {case}: {:?}", report.damaged);
         assert_eq!(decoded, direct, "case {case}");
     }
+}
+
+#[test]
+fn batch_and_daemon_localize_over_the_same_message_set() {
+    // The batch debugger localizes over the selection's
+    // `effective_messages`; the daemon derives its set from the wire
+    // schema (`observed_messages`); the trace buffer reports its own.
+    // All three must agree wherever a selection exists.
+    let model = SocModel::t2();
+    let mut checked = 0;
+    for scenario in paper_scenarios() {
+        let flow = scenario.interleaving(&model).expect("interleaves");
+        for width in 1..=48 {
+            for packing in [true, false] {
+                let mut sel_config = SelectionConfig::new(TraceBufferSpec::new(width).unwrap());
+                sel_config.packing = packing;
+                let Ok(selection) = Selector::new(&flow, sel_config).select() else {
+                    continue;
+                };
+                if selection.effective_messages.is_empty() {
+                    continue;
+                }
+                let config = TraceBufferConfig::from_selection(&selection, None);
+                let schema =
+                    wirecap::wire_schema(&model, &config, width).expect("selection fits its width");
+                let at = format!("{} at {width} bits, packing {packing}", scenario.name());
+                assert_eq!(
+                    observed_messages(&schema),
+                    selection.effective_messages,
+                    "{at}: daemon vs batch"
+                );
+                assert_eq!(
+                    config.observed_messages(&model),
+                    selection.effective_messages,
+                    "{at}: trace buffer vs batch"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 400, "only {checked} selections checked");
 }
 
 #[test]
@@ -211,9 +254,8 @@ fn chunked_decode_is_bit_identical_to_sequential() {
         let stream =
             wirecap::encode_events(model.catalog(), &schema, &out.events, &config, profile)
                 .expect("records fit the schema");
-        let (seq_trace, seq_report) =
-            wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), profile);
-        assert!(!seq_trace.records().is_empty());
+        let seq_report = decode_with(profile, &schema, &stream.bytes, Some(stream.bit_len));
+        assert!(!seq_report.records.is_empty());
         let mut rng = Rng64::seed_from_u64(99);
         for chunk in [1usize, 7, 256, 0] {
             let mut decoder = profile.decoder(&schema);
@@ -418,11 +460,11 @@ fn ptw_container_survives_the_disk() {
         .expect("records fit the schema");
 
     let path = std::env::temp_dir().join("pstrace_wire_roundtrip.ptw");
-    std::fs::write(&path, wirecap::write_ptw(model.catalog(), &schema, &stream)).unwrap();
+    std::fs::write(&path, write_ptw(model.catalog(), &schema, &stream)).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
-    let (schema2, stream2) = wirecap::read_ptw(model.catalog(), &bytes).expect("valid container");
+    let (schema2, stream2) = read_ptw(model.catalog(), &bytes).expect("valid container");
     assert_eq!(schema2, schema);
     assert_eq!(stream2, stream);
     let (decoded, report) =
