@@ -8,8 +8,11 @@
 //! the connection down (disconnect). All decisions draw from a forked
 //! [`Rng64`], so the fault sequence — recorded in the wrapper's
 //! [`FaultLedger`] — is a pure function of the seed and the write call
-//! sequence. Reads pass through untouched (the PSTS protocol reads only
-//! the final reply), except on a torn-down stream, which stays dead.
+//! sequence. The PSTS client writes each protocol item (request, data
+//! chunk, FINISH) in one call, so each item is one opportunity, and a
+//! split can still cut inside it. Reads (the resume ack and the reply)
+//! pass through untouched, except on a torn-down stream, which stays
+//! dead.
 
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};

@@ -161,8 +161,17 @@ pub fn connect(addr: impl ToSocketAddrs, policy: &RetryPolicy) -> io::Result<Tcp
 /// reconnect quotes the server's token and epoch and continues from the
 /// acknowledged byte offset, never re-sending acknowledged bytes and
 /// never skipping unacknowledged ones. Without one it is a plain session,
-/// which spares the daemon the ack round trip and, under strict
-/// durability, the WAL fsync of a token nobody could use.
+/// which spares the daemon the ack and, under strict durability, the WAL
+/// fsync of a token nobody could use.
+///
+/// Either kind costs one round trip when it opens fresh: the hello,
+/// the chunks and FINISH go out back to back, one write call each, and
+/// the client then reads the ack (resumable only) and the reply. Only a
+/// reconnect that quotes a token waits for its ack before sending data.
+/// The price of pipelining: when the transport dies before the client
+/// has read the first ack, the client never learns the token, so its
+/// next attempt opens fresh from byte 0 and the orphaned parked session
+/// expires after the daemon's resume grace.
 ///
 /// # Errors
 ///
@@ -229,12 +238,14 @@ where
     Err(last_err.expect("the loop makes at least one attempt"))
 }
 
-/// One attempt over an established transport: hello, the resume ack when
-/// the session is resumable, chunks from the acknowledged offset, FINISH,
-/// reply. The ack updates the request's token and epoch in place, even
-/// when the attempt then fails, so the next attempt resumes the same
-/// session — across a daemon restart too, since the epoch proves the
-/// token belongs to the same WAL lineage.
+/// One attempt over an established transport. A fresh session — plain,
+/// or resumable with token 0 — sends its hello, chunks and FINISH back
+/// to back, then reads the resume ack (resumable only) and the reply:
+/// one round trip. A resume (token ≠ 0) first waits for its ack, whose
+/// offset says where the chunks pick up. The ack updates the request's
+/// token and epoch in place, even when the attempt then fails, so the
+/// next attempt resumes the same session — across a daemon restart too,
+/// since the epoch proves the token belongs to the same WAL lineage.
 fn send_session<S: Read + Write>(
     transport: &mut S,
     request: &mut Request,
@@ -242,31 +253,25 @@ fn send_session<S: Read + Write>(
     chunk: usize,
 ) -> Result<String, StreamError> {
     let payload = ptw.payload;
+    let resuming = matches!(request, Request::Resume { token, .. } if *token != 0);
     write_request(transport, request)?;
     let mut offset = 0;
-    if let Request::Resume { token, epoch, .. } = request {
+    if resuming {
         transport.flush()?;
-        let (acked_token, acked_offset, acked_epoch) = parse_resume_ack(&read_reply(transport)?)?;
-        *token = acked_token;
-        *epoch = acked_epoch;
-        offset = usize::try_from(acked_offset)
-            .ok()
-            .filter(|&o| o <= payload.len())
-            .ok_or_else(|| {
-                StreamError::Protocol(format!("server acked an impossible offset {acked_offset}"))
-            })?;
+        offset = take_ack(transport, request, payload.len())?;
     }
     let sent = payload[offset..]
         .chunks(chunk)
         .try_for_each(|piece| write_data(transport, piece))
         .and_then(|()| write_finish(transport, ptw.bit_len))
         .and_then(|()| Ok(transport.flush()?));
-    match sent {
-        Ok(()) => read_reply(transport),
-        // A server that rejects the hello replies and closes without
-        // reading the rest, so a write can find the connection closed.
-        // Its reply, when it arrived, is the verdict; otherwise the write
-        // error stands.
+    // A server that rejects the hello replies and closes without reading
+    // the rest, so a write can find the connection closed. The answer is
+    // read all the same: an ack that arrived names the session for the
+    // next attempt, and a rejection is the verdict. Otherwise the write
+    // error stands.
+    let hung_up = match sent {
+        Ok(()) => None,
         Err(StreamError::Io(e))
             if matches!(
                 e.kind(),
@@ -275,13 +280,42 @@ fn send_session<S: Read + Write>(
                     | io::ErrorKind::ConnectionAborted
             ) =>
         {
-            match read_reply(transport) {
-                Err(verdict @ StreamError::Remote(_)) => Err(verdict),
-                _ => Err(StreamError::Io(e)),
-            }
+            Some(e)
         }
-        Err(e) => Err(e),
+        Err(e) => return Err(e),
+    };
+    // A fresh resumable session's ack is still unread.
+    let answer = if !resuming && matches!(request, Request::Resume { .. }) {
+        take_ack(transport, request, 0).and_then(|_| read_reply(transport))
+    } else {
+        read_reply(transport)
+    };
+    match (answer, hung_up) {
+        (answer, None) => answer,
+        (Err(verdict @ StreamError::Remote(_)), Some(_)) => Err(verdict),
+        (_, Some(e)) => Err(StreamError::Io(e)),
     }
+}
+
+/// Reads the resume ack, records its token and epoch in `request` and
+/// returns its offset, which must not exceed `limit`: the payload length
+/// for a resume, 0 for a fresh session, which has nothing ingested yet.
+fn take_ack<S: Read>(
+    transport: &mut S,
+    request: &mut Request,
+    limit: usize,
+) -> Result<usize, StreamError> {
+    let (acked_token, acked_offset, acked_epoch) = parse_resume_ack(&read_reply(transport)?)?;
+    if let Request::Resume { token, epoch, .. } = request {
+        *token = acked_token;
+        *epoch = acked_epoch;
+    }
+    usize::try_from(acked_offset)
+        .ok()
+        .filter(|&o| o <= limit)
+        .ok_or_else(|| {
+            StreamError::Protocol(format!("server acked an impossible offset {acked_offset}"))
+        })
 }
 
 /// [`replay`] of a default-tenant capture with a minted trace id, kept
@@ -349,23 +383,48 @@ mod tests {
     use std::net::TcpListener;
 
     use pstrace_soc::{wirecap, SocModel, TraceBufferConfig};
-    use pstrace_wire::{encode_records, write_ptw};
+    use pstrace_wire::{write_ptw, EncodedStream};
 
     use super::*;
+    use crate::proto::{decode_request, write_reply, write_resume_ack};
     use crate::proto::{REQ_SESSION, REQ_SESSION_RESUME};
     use crate::server::scenario_by_number;
 
-    /// The request kind (preamble byte 5) of every connection a replay
-    /// under `max_reconnects` opens to a listener that hangs up on each.
-    fn request_kinds(max_reconnects: u32) -> Vec<u8> {
+    /// A scenario-1 `.ptw` container around `payload` filler bytes: the
+    /// client only splits the container, it never decodes frames.
+    fn capture(payload: usize) -> (SocModel, Vec<u8>) {
         let model = SocModel::t2();
         let messages = scenario_by_number(1).unwrap().messages(&model);
         let config = TraceBufferConfig::messages_only(&messages);
         let width = messages.iter().map(|&m| model.catalog().width(m)).sum();
         let schema = wirecap::wire_schema(&model, &config, width).unwrap();
-        let encoded = encode_records(&schema, &[], None).unwrap();
-        let ptw = write_ptw(model.catalog(), &schema, &encoded);
+        let stream = EncodedStream {
+            bytes: vec![0x5a; payload],
+            bit_len: 8 * payload as u64,
+            frames: 0,
+        };
+        let ptw = write_ptw(model.catalog(), &schema, &stream);
+        (model, ptw)
+    }
 
+    /// A scenario-1 plan with `max_reconnects` (0 = a plain session) and
+    /// no backoff.
+    fn with_reconnects(max_reconnects: u32) -> Replay {
+        Replay {
+            trace: 1,
+            policy: RetryPolicy {
+                max_reconnects,
+                initial_backoff: Duration::ZERO,
+                ..RetryPolicy::default()
+            },
+            ..Replay::new(1, MatchMode::Prefix)
+        }
+    }
+
+    /// The request kind (preamble byte 5) of every connection a replay
+    /// under `max_reconnects` opens to a listener that hangs up on each.
+    fn request_kinds(max_reconnects: u32) -> Vec<u8> {
+        let (model, ptw) = capture(0);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let kinds = std::thread::spawn(move || {
@@ -378,14 +437,7 @@ mod tests {
                 })
                 .collect::<Vec<u8>>()
         });
-        let plan = Replay {
-            policy: RetryPolicy {
-                max_reconnects,
-                initial_backoff: Duration::ZERO,
-                ..RetryPolicy::default()
-            },
-            ..Replay::new(1, MatchMode::Prefix)
-        };
+        let plan = with_reconnects(max_reconnects);
         let connect = |_| connect(addr, &plan.policy);
         let result = replay(connect, model.catalog(), &ptw, &plan);
         assert!(result.is_err(), "the listener never answers");
@@ -398,19 +450,42 @@ mod tests {
         assert_eq!(request_kinds(2), [REQ_SESSION_RESUME; 3]);
     }
 
-    /// A transport whose peer takes the hello, answers `reply` and hangs
-    /// up: every later write finds the connection closed.
-    struct HangsUpAfterHello {
-        room: usize,
-        reply: io::Cursor<Vec<u8>>,
+    /// A scripted daemon. Reads return `script` in order; the first
+    /// `takes` write calls land and every later one finds the connection
+    /// closed. Like a socket that counts round trips, it notes for each
+    /// read that follows a write how many writes had landed by then.
+    struct Peer {
+        script: io::Cursor<Vec<u8>>,
+        takes: usize,
+        writes: Vec<Vec<u8>>,
+        round_trips: Vec<usize>,
+        wrote: bool,
     }
 
-    impl Write for HangsUpAfterHello {
+    impl Peer {
+        fn new(script: Vec<u8>, takes: usize) -> Peer {
+            Peer {
+                script: io::Cursor::new(script),
+                takes,
+                writes: Vec::new(),
+                round_trips: Vec::new(),
+                wrote: false,
+            }
+        }
+
+        /// The request its first write carried.
+        fn request(&self) -> Request {
+            decode_request(&self.writes[0]).unwrap().unwrap().0
+        }
+    }
+
+    impl Write for Peer {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if buf.len() > self.room {
+            if self.writes.len() == self.takes {
                 return Err(io::ErrorKind::BrokenPipe.into());
             }
-            self.room -= buf.len();
+            self.writes.push(buf.to_vec());
+            self.wrote = true;
             Ok(buf.len())
         }
 
@@ -419,51 +494,127 @@ mod tests {
         }
     }
 
-    impl Read for HangsUpAfterHello {
+    impl Read for Peer {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.reply.read(buf)
+            if std::mem::take(&mut self.wrote) {
+                self.round_trips.push(self.writes.len());
+            }
+            self.script.read(buf)
         }
+    }
+
+    fn ack(token: u64, offset: u64, epoch: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_resume_ack(&mut bytes, token, offset, epoch).unwrap();
+        bytes
+    }
+
+    fn reply(ok: bool, text: &str) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_reply(&mut bytes, ok, text).unwrap();
+        bytes
+    }
+
+    /// Replays `ptw` under `plan` to `peers`, one per attempt.
+    fn replay_to(
+        peers: &mut [Peer],
+        model: &SocModel,
+        ptw: &[u8],
+        plan: &Replay,
+    ) -> Result<String, StreamError> {
+        let mut peers = peers.iter_mut();
+        replay(
+            |_| peers.next().ok_or_else(|| io::ErrorKind::NotFound.into()),
+            model.catalog(),
+            ptw,
+            plan,
+        )
+    }
+
+    #[test]
+    fn a_fresh_resumable_replay_takes_one_round_trip() {
+        let (model, ptw) = capture(40);
+        let script = [ack(7, 0, 3), reply(true, "report")].concat();
+        let mut peers = [Peer::new(script, usize::MAX)];
+        let report = replay_to(&mut peers, &model, &ptw, &with_reconnects(2));
+        assert_eq!(report.unwrap(), "report");
+        let [peer] = &peers;
+        assert_eq!(peer.writes.len(), 3, "hello, one DATA, FINISH");
+        assert_eq!(peer.writes[1][0], crate::proto::CHUNK_DATA);
+        assert_eq!(peer.round_trips, [3], "one wait, after FINISH");
+    }
+
+    #[test]
+    fn a_broken_transport_after_the_ack_resumes_with_its_token() {
+        let (model, ptw) = capture(40);
+        let plan = Replay {
+            chunk_bytes: 16,
+            ..with_reconnects(1)
+        };
+        // The first daemon acks the hello and hangs up after one chunk;
+        // the second acks the resume at byte 16 and finishes it.
+        let mut peers = [
+            Peer::new(ack(7, 0, 3), 2),
+            Peer::new([ack(7, 16, 3), reply(true, "report")].concat(), usize::MAX),
+        ];
+        let report = replay_to(&mut peers, &model, &ptw, &plan);
+        assert_eq!(report.unwrap(), "report");
+        let [first, second] = &peers;
+        assert!(matches!(first.request(), Request::Resume { token: 0, .. }));
+        assert!(matches!(
+            second.request(),
+            Request::Resume {
+                token: 7,
+                epoch: 3,
+                ..
+            }
+        ));
+        // The resume reads its ack before any DATA byte, then sends only
+        // the unacknowledged 24 bytes.
+        assert_eq!(second.round_trips, [1, 4]);
+        let sent: usize = second.writes[1..3].iter().map(|w| w.len() - 5).sum();
+        assert_eq!(sent, 24);
+    }
+
+    #[test]
+    fn a_fresh_ack_with_a_nonzero_offset_is_a_protocol_error() {
+        let (model, ptw) = capture(40);
+        let parts = split_ptw(model.catalog(), &ptw).unwrap();
+        let mut request = Request::Resume {
+            token: 0,
+            epoch: 0,
+            hello: Hello {
+                scenario: 1,
+                mode: MatchMode::Prefix,
+                tenant: 0,
+                trace: 1,
+                schema: parts.header.to_vec(),
+            },
+        };
+        let mut peer = Peer::new([ack(7, 16, 3), reply(true, "report")].concat(), usize::MAX);
+        let result = send_session(&mut peer, &mut request, &parts, 256);
+        assert!(
+            matches!(&result, Err(StreamError::Protocol(m)) if m.contains("impossible offset 16")),
+            "{result:?}"
+        );
     }
 
     #[test]
     fn a_rejection_that_hangs_up_mid_upload_is_the_verdict() {
-        let model = SocModel::t2();
-        let messages = scenario_by_number(1).unwrap().messages(&model);
-        let config = TraceBufferConfig::messages_only(&messages);
-        let width = messages.iter().map(|&m| model.catalog().width(m)).sum();
-        let schema = wirecap::wire_schema(&model, &config, width).unwrap();
-        let encoded = encode_records(&schema, &[], None).unwrap();
-        let ptw = write_ptw(model.catalog(), &schema, &encoded);
-        let plan = Replay {
-            trace: 1,
-            ..Replay::new(9, MatchMode::Prefix)
-        };
-        let mut hello = Vec::new();
-        let request = Request::Session(Hello {
-            scenario: 9,
-            mode: MatchMode::Prefix,
-            tenant: 0,
-            trace: 1,
-            schema: split_ptw(model.catalog(), &ptw).unwrap().header.to_vec(),
-        });
-        write_request(&mut hello, &request).unwrap();
-        let mut reply = Vec::new();
-        crate::proto::write_reply(&mut reply, false, "no scenario 9").unwrap();
-
-        let transport = HangsUpAfterHello {
-            room: hello.len(),
-            reply: io::Cursor::new(reply),
-        };
-        let mut once = Some(transport);
-        let result = replay(
-            |_| Ok(once.take().expect("one attempt")),
-            model.catalog(),
-            &ptw,
-            &plan,
-        );
-        assert!(
-            matches!(&result, Err(StreamError::Remote(m)) if m.contains("no scenario 9")),
-            "{result:?}"
-        );
+        let (model, ptw) = capture(40);
+        // The daemon takes the hello, answers with its verdict in place of
+        // an ack and hangs up: the verdict is final, never retried.
+        for plan in [Replay::new(9, MatchMode::Prefix), with_reconnects(2)] {
+            let plan = Replay {
+                scenario: 9,
+                ..plan
+            };
+            let mut peers = [Peer::new(reply(false, "no scenario 9"), 1)];
+            let result = replay_to(&mut peers, &model, &ptw, &plan);
+            assert!(
+                matches!(&result, Err(StreamError::Remote(m)) if m.contains("no scenario 9")),
+                "{plan:?}: {result:?}"
+            );
+        }
     }
 }

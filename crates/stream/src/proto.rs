@@ -35,8 +35,8 @@
 //! Prometheus text exposition format.
 //!
 //! SESSION_RESUME request — like SESSION, but a resume token and the
-//! server's recovery epoch precede the hello and the server
-//! acknowledges before any chunk flows:
+//! server's recovery epoch precede the hello, and the server
+//! acknowledges the request ahead of its reply:
 //!   token        u64      0 to open a fresh resumable session, or a
 //!                         token from an earlier ack to pick up a parked
 //!                         one
@@ -46,11 +46,15 @@
 //!                         a mismatched epoch is shed politely instead
 //!                         of spliced into a stranger's session
 //!   scenario/mode/tenant/trace/schema_len/schema as in SESSION
-//! server ack (immediately, reply framing):
+//! server ack (as soon as the session is open — under `--durability`,
+//! once its token is on disk — in reply framing):
 //! `resume <token> <offset> <epoch>` — the assigned (or echoed) token,
 //! the number of payload bytes the server has already ingested, and the
-//! server's recovery epoch. The client sends `payload[offset..]` in
-//! chunks and quotes the epoch back on every reconnect. If the
+//! server's recovery epoch. A fresh session (token 0) does not wait for
+//! it: the client sends its chunks and FINISH right behind the hello,
+//! then reads the ack (offset 0) and the reply, one round trip in all.
+//! A resume (token ≠ 0) waits for the ack and sends `payload[offset..]`.
+//! The client quotes the epoch back on every reconnect. If the
 //! transport dies before FINISH, the server parks the session for a
 //! grace period; reconnecting with the token resumes at the new acked
 //! offset, and the reassembled stream is byte-identical to an
@@ -98,7 +102,7 @@ pub const REQ_SESSION: u8 = 1;
 pub const REQ_METRICS: u8 = 2;
 
 /// Request kind: a resumable session — a token precedes the hello and
-/// the server acks `resume <token> <offset>` before chunks flow.
+/// the server acks `resume <token> <offset> <epoch>` ahead of its reply.
 pub const REQ_SESSION_RESUME: u8 = 3;
 
 /// Request kind: ask the daemon to drain its shards and exit.
@@ -210,8 +214,9 @@ fn checked_schema_len(schema: &[u8]) -> Result<u32, StreamError> {
 /// Writes `request` as [`decode_request`] reads it back: the preamble,
 /// then the resume token and epoch and the hello, as the kind needs.
 ///
-/// The hello goes out field by field, one write call each, so a
-/// fault-injecting transport sees every field as its own opportunity.
+/// The request is built in one buffer and goes out in one write call,
+/// so a fault-injecting transport sees the whole request as one fault
+/// opportunity (which its split fault can still cut anywhere).
 ///
 /// # Errors
 ///
@@ -227,19 +232,22 @@ pub fn write_request(w: &mut impl Write, request: &Request) -> Result<(), Stream
     let hello = hello
         .map(|h| checked_schema_len(&h.schema).map(|len| (h, len)))
         .transpose()?;
-    w.write_all(&PROTO_MAGIC)?;
-    w.write_all(&[PROTO_VERSION, kind])?;
+    // Preamble 6, token and epoch 16, fixed hello fields 18.
+    let mut buf = Vec::with_capacity(40 + hello.map_or(0, |(h, _)| h.schema.len()));
+    buf.extend_from_slice(&PROTO_MAGIC);
+    buf.extend_from_slice(&[PROTO_VERSION, kind]);
     if let Request::Resume { token, epoch, .. } = request {
-        w.write_all(&token.to_le_bytes())?;
-        w.write_all(&epoch.to_le_bytes())?;
+        buf.extend_from_slice(&token.to_le_bytes());
+        buf.extend_from_slice(&epoch.to_le_bytes());
     }
     if let Some((h, schema_len)) = hello {
-        w.write_all(&[h.scenario, mode_to_byte(h.mode)])?;
-        w.write_all(&h.tenant.to_le_bytes())?;
-        w.write_all(&h.trace.to_le_bytes())?;
-        w.write_all(&schema_len.to_le_bytes())?;
-        w.write_all(&h.schema)?;
+        buf.extend_from_slice(&[h.scenario, mode_to_byte(h.mode)]);
+        buf.extend_from_slice(&h.tenant.to_le_bytes());
+        buf.extend_from_slice(&h.trace.to_le_bytes());
+        buf.extend_from_slice(&schema_len.to_le_bytes());
+        buf.extend_from_slice(&h.schema);
     }
+    w.write_all(&buf)?;
     Ok(())
 }
 
@@ -335,7 +343,7 @@ pub enum Chunk {
     },
 }
 
-/// Writes a data chunk.
+/// Writes a data chunk in one write call.
 ///
 /// # Errors
 ///
@@ -346,20 +354,23 @@ pub fn write_data(w: &mut impl Write, bytes: &[u8]) -> Result<(), StreamError> {
         .ok()
         .filter(|&l| l <= MAX_CHUNK_LEN)
         .ok_or_else(|| StreamError::Protocol("data chunk too large".to_owned()))?;
-    w.write_all(&[CHUNK_DATA])?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(bytes)?;
+    let mut buf = Vec::with_capacity(5 + bytes.len());
+    buf.push(CHUNK_DATA);
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(bytes);
+    w.write_all(&buf)?;
     Ok(())
 }
 
-/// Writes the finishing chunk.
+/// Writes the finishing chunk in one write call.
 ///
 /// # Errors
 ///
 /// Propagates socket write failures.
 pub fn write_finish(w: &mut impl Write, bit_len: u64) -> Result<(), StreamError> {
-    w.write_all(&[CHUNK_FINISH])?;
-    w.write_all(&bit_len.to_le_bytes())?;
+    let mut buf = [CHUNK_FINISH; 9];
+    buf[1..].copy_from_slice(&bit_len.to_le_bytes());
+    w.write_all(&buf)?;
     Ok(())
 }
 
@@ -608,15 +619,26 @@ mod tests {
     }
 
     #[test]
-    fn the_resume_hello_goes_out_as_nine_writes() {
-        let request = Request::Resume {
+    fn every_request_and_chunk_goes_out_as_one_write() {
+        let resume = Request::Resume {
             token: 1,
             epoch: 2,
             hello: hello(1, b"schema"),
         };
+        for (request, len) in [
+            (Request::Session(hello(1, b"schema")), 30),
+            (resume, 46),
+            (Request::Metrics, 6),
+            (Request::Shutdown, 6),
+        ] {
+            let mut calls = Calls::default();
+            write_request(&mut calls, &request).unwrap();
+            assert_eq!(calls.0, [len], "{request:?}");
+        }
         let mut calls = Calls::default();
-        write_request(&mut calls, &request).unwrap();
-        assert_eq!(calls.0, [4, 2, 8, 8, 2, 4, 8, 4, 6]);
+        write_data(&mut calls, &[7; 300]).unwrap();
+        write_finish(&mut calls, 99).unwrap();
+        assert_eq!(calls.0, [305, 9]);
     }
 
     #[test]

@@ -142,8 +142,10 @@ impl Link {
     }
 
     /// Writes in place, on the shard thread. Only for the resume ack: at
-    /// most 64 bytes and the first on the socket, so the empty send
-    /// buffer always takes it.
+    /// most 64 bytes and the first the daemon writes on the socket, so
+    /// the empty send buffer always takes it, even though a fresh client
+    /// is still writing its pipelined chunks and reads the ack only
+    /// after its FINISH.
     pub(crate) fn write_ack(&self, bytes: &[u8]) -> io::Result<()> {
         (&self.0.stream).write_all(bytes)
     }

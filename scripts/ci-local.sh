@@ -110,7 +110,7 @@ fi
 chaos_log="$(mktemp -t pstrace-chaos-XXXXXX.log)"
 run cargo run -q --release --locked -p pstrace-cli --bin pstrace -- \
     chaos --seed 7 --sessions 3 --intensity light --records 400 | tee "$chaos_log"
-run grep -q "fingerprint 611f2d9db8d62ded" "$chaos_log"
+run grep -q "fingerprint 723a4a71a7d393bc" "$chaos_log"
 rm -f "$chaos_log"
 
 # Fleet-soak smoke: 256 chaos-wrapped sessions from 64 concurrent clients
