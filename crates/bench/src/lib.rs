@@ -67,7 +67,6 @@ pub fn run_all_case_studies_observed(
                 buffer_bits: PAPER_BUFFER_BITS,
                 packing: true,
                 depth: None,
-                wire: false,
             },
             cs.seed,
             obs,
@@ -79,7 +78,6 @@ pub fn run_all_case_studies_observed(
                 buffer_bits: PAPER_BUFFER_BITS,
                 packing: false,
                 depth: None,
-                wire: false,
             },
             cs.seed,
             obs,

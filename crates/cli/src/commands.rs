@@ -6,12 +6,12 @@ use std::sync::Arc;
 use pstrace_bug::{bug_catalog, case_studies, BugInterceptor};
 use pstrace_codec::flight::{
     flight_catalog, flight_message_name, lifecycle_flow, lifecycle_messages, read_flight_dump,
-    render_chrome, render_timeline, FlightDump,
+    render_chrome, render_timeline,
 };
 use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_diag::{run_case_study_observed, scenario_causes, CaseStudyConfig, MatchMode};
 use pstrace_flow::{dot, path_count, FlowIndex, IndexedFlow, IndexedMessage, InterleavedFlow};
-use pstrace_mine::{evaluate, ExecutionLog, LogRecord, Miner, MiningConfig};
+use pstrace_mine::{evaluate, ExecutionLog, Miner, MiningConfig};
 use pstrace_obs::maybe_time;
 use pstrace_rtl::{prnet_select, sigset_select, simulate, RandomStimulus, UsbDesign};
 use pstrace_soc::{
@@ -76,7 +76,7 @@ fn print_help() {
     println!("                                         run Steps 1-3 message selection");
     println!("  simulate --scenario N [--seed S] [--bug ID] [--trace]");
     println!("                                         run the SoC simulator");
-    println!("  debug    --case N [--buffer BITS] [--depth D] [--no-packing] [--wire]");
+    println!("  debug    --case N [--buffer BITS] [--depth D] [--no-packing]");
     println!("                                         run a debugging case study");
     println!("  debug    --flight DUMP.ptw             localize a flight-recorder dump's");
     println!("                                         sessions against the lifecycle flow");
@@ -292,7 +292,7 @@ fn cmd_simulate(argv: &[String]) -> CmdResult {
             &outcome,
             &pstrace_soc::TraceBufferConfig::messages_only(&all),
         );
-        std::fs::write(path, pstrace_soc::tracefile::write_trace(&model, &captured))?;
+        std::fs::write(path, tracefile::write_trace(model.catalog(), &captured))?;
         println!("wrote {} records to {path}", captured.len());
     }
     Ok(())
@@ -301,7 +301,7 @@ fn cmd_simulate(argv: &[String]) -> CmdResult {
 fn cmd_debug(argv: &[String]) -> CmdResult {
     let args = Args::parse(
         argv.iter().cloned(),
-        &["no-packing", "wire", "profile"],
+        &["no-packing", "profile"],
         &["case", "buffer", "depth", "profile-json", "flight"],
     )?;
     if let Some(path) = args.option("flight") {
@@ -323,7 +323,6 @@ fn cmd_debug(argv: &[String]) -> CmdResult {
         buffer_bits: args.option_or("buffer", 32u32)?,
         packing: !args.flag("no-packing"),
         depth,
-        wire: args.flag("wire"),
     };
     let report = run_case_study_observed(&model, case, config, case.seed, obs(&profiler))?;
     print!("{}", report.render(&model));
@@ -678,7 +677,7 @@ fn cmd_trace_decode(argv: &[String]) -> CmdResult {
         );
     }
     let text = maybe_time(obs(&profiler), "render-text", || {
-        tracefile::write_trace(&model, &trace)
+        tracefile::write_trace(model.catalog(), &trace)
     });
     match args.option("out") {
         Some(path) => {
@@ -694,8 +693,9 @@ fn cmd_trace_decode(argv: &[String]) -> CmdResult {
 }
 
 /// `trace decode` fallback for flight-recorder dumps: renders the
-/// daemon's self-trace in the stock text-trace shape. When the bytes
-/// are neither dialect, the original (SoC-catalog) error is reported.
+/// daemon's self-trace through the stock text-trace writer over the
+/// flight catalog. When the bytes are neither dialect, the original
+/// (SoC-catalog) error is reported.
 fn decode_flight(bytes: &[u8], args: &Args, model_err: wirecap::WireError) -> CmdResult {
     let Ok(dump) = read_flight_dump(bytes) else {
         return Err(model_err.into());
@@ -703,30 +703,15 @@ fn decode_flight(bytes: &[u8], args: &Args, model_err: wirecap::WireError) -> Cm
     println!(
         "decoded {} v2 frames: {} records, {} damaged (flight-recorder dialect)",
         dump.frames,
-        dump.events.len(),
+        dump.records.len(),
         dump.damaged
     );
-    let mut text = String::from("# time index message value partial\n");
-    for ev in &dump.events {
-        let value = if ev.kind == pstrace_obs::EventKind::Open {
-            ev.trace
-        } else {
-            u64::from(ev.reason)
-        };
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            text,
-            "{} {} {} {:#x} 0",
-            ev.ts_ns / 1_000,
-            ev.session,
-            flight_message_name(ev.kind),
-            value
-        );
-    }
+    let trace = pstrace_soc::CapturedTrace::from_records(dump.records);
+    let text = tracefile::write_trace(&flight_catalog(), &trace);
     match args.option("out") {
         Some(path) => {
             std::fs::write(path, text)?;
-            println!("wrote {} records to {path}", dump.events.len());
+            println!("wrote {} records to {path}", trace.len());
         }
         None => print!("{text}"),
     }
@@ -1202,11 +1187,11 @@ fn cmd_mine(argv: &[String]) -> CmdResult {
         for path in args.positional() {
             let bytes = std::fs::read(path)?;
             let dump = read_flight_dump(&bytes).map_err(|e| format!("{path}: {e}"))?;
-            let log = flight_execution_log(&dump).retain_messages(&lifecycle);
+            let log = ExecutionLog::from_records(&dump.records).retain_messages(&lifecycle);
             println!(
                 "loaded {path}: {} lifecycle records of {} events",
                 log.len(),
-                dump.events.len()
+                dump.records.len()
             );
             miner.push_log(log);
         }
@@ -1340,26 +1325,6 @@ fn cmd_mine(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// One execution log per flight dump: every event becomes a record at
-/// its microsecond timestamp, grouped into flow instances by the dump's
-/// per-session ordinal (daemon-scope events stay at index 0; the
-/// lifecycle filter drops them before mining).
-fn flight_execution_log(dump: &FlightDump) -> ExecutionLog {
-    let catalog = flight_catalog();
-    let records: Vec<LogRecord> = dump
-        .events
-        .iter()
-        .filter_map(|e| {
-            let mid = catalog.get(&flight_message_name(e.kind))?;
-            Some(LogRecord {
-                time: e.ts_ns / 1_000,
-                message: IndexedMessage::new(mid, FlowIndex(e.session as u32)),
-            })
-        })
-        .collect();
-    ExecutionLog { records }
-}
-
 fn cmd_stats() -> CmdResult {
     let usb = UsbDesign::new();
     let stats = pstrace_rtl::netlist_stats(&usb.netlist);
@@ -1472,7 +1437,10 @@ mod tests {
         assert!(dispatch(&argv(&["debug", "--case", "1"])).is_ok());
         assert!(dispatch(&argv(&["debug", "--case", "3", "--depth", "4"])).is_ok());
         assert!(dispatch(&argv(&["debug", "--case", "9"])).is_err());
-        assert!(dispatch(&argv(&["debug", "--case", "2", "--wire"])).is_ok());
+        assert!(
+            dispatch(&argv(&["debug", "--case", "2", "--wire"])).is_err(),
+            "debug --wire is gone: every case study goes through the wire"
+        );
         assert!(
             dispatch(&argv(&["debug", "--case", "1", "--depth", "0"])).is_err(),
             "zero depth must be rejected before capture"

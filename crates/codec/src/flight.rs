@@ -181,9 +181,13 @@ pub fn write_flight_dump(events: &[FlightEvent], sync_every: u16) -> Result<Vec<
     ))
 }
 
-/// A decoded flight dump: reconstructed events plus decode accounting.
+/// A decoded flight dump: the decoded records, the events they
+/// reconstruct, and decode accounting.
 #[derive(Debug, Clone)]
 pub struct FlightDump {
+    /// The decoded records, in stream order — what `trace decode` prints
+    /// and `mine --flight` mines.
+    pub records: Vec<WireRecord>,
     /// The events, in stream (timestamp) order. `session` holds the
     /// flow-instance ordinal the dump assigned (0 = daemon scope) and
     /// `trace` the trace-context id recovered from the instance's
@@ -282,6 +286,7 @@ pub fn read_flight_dump(bytes: &[u8]) -> Result<FlightDump, WireError> {
         });
     }
     Ok(FlightDump {
+        records: report.records,
         events,
         frames: report.frames,
         damaged: report.damaged.len(),

@@ -483,7 +483,7 @@ pub fn scenario_causes(model: &SocModel, scenario: &UsageScenario) -> Vec<RootCa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evidence::distill;
+    use crate::evidence::{distill, Comparison};
     use pstrace_bug::{bug_catalog, case_studies, BugInterceptor};
     use pstrace_soc::{capture, SimConfig, Simulator, TraceBufferConfig};
 
@@ -527,12 +527,12 @@ mod tests {
         let golden = sim.run();
         let buggy = sim.run_with(&mut BugInterceptor::new(&model, cs.bugs(&bugs)));
         let cfg = TraceBufferConfig::messages_only(&scenario.messages(&model));
-        let ev = distill(
-            &model,
+        let comparison = Comparison::new(
             &scenario,
             &capture(&model, &golden, &cfg),
             &capture(&model, &buggy, &cfg),
         );
+        let ev = distill(&model, &scenario, &comparison);
         let causes = scenario_causes(&model, &scenario);
         let report = evaluate_causes(&causes, &ev);
         let plausible = report.plausible();
@@ -555,12 +555,12 @@ mod tests {
             let golden = sim.run();
             let buggy = sim.run_with(&mut BugInterceptor::new(&model, cs.bugs(&bugs)));
             let cfg = TraceBufferConfig::messages_only(&scenario.messages(&model));
-            let ev = distill(
-                &model,
+            let comparison = Comparison::new(
                 &scenario,
                 &capture(&model, &golden, &cfg),
                 &capture(&model, &buggy, &cfg),
             );
+            let ev = distill(&model, &scenario, &comparison);
             let report = evaluate_causes(&scenario_causes(&model, &scenario), &ev);
             let plausible = report.plausible();
             assert!(!plausible.is_empty(), "case study {}", cs.number);
@@ -615,12 +615,12 @@ mod tests {
         let golden = sim.run();
         let buggy = sim.run_with(&mut BugInterceptor::new(&model, vec![drop_reqtot]));
         let cfg = TraceBufferConfig::messages_only(&scenario.messages(&model));
-        let ev = distill(
-            &model,
+        let comparison = Comparison::new(
             &scenario,
             &capture(&model, &golden, &cfg),
             &capture(&model, &buggy, &cfg),
         );
+        let ev = distill(&model, &scenario, &comparison);
         let report = evaluate_causes(&scenario_causes(&model, &scenario), &ev);
         let plausible = report.plausible();
         // Credit starvation (cause 10) is exonerated by the healthy DMA

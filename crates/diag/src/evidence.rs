@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use pstrace_flow::{FlowIndex, MessageId};
+use pstrace_flow::{FlowIndex, IndexedMessage, MessageId};
 use pstrace_soc::{CapturedTrace, FlowKind, SocModel, UsageScenario};
 
 /// What the trace says about one `(flow, message)` witness.
@@ -32,7 +32,8 @@ pub enum Verdict {
     Absent,
     /// Known to have occurred (a later message of the instance was
     /// captured) but with unknown integrity — a corrupt tail does not say
-    /// which upstream hop corrupted it.
+    /// which upstream hop corrupted it. Also the verdict of a captured
+    /// record that has no golden value to compare with.
     Occurred,
     /// Not traced and nothing could be inferred.
     Unobserved,
@@ -76,9 +77,20 @@ impl Evidence {
         self.verdicts.iter().map(|(w, v)| (*w, *v))
     }
 
-    /// Overrides one verdict (used by the incremental investigation walk).
+    /// Overrides one verdict (used by flow-order inference).
     pub fn set(&mut self, witness: Witness, verdict: Verdict) {
         self.verdicts.insert(witness, verdict);
+    }
+
+    /// Folds one observation of `witness` in: the worse of its current
+    /// verdict and `verdict` wins (see [`worst`]). Returns the merged
+    /// verdict.
+    pub(crate) fn observe(&mut self, witness: Witness, verdict: Verdict) -> Verdict {
+        let merged = worst(self.verdict(witness), verdict);
+        if merged != Verdict::Unobserved {
+            self.verdicts.insert(witness, merged);
+        }
+        merged
     }
 
     /// Number of witnesses with a non-[`Verdict::Unobserved`] verdict.
@@ -91,22 +103,6 @@ impl Evidence {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.verdicts.is_empty()
-    }
-
-    /// Downgrades every [`Verdict::Absent`] to [`Verdict::Unobserved`].
-    ///
-    /// A circular trace buffer that wrapped cannot testify about absence:
-    /// a message missing from the surviving window may simply have been
-    /// overwritten, and the golden and buggy windows need not align. Call
-    /// this after [`distill`](crate::distill) whenever either capture hit
-    /// its depth limit, so that only positive evidence (healthy / corrupt
-    /// observations) drives cause pruning.
-    pub fn weaken_absence(&mut self) {
-        for v in self.verdicts.values_mut() {
-            if *v == Verdict::Absent {
-                *v = Verdict::Unobserved;
-            }
-        }
     }
 }
 
@@ -175,67 +171,100 @@ pub fn infer_flow_order(model: &SocModel, scenario: &UsageScenario, evidence: &m
     }
 }
 
-/// Distills evidence from a golden/buggy capture pair taken with the same
-/// trace-buffer configuration and seed, then applies
-/// [`infer_flow_order`].
-///
-/// For each `(flow kind, message)` with at least one golden record:
-/// missing buggy records → [`Verdict::Absent`]; any payload mismatch →
-/// [`Verdict::Corrupt`]; otherwise [`Verdict::Healthy`]. Witnesses never
-/// captured in the golden run get their verdict by flow-order inference or
-/// stay [`Verdict::Unobserved`].
-#[must_use]
-pub fn distill(
-    model: &SocModel,
-    scenario: &UsageScenario,
-    golden: &CapturedTrace,
-    buggy: &CapturedTrace,
-) -> Evidence {
-    let kinds = index_to_kind(scenario);
-    // Key: (witness, index, per-indexed-message position).
-    let mut golden_vals: HashMap<(Witness, FlowIndex, u32), u64> = HashMap::new();
-    let mut golden_counts: HashMap<(Witness, FlowIndex), u32> = HashMap::new();
-    for r in golden.records() {
-        let Some(&kind) = kinds.get(&r.message.index) else {
-            continue;
+/// The one golden-vs-buggy comparison: what each buggy record, and each
+/// missing one, says. [`distill`] folds it into per-witness verdicts and
+/// [`investigate`](crate::investigate) replays it step by step, so the
+/// cause report and the investigation walk read the same verdicts.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Comparison {
+    /// One verdict per buggy record of a scenario flow, in capture order:
+    /// [`Verdict::Healthy`] when the record equals the golden value at the
+    /// same position of its `(witness, instance)`, [`Verdict::Corrupt`]
+    /// when it differs, and [`Verdict::Occurred`] past the golden count.
+    /// A record with no golden counterpart only shows that the hop
+    /// happened: the golden capture may have wrapped and evicted the
+    /// value, and calling it corrupt would prune causes that predict the
+    /// hop healthy.
+    pub records: Vec<(Witness, Verdict)>,
+    /// One [`Verdict::Absent`] per `(witness, instance)` with fewer buggy
+    /// than golden records, ordered by (instance, message);
+    /// [`Verdict::Unobserved`] once [`weaken_absence`](Self::weaken_absence)
+    /// ran.
+    pub missing: Vec<(Witness, Verdict)>,
+}
+
+impl Comparison {
+    /// Compares a golden/buggy capture pair taken with the same
+    /// trace-buffer configuration and seed. Records of flow instances the
+    /// scenario does not declare are ignored.
+    #[must_use]
+    pub fn new(scenario: &UsageScenario, golden: &CapturedTrace, buggy: &CapturedTrace) -> Self {
+        let kinds = index_to_kind(scenario);
+        let key = |m: IndexedMessage| {
+            let &kind = kinds.get(&m.index)?;
+            Some((Witness::new(kind, m.message), m.index))
         };
-        let w = Witness::new(kind, r.message.message);
-        let pos = golden_counts.entry((w, r.message.index)).or_insert(0);
-        golden_vals.insert((w, r.message.index, *pos), r.value);
-        *pos += 1;
-    }
-    let mut buggy_vals: HashMap<(Witness, FlowIndex, u32), u64> = HashMap::new();
-    let mut buggy_counts: HashMap<(Witness, FlowIndex), u32> = HashMap::new();
-    for r in buggy.records() {
-        let Some(&kind) = kinds.get(&r.message.index) else {
-            continue;
-        };
-        let w = Witness::new(kind, r.message.message);
-        let pos = buggy_counts.entry((w, r.message.index)).or_insert(0);
-        buggy_vals.insert((w, r.message.index, *pos), r.value);
-        *pos += 1;
+        let mut golden_vals: HashMap<(Witness, FlowIndex), Vec<u64>> = HashMap::new();
+        for r in golden.records() {
+            if let Some(k) = key(r.message) {
+                golden_vals.entry(k).or_default().push(r.value);
+            }
+        }
+        let mut buggy_counts: HashMap<(Witness, FlowIndex), usize> = HashMap::new();
+        let mut records = Vec::new();
+        for r in buggy.records() {
+            let Some(k) = key(r.message) else {
+                continue;
+            };
+            let pos = buggy_counts.entry(k).or_insert(0);
+            let expected = golden_vals.get(&k).and_then(|vals| vals.get(*pos));
+            *pos += 1;
+            let verdict = match expected {
+                Some(&value) if value == r.value => Verdict::Healthy,
+                Some(_) => Verdict::Corrupt,
+                None => Verdict::Occurred,
+            };
+            records.push((k.0, verdict));
+        }
+        let mut missing: Vec<(Witness, FlowIndex)> = golden_vals
+            .iter()
+            .filter(|(k, vals)| buggy_counts.get(k).copied().unwrap_or(0) < vals.len())
+            .map(|(k, _)| *k)
+            .collect();
+        missing.sort_by_key(|(w, idx)| (idx.0, w.message));
+        Comparison {
+            records,
+            missing: missing
+                .into_iter()
+                .map(|(w, _)| (w, Verdict::Absent))
+                .collect(),
+        }
     }
 
-    let mut verdicts: HashMap<Witness, Verdict> = HashMap::new();
-    for (&(w, idx), &count) in &golden_counts {
-        let buggy_count = buggy_counts.get(&(w, idx)).copied().unwrap_or(0);
-        let verdict = if buggy_count < count {
-            Verdict::Absent
-        } else {
-            let mismatch =
-                (0..count).any(|p| golden_vals.get(&(w, idx, p)) != buggy_vals.get(&(w, idx, p)));
-            if mismatch {
-                Verdict::Corrupt
-            } else {
-                Verdict::Healthy
-            }
-        };
-        // Merge across instances of the same flow kind: the worst verdict
-        // wins (Absent > Corrupt > Occurred > Healthy).
-        let entry = verdicts.entry(w).or_insert(Verdict::Healthy);
-        *entry = worst(*entry, verdict);
+    /// Downgrades every absence to [`Verdict::Unobserved`]. Call it when
+    /// the *buggy* capture wrapped its circular buffer: a message missing
+    /// from the surviving window may simply have been overwritten, so only
+    /// positive evidence (healthy / corrupt records) may drive pruning. A
+    /// golden-only wrap needs nothing: it can only undercount golden
+    /// occurrences, so every absence it leaves is still a real one.
+    pub fn weaken_absence(&mut self) {
+        for (_, v) in &mut self.missing {
+            *v = Verdict::Unobserved;
+        }
     }
-    let mut evidence = Evidence { verdicts };
+}
+
+/// Folds a [`Comparison`] into one verdict per witness — the worst over
+/// all its records and absences (Absent > Corrupt > Occurred > Healthy),
+/// merged across instances of the same flow kind — then applies
+/// [`infer_flow_order`]. Witnesses the comparison never mentions get
+/// their verdict by flow-order inference or stay [`Verdict::Unobserved`].
+#[must_use]
+pub fn distill(model: &SocModel, scenario: &UsageScenario, comparison: &Comparison) -> Evidence {
+    let mut evidence = Evidence::default();
+    for &(witness, verdict) in comparison.records.iter().chain(&comparison.missing) {
+        evidence.observe(witness, verdict);
+    }
     infer_flow_order(model, scenario, &mut evidence);
     evidence
 }
@@ -256,7 +285,8 @@ pub(crate) fn worst(a: Verdict, b: Verdict) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstrace_bug::{bug_catalog, BugInterceptor};
+    use crate::causes::{evaluate_causes, scenario_causes};
+    use pstrace_bug::{bug_catalog, case_studies, BugInterceptor};
     use pstrace_soc::{capture, SimConfig, Simulator, TraceBufferConfig};
 
     fn full_selection(model: &SocModel, scenario: &UsageScenario) -> TraceBufferConfig {
@@ -271,7 +301,11 @@ mod tests {
         let out = sim.run();
         let cfg = full_selection(&model, &scenario);
         let trace = capture(&model, &out, &cfg);
-        let ev = distill(&model, &scenario, &trace, &trace);
+        let ev = distill(
+            &model,
+            &scenario,
+            &Comparison::new(&scenario, &trace, &trace),
+        );
         assert!(!ev.is_empty());
         for (_, v) in ev.iter() {
             assert_eq!(v, Verdict::Healthy);
@@ -288,12 +322,12 @@ mod tests {
         let golden = sim.run();
         let buggy = sim.run_with(&mut BugInterceptor::new(&model, vec![drop]));
         let cfg = full_selection(&model, &scenario);
-        let ev = distill(
-            &model,
+        let comparison = Comparison::new(
             &scenario,
             &capture(&model, &golden, &cfg),
             &capture(&model, &buggy, &cfg),
         );
+        let ev = distill(&model, &scenario, &comparison);
         let c = model.catalog();
         let w = |name: &str| Witness::new(FlowKind::Mondo, c.get(name).unwrap());
         assert_eq!(ev.verdict(w("reqtot")), Verdict::Absent);
@@ -314,12 +348,12 @@ mod tests {
         let golden = sim.run();
         let buggy = sim.run_with(&mut BugInterceptor::new(&model, vec![bug8]));
         let cfg = full_selection(&model, &scenario);
-        let ev = distill(
-            &model,
+        let comparison = Comparison::new(
             &scenario,
             &capture(&model, &golden, &cfg),
             &capture(&model, &buggy, &cfg),
         );
+        let ev = distill(&model, &scenario, &comparison);
         let ack = model.catalog().get("mondoacknack").unwrap();
         assert_eq!(
             ev.verdict(Witness::new(FlowKind::Mondo, ack)),
@@ -335,7 +369,11 @@ mod tests {
         let out = sim.run();
         let cfg = TraceBufferConfig::default();
         let trace = capture(&model, &out, &cfg);
-        let ev = distill(&model, &scenario, &trace, &trace);
+        let ev = distill(
+            &model,
+            &scenario,
+            &Comparison::new(&scenario, &trace, &trace),
+        );
         let reqtot = model.catalog().get("reqtot").unwrap();
         assert_eq!(
             ev.verdict(Witness::new(FlowKind::Mondo, reqtot)),
@@ -344,20 +382,81 @@ mod tests {
     }
 
     #[test]
+    fn records_past_the_golden_count_only_occurred() {
+        let model = SocModel::t2();
+        let scenario = UsageScenario::scenario1();
+        let out = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(2)).run();
+        let golden = capture(&model, &out, &full_selection(&model, &scenario));
+        let mut records = golden.records().to_vec();
+        records.push(*records.last().unwrap());
+        let buggy = CapturedTrace::from_records(records);
+        let comparison = Comparison::new(&scenario, &golden, &buggy);
+        let (last, verdicts) = comparison.records.split_last().unwrap();
+        assert_eq!(last.1, Verdict::Occurred);
+        assert!(verdicts.iter().all(|&(_, v)| v == Verdict::Healthy));
+        assert!(comparison.missing.is_empty());
+    }
+
+    #[test]
+    fn a_golden_only_wrap_adds_no_corruption_and_prunes_nothing_new() {
+        // A hang's golden run outlives its buggy run, so the golden buffer
+        // can wrap while the buggy one does not. Buggy records whose
+        // golden value was evicted must not read as corrupt: that would
+        // contradict causes predicting those hops healthy.
+        let model = SocModel::t2();
+        let bugs = bug_catalog(&model);
+        for cs in case_studies() {
+            let scenario = &cs.scenario;
+            let causes = scenario_causes(&model, scenario);
+            let sim = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(cs.seed));
+            let golden = sim.run();
+            let buggy = sim.run_with(&mut BugInterceptor::new(&model, cs.bugs(&bugs)));
+            let mut cfg = full_selection(&model, scenario);
+            let buggy = capture(&model, &buggy, &cfg);
+            let plausible = |golden: &CapturedTrace| -> Vec<u32> {
+                let comparison = Comparison::new(scenario, golden, &buggy);
+                let evidence = distill(&model, scenario, &comparison);
+                let report = evaluate_causes(&causes, &evidence);
+                report.plausible().iter().map(|c| c.id).collect()
+            };
+            let full = capture(&model, &golden, &cfg);
+            let kept = plausible(&full);
+            for depth in 1..full.len() {
+                cfg.depth = Some(depth);
+                let window = capture(&model, &golden, &cfg);
+                // The golden run against its own wrapped window: nothing
+                // deviates, evicted or not.
+                let itself = Comparison::new(scenario, &window, &full);
+                assert!(
+                    itself.records.iter().all(|&(_, v)| v != Verdict::Corrupt),
+                    "case {} golden depth {depth}",
+                    cs.number
+                );
+                let left = plausible(&window);
+                assert!(
+                    kept.iter().all(|id| left.contains(id)),
+                    "case {} golden depth {depth}: {kept:?} kept, {left:?} left",
+                    cs.number
+                );
+            }
+        }
+    }
+
+    #[test]
     fn weaken_absence_downgrades_only_absent() {
         let model = SocModel::t2();
         let c = model.catalog();
-        let mut ev = Evidence::default();
         let w1 = Witness::new(FlowKind::Mondo, c.get("reqtot").unwrap());
         let w2 = Witness::new(FlowKind::Mondo, c.get("grant").unwrap());
         let w3 = Witness::new(FlowKind::Mondo, c.get("dmusiidata").unwrap());
-        ev.set(w1, Verdict::Absent);
-        ev.set(w2, Verdict::Corrupt);
-        ev.set(w3, Verdict::Healthy);
-        ev.weaken_absence();
-        assert_eq!(ev.verdict(w1), Verdict::Unobserved);
-        assert_eq!(ev.verdict(w2), Verdict::Corrupt);
-        assert_eq!(ev.verdict(w3), Verdict::Healthy);
+        let records = vec![(w2, Verdict::Corrupt), (w3, Verdict::Healthy)];
+        let mut comparison = Comparison {
+            records: records.clone(),
+            missing: vec![(w1, Verdict::Absent)],
+        };
+        comparison.weaken_absence();
+        assert_eq!(comparison.records, records);
+        assert_eq!(comparison.missing, vec![(w1, Verdict::Unobserved)]);
     }
 
     #[test]

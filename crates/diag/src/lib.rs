@@ -11,16 +11,18 @@
 //!   record folded in at a time, touching only the states that carry
 //!   mass, bit-identical to the batch result at every prefix (the engine
 //!   behind `pstrace-stream`);
-//! * [`Evidence`] / [`distill`] — per-witness verdicts (healthy, corrupt,
-//!   absent, unobserved) from a golden/buggy capture pair;
+//! * [`Comparison`] / [`Evidence`] / [`distill`] — per-record verdicts
+//!   from a golden/buggy capture pair, folded into per-witness verdicts
+//!   (healthy, corrupt, absent, unobserved);
 //! * [`RootCause`] / [`scenario_causes`] / [`evaluate_causes`] — the
 //!   a-priori cause catalogs of Table 1 (9/8/9 causes) with conjunctive
 //!   failure signatures, and the elimination engine behind Figure 7 and
 //!   the §5.7 walkthrough;
-//! * [`investigate`] — the backtracking investigation walk producing the
-//!   Figure 6 elimination series and the Table 6 statistics;
-//! * [`run_case_study`] — the end-to-end select → inject → capture →
-//!   diagnose pipeline.
+//! * [`investigate`] — the backtracking investigation walk over the same
+//!   comparison, producing the Figure 6 elimination series and the Table
+//!   6 statistics;
+//! * [`run_case_study`] — the end-to-end select → inject → encode →
+//!   decode → diagnose pipeline.
 //!
 //! # Examples
 //!
@@ -53,7 +55,9 @@ mod walk;
 
 pub use campaign::{run_campaign, CampaignStats, Summary};
 pub use causes::{evaluate_causes, scenario_causes, CauseReport, CauseStatus, Clause, RootCause};
-pub use evidence::{distill, index_to_kind, infer_flow_order, Evidence, Verdict, Witness};
+pub use evidence::{
+    distill, index_to_kind, infer_flow_order, Comparison, Evidence, Verdict, Witness,
+};
 pub use localize::{
     consistent_paths, consistent_paths_bruteforce, localize, Localization, LocalizationStats,
     MatchMode,

@@ -1,22 +1,23 @@
-//! End-to-end case-study driver: select → simulate → inject → capture →
-//! localize → diagnose.
+//! End-to-end case-study driver: select → simulate → inject → encode →
+//! decode → localize → diagnose.
 //!
 //! This is the pipeline behind the paper's Tables 3, 6 and 7 and Figures
 //! 6–7: message selection runs over the scenario's interleaved flow under
 //! the 32-bit trace buffer, the buggy execution is captured through the
-//! selected messages only, and localization plus cause pruning are
-//! computed from that captured trace.
+//! selected messages only — encoded into wire frames and decoded back —
+//! and localization plus cause pruning are computed from that decoded
+//! trace.
 
 use pstrace_bug::{bug_catalog, detect_symptom, BugInterceptor, CaseStudy, Symptom};
 use pstrace_core::{SelectError, SelectionConfig, SelectionReport, Selector, TraceBufferSpec};
 use pstrace_obs::{maybe_time, Registry};
+use pstrace_soc::wirecap::{self, ProfileV1};
 use pstrace_soc::{
-    capture, wirecap, CapturedTrace, SimConfig, SimOutcome, Simulator, SocModel, TraceBufferConfig,
-    UsageScenario,
+    CapturedTrace, SimConfig, SimOutcome, Simulator, SocModel, TraceBufferConfig, UsageScenario,
 };
 
 use crate::causes::{evaluate_causes, scenario_causes, CauseReport};
-use crate::evidence::distill;
+use crate::evidence::{distill, Comparison};
 use crate::localize::{localize, Localization, MatchMode};
 use crate::walk::{investigate, InvestigationWalk};
 
@@ -30,11 +31,6 @@ pub struct CaseStudyConfig {
     /// Circular trace-buffer depth in entries; `None` models a streaming
     /// trace port that never wraps.
     pub depth: Option<usize>,
-    /// Route captures through the bit-level wire codec: encode the event
-    /// stream into frames, decode it back, and debug from the *decoded*
-    /// trace — exercising the full `decode(encode(x)) == capture(x)`
-    /// contract on every run.
-    pub wire: bool,
 }
 
 impl Default for CaseStudyConfig {
@@ -43,7 +39,6 @@ impl Default for CaseStudyConfig {
             buffer_bits: 32,
             packing: true,
             depth: None,
-            wire: false,
         }
     }
 }
@@ -82,9 +77,8 @@ pub struct CaseStudyReport {
     pub causes: CauseReport,
     /// The backtracking investigation walk.
     pub walk: InvestigationWalk,
-    /// Wire round-trip measurements (`Some` when the run was routed
-    /// through the codec).
-    pub wire: Option<WireTripSummary>,
+    /// Measurements of the wire round trip both captures went through.
+    pub wire: WireTripSummary,
 }
 
 impl CaseStudyReport {
@@ -137,17 +131,16 @@ impl CaseStudyReport {
             self.selection.utilization() * 100.0,
             self.selection.coverage() * 100.0
         );
-        if let Some(w) = &self.wire {
-            let _ = writeln!(
-                out,
-                "  wire round trip : {} + {} frames of {} bits, {:.2}% measured, {}",
-                w.golden_frames,
-                w.buggy_frames,
-                w.frame_bits,
-                w.measured_utilization * 100.0,
-                if w.clean { "clean" } else { "DAMAGED" }
-            );
-        }
+        let w = &self.wire;
+        let _ = writeln!(
+            out,
+            "  wire round trip : {} + {} frames of {} bits, {:.2}% measured, {}",
+            w.golden_frames,
+            w.buggy_frames,
+            w.frame_bits,
+            w.measured_utilization * 100.0,
+            if w.clean { "clean" } else { "DAMAGED" }
+        );
         match &self.symptom {
             Some(s) => {
                 let _ = writeln!(out, "  symptom         : {s}");
@@ -210,9 +203,9 @@ pub fn run_case_study_with_seed(
 
 /// [`run_case_study_with_seed`] with optional instrumentation: with a
 /// registry, every pipeline phase (`interleave`, the selection phases,
-/// `simulate-golden`, `simulate-buggy`, `capture` / `wire-trip`,
-/// `localize`, `causes`, `investigate`) is timed as a span. The report is
-/// identical with and without a registry.
+/// `simulate-golden`, `simulate-buggy`, `capture`, `localize`, `causes`,
+/// `investigate`) is timed as a span. The report is identical with and
+/// without a registry.
 ///
 /// # Errors
 ///
@@ -230,8 +223,8 @@ pub fn run_case_study_observed(
 /// [`run_case_study_observed`] with the *analysis* model decoupled from
 /// the *capture* model.
 ///
-/// The capture side (simulation, bug injection, trace capture / wire
-/// trip, cause evidence) always runs on `model` — silicon does not care
+/// The capture side (simulation, bug injection, the wire-trip capture,
+/// cause evidence) always runs on `model` — silicon does not care
 /// what spec the debugger holds. The analysis side (scenario
 /// interleaving, hence message selection and path localization) runs on
 /// `analysis`, which may substitute mined flow specifications via
@@ -274,13 +267,11 @@ pub fn run_case_study_routed(
     let buggy = maybe_time(obs, "simulate-buggy", || sim.run_with(&mut interceptor));
     let symptom = detect_symptom(&golden, &buggy);
 
-    // The trace buffer sees only the selected messages/subgroups.
+    // The trace buffer sees only the selected messages/subgroups, and
+    // every capture goes through the wire codec: the events are encoded
+    // into v1 frames, decoded back, and debugged from the decoded stream.
     let trace_config = TraceBufferConfig::from_selection(&selection, config.depth);
-    // Either capture directly at the record level, or push the events
-    // through the wire codec and debug from the decoded streams.
-    let mut wire_summary = None;
-    let (golden_capture, buggy_capture) = if config.wire {
-        let _span = obs.map(|r| r.span("wire-trip"));
+    let (golden_capture, buggy_capture, wire) = maybe_time(obs, "capture", || {
         let schema = wirecap::wire_schema(model, &trace_config, config.buffer_bits)
             .expect("a selection-derived schema fits its own buffer");
         let trip = |events: &SimOutcome| {
@@ -289,36 +280,24 @@ pub fn run_case_study_routed(
                 &schema,
                 &events.events,
                 &trace_config,
-                &wirecap::ProfileV1,
+                &ProfileV1,
             )
             .expect("simulated records fit the schema's field widths");
-            let frames = stream.frames;
-            let (trace, report) = wirecap::decode_capture(
-                &schema,
-                &stream.bytes,
-                Some(stream.bit_len),
-                &wirecap::ProfileV1,
-            );
-            (trace, frames, report.is_clean(), report.utilization())
+            let (trace, report) =
+                wirecap::decode_capture(&schema, &stream.bytes, Some(stream.bit_len), &ProfileV1);
+            (trace, stream.frames, report)
         };
-        let (golden_trace, golden_frames, golden_clean, utilization) = trip(&golden);
-        let (buggy_trace, buggy_frames, buggy_clean, _) = trip(&buggy);
-        wire_summary = Some(WireTripSummary {
+        let (golden_trace, golden_frames, golden_report) = trip(&golden);
+        let (buggy_trace, buggy_frames, buggy_report) = trip(&buggy);
+        let wire = WireTripSummary {
             frame_bits: schema.frame_bits(),
             golden_frames,
             buggy_frames,
-            measured_utilization: utilization,
-            clean: golden_clean && buggy_clean,
-        });
-        (golden_trace, buggy_trace)
-    } else {
-        maybe_time(obs, "capture", || {
-            (
-                capture(model, &golden, &trace_config),
-                capture(model, &buggy, &trace_config),
-            )
-        })
-    };
+            measured_utilization: golden_report.utilization(),
+            clean: golden_report.is_clean() && buggy_report.is_clean(),
+        };
+        (golden_trace, buggy_trace, wire)
+    });
 
     // Path localization mode: a complete capture of a complete run is
     // matched exactly; a hung run only constrains a prefix; a wrapped
@@ -341,20 +320,22 @@ pub fn run_case_study_routed(
         )
     });
 
-    // Cause pruning and the investigation walk. A wrapped buffer cannot
-    // testify about absence (the evicted window might have held the
-    // message), so absence verdicts are weakened to keep pruning sound.
-    let (causes, cause_report) = maybe_time(obs, "causes", || {
+    // Cause pruning and the investigation walk read one comparison. A
+    // wrapped buggy buffer cannot testify about absence (the evicted
+    // window might have held the message), so absence is weakened there
+    // to keep pruning sound.
+    let (causes, comparison, cause_report) = maybe_time(obs, "causes", || {
         let causes = scenario_causes(model, &scenario);
-        let mut evidence = distill(model, &scenario, &golden_capture, &buggy_capture);
+        let mut comparison = Comparison::new(&scenario, &golden_capture, &buggy_capture);
         if wrapped {
-            evidence.weaken_absence();
+            comparison.weaken_absence();
         }
+        let evidence = distill(model, &scenario, &comparison);
         let cause_report = evaluate_causes(&causes, &evidence);
-        (causes, cause_report)
+        (causes, comparison, cause_report)
     });
     let walk = maybe_time(obs, "investigate", || {
-        investigate(model, &scenario, &golden_capture, &buggy_capture, &causes)
+        investigate(model, &scenario, &comparison, &causes)
     });
 
     Ok(CaseStudyReport {
@@ -366,7 +347,7 @@ pub fn run_case_study_routed(
         localization,
         causes: cause_report,
         walk,
-        wire: wire_summary,
+        wire,
     })
 }
 
@@ -395,6 +376,14 @@ mod tests {
                 report.path_localization()
             );
             assert!(report.localization.total > 0);
+            assert!(report.wire.clean, "case {}: wire stream damaged", cs.number);
+            assert!(
+                (report.wire.measured_utilization - report.selection.utilization()).abs() < 1e-12,
+                "case {}: measured {} vs modeled {}",
+                cs.number,
+                report.wire.measured_utilization,
+                report.selection.utilization()
+            );
         }
     }
 
@@ -402,36 +391,30 @@ mod tests {
     fn observed_case_study_is_identical_and_covers_the_pipeline_phases() {
         let model = SocModel::t2();
         let cs = &case_studies()[0];
-        for wire in [false, true] {
-            let config = CaseStudyConfig {
-                wire,
-                ..CaseStudyConfig::default()
-            };
-            let plain = run_case_study(&model, cs, config).unwrap();
-            let obs = pstrace_obs::Registry::with_clock(Box::new(pstrace_obs::ManualClock::new()));
-            let observed =
-                run_case_study_observed(&model, cs, config, cs.seed, Some(&obs)).unwrap();
-            assert_eq!(plain.captured, observed.captured);
-            assert_eq!(plain.localization, observed.localization);
-            assert_eq!(plain.symptom, observed.symptom);
-            let phases: Vec<String> = obs.spans().iter().map(|s| s.name.clone()).collect();
-            let mut expected = vec![
-                "interleave",
-                "mi-cache",
-                "rank",
-                "simulate-golden",
-                "simulate-buggy",
-                "localize",
-                "causes",
-                "investigate",
-            ];
-            expected.push(if wire { "wire-trip" } else { "capture" });
-            for phase in expected {
-                assert!(
-                    phases.iter().any(|p| p == phase),
-                    "wire={wire}: missing phase {phase} in {phases:?}"
-                );
-            }
+        let config = CaseStudyConfig::default();
+        let plain = run_case_study(&model, cs, config).unwrap();
+        let obs = pstrace_obs::Registry::with_clock(Box::new(pstrace_obs::ManualClock::new()));
+        let observed = run_case_study_observed(&model, cs, config, cs.seed, Some(&obs)).unwrap();
+        assert_eq!(plain.captured, observed.captured);
+        assert_eq!(plain.localization, observed.localization);
+        assert_eq!(plain.symptom, observed.symptom);
+        assert_eq!(plain.wire, observed.wire);
+        let phases: Vec<String> = obs.spans().iter().map(|s| s.name.clone()).collect();
+        for phase in [
+            "interleave",
+            "mi-cache",
+            "rank",
+            "simulate-golden",
+            "simulate-buggy",
+            "capture",
+            "localize",
+            "causes",
+            "investigate",
+        ] {
+            assert!(
+                phases.iter().any(|p| p == phase),
+                "missing phase {phase} in {phases:?}"
+            );
         }
     }
 
@@ -446,7 +429,6 @@ mod tests {
                     buffer_bits: 32,
                     packing: true,
                     depth: None,
-                    wire: false,
                 },
             )
             .unwrap();
@@ -457,7 +439,6 @@ mod tests {
                     buffer_bits: 32,
                     packing: false,
                     depth: None,
-                    wire: false,
                 },
             )
             .unwrap();
@@ -490,6 +471,7 @@ mod tests {
         assert!(text.contains("HANG"));
         assert!(text.contains("plausible ->"));
         assert!(text.contains("root causes"));
+        assert!(text.contains("wire round trip"));
     }
 
     #[test]
@@ -507,7 +489,6 @@ mod tests {
                     buffer_bits: 32,
                     packing: true,
                     depth: Some(3),
-                    wire: false,
                 },
             )
             .unwrap();
@@ -523,45 +504,6 @@ mod tests {
                 "case {}",
                 cs.number
             );
-        }
-    }
-
-    #[test]
-    fn wire_mode_reproduces_direct_capture_exactly() {
-        // Tentpole acceptance: for every case study, debugging from the
-        // decoded wire stream is indistinguishable from debugging from the
-        // directly modeled capture.
-        let model = SocModel::t2();
-        for cs in case_studies() {
-            let direct = run_case_study(&model, &cs, CaseStudyConfig::default()).unwrap();
-            let wired = run_case_study(
-                &model,
-                &cs,
-                CaseStudyConfig {
-                    wire: true,
-                    ..CaseStudyConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(wired.captured, direct.captured, "case {}", cs.number);
-            assert_eq!(
-                wired.localization, direct.localization,
-                "case {}",
-                cs.number
-            );
-            assert_eq!(wired.symptom, direct.symptom, "case {}", cs.number);
-            let summary = wired.wire.expect("wire mode records a summary");
-            assert!(summary.clean, "case {}: wire stream damaged", cs.number);
-            assert!(
-                (summary.measured_utilization - wired.selection.utilization()).abs() < 1e-12,
-                "case {}: measured {} vs modeled {}",
-                cs.number,
-                summary.measured_utilization,
-                wired.selection.utilization()
-            );
-            assert!(direct.wire.is_none());
-            let text = wired.render(&model);
-            assert!(text.contains("wire round trip"));
         }
     }
 

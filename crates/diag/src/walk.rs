@@ -8,13 +8,10 @@
 //! per investigated message, how many candidate legal IP pairs and
 //! candidate root causes remain — the two series plotted in Figure 6.
 
-use std::collections::HashMap;
+use pstrace_soc::{IpPair, SocModel, UsageScenario};
 
-use pstrace_flow::FlowIndex;
-use pstrace_soc::{CapturedTrace, IpPair, SocModel, UsageScenario};
-
-use crate::causes::{evaluate_causes, CauseReport, RootCause};
-use crate::evidence::{index_to_kind, infer_flow_order, worst, Evidence, Verdict, Witness};
+use crate::causes::{evaluate_causes, RootCause};
+use crate::evidence::{infer_flow_order, Comparison, Evidence, Verdict, Witness};
 
 /// One step of the investigation walk.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,8 +39,8 @@ pub struct InvestigationWalk {
     pub legal_pairs: Vec<IpPair>,
     /// Distinct pairs actually touched by investigated messages.
     pub pairs_investigated: Vec<IpPair>,
-    /// Cause evaluation after all evidence is in.
-    pub final_causes: CauseReport,
+    /// Root causes considered (Figure 6(b)'s denominator).
+    pub causes_total: usize,
 }
 
 impl InvestigationWalk {
@@ -66,7 +63,7 @@ impl InvestigationWalk {
     /// The Figure 6(b) series: cumulative eliminated root causes per step.
     #[must_use]
     pub fn cause_elimination_series(&self) -> Vec<(usize, usize)> {
-        let total = self.final_causes.entries.len();
+        let total = self.causes_total;
         self.steps
             .iter()
             .map(|s| (s.step, total - s.causes_remaining))
@@ -74,85 +71,34 @@ impl InvestigationWalk {
     }
 }
 
-/// Runs the backtracking investigation over a golden/buggy capture pair.
+/// Runs the backtracking investigation over a golden/buggy
+/// [`Comparison`].
 ///
-/// The walk starts at the symptom — the last deviating record, or the end
+/// The walk starts at the symptom — the last corrupt record, or the end
 /// of the trace for hangs — proceeds backwards through the captured
-/// records, and finally checks the expected-but-absent messages (the
-/// paper's "absence of trace message X implies…" reasoning, §5.7).
+/// records, then the records after the symptom, and finally checks the
+/// expected-but-absent messages (the paper's "absence of trace message X
+/// implies…" reasoning, §5.7). Every step folds its verdict in exactly as
+/// [`distill`](crate::distill) does, so after the last step the walk's
+/// evidence is the distilled evidence.
 #[must_use]
 pub fn investigate(
     model: &SocModel,
     scenario: &UsageScenario,
-    golden: &CapturedTrace,
-    buggy: &CapturedTrace,
+    comparison: &Comparison,
     causes: &[RootCause],
 ) -> InvestigationWalk {
-    let kinds = index_to_kind(scenario);
     let legal_pairs = model.legal_ip_pairs(&scenario.messages(model));
-
-    // Organize golden records per (witness, instance) value sequences.
-    let mut golden_vals: HashMap<(Witness, FlowIndex), Vec<u64>> = HashMap::new();
-    for r in golden.records() {
-        if let Some(&kind) = kinds.get(&r.message.index) {
-            golden_vals
-                .entry((Witness::new(kind, r.message.message), r.message.index))
-                .or_default()
-                .push(r.value);
-        }
-    }
-
-    // Per-record verdicts for the buggy capture, in capture order.
-    let mut buggy_pos: HashMap<(Witness, FlowIndex), usize> = HashMap::new();
-    let mut record_verdicts: Vec<(Witness, Verdict)> = Vec::new();
-    let mut buggy_counts: HashMap<(Witness, FlowIndex), usize> = HashMap::new();
-    for r in buggy.records() {
-        let Some(&kind) = kinds.get(&r.message.index) else {
-            continue;
-        };
-        let w = Witness::new(kind, r.message.message);
-        let key = (w, r.message.index);
-        let pos = {
-            let p = buggy_pos.entry(key).or_insert(0);
-            let pos = *p;
-            *p += 1;
-            pos
-        };
-        *buggy_counts.entry(key).or_insert(0) += 1;
-        let verdict = match golden_vals.get(&key).and_then(|v| v.get(pos)) {
-            Some(&expected) if expected == r.value => Verdict::Healthy,
-            Some(_) => Verdict::Corrupt,
-            // More occurrences than golden: treat as corrupt behaviour.
-            None => Verdict::Corrupt,
-        };
-        record_verdicts.push((w, verdict));
-    }
-
-    // Investigation order: backwards from the symptom (last deviating
-    // record, else the last record), then absence checks for every
-    // expected-but-missing (witness, instance).
-    let symptom_at = record_verdicts
+    // Investigation order: backwards from the symptom (the last corrupt
+    // record, else the last record), then the records after it, then the
+    // absence checks.
+    let records = &comparison.records;
+    let symptom_end = records
         .iter()
-        .rposition(|(_, v)| *v != Verdict::Healthy)
-        .unwrap_or(record_verdicts.len().saturating_sub(1));
-    let mut order: Vec<(Witness, Verdict)> = Vec::new();
-    if !record_verdicts.is_empty() {
-        for i in (0..=symptom_at).rev() {
-            order.push(record_verdicts[i]);
-        }
-        for item in record_verdicts.iter().skip(symptom_at + 1) {
-            order.push(*item);
-        }
-    }
-    let mut absent: Vec<(Witness, FlowIndex)> = golden_vals
-        .iter()
-        .filter(|(key, vals)| buggy_counts.get(key).copied().unwrap_or(0) < vals.len())
-        .map(|(key, _)| *key)
-        .collect();
-    absent.sort_by_key(|(w, idx)| (idx.0, w.message));
-    for (w, _) in absent {
-        order.push((w, Verdict::Absent));
-    }
+        .rposition(|(_, v)| *v == Verdict::Corrupt)
+        .map_or(records.len(), |at| at + 1);
+    let (head, tail) = records.split_at(symptom_end);
+    let order = head.iter().rev().chain(tail).chain(&comparison.missing);
 
     // Replay the order, accumulating evidence and recomputing candidates.
     // Flow-order inference runs on a scratch copy at every step so that
@@ -161,9 +107,8 @@ pub fn investigate(
     let mut steps = Vec::new();
     let mut pairs_suspect: Vec<IpPair> = legal_pairs.clone();
     let mut pairs_investigated: Vec<IpPair> = Vec::new();
-    for (i, (witness, verdict)) in order.iter().enumerate() {
-        let merged = worst(evidence.verdict(*witness), *verdict);
-        evidence.set(*witness, merged);
+    for (i, &(witness, verdict)) in order.enumerate() {
+        let merged = evidence.observe(witness, verdict);
         let pair = model.endpoints(witness.message);
         if let Some(p) = pair {
             if !pairs_investigated.contains(&p) {
@@ -176,25 +121,20 @@ pub fn investigate(
         }
         let mut inferred = evidence.clone();
         infer_flow_order(model, scenario, &mut inferred);
-        let report = evaluate_causes(causes, &inferred);
         steps.push(WalkStep {
             step: i + 1,
-            witness: *witness,
-            verdict: *verdict,
+            witness,
+            verdict,
             pair,
             pairs_remaining: pairs_suspect.len(),
-            causes_remaining: report.plausible().len(),
+            causes_remaining: evaluate_causes(causes, &inferred).plausible().len(),
         });
     }
-
-    let mut inferred = evidence.clone();
-    infer_flow_order(model, scenario, &mut inferred);
-    let final_causes = evaluate_causes(causes, &inferred);
     InvestigationWalk {
         steps,
         legal_pairs,
         pairs_investigated,
-        final_causes,
+        causes_total: causes.len(),
     }
 }
 
@@ -214,10 +154,13 @@ mod tests {
         let golden = sim.run();
         let buggy = sim.run_with(&mut BugInterceptor::new(&model, cs.bugs(&bugs)));
         let cfg = TraceBufferConfig::messages_only(&scenario.messages(&model));
-        let g = capture(&model, &golden, &cfg);
-        let b = capture(&model, &buggy, &cfg);
+        let comparison = Comparison::new(
+            &scenario,
+            &capture(&model, &golden, &cfg),
+            &capture(&model, &buggy, &cfg),
+        );
         let causes = scenario_causes(&model, &scenario);
-        let walk = investigate(&model, &scenario, &g, &b, &causes);
+        let walk = investigate(&model, &scenario, &comparison, &causes);
         (model, walk)
     }
 
@@ -246,7 +189,7 @@ mod tests {
             let (_, walk) = walk_for_case(case);
             let last = walk.steps.last().unwrap();
             assert!(
-                last.causes_remaining * 2 <= walk.final_causes.entries.len(),
+                last.causes_remaining * 2 <= walk.causes_total,
                 "case {case}: too many causes remain"
             );
             assert!(
@@ -275,30 +218,6 @@ mod tests {
         assert!(
             walk.steps.iter().any(|s| s.verdict == Verdict::Absent),
             "absence reasoning missing"
-        );
-    }
-
-    #[test]
-    fn final_walk_causes_match_batch_evaluation() {
-        // The incremental walk must converge to the same cause set as the
-        // one-shot distillation of evidence.rs.
-        let model = SocModel::t2();
-        let bugs = bug_catalog(&model);
-        let cs = &case_studies()[1];
-        let scenario = cs.scenario.clone();
-        let sim = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(cs.seed));
-        let golden = sim.run();
-        let buggy = sim.run_with(&mut BugInterceptor::new(&model, cs.bugs(&bugs)));
-        let cfg = TraceBufferConfig::messages_only(&scenario.messages(&model));
-        let g = capture(&model, &golden, &cfg);
-        let b = capture(&model, &buggy, &cfg);
-        let causes = scenario_causes(&model, &scenario);
-        let walk = investigate(&model, &scenario, &g, &b, &causes);
-        let batch = crate::evidence::distill(&model, &scenario, &g, &b);
-        let batch_report = evaluate_causes(&causes, &batch);
-        assert_eq!(
-            walk.final_causes.plausible().len(),
-            batch_report.plausible().len()
         );
     }
 }

@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use pstrace_flow::{FlowIndex, IndexedMessage};
+use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
 use pstrace_wire::WireRecord;
 
 use crate::protocol::SocModel;
@@ -55,7 +55,8 @@ impl fmt::Display for TraceFileError {
 
 impl std::error::Error for TraceFileError {}
 
-/// Serializes a captured trace to the text format.
+/// Serializes a captured trace to the text format, naming messages from
+/// `catalog`.
 ///
 /// # Examples
 ///
@@ -68,16 +69,15 @@ impl std::error::Error for TraceFileError {}
 /// let siincu = model.catalog().get("siincu").unwrap();
 /// let trace = capture(&model, &out, &TraceBufferConfig::messages_only(&[siincu]));
 ///
-/// let text = tracefile::write_trace(&model, &trace);
+/// let text = tracefile::write_trace(model.catalog(), &trace);
 /// let back = tracefile::read_trace(&model, &text)?;
 /// assert_eq!(back, trace);
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn write_trace(model: &SocModel, trace: &CapturedTrace) -> String {
+pub fn write_trace(catalog: &MessageCatalog, trace: &CapturedTrace) -> String {
     use std::fmt::Write as _;
-    let catalog = model.catalog();
     let mut out = String::from("# time index message value partial\n");
     for r in trace.records() {
         let _ = writeln!(
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_everything() {
         let (model, trace) = sample();
-        let text = write_trace(&model, &trace);
+        let text = write_trace(model.catalog(), &trace);
         let back = read_trace(&model, &text).unwrap();
         assert_eq!(back, trace);
         assert!(text.starts_with('#'));
@@ -198,7 +198,7 @@ mod tests {
         };
         let trace = capture(&model, &out, &config);
         assert!(trace.records().iter().all(|r| r.partial));
-        let text = write_trace(&model, &trace);
+        let text = write_trace(model.catalog(), &trace);
         assert!(text.contains(" 1\n"), "partial flag serialized");
         assert_eq!(read_trace(&model, &text).unwrap(), trace);
     }

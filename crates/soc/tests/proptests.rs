@@ -124,7 +124,7 @@ proptest! {
             })
             .collect();
         let trace = CapturedTrace::from_records(records);
-        let text = tracefile::write_trace(&model, &trace);
+        let text = tracefile::write_trace(model.catalog(), &trace);
         let back = tracefile::read_trace(&model, &text);
         prop_assert_eq!(back, Ok(trace));
     }
@@ -149,7 +149,7 @@ proptest! {
             })
             .collect();
         let trace = CapturedTrace::from_records(records);
-        let mut lines: Vec<String> = tracefile::write_trace(&model, &trace)
+        let mut lines: Vec<String> = tracefile::write_trace(model.catalog(), &trace)
             .lines()
             .map(str::to_owned)
             .collect();

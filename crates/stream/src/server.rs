@@ -516,7 +516,7 @@ impl Drop for Server {
 fn accept_loop(listener: &TcpListener, ctx: &FleetCtx) {
     // A reader idle for as long as a connection may take to say hello
     // is surplus: it retires.
-    let mut readers = Readers::new(ctx.handshake_timeout);
+    let mut readers = Readers::new(ctx.config.handshake_timeout);
     let registry = &ctx.registries[0];
     // A failing accept(2) (EMFILE, ECONNABORTED, …) is retried under
     // capped exponential backoff, never fatal: the daemon must outlive
@@ -547,7 +547,7 @@ fn accept_loop(listener: &TcpListener, ctx: &FleetCtx) {
         backoff = initial;
         stream.set_nodelay(true).ok();
         // Bounds the reader's reply write to a peer that stopped reading.
-        stream.set_write_timeout(Some(ctx.read_timeout)).ok();
+        stream.set_write_timeout(Some(ctx.config.read_timeout)).ok();
         // Pin by connection id: the shard owns this connection for its
         // whole life (unless a resume hands it to the token's owner).
         let id = conn_id;

@@ -45,7 +45,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pstrace_codec::flight::write_flight_dump;
 use pstrace_codec::DEFAULT_SYNC_EVERY;
@@ -60,9 +60,9 @@ use crate::programs::ProgramCache;
 use crate::proto::{self, Chunk, Hello, Request};
 use crate::reader::Link;
 use crate::recover::RecoveredState;
-use crate::server::{degrade, open_session, wake_acceptor, ServerConfig, SessionLimits};
+use crate::server::{degrade, open_session, wake_acceptor, ServerConfig};
 use crate::session::Session;
-use crate::wal::{DurabilityPolicy, SessionRecord, WalRecord, WalWriter};
+use crate::wal::{SessionRecord, WalRecord, WalWriter};
 
 /// What reaches a shard: from the acceptor, a sibling shard or a
 /// connection's reader. Every variant but `Wake` names its connection by
@@ -110,29 +110,20 @@ pub(crate) struct FleetCtx {
     /// waits.
     pub settled: Condvar,
     pub governor: TenantGovernor,
-    pub read_timeout: Duration,
-    pub handshake_timeout: Duration,
-    pub resume_grace: Duration,
-    /// How long a draining shard waits for in-flight sessions.
-    pub drain_timeout: Duration,
-    pub limits: SessionLimits,
+    /// The daemon's knobs: timeouts, session limits, where flight dumps
+    /// spill, the WAL fsync policy and disk budget.
+    pub config: ServerConfig,
     /// The always-on flight recorder: lane 0 is daemon scope, lanes
     /// `1..=shards` belong to shard workers.
     pub flight: Arc<FlightRecorder>,
-    /// Where degradation-triggered and shutdown spills land (`None` =
-    /// snapshot-on-request only).
-    pub flight_dump: Option<PathBuf>,
     /// Recorder-clock time of the last automatic spill (debounce).
     pub flight_spill: AtomicU64,
     /// The recovery epoch: acked with every resume token, checked on
     /// every resume-by-token (a mismatch is shed, `resume-epoch-shed`).
     pub epoch: u64,
-    /// WAL fsync policy (`Off` = no durability layer at all).
-    pub durability: DurabilityPolicy,
-    /// Where the per-shard WALs live (`None` when durability is off).
+    /// Where the per-shard WALs live (`None` when durability is off,
+    /// whatever `config.wal_dir` says).
     pub wal_dir: Option<PathBuf>,
-    /// Per-shard WAL disk budget before rotation (bytes).
-    pub wal_budget: u64,
     /// Sessions the startup replay rebuilt, one slot per shard — each
     /// shard takes (and re-parks) its slot before its first tick.
     pub recovered: Vec<Mutex<Vec<SessionRecord>>>,
@@ -181,18 +172,11 @@ impl FleetCtx {
             waiters: Mutex::new(0),
             settled: Condvar::new(),
             governor: TenantGovernor::new(config.max_sessions, config.tenant_quota, root),
-            read_timeout: config.read_timeout,
-            handshake_timeout: config.handshake_timeout,
-            resume_grace: config.resume_grace,
-            drain_timeout: config.drain_timeout,
-            limits: config.limits,
+            config: config.clone(),
             flight: Arc::new(FlightRecorder::new(shard_count + 1, config.flight_capacity)),
-            flight_dump: config.flight_dump.clone(),
             flight_spill: AtomicU64::new(0),
             epoch,
-            durability: config.durability,
             wal_dir,
-            wal_budget: config.wal_budget,
             recovered: slots.into_iter().map(Mutex::new).collect(),
             recovered_max_token: recovered.max_token,
             listen_addr,
@@ -253,7 +237,7 @@ impl FleetCtx {
 
     /// Best-effort spill of the journal to the configured dump path.
     pub(crate) fn spill_flight(&self) {
-        if let Some(path) = &self.flight_dump {
+        if let Some(path) = &self.config.flight_dump {
             if let Ok(bytes) = self.flight_dump_bytes() {
                 let _ = std::fs::write(path, bytes);
             }
@@ -261,7 +245,7 @@ impl FleetCtx {
     }
 
     fn maybe_autospill(&self) {
-        if self.flight_dump.is_none() {
+        if self.config.flight_dump.is_none() {
             return;
         }
         let now = self.flight.now_ns();
@@ -519,8 +503,8 @@ impl Shard {
                 index,
                 shard_count,
                 ctx.epoch,
-                ctx.durability,
-                ctx.wal_budget,
+                ctx.config.durability,
+                ctx.config.wal_budget,
             )
             .map_err(|_| degrade(&registry, "wal-append-degraded"))
             .ok()
@@ -740,7 +724,7 @@ impl Shard {
 
     /// Parks a resumable session for a fresh grace period.
     fn park(&mut self, live: Live) {
-        let deadline = Instant::now() + self.ctx.resume_grace;
+        let deadline = Instant::now() + self.ctx.config.resume_grace;
         self.parked.insert(live.record.token, (live, deadline));
         self.timers.insert((deadline, Timer::Parked));
     }
@@ -847,7 +831,7 @@ impl Shard {
         match chunk {
             Chunk::Data(bytes) => {
                 live.session.push_chunk(&bytes);
-                let message = self.ctx.limits.exceeded(&live.session.metrics())?;
+                let message = self.ctx.config.limits.exceeded(&live.session.metrics())?;
                 self.note_degrade("budget-close", live.record.trace, live.record.session_id);
                 Some(Outcome::Failed {
                     reason: "budget-close",
@@ -1006,8 +990,8 @@ impl Conn {
     /// timeout.
     fn due(&self, ctx: &FleetCtx) -> Option<Instant> {
         match self.phase {
-            Phase::Request => Some(self.opened + ctx.handshake_timeout),
-            Phase::Streaming(_) => Some(self.last_progress + ctx.read_timeout),
+            Phase::Request => Some(self.opened + ctx.config.handshake_timeout),
+            Phase::Streaming(_) => Some(self.last_progress + ctx.config.read_timeout),
             Phase::Closing => None,
         }
     }
@@ -1349,7 +1333,7 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
             if !draining {
                 draining = true;
                 shell.shard.note(0, 0, EventKind::Drain, "");
-                let deadline = now + shell.shard.ctx.drain_timeout;
+                let deadline = now + shell.shard.ctx.config.drain_timeout;
                 shell.shard.timers.insert((deadline, Timer::Drain));
             }
             // A connection handed off from here still sends its bytes
@@ -1369,6 +1353,7 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
 mod tests {
     use std::collections::BTreeSet;
     use std::path::Path;
+    use std::time::Duration;
 
     use pstrace_diag::MatchMode;
     use pstrace_soc::{wirecap, SimConfig, Simulator, TraceBufferConfig};
@@ -1376,7 +1361,8 @@ mod tests {
 
     use super::*;
     use crate::recover::recover_state;
-    use crate::server::scenario_by_number;
+    use crate::server::{scenario_by_number, SessionLimits};
+    use crate::wal::DurabilityPolicy;
 
     const EPOCH: u64 = 0x5eed;
 
@@ -1553,7 +1539,7 @@ mod tests {
 
         rig.shard.expire_parked(Instant::now());
         assert_eq!(rig.shard.parked.len(), 1, "still inside its grace period");
-        let grace = rig.shard.ctx.resume_grace;
+        let grace = rig.shard.ctx.config.resume_grace;
         rig.shard
             .expire_parked(Instant::now() + grace + Duration::from_secs(1));
         assert!(rig.shard.parked.is_empty());

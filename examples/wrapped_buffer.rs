@@ -33,7 +33,6 @@ fn main() -> Result<(), Box<dyn Error>> {
                 buffer_bits: 32,
                 packing: true,
                 depth,
-                wire: false,
             },
         )?;
         println!(

@@ -8,7 +8,8 @@
 
 use pstrace::bug::{BugCategory, BugInterceptor, BugKind, BugSpec, BugTrigger};
 use pstrace::diag::{
-    consistent_paths, distill, evaluate_causes, scenario_causes, MatchMode, Verdict, Witness,
+    consistent_paths, distill, evaluate_causes, scenario_causes, Comparison, MatchMode, Verdict,
+    Witness,
 };
 use pstrace::flow::path_count;
 use pstrace::select::{SelectionConfig, Selector, TraceBufferSpec};
@@ -106,7 +107,11 @@ fn branching_flow_evidence_is_not_over_inferred() {
         .expect("some seed avoids the exclusive branch entirely");
     let out = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(seed)).run();
     let trace = capture(&model, &out, &cfg);
-    let ev = distill(&model, &scenario, &trace, &trace);
+    let ev = distill(
+        &model,
+        &scenario,
+        &Comparison::new(&scenario, &trace, &trace),
+    );
     let w = |name: &str| Witness::new(FlowKind::Coherence, model.catalog().get(name).unwrap());
     assert_eq!(ev.verdict(w("gntx")), Verdict::Unobserved);
     assert_eq!(ev.verdict(w("inval")), Verdict::Unobserved);
@@ -143,12 +148,12 @@ fn diagnosing_a_coherence_bug() {
     let buggy = sim.run_with(&mut BugInterceptor::new(&model, vec![bug]));
     let all = scenario.messages(&model);
     let cfg = TraceBufferConfig::messages_only(&all);
-    let ev = distill(
-        &model,
+    let comparison = Comparison::new(
         &scenario,
         &capture(&model, &golden, &cfg),
         &capture(&model, &buggy, &cfg),
     );
+    let ev = distill(&model, &scenario, &comparison);
     let causes = scenario_causes(&model, &scenario);
     let report = evaluate_causes(&causes, &ev);
     let plausible = report.plausible();

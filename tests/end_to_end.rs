@@ -2,9 +2,12 @@
 //! localize → diagnose pipeline across every case study, asserting the
 //! qualitative shape of the paper's Tables 3 and 6 and Figures 6 and 7.
 
-use pstrace::bug::{bug_catalog, case_studies, Symptom};
-use pstrace::diag::{run_case_study, CaseStudyConfig};
-use pstrace::soc::SocModel;
+use pstrace::bug::{bug_catalog, case_studies, BugInterceptor, Symptom};
+use pstrace::diag::{
+    distill, evaluate_causes, run_case_study, scenario_causes, CaseStudyConfig, Comparison,
+    RootCause,
+};
+use pstrace::soc::{capture, SimConfig, Simulator, SocModel, TraceBufferConfig};
 
 #[test]
 fn table_3_shape_holds() {
@@ -17,7 +20,6 @@ fn table_3_shape_holds() {
                 buffer_bits: 32,
                 packing: true,
                 depth: None,
-                wire: false,
             },
         )
         .expect("case study runs");
@@ -28,7 +30,6 @@ fn table_3_shape_holds() {
                 buffer_bits: 32,
                 packing: false,
                 depth: None,
-                wire: false,
             },
         )
         .expect("case study runs");
@@ -110,4 +111,54 @@ fn pipeline_is_deterministic() {
     assert_eq!(a.localization, b.localization);
     assert_eq!(a.captured, b.captured);
     assert_eq!(a.symptom, b.symptom);
+}
+
+#[test]
+fn each_case_study_debugs_what_its_trace_buffer_holds() {
+    // For every case study × packing on/off × depth {unbounded, 4, 8, 16}:
+    // the walk's last step is the report's cause set (Figure 6(b)'s last
+    // point and Figure 7 read one comparison), and both encode -> decode
+    // captures equal the modeled trace buffer over re-simulated runs,
+    // checked through the buggy capture itself and through the causes
+    // evaluated from both direct captures.
+    let model = SocModel::t2();
+    let bugs = bug_catalog(&model);
+    for cs in case_studies() {
+        let scenario = &cs.scenario;
+        let causes = scenario_causes(&model, scenario);
+        let sim = Simulator::new(&model, scenario.clone(), SimConfig::with_seed(cs.seed));
+        let golden = sim.run();
+        let buggy = sim.run_with(&mut BugInterceptor::new(&model, cs.bugs(&bugs)));
+        for packing in [true, false] {
+            for depth in [None, Some(4), Some(8), Some(16)] {
+                let config = CaseStudyConfig {
+                    buffer_bits: 32,
+                    packing,
+                    depth,
+                };
+                let report = run_case_study(&model, &cs, config).expect("case study runs");
+                let what = format!("case {} packing {packing} depth {depth:?}", cs.number);
+                let plausible = report.causes.plausible();
+                let last = report
+                    .walk
+                    .steps
+                    .last()
+                    .map_or(report.walk.causes_total, |s| s.causes_remaining);
+                assert_eq!(last, plausible.len(), "{what}");
+
+                let buffer = TraceBufferConfig::from_selection(&report.selection, depth);
+                let buggy_capture = capture(&model, &buggy, &buffer);
+                assert_eq!(report.captured, buggy_capture, "{what}");
+                let mut comparison =
+                    Comparison::new(scenario, &capture(&model, &golden, &buffer), &buggy_capture);
+                if depth.is_some_and(|d| buggy_capture.len() >= d) {
+                    comparison.weaken_absence();
+                }
+                let direct = evaluate_causes(&causes, &distill(&model, scenario, &comparison));
+                let ids = |set: Vec<&RootCause>| set.iter().map(|c| c.id).collect::<Vec<_>>();
+                assert_eq!(ids(direct.plausible()), ids(plausible), "{what}");
+                assert!(report.wire.clean, "{what}");
+            }
+        }
+    }
 }
