@@ -9,7 +9,6 @@
 //! cache-coherence instances in the paper's Figure 2 — `(c1, c2)` is
 //! excluded).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -94,12 +93,16 @@ impl Default for InterleaveConfig {
 pub struct InterleavedFlow {
     flows: Vec<IndexedFlow>,
     catalog: Arc<MessageCatalog>,
-    states: Vec<Box<[StateId]>>,
+    /// `flows.len()` component states per product state, in id order.
+    components: Vec<StateId>,
     initial: Vec<ProductStateId>,
     stop: Vec<ProductStateId>,
+    /// In discovery order, so `edges[out_start[s]..out_start[s + 1]]` leave `s`.
     edges: Vec<InterleavedEdge>,
-    out_edges: Vec<Vec<usize>>,
-    in_edges: Vec<Vec<usize>>,
+    out_start: Vec<usize>,
+    /// `in_edges[in_start[s]..in_start[s + 1]]` enter `s`, in edge order.
+    in_start: Vec<usize>,
+    in_edges: Vec<usize>,
 }
 
 impl InterleavedFlow {
@@ -114,6 +117,10 @@ impl InterleavedFlow {
 
     /// Builds the interleaving of `flows` under `config`.
     ///
+    /// States are numbered, and edges listed, in breadth-first discovery
+    /// order from the initial states (themselves in cartesian order, last
+    /// slot fastest); every consumer that sums over edges relies on it.
+    ///
     /// # Errors
     ///
     /// * [`FlowError::NoFlows`] if `flows` is empty;
@@ -124,7 +131,9 @@ impl InterleavedFlow {
     /// * [`FlowError::AtomicInitialClash`] if two instances would have to
     ///   start in atomic states;
     /// * [`FlowError::ProductTooLarge`] if the product exceeds
-    ///   `config.max_states`.
+    ///   `config.max_states`. When no initial state is atomic the
+    ///   closed-form count ([`InterleavedFlow::closed_form_size`]) is exact
+    ///   and the error is returned before any exploration.
     pub fn build_with(flows: &[IndexedFlow], config: InterleaveConfig) -> Result<Self, FlowError> {
         if flows.is_empty() {
             return Err(FlowError::NoFlows);
@@ -137,99 +146,95 @@ impl InterleavedFlow {
             return Err(FlowError::CatalogMismatch);
         }
 
-        let k = flows.len();
-        let mut states: Vec<Box<[StateId]>> = Vec::new();
-        let mut lookup: HashMap<Box<[StateId]>, ProductStateId> = HashMap::new();
-        let mut frontier: Vec<ProductStateId> = Vec::new();
-        let mut initial = Vec::new();
+        let atomic: Vec<Vec<bool>> = flows
+            .iter()
+            .map(|f| f.flow().states().map(|s| f.flow().is_atomic(s)).collect())
+            .collect();
+        let atomic_starts = flows
+            .iter()
+            .zip(&atomic)
+            .filter(|(f, a)| f.flow().initial_states().iter().any(|s| a[s.index()]))
+            .count();
+        if atomic_starts > 1 {
+            return Err(FlowError::AtomicInitialClash);
+        }
+        // With no atomic start the closed form is exact: refuse an oversize
+        // product before exploring it, and size every buffer once.
+        let (state_cap, edge_cap) = match Self::closed_form_size(flows) {
+            _ if atomic_starts > 0 => (0, 0),
+            Some((s, e)) if s <= config.max_states => (s, e),
+            _ => {
+                return Err(FlowError::ProductTooLarge {
+                    limit: config.max_states,
+                })
+            }
+        };
+        let mut store = StateStore::new(flows.len(), state_cap, config.max_states);
 
-        // Cartesian product of the initial state sets.
+        // Cartesian product of the initial state sets (each duplicate-free).
         let mut combos: Vec<Vec<StateId>> = vec![Vec::new()];
         for f in flows {
-            let mut next = Vec::new();
-            for combo in &combos {
-                for &s0 in f.flow().initial_states() {
-                    let mut c = combo.clone();
-                    c.push(s0);
-                    next.push(c);
-                }
-            }
-            combos = next;
-        }
-        for combo in combos {
-            let atomic_count = combo
+            let starts = f.flow().initial_states();
+            combos = combos
                 .iter()
-                .zip(flows)
-                .filter(|(s, f)| f.flow().is_atomic(**s))
-                .count();
-            if atomic_count > 1 {
-                return Err(FlowError::AtomicInitialClash);
-            }
-            let boxed: Box<[StateId]> = combo.into_boxed_slice();
-            let id = ProductStateId(states.len() as u32);
-            if lookup.insert(boxed.clone(), id).is_none() {
-                states.push(boxed);
-                frontier.push(id);
-                initial.push(id);
-            }
+                .flat_map(|c| starts.iter().map(move |&s| [&c[..], &[s]].concat()))
+                .collect();
+        }
+        let mut initial = Vec::with_capacity(combos.len());
+        for t in &combos {
+            let busy = t.iter().zip(&atomic).filter(|(s, a)| a[s.index()]).count();
+            initial.push(store.intern(store.key(t), t, busy as u8)?);
         }
 
-        let mut edges: Vec<InterleavedEdge> = Vec::new();
-        let mut cursor = 0usize;
-        while cursor < frontier.len() {
-            let from = frontier[cursor];
-            cursor += 1;
-            let components = states[from.index()].clone();
-            // Rule i/ii of δ_U: instance `slot` may step only if every other
-            // instance is outside its atomic set.
-            for slot in 0..k {
-                let others_non_atomic = (0..k)
-                    .filter(|&j| j != slot)
-                    .all(|j| !flows[j].flow().is_atomic(components[j]));
-                if !others_non_atomic {
+        let mut edges: Vec<InterleavedEdge> = Vec::with_capacity(edge_cap);
+        let mut out_start = Vec::with_capacity(state_cap + 1);
+        let mut tuple = combos.swap_remove(0);
+        let mut from = 0;
+        while from < store.atomic.len() {
+            out_start.push(edges.len());
+            tuple.copy_from_slice(store.tuple(from));
+            let key = store.key(&tuple);
+            for (slot, f) in flows.iter().enumerate() {
+                let here = tuple[slot];
+                // Rule i/ii of δ_U: instance `slot` may step only if every
+                // other instance is outside its atomic set. Then the target
+                // is atomic exactly when the step lands in an atomic state.
+                if store.atomic[from] > u8::from(atomic[slot][here.index()]) {
                     continue;
                 }
-                let flow = flows[slot].flow();
-                let index = flows[slot].index();
-                for edge in flow.edges_from(components[slot]) {
-                    let mut next: Box<[StateId]> = components.clone();
-                    next[slot] = edge.to;
-                    let to = match lookup.get(&next) {
-                        Some(&id) => id,
-                        None => {
-                            if states.len() >= config.max_states {
-                                return Err(FlowError::ProductTooLarge {
-                                    limit: config.max_states,
-                                });
-                            }
-                            let id = ProductStateId(states.len() as u32);
-                            lookup.insert(next.clone(), id);
-                            states.push(next);
-                            frontier.push(id);
-                            id
-                        }
-                    };
+                for edge in f.flow().edges_from(here) {
+                    tuple[slot] = edge.to;
+                    let delta = u64::from(edge.to.0).wrapping_sub(u64::from(here.0));
+                    let key = key.wrapping_add(store.weights[slot].wrapping_mul(delta));
+                    let lands = u8::from(atomic[slot][edge.to.index()]);
                     edges.push(InterleavedEdge {
-                        from,
-                        message: IndexedMessage::new(edge.message, index),
+                        from: ProductStateId(from as u32),
+                        message: IndexedMessage::new(edge.message, f.index()),
                         slot,
-                        to,
+                        to: store.intern(key, &tuple, lands)?,
                     });
                 }
+                tuple[slot] = here;
             }
+            from += 1;
         }
+        out_start.push(edges.len());
 
-        let n = states.len();
-        let mut out_edges = vec![Vec::new(); n];
-        let mut in_edges = vec![Vec::new(); n];
+        // In-edges by counting sort on the target, stable in edge order.
+        let n = store.atomic.len();
+        let mut in_start = vec![0usize; n + 1];
+        edges.iter().for_each(|e| in_start[e.to.index() + 1] += 1);
+        (0..n).for_each(|s| in_start[s + 1] += in_start[s]);
+        let (mut next, mut in_edges) = (in_start.clone(), vec![0usize; edges.len()]);
         for (i, e) in edges.iter().enumerate() {
-            out_edges[e.from.index()].push(i);
-            in_edges[e.to.index()].push(i);
+            in_edges[next[e.to.index()]] = i;
+            next[e.to.index()] += 1;
         }
 
         let stop = (0..n)
             .filter(|&i| {
-                states[i]
+                store
+                    .tuple(i)
                     .iter()
                     .zip(flows)
                     .all(|(s, f)| f.flow().is_stop(*s))
@@ -240,12 +245,40 @@ impl InterleavedFlow {
         Ok(InterleavedFlow {
             flows: flows.to_vec(),
             catalog,
-            states,
+            components: store.components,
             initial,
             stop,
             edges,
-            out_edges,
+            out_start,
+            in_start,
             in_edges,
+        })
+    }
+
+    /// The closed-form size `(|S|, |E|)` of the interleaving of `flows`:
+    /// `|S| = Π_j NA_j + Σ_j A_j·P_j` and `|E| = Σ_j |E_j|·P_j`, where flow
+    /// `j` has `NA_j` non-atomic and `A_j` atomic states and `|E_j|` edges,
+    /// and `P_j = Π_{i≠j} NA_i`.
+    ///
+    /// These count the tuples with at most one atomic component and the
+    /// steps the atomic mutex allows from them, so they bound the built
+    /// product from above. Every flow state is reachable in its own flow,
+    /// so when no initial state is atomic every such tuple is reachable
+    /// and both counts are exact. `None` if a count overflows `usize`.
+    #[must_use]
+    pub fn closed_form_size(flows: &[IndexedFlow]) -> Option<(usize, usize)> {
+        let non_atomic = |f: &IndexedFlow| f.flow().state_count() - f.flow().atomic_states().len();
+        let all = flows
+            .iter()
+            .try_fold(1usize, |p, f| p.checked_mul(non_atomic(f)))?;
+        flows.iter().try_fold((all, 0usize), |(s, e), f| {
+            // Stop states are never atomic, so `non_atomic(f) >= 1`.
+            let others = all / non_atomic(f);
+            let s = s.checked_add(f.flow().atomic_states().len().checked_mul(others)?)?;
+            Some((
+                s,
+                e.checked_add(f.flow().edge_count().checked_mul(others)?)?,
+            ))
         })
     }
 
@@ -264,7 +297,7 @@ impl InterleavedFlow {
     /// Number of legal product states `|S|`.
     #[must_use]
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.out_start.len() - 1
     }
 
     /// Number of product transitions.
@@ -280,7 +313,8 @@ impl InterleavedFlow {
     /// Panics if `id` does not belong to this interleaving.
     #[must_use]
     pub fn components(&self, id: ProductStateId) -> &[StateId] {
-        &self.states[id.index()]
+        let k = self.flows.len();
+        &self.components[id.index() * k..][..k]
     }
 
     /// Initial product states.
@@ -303,21 +337,19 @@ impl InterleavedFlow {
 
     /// Transitions leaving `state`.
     pub fn edges_from(&self, state: ProductStateId) -> impl Iterator<Item = &InterleavedEdge> + '_ {
-        self.out_edges[state.index()]
-            .iter()
-            .map(move |&i| &self.edges[i])
+        self.edges[self.out_start[state.index()]..self.out_start[state.index() + 1]].iter()
     }
 
     /// Transitions entering `state`.
     pub fn edges_into(&self, state: ProductStateId) -> impl Iterator<Item = &InterleavedEdge> + '_ {
-        self.in_edges[state.index()]
+        self.in_edges[self.in_start[state.index()]..self.in_start[state.index() + 1]]
             .iter()
             .map(move |&i| &self.edges[i])
     }
 
     /// Iterates over all product state ids.
     pub fn states(&self) -> impl Iterator<Item = ProductStateId> + '_ {
-        (0..self.states.len()).map(|i| ProductStateId(i as u32))
+        (0..self.state_count()).map(|i| ProductStateId(i as u32))
     }
 
     /// The product state with dense index `index` (the inverse of
@@ -329,7 +361,7 @@ impl InterleavedFlow {
     #[must_use]
     pub fn state_at(&self, index: usize) -> ProductStateId {
         assert!(
-            index < self.states.len(),
+            index < self.state_count(),
             "state index {index} out of range"
         );
         ProductStateId(index as u32)
@@ -377,13 +409,13 @@ impl InterleavedFlow {
     /// instance of a selected message.
     #[must_use]
     pub fn visible_states(&self, combination: &[MessageId]) -> Vec<ProductStateId> {
-        let mut seen = vec![false; self.states.len()];
+        let mut seen = vec![false; self.state_count()];
         for e in &self.edges {
             if combination.contains(&e.message.message) {
                 seen[e.to.index()] = true;
             }
         }
-        (0..self.states.len())
+        (0..self.state_count())
             .filter(|&i| seen[i])
             .map(|i| ProductStateId(i as u32))
             .collect()
@@ -396,7 +428,8 @@ impl InterleavedFlow {
     /// Panics if `id` does not belong to this interleaving.
     #[must_use]
     pub fn state_label(&self, id: ProductStateId) -> String {
-        let parts: Vec<String> = self.states[id.index()]
+        let parts: Vec<String> = self
+            .components(id)
             .iter()
             .zip(&self.flows)
             .map(|(s, f)| format!("{}{}", f.flow().state_name(*s), f.index()))
@@ -407,10 +440,91 @@ impl InterleavedFlow {
     /// Looks up the product state with the given per-slot components.
     #[must_use]
     pub fn state_of(&self, components: &[StateId]) -> Option<ProductStateId> {
-        self.states
-            .iter()
-            .position(|s| s.as_ref() == components)
+        self.components
+            .chunks_exact(self.flows.len())
+            .position(|s| s == components)
             .map(|i| ProductStateId(i as u32))
+    }
+}
+
+/// Product states under construction: components flat with stride `k`,
+/// each state's atomic-component count (0 or 1, by the mutex), and an
+/// open-addressed index keyed by the wrapping linear hash `Σ_j s_j·w_j`,
+/// which a step updates in O(1). A probe compares components in place, so
+/// colliding keys cost a comparison, never a wrong id.
+struct StateStore {
+    k: usize,
+    limit: usize,
+    weights: Vec<u64>,
+    components: Vec<StateId>,
+    atomic: Vec<u8>,
+    /// State ids; `u32::MAX` marks a free slot.
+    slots: Vec<u32>,
+}
+
+impl StateStore {
+    fn new(k: usize, capacity: usize, limit: usize) -> Self {
+        // Odd powers of the golden-ratio constant: no weight is ever 0.
+        let g = 0x9E37_79B9_7F4A_7C15_u64;
+        let weights = std::iter::successors(Some(g), |w| Some(w.wrapping_mul(g)));
+        StateStore {
+            k,
+            // Ids are `u32`, and `u32::MAX` marks a free slot.
+            limit: limit.min(u32::MAX as usize),
+            weights: weights.take(k).collect(),
+            components: Vec::with_capacity(capacity.saturating_mul(k)),
+            atomic: Vec::with_capacity(capacity),
+            slots: vec![u32::MAX; (capacity.max(8) * 2).next_power_of_two()],
+        }
+    }
+
+    fn key(&self, tuple: &[StateId]) -> u64 {
+        let terms = tuple.iter().zip(&self.weights);
+        terms.fold(0, |h, (s, w)| {
+            h.wrapping_add(u64::from(s.0).wrapping_mul(*w))
+        })
+    }
+
+    fn tuple(&self, id: usize) -> &[StateId] {
+        &self.components[id * self.k..][..self.k]
+    }
+
+    /// The slot holding `tuple`, or the free slot where it belongs.
+    fn probe(&self, key: u64, tuple: &[StateId]) -> usize {
+        let mut i = (key >> (64 - self.slots.len().trailing_zeros())) as usize;
+        while self.slots[i] != u32::MAX && self.tuple(self.slots[i] as usize) != tuple {
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        i
+    }
+
+    /// The id of `tuple`, added with `atomic` atomic components if new,
+    /// unless that would exceed `limit` states.
+    fn intern(
+        &mut self,
+        key: u64,
+        tuple: &[StateId],
+        atomic: u8,
+    ) -> Result<ProductStateId, FlowError> {
+        let (i, id) = (self.probe(key, tuple), self.atomic.len());
+        if self.slots[i] != u32::MAX {
+            return Ok(ProductStateId(self.slots[i]));
+        }
+        if id >= self.limit {
+            return Err(FlowError::ProductTooLarge { limit: self.limit });
+        }
+        self.slots[i] = id as u32;
+        self.components.extend_from_slice(tuple);
+        self.atomic.push(atomic);
+        if 2 * self.atomic.len() > self.slots.len() {
+            self.slots = vec![u32::MAX; 2 * self.slots.len()];
+            for id in 0..self.atomic.len() {
+                // No state matches the empty tuple: this finds a free slot.
+                let i = self.probe(self.key(self.tuple(id)), &[]);
+                self.slots[i] = id as u32;
+            }
+        }
+        Ok(ProductStateId(id as u32))
     }
 }
 

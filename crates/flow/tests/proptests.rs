@@ -4,6 +4,8 @@
 //! states) and check structural laws of the interleaving product against
 //! closed-form expectations.
 
+mod oracle;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -104,6 +106,31 @@ proptest! {
                 .count();
             prop_assert!(atomic <= 1, "state {} has {} atomic components", u.state_label(s), atomic);
         }
+    }
+
+    /// On random sets of two to four linear flows with atomic states, the
+    /// library's product is the boxed-tuple oracle's, numbering and edge
+    /// order included, and its size is the closed form (exact: linear
+    /// flows never start atomic).
+    #[test]
+    fn product_matches_the_oracle(
+        lens in proptest::collection::vec(1usize..5, 2..=4),
+        atoms in proptest::collection::vec(any::<bool>(), 16),
+    ) {
+        let catalog = shared_catalog(lens.len(), 4);
+        let flows: Vec<_> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let flow = linear_flow(&catalog, &format!("f{i}"), len, &atoms[4 * i..]);
+                IndexedFlow::new(Arc::new(flow), FlowIndex(1))
+            })
+            .collect();
+        let u = oracle::assert_same(&flows);
+        prop_assert_eq!(
+            InterleavedFlow::closed_form_size(&flows),
+            Some((u.state_count(), u.edge_count()))
+        );
     }
 
     /// Path counting by DP always agrees with explicit enumeration, and the

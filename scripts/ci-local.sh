@@ -39,6 +39,10 @@ fi
 run cargo test -q --locked
 run cargo test -q --locked --workspace
 run cargo test -q --locked --test stream_smoke
+# Scale stress + scale probe: the ~146k-state interleaving, the state
+# budget, and the Table 1 scenarios x2/x3 at their exact product sizes
+# (scenario 1 x4 must be refused up front).
+run cargo test -q --release --locked --test scale_stress -- --ignored
 run cargo bench --no-run --locked --workspace
 # perfbench/ is its own workspace, so the builds above never compile it.
 run cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
@@ -157,9 +161,9 @@ run cargo run -q --release --locked -p pstrace-cli --bin pstrace -- \
 run grep -q "mine recovery: 2/2" "$mine_log"
 rm -f "$mine_log"
 
-# Fleet perf gate: measured aggregate records/s must stay within ±35% of
-# the committed BENCH_fleet.json baseline (re-baseline with --rebaseline
-# after intentional perf changes — see scripts/check_bench.py).
+# Fleet perf gate: the median aggregate records/s of 5 runs must stay
+# above 65% of the committed BENCH_fleet.json baseline (re-baseline with
+# --rebaseline after intentional perf changes — see scripts/check_bench.py).
 if command -v python3 >/dev/null 2>&1; then
     run python3 scripts/check_bench.py
 else
