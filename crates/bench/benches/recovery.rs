@@ -4,17 +4,27 @@
 //! session *lifecycle*, not payload, so the per-session cost is a
 //! handful of 64-byte appends — the budget is <= 5% over
 //! `--durability off` (recorded in EXPERIMENTS.md).
+//!
+//! Spawn cost: `server_spawn/{fresh_dir,recovering_dir}` time one idle
+//! strict 2-shard daemon life per iteration, `Server::spawn` then
+//! `shutdown`, into a new WAL directory or into one a previous life left
+//! with eight journaled sessions. The shards open their journals on
+//! their own threads, which only the shutdown's join waits for, so the
+//! rows time the whole life rather than the call alone.
 
+use std::cell::Cell;
+use std::path::Path;
 use std::sync::Arc;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pstrace_diag::MatchMode;
 use pstrace_faults::Fixture;
 use pstrace_soc::SocModel;
-use pstrace_stream::durable::DurabilityPolicy;
+use pstrace_stream::durable::{fresh_epoch, write_epoch, DurabilityPolicy, WalWriter};
 use pstrace_stream::{
-    connect, replay, Replay, RetryPolicy, Server, ServerConfig, DEFAULT_WAL_BUDGET,
+    connect, proto, replay, Replay, RetryPolicy, Server, ServerConfig, DEFAULT_WAL_BUDGET,
 };
+use pstrace_wire::split_ptw;
 
 fn bench_wal_overhead(c: &mut Criterion) {
     let ptw = Fixture::new(20_000).expect("fixture builds").ptw;
@@ -79,5 +89,79 @@ fn bench_wal_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wal_overhead);
+fn bench_server_spawn(c: &mut Criterion) {
+    let fx = Fixture::new(200).expect("fixture builds");
+    let schema = split_ptw(fx.model.catalog(), &fx.ptw)
+        .expect("the fixture splits")
+        .header
+        .to_vec();
+    let strict = |dir: &Path| ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        shards: 2,
+        durability: DurabilityPolicy::Strict,
+        wal_dir: Some(dir.to_path_buf()),
+        ..ServerConfig::default()
+    };
+    let base = std::env::temp_dir().join(format!("pstrace-bench-spawn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+
+    // What a previous life leaves: the epoch file and, per shard, a
+    // journal of four open groups whose sessions recovery re-parks.
+    let recovering = base.join("recovering");
+    std::fs::create_dir_all(&recovering).expect("creates the directory");
+    let epoch = fresh_epoch();
+    write_epoch(&recovering, epoch).expect("writes the epoch");
+    let mode = proto::mode_to_byte(MatchMode::Prefix);
+    for shard in 0..2 {
+        let mut wal = WalWriter::open(
+            &recovering,
+            shard,
+            2,
+            epoch,
+            DurabilityPolicy::Strict,
+            DEFAULT_WAL_BUDGET,
+        )
+        .expect("opens the journal");
+        for seq in 1..=4u64 {
+            let token = seq * 2 + shard as u64;
+            wal.append_open(token, token, token, 1, mode, 0, &schema)
+                .expect("journals the open group");
+        }
+    }
+
+    let mut group = c.benchmark_group("server_spawn");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(3));
+    let life = |dir: &Path| {
+        Server::spawn(Arc::clone(&fx.model), &strict(dir))
+            .expect("spawns")
+            .shutdown()
+    };
+    let lives = Cell::new(0u64);
+    group.bench_function("fresh_dir", |b| {
+        b.iter_batched(
+            || {
+                // A new directory per life; the last one goes untimed.
+                let n = lives.get();
+                lives.set(n + 1);
+                let _ = std::fs::remove_dir_all(base.join(format!("fresh-{n}")));
+                base.join(format!("fresh-{}", n + 1))
+            },
+            |dir| life(&dir),
+            BatchSize::PerIteration,
+        );
+    });
+    group.bench_function("recovering_dir", |b| {
+        b.iter(|| {
+            let snap = life(&recovering);
+            assert_eq!(snap.recovered, 8, "every journaled session re-parks");
+            snap
+        });
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+criterion_group!(benches, bench_wal_overhead, bench_server_spawn);
 criterion_main!(benches);

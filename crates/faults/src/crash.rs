@@ -407,12 +407,10 @@ pub fn run_crash_soak(config: &CrashSoakConfig) -> Result<CrashSoakReport, Strin
 
     let addr1 = pick_free_addr()?;
     let mut daemon = spawn_daemon(config, addr1, config.crash_point.as_deref())?;
+    // Spawn journals nothing, so no armed crash point can fire before the
+    // daemon listens.
     if !wait_listening(addr1, &mut daemon, Duration::from_secs(20)) {
-        // An armed crash point may legally fire during startup recovery;
-        // anything else is a harness failure.
-        if config.crash_point.is_none() {
-            return Err(format!("daemon #1 never listened on {addr1}"));
-        }
+        return Err(format!("daemon #1 never listened on {addr1}"));
     }
 
     // Clients resolve the daemon through this register on every

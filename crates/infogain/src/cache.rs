@@ -144,21 +144,34 @@ impl MiCache {
 
         let mut entries: Vec<MessageEntry> = vec![MessageEntry::default(); catalog_len];
         let (mut term_count, mut abs_term_sum) = (0usize, 0.0f64);
+        // (run length, term) pairs already computed for the current y.
+        let mut known: Vec<(usize, f64)> = Vec::new();
         for (&(message, first_pos), to) in ys.iter().zip(&mut targets) {
             // Exactly the summand sequence of
             // `JointDistribution::mutual_information` for this y: one term
-            // per distinct target state, in ascending state order.
+            // per distinct target state, in ascending state order. A term
+            // depends only on how many of y's edges enter its state, so
+            // each distinct run length is computed once per y, by the
+            // same operations on the same inputs.
             to.sort_unstable();
             let p_y = to.len() as f64 / total_edges as f64;
             let y_total = to.len() as f64;
             let mut terms: Vec<f64> = Vec::new();
+            known.clear();
             let mut start = 0;
             while start < to.len() {
                 let run = to[start..].iter().take_while(|&&s| s == to[start]).count();
                 start += run;
-                let p_x_given_y = run as f64 / y_total;
-                let p_xy = p_x_given_y * p_y;
-                let term = p_xy * (p_xy / (p_x * p_y)).ln();
+                let term = match known.iter().find(|&&(r, _)| r == run) {
+                    Some(&(_, term)) => term,
+                    None => {
+                        let p_x_given_y = run as f64 / y_total;
+                        let p_xy = p_x_given_y * p_y;
+                        let term = p_xy * (p_xy / (p_x * p_y)).ln();
+                        known.push((run, term));
+                        term
+                    }
+                };
                 abs_term_sum += term.abs();
                 terms.push(term);
             }

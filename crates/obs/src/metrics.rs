@@ -351,6 +351,17 @@ impl Registry {
         }
     }
 
+    /// Unregisters the metric `name` with `labels`, of whatever kind, and
+    /// returns whether it was registered. Handles taken earlier keep
+    /// counting, but nothing they record shows up in
+    /// [`samples`](Registry::samples) again; a later registration under
+    /// the same key starts from zero.
+    pub fn remove(&self, name: &str, labels: &[(&str, &str)]) -> bool {
+        let key = MetricKey::new(name, labels);
+        let mut metrics = self.metrics.lock().expect("metric table poisoned");
+        metrics.remove(&key).is_some()
+    }
+
     /// Point-in-time readings of every metric, in stable (name, labels)
     /// order — the exporters' input.
     #[must_use]
@@ -510,6 +521,25 @@ mod tests {
         let k1 = MetricKey::new("m", &[("a", "1"), ("b", "2")]);
         let k2 = MetricKey::new("m", &[("b", "2"), ("a", "1")]);
         assert_eq!(k1, k2);
+    }
+
+    #[test]
+    fn removed_metrics_leave_the_samples() {
+        let r = Registry::new();
+        let kept = r.counter_with("per_session", &[("session", "1")]);
+        let gone = r.counter_with("per_session", &[("session", "2")]);
+        kept.inc();
+        gone.add(5);
+        assert!(r.remove("per_session", &[("session", "2")]));
+        assert!(!r.remove("per_session", &[("session", "2")]), "only once");
+        gone.inc();
+        let keys: Vec<String> = r
+            .samples()
+            .iter()
+            .map(|(k, _)| format!("{}{:?}", k.name(), k.labels()))
+            .collect();
+        assert_eq!(keys, [r#"per_session[("session", "1")]"#]);
+        assert_eq!(r.counter_with("per_session", &[("session", "2")]).get(), 0);
     }
 
     #[test]

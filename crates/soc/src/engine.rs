@@ -273,7 +273,7 @@ impl<'m> Simulator<'m> {
             let movable: Vec<usize> = instances
                 .iter()
                 .enumerate()
-                .filter(|(i, s)| !s.done && !s.stuck && atomic_holder.is_none_or(|h| h == *i))
+                .filter(|(i, s)| !s.done && !s.stuck && atomic_holder.map_or(true, |h| h == *i))
                 .map(|(i, _)| i)
                 .collect();
             if movable.is_empty() {

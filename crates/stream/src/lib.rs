@@ -76,7 +76,7 @@ pub mod durable {
     pub use crate::recover::{recover_state, render_dry_run, RecoverError, RecoveredState};
     pub use crate::wal::{
         checkpoint_path, crash_armed, decode_entry, encode_entry, epoch_path, fresh_epoch,
-        mint_epoch, wal_path, write_checkpoint, DurabilityPolicy, SessionRecord, WalRecord,
+        wal_path, write_checkpoint, write_epoch, DurabilityPolicy, SessionRecord, WalRecord,
         WalWriter, CRASH_POINTS, SCHEMA_CHUNK_BYTES, WAL_BODY_BYTES, WAL_ENTRY_BYTES,
     };
 }

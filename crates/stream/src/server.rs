@@ -76,7 +76,7 @@ use crate::reader::{Link, ReadJob, Readers, Wire};
 use crate::recover::{recover_state, RecoveredState};
 use crate::session::{observed_messages, Session};
 use crate::shard::{run_shard, FleetCtx, ShardMsg};
-use crate::wal::{fresh_epoch, mint_epoch, DurabilityPolicy};
+use crate::wal::{fresh_epoch, DurabilityPolicy};
 
 /// Default per-shard WAL disk budget before a checkpoint-and-truncate
 /// rotation (bytes).
@@ -175,9 +175,10 @@ pub struct ServerConfig {
     /// Requires [`ServerConfig::wal_dir`] to take effect.
     pub durability: DurabilityPolicy,
     /// Where the per-shard WALs, checkpoints and the epoch file live.
-    /// On spawn the daemon replays whatever a previous life left here
-    /// (`Server::recover` is the same code path) and re-parks every
-    /// still-resumable session.
+    /// On spawn the daemon creates the directory, replays whatever a
+    /// previous life left here (`Server::recover` is the same code path)
+    /// and re-parks every still-resumable session; it writes nothing here
+    /// until its first session is journaled.
     pub wal_dir: Option<PathBuf>,
     /// Per-shard WAL disk budget in bytes; crossing it triggers a
     /// checkpoint-and-truncate rotation (degradation path `wal-rotate`).
@@ -265,7 +266,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures, and the failure to create a WAL
+    /// directory.
     pub fn spawn(model: Arc<SocModel>, config: &ServerConfig) -> io::Result<Server> {
         Server::spawn_with_registry(model, config, Arc::new(Registry::new()))
     }
@@ -279,7 +281,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures, and the failure to create a WAL
+    /// directory.
     pub fn spawn_with_registry(
         model: Arc<SocModel>,
         config: &ServerConfig,
@@ -293,16 +296,23 @@ impl Server {
 
         let shard_count = config.shards.max(1);
 
-        // Crash-only startup: with durability on, mint (or re-read) the
-        // WAL directory's epoch and replay whatever a previous life left
-        // behind — a clean first boot and a post-SIGKILL restart are the
-        // same code path.
+        // Crash-only startup: with durability on, replay whatever a
+        // previous life left behind and keep its epoch, or mint a fresh
+        // one in memory — a clean first boot and a post-SIGKILL restart
+        // are the same code path. Spawn creates the directory, so a path
+        // that cannot be one fails here, and writes nothing: the epoch
+        // file and the journals appear with the first journaled session.
         let durable = config.durability != DurabilityPolicy::Off;
         let wal_dir = config.wal_dir.clone().filter(|_| durable);
         let (epoch, recovered) = match &wal_dir {
             Some(dir) => {
-                let epoch = mint_epoch(dir)?;
+                std::fs::create_dir_all(dir)?;
                 let state = registry.time("stream-recover", || recover_state(dir, shard_count));
+                let epoch = if state.epoch == 0 {
+                    fresh_epoch()
+                } else {
+                    state.epoch
+                };
                 (epoch, Some(state))
             }
             // No WAL: a fresh nonzero epoch per daemon life, so stale

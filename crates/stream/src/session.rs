@@ -144,18 +144,33 @@ struct SessionObserver {
     session_damaged: Counter,
 }
 
+/// The series each observed session registers under its own
+/// `session="N"` label: its records, then its damaged frames.
+const SESSION_SERIES: [&str; 2] = [
+    "pstrace_session_records_total",
+    "pstrace_session_damaged_frames_total",
+];
+
+/// Unregisters the per-session series of session `session_id` from
+/// `registry`, the one it was observed into.
+pub(crate) fn remove_session_series(registry: &Registry, session_id: u64) {
+    let id = session_id.to_string();
+    for name in SESSION_SERIES {
+        registry.remove(name, &[("session", &id)]);
+    }
+}
+
 impl SessionObserver {
     fn new(registry: Arc<Registry>, session_id: u64) -> Self {
         let id = session_id.to_string();
+        let [records, damaged] = SESSION_SERIES;
         SessionObserver {
             bytes: registry.counter("pstrace_stream_bytes_total"),
             chunks: registry.counter("pstrace_stream_chunks_total"),
             frames: registry.counter("pstrace_stream_frames_total"),
             records: registry.counter("pstrace_stream_records_total"),
-            session_records: registry
-                .counter_with("pstrace_session_records_total", &[("session", &id)]),
-            session_damaged: registry
-                .counter_with("pstrace_session_damaged_frames_total", &[("session", &id)]),
+            session_records: registry.counter_with(records, &[("session", &id)]),
+            session_damaged: registry.counter_with(damaged, &[("session", &id)]),
             published_records: 0,
             registry,
         }

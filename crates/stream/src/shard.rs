@@ -37,7 +37,7 @@
 //! connection's step is caught and costs exactly that connection
 //! (`worker-respawn`).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,8 +61,8 @@ use crate::proto::{self, Chunk, Hello, Request};
 use crate::reader::Link;
 use crate::recover::RecoveredState;
 use crate::server::{degrade, open_session, wake_acceptor, ServerConfig};
-use crate::session::Session;
-use crate::wal::{SessionRecord, WalRecord, WalWriter};
+use crate::session::{remove_session_series, Session};
+use crate::wal::{write_epoch, SessionRecord, WalRecord, WalWriter};
 
 /// What reaches a shard: from the acceptor, a sibling shard or a
 /// connection's reader. Every variant but `Wake` names its connection by
@@ -121,6 +121,9 @@ pub(crate) struct FleetCtx {
     /// The recovery epoch: acked with every resume token, checked on
     /// every resume-by-token (a mismatch is shed, `resume-epoch-shed`).
     pub epoch: u64,
+    /// Whether the epoch file under `wal_dir` holds `epoch`: true when
+    /// spawn read it there, set by the first journaled entry otherwise.
+    pub epoch_persisted: Mutex<bool>,
     /// Where the per-shard WALs live (`None` when durability is off,
     /// whatever `config.wal_dir` says).
     pub wal_dir: Option<PathBuf>,
@@ -134,7 +137,18 @@ pub(crate) struct FleetCtx {
     /// built without one); shutdown connects to it once to wake the
     /// acceptor.
     pub listen_addr: Option<SocketAddr>,
+    /// Ended sessions whose per-session series are still exposed, oldest
+    /// first, each with the registry it was observed into: at most
+    /// [`ENDED_SERIES_KEPT`], counted daemon-wide, so an N-shard
+    /// exposition keeps the same sessions as a 1-shard one.
+    pub ended_series: Mutex<VecDeque<(u64, Arc<Registry>)>>,
 }
+
+/// How many ended sessions keep their per-session series in the
+/// exposition; live and parked sessions always keep theirs. Without a
+/// cap a long-lived daemon's registry and every scrape grow by two
+/// series per session.
+pub(crate) const ENDED_SERIES_KEPT: usize = 64;
 
 /// Minimum recorder-clock time between automatic dump spills, so a
 /// degradation storm costs one file write per window, not per event.
@@ -176,12 +190,54 @@ impl FleetCtx {
             flight: Arc::new(FlightRecorder::new(shard_count + 1, config.flight_capacity)),
             flight_spill: AtomicU64::new(0),
             epoch,
+            epoch_persisted: Mutex::new(recovered.epoch == epoch),
             wal_dir,
             recovered: slots.into_iter().map(Mutex::new).collect(),
             recovered_max_token: recovered.max_token,
             listen_addr,
+            ended_series: Mutex::new(VecDeque::with_capacity(ENDED_SERIES_KEPT + 1)),
         };
         (ctx, receivers)
+    }
+
+    /// Notes that session `session_id`, observed into `registry`, ended
+    /// for good, and removes the series of the oldest ended session past
+    /// the [`ENDED_SERIES_KEPT`] newest.
+    pub(crate) fn retire_series(&self, session_id: u64, registry: &Arc<Registry>) {
+        let oldest = {
+            let mut ended = self
+                .ended_series
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            ended.push_back((session_id, Arc::clone(registry)));
+            if ended.len() > ENDED_SERIES_KEPT {
+                ended.pop_front()
+            } else {
+                None
+            }
+        };
+        if let Some((id, registry)) = oldest {
+            remove_session_series(&registry, id);
+        }
+    }
+
+    /// Writes the epoch file unless it already holds this life's epoch:
+    /// the first journaled entry of a daemon life calls this first, so
+    /// every journaled token can prove its lineage after a restart, and
+    /// an idle life writes nothing.
+    pub(crate) fn persist_epoch(&self) -> io::Result<()> {
+        let Some(dir) = &self.wal_dir else {
+            return Ok(());
+        };
+        let mut persisted = self
+            .epoch_persisted
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !*persisted {
+            write_epoch(dir, self.epoch)?;
+            *persisted = true;
+        }
+        Ok(())
     }
 
     /// The one way to start the drain, whoever asks — the owning
@@ -487,10 +543,10 @@ struct Shard {
 }
 
 impl Shard {
-    /// Builds shard `index`: opens its WAL (after the startup replay read
-    /// the old one), seeds the token sequence above everything a previous
-    /// life minted so recovered tokens are never re-issued, and re-parks
-    /// the sessions recovery rebuilt for it.
+    /// Builds shard `index`: opens its WAL writer (which creates nothing
+    /// until the first append), seeds the token sequence above everything
+    /// a previous life minted so recovered tokens are never re-issued, and
+    /// re-parks the sessions recovery rebuilt for it.
     fn new(ctx: Arc<FleetCtx>, index: usize) -> Shard {
         let registry = Arc::clone(&ctx.registries[index + 1]);
         // Eagerly materialize the gauge so an idle daemon's exposition
@@ -509,10 +565,9 @@ impl Shard {
             .map_err(|_| degrade(&registry, "wal-append-degraded"))
             .ok()
         });
-        if let Some(wal) = &wal {
-            registry
-                .counter("pstrace_wal_fsyncs_total")
-                .add(wal.syncs());
+        if wal.is_some() {
+            // Materialized so a durable daemon's exposition shows 0.
+            let _ = registry.counter("pstrace_wal_fsyncs_total");
         }
         let recovered = ctx.recovered[index]
             .lock()
@@ -583,7 +638,8 @@ impl Shard {
         failed
     }
 
-    /// Runs one WAL write. A failing write is a degradation
+    /// Runs one WAL write, after the epoch file if this is the daemon
+    /// life's first. A failing write is a degradation
     /// (`wal-append-degraded`), never a session error: the session
     /// continues, it just loses crash durability.
     fn journal(
@@ -592,7 +648,7 @@ impl Shard {
         session: u64,
         write: impl FnOnce(&mut WalWriter) -> io::Result<()>,
     ) {
-        if self.wal_failed(write) {
+        if self.wal.is_some() && (self.ctx.persist_epoch().is_err() || self.wal_failed(write)) {
             self.note_degrade("wal-append-degraded", trace, session);
         }
     }
@@ -893,6 +949,7 @@ impl Shard {
         if let Some(token) = token {
             self.wal_append(WalRecord::Complete { token });
         }
+        self.ctx.retire_series(id, &self.registry);
         self.ctx.wake_waiters();
         Some(reply)
     }
@@ -909,7 +966,10 @@ impl Shard {
             .map(|(&token, _)| token)
             .collect();
         for token in expired {
-            self.parked.remove(&token);
+            if let Some((live, _)) = self.parked.remove(&token) {
+                self.ctx
+                    .retire_series(live.record.session_id, &self.registry);
+            }
             self.wal_append(WalRecord::Expire { token });
         }
     }
@@ -1345,7 +1405,8 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
     }
     // The drain edge syncs what no open group has yet: the whole
     // journal under lazy durability, the trailing park, resume, complete
-    // and expire entries under strict.
+    // and expire entries under strict. A shard that never journaled has
+    // no journal, and syncs nothing.
     let _ = shell.shard.wal_failed(WalWriter::sync);
 }
 
@@ -1533,9 +1594,19 @@ mod tests {
     fn an_expired_parked_session_leaves_the_journal() {
         let mut rig = rig("expire", ServerConfig::default());
         let (live, _) = rig.resume(0);
+        let id = live.record.session_id;
         let outcome = live.death("transport closed");
         rig.shard.end(*live, outcome);
         rig.assert_durable(&[], "park");
+        let newest_ended = |rig: &Rig| {
+            let ended = rig.shard.ctx.ended_series.lock().unwrap();
+            ended.back().map(|(id, _)| *id)
+        };
+        assert_eq!(
+            newest_ended(&rig),
+            None,
+            "a parked session keeps its series"
+        );
 
         rig.shard.expire_parked(Instant::now());
         assert_eq!(rig.shard.parked.len(), 1, "still inside its grace period");
@@ -1545,6 +1616,7 @@ mod tests {
         assert!(rig.shard.parked.is_empty());
         rig.assert_durable(&[], "expire");
         assert_eq!(rig.active(), 0);
+        assert_eq!(newest_ended(&rig), Some(id), "an expired session has ended");
     }
 
     #[test]

@@ -37,17 +37,28 @@
 //!
 //! # When it syncs
 //!
+//! Spawning a daemon creates, writes and syncs nothing but the directory
+//! itself: the epoch is minted in memory, and a shard's journal is
+//! created by the first entry it appends, with its Epoch header in the
+//! same write. Before the first entry of a daemon life is journaled, the
+//! epoch file is written and synced once (see [`write_epoch`]), so an
+//! idle daemon leaves an empty directory behind.
+//!
 //! Every append reaches the page cache at once, so a daemon crash keeps
 //! every entry under both policies. Under [`DurabilityPolicy::Strict`]
-//! the open group is the only per-session sync point: one `fdatasync`
-//! before the resume token is acked. Park, Resume, Complete and Expire
-//! are written without a sync and become durable with the next
-//! open-group commit, rotation or drain. A power loss can drop that
-//! unsynced tail, and recovery tolerates it: Resume is ignored anyway, a
-//! lost Park loses only its informational byte count, and a lost
-//! Complete or Expire re-parks a session that had already ended. Its
-//! token then either replays from offset 0 to the same report or expires
-//! under the resume grace.
+//! the open group is the only per-session sync point: one sync before
+//! the resume token is acked. The first sync of a journal created in
+//! this life is `sync_all` of the file and then of the directory, so the
+//! new file's metadata and name are durable too; later ones are
+//! `fdatasync`. Park,
+//! Resume, Complete and Expire are written without a sync and become
+//! durable with the next open-group commit, rotation or drain; the drain
+//! syncs only a journal that exists. A power loss can drop that unsynced
+//! tail, and recovery tolerates it: Resume is ignored anyway, a lost Park
+//! loses only its informational byte count, and a lost Complete or
+//! Expire re-parks a session that had already ended. Its token then
+//! either replays from offset 0 to the same report or expires under the
+//! resume grace.
 //!
 //! # Checkpoints and rotation
 //!
@@ -469,27 +480,17 @@ fn open_group(
     std::iter::once(open).chain(chunks)
 }
 
-/// Mints (or re-reads) the WAL directory's recovery epoch: the value is
-/// written once when the directory is first used and is stable across
+/// Writes the WAL directory's epoch file (one Epoch entry) and syncs it
+/// with its metadata and its name in `dir`. A daemon calls this once,
+/// before the first entry of its life is journaled, unless spawn read
+/// the same epoch back from the file; the epoch then stays stable across
 /// every later restart, so resume tokens can prove they belong to this
 /// daemon lineage.
 ///
 /// # Errors
 ///
-/// Propagates directory-creation and file-write failures.
-pub fn mint_epoch(dir: &Path) -> io::Result<u64> {
-    std::fs::create_dir_all(dir)?;
-    let path = epoch_path(dir);
-    if let Ok(bytes) = std::fs::read(&path) {
-        if bytes.len() >= WAL_ENTRY_BYTES {
-            let mut e = [0u8; WAL_ENTRY_BYTES];
-            e.copy_from_slice(&bytes[..WAL_ENTRY_BYTES]);
-            if let Ok((_, WalRecord::Epoch { epoch, .. })) = decode_entry(&e, &path, 0) {
-                return Ok(epoch);
-            }
-        }
-    }
-    let epoch = fresh_epoch();
+/// Propagates file-write and sync failures.
+pub fn write_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
     let entry = encode_entry(
         0,
         &WalRecord::Epoch {
@@ -498,10 +499,21 @@ pub fn mint_epoch(dir: &Path) -> io::Result<u64> {
             shard_count: 0,
         },
     );
-    let mut f = File::create(&path)?;
+    let mut f = File::create(epoch_path(dir))?;
     f.write_all(&entry)?;
     f.sync_all()?;
-    Ok(epoch)
+    sync_dir(dir)
+}
+
+/// Syncs directory `dir`, so the names of files just created in it
+/// survive a power loss: syncing a file does not sync its directory
+/// entry. Only Unix opens a directory as a file; elsewhere this does
+/// nothing.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// A nonzero epoch for a daemon running without a WAL directory: derived
@@ -520,7 +532,9 @@ pub fn fresh_epoch() -> u64 {
 /// The append half of one shard's WAL.
 #[derive(Debug)]
 pub struct WalWriter {
-    file: File,
+    /// The journal: the one an earlier life left, or, when there is none,
+    /// the one the first append creates.
+    file: Option<File>,
     path: PathBuf,
     dir: PathBuf,
     shard: usize,
@@ -531,16 +545,23 @@ pub struct WalWriter {
     written: u64,
     budget: u64,
     syncs: u64,
+    /// This writer created the journal since its last sync, so the next
+    /// sync is `sync_all` of the file and then of its directory: it makes
+    /// the new file's metadata and name durable as well as its bytes.
+    created: bool,
 }
 
 impl WalWriter {
-    /// Opens (appending) the shard's WAL under `dir`, writing the Epoch
-    /// header when the file is empty. `budget` is the disk-pressure
-    /// rotation threshold in bytes.
+    /// Opens the shard's WAL under `dir` (creating the directory if
+    /// needed) for appending if an earlier life left one, and creates,
+    /// writes and syncs no file: a missing journal is created by the
+    /// first append, which writes its Epoch header in the same write.
+    /// `budget` is the disk-pressure rotation threshold in bytes.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and file i/o failures.
+    /// Propagates directory-creation failures, and file i/o failures
+    /// other than a missing journal.
     pub fn open(
         dir: &Path,
         shard: usize,
@@ -551,9 +572,16 @@ impl WalWriter {
     ) -> io::Result<WalWriter> {
         std::fs::create_dir_all(dir)?;
         let path = wal_path(dir, shard);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let written = file.metadata()?.len();
-        let mut wal = WalWriter {
+        let file = match OpenOptions::new().append(true).open(&path) {
+            Ok(file) => Some(file),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        let written = match &file {
+            Some(file) => file.metadata()?.len(),
+            None => 0,
+        };
+        Ok(WalWriter {
             file,
             path,
             dir: dir.to_path_buf(),
@@ -565,59 +593,99 @@ impl WalWriter {
             written,
             budget: budget.max(4 * WAL_ENTRY_BYTES as u64),
             syncs: 0,
-        };
-        if wal.written == 0 {
-            wal.start()?;
-        }
-        Ok(wal)
+            created: false,
+        })
     }
 
-    /// The file this writer appends to.
+    /// The file this writer appends to (it exists once something was
+    /// appended, or when an earlier life left it).
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// How many `fdatasync`/`fsync` calls this writer has completed,
-    /// the checkpoint's included: under [`DurabilityPolicy::Strict`],
-    /// one per open group, none per other append, two per rotation.
+    /// How many syncs this writer has completed, the checkpoint's
+    /// included (a journal's first, which also syncs the directory,
+    /// counts as one): under [`DurabilityPolicy::Strict`], none before
+    /// the first append, one per open group, none per other append, two
+    /// per rotation.
     #[must_use]
     pub fn syncs(&self) -> u64 {
         self.syncs
     }
 
     /// Appends one entry without syncing it, honoring the armed crash
-    /// points. The entry is in the page cache when this returns; under
-    /// [`DurabilityPolicy::Strict`] it reaches stable storage with the
-    /// next open group, rotation or [`WalWriter::sync`].
+    /// points. An empty or missing journal gets its Epoch header in the
+    /// same write. The entry is in the page cache when this returns;
+    /// under [`DurabilityPolicy::Strict`] it reaches stable storage with
+    /// the next open group, rotation or [`WalWriter::sync`].
     ///
     /// # Errors
     ///
     /// Propagates file i/o failures (the caller degrades, never dies).
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        let entry = encode_entry(self.seq, record);
+        if self.written > 0 {
+            return self.write(&encode_entry(self.seq, record));
+        }
+        let mut entries = [0u8; 2 * WAL_ENTRY_BYTES];
+        let (header, entry) = entries.split_at_mut(WAL_ENTRY_BYTES);
+        header.copy_from_slice(&self.header());
+        entry.copy_from_slice(&encode_entry(self.seq.wrapping_add(1), record));
+        self.write(&entries)
+    }
+
+    /// The Epoch entry that starts a journal, under the next sequence
+    /// number.
+    fn header(&self) -> [u8; WAL_ENTRY_BYTES] {
+        encode_entry(
+            self.seq,
+            &WalRecord::Epoch {
+                epoch: self.epoch,
+                shard: self.shard as u32,
+                shard_count: self.shard_count,
+            },
+        )
+    }
+
+    /// Writes whole encoded entries at the journal's end in one write,
+    /// creating the journal if it does not exist yet.
+    fn write(&mut self, entries: &[u8]) -> io::Result<()> {
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => {
+                let file = OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.path)?;
+                self.created = true;
+                file
+            }
+        };
+        let file = self.file.insert(file);
         if crash_armed("wal-mid-entry") {
             // Half an entry on disk, then death: recovery must classify
             // the tail as torn and keep everything before it.
-            let _ = self.file.write_all(&entry[..WAL_ENTRY_BYTES / 2 + 1]);
-            let _ = self.file.sync_all();
+            let _ = file.write_all(&entries[..entries.len() - WAL_ENTRY_BYTES / 2 + 1]);
+            let _ = file.sync_all();
             std::process::abort();
         }
-        self.file.write_all(&entry)?;
+        file.write_all(entries)?;
         if crash_armed("wal-pre-fsync") {
             // The entry reached the kernel but was never fsynced.
             std::process::abort();
         }
-        self.seq = self.seq.wrapping_add(1);
-        self.written += WAL_ENTRY_BYTES as u64;
+        self.seq = self
+            .seq
+            .wrapping_add((entries.len() / WAL_ENTRY_BYTES) as u32);
+        self.written += entries.len() as u64;
         Ok(())
     }
 
     /// Appends the open group of a resumable session: one Open entry
     /// plus however many SchemaChunk entries the handshake needs. Under
-    /// [`DurabilityPolicy::Strict`] one `fdatasync` puts the group, and
-    /// every entry appended before it, on stable storage before this
-    /// returns — append it *before* acking the token.
+    /// [`DurabilityPolicy::Strict`] one sync puts the group, and every
+    /// entry appended before it, on stable storage before this returns —
+    /// append it *before* acking the token.
     ///
     /// # Errors
     ///
@@ -651,7 +719,9 @@ impl WalWriter {
 
     /// Rotates the WAL: writes a compacted checkpoint of `live` (every
     /// resumable session still worth recovering), then truncates the
-    /// journal back to its Epoch header.
+    /// journal back to its Epoch header; under
+    /// [`DurabilityPolicy::Strict`] one more sync makes the truncated
+    /// journal and its header durable.
     ///
     /// # Errors
     ///
@@ -665,36 +735,37 @@ impl WalWriter {
             // both and must fold them idempotently.
             std::process::abort();
         }
-        self.file = File::create(&self.path)?;
+        self.file = Some(File::create(&self.path)?);
         self.seq = 0;
         self.written = 0;
-        self.start()
-    }
-
-    /// Starts an empty journal with its Epoch header; under
-    /// [`DurabilityPolicy::Strict`] one `fsync` makes the fresh file and
-    /// its header durable.
-    fn start(&mut self) -> io::Result<()> {
-        self.append(&WalRecord::Epoch {
-            epoch: self.epoch,
-            shard: self.shard as u32,
-            shard_count: self.shard_count,
-        })?;
+        self.write(&self.header())?;
         if self.policy == DurabilityPolicy::Strict {
-            self.file.sync_all()?;
-            self.syncs += 1;
+            self.sync()?;
         }
         Ok(())
     }
 
     /// Puts every appended entry on stable storage: the strict policy's
-    /// open-group commit, and the drain edge under both policies.
+    /// open-group commit, and the drain edge under both policies. The
+    /// first sync of a journal this writer created is `sync_all`, then a
+    /// sync of the directory that holds the journal's name, and counts as
+    /// one; every other sync is one `fdatasync`. With no journal there is
+    /// nothing to sync, and nothing is counted.
     ///
     /// # Errors
     ///
     /// Propagates fsync failures.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
+        let Some(file) = &self.file else {
+            return Ok(());
+        };
+        if self.created {
+            file.sync_all()?;
+            sync_dir(&self.dir)?;
+            self.created = false;
+        } else {
+            file.sync_data()?;
+        }
         self.syncs += 1;
         Ok(())
     }
@@ -879,10 +950,31 @@ mod tests {
     fn epoch_is_minted_once_and_stable() {
         let dir = std::env::temp_dir().join(format!("pstrace-epoch-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let a = mint_epoch(&dir).unwrap();
-        let b = mint_epoch(&dir).unwrap();
-        assert_eq!(a, b, "the epoch survives restarts of one WAL dir");
-        assert_ne!(a, 0);
+        let read = || crate::recover::recover_state(&dir, 1).epoch;
+
+        // An idle life: a writer that never appends, then the drain's
+        // sync. Nothing is created and nothing is synced.
+        let mut idle = WalWriter::open(&dir, 0, 1, 5, DurabilityPolicy::Strict, u64::MAX).unwrap();
+        idle.sync().unwrap();
+        assert_eq!(idle.syncs(), 0);
+        assert_eq!(read(), 0, "an idle life persists no epoch");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+
+        // A life that journals a session writes its epoch first; every
+        // later life reads the same one back.
+        let epoch = fresh_epoch();
+        write_epoch(&dir, epoch).unwrap();
+        let mut wal =
+            WalWriter::open(&dir, 0, 1, epoch, DurabilityPolicy::Strict, u64::MAX).unwrap();
+        wal.append_open(2, 1, 0xbeef, 1, 1, 0, &[0xAB; 10]).unwrap();
+        assert_eq!(
+            wal.syncs(),
+            1,
+            "the open group's sync covers the new journal"
+        );
+        drop(wal);
+        assert_ne!(epoch, 0);
+        assert_eq!(read(), epoch, "the epoch survives restarts of one WAL dir");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

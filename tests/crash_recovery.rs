@@ -3,7 +3,9 @@
 //! ended without parking never comes back, a finished session whose
 //! unsynced `Complete` a power loss dropped replays to the same report
 //! or expires, strict durability costs one fsync per resumable session,
-//! tokens from a foreign WAL lineage are shed with a typed epoch
+//! an idle daemon writes nothing to its WAL directory while the first
+//! session's token survives a restart and a power loss, tokens from a
+//! foreign WAL lineage are shed with a typed epoch
 //! rejection, and `pstrace stop` against a dead daemon fails fast with a
 //! typed connection error instead of burning a retry budget.
 
@@ -17,7 +19,8 @@ use pstrace::diag::MatchMode;
 use pstrace::faults::{poll_until, stable_lines, watchdog, Fixture};
 use pstrace::obs::EventKind;
 use pstrace::stream::durable::{
-    decode_entry, wal_path, DurabilityPolicy, WalRecord, WAL_ENTRY_BYTES,
+    decode_entry, epoch_path, wal_path, DurabilityPolicy, WalRecord, SCHEMA_CHUNK_BYTES,
+    WAL_ENTRY_BYTES,
 };
 use pstrace::stream::proto::{self, Hello, Request};
 use pstrace::stream::{
@@ -317,14 +320,10 @@ fn strict_wal_syncs_once_per_resumable_session() {
     let dir = wal_dir("syncs");
     let fx = Fixture::new(200).unwrap();
     let server = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir)).unwrap();
-    // Each shard's fresh journal syncs its Epoch header once.
-    assert!(
-        poll_until(Duration::from_secs(30), || server.snapshot().fsyncs >= 2),
-        "the shards never opened their journals: {:?}",
-        server.snapshot()
-    );
+    // Spawn journals nothing, so it syncs nothing; a shard's first open
+    // group creates its journal and syncs it once.
     let before = server.snapshot().fsyncs;
-    assert_eq!(before, 2);
+    assert_eq!(before, 0);
 
     let plan = Replay {
         chunk_bytes: 64,
@@ -350,6 +349,131 @@ fn strict_wal_syncs_once_per_resumable_session() {
     assert_eq!(snap.completed, SESSIONS, "{snap:?}");
     assert_eq!(snap.fsyncs - before, SESSIONS, "{snap:?}");
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The files of a WAL directory, sorted by name.
+fn files_in(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn an_idle_strict_daemon_leaves_its_fresh_wal_directory_empty() {
+    let _guard = watchdog(Duration::from_secs(60), "idle strict daemon");
+    let dir = wal_dir("idle");
+    let fx = Fixture::new(60).unwrap();
+    let server = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir)).unwrap();
+    assert_eq!(server.snapshot().fsyncs, 0, "spawn syncs nothing");
+    let snap = server.shutdown();
+    assert_eq!(snap.fsyncs, 0, "the drain syncs only journals that exist");
+    assert!(
+        files_in(&dir).is_empty(),
+        "an idle life wrote {:?}",
+        files_in(&dir)
+    );
+
+    // Spawn still creates the directory, so a path that cannot be one
+    // fails at once.
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, b"x").unwrap();
+    assert!(Server::spawn(Arc::clone(&fx.model), &durable_config(&file.join("wal"))).is_err());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_first_resumable_session_creates_the_epoch_file_and_its_journal() {
+    let _guard = watchdog(Duration::from_secs(120), "first session files");
+    let dir = wal_dir("first");
+    let cut = wal_dir("first-cut");
+    let fx = Fixture::new(400).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
+
+    // Life #1: one resumable session, acked, then dead half-streamed.
+    let first = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir)).unwrap();
+    let epoch = first.epoch();
+    let token = {
+        let mut s = connect(&first);
+        proto::write_request(&mut s, &resume(0, 0, cap.header)).unwrap();
+        let ack = proto::read_reply(&mut s).unwrap();
+        let (token, _, acked_epoch) = proto::parse_resume_ack(&ack).unwrap();
+        assert_eq!(acked_epoch, epoch);
+        // The ack follows the sync: the epoch file and the owning
+        // shard's journal exist, the other shard's does not.
+        let journal = format!("wal-{}.wal", token % 2);
+        assert_eq!(files_in(&dir), ["epoch".to_owned(), journal]);
+        assert_eq!(first.snapshot().fsyncs, 1, "one counted sync per session");
+        for piece in cap.payload[..cap.payload.len() / 2].chunks(64) {
+            proto::write_data(&mut s, piece).unwrap();
+        }
+        s.flush().unwrap();
+        token
+    };
+    assert!(
+        poll_until(Duration::from_secs(30), || first.snapshot().parked >= 1),
+        "session was never parked: {:?}",
+        first.snapshot()
+    );
+    first.shutdown();
+
+    // A power loss keeps only synced bytes: the epoch file whole, and the
+    // journal up to the open group's sync (Epoch header, Open entry and
+    // the schema chunks), without the Park the drain synced later.
+    std::fs::create_dir_all(&cut).unwrap();
+    std::fs::copy(epoch_path(&dir), epoch_path(&cut)).unwrap();
+    let shard = (token % 2) as usize;
+    let mut journal = std::fs::read(wal_path(&dir, shard)).unwrap();
+    let synced = WAL_ENTRY_BYTES * (2 + cap.header.len().div_ceil(SCHEMA_CHUNK_BYTES));
+    assert!(journal.len() > synced, "the Park rides after the sync");
+    journal.truncate(synced);
+    std::fs::write(wal_path(&cut, shard), journal).unwrap();
+
+    // The token survives a real restart, and the power loss too.
+    for dir in [&dir, &cut] {
+        let life = Server::spawn(Arc::clone(&fx.model), &durable_config(dir)).unwrap();
+        assert_eq!(life.epoch(), epoch, "the epoch survives restarts");
+        let (acked, report) = run_resumable(&life, &cap, token, epoch);
+        assert_eq!(acked, token);
+        assert!(report.contains(&fx.batch_localization), "{report}");
+        life.shutdown();
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+#[test]
+fn a_lazy_daemon_creates_its_journal_on_the_first_append_and_the_drain_syncs_it() {
+    let _guard = watchdog(Duration::from_secs(60), "lazy journal");
+    let dir = wal_dir("lazy");
+    let fx = Fixture::new(200).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
+    let config = ServerConfig {
+        durability: DurabilityPolicy::Lazy,
+        ..durable_config(&dir)
+    };
+    let server = Server::spawn(Arc::clone(&fx.model), &config).unwrap();
+    assert!(
+        files_in(&dir).is_empty(),
+        "spawn wrote {:?}",
+        files_in(&dir)
+    );
+    let (token, report) = run_resumable(&server, &cap, 0, 0);
+    assert!(report.contains(&fx.batch_localization), "{report}");
+    assert_eq!(
+        files_in(&dir),
+        ["epoch".to_owned(), format!("wal-{}.wal", token % 2)]
+    );
+    assert_eq!(server.snapshot().fsyncs, 0, "lazy appends never sync");
+    let snap = server.shutdown();
+    assert_eq!(snap.fsyncs, 1, "the drain syncs the one journal there is");
+    assert_eq!(
+        Server::recover(&dir, 2).sessions(),
+        0,
+        "the finished session stays finished"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

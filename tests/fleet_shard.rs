@@ -1,7 +1,8 @@
 //! Fleet-ingest contracts of the sharded event-loop daemon: session
 //! pinning across reconnects (with cross-shard handoff), deterministic
 //! tenant-quota shedding, per-shard registry merge parity with a
-//! single-registry run, and graceful SHUTDOWN-verb drain.
+//! single-registry run, a daemon-wide cap on ended sessions' series, and
+//! graceful SHUTDOWN-verb drain.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -270,6 +271,44 @@ fn sharded_registry_merge_matches_a_single_registry_run() {
             "missing `{line}` in exposition:\n{sharded_expo}"
         );
     }
+}
+
+#[test]
+fn per_session_series_are_kept_for_the_64_most_recently_ended_sessions() {
+    let _guard = watchdog(Duration::from_secs(120), "per-session series cap");
+    let fx = Fixture::new(20).unwrap();
+    let server = Server::spawn(
+        Arc::clone(&fx.model),
+        &ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            shards: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    for _ in 0..200 {
+        replay_plain(&server, &fx).unwrap();
+    }
+    let exposition = pstrace::obs::render_prometheus_samples(&server.merged_samples());
+    for name in [
+        "pstrace_session_records_total",
+        "pstrace_session_damaged_frames_total",
+    ] {
+        let sessions: Vec<u64> = exposition
+            .lines()
+            .filter_map(|line| line.strip_prefix(&format!("{name}{{session=\"")))
+            .map(|rest| rest.split('"').next().unwrap().parse().unwrap())
+            .collect();
+        let mut sorted = sessions.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            (137..=200).collect::<Vec<u64>>(),
+            "`{name}` keeps the newest 64 ended sessions"
+        );
+    }
+    let snap = server.shutdown();
+    assert_eq!(snap.completed, 200);
 }
 
 #[test]
