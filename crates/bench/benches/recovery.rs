@@ -20,7 +20,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use pstrace_diag::MatchMode;
 use pstrace_faults::Fixture;
 use pstrace_soc::SocModel;
-use pstrace_stream::durable::{fresh_epoch, write_epoch, DurabilityPolicy, WalWriter};
+use pstrace_stream::durable::{fresh_epoch, DurabilityPolicy, WalWriter};
 use pstrace_stream::{
     connect, proto, replay, Replay, RetryPolicy, Server, ServerConfig, DEFAULT_WAL_BUDGET,
 };
@@ -105,12 +105,11 @@ fn bench_server_spawn(c: &mut Criterion) {
     let base = std::env::temp_dir().join(format!("pstrace-bench-spawn-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    // What a previous life leaves: the epoch file and, per shard, a
-    // journal of four open groups whose sessions recovery re-parks.
+    // What a previous life leaves: per shard, a journal whose header
+    // carries the epoch, then four open groups whose sessions recovery
+    // re-parks.
     let recovering = base.join("recovering");
-    std::fs::create_dir_all(&recovering).expect("creates the directory");
     let epoch = fresh_epoch();
-    write_epoch(&recovering, epoch).expect("writes the epoch");
     let mode = proto::mode_to_byte(MatchMode::Prefix);
     for shard in 0..2 {
         let mut wal = WalWriter::open(

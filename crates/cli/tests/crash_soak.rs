@@ -71,6 +71,10 @@ fn every_armed_crash_point_recovers_without_loss() {
         let report = run_crash_soak(&config)
             .unwrap_or_else(|e| panic!("crash point {point}: harness failed: {e}"));
         let rendered = report.render();
+        assert!(
+            report.crashed_early,
+            "crash point {point} never fired; daemon #1 was SIGKILLed:\n{rendered}"
+        );
         report.survival().unwrap_or_else(|v| {
             panic!("crash point {point} breached the recovery criteria:\n{v}\n{rendered}")
         });

@@ -70,7 +70,7 @@ const MAX_PAYLOAD_BYTES: usize = 60_000;
 
 /// FNV-1a-32 over `bytes` — the checksum discipline of every v2 sync
 /// block, exported so other on-disk formats (the ingest daemon's WAL
-/// entries and checkpoints) can reuse the exact same integrity check.
+/// entries) can reuse the exact same integrity check.
 #[must_use]
 pub fn fnv32(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;

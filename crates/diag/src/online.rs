@@ -60,25 +60,20 @@
 //! of non-negative values is order-independent, so visiting only the
 //! live states yields exactly the values a full topological sweep would.
 //!
-//! # Checkpoint and resync
+//! # Resync
 //!
 //! On hostile silicon the observation itself can be corrupted: a damage
 //! burst (dropped buffer region, storm of flipped bits) can push records
 //! that no execution produces, after which the frontier is empty and —
 //! because every mode is monotone — stays empty forever, even though the
-//! post-burst stream is perfectly good. Two escape hatches exist for
-//! that:
-//!
-//! * [`OnlineLocalizer::checkpoint`] / [`OnlineLocalizer::restore`]
-//!   snapshot and reinstate the full DP state, so a consumer can roll
-//!   back to the last known-good chunk boundary;
-//! * [`OnlineLocalizer::resync`] abandons the poisoned observation
-//!   entirely: the DP re-seeds as if the stream restarted, the
-//!   localization collapses to "unknown since record N" (reported via
-//!   [`OnlineLocalizer::unknown_since`]) and subsequent pushes narrow it
-//!   again. Counts after a resync are relative to the post-resync
-//!   observation — a designed degradation, visible in the report, instead
-//!   of a permanently dead frontier.
+//! post-burst stream is perfectly good. [`OnlineLocalizer::resync`] is
+//! the escape hatch: it abandons the poisoned observation entirely, the
+//! DP re-seeds as if the stream restarted, the localization collapses to
+//! "unknown since record N" (reported via
+//! [`OnlineLocalizer::unknown_since`]) and subsequent pushes narrow it
+//! again. Counts after a resync are relative to the post-resync
+//! observation — a designed degradation, visible in the report, instead
+//! of a permanently dead frontier.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -262,22 +257,6 @@ pub struct OnlineLocalizer {
     unknown_since: Option<usize>,
 }
 
-/// A snapshot of an [`OnlineLocalizer`]'s mutable DP state, produced by
-/// [`OnlineLocalizer::checkpoint`] and reinstated by
-/// [`OnlineLocalizer::restore`]. The immutable [`LocalizerProgram`]
-/// (topological order, edge index, continuation counts) is *not*
-/// duplicated — a checkpoint is one dense column plus counters, cheap
-/// enough to take at every chunk boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LocalizerCheckpoint {
-    column: Vec<u128>,
-    consistent: u128,
-    pushed: usize,
-    observed: Vec<IndexedMessage>,
-    resyncs: usize,
-    unknown_since: Option<usize>,
-}
-
 impl OnlineLocalizer {
     /// Builds the localizer for `flow` under the selected message set and
     /// match mode: [`compile`](OnlineLocalizer::compile) followed by
@@ -407,8 +386,7 @@ impl OnlineLocalizer {
     /// unrestricted continuation.
     fn advance(&mut self, m: IndexedMessage) -> u128 {
         if self.support.is_empty() {
-            // The column is all-zero, and stays so until a resync or
-            // restore.
+            // The column is all-zero, and stays so until a resync.
             return 0;
         }
         let p = &*self.program;
@@ -540,48 +518,6 @@ impl OnlineLocalizer {
         &self.column
     }
 
-    /// Snapshots the mutable DP state (column, counts, stored
-    /// observation). Restoring the checkpoint later rolls the localizer
-    /// back to exactly this point; the immutable graph program is shared,
-    /// so a checkpoint costs one column clone.
-    #[must_use]
-    pub fn checkpoint(&self) -> LocalizerCheckpoint {
-        LocalizerCheckpoint {
-            column: self.column.values.clone(),
-            consistent: self.consistent,
-            pushed: self.pushed,
-            observed: self.observed.clone(),
-            resyncs: self.resyncs,
-            unknown_since: self.unknown_since,
-        }
-    }
-
-    /// Rolls the localizer back to a state taken with
-    /// [`checkpoint`](OnlineLocalizer::checkpoint) on this localizer (or
-    /// one running the same [`LocalizerProgram`], or one compiled with
-    /// identical `(flow, selected, mode)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the checkpoint's column width disagrees with this
-    /// localizer's state count — i.e. it was taken from a localizer over
-    /// a different flow.
-    pub fn restore(&mut self, checkpoint: &LocalizerCheckpoint) {
-        assert_eq!(
-            checkpoint.column.len(),
-            self.column.values.len(),
-            "checkpoint belongs to a different flow"
-        );
-        self.column.values.clone_from(&checkpoint.column);
-        self.support.clear();
-        self.support.extend(support_of(&self.column.values));
-        self.consistent = checkpoint.consistent;
-        self.pushed = checkpoint.pushed;
-        self.observed.clone_from(&checkpoint.observed);
-        self.resyncs = checkpoint.resyncs;
-        self.unknown_since = checkpoint.unknown_since;
-    }
-
     /// Abandons the observation folded in so far and re-seeds the DP as
     /// if the stream restarted here: the count collapses back to the
     /// empty-observation value ("unknown since record
@@ -710,13 +646,9 @@ mod tests {
             assert_eq!(obs.gauge("pstrace_localizer_records_pushed").get(), 0);
             assert!(obs.gauge("pstrace_localizer_frontier_support").get() > 0);
             check(&online, "seeded");
-            let mut ckpt = None;
-            for (n, &m) in observed.iter().enumerate() {
+            for &m in &observed {
                 online.push(m);
                 check(&online, "after a push");
-                if n == 1 {
-                    ckpt = Some(online.checkpoint());
-                }
             }
             assert_eq!(
                 obs.gauge("pstrace_localizer_records_pushed").get(),
@@ -730,8 +662,6 @@ mod tests {
             check(&online, "after a resync");
             online.push(observed[0]);
             check(&online, "after a post-resync push");
-            online.restore(&ckpt.expect("the observation has two records"));
-            check(&online, "after a restore");
         }
     }
 
@@ -841,38 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_rolls_back_exactly() {
-        let u = product(2);
-        let catalog = u.catalog();
-        let selected = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
-        for mode in MODES {
-            let exec = executions(&u).next().unwrap();
-            let observed = exec.project(&selected);
-            let mut online = OnlineLocalizer::new(&u, &selected, mode);
-            online.push(observed[0]);
-            let ckpt = online.checkpoint();
-            let frozen = online.clone();
-            for &m in &observed[1..] {
-                online.push(m);
-            }
-            assert_ne!(online.consistent(), frozen.consistent(), "{mode:?}");
-            online.restore(&ckpt);
-            assert_eq!(online.consistent(), frozen.consistent(), "{mode:?}");
-            assert_eq!(online.pushed(), 1);
-            assert_eq!(online.frontier(), frozen.frontier());
-            // The restored localizer keeps tracking batch exactly.
-            for (n, &m) in observed.iter().enumerate().skip(1) {
-                online.push(m);
-                assert_eq!(
-                    online.consistent(),
-                    consistent_paths(&u, &observed[..=n], &selected, mode),
-                    "{mode:?} after restore"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn resync_revives_a_dead_frontier_and_renarrows() {
         let u = product(2);
         let catalog = u.catalog();
@@ -919,7 +817,7 @@ mod tests {
     }
 
     #[test]
-    fn resync_state_is_published_and_checkpointed() {
+    fn resync_state_is_published() {
         let u = product(2);
         let catalog = u.catalog();
         let selected = [catalog.get("ReqE").unwrap()];
@@ -929,15 +827,12 @@ mod tests {
             FlowIndex(1),
         ));
         online.resync();
-        let ckpt = online.checkpoint();
         online.resync();
         assert_eq!(online.resyncs(), 2);
         assert_eq!(online.unknown_since(), Some(1));
-        online.restore(&ckpt);
-        assert_eq!(online.resyncs(), 1);
         let obs = Registry::new();
         online.record_frontier(&obs);
-        assert_eq!(obs.gauge("pstrace_localizer_resyncs").get(), 1);
+        assert_eq!(obs.gauge("pstrace_localizer_resyncs").get(), 2);
     }
 
     /// Pushes `observed` one record at a time, asserting the count equals
@@ -1005,42 +900,6 @@ mod tests {
                 "{mode:?}"
             );
             assert_eq!(online.frontier().mass(), 0, "{mode:?} stays dead");
-        }
-    }
-
-    #[test]
-    fn restore_from_before_the_frontier_died_matches_batch() {
-        let u = product(2);
-        let catalog = u.catalog();
-        let ack = catalog.get("Ack").unwrap();
-        let selected = [catalog.get("ReqE").unwrap(), catalog.get("GntE").unwrap()];
-        let exec = executions(&u).next().unwrap();
-        let observed = exec.project(&selected);
-        for mode in MODES {
-            let mut online = OnlineLocalizer::new(&u, &selected, mode);
-            online.push(observed[0]);
-            let ckpt = online.checkpoint();
-            // Kill the frontier, then push more onto it while it is dead.
-            online.push(IndexedMessage::new(ack, FlowIndex(1)));
-            online.push(observed[1]);
-            assert_eq!(online.frontier().support(), 0, "{mode:?} died");
-
-            online.restore(&ckpt);
-            let mut fresh = OnlineLocalizer::new(&u, &selected, mode);
-            fresh.push(observed[0]);
-            assert_eq!(online.frontier(), fresh.frontier(), "{mode:?} restored");
-            // The restored support drives the push like the original.
-            for n in 1..observed.len() {
-                online.push(observed[n]);
-                fresh.push(observed[n]);
-                assert_eq!(
-                    online.consistent(),
-                    consistent_paths(&u, &observed[..=n], &selected, mode),
-                    "{mode:?} after restore, {} records",
-                    n + 1
-                );
-                assert_eq!(online.frontier(), fresh.frontier(), "{mode:?}");
-            }
         }
     }
 

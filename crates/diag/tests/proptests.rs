@@ -29,7 +29,6 @@ fn branching_product() -> InterleavedFlow {
 /// sweeps every product state in topological order and sums its whole
 /// inflow — the plain recurrence, with no support tracking. Kept here
 /// only as an oracle for the localizer's sparse push.
-#[derive(Clone)]
 struct DenseFrontier<'a> {
     flow: &'a InterleavedFlow,
     selected: &'a [MessageId],
@@ -223,9 +222,9 @@ proptest! {
     /// The sparse push keeps the whole frontier — not just the count —
     /// equal to a dense sweep at every prefix, in all four modes, on
     /// observations spliced with records of any indexed message
-    /// (unselected and unknown labels included), across a resync and a
-    /// checkpoint/restore. The count stays equal to batch localization of
-    /// the observation since the last resync.
+    /// (unselected and unknown labels included), and across a resync. The
+    /// count stays equal to batch localization of the observation since
+    /// the last resync.
     #[test]
     fn online_frontier_matches_dense_sweep_at_every_prefix(
         branching in any::<bool>(),
@@ -234,7 +233,6 @@ proptest! {
         noise in proptest::collection::vec((0usize..64, 0usize..16), 0..6),
         mode_idx in 0usize..4,
         resync_at in 0usize..12,
-        checkpoint_at in 0usize..12,
     ) {
         let u = if branching { branching_product() } else { product() };
         let alphabet = u.message_alphabet();
@@ -255,44 +253,25 @@ proptest! {
         let mut online = OnlineLocalizer::new(&u, &selected, mode);
         let mut dense = DenseFrontier::new(&u, &selected, mode);
         prop_assert_eq!(online.frontier().values(), &dense.column[..], "seed ({:?})", mode);
-        // Where the observation the count is relative to starts, and the
-        // first record of the current pass.
-        let (mut from, mut start) = (0usize, 0usize);
-        let mut saved = None;
-        // The second pass rolls back to the checkpoint and replays the
-        // tail: the restored support must drive the sparse push exactly
-        // as the original one did.
-        for replay in [false, true] {
-            if replay {
-                let Some((checkpoint, dense_then, from_then, next)) = saved.take() else {
-                    break;
-                };
-                online.restore(&checkpoint);
-                dense = dense_then;
-                (from, start) = (from_then, next);
-                prop_assert_eq!(online.frontier().values(), &dense.column[..], "restored");
-            }
-            for (n, &m) in observed.iter().enumerate().skip(start) {
-                online.push(m);
-                dense.push(m);
-                prop_assert_eq!(
-                    online.frontier().values(), &dense.column[..],
-                    "frontier after {} records ({:?}, replay {})", n + 1, mode, replay
-                );
-                prop_assert_eq!(
-                    online.consistent(),
-                    consistent_paths(&u, &observed[from..=n], &selected, mode),
-                    "count after {} records ({:?}, replay {})", n + 1, mode, replay
-                );
-                if n == resync_at {
-                    online.resync();
-                    dense = DenseFrontier::new(&u, &selected, mode);
-                    from = n + 1;
-                    prop_assert_eq!(online.frontier().values(), &dense.column[..]);
-                }
-                if !replay && n == checkpoint_at {
-                    saved = Some((online.checkpoint(), dense.clone(), from, n + 1));
-                }
+        // Where the observation the count is relative to starts.
+        let mut from = 0usize;
+        for (n, &m) in observed.iter().enumerate() {
+            online.push(m);
+            dense.push(m);
+            prop_assert_eq!(
+                online.frontier().values(), &dense.column[..],
+                "frontier after {} records ({:?})", n + 1, mode
+            );
+            prop_assert_eq!(
+                online.consistent(),
+                consistent_paths(&u, &observed[from..=n], &selected, mode),
+                "count after {} records ({:?})", n + 1, mode
+            );
+            if n == resync_at {
+                online.resync();
+                dense = DenseFrontier::new(&u, &selected, mode);
+                from = n + 1;
+                prop_assert_eq!(online.frontier().values(), &dense.column[..]);
             }
         }
     }

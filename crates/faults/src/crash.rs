@@ -69,8 +69,9 @@ pub struct CrashSoakConfig {
     /// How long the storm runs before the kill is delivered (ignored if
     /// an armed crash point fires first).
     pub kill_after: Duration,
-    /// WAL rotation budget handed to the daemon. Kept small so rotation
-    /// (and its crash points) actually fire under test-sized soaks.
+    /// WAL rotation budget handed to the daemon. The default is the
+    /// writer's floor (four entries of growth), so rotation and both of
+    /// its crash points fire within test-sized soaks.
     pub wal_budget: u64,
 }
 
@@ -88,7 +89,7 @@ impl CrashSoakConfig {
             seed: 1,
             crash_point: None,
             kill_after: Duration::from_millis(300),
-            wal_budget: 4_096,
+            wal_budget: 256,
         }
     }
 }
@@ -209,9 +210,9 @@ impl CrashSoakReport {
     }
 }
 
-/// Truncates a WAL (or checkpoint) file to `keep` bytes, simulating a
-/// torn final entry — what a crash mid-`write` leaves behind. Returns
-/// the number of bytes removed.
+/// Truncates a WAL file to `keep` bytes, simulating a torn final entry —
+/// what a crash mid-`write` leaves behind. Returns the number of bytes
+/// removed.
 ///
 /// # Errors
 ///
@@ -231,9 +232,8 @@ pub fn tear_wal_tail(path: &Path, keep: u64) -> io::Result<u64> {
     Ok(len - keep)
 }
 
-/// Flips every bit of one byte of a WAL (or checkpoint) file in place,
-/// simulating media damage the entry checksum must catch. Returns the
-/// new byte value.
+/// Flips every bit of one byte of a WAL file in place, simulating media
+/// damage the entry checksum must catch. Returns the new byte value.
 ///
 /// # Errors
 ///

@@ -41,12 +41,12 @@
 //!   behind `pstrace metrics` / `pstrace stop`;
 //! * [`durable`] — the crash-only layer: an append-only per-shard WAL of
 //!   session lifecycle state (checksummed fixed-size entries reusing the
-//!   codec v2 CRC discipline) plus compacted checkpoints, replayed by
-//!   [`Server::recover`] at startup so `SESSION_RESUME` tokens minted
-//!   before a crash still work after restart. The v6 protocol carries a
-//!   recovery *epoch* alongside the token, so a token from a different
-//!   WAL lineage is shed politely instead of spliced into a stranger's
-//!   session.
+//!   codec v2 CRC discipline), compacted in place by rotation and
+//!   replayed by [`Server::recover`] at startup so `SESSION_RESUME`
+//!   tokens minted before a crash still work after restart. The v6
+//!   protocol carries a recovery *epoch* alongside the token, so a token
+//!   from a different WAL lineage is shed politely instead of spliced
+//!   into a stranger's session.
 //!
 //! The contract inherited from the batch side holds end to end: a
 //! session's committed record sequence is bit-identical to
@@ -71,13 +71,13 @@ mod session;
 mod shard;
 mod wal;
 
-/// The durability layer: WAL writing, checkpoints, and crash recovery.
+/// The durability layer: WAL writing, rotation, and crash recovery.
 pub mod durable {
     pub use crate::recover::{recover_state, render_dry_run, RecoverError, RecoveredState};
     pub use crate::wal::{
-        checkpoint_path, crash_armed, decode_entry, encode_entry, epoch_path, fresh_epoch,
-        wal_path, write_checkpoint, write_epoch, DurabilityPolicy, SessionRecord, WalRecord,
-        WalWriter, CRASH_POINTS, SCHEMA_CHUNK_BYTES, WAL_BODY_BYTES, WAL_ENTRY_BYTES,
+        crash_armed, decode_entry, encode_entry, fresh_epoch, wal_path, DurabilityPolicy,
+        SessionRecord, WalRecord, WalWriter, CRASH_POINTS, SCHEMA_CHUNK_BYTES, WAL_BODY_BYTES,
+        WAL_ENTRY_BYTES,
     };
 }
 

@@ -1,13 +1,17 @@
-//! Crash-only startup: replay the checkpoints and WALs left behind by a
-//! previous daemon life and rebuild every still-resumable session.
+//! Crash-only startup: replay the journals left behind by a previous
+//! daemon life and rebuild every still-resumable session.
 //!
-//! Recovery never refuses to start. Torn tails, flipped bits, and short
-//! checkpoints become typed [`RecoverError`]s *folded into the returned
-//! statistics* — the daemon logs and counts them, skips the damaged
-//! 64-byte window (fixed-size entries make resync trivial), and keeps
-//! every good entry on both sides. A missing WAL directory simply
-//! recovers zero sessions: process death and clean restart share this
-//! one code path.
+//! Recovery reads only the `wal-<shard>.wal` files of the directory (a
+//! rotation's stray `.tmp` file, or any other file, is ignored) and takes
+//! the directory's epoch from the first readable Epoch header: every
+//! journal and every compacted generation starts with one.
+//!
+//! Recovery never refuses to start. Torn tails and flipped bits become
+//! typed [`RecoverError`]s *folded into the returned statistics* — the
+//! daemon logs and counts them, skips the damaged 64-byte window
+//! (fixed-size entries make resync trivial), and keeps every good entry
+//! on both sides. A missing WAL directory simply recovers zero sessions:
+//! process death and clean restart share this one code path.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -15,11 +19,9 @@ use std::path::Path;
 
 use pstrace_codec::fnv32;
 
-use crate::wal::{
-    checkpoint_path, decode_entry, epoch_path, wal_path, SessionRecord, WalRecord, WAL_ENTRY_BYTES,
-};
+use crate::wal::{decode_entry, wal_path, SessionRecord, WalRecord, WAL_ENTRY_BYTES};
 
-/// A damaged region found while replaying a WAL or checkpoint.
+/// A damaged region found while replaying a WAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoverError {
     /// A truncated or misframed entry: bad magic, unknown kind, or a
@@ -37,12 +39,6 @@ pub enum RecoverError {
         /// Byte offset of the damaged window.
         offset: u64,
     },
-    /// A checkpoint with no valid completeness footer — it was cut off
-    /// mid-write and is ignored as a whole (the WAL still replays).
-    ShortCheckpoint {
-        /// The incomplete checkpoint file.
-        path: String,
-    },
 }
 
 impl fmt::Display for RecoverError {
@@ -54,9 +50,6 @@ impl fmt::Display for RecoverError {
             RecoverError::BadChecksum { path, offset } => {
                 write!(f, "WAL entry checksum mismatch in {path} at byte {offset}")
             }
-            RecoverError::ShortCheckpoint { path } => {
-                write!(f, "checkpoint {path} has no completeness footer; ignored")
-            }
         }
     }
 }
@@ -66,13 +59,14 @@ impl std::error::Error for RecoverError {}
 /// Everything `Server::recover` learned from the WAL directory.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveredState {
-    /// The directory's recovery epoch (0 when no epoch file exists).
+    /// The directory's recovery epoch, from the first readable journal
+    /// header (0 when there is none).
     pub epoch: u64,
     /// Resumable sessions, bucketed by the *current* shard count
     /// (`token % shard_count`), so recovery survives a shard-count
     /// change across restarts.
     pub shards: Vec<Vec<SessionRecord>>,
-    /// Good entries folded from checkpoints and WALs.
+    /// Good entries folded from the journals.
     pub replayed: u64,
     /// Damaged 64-byte windows skipped plus sessions dropped for schema
     /// checksum mismatches.
@@ -125,34 +119,15 @@ fn scan_entries(bytes: &[u8], path: &Path, errors: &mut Vec<RecoverError>) -> Ve
     records
 }
 
-/// Scans a checkpoint file and validates its completeness footer: the
-/// footer must be the final entry and must count every entry before it.
-/// Anything less is a [`RecoverError::ShortCheckpoint`] and the whole
-/// checkpoint is ignored.
-fn scan_checkpoint(bytes: &[u8], path: &Path, errors: &mut Vec<RecoverError>) -> Vec<WalRecord> {
-    let mut local = Vec::new();
-    let records = scan_entries(bytes, path, &mut local);
-    let complete = local.is_empty()
-        && matches!(
-            records.last(),
-            Some(WalRecord::CheckpointFooter { entries, .. })
-                if *entries as usize == records.len() - 1
-        );
-    if complete {
-        records
-    } else {
-        errors.push(RecoverError::ShortCheckpoint {
-            path: path.display().to_string(),
-        });
-        Vec::new()
-    }
-}
-
 fn fold(records: &[WalRecord], live: &mut BTreeMap<u64, Pending>, state: &mut RecoveredState) {
     for record in records {
         state.replayed += 1;
         match record {
-            WalRecord::Epoch { .. } | WalRecord::CheckpointFooter { .. } => {}
+            WalRecord::Epoch { epoch, .. } => {
+                if state.epoch == 0 {
+                    state.epoch = *epoch;
+                }
+            }
             WalRecord::Open {
                 token,
                 session_id,
@@ -213,7 +188,7 @@ fn fold(records: &[WalRecord], live: &mut BTreeMap<u64, Pending>, state: &mut Re
     }
 }
 
-/// Replays every checkpoint and WAL under `dir` and rebuilds the
+/// Replays every journal under `dir` and rebuilds the
 /// resumable-session tables for a daemon with `shard_count` shards.
 ///
 /// Crash-only by construction: this never fails. Missing directories
@@ -227,17 +202,6 @@ pub fn recover_state(dir: &Path, shard_count: usize) -> RecoveredState {
         shards: vec![Vec::new(); shard_count],
         ..RecoveredState::default()
     };
-    let epoch_file = epoch_path(dir);
-    if let Ok(bytes) = std::fs::read(&epoch_file) {
-        if bytes.len() >= WAL_ENTRY_BYTES {
-            let mut e = [0u8; WAL_ENTRY_BYTES];
-            e.copy_from_slice(&bytes[..WAL_ENTRY_BYTES]);
-            if let Ok((_, WalRecord::Epoch { epoch, .. })) = decode_entry(&e, &epoch_file, 0) {
-                state.epoch = epoch;
-            }
-        }
-    }
-
     // Old lives may have run with a different shard count, so scan every
     // journal the directory holds, not just 0..shard_count.
     let mut old_shards: Vec<usize> = Vec::new();
@@ -247,13 +211,10 @@ pub fn recover_state(dir: &Path, shard_count: usize) -> RecoveredState {
             let name = name.to_string_lossy();
             if let Some(n) = name
                 .strip_prefix("wal-")
-                .or_else(|| name.strip_prefix("checkpoint-"))
                 .and_then(|rest| rest.strip_suffix(".wal"))
                 .and_then(|n| n.parse::<usize>().ok())
             {
-                if !old_shards.contains(&n) {
-                    old_shards.push(n);
-                }
+                old_shards.push(n);
             }
         }
     }
@@ -261,20 +222,13 @@ pub fn recover_state(dir: &Path, shard_count: usize) -> RecoveredState {
 
     let mut live: BTreeMap<u64, Pending> = BTreeMap::new();
     for shard in old_shards {
-        let cp = checkpoint_path(dir, shard);
-        if let Ok(bytes) = std::fs::read(&cp) {
-            let records = scan_checkpoint(&bytes, &cp, &mut state.errors);
-            fold(&records, &mut live, &mut state);
-        }
         let wal = wal_path(dir, shard);
         if let Ok(bytes) = std::fs::read(&wal) {
-            let mut errors = Vec::new();
-            let records = scan_entries(&bytes, &wal, &mut errors);
-            state.skipped += errors.len() as u64;
-            state.errors.extend(errors);
+            let records = scan_entries(&bytes, &wal, &mut state.errors);
             fold(&records, &mut live, &mut state);
         }
     }
+    state.skipped = state.errors.len() as u64;
 
     for (token, p) in live {
         let schema = &p.record.schema;
@@ -320,7 +274,7 @@ pub fn render_dry_run(dir: &Path, state: &RecoveredState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{encode_entry, DurabilityPolicy, SessionRecord, WalWriter};
+    use crate::wal::{encode_entry, DurabilityPolicy, WalWriter};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -380,35 +334,34 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_plus_wal_fold_idempotently() {
-        let dir = tmp_dir("idempotent");
-        let schema = vec![0x11; 40];
-        let mut wal = WalWriter::open(&dir, 0, 1, 5, DurabilityPolicy::Lazy, u64::MAX).unwrap();
-        open_session(&mut wal, 7, &schema);
-        // Rotation writes the checkpoint but the same Open also stays in
-        // the WAL when the truncate is interrupted — recovery must not
-        // double-count.
-        crate::wal::write_checkpoint(
-            &dir,
-            0,
-            1,
-            5,
-            &[SessionRecord {
-                token: 7,
-                session_id: 7,
-                trace: 0x107,
-                scenario: 1,
-                mode: 1,
-                tenant: 0,
-                schema: schema.clone(),
-                bytes: 8,
-            }],
-        )
-        .unwrap();
+    fn only_journals_are_read_and_their_header_carries_the_epoch() {
+        let dir = tmp_dir("journals-only");
+        let mut wal = WalWriter::open(&dir, 0, 1, 9, DurabilityPolicy::Lazy, u64::MAX).unwrap();
+        open_session(&mut wal, 1, &[0x77; 20]);
         drop(wal);
+        // What an older build also left: an epoch file and a checkpoint.
+        // Neither is read, so neither can disagree with the journal.
+        let foreign = |token: u64| {
+            let mut bytes = encode_entry(
+                0,
+                &WalRecord::Epoch {
+                    epoch: 0xdead,
+                    shard: 0,
+                    shard_count: 1,
+                },
+            )
+            .to_vec();
+            bytes.extend_from_slice(&encode_entry(1, &WalRecord::Complete { token }));
+            bytes
+        };
+        std::fs::write(dir.join("epoch"), foreign(1)).unwrap();
+        std::fs::write(dir.join("checkpoint-0.wal"), foreign(1)).unwrap();
+        std::fs::write(dir.join("wal-0.wal.tmp"), foreign(1)).unwrap();
         let state = recover_state(&dir, 1);
+        assert_eq!(state.epoch, 9);
         assert_eq!(state.sessions(), 1);
-        assert_eq!(state.shards[0][0].token, 7);
+        assert_eq!(state.replayed, 3, "epoch + open + one schema chunk");
+        assert!(state.errors.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -427,42 +380,6 @@ mod tests {
         let report = render_dry_run(&dir, &state);
         assert!(report.contains("sessions restored: 1"), "{report}");
         assert!(report.contains("torn WAL entry"), "{report}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn short_checkpoint_is_ignored_but_wal_still_replays() {
-        let dir = tmp_dir("shortcp");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A checkpoint cut off before its footer.
-        let entry = encode_entry(
-            0,
-            &WalRecord::Open {
-                token: 9,
-                session_id: 9,
-                trace: 0,
-                scenario: 1,
-                mode: 1,
-                tenant: 0,
-                schema_len: 0,
-                schema_crc: fnv32(&[]),
-            },
-        );
-        std::fs::write(checkpoint_path(&dir, 0), entry).unwrap();
-        let mut wal = WalWriter::open(&dir, 0, 1, 5, DurabilityPolicy::Lazy, u64::MAX).unwrap();
-        open_session(&mut wal, 2, &[0xBB; 12]);
-        drop(wal);
-        let state = recover_state(&dir, 1);
-        assert!(state
-            .errors
-            .iter()
-            .any(|e| matches!(e, RecoverError::ShortCheckpoint { .. })));
-        assert_eq!(
-            state.sessions(),
-            1,
-            "WAL session survives; checkpoint ignored"
-        );
-        assert_eq!(state.shards[0][0].token, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -78,8 +78,8 @@ use crate::session::{observed_messages, Session};
 use crate::shard::{run_shard, FleetCtx, ShardMsg};
 use crate::wal::{fresh_epoch, DurabilityPolicy};
 
-/// Default per-shard WAL disk budget before a checkpoint-and-truncate
-/// rotation (bytes).
+/// Default per-shard WAL disk budget (bytes): how far a journal may grow
+/// past its last compaction before rotation compacts it again.
 pub const DEFAULT_WAL_BUDGET: u64 = 512 * 1024;
 
 /// Per-session ingest budgets. A session crossing any limit is closed
@@ -174,14 +174,16 @@ pub struct ServerConfig {
     /// acked, and the later lifecycle entries ride the next one.
     /// Requires [`ServerConfig::wal_dir`] to take effect.
     pub durability: DurabilityPolicy,
-    /// Where the per-shard WALs, checkpoints and the epoch file live.
+    /// Where the per-shard journals (`wal-<shard>.wal`) live.
     /// On spawn the daemon creates the directory, replays whatever a
     /// previous life left here (`Server::recover` is the same code path)
     /// and re-parks every still-resumable session; it writes nothing here
     /// until its first session is journaled.
     pub wal_dir: Option<PathBuf>,
-    /// Per-shard WAL disk budget in bytes; crossing it triggers a
-    /// checkpoint-and-truncate rotation (degradation path `wal-rotate`).
+    /// Per-shard WAL disk budget in bytes; a journal that grows by it
+    /// since its last compaction is rotated: its live sessions are
+    /// compacted into a fresh journal renamed over it (degradation path
+    /// `wal-rotate`).
     pub wal_budget: u64,
 }
 
@@ -300,8 +302,9 @@ impl Server {
         // previous life left behind and keep its epoch, or mint a fresh
         // one in memory — a clean first boot and a post-SIGKILL restart
         // are the same code path. Spawn creates the directory, so a path
-        // that cannot be one fails here, and writes nothing: the epoch
-        // file and the journals appear with the first journaled session.
+        // that cannot be one fails here, and writes nothing: a shard's
+        // journal, whose header carries the epoch, appears with the
+        // shard's first journaled entry.
         let durable = config.durability != DurabilityPolicy::Off;
         let wal_dir = config.wal_dir.clone().filter(|_| durable);
         let (epoch, recovered) = match &wal_dir {
@@ -386,7 +389,7 @@ impl Server {
         self.addr
     }
 
-    /// Replays the checkpoints and WALs under `wal_dir` for a daemon of
+    /// Replays the journals under `wal_dir` for a daemon of
     /// `shards` shards, without starting anything — the inspection half
     /// of the crash-only startup ([`Server::spawn`] runs the same replay
     /// when [`ServerConfig::wal_dir`] is set). Backs `pstrace recover

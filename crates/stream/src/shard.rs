@@ -62,7 +62,7 @@ use crate::reader::Link;
 use crate::recover::RecoveredState;
 use crate::server::{degrade, open_session, wake_acceptor, ServerConfig};
 use crate::session::{remove_session_series, Session};
-use crate::wal::{write_epoch, SessionRecord, WalRecord, WalWriter};
+use crate::wal::{SessionRecord, WalRecord, WalWriter};
 
 /// What reaches a shard: from the acceptor, a sibling shard or a
 /// connection's reader. Every variant but `Wake` names its connection by
@@ -121,9 +121,6 @@ pub(crate) struct FleetCtx {
     /// The recovery epoch: acked with every resume token, checked on
     /// every resume-by-token (a mismatch is shed, `resume-epoch-shed`).
     pub epoch: u64,
-    /// Whether the epoch file under `wal_dir` holds `epoch`: true when
-    /// spawn read it there, set by the first journaled entry otherwise.
-    pub epoch_persisted: Mutex<bool>,
     /// Where the per-shard WALs live (`None` when durability is off,
     /// whatever `config.wal_dir` says).
     pub wal_dir: Option<PathBuf>,
@@ -190,7 +187,6 @@ impl FleetCtx {
             flight: Arc::new(FlightRecorder::new(shard_count + 1, config.flight_capacity)),
             flight_spill: AtomicU64::new(0),
             epoch,
-            epoch_persisted: Mutex::new(recovered.epoch == epoch),
             wal_dir,
             recovered: slots.into_iter().map(Mutex::new).collect(),
             recovered_max_token: recovered.max_token,
@@ -219,25 +215,6 @@ impl FleetCtx {
         if let Some((id, registry)) = oldest {
             remove_session_series(&registry, id);
         }
-    }
-
-    /// Writes the epoch file unless it already holds this life's epoch:
-    /// the first journaled entry of a daemon life calls this first, so
-    /// every journaled token can prove its lineage after a restart, and
-    /// an idle life writes nothing.
-    pub(crate) fn persist_epoch(&self) -> io::Result<()> {
-        let Some(dir) = &self.wal_dir else {
-            return Ok(());
-        };
-        let mut persisted = self
-            .epoch_persisted
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if !*persisted {
-            write_epoch(dir, self.epoch)?;
-            *persisted = true;
-        }
-        Ok(())
     }
 
     /// The one way to start the drain, whoever asks — the owning
@@ -464,9 +441,9 @@ impl Live {
         }
     }
 
-    /// What a checkpoint keeps of a resumable session (`None` for a
+    /// What a rotation compacts of a resumable session (`None` for a
     /// plain one).
-    fn checkpoint(&self) -> Option<SessionRecord> {
+    fn record(&self) -> Option<SessionRecord> {
         self.token()?;
         Some(SessionRecord {
             bytes: self.session.metrics().bytes,
@@ -638,8 +615,7 @@ impl Shard {
         failed
     }
 
-    /// Runs one WAL write, after the epoch file if this is the daemon
-    /// life's first. A failing write is a degradation
+    /// Runs one WAL write. A failing write is a degradation
     /// (`wal-append-degraded`), never a session error: the session
     /// continues, it just loses crash durability.
     fn journal(
@@ -648,7 +624,7 @@ impl Shard {
         session: u64,
         write: impl FnOnce(&mut WalWriter) -> io::Result<()>,
     ) {
-        if self.wal.is_some() && (self.ctx.persist_epoch().is_err() || self.wal_failed(write)) {
+        if self.wal_failed(write) {
             self.note_degrade("wal-append-degraded", trace, session);
         }
     }
@@ -974,10 +950,9 @@ impl Shard {
         }
     }
 
-    /// Checkpoint-and-truncate rotation once the WAL crosses its disk
-    /// budget: every live resumable session — parked here or `streaming`
-    /// in the shell — is compacted into the checkpoint, then the journal
-    /// restarts empty.
+    /// Rotation once the journal has grown by its disk budget: every live
+    /// resumable session — parked here or `streaming` in the shell — is
+    /// compacted into a fresh generation that replaces the journal.
     fn maybe_rotate<'a>(&mut self, streaming: impl Iterator<Item = &'a Live>) {
         if !self.wal.as_ref().is_some_and(WalWriter::needs_rotation) {
             return;
@@ -985,14 +960,14 @@ impl Shard {
         let live: Vec<SessionRecord> = self
             .parked
             .values()
-            .filter_map(|(live, _)| live.checkpoint())
-            .chain(streaming.filter_map(Live::checkpoint))
+            .filter_map(|(live, _)| live.record())
+            .chain(streaming.filter_map(Live::record))
             .collect();
         // Rotation is the disk-pressure rung of the ladder: count it.
         self.note_degrade("wal-rotate", 0, 0);
         if self.wal_failed(|wal| wal.rotate(&live)) {
-            // The checkpoint (or truncate) failed; the old WAL still
-            // recovers everything, so degrade and carry on.
+            // Compacting failed; whichever journal the rename left in
+            // place still recovers everything, so degrade and carry on.
             self.note_degrade("wal-checkpoint-degraded", 0, 0);
         }
     }
@@ -1381,7 +1356,8 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
         }
         let drained = shell.fire(now);
 
-        // Disk-pressure rotation: checkpoint live sessions, truncate.
+        // Disk-pressure rotation: compact the live sessions into a fresh
+        // journal.
         shell
             .shard
             .maybe_rotate(shell.conns.values().filter_map(|conn| match &conn.phase {
@@ -1651,7 +1627,7 @@ mod tests {
     }
 
     #[test]
-    fn rotation_checkpoints_parked_and_streaming_sessions() {
+    fn rotation_compacts_parked_and_streaming_sessions() {
         let config = ServerConfig {
             wal_budget: 0,
             ..ServerConfig::default()
@@ -1664,11 +1640,23 @@ mod tests {
         rig.assert_durable(&[&streaming], "park one");
 
         rig.shard.maybe_rotate(std::iter::once(&*streaming));
-        let wal = std::fs::read(crate::wal::wal_path(&rig.dir, 0)).unwrap();
+        let journal = std::fs::read(crate::wal::wal_path(&rig.dir, 0)).unwrap();
+        // Open entry, schema chunks and Park per live session.
+        let chunks = rig
+            .hello
+            .schema
+            .len()
+            .div_ceil(crate::wal::SCHEMA_CHUNK_BYTES);
+        let group = 2 + chunks;
         assert_eq!(
-            wal.len(),
-            crate::wal::WAL_ENTRY_BYTES,
-            "rotation truncates the WAL to its epoch header"
+            journal.len(),
+            (1 + 2 * group) * crate::wal::WAL_ENTRY_BYTES,
+            "rotation leaves the epoch header and the two live sessions"
+        );
+        assert_eq!(
+            std::fs::read_dir(&rig.dir).unwrap().count(),
+            1,
+            "the journal is the directory's only file"
         );
         rig.assert_durable(&[&streaming], "rotate");
 

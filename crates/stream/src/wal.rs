@@ -1,7 +1,7 @@
-//! The write-ahead log behind the crash-only daemon: an append-only
-//! per-shard journal of session lifecycle state plus compacted
-//! checkpoints, so `SESSION_RESUME` tokens minted before a crash still
-//! work after a restart.
+//! The write-ahead log behind the crash-only daemon: one append-only
+//! journal per shard of session lifecycle state, compacted in place when
+//! it outgrows its budget, so `SESSION_RESUME` tokens minted before a
+//! crash still work after a restart.
 //!
 //! # Entry format
 //!
@@ -35,40 +35,47 @@
 //! resends from the start, so the reassembled stream (and therefore the
 //! localization) is byte-identical to an uninterrupted run.
 //!
+//! Every journal starts with an Epoch entry, and so does every compacted
+//! generation: recovery reads the directory's epoch from the first
+//! readable one, so a WAL directory holds nothing but its
+//! `wal-<shard>.wal` files.
+//!
 //! # When it syncs
 //!
 //! Spawning a daemon creates, writes and syncs nothing but the directory
-//! itself: the epoch is minted in memory, and a shard's journal is
-//! created by the first entry it appends, with its Epoch header in the
-//! same write. Before the first entry of a daemon life is journaled, the
-//! epoch file is written and synced once (see [`write_epoch`]), so an
-//! idle daemon leaves an empty directory behind.
+//! itself: the epoch is minted in memory or read back from a journal, and
+//! a shard's journal is created by the first entry it appends, with its
+//! Epoch header in the same write, so an idle daemon leaves an empty
+//! directory behind.
 //!
 //! Every append reaches the page cache at once, so a daemon crash keeps
 //! every entry under both policies. Under [`DurabilityPolicy::Strict`]
 //! the open group is the only per-session sync point: one sync before
 //! the resume token is acked. The first sync of a journal created in
-//! this life is `sync_all` of the file and then of the directory, so the
-//! new file's metadata and name are durable too; later ones are
-//! `fdatasync`. Park,
-//! Resume, Complete and Expire are written without a sync and become
-//! durable with the next open-group commit, rotation or drain; the drain
-//! syncs only a journal that exists. A power loss can drop that unsynced
-//! tail, and recovery tolerates it: Resume is ignored anyway, a lost Park
-//! loses only its informational byte count, and a lost Complete or
-//! Expire re-parks a session that had already ended. Its token then
+//! this life is `sync_all` of the file, then of its directory and of the
+//! directory's parent, so the new file's metadata and name and the
+//! directory's own name are durable too; later ones are `fdatasync`.
+//! Park, Resume, Complete and Expire are written without a sync and
+//! become durable with the next open-group commit, rotation or drain; the
+//! drain syncs only a journal that exists. A power loss can drop that
+//! unsynced tail, and recovery tolerates it: Resume is ignored anyway, a
+//! lost Park loses only its informational byte count, and a lost Complete
+//! or Expire re-parks a session that had already ended. Its token then
 //! either replays from offset 0 to the same report or expires under the
 //! resume grace.
 //!
-//! # Checkpoints and rotation
+//! # Rotation
 //!
-//! When a shard's WAL crosses its disk budget, the shard writes a
-//! compacted checkpoint (one open/schema/park group per live resumable
-//! session, closed by a footer entry that proves completeness) to a temp
-//! file, renames it over `checkpoint-<shard>.wal`, and truncates the
-//! WAL. A checkpoint missing its footer is a `ShortCheckpoint` and is
-//! ignored as a whole; the WAL alone still recovers everything logged
-//! since the last complete checkpoint.
+//! When a shard's journal has grown by its disk budget since its last
+//! compaction, the shard writes a compacted generation — the Epoch
+//! header, then one open group and Park per live resumable session — to
+//! `wal-<shard>.wal.tmp`, syncs it and renames it over the journal, then
+//! appends to the new file. The rename is the rotation's only commit
+//! point and the old journal is never truncated: a crash before it leaves
+//! the old journal whole (and a stray temp file that recovery ignores and
+//! the next rotation replaces), a crash after it leaves the new one.
+//! Under strict the directory is synced after the rename; under lazy the
+//! next sync (the drain's) covers the new name.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -80,7 +87,7 @@ use pstrace_codec::fnv32;
 use crate::error::StreamError;
 use crate::recover::RecoverError;
 
-/// Size of every WAL / checkpoint entry on disk.
+/// Size of every WAL entry on disk.
 pub const WAL_ENTRY_BYTES: usize = 64;
 
 /// Size of an entry's kind-specific body.
@@ -136,10 +143,11 @@ impl DurabilityPolicy {
     }
 }
 
-/// One decoded WAL / checkpoint entry.
+/// One decoded WAL entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// File header: the recovery epoch this journal belongs to.
+    /// Journal header, first in every journal and every compacted
+    /// generation: the recovery epoch this journal belongs to.
     Epoch {
         /// The server's recovery epoch (stable across restarts of one
         /// WAL directory).
@@ -149,7 +157,7 @@ pub enum WalRecord {
         /// The shard count the tokens were minted under.
         shard_count: u32,
     },
-    /// A resumable session opened (or re-opened by a checkpoint).
+    /// A resumable session opened (or re-opened by a compaction).
     Open {
         /// The resume token acked to the client.
         token: u64,
@@ -203,13 +211,6 @@ pub enum WalRecord {
         /// The expired session's token.
         token: u64,
     },
-    /// Checkpoint footer: proves the checkpoint was written completely.
-    CheckpointFooter {
-        /// How many entries precede the footer.
-        entries: u32,
-        /// The recovery epoch, repeated for cross-checking.
-        epoch: u64,
-    },
 }
 
 impl WalRecord {
@@ -222,7 +223,6 @@ impl WalRecord {
             WalRecord::Resume { .. } => 5,
             WalRecord::Complete { .. } => 6,
             WalRecord::Expire { .. } => 7,
-            WalRecord::CheckpointFooter { .. } => 8,
         }
     }
 }
@@ -284,10 +284,6 @@ pub fn encode_entry(seq: u32, record: &WalRecord) -> [u8; WAL_ENTRY_BYTES] {
         | WalRecord::Complete { token }
         | WalRecord::Expire { token } => {
             body[0..8].copy_from_slice(&token.to_le_bytes());
-        }
-        WalRecord::CheckpointFooter { entries, epoch } => {
-            body[0..4].copy_from_slice(&entries.to_le_bytes());
-            body[4..12].copy_from_slice(&epoch.to_le_bytes());
         }
     }
     let crc = fnv32(&e[..WAL_ENTRY_BYTES - 4]);
@@ -376,10 +372,6 @@ pub fn decode_entry(
         7 => WalRecord::Expire {
             token: body_u64(body, 0),
         },
-        8 => WalRecord::CheckpointFooter {
-            entries: body_u32(body, 0),
-            epoch: body_u64(body, 4),
-        },
         _ => return Err(torn()),
     };
     Ok((seq, record))
@@ -389,18 +381,6 @@ pub fn decode_entry(
 #[must_use]
 pub fn wal_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("wal-{shard}.wal"))
-}
-
-/// The checkpoint file of one shard under `dir`.
-#[must_use]
-pub fn checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("checkpoint-{shard}.wal"))
-}
-
-/// The epoch file under `dir` (one Epoch entry).
-#[must_use]
-pub fn epoch_path(dir: &Path) -> PathBuf {
-    dir.join("epoch")
 }
 
 /// A crash point armed via the `PSTRACE_CRASH_POINT` environment
@@ -417,7 +397,14 @@ pub fn crash_armed(name: &str) -> bool {
         == Some(name)
 }
 
-/// The crash-point names the WAL honors, in write order.
+/// The crash-point names the WAL honors, in write order:
+///
+/// * `wal-mid-entry` — half an append on disk; recovery must flag the
+///   torn tail and keep everything before it;
+/// * `wal-pre-fsync` — an append in the page cache, never synced;
+/// * `wal-mid-checkpoint` — mid-write of a rotation's compacted
+///   generation; the old journal must survive;
+/// * `wal-mid-rotation` — after the rename, before the directory sync.
 pub const CRASH_POINTS: [&str; 4] = [
     "wal-mid-entry",
     "wal-pre-fsync",
@@ -426,7 +413,7 @@ pub const CRASH_POINTS: [&str; 4] = [
 ];
 
 /// One resumable session's durable identity: what its open group
-/// journals, what a checkpoint compacts and what recovery rebuilds.
+/// journals, what a rotation compacts and what recovery rebuilds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionRecord {
     /// The resume token the client holds (0 = not resumable).
@@ -480,33 +467,8 @@ fn open_group(
     std::iter::once(open).chain(chunks)
 }
 
-/// Writes the WAL directory's epoch file (one Epoch entry) and syncs it
-/// with its metadata and its name in `dir`. A daemon calls this once,
-/// before the first entry of its life is journaled, unless spawn read
-/// the same epoch back from the file; the epoch then stays stable across
-/// every later restart, so resume tokens can prove they belong to this
-/// daemon lineage.
-///
-/// # Errors
-///
-/// Propagates file-write and sync failures.
-pub fn write_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
-    let entry = encode_entry(
-        0,
-        &WalRecord::Epoch {
-            epoch,
-            shard: 0,
-            shard_count: 0,
-        },
-    );
-    let mut f = File::create(epoch_path(dir))?;
-    f.write_all(&entry)?;
-    f.sync_all()?;
-    sync_dir(dir)
-}
-
-/// Syncs directory `dir`, so the names of files just created in it
-/// survive a power loss: syncing a file does not sync its directory
+/// Syncs directory `dir`, so the names of files just created or renamed
+/// in it survive a power loss: syncing a file does not sync its directory
 /// entry. Only Unix opens a directory as a file; elsewhere this does
 /// nothing.
 fn sync_dir(dir: &Path) -> io::Result<()> {
@@ -516,10 +478,10 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// A nonzero epoch for a daemon running without a WAL directory: derived
-/// from the wall clock, so two distinct daemon lives (or WAL dirs) get
-/// distinct epochs and a stale token is rejected rather than spliced
-/// into a stranger's session.
+/// A fresh nonzero epoch, for a daemon life with no lineage to continue:
+/// derived from the wall clock, so two distinct daemon lives (or WAL
+/// dirs) get distinct epochs and a stale token is rejected rather than
+/// spliced into a stranger's session.
 #[must_use]
 pub fn fresh_epoch() -> u64 {
     let nanos = std::time::SystemTime::now()
@@ -533,7 +495,8 @@ pub fn fresh_epoch() -> u64 {
 #[derive(Debug)]
 pub struct WalWriter {
     /// The journal: the one an earlier life left, or, when there is none,
-    /// the one the first append creates.
+    /// the one the first append creates; after a rotation, the compacted
+    /// generation renamed into its place.
     file: Option<File>,
     path: PathBuf,
     dir: PathBuf,
@@ -542,12 +505,22 @@ pub struct WalWriter {
     epoch: u64,
     policy: DurabilityPolicy,
     seq: u32,
+    /// The journal's length in bytes.
     written: u64,
+    /// The journal's length right after this writer's last rotation (0
+    /// before the first): rotation counts growth past it, so a live set
+    /// larger than the budget does not rotate on every append.
+    compacted: u64,
     budget: u64,
     syncs: u64,
-    /// This writer created the journal since its last sync, so the next
-    /// sync is `sync_all` of the file and then of its directory: it makes
-    /// the new file's metadata and name durable as well as its bytes.
+    /// The journal's name is not durable yet: this writer created it, or
+    /// a lazy rotation renamed it into place, since the last sync. The
+    /// next sync is then `sync_all` of the file and a sync of the
+    /// directory.
+    unsynced_name: bool,
+    /// This writer created the journal and has not synced its name yet:
+    /// that sync also syncs the directory's parent, so the directory's
+    /// own name is durable too.
     created: bool,
 }
 
@@ -591,8 +564,10 @@ impl WalWriter {
             policy,
             seq: 0,
             written,
+            compacted: 0,
             budget: budget.max(4 * WAL_ENTRY_BYTES as u64),
             syncs: 0,
+            unsynced_name: false,
             created: false,
         })
     }
@@ -604,11 +579,10 @@ impl WalWriter {
         &self.path
     }
 
-    /// How many syncs this writer has completed, the checkpoint's
-    /// included (a journal's first, which also syncs the directory,
-    /// counts as one): under [`DurabilityPolicy::Strict`], none before
-    /// the first append, one per open group, none per other append, two
-    /// per rotation.
+    /// How many syncs this writer has completed (a sync that also syncs
+    /// directories counts as one): under [`DurabilityPolicy::Strict`],
+    /// none before the first append, one per open group, none per other
+    /// append, two per rotation.
     #[must_use]
     pub fn syncs(&self) -> u64 {
         self.syncs
@@ -629,22 +603,19 @@ impl WalWriter {
         }
         let mut entries = [0u8; 2 * WAL_ENTRY_BYTES];
         let (header, entry) = entries.split_at_mut(WAL_ENTRY_BYTES);
-        header.copy_from_slice(&self.header());
+        header.copy_from_slice(&encode_entry(self.seq, &self.header()));
         entry.copy_from_slice(&encode_entry(self.seq.wrapping_add(1), record));
         self.write(&entries)
     }
 
-    /// The Epoch entry that starts a journal, under the next sequence
-    /// number.
-    fn header(&self) -> [u8; WAL_ENTRY_BYTES] {
-        encode_entry(
-            self.seq,
-            &WalRecord::Epoch {
-                epoch: self.epoch,
-                shard: self.shard as u32,
-                shard_count: self.shard_count,
-            },
-        )
+    /// The Epoch entry that starts a journal and every compacted
+    /// generation.
+    fn header(&self) -> WalRecord {
+        WalRecord::Epoch {
+            epoch: self.epoch,
+            shard: self.shard as u32,
+            shard_count: self.shard_count,
+        }
     }
 
     /// Writes whole encoded entries at the journal's end in one write,
@@ -657,6 +628,7 @@ impl WalWriter {
                     .create(true)
                     .append(true)
                     .open(&self.path)?;
+                self.unsynced_name = true;
                 self.created = true;
                 file
             }
@@ -710,47 +682,84 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Whether the WAL has crossed its disk budget and wants a
-    /// checkpoint-plus-truncate rotation.
+    /// Whether the journal has grown by its disk budget since the last
+    /// rotation and wants compacting.
     #[must_use]
     pub fn needs_rotation(&self) -> bool {
-        self.written >= self.budget
+        self.written - self.compacted >= self.budget
     }
 
-    /// Rotates the WAL: writes a compacted checkpoint of `live` (every
-    /// resumable session still worth recovering), then truncates the
-    /// journal back to its Epoch header; under
-    /// [`DurabilityPolicy::Strict`] one more sync makes the truncated
-    /// journal and its header durable.
+    /// Rotates the WAL: writes the compacted generation of `live` (every
+    /// resumable session still worth recovering) to a temp file, syncs
+    /// it and renames it over the journal, which this writer then
+    /// appends to. Under [`DurabilityPolicy::Strict`] a directory sync
+    /// makes the rename durable; under lazy the next sync does.
     ///
     /// # Errors
     ///
-    /// Propagates checkpoint/truncate i/o failures; on error the old WAL
-    /// is untouched and recovery still works from it.
+    /// Propagates i/o failures; until the rename the old journal is
+    /// untouched and recovery still works from it.
     pub fn rotate(&mut self, live: &[SessionRecord]) -> io::Result<()> {
-        write_checkpoint(&self.dir, self.shard, self.shard_count, self.epoch, live)?;
-        self.syncs += 1;
-        if crash_armed("wal-mid-rotation") {
-            // Checkpoint renamed, WAL not yet truncated: recovery sees
-            // both and must fold them idempotently.
+        let mut records = vec![self.header()];
+        for s in live {
+            records.extend(open_group(
+                s.token,
+                s.session_id,
+                s.trace,
+                s.scenario,
+                s.mode,
+                s.tenant,
+                &s.schema,
+            ));
+            records.push(WalRecord::Park {
+                token: s.token,
+                bytes: s.bytes,
+            });
+        }
+        let entries: Vec<u8> = records
+            .iter()
+            .enumerate()
+            .flat_map(|(seq, record)| encode_entry(seq as u32, record))
+            .collect();
+
+        let tmp = self.path.with_extension("wal.tmp");
+        let mut file = File::create(&tmp)?;
+        if crash_armed("wal-mid-checkpoint") {
+            // Half the compacted generation in the temp file, never
+            // renamed: the old journal must survive untouched.
+            let half = records.len() / 2 * WAL_ENTRY_BYTES;
+            let _ = file.write_all(&entries[..half]);
+            let _ = file.sync_all();
             std::process::abort();
         }
-        self.file = Some(File::create(&self.path)?);
-        self.seq = 0;
-        self.written = 0;
-        self.write(&self.header())?;
+        file.write_all(&entries)?;
+        file.sync_all()?;
+        self.syncs += 1;
+        std::fs::rename(&tmp, &self.path)?;
+        self.file = Some(file);
+        self.seq = records.len() as u32;
+        self.written = entries.len() as u64;
+        self.compacted = self.written;
+        self.unsynced_name = true;
+        if crash_armed("wal-mid-rotation") {
+            // Renamed, directory not yet synced: the kernel holds the
+            // rename, so recovery reads the new generation.
+            std::process::abort();
+        }
         if self.policy == DurabilityPolicy::Strict {
-            self.sync()?;
+            self.sync_names()?;
+            self.syncs += 1;
         }
         Ok(())
     }
 
     /// Puts every appended entry on stable storage: the strict policy's
-    /// open-group commit, and the drain edge under both policies. The
-    /// first sync of a journal this writer created is `sync_all`, then a
-    /// sync of the directory that holds the journal's name, and counts as
-    /// one; every other sync is one `fdatasync`. With no journal there is
-    /// nothing to sync, and nothing is counted.
+    /// open-group commit, and the drain edge under both policies. A sync
+    /// while the journal's name is not durable is `sync_all`, then a sync
+    /// of the directory that holds the name (and of its parent for a
+    /// journal this writer created), and counts as one; every other sync
+    /// is one `fdatasync`. With no journal there is nothing to sync, and
+    /// nothing is counted.
     ///
     /// # Errors
     ///
@@ -759,76 +768,35 @@ impl WalWriter {
         let Some(file) = &self.file else {
             return Ok(());
         };
-        if self.created {
+        if self.unsynced_name {
             file.sync_all()?;
-            sync_dir(&self.dir)?;
-            self.created = false;
+            self.sync_names()?;
         } else {
             file.sync_data()?;
         }
         self.syncs += 1;
         Ok(())
     }
-}
 
-/// Writes a complete checkpoint for `shard`: Epoch header, one
-/// Open/SchemaChunk/Park group per live session, then the footer that
-/// proves completeness — staged in a temp file and renamed into place so
-/// a crash mid-write never destroys the previous checkpoint.
-///
-/// # Errors
-///
-/// Propagates file i/o failures.
-pub fn write_checkpoint(
-    dir: &Path,
-    shard: usize,
-    shard_count: u32,
-    epoch: u64,
-    live: &[SessionRecord],
-) -> io::Result<()> {
-    let final_path = checkpoint_path(dir, shard);
-    let tmp_path = final_path.with_extension("tmp");
-    let mut entries: Vec<WalRecord> = Vec::with_capacity(2 + live.len() * 4);
-    entries.push(WalRecord::Epoch {
-        epoch,
-        shard: shard as u32,
-        shard_count,
-    });
-    for s in live {
-        entries.extend(open_group(
-            s.token,
-            s.session_id,
-            s.trace,
-            s.scenario,
-            s.mode,
-            s.tenant,
-            &s.schema,
-        ));
-        entries.push(WalRecord::Park {
-            token: s.token,
-            bytes: s.bytes,
-        });
-    }
-    let footer_at = entries.len();
-    entries.push(WalRecord::CheckpointFooter {
-        entries: footer_at as u32,
-        epoch,
-    });
-
-    let mut f = File::create(&tmp_path)?;
-    for (seq, record) in entries.iter().enumerate() {
-        if seq == footer_at.max(1) / 2 && crash_armed("wal-mid-checkpoint") {
-            // Half a checkpoint in the temp file, never renamed: the
-            // previous checkpoint must survive untouched.
-            let _ = f.sync_all();
-            std::process::abort();
+    /// Syncs the directory, so the journal's name is durable, and for a
+    /// journal this writer created the directory's parent too, so the
+    /// directory's own name (which `open` may have created) is durable.
+    fn sync_names(&mut self) -> io::Result<()> {
+        sync_dir(&self.dir)?;
+        if self.created {
+            if let Some(parent) = self.dir.parent() {
+                let parent = if parent.as_os_str().is_empty() {
+                    Path::new(".")
+                } else {
+                    parent
+                };
+                sync_dir(parent)?;
+            }
+            self.created = false;
         }
-        f.write_all(&encode_entry(seq as u32, record))?;
+        self.unsynced_name = false;
+        Ok(())
     }
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp_path, &final_path)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -865,10 +833,6 @@ mod tests {
             WalRecord::Resume { token: 42 },
             WalRecord::Complete { token: 42 },
             WalRecord::Expire { token: 42 },
-            WalRecord::CheckpointFooter {
-                entries: 12,
-                epoch: 0xfeed_beef,
-            },
         ];
         let path = Path::new("test.wal");
         for (i, record) in records.iter().enumerate() {
@@ -908,48 +872,152 @@ mod tests {
         assert!(DurabilityPolicy::from_name("paranoid").is_err());
     }
 
-    #[test]
-    fn writer_appends_and_rotates_under_budget() {
-        let dir = std::env::temp_dir().join(format!("pstrace-wal-unit-{}", std::process::id()));
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pstrace-wal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut wal = WalWriter::open(&dir, 0, 2, 77, DurabilityPolicy::Lazy, 5 * 64).unwrap();
-        wal.append_open(2, 1, 0xbeef, 1, 1, 0, &[0xAB; 100])
-            .unwrap();
-        assert!(
-            wal.needs_rotation(),
-            "epoch + open + 3 schema chunks = 5 entries hit the budget"
-        );
-        wal.rotate(&[SessionRecord {
-            token: 2,
-            session_id: 1,
+        dir
+    }
+
+    fn session(token: u64, schema_len: usize) -> SessionRecord {
+        SessionRecord {
+            token,
+            session_id: token,
             trace: 0xbeef,
             scenario: 1,
             mode: 1,
             tenant: 0,
-            schema: vec![0xAB; 100],
+            schema: vec![0xAB; schema_len],
             bytes: 10,
-        }])
+        }
+    }
+
+    fn open_session(wal: &mut WalWriter, s: &SessionRecord) {
+        wal.append_open(
+            s.token,
+            s.session_id,
+            s.trace,
+            s.scenario,
+            s.mode,
+            s.tenant,
+            &s.schema,
+        )
         .unwrap();
+    }
+
+    /// Every entry of `dir`'s shard-0 journal.
+    fn journal(dir: &Path) -> Vec<WalRecord> {
+        let path = wal_path(dir, 0);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() % WAL_ENTRY_BYTES, 0);
+        bytes
+            .chunks(WAL_ENTRY_BYTES)
+            .enumerate()
+            .map(|(i, e)| {
+                let (seq, record) = decode_entry(e.try_into().unwrap(), &path, 0).unwrap();
+                assert_eq!(seq, i as u32, "a generation numbers its entries from 0");
+                record
+            })
+            .collect()
+    }
+
+    #[test]
+    fn writer_appends_and_rotates_under_budget() {
+        let dir = tmp_dir("rotate");
+        let mut wal = WalWriter::open(&dir, 0, 2, 77, DurabilityPolicy::Lazy, 5 * 64).unwrap();
+        let s = session(2, 100);
+        open_session(&mut wal, &s);
+        assert!(
+            wal.needs_rotation(),
+            "epoch + open + 3 schema chunks = 5 entries hit the budget"
+        );
+        wal.rotate(std::slice::from_ref(&s)).unwrap();
         assert!(!wal.needs_rotation());
-        let wal_bytes = std::fs::read(wal_path(&dir, 0)).unwrap();
-        assert_eq!(wal_bytes.len(), WAL_ENTRY_BYTES, "epoch header only");
-        let cp = std::fs::read(checkpoint_path(&dir, 0)).unwrap();
-        assert_eq!(cp.len() % WAL_ENTRY_BYTES, 0);
-        let mut last = [0u8; WAL_ENTRY_BYTES];
-        last.copy_from_slice(&cp[cp.len() - WAL_ENTRY_BYTES..]);
-        let (_, footer) = decode_entry(&last, &checkpoint_path(&dir, 0), 0).unwrap();
-        assert!(matches!(
-            footer,
-            WalRecord::CheckpointFooter { entries, epoch: 77 }
-                if entries as usize * WAL_ENTRY_BYTES == cp.len() - WAL_ENTRY_BYTES
-        ));
+        let header = WalRecord::Epoch {
+            epoch: 77,
+            shard: 0,
+            shard_count: 2,
+        };
+        let generation = journal(&dir);
+        assert_eq!(
+            generation[0], header,
+            "a compacted generation starts with its epoch"
+        );
+        assert_eq!(generation.len(), 6, "epoch + open + 3 chunks + park");
+        assert_eq!(
+            generation[5],
+            WalRecord::Park {
+                token: 2,
+                bytes: 10
+            }
+        );
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(files.len(), 1, "the temp file was renamed into place");
+
+        // Appends continue on the new generation, in sequence.
+        wal.append(&WalRecord::Complete { token: 2 }).unwrap();
+        assert_eq!(journal(&dir)[6], WalRecord::Complete { token: 2 });
+        assert_eq!(crate::recover::recover_state(&dir, 1).sessions(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_generation_over_the_budget_rotates_only_after_growing_by_it() {
+        let dir = tmp_dir("overbudget");
+        let mut wal = WalWriter::open(&dir, 0, 1, 5, DurabilityPolicy::Lazy, 0).unwrap();
+        let big = session(1, 20 * SCHEMA_CHUNK_BYTES);
+        open_session(&mut wal, &big);
+        assert!(wal.needs_rotation());
+        wal.rotate(std::slice::from_ref(&big)).unwrap();
+        let generation = std::fs::metadata(wal_path(&dir, 0)).unwrap().len();
+        assert!(
+            generation >= 4 * 4 * WAL_ENTRY_BYTES as u64,
+            "the live set alone is several budgets long"
+        );
+        // The 256-byte floor is four entries of growth.
+        for appended in 1..=4 {
+            assert!(
+                !wal.needs_rotation(),
+                "rotated again after {appended} appends"
+            );
+            wal.append(&WalRecord::Resume { token: 1 }).unwrap();
+        }
+        assert!(
+            wal.needs_rotation(),
+            "four entries of growth cross the floor"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_stray_temp_file_is_ignored_and_the_next_rotation_replaces_it() {
+        let dir = tmp_dir("stray");
+        let mut wal = WalWriter::open(&dir, 0, 1, 5, DurabilityPolicy::Strict, u64::MAX).unwrap();
+        let s = session(3, 40);
+        open_session(&mut wal, &s);
+        // A crash mid-rotation left half a generation, and some garbage.
+        let tmp = wal_path(&dir, 0).with_extension("wal.tmp");
+        let mut stray = encode_entry(0, &wal.header()).to_vec();
+        stray.extend_from_slice(&[0xFF; 100]);
+        std::fs::write(&tmp, &stray).unwrap();
+
+        let state = crate::recover::recover_state(&dir, 1);
+        assert_eq!(state.sessions(), 1);
+        assert!(state.errors.is_empty(), "{:?}", state.errors);
+
+        let before = wal.syncs();
+        wal.rotate(&[SessionRecord { bytes: 0, ..s }]).unwrap();
+        assert_eq!(wal.syncs() - before, 2, "a strict rotation syncs twice");
+        assert!(!tmp.exists(), "the rotation renamed its own temp file");
+        let state = crate::recover::recover_state(&dir, 1);
+        assert_eq!(state.sessions(), 1);
+        assert_eq!(state.epoch, 5);
+        assert!(state.errors.is_empty(), "{:?}", state.errors);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn epoch_is_minted_once_and_stable() {
-        let dir = std::env::temp_dir().join(format!("pstrace-epoch-unit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmp_dir("epoch");
         let read = || crate::recover::recover_state(&dir, 1).epoch;
 
         // An idle life: a writer that never appends, then the drain's
@@ -960,10 +1028,9 @@ mod tests {
         assert_eq!(read(), 0, "an idle life persists no epoch");
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
 
-        // A life that journals a session writes its epoch first; every
-        // later life reads the same one back.
+        // A life that journals a session writes its epoch in the
+        // journal's header; every later life reads the same one back.
         let epoch = fresh_epoch();
-        write_epoch(&dir, epoch).unwrap();
         let mut wal =
             WalWriter::open(&dir, 0, 1, epoch, DurabilityPolicy::Strict, u64::MAX).unwrap();
         wal.append_open(2, 1, 0xbeef, 1, 1, 0, &[0xAB; 10]).unwrap();

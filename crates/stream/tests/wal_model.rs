@@ -2,14 +2,22 @@
 //! resume, complete, expire, rotate) run against a strict [`WalWriter`]
 //! and an in-memory reference model of the tokens the daemon holds.
 //!
-//! - Cut at every entry boundary and at a torn byte offset inside every
-//!   entry, recovery equals the model at that prefix.
+//! Each rotation renames a compacted generation over the journal, so the
+//! model keeps one file per generation: the journal as it stood just
+//! before the next rotation, starting with the compacted prefix the
+//! rotation synced before the rename.
+//!
+//! - Cut at every entry boundary after that prefix and at a torn byte
+//!   offset inside every later entry, recovery equals the model at that
+//!   point. At each rotation both the old generation whole and the new
+//!   generation's prefix alone equal the model.
 //! - Cut at the last sync point (a power loss), recovery keeps every
 //!   acked, still-live token, and any extra token belongs to a session
 //!   that had already ended.
 //! - Under strict durability the writer syncs nothing until its first
-//!   append, then once per open group, twice per rotation (checkpoint and
-//!   fresh journal), and never for any other append.
+//!   append, then once per open group, twice per rotation (the compacted
+//!   generation, then the directory after the rename), and never for any
+//!   other append.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -17,8 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use pstrace_stream::durable::{
-    checkpoint_path, recover_state, wal_path, DurabilityPolicy, SessionRecord, WalRecord,
-    WalWriter, WAL_ENTRY_BYTES,
+    recover_state, wal_path, DurabilityPolicy, SessionRecord, WalRecord, WalWriter, WAL_ENTRY_BYTES,
 };
 
 const ENTRY: usize = WAL_ENTRY_BYTES;
@@ -74,11 +81,12 @@ struct Cut {
     model: Model,
 }
 
-/// One journal between rotations: the checkpoint it started from, its
-/// final bytes and the cut after each of its steps.
+/// One journal between rotations: the length of the compacted prefix it
+/// started from (0 for the first), its final bytes and the cut after
+/// each of its steps.
 #[derive(Debug)]
 struct Generation {
-    checkpoint: Option<Vec<u8>>,
+    start: usize,
     wal: Vec<u8>,
     cuts: Vec<Cut>,
 }
@@ -127,9 +135,9 @@ fn run(steps: &[Step]) -> Vec<Generation> {
     let journal = || std::fs::read(&wal_file).unwrap_or_default();
     let mut model = Model::default();
     // A generation starts with no journal, or after a rotation with its
-    // synced Epoch header.
-    let start = |model: &Model, checkpoint: Option<Vec<u8>>, len: usize| Generation {
-        checkpoint,
+    // synced compacted prefix.
+    let start = |model: &Model, len: usize| Generation {
+        start: len,
         wal: Vec::new(),
         cuts: vec![Cut {
             kind: None,
@@ -140,7 +148,7 @@ fn run(steps: &[Step]) -> Vec<Generation> {
         }],
     };
     let mut generations = Vec::new();
-    let mut current = start(&model, None, 0);
+    let mut current = start(&model, 0);
     let mut next_token = 1u64;
     for &step in steps {
         let (_, pick, size) = step;
@@ -207,14 +215,8 @@ fn run(steps: &[Step]) -> Vec<Generation> {
                 current.wal = journal();
                 let live: Vec<SessionRecord> = model.live.values().cloned().collect();
                 wal.rotate(&live).unwrap();
-                generations.push(std::mem::replace(
-                    &mut current,
-                    start(
-                        &model,
-                        Some(std::fs::read(checkpoint_path(&dir, 0)).unwrap()),
-                        ENTRY,
-                    ),
-                ));
+                let prefix = journal().len();
+                generations.push(std::mem::replace(&mut current, start(&model, prefix)));
                 let first = &mut current.cuts[0];
                 first.kind = Some(Kind::Rotate);
                 first.syncs = wal.syncs() - before;
@@ -243,21 +245,10 @@ fn run(steps: &[Step]) -> Vec<Generation> {
     generations
 }
 
-/// Lays `checkpoint` and `wal` out as shard 0's files in `dir` and
-/// recovers them: token → record, plus the damage sites recovery found.
-fn recover(
-    dir: &Path,
-    checkpoint: Option<&[u8]>,
-    wal: &[u8],
-) -> (BTreeMap<u64, SessionRecord>, usize) {
+/// Lays `wal` out as shard 0's journal in `dir` and recovers it: token →
+/// record, plus the damage sites recovery found.
+fn recover(dir: &Path, wal: &[u8]) -> (BTreeMap<u64, SessionRecord>, usize) {
     std::fs::create_dir_all(dir).unwrap();
-    let cp = checkpoint_path(dir, 0);
-    match checkpoint {
-        Some(bytes) => std::fs::write(&cp, bytes).unwrap(),
-        None => {
-            let _ = std::fs::remove_file(&cp);
-        }
-    }
     std::fs::write(wal_path(dir, 0), wal).unwrap();
     let state = recover_state(dir, 1);
     let sessions = state.shards[0]
@@ -275,15 +266,17 @@ fn identity(r: &SessionRecord) -> SessionRecord {
     }
 }
 
-/// Recovery at every entry boundary, and at one torn offset inside every
-/// entry, equals the model after the last step wholly inside the cut.
-/// Checkpoint-plus-old-journal (a crash between a rotation's rename and
-/// its truncate) equals the model at the rotation.
+/// Recovery at every entry boundary after a generation's compacted
+/// prefix (the rename installs that prefix whole), and at one torn offset
+/// inside every later entry, equals the model after the last step wholly
+/// inside the cut. At a rotation, the old generation whole (a crash
+/// before the rename) and the new generation's prefix alone (a crash
+/// right after it) both equal the model at the rotation.
 fn check_cuts(generations: &[Generation], tear: u8) {
     let dir = scratch_dir("cuts");
     for (g, gen) in generations.iter().enumerate() {
         let entries = gen.wal.len() / ENTRY;
-        for k in 0..=entries {
+        for k in gen.start / ENTRY..=entries {
             let torn = 1 + (usize::from(tear) + 7 * k) % (ENTRY - 1);
             for len in [k * ENTRY, k * ENTRY + torn] {
                 if len > gen.wal.len() {
@@ -297,7 +290,7 @@ fn check_cuts(generations: &[Generation], tear: u8) {
                     .unwrap_or(&gen.cuts[0])
                     .model
                     .live;
-                let (got, damage) = recover(&dir, gen.checkpoint.as_deref(), &gen.wal[..len]);
+                let (got, damage) = recover(&dir, &gen.wal[..len]);
                 let at = format!(
                     "generation {g}, journal cut at byte {len} of {}",
                     gen.wal.len()
@@ -307,18 +300,21 @@ fn check_cuts(generations: &[Generation], tear: u8) {
             }
         }
         if let Some(next) = generations.get(g + 1) {
-            let (got, _) = recover(&dir, next.checkpoint.as_deref(), &gen.wal);
+            let at_rotation = &next.cuts[0].model.live;
+            let (got, _) = recover(&dir, &gen.wal);
+            assert_eq!(&got, at_rotation, "rotation {g}: the old generation, whole");
+            let (got, damage) = recover(&dir, &next.wal[..next.start]);
             assert_eq!(
-                got, next.cuts[0].model.live,
-                "rotation {g}: the new checkpoint beside the old journal"
+                &got, at_rotation,
+                "rotation {g}: the new generation's prefix alone"
             );
+            assert_eq!(damage, 0, "rotation {g}: the compacted prefix is clean");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// After every step, a power loss keeps the checkpoint and the journal
-/// up to its last sync. Every session the daemon still holds (so every
+/// After every step, a power loss keeps the journal up to its last sync. Every session the daemon still holds (so every
 /// acked, live token) recovers with its identity; any other recovered
 /// token belongs to a session that had already ended.
 fn check_power_loss(generations: &[Generation]) {
@@ -329,7 +325,7 @@ fn check_power_loss(generations: &[Generation]) {
             for r in cut.model.live.values() {
                 opened.entry(r.token).or_insert_with(|| identity(r));
             }
-            let (got, _) = recover(&dir, gen.checkpoint.as_deref(), &gen.wal[..cut.synced_len]);
+            let (got, _) = recover(&dir, &gen.wal[..cut.synced_len]);
             let at = format!("generation {g}, power loss after step {i} ({:?})", cut.kind);
             for (token, r) in &cut.model.live {
                 let kept = got.get(token).map(identity);

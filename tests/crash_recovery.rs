@@ -1,10 +1,11 @@
 //! Crash-only ingest contracts: a parked session's resume token works
-//! across a daemon restart (checkpoint + WAL replay), a session that
+//! across a daemon restart (journal replay), a session that
 //! ended without parking never comes back, a finished session whose
 //! unsynced `Complete` a power loss dropped replays to the same report
 //! or expires, strict durability costs one fsync per resumable session,
 //! an idle daemon writes nothing to its WAL directory while the first
-//! session's token survives a restart and a power loss, tokens from a
+//! session's journal, whose header carries the epoch, keeps its token
+//! across a restart and a power loss, tokens from a
 //! foreign WAL lineage are shed with a typed epoch
 //! rejection, and `pstrace stop` against a dead daemon fails fast with a
 //! typed connection error instead of burning a retry budget.
@@ -19,8 +20,7 @@ use pstrace::diag::MatchMode;
 use pstrace::faults::{poll_until, stable_lines, watchdog, Fixture};
 use pstrace::obs::EventKind;
 use pstrace::stream::durable::{
-    decode_entry, epoch_path, wal_path, DurabilityPolicy, WalRecord, SCHEMA_CHUNK_BYTES,
-    WAL_ENTRY_BYTES,
+    decode_entry, wal_path, DurabilityPolicy, WalRecord, SCHEMA_CHUNK_BYTES, WAL_ENTRY_BYTES,
 };
 use pstrace::stream::proto::{self, Hello, Request};
 use pstrace::stream::{
@@ -386,7 +386,7 @@ fn an_idle_strict_daemon_leaves_its_fresh_wal_directory_empty() {
 }
 
 #[test]
-fn the_first_resumable_session_creates_the_epoch_file_and_its_journal() {
+fn the_first_session_creates_its_journal_whose_header_carries_the_epoch() {
     let _guard = watchdog(Duration::from_secs(120), "first session files");
     let dir = wal_dir("first");
     let cut = wal_dir("first-cut");
@@ -402,10 +402,10 @@ fn the_first_resumable_session_creates_the_epoch_file_and_its_journal() {
         let ack = proto::read_reply(&mut s).unwrap();
         let (token, _, acked_epoch) = proto::parse_resume_ack(&ack).unwrap();
         assert_eq!(acked_epoch, epoch);
-        // The ack follows the sync: the epoch file and the owning
-        // shard's journal exist, the other shard's does not.
+        // The ack follows the sync: the owning shard's journal exists,
+        // the other shard's does not, and nothing else does.
         let journal = format!("wal-{}.wal", token % 2);
-        assert_eq!(files_in(&dir), ["epoch".to_owned(), journal]);
+        assert_eq!(files_in(&dir), [journal]);
         assert_eq!(first.snapshot().fsyncs, 1, "one counted sync per session");
         for piece in cap.payload[..cap.payload.len() / 2].chunks(64) {
             proto::write_data(&mut s, piece).unwrap();
@@ -420,11 +420,11 @@ fn the_first_resumable_session_creates_the_epoch_file_and_its_journal() {
     );
     first.shutdown();
 
-    // A power loss keeps only synced bytes: the epoch file whole, and the
-    // journal up to the open group's sync (Epoch header, Open entry and
-    // the schema chunks), without the Park the drain synced later.
+    // A power loss keeps only synced bytes: the journal up to the open
+    // group's sync (Epoch header, Open entry and the schema chunks),
+    // without the Park the drain synced later. The header alone carries
+    // the epoch.
     std::fs::create_dir_all(&cut).unwrap();
-    std::fs::copy(epoch_path(&dir), epoch_path(&cut)).unwrap();
     let shard = (token % 2) as usize;
     let mut journal = std::fs::read(wal_path(&dir, shard)).unwrap();
     let synced = WAL_ENTRY_BYTES * (2 + cap.header.len().div_ceil(SCHEMA_CHUNK_BYTES));
@@ -462,10 +462,7 @@ fn a_lazy_daemon_creates_its_journal_on_the_first_append_and_the_drain_syncs_it(
     );
     let (token, report) = run_resumable(&server, &cap, 0, 0);
     assert!(report.contains(&fx.batch_localization), "{report}");
-    assert_eq!(
-        files_in(&dir),
-        ["epoch".to_owned(), format!("wal-{}.wal", token % 2)]
-    );
+    assert_eq!(files_in(&dir), [format!("wal-{}.wal", token % 2)]);
     assert_eq!(server.snapshot().fsyncs, 0, "lazy appends never sync");
     let snap = server.shutdown();
     assert_eq!(snap.fsyncs, 1, "the drain syncs the one journal there is");
