@@ -3,7 +3,7 @@
 //! application-level discipline the paper prescribes for silicon.
 //!
 //! Every subsystem seam (session open/close, handshake, park/resume,
-//! shed, cross-shard handoff, frame damage, localizer resync, quota
+//! shed, cross-shard resume, frame damage, localizer resync, quota
 //! trip, worker respawn, drain/shutdown, injected fault, degradation
 //! ladder) appends one fixed-size [`FlightEvent`] to a per-lane
 //! [`FlightRing`]. Writers never block and never allocate: one
@@ -50,7 +50,9 @@ pub enum EventKind {
     Resume = 5,
     /// Admission shed the connection (reason = shed path).
     Shed = 6,
-    /// A resume landed on the wrong shard and was handed off.
+    /// A resume was routed to its token's owning shard rather than to
+    /// the shard of its connection id (journaled by the owner; the name
+    /// predates routing at the reader).
     Handoff = 7,
     /// The decoder rejected a frame (reason = damage reason).
     Damage = 8,

@@ -420,81 +420,59 @@ impl<'a> Scan<'a> {
 /// Returns [`StreamError::Protocol`] on a bad magic, version, request
 /// kind, mode byte or oversized handshake.
 pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, StreamError> {
-    let mut s = Scan { buf, pos: 0 };
-    let Some(magic) = s.take(4) else {
-        // Reject a bad magic as soon as the prefix can no longer match.
-        if !PROTO_MAGIC.starts_with(buf) {
-            return Err(StreamError::Protocol("bad protocol magic".to_owned()));
-        }
-        return Ok(None);
-    };
-    if magic != PROTO_MAGIC {
+    // A bad magic fails as soon as the prefix can no longer match.
+    if !(buf.starts_with(&PROTO_MAGIC) || PROTO_MAGIC.starts_with(buf)) {
         return Err(StreamError::Protocol("bad protocol magic".to_owned()));
     }
-    let Some(version) = s.u8() else {
-        return Ok(None);
+    let mut s = Scan {
+        buf,
+        pos: PROTO_MAGIC.len(),
     };
+    match scan_request(&mut s) {
+        Ok(request) => Ok(Some((request, s.pos))),
+        Err(error) => error.map_or(Ok(None), Err),
+    }
+}
+
+/// The request behind the magic: `Err(None)` while `s` is short of it.
+fn scan_request(s: &mut Scan<'_>) -> Result<Request, Option<StreamError>> {
+    let version = s.u8().ok_or(None)?;
     if version != PROTO_VERSION {
-        return Err(StreamError::Protocol(format!(
-            "unsupported protocol version {version}"
-        )));
+        let message = format!("unsupported protocol version {version}");
+        return Err(Some(StreamError::Protocol(message)));
     }
-    let Some(kind) = s.u8() else { return Ok(None) };
-    let hello_body = |s: &mut Scan<'_>| -> Result<Option<Hello>, StreamError> {
-        let Some(scenario) = s.u8() else {
-            return Ok(None);
-        };
-        let Some(mode_byte) = s.u8() else {
-            return Ok(None);
-        };
-        let mode = mode_from_byte(mode_byte)?;
-        let Some(tenant) = s.u32() else {
-            return Ok(None);
-        };
-        let Some(trace) = s.u64() else {
-            return Ok(None);
-        };
-        let Some(schema_len) = s.u32() else {
-            return Ok(None);
-        };
-        let schema_len = checked_len(schema_len, "schema")?;
-        let Some(schema) = s.take(schema_len) else {
-            return Ok(None);
-        };
-        Ok(Some(Hello {
-            scenario,
-            mode,
-            tenant,
-            trace,
-            schema: schema.to_vec(),
-        }))
-    };
-    match kind {
-        REQ_SESSION => Ok(hello_body(&mut s)?.map(|hello| (Request::Session(hello), s.pos))),
-        REQ_METRICS => Ok(Some((Request::Metrics, s.pos))),
-        REQ_SHUTDOWN => Ok(Some((Request::Shutdown, s.pos))),
-        REQ_SESSION_RESUME => {
-            let Some(token) = s.u64() else {
-                return Ok(None);
-            };
-            let Some(epoch) = s.u64() else {
-                return Ok(None);
-            };
-            Ok(hello_body(&mut s)?.map(|hello| {
-                (
-                    Request::Resume {
-                        token,
-                        epoch,
-                        hello,
-                    },
-                    s.pos,
-                )
-            }))
+    let kind = s.u8().ok_or(None)?;
+    let (token, epoch) = match kind {
+        REQ_METRICS => return Ok(Request::Metrics),
+        REQ_SHUTDOWN => return Ok(Request::Shutdown),
+        REQ_SESSION => (0, 0),
+        REQ_SESSION_RESUME => (s.u64().ok_or(None)?, s.u64().ok_or(None)?),
+        other => {
+            let message = format!("unknown request kind {other}");
+            return Err(Some(StreamError::Protocol(message)));
         }
-        other => Err(StreamError::Protocol(format!(
-            "unknown request kind {other}"
-        ))),
-    }
+    };
+    let scenario = s.u8().ok_or(None)?;
+    let mode = mode_from_byte(s.u8().ok_or(None)?)?;
+    let tenant = s.u32().ok_or(None)?;
+    let trace = s.u64().ok_or(None)?;
+    let schema_len = checked_len(s.u32().ok_or(None)?, "schema")?;
+    let schema = s.take(schema_len).ok_or(None)?.to_vec();
+    let hello = Hello {
+        scenario,
+        mode,
+        tenant,
+        trace,
+        schema,
+    };
+    Ok(match kind {
+        REQ_SESSION => Request::Session(hello),
+        _ => Request::Resume {
+            token,
+            epoch,
+            hello,
+        },
+    })
 }
 
 /// Incrementally parses one chunk from the front of `buf`.

@@ -2,13 +2,17 @@
 //!
 //! Every crate forbids `unsafe`, so `poll(2)` is out of reach; the
 //! std-only way to wait on a socket is a blocking `read`. Each open
-//! connection is served by one reader thread. It reads into its shard's
-//! inbox and, once the shard is done with the connection, writes the
-//! final reply. Readers are pooled: a reader whose connection ended waits
-//! on the pool's job queue for the next one, and a thread is spawned only
-//! when every reader is busy, so the pool tracks peak concurrency with no
-//! knob. A reader that waits a whole handshake timeout for a job
-//! retires, so a burst of connections leaves no threads behind.
+//! connection is served by one reader thread. Its first reads decode the
+//! connection's request, under the handshake deadline, and the request
+//! picks the shard that serves the connection: a resume token's owner,
+//! or else the shard of the connection id (see `FleetCtx::route`). The
+//! reader then pumps the socket into that shard's inbox and, once the
+//! shard is done with the connection, writes the final reply. Readers
+//! are pooled: a reader whose connection ended waits on the pool's job
+//! queue for the next one, and a thread is spawned only when every
+//! reader is busy, so the pool tracks peak concurrency with no knob. A
+//! reader that waits a whole handshake timeout for a job retires, so a
+//! burst of connections leaves no threads behind.
 //!
 //! A connection's [`Wire`] is the hand-off point between its shard and
 //! its reader:
@@ -21,19 +25,20 @@
 //!   socket's write timeout), so a peer that never reads stalls only its
 //!   own reader, never the shard.
 //!
-//! A reader sends its shard `Read`s, then `Eof` if the peer finished
-//! first, then exactly one `Closed` once it is done with the socket.
-//! `Closed` is always the connection's last message.
+//! A reader sends its shard `Open` first (the request, or why none came),
+//! then `Read`s, then `Eof` if the peer finished first, then exactly one
+//! `Closed` once it is done with the socket. `Closed` is always the
+//! connection's last message.
 
 use std::collections::VecDeque;
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, TcpStream};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
-use crate::shard::ShardMsg;
+use crate::proto;
+use crate::shard::{FleetCtx, Opening, ShardMsg};
 
 /// How many bytes one connection may have in flight between its reader
 /// and its shard before the reader waits for credit.
@@ -104,6 +109,46 @@ impl Wire {
         !flow.closing
     }
 
+    /// Reader side: reads until the bytes decode to a request, fail to,
+    /// the peer hangs up or `deadline` passes. A request comes back with
+    /// the bytes read past it, and the socket blocks with no deadline
+    /// again.
+    fn handshake(&self, buf: &mut [u8], deadline: Instant) -> (Opening, Vec<u8>) {
+        let mut head = Vec::new();
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.stream.set_read_timeout(Some(left)).is_err() {
+                let late = "handshake deadline: no complete request arrived in time";
+                return (Err(Some(late.to_owned())), head);
+            }
+            match (&self.stream).read(buf) {
+                Ok(0) => return (Err(None), head),
+                Ok(n) => head.extend_from_slice(&buf[..n]),
+                Err(e) => match e.kind() {
+                    // A timed-out read loops back to the deadline check.
+                    ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                        continue
+                    }
+                    _ => return (Err(None), head),
+                },
+            }
+            match proto::decode_request(&head) {
+                Ok(Some((request, used))) => {
+                    head.drain(..used);
+                    let _ = self.stream.set_read_timeout(None);
+                    return (Ok(request), head);
+                }
+                Ok(None) => {}
+                Err(e) => return (Err(Some(e.to_string())), head),
+            }
+        }
+    }
+
+    /// Shuts the read half, so a reader blocked in `read` returns.
+    pub(crate) fn shut_read(&self) {
+        let _ = self.stream.shutdown(Shutdown::Read);
+    }
+
     /// Whether the shard is done with the connection.
     fn closing(&self) -> bool {
         self.flow().closing
@@ -163,7 +208,7 @@ impl Link {
             flow.reply = reply;
         }
         self.0.turn.notify_all();
-        let _ = self.0.stream.shutdown(Shutdown::Read);
+        self.0.shut_read();
     }
 }
 
@@ -181,32 +226,46 @@ impl Drop for Link {
 pub(crate) struct ReadJob {
     pub id: u64,
     pub wire: Arc<Wire>,
-    /// The inbox of the shard the connection was registered with.
-    pub shard: Sender<ShardMsg>,
+    /// When the connection was accepted: its handshake deadline runs
+    /// from here.
+    pub opened: Instant,
 }
 
 impl ReadJob {
-    /// Pumps the socket into the shard until the peer or the shard ends
-    /// the connection, then writes the shard's reply and says `Closed`.
-    fn serve(self) {
-        let ReadJob { id, wire, shard } = self;
+    /// Decodes the request and opens the connection on the shard it
+    /// routes to, pumps the socket into that shard until the peer or the
+    /// shard ends the connection, then writes the shard's reply and says
+    /// `Closed`.
+    fn serve(self, ctx: &FleetCtx) {
+        let ReadJob { id, wire, opened } = self;
         let mut buf = vec![0u8; READ_CHUNK];
-        let peer_done = loop {
-            if !wire.wait_credit() {
-                break false;
-            }
-            match (&wire.stream).read(&mut buf) {
-                Ok(0) => break true,
-                Ok(n) => {
-                    if !wire.charge(n) || shard.send(ShardMsg::Read(id, buf[..n].to_vec())).is_err()
-                    {
-                        break false;
-                    }
+        let (opening, rest) = wire.handshake(&mut buf, opened + ctx.config.handshake_timeout);
+        let has_request = opening.is_ok();
+        let shard = &ctx.senders[ctx.route(id, &opening)];
+        let sent = shard
+            .send(ShardMsg::Open(id, Link::new(&wire), opening))
+            .is_ok();
+        // A connection with no request is closed by the shard at once;
+        // one with a request streams, the bytes read past it first.
+        let mut bytes = rest;
+        let peer_done = sent
+            && has_request
+            && loop {
+                if !bytes.is_empty()
+                    && (!wire.charge(bytes.len()) || shard.send(ShardMsg::Read(id, bytes)).is_err())
+                {
+                    break false;
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break true,
-            }
-        };
+                if !wire.wait_credit() {
+                    break false;
+                }
+                bytes = match (&wire.stream).read(&mut buf) {
+                    Ok(0) => break true,
+                    Ok(n) => buf[..n].to_vec(),
+                    Err(e) if e.kind() == ErrorKind::Interrupted => Vec::new(),
+                    Err(_) => break true,
+                };
+            };
         // A peer that finished first may still be owed a reply (a FINISH
         // pipelined before a half-close): the shard decides. (A read that
         // ended because the shard shut the read half is no news to it.)
@@ -223,14 +282,14 @@ impl ReadJob {
     }
 }
 
-/// The pool of reader threads, owned by the acceptor. A reader left idle
-/// for its linger period retires, so an idle daemon returns to zero
-/// readers; dropping the pool lets every idle reader exit and joins
-/// every reader.
+/// The pool of reader threads, owned by the acceptor. A reader idle for
+/// as long as a connection may take to say hello is surplus: it retires,
+/// so an idle daemon returns to zero readers. Dropping the pool lets
+/// every idle reader exit and joins every reader.
 #[derive(Debug)]
 pub(crate) struct Readers {
     pool: Arc<Pool>,
-    linger: Duration,
+    ctx: Arc<FleetCtx>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -256,13 +315,14 @@ impl Pool {
     }
 
     /// A reader's life: serve queued jobs, and retire once none arrives
-    /// within `linger` (or the pool closes).
-    fn work(&self, linger: Duration) {
+    /// within a handshake timeout (or the pool closes).
+    fn work(&self, ctx: &FleetCtx) {
+        let linger = ctx.config.handshake_timeout;
         let mut jobs = self.jobs();
         loop {
             if let Some(job) = jobs.queue.pop_front() {
                 drop(jobs);
-                job.serve();
+                job.serve(ctx);
                 jobs = self.jobs();
                 jobs.idle += 1;
                 continue;
@@ -284,11 +344,11 @@ impl Pool {
 }
 
 impl Readers {
-    /// A pool whose idle readers retire after `linger`.
-    pub(crate) fn new(linger: Duration) -> Readers {
+    /// An empty pool whose readers serve `ctx`'s shards.
+    pub(crate) fn new(ctx: &Arc<FleetCtx>) -> Readers {
         Readers {
             pool: Arc::default(),
-            linger,
+            ctx: Arc::clone(ctx),
             threads: Vec::new(),
         }
     }
@@ -306,11 +366,11 @@ impl Readers {
             }
         }
         self.threads.retain(|handle| !handle.is_finished());
-        let (pool, linger) = (Arc::clone(&self.pool), self.linger);
+        let (pool, ctx) = (Arc::clone(&self.pool), Arc::clone(&self.ctx));
         let spawned = std::thread::Builder::new()
             .name("pstrace-conn".to_owned())
             .stack_size(READER_STACK)
-            .spawn(move || pool.work(linger));
+            .spawn(move || pool.work(&ctx));
         // A failed spawn leaves the job queued for the next reader to
         // free up.
         if let Ok(handle) = spawned {

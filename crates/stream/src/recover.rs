@@ -13,7 +13,7 @@
 //! on both sides. A missing WAL directory simply recovers zero sessions:
 //! process death and clean restart share this one code path.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 
@@ -119,7 +119,15 @@ fn scan_entries(bytes: &[u8], path: &Path, errors: &mut Vec<RecoverError>) -> Ve
     records
 }
 
-fn fold(records: &[WalRecord], live: &mut BTreeMap<u64, Pending>, state: &mut RecoveredState) {
+/// Folds one journal's entries into `live`. Tokens are unique within a
+/// WAL lineage, so a token a Complete or Expire `ended` in any journal
+/// stays ended, even if a journal folded later still holds its Open.
+fn fold(
+    records: &[WalRecord],
+    live: &mut BTreeMap<u64, Pending>,
+    ended: &mut BTreeSet<u64>,
+    state: &mut RecoveredState,
+) {
     for record in records {
         state.replayed += 1;
         match record {
@@ -140,6 +148,9 @@ fn fold(records: &[WalRecord], live: &mut BTreeMap<u64, Pending>, state: &mut Re
             } => {
                 state.max_token = state.max_token.max(*token);
                 state.max_session_id = state.max_session_id.max(*session_id);
+                if ended.contains(token) {
+                    continue;
+                }
                 live.insert(
                     *token,
                     Pending {
@@ -183,6 +194,7 @@ fn fold(records: &[WalRecord], live: &mut BTreeMap<u64, Pending>, state: &mut Re
             WalRecord::Resume { .. } => {}
             WalRecord::Complete { token } | WalRecord::Expire { token } => {
                 live.remove(token);
+                ended.insert(*token);
             }
         }
     }
@@ -221,11 +233,12 @@ pub fn recover_state(dir: &Path, shard_count: usize) -> RecoveredState {
     old_shards.sort_unstable();
 
     let mut live: BTreeMap<u64, Pending> = BTreeMap::new();
+    let mut ended = BTreeSet::new();
     for shard in old_shards {
         let wal = wal_path(dir, shard);
         if let Ok(bytes) = std::fs::read(&wal) {
             let records = scan_entries(&bytes, &wal, &mut state.errors);
-            fold(&records, &mut live, &mut state);
+            fold(&records, &mut live, &mut ended, &mut state);
         }
     }
     state.skipped = state.errors.len() as u64;
@@ -286,6 +299,23 @@ mod tests {
     fn open_session(wal: &mut WalWriter, token: u64, schema: &[u8]) {
         wal.append_open(token, token, 0x100 + token, 1, 1, 0, schema)
             .unwrap();
+    }
+
+    #[test]
+    fn a_session_ended_in_a_lower_journal_stays_ended() {
+        let dir = tmp_dir("ended");
+        // A 2-shard life opened token 3 on shard 1; a 1-shard life
+        // recovered it onto shard 0 and completed it there.
+        let mut wal = WalWriter::open(&dir, 1, 2, 9, DurabilityPolicy::Lazy, u64::MAX).unwrap();
+        open_session(&mut wal, 3, &[0x5A; 90]);
+        assert_eq!(recover_state(&dir, 1).sessions(), 1);
+        let mut wal = WalWriter::open(&dir, 0, 1, 9, DurabilityPolicy::Lazy, u64::MAX).unwrap();
+        wal.append(&crate::wal::WalRecord::Complete { token: 3 })
+            .unwrap();
+        let state = recover_state(&dir, 1);
+        assert_eq!(state.sessions(), 0, "the completed session came back");
+        assert_eq!(state.max_token, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,23 +10,27 @@
 //! # Architecture
 //!
 //! Every daemon thread blocks until something happens; none polls. The
-//! accept thread (`pstrace-accept`) blocks in `accept` and pins each
-//! connection to one of [`ServerConfig::shards`] by connection id: it
-//! registers the connection with its shard, then hands the socket to a
-//! pooled reader thread (`pstrace-conn`, see the `reader` module) that
-//! blocks in `read` and forwards the bytes to the shard's inbox; a
-//! reader left without a connection for a handshake timeout retires. Each
-//! shard (`pstrace-shard-<i>`, see the `shard` module) is a single
+//! accept thread (`pstrace-accept`) blocks in `accept`, numbers each
+//! connection and hands its socket to a pooled reader thread
+//! (`pstrace-conn`, see the `reader` module); a reader left without a
+//! connection for a handshake timeout retires. The reader blocks in
+//! `read` until the request decodes (or the handshake deadline passes),
+//! then opens the connection on the one shard of
+//! [`ServerConfig::shards`] it routes to: a resume token's owner (tokens
+//! encode their owning shard, so session pinning survives a reconnect
+//! landing anywhere), otherwise the shard of the connection id. From
+//! then on it forwards the connection's bytes to that shard's inbox.
+//! Each shard (`pstrace-shard-<i>`, see the `shard` module) is a single
 //! thread owning its connection table, its parked-session lot, its
 //! timers and its own metrics [`Registry`](pstrace_obs::Registry) — the
 //! chunk-ingest hot path crosses no locks. It blocks on its inbox until
 //! a message arrives or its next deadline is due. Final replies are
 //! written by the connection's reader, so a client that stops reading
-//! stalls only its own reader. Resume tokens encode their owning shard,
-//! so a reconnect landing anywhere is handed off to the owner and
-//! session pinning survives. Shutdown — [`Server::shutdown`] or the
+//! stalls only its own reader. Shutdown — [`Server::shutdown`] or the
 //! SHUTDOWN verb, one code path — flags the drain, wakes every shard and
-//! wakes the blocked `accept` with one loopback self-connect.
+//! wakes the blocked `accept` with one loopback self-connect; the drain
+//! also waits for accepted connections whose request is still on its
+//! way, and cuts them off at its deadline.
 //! [`Server::snapshot`] and the METRICS verb merge the per-shard
 //! registries (plus the caller's root registry) into one view
 //! ([`pstrace_obs::merged_samples`]).
@@ -61,7 +65,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pstrace_obs::{
     merged_samples, EventKind, FlightRecorder, FlightSnapshot, MetricKey, Registry, Sample,
@@ -72,10 +76,10 @@ use pstrace_wire::read_ptw_header;
 
 use crate::error::StreamError;
 use crate::proto::Hello;
-use crate::reader::{Link, ReadJob, Readers, Wire};
+use crate::reader::{ReadJob, Readers, Wire};
 use crate::recover::{recover_state, RecoveredState};
 use crate::session::{observed_messages, Session};
-use crate::shard::{run_shard, FleetCtx, ShardMsg};
+use crate::shard::{run_shard, FleetCtx};
 use crate::wal::{fresh_epoch, DurabilityPolicy};
 
 /// Default per-shard WAL disk budget (bytes): how far a journal may grow
@@ -98,31 +102,18 @@ pub struct SessionLimits {
 impl SessionLimits {
     /// The first exceeded budget, as a human-readable close message.
     pub(crate) fn exceeded(&self, m: &crate::session::SessionMetrics) -> Option<String> {
-        if let Some(max) = self.max_bytes {
-            if m.bytes > max {
-                return Some(format!(
-                    "session exceeded its byte budget ({} > {max})",
-                    m.bytes
-                ));
-            }
-        }
-        if let Some(max) = self.max_frames {
-            if m.frames > max {
-                return Some(format!(
-                    "session exceeded its frame budget ({} > {max})",
-                    m.frames
-                ));
-            }
-        }
-        if let Some(max) = self.max_records {
-            if m.records > max {
-                return Some(format!(
-                    "session exceeded its record budget ({} > {max})",
-                    m.records
-                ));
-            }
-        }
-        None
+        let wide = |max: Option<usize>| max.map(|n| n as u64);
+        let budgets = [
+            ("byte", self.max_bytes, m.bytes),
+            ("frame", wide(self.max_frames), m.frames as u64),
+            ("record", wide(self.max_records), m.records as u64),
+        ];
+        budgets.into_iter().find_map(|(what, max, used)| {
+            let max = max.filter(|&max| used > max)?;
+            Some(format!(
+                "session exceeded its {what} budget ({used} > {max})"
+            ))
+        })
     }
 }
 
@@ -138,11 +129,11 @@ pub struct ServerConfig {
     /// transport progress for this long dies (and, when resumable,
     /// parks).
     pub read_timeout: Duration,
-    /// Deadline for the request preamble: a connection that has not
-    /// produced its hello within this window is closed (degradation path
-    /// `handshake-deadline`), so slow-loris connects cannot pin shards
-    /// for the full session timeout. It is also how long a reader thread
-    /// with no connection to serve waits for one before it exits.
+    /// Deadline for the request preamble, counted from the accept: a
+    /// connection that has not produced its hello within this window is
+    /// closed (degradation path `handshake-deadline`), so a slow-loris
+    /// connect holds its reader no longer. It is also how long a reader
+    /// thread with no connection to serve waits for one before it exits.
     pub handshake_timeout: Duration,
     /// How long a resumable session stays parked after transport death
     /// before its token expires.
@@ -238,7 +229,8 @@ pub struct StatsSnapshot {
     pub accept_retries: u64,
     /// Sessions shed by quota or capacity (summed over shed reasons).
     pub shed: u64,
-    /// Resume connections handed off to their owning shard.
+    /// Resumes routed to their token's owning shard rather than to the
+    /// shard of their connection id.
     pub handoffs: u64,
     /// WAL syncs (`fdatasync`/`fsync`) issued across all shards.
     pub fsyncs: u64,
@@ -523,13 +515,11 @@ impl Drop for Server {
 }
 
 /// The acceptor thread body: blocks in `accept` until a client connects
-/// or shutdown's self-connect wakes it. Each connection is registered
-/// with its shard before its reader starts, so the shard knows it before
-/// any of its bytes arrive.
-fn accept_loop(listener: &TcpListener, ctx: &FleetCtx) {
-    // A reader idle for as long as a connection may take to say hello
-    // is surplus: it retires.
-    let mut readers = Readers::new(ctx.config.handshake_timeout);
+/// or shutdown's self-connect wakes it. Each connection is noted as
+/// unrouted, so the drain knows of it, and handed to a reader, which
+/// routes it to a shard once its request has arrived.
+fn accept_loop(listener: &TcpListener, ctx: &Arc<FleetCtx>) {
+    let mut readers = Readers::new(ctx);
     let registry = &ctx.registries[0];
     // A failing accept(2) (EMFILE, ECONNABORTED, …) is retried under
     // capped exponential backoff, never fatal: the daemon must outlive
@@ -561,19 +551,16 @@ fn accept_loop(listener: &TcpListener, ctx: &FleetCtx) {
         stream.set_nodelay(true).ok();
         // Bounds the reader's reply write to a peer that stopped reading.
         stream.set_write_timeout(Some(ctx.config.read_timeout)).ok();
-        // Pin by connection id: the shard owns this connection for its
-        // whole life (unless a resume hands it to the token's owner).
         let id = conn_id;
         conn_id += 1;
-        let inbox = &ctx.senders[(id % ctx.senders.len() as u64) as usize];
         let wire = Wire::new(stream);
-        if inbox.send(ShardMsg::Conn(id, Link::new(&wire))).is_err() {
+        if !ctx.note_accepted(id, &wire) {
             return;
         }
         readers.serve(ReadJob {
             id,
             wire,
-            shard: inbox.clone(),
+            opened: Instant::now(),
         });
     }
 }

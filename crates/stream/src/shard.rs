@@ -1,18 +1,17 @@
 //! Shard workers: the event-loop core of the fleet-scale daemon.
 //!
-//! The accept thread pins every connection to one of N shards by
-//! connection id; each shard is a single thread owning its connection
-//! table, its parked-session lot and its own
+//! Every connection belongs to one of N shards; each shard is a single
+//! thread owning its connection table, its parked-session lot and its own
 //! [`Registry`](pstrace_obs::Registry), so the ingest hot path touches
 //! no cross-thread locks at all — the only shared state is the tenant
 //! governor (one short lock per session *open*, never per chunk) and the
 //! mpsc inbox every message reaches the shard through.
 //!
-//! Resume tokens encode their owning shard (`token % shard_count`), so a
-//! reconnect landing on the wrong shard is handed off — connection plus
-//! unconsumed bytes — to the owner over its inbox channel
-//! (`pstrace_stream_handoffs_total`), and session pinning survives any
-//! accept-order the reconnect storm produces.
+//! Resume tokens encode their owning shard (`token % shard_count`). A
+//! connection's reader decodes its request and opens it on the shard
+//! the request routes to ([`FleetCtx::route`]), so a resume goes
+//! straight to its token's owner whatever the accept order, and no
+//! other shard ever learns of the connection.
 //!
 //! The file has two halves. The **session lifecycle** comes first: a
 //! `Live` session (durable record, ingest state machine, governor seat)
@@ -21,21 +20,21 @@
 //! `Outcome`: finished, failed or parked), with resume, expiry and WAL
 //! rotation in between. Lifecycle functions take requests and chunks and
 //! return what to send; none of them sees a socket, so a unit test
-//! drives them in process. The **socket shell** follows, from `Phase`
+//! drives them in process. The **socket shell** follows, from `Conn`
 //! down. `run_shard` blocks on its inbox until a message arrives or the
 //! earliest timer is due — it never ticks. A message names one
-//! connection (bytes its reader read, the peer's end of stream, the
-//! reader's last word), and only that connection advances: its bytes are
-//! decoded, requests and chunks go to the lifecycle, and a final reply
+//! connection (its request, bytes its reader read, the peer's end of
+//! stream, the reader's last word), and only that connection advances:
+//! the request and its chunks go to the lifecycle, and a final reply
 //! goes back to the connection's reader (see [`reader`](crate::reader)),
-//! which writes it off the shard thread. Handshake and idle deadlines,
-//! parked-session expiry and the drain deadline share one timer set, and
-//! a wake fires only the timers that are due. A wake handles a bounded
-//! batch of messages before it fires timers, so a busy inbox cannot hold
-//! off deadlines or the drain. A draining shard stays up while it still
-//! relays for a connection it handed off. A panic inside one
-//! connection's step is caught and costs exactly that connection
-//! (`worker-respawn`).
+//! which writes it off the shard thread. Idle deadlines, parked-session
+//! expiry and the drain deadline share one timer set, and a wake fires
+//! only the timers that are due. A wake handles a bounded batch of
+//! messages before it fires timers, so a busy inbox cannot hold off
+//! deadlines or the drain. A draining shard stays up while an accepted
+//! connection has yet to be routed, since it may be routed here. A
+//! panic inside one connection's step is caught and costs exactly that
+//! connection (`worker-respawn`).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
@@ -44,7 +43,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use pstrace_codec::flight::write_flight_dump;
@@ -58,32 +57,31 @@ use pstrace_soc::SocModel;
 use crate::error::StreamError;
 use crate::programs::ProgramCache;
 use crate::proto::{self, Chunk, Hello, Request};
-use crate::reader::Link;
+use crate::reader::{Link, Wire};
 use crate::recover::RecoveredState;
 use crate::server::{degrade, open_session, wake_acceptor, ServerConfig};
 use crate::session::{remove_session_series, Session};
 use crate::wal::{SessionRecord, WalRecord, WalWriter};
 
-/// What reaches a shard: from the acceptor, a sibling shard or a
-/// connection's reader. Every variant but `Wake` names its connection by
-/// id.
+/// What a connection's reader made of its first bytes: the request, or
+/// the error reply the peer is owed (`None` when the peer hung up, or
+/// the drain cut it off, before a whole request arrived).
+pub(crate) type Opening = Result<Request, Option<String>>;
+
+/// What reaches a shard from a connection's reader, or `Wake`. Every
+/// variant but `Wake` names its connection by id.
 #[derive(Debug)]
 pub(crate) enum ShardMsg {
-    /// A freshly accepted connection, registered before its reader can
-    /// send anything.
-    Conn(u64, Link),
-    /// A mid-request handoff from a sibling: the connection plus every
-    /// byte read but not yet consumed (the resume request included) — the
-    /// receiver re-parses from the top. The sibling relays the
-    /// connection's later messages, in order.
-    Handoff(u64, Link, Vec<u8>),
+    /// The connection's first message: it is this shard's from now on.
+    Open(u64, Link, Opening),
     /// Bytes the connection's reader read.
     Read(u64, Vec<u8>),
     /// The peer closed its side (or the read failed): no more bytes.
     Eof(u64),
     /// The reader is done with the socket: the connection's last message.
     Closed(u64),
-    /// The shutdown flag flipped.
+    /// The shutdown flag flipped, or the last unrouted connection was
+    /// routed during the drain.
     Wake,
 }
 
@@ -95,8 +93,13 @@ pub(crate) struct FleetCtx {
     pub programs: ProgramCache,
     /// The caller's root registry first, then one registry per shard.
     pub registries: Vec<Arc<Registry>>,
-    /// Shard inboxes, indexed by shard — the handoff fabric.
+    /// Shard inboxes, indexed by shard: each connection's reader sends
+    /// to the one its request routes to.
     pub senders: Vec<Sender<ShardMsg>>,
+    /// Accepted connections whose request no shard has yet received, by
+    /// connection id: the drain waits for them, and at its deadline cuts
+    /// them off.
+    pub unrouted: Mutex<HashMap<u64, Arc<Wire>>>,
     /// Global session-id sequence (ids start at 1, shard-agnostic).
     pub session_seq: AtomicU64,
     /// Set to stop accepting and drain the shards.
@@ -177,6 +180,7 @@ impl FleetCtx {
             programs: ProgramCache::new(&root),
             registries,
             senders,
+            unrouted: Mutex::default(),
             session_seq: AtomicU64::new(recovered.max_session_id + 1),
             shutdown: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
@@ -233,6 +237,46 @@ impl FleetCtx {
             wake_acceptor(addr);
         }
         self.wake_waiters();
+    }
+
+    /// The shard a connection's opening goes to: a resume token's owner,
+    /// else the shard of the connection id.
+    pub(crate) fn route(&self, id: u64, opening: &Opening) -> usize {
+        let key = match opening {
+            Ok(Request::Resume { token, .. }) if *token != 0 => *token,
+            _ => id,
+        };
+        (key % self.senders.len() as u64) as usize
+    }
+
+    pub(crate) fn unrouted(&self) -> MutexGuard<'_, HashMap<u64, Arc<Wire>>> {
+        self.unrouted.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Notes an accepted connection as unrouted; `false` once the drain
+    /// has begun (checked under the lock the drain's check takes).
+    pub(crate) fn note_accepted(&self, id: u64, wire: &Arc<Wire>) -> bool {
+        let mut unrouted = self.unrouted();
+        if self.shutdown.load(Ordering::SeqCst) {
+            return false;
+        }
+        unrouted.insert(id, Arc::clone(wire));
+        true
+    }
+
+    /// Connection `id` reached its shard. Once none is left unrouted in
+    /// the drain, every shard wakes to see whether it may exit.
+    pub(crate) fn note_routed(&self, id: u64) {
+        let mut unrouted = self.unrouted();
+        if unrouted.remove(&id).is_some()
+            && unrouted.is_empty()
+            && self.shutdown.load(Ordering::SeqCst)
+        {
+            drop(unrouted);
+            for inbox in &self.senders {
+                let _ = inbox.send(ShardMsg::Wake);
+            }
+        }
     }
 
     /// Wakes the `Server::wait` callers, if any, to re-check their
@@ -477,9 +521,6 @@ enum Next {
     /// Stream into this session. A resumable one is first acked with its
     /// token and the byte offset to resume from.
     Stream(Box<Live>, Option<u64>),
-    /// Not ours: hand the socket, request bytes unconsumed, to the owning
-    /// shard.
-    Handoff(usize),
 }
 
 /// Why the one way in refused a session.
@@ -493,7 +534,7 @@ enum Refused {
 /// What a due timer asks of the shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Timer {
-    /// A connection's handshake or idle deadline.
+    /// A streaming connection's idle deadline.
     Conn(u64),
     /// A parked session's grace period may be over.
     Parked,
@@ -586,15 +627,23 @@ impl Shard {
         self.ctx.degrade_flight(self.lane(), trace, session, path);
     }
 
+    /// Accounts one shed open: its flight events, its degradation and
+    /// `pstrace_stream_shed_total{reason}`.
+    fn shed(&self, reason: &str, trace: u64, session: u64) {
+        self.note(trace, session, EventKind::Shed, reason);
+        if reason == "tenant-quota-shed" {
+            self.note(trace, session, EventKind::QuotaTrip, reason);
+        }
+        self.note_degrade(reason, trace, session);
+        self.registry
+            .counter_with("pstrace_stream_shed_total", &[("reason", reason)])
+            .inc();
+    }
+
     fn next_token(&mut self) -> u64 {
         let token = self.resume_seq * self.shard_count() as u64 + self.index as u64;
         self.resume_seq += 1;
         token
-    }
-
-    /// Which shard owns `token`.
-    fn owner_of(&self, token: u64) -> usize {
-        (token % self.shard_count() as u64) as usize
     }
 
     /// Runs one operation on this shard's WAL, if it has one, and
@@ -706,14 +755,7 @@ impl Shard {
                 return self.stream(live);
             }
             Err(Refused::Shed(shed)) => {
-                self.note(hello_trace, 0, EventKind::Shed, shed.reason);
-                if shed.reason == "tenant-quota-shed" {
-                    self.note(hello_trace, 0, EventKind::QuotaTrip, shed.reason);
-                }
-                self.note_degrade(shed.reason, hello_trace, 0);
-                self.registry
-                    .counter_with("pstrace_stream_shed_total", &[("reason", shed.reason)])
-                    .inc();
+                self.shed(shed.reason, hello_trace, 0);
                 StreamError::Protocol(shed.message)
             }
             Err(Refused::Invalid(e)) => e,
@@ -768,8 +810,8 @@ impl Shard {
         Next::Stream(Box::new(live), ack)
     }
 
-    /// Dispatches one parsed request.
-    fn handle_request(&mut self, request: Request) -> Next {
+    /// Dispatches the request connection `id` opened with.
+    fn handle_request(&mut self, id: u64, request: Request) -> Next {
         match request {
             Request::Metrics => {
                 self.registry
@@ -794,11 +836,11 @@ impl Shard {
                 epoch,
                 hello,
             } => {
-                let owner = self.owner_of(token);
-                if owner != self.index {
+                if id % self.shard_count() as u64 != self.index as u64 {
+                    // Routed here by its token, past the shard of its
+                    // connection id.
                     self.registry.counter("pstrace_stream_handoffs_total").inc();
                     self.note(hello.trace, token, EventKind::Handoff, "");
-                    return Next::Handoff(owner);
                 }
                 let picked = if epoch == self.ctx.epoch {
                     self.pick_up(token, &hello)
@@ -808,14 +850,7 @@ impl Shard {
                     // life whose journal this daemon never saw). Splicing
                     // it into a live table would corrupt someone else's
                     // session; shed it politely instead.
-                    self.note(hello.trace, token, EventKind::Shed, "resume-epoch-shed");
-                    self.note_degrade("resume-epoch-shed", hello.trace, token);
-                    self.registry
-                        .counter_with(
-                            "pstrace_stream_shed_total",
-                            &[("reason", "resume-epoch-shed")],
-                        )
-                        .inc();
+                    self.shed("resume-epoch-shed", hello.trace, token);
                     Err(StreamError::Protocol(format!(
                         "resume token {token} carries recovery epoch {epoch}, \
                          this daemon's epoch is {}; token rejected",
@@ -973,25 +1008,14 @@ impl Shard {
     }
 }
 
-/// The per-connection state machine of the socket shell.
-#[derive(Debug)]
-enum Phase {
-    /// Accumulating the request preamble.
-    Request,
-    /// Pumping chunks into a session.
-    Streaming(Box<Live>),
-    /// Closed, its reply (if any) handed to the reader; waiting for the
-    /// reader's `Closed`.
-    Closing,
-}
-
 /// One connection owned by a shard.
 #[derive(Debug)]
 struct Conn {
     link: Link,
     inbuf: Vec<u8>,
-    phase: Phase,
-    opened: Instant,
+    /// The session being streamed into; `None` once closed, waiting for
+    /// the reader's `Closed`.
+    live: Option<Box<Live>>,
     last_progress: Instant,
     /// The deadline this connection holds in the shard's timer set.
     armed: Option<Instant>,
@@ -999,36 +1023,13 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(link: Link, inbuf: Vec<u8>, now: Instant) -> Conn {
-        Conn {
-            link,
-            inbuf,
-            phase: Phase::Request,
-            opened: now,
-            last_progress: now,
-            armed: None,
-            peer_gone: false,
-        }
-    }
-
-    /// Takes the streaming session out, leaving the connection closing.
-    fn take_live(&mut self) -> Option<Box<Live>> {
-        match std::mem::replace(&mut self.phase, Phase::Closing) {
-            Phase::Streaming(live) => Some(live),
-            _ => None,
-        }
-    }
-
-    /// When this connection's phase times out: the handshake deadline
-    /// while the request is incomplete, the idle deadline while
+    /// When this connection times out: the idle deadline while
     /// streaming. A closing connection's reply write carries its own
     /// timeout.
     fn due(&self, ctx: &FleetCtx) -> Option<Instant> {
-        match self.phase {
-            Phase::Request => Some(self.opened + ctx.config.handshake_timeout),
-            Phase::Streaming(_) => Some(self.last_progress + ctx.config.read_timeout),
-            Phase::Closing => None,
-        }
+        self.live
+            .as_ref()
+            .map(|_| self.last_progress + ctx.config.read_timeout)
     }
 
     /// Holds one timer at this connection's deadline. Progress only moves
@@ -1058,15 +1059,42 @@ enum Verdict {
     Keep,
     /// Close, handing the reader this reply to write first.
     Close(Option<(bool, String)>),
-    /// Hand the connection (plus unconsumed bytes) to the owning shard.
-    Handoff(usize),
 }
 
 impl Shard {
+    /// A connection's first message: serves its request, or closes a
+    /// connection that sent none (`handshake-deadline`).
+    fn open(&mut self, id: u64, conn: &mut Conn, opening: Opening) -> Verdict {
+        let request = match opening {
+            Ok(request) => request,
+            Err(reply) => {
+                self.note_degrade("handshake-deadline", 0, 0);
+                return Verdict::Close(reply.map(|text| (false, text)));
+            }
+        };
+        match self.handle_request(id, request) {
+            Next::Reply(ok, text) => Verdict::Close(Some((ok, text))),
+            Next::Stream(live, ack) => {
+                let token = live.record.token;
+                conn.live = Some(live);
+                let Some(offset) = ack else {
+                    return Verdict::Keep;
+                };
+                let mut bytes = Vec::new();
+                let _ = proto::write_resume_ack(&mut bytes, token, offset, self.ctx.epoch);
+                if conn.link.write_ack(&bytes).is_err() {
+                    conn.peer_gone = true;
+                    return self.streaming_death(conn, "transport closed");
+                }
+                Verdict::Keep
+            }
+        }
+    }
+
     /// A streaming session's transport died (EOF, error, protocol damage
     /// or idle deadline).
     fn streaming_death(&mut self, conn: &mut Conn, why: &str) -> Verdict {
-        let Some(live) = conn.take_live() else {
+        let Some(live) = conn.live.take() else {
             return Verdict::Close(None);
         };
         let outcome = live.death(why);
@@ -1078,88 +1106,33 @@ impl Shard {
         }
     }
 
-    /// Consumes as many complete protocol items as the inbuf holds,
-    /// advancing the phase machine.
+    /// Feeds the session as many complete chunks as the inbuf holds.
     fn process(&mut self, conn: &mut Conn) -> Verdict {
         loop {
-            match &mut conn.phase {
-                Phase::Closing => {
-                    // Anything the client pipelined after its request is
-                    // irrelevant now.
-                    conn.inbuf.clear();
+            let Some(live) = &mut conn.live else {
+                // Anything the client sent past its request is
+                // irrelevant once the connection is closing.
+                conn.inbuf.clear();
+                return Verdict::Keep;
+            };
+            match proto::decode_chunk(&conn.inbuf) {
+                Ok(Some((chunk, used))) => {
+                    conn.inbuf.drain(..used);
+                    if let Some(outcome) = self.handle_chunk(live, chunk) {
+                        let live = conn.live.take().expect("the session was streaming");
+                        return Verdict::Close(self.end(*live, outcome));
+                    }
+                }
+                Ok(None) => {
+                    if conn.peer_gone {
+                        return self.streaming_death(conn, "transport closed mid-stream");
+                    }
                     return Verdict::Keep;
                 }
-                Phase::Request => match proto::decode_request(&conn.inbuf) {
-                    Ok(Some((request, used))) => match self.handle_request(request) {
-                        Next::Handoff(owner) => return Verdict::Handoff(owner),
-                        Next::Reply(ok, text) => return Verdict::Close(Some((ok, text))),
-                        Next::Stream(live, ack) => {
-                            conn.inbuf.drain(..used);
-                            let token = live.record.token;
-                            conn.phase = Phase::Streaming(live);
-                            if let Some(offset) = ack {
-                                let mut bytes = Vec::new();
-                                let _ = proto::write_resume_ack(
-                                    &mut bytes,
-                                    token,
-                                    offset,
-                                    self.ctx.epoch,
-                                );
-                                if conn.link.write_ack(&bytes).is_err() {
-                                    conn.peer_gone = true;
-                                    return self.streaming_death(conn, "transport closed");
-                                }
-                            }
-                        }
-                    },
-                    Ok(None) => {
-                        if conn.peer_gone {
-                            // The peer hung up (or never spoke PSTS) before
-                            // a full request landed.
-                            self.note_degrade("handshake-deadline", 0, 0);
-                            return Verdict::Close(None);
-                        }
-                        return Verdict::Keep;
-                    }
-                    Err(e) => {
-                        self.note_degrade("handshake-deadline", 0, 0);
-                        return Verdict::Close(Some((false, e.to_string())));
-                    }
-                },
-                Phase::Streaming(live) => match proto::decode_chunk(&conn.inbuf) {
-                    Ok(Some((chunk, used))) => {
-                        conn.inbuf.drain(..used);
-                        if let Some(outcome) = self.handle_chunk(live, chunk) {
-                            let live = conn.take_live().expect("the session was streaming");
-                            return Verdict::Close(self.end(*live, outcome));
-                        }
-                    }
-                    Ok(None) => {
-                        if conn.peer_gone {
-                            return self.streaming_death(conn, "transport closed mid-stream");
-                        }
-                        return Verdict::Keep;
-                    }
-                    // Any chunk error is transport death: resumable
-                    // sessions park and a reconnect picks them back up.
-                    Err(e) => return self.streaming_death(conn, &e.to_string()),
-                },
+                // Any chunk error is transport death: resumable
+                // sessions park and a reconnect picks them back up.
+                Err(e) => return self.streaming_death(conn, &e.to_string()),
             }
-        }
-    }
-
-    /// A connection's deadline passed.
-    fn deadline(&mut self, conn: &mut Conn) -> Verdict {
-        match conn.phase {
-            Phase::Request => {
-                self.note_degrade("handshake-deadline", 0, 0);
-                Verdict::Close(Some((
-                    false,
-                    "handshake deadline: no complete request arrived in time".to_owned(),
-                )))
-            }
-            Phase::Streaming(_) => self.streaming_death(conn, "session idle past deadline"),
-            Phase::Closing => Verdict::Keep,
         }
     }
 
@@ -1171,7 +1144,7 @@ impl Shard {
             .inc();
         self.note(0, 0, EventKind::Respawn, "worker-respawn");
         self.note_degrade("worker-respawn", 0, 0);
-        if let Some(live) = conn.take_live() {
+        if let Some(live) = conn.live.take() {
             let outcome = Outcome::Failed {
                 reason: "worker-respawn",
                 message: String::new(),
@@ -1187,41 +1160,24 @@ struct Shell {
     shard: Shard,
     /// Open connections by connection id.
     conns: HashMap<u64, Conn>,
-    /// Connections handed off to another shard, by id. Their reader still
-    /// sends here; each message is relayed in arrival order, so the
-    /// owner sees the connection's bytes in order. `Closed` ends the
-    /// entry.
-    forward: HashMap<u64, usize>,
 }
 
 impl Shell {
     /// Handles one inbox message; only the connection it names advances.
     fn receive(&mut self, msg: ShardMsg, now: Instant) {
-        let id = match &msg {
-            ShardMsg::Conn(id, _)
-            | ShardMsg::Handoff(id, ..)
-            | ShardMsg::Read(id, _)
-            | ShardMsg::Eof(id)
-            | ShardMsg::Closed(id) => *id,
-            ShardMsg::Wake => return,
-        };
-        if let Some(&owner) = self.forward.get(&id) {
-            if matches!(msg, ShardMsg::Closed(_)) {
-                self.forward.remove(&id);
-            }
-            // An owner that already exited closed the connection with it.
-            let _ = self.shard.ctx.senders[owner].send(msg);
-            return;
-        }
         match msg {
-            ShardMsg::Conn(id, link) => {
-                let mut conn = Conn::new(link, Vec::new(), now);
-                conn.arm(id, &self.shard.ctx, &mut self.shard.timers);
+            ShardMsg::Open(id, link, opening) => {
+                let conn = Conn {
+                    link,
+                    inbuf: Vec::new(),
+                    live: None,
+                    last_progress: now,
+                    armed: None,
+                    peer_gone: false,
+                };
                 self.conns.insert(id, conn);
-            }
-            ShardMsg::Handoff(id, link, inbuf) => {
-                self.conns.insert(id, Conn::new(link, inbuf, now));
-                self.step(id, Shard::process);
+                self.shard.ctx.note_routed(id);
+                self.step(id, |shard, conn| shard.open(id, conn, opening));
             }
             ShardMsg::Read(id, bytes) => {
                 let Some(conn) = self.conns.get_mut(&id) else {
@@ -1254,7 +1210,7 @@ impl Shell {
 
     /// Runs one step of connection `id` and applies its verdict. A panic
     /// costs exactly this connection.
-    fn step(&mut self, id: u64, f: fn(&mut Shard, &mut Conn) -> Verdict) {
+    fn step(&mut self, id: u64, f: impl FnOnce(&mut Shard, &mut Conn) -> Verdict) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
@@ -1264,7 +1220,6 @@ impl Shell {
         match verdict {
             Verdict::Keep => conn.arm(id, &shard.ctx, &mut shard.timers),
             Verdict::Close(reply) => {
-                conn.phase = Phase::Closing;
                 conn.disarm(id, &mut shard.timers);
                 let reply = reply.map(|(ok, text)| {
                     let mut bytes = Vec::new();
@@ -1272,15 +1227,6 @@ impl Shell {
                     bytes
                 });
                 conn.link.close(reply);
-            }
-            Verdict::Handoff(owner) => {
-                let mut conn = self.conns.remove(&id).expect("the connection just stepped");
-                conn.disarm(id, &mut self.shard.timers);
-                self.forward.insert(id, owner);
-                let msg = ShardMsg::Handoff(id, conn.link, conn.inbuf);
-                // An owner that already exited drops the message, and the
-                // connection closes with it.
-                let _ = self.shard.ctx.senders[owner].send(msg);
             }
         }
     }
@@ -1303,7 +1249,9 @@ impl Shell {
                     };
                     conn.armed = None;
                     if conn.due(&self.shard.ctx).is_some_and(|due| due <= now) {
-                        self.step(id, Shard::deadline);
+                        self.step(id, |shard, conn| {
+                            shard.streaming_death(conn, "session idle past deadline")
+                        });
                     } else {
                         conn.arm(id, &self.shard.ctx, &mut self.shard.timers);
                     }
@@ -1327,7 +1275,6 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
     let mut shell = Shell {
         shard: Shard::new(ctx, index),
         conns: HashMap::new(),
-        forward: HashMap::new(),
     };
     let mut draining = false;
     loop {
@@ -1360,10 +1307,7 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
         // journal.
         shell
             .shard
-            .maybe_rotate(shell.conns.values().filter_map(|conn| match &conn.phase {
-                Phase::Streaming(live) => Some(&**live),
-                _ => None,
-            }));
+            .maybe_rotate(shell.conns.values().filter_map(|conn| conn.live.as_deref()));
 
         if shell.shard.ctx.shutdown.load(Ordering::SeqCst) {
             if !draining {
@@ -1372,12 +1316,16 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
                 let deadline = now + shell.shard.ctx.config.drain_timeout;
                 shell.shard.timers.insert((deadline, Timer::Drain));
             }
-            // A connection handed off from here still sends its bytes
-            // here, so this shard relays until its reader says `Closed`.
-            if (shell.conns.is_empty() && shell.forward.is_empty()) || drained {
+            // A connection not yet routed may still be routed here.
+            if (shell.conns.is_empty() && shell.shard.ctx.unrouted().is_empty()) || drained {
                 break;
             }
         }
+    }
+    // Past the drain deadline, a connection still without a request is
+    // cut off rather than waited for until its handshake deadline.
+    for wire in shell.shard.ctx.unrouted().values() {
+        wire.shut_read();
     }
     // The drain edge syncs what no open group has yet: the whole
     // journal under lazy durability, the trailing park, resume, complete
@@ -1480,7 +1428,7 @@ mod tests {
                 epoch: if token == 0 { 0 } else { EPOCH },
                 hello: self.hello.clone(),
             };
-            match self.shard.handle_request(request) {
+            match self.shard.handle_request(0, request) {
                 Next::Stream(live, Some(offset)) => (live, offset),
                 other => panic!("expected a resumable stream, got {other:?}"),
             }

@@ -528,7 +528,11 @@ impl WalWriter {
     /// Opens the shard's WAL under `dir` (creating the directory if
     /// needed) for appending if an earlier life left one, and creates,
     /// writes and syncs no file: a missing journal is created by the
-    /// first append, which writes its Epoch header in the same write.
+    /// first append, which writes its Epoch header in the same write. A
+    /// torn tail (a length that is not a whole number of entries) is cut
+    /// back to the last whole entry, so appends stay on the 64-byte
+    /// windows recovery scans; recovery already counted that tail as a
+    /// [`RecoverError::TornEntry`](crate::recover::RecoverError).
     /// `budget` is the disk-pressure rotation threshold in bytes.
     ///
     /// # Errors
@@ -551,7 +555,14 @@ impl WalWriter {
             Err(e) => return Err(e),
         };
         let written = match &file {
-            Some(file) => file.metadata()?.len(),
+            Some(file) => {
+                let len = file.metadata()?.len();
+                let whole = len - len % WAL_ENTRY_BYTES as u64;
+                if whole < len {
+                    file.set_len(whole)?;
+                }
+                whole
+            }
             None => 0,
         };
         Ok(WalWriter {

@@ -25,7 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use pstrace_stream::durable::{
-    recover_state, wal_path, DurabilityPolicy, SessionRecord, WalRecord, WalWriter, WAL_ENTRY_BYTES,
+    recover_state, wal_path, DurabilityPolicy, RecoverError, SessionRecord, WalRecord, WalWriter,
+    WAL_ENTRY_BYTES,
 };
 
 const ENTRY: usize = WAL_ENTRY_BYTES;
@@ -360,6 +361,50 @@ fn check_syncs(generations: &[Generation]) {
             Some(_) => 0,
         };
         assert_eq!(cut.syncs, expected, "syncs for {:?}", cut.kind);
+    }
+}
+
+/// A journal torn mid-entry (by `wal-mid-entry` or a power cut) is cut
+/// back to its last whole entry when the next life opens it, so the
+/// sessions that life journals land on whole 64-byte windows.
+#[test]
+fn wal_model_a_torn_tail_is_cut_before_the_next_life_appends() {
+    let (first, second) = (record(1, 70), record(2, 70));
+    let open = |wal: &mut WalWriter, r: &SessionRecord| {
+        wal.append_open(
+            r.token,
+            r.session_id,
+            r.trace,
+            r.scenario,
+            r.mode,
+            r.tenant,
+            &r.schema,
+        )
+        .unwrap();
+    };
+    for torn in 1..ENTRY {
+        let dir = scratch_dir("torn");
+        let mut wal = WalWriter::open(&dir, 0, 1, 7, DurabilityPolicy::Strict, u64::MAX).unwrap();
+        open(&mut wal, &first);
+        drop(wal);
+        let mut journal = std::fs::read(wal_path(&dir, 0)).unwrap();
+        journal.extend(std::iter::repeat(0xA5).take(torn));
+        std::fs::write(wal_path(&dir, 0), &journal).unwrap();
+
+        let mut wal = WalWriter::open(&dir, 0, 1, 7, DurabilityPolicy::Strict, u64::MAX).unwrap();
+        open(&mut wal, &second);
+        let state = recover_state(&dir, 1);
+        let tokens: Vec<u64> = state.shards[0].iter().map(|r| r.token).collect();
+        assert_eq!(tokens, [1, 2], "{torn} torn bytes: {:?}", state.errors);
+        assert!(
+            state
+                .errors
+                .iter()
+                .all(|e| !matches!(e, RecoverError::BadChecksum { .. })),
+            "{torn} torn bytes: {:?}",
+            state.errors
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -1,9 +1,10 @@
 //! The daemon's socket layer, driven through real sockets: handshake and
 //! idle deadlines, parked-session expiry, the drain deadline at
-//! shutdown (also while clients stream without pause), a resume handed
-//! across shards with its chunks pipelined behind the request (also
-//! finishing during a drain), and a METRICS client that never reads its
-//! reply.
+//! shutdown (also while clients stream without pause), a hello that
+//! arrives during the drain, a resume routed across shards to its
+//! token's owner with its chunks pipelined behind the request (also
+//! finishing during a drain, and counted on the owner alone), and a
+//! METRICS client that never reads its reply.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -416,10 +417,9 @@ fn a_handed_off_connection_still_finishes_during_a_drain() {
         "the reconnect must cross shards: {snap:?}"
     );
 
-    // The drain starts while the connection is mid-stream. Its bytes
-    // still reach the owner through the shard it first landed on, so
-    // the session finishes and the drain ends with it, long before its
-    // deadline.
+    // The drain starts while the connection is mid-stream. Its reader
+    // sends its bytes straight to the owner, so the session finishes and
+    // the drain ends with it, long before its deadline.
     let stopping = std::thread::spawn(move || {
         let started = Instant::now();
         server.shutdown();
@@ -443,6 +443,130 @@ fn a_handed_off_connection_still_finishes_during_a_drain() {
         took < Duration::from_secs(5),
         "the drain waited {took:?} for a session that had finished"
     );
+}
+
+#[test]
+fn a_hello_that_arrives_during_the_drain_is_still_served() {
+    let _guard = watchdog(Duration::from_secs(60), "hello during drain");
+    let model = SocModel::t2();
+    let ptw = capture(&model, 64);
+    let PtwParts {
+        header: schema,
+        bit_len,
+        payload,
+        ..
+    } = split_ptw(model.catalog(), &ptw).unwrap();
+    let server = Server::spawn(
+        Arc::new(SocModel::t2()),
+        &ServerConfig {
+            shards: 2,
+            drain_timeout: Duration::from_secs(20),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    // Connected but silent when the drain starts: no counter moves for
+    // it, so give the daemon time to accept it first.
+    let mut s = connect(&server);
+    std::thread::sleep(Duration::from_millis(200));
+    let stopping = std::thread::spawn(move || {
+        let started = Instant::now();
+        let snap = server.shutdown();
+        (started.elapsed(), snap)
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    let mut wire = Vec::new();
+    proto::write_request(&mut wire, &Request::Session(hello(schema))).unwrap();
+    proto::write_data(&mut wire, payload).unwrap();
+    proto::write_finish(&mut wire, bit_len).unwrap();
+    s.write_all(&wire).unwrap();
+    let report = proto::read_reply(&mut s).expect("a hello during the drain is served");
+    assert_eq!(
+        stable_lines(&report),
+        stable_lines(&in_process(&model, &ptw))
+    );
+    let (took, snap) = stopping.join().unwrap();
+    assert_eq!(snap.completed, 1, "{snap:?}");
+    assert!(
+        took < Duration::from_secs(5),
+        "the drain waited {took:?} for a session that had finished"
+    );
+}
+
+#[test]
+fn a_cross_shard_resume_counts_its_handoff_on_the_owner_only() {
+    let _guard = watchdog(Duration::from_secs(60), "handoff on the owner");
+    let model = SocModel::t2();
+    let ptw = capture(&model, 64);
+    let PtwParts {
+        header: schema,
+        bit_len,
+        payload,
+        ..
+    } = split_ptw(model.catalog(), &ptw).unwrap();
+    let server = Server::spawn(
+        Arc::new(SocModel::t2()),
+        &ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let handoffs = |shard: usize| {
+        server.registries()[shard + 1]
+            .counter("pstrace_stream_handoffs_total")
+            .get()
+    };
+
+    // Connection 0 parks a session; its token names the owning shard.
+    let half = payload.len() / 2;
+    let (token, epoch) = {
+        let mut s = connect(&server);
+        proto::write_request(&mut s, &resume(0, 0, schema)).unwrap();
+        let ack = proto::read_reply(&mut s).unwrap();
+        let (token, _, epoch) = proto::parse_resume_ack(&ack).unwrap();
+        proto::write_data(&mut s, &payload[..half]).unwrap();
+        s.flush().unwrap();
+        (token, epoch)
+    };
+    assert!(
+        poll_until(Duration::from_secs(10), || server.snapshot().parked == 1),
+        "the session never parked: {:?}",
+        server.snapshot()
+    );
+    let owner = (token % 2) as usize;
+
+    // Connections 1 and 2: neither a METRICS request nor garbage is a
+    // handoff.
+    let mut m = connect(&server);
+    proto::write_request(&mut m, &Request::Metrics).unwrap();
+    proto::read_reply(&mut m).unwrap();
+    let mut g = connect(&server);
+    g.write_all(b"GARBAGE!").unwrap();
+    proto::read_reply(&mut g).expect_err("garbage is refused");
+    assert_eq!(server.snapshot().handoffs, 0);
+
+    // Connection 3 lands on the other shard by id, and resumes on the
+    // owner.
+    let mut s = connect(&server);
+    proto::write_request(&mut s, &resume(token, epoch, schema)).unwrap();
+    let ack = proto::read_reply(&mut s).unwrap();
+    let (_, offset, _) = proto::parse_resume_ack(&ack).unwrap();
+    proto::write_data(&mut s, &payload[usize::try_from(offset).unwrap()..]).unwrap();
+    proto::write_finish(&mut s, bit_len).unwrap();
+    let report = proto::read_reply(&mut s).unwrap();
+    assert_eq!(
+        stable_lines(&report),
+        stable_lines(&in_process(&model, &ptw))
+    );
+    assert_eq!(handoffs(owner), 1, "the owner counts the routed resume");
+    assert_eq!(
+        handoffs(1 - owner),
+        0,
+        "the shard of the connection id never learns of the resume"
+    );
+    server.shutdown();
 }
 
 #[test]
