@@ -106,7 +106,7 @@ fn scan_entries(bytes: &[u8], path: &Path, errors: &mut Vec<RecoverError>) -> Ve
         let mut window = [0u8; WAL_ENTRY_BYTES];
         window.copy_from_slice(&bytes[offset..offset + WAL_ENTRY_BYTES]);
         match decode_entry(&window, path, offset as u64) {
-            Ok((_, record)) => records.push(record),
+            Ok(record) => records.push(record),
             Err(err) => errors.push(err),
         }
     }
@@ -120,8 +120,8 @@ fn scan_entries(bytes: &[u8], path: &Path, errors: &mut Vec<RecoverError>) -> Ve
 }
 
 /// Folds one journal's entries into `live`. Tokens are unique within a
-/// WAL lineage, so a token a Complete or Expire `ended` in any journal
-/// stays ended, even if a journal folded later still holds its Open.
+/// WAL lineage, so a token a Complete `ended` in any journal stays
+/// ended, even if a journal folded later still holds its Open.
 fn fold(
     records: &[WalRecord],
     live: &mut BTreeMap<u64, Pending>,
@@ -162,7 +162,6 @@ fn fold(
                             mode: *mode,
                             tenant: *tenant,
                             schema: Vec::with_capacity(*schema_len as usize),
-                            bytes: 0,
                         },
                         schema_len: *schema_len,
                         schema_crc: *schema_crc,
@@ -183,16 +182,7 @@ fn fold(
                     }
                 }
             }
-            WalRecord::Park { token, bytes } => {
-                if let Some(p) = live.get_mut(token) {
-                    p.record.bytes = *bytes;
-                }
-            }
-            // A resumed session is still live: if it finished there will
-            // be a Complete; if it died parked there will be a Park; if
-            // it was streaming at the crash it is resumable as-is.
-            WalRecord::Resume { .. } => {}
-            WalRecord::Complete { token } | WalRecord::Expire { token } => {
+            WalRecord::Complete { token } => {
                 live.remove(token);
                 ended.insert(*token);
             }
@@ -270,8 +260,12 @@ pub fn render_dry_run(dir: &Path, state: &RecoveredState) -> String {
     for (shard, sessions) in state.shards.iter().enumerate() {
         for s in sessions {
             out.push_str(&format!(
-                "    shard {shard} token {} session {} scenario {} tenant {} schema {}B ingested {}B\n",
-                s.token, s.session_id, s.scenario, s.tenant, s.schema.len(), s.bytes
+                "    shard {shard} token {} session {} scenario {} tenant {} schema {}B\n",
+                s.token,
+                s.session_id,
+                s.scenario,
+                s.tenant,
+                s.schema.len()
             ));
         }
     }
@@ -323,13 +317,8 @@ mod tests {
         let dir = tmp_dir("rebuild");
         let mut wal = WalWriter::open(&dir, 0, 1, 9, DurabilityPolicy::Lazy, u64::MAX).unwrap();
         let schema = vec![0x5A; 90];
-        open_session(&mut wal, 1, &schema);
-        wal.append(&crate::wal::WalRecord::Park {
-            token: 1,
-            bytes: 64,
-        })
-        .unwrap();
-        open_session(&mut wal, 2, &schema); // streaming at crash: no Park
+        open_session(&mut wal, 1, &schema); // parked at the crash
+        open_session(&mut wal, 2, &schema); // streaming at the crash
         open_session(&mut wal, 3, &schema);
         wal.append(&crate::wal::WalRecord::Complete { token: 3 })
             .unwrap();
@@ -349,7 +338,6 @@ mod tests {
         assert_eq!(state.shards[0].len(), 1, "token 2 buckets to shard 0");
         let s1 = state.shards[1].iter().find(|s| s.token == 1).unwrap();
         assert_eq!(s1.schema, schema);
-        assert_eq!(s1.bytes, 64);
         assert_eq!(state.max_token, 3);
         assert!(state.errors.is_empty());
         std::fs::remove_dir_all(&dir).ok();
@@ -372,16 +360,13 @@ mod tests {
         // What an older build also left: an epoch file and a checkpoint.
         // Neither is read, so neither can disagree with the journal.
         let foreign = |token: u64| {
-            let mut bytes = encode_entry(
-                0,
-                &WalRecord::Epoch {
-                    epoch: 0xdead,
-                    shard: 0,
-                    shard_count: 1,
-                },
-            )
+            let mut bytes = encode_entry(&WalRecord::Epoch {
+                epoch: 0xdead,
+                shard: 0,
+                shard_count: 1,
+            })
             .to_vec();
-            bytes.extend_from_slice(&encode_entry(1, &WalRecord::Complete { token }));
+            bytes.extend_from_slice(&encode_entry(&WalRecord::Complete { token }));
             bytes
         };
         std::fs::write(dir.join("epoch"), foreign(1)).unwrap();

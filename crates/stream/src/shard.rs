@@ -19,22 +19,24 @@
 //! crash recovery) and leaves through one way out (`end`, keyed by an
 //! `Outcome`: finished, failed or parked), with resume, expiry and WAL
 //! rotation in between. Lifecycle functions take requests and chunks and
-//! return what to send; none of them sees a socket, so a unit test
-//! drives them in process. The **socket shell** follows, from `Conn`
+//! return what to send; none of them sees a socket (`end` takes the
+//! connection only to leave an ended session's record on it), so a unit
+//! test drives them in process. The **socket shell** follows, from `Conn`
 //! down. `run_shard` blocks on its inbox until a message arrives or the
 //! earliest timer is due — it never ticks. A message names one
 //! connection (its request, bytes its reader read, the peer's end of
 //! stream, the reader's last word), and only that connection advances:
 //! the request and its chunks go to the lifecycle, and a final reply
 //! goes back to the connection's reader (see [`reader`](crate::reader)),
-//! which writes it off the shard thread. Idle deadlines, parked-session
-//! expiry and the drain deadline share one timer set, and a wake fires
-//! only the timers that are due. A wake handles a bounded batch of
-//! messages before it fires timers, so a busy inbox cannot hold off
-//! deadlines or the drain. A draining shard stays up while an accepted
-//! connection has yet to be routed, since it may be routed here. A
-//! panic inside one connection's step is caught and costs exactly that
-//! connection (`worker-respawn`).
+//! which writes it off the shard thread and then says `Closed`, which
+//! journals an ended resumable session's `Complete`. Idle deadlines,
+//! parked-session expiry and the drain deadline share one timer set, and
+//! a wake fires only the timers that are due. A wake handles a bounded
+//! batch of messages before it fires timers, so a busy inbox cannot hold
+//! off deadlines or the drain. A draining shard stays up while an
+//! accepted connection has yet to be routed, since it may be routed
+//! here. A panic inside one connection's step is caught and costs
+//! exactly that connection (`worker-respawn`).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
@@ -484,16 +486,6 @@ impl Live {
             },
         }
     }
-
-    /// What a rotation compacts of a resumable session (`None` for a
-    /// plain one).
-    fn record(&self) -> Option<SessionRecord> {
-        self.token()?;
-        Some(SessionRecord {
-            bytes: self.session.metrics().bytes,
-            ..self.record.clone()
-        })
-    }
 }
 
 /// How a session leaves the streaming phase: the key of the one way out.
@@ -726,7 +718,6 @@ impl Shard {
                 mode: proto::mode_to_byte(hello.mode),
                 tenant: hello.tenant,
                 schema: hello.schema,
-                bytes: 0,
             },
             session,
             _ticket: ticket,
@@ -888,7 +879,6 @@ impl Shard {
             EventKind::Resume,
             "",
         );
-        self.wal_append(WalRecord::Resume { token });
         Ok(live)
     }
 
@@ -909,30 +899,28 @@ impl Shard {
         }
     }
 
-    /// The one way out of a streaming session: transport death, budget
-    /// close, FINISH and panic teardown all end here. The session stops
-    /// counting as active and its frontier gauges clear. A parked
+    /// The one way out of `conn`'s streaming session: transport death,
+    /// budget close, FINISH and panic teardown all end here. The session
+    /// stops counting as active and its frontier gauges clear. A parked
     /// session keeps its seat and token; any other end frees the seat,
-    /// and a resumable session journals `Complete` so recovery does not
-    /// resurrect it. The entry is not synced: if a power loss drops it,
-    /// recovery re-parks the ended session, whose token then replays to
-    /// the same report or expires. Returns the reply the client is owed,
-    /// if any.
-    fn end(&mut self, live: Live, outcome: Outcome) -> Option<(bool, String)> {
+    /// and a resumable session leaves its record on `conn`: its token
+    /// dies only once the reader has written the reply, when `Closed`
+    /// journals its `Complete`. A crash before then re-parks the token,
+    /// and the client's retry replays to the same report. Returns the
+    /// reply the client is owed, if any (`None` too when `conn` streams
+    /// nothing).
+    fn end(&mut self, conn: &mut Conn, outcome: Outcome) -> Option<(bool, String)> {
+        let live = *conn.live.take()?;
         self.registry.gauge("pstrace_stream_active_sessions").sub(1);
         // However the session ends, it is no longer live-streaming:
         // stale frontier gauges would sum wrongly across shards.
         OnlineLocalizer::clear_frontier(&self.registry);
-        let (token, trace, id) = (live.token(), live.record.trace, live.record.session_id);
+        let (trace, id) = (live.record.trace, live.record.session_id);
         let reply = match outcome {
             Outcome::Parked => {
                 self.registry.counter("pstrace_stream_parked_total").inc();
                 self.note(trace, id, EventKind::Park, "session-parked");
                 self.note_degrade("session-parked", trace, id);
-                self.wal_append(WalRecord::Park {
-                    token: live.record.token,
-                    bytes: live.session.metrics().bytes,
-                });
                 self.park(live);
                 return None;
             }
@@ -957,17 +945,15 @@ impl Shard {
                 (false, message)
             }
         };
-        if let Some(token) = token {
-            self.wal_append(WalRecord::Complete { token });
-        }
+        conn.ended = (live.record.token != 0).then_some(live.record);
         self.ctx.retire_series(id, &self.registry);
         self.ctx.wake_waiters();
         Some(reply)
     }
 
     /// Drops every parked session whose grace period is over at `now`;
-    /// each expiry is journaled so recovery does not resurrect a dead
-    /// token (after a power loss that drops the entry, the re-parked
+    /// each expiry journals `Complete` so recovery does not resurrect a
+    /// dead token (after a power loss that drops the entry, the re-parked
     /// session simply expires again).
     fn expire_parked(&mut self, now: Instant) {
         let expired: Vec<u64> = self
@@ -981,22 +967,23 @@ impl Shard {
                 self.ctx
                     .retire_series(live.record.session_id, &self.registry);
             }
-            self.wal_append(WalRecord::Expire { token });
+            self.wal_append(WalRecord::Complete { token });
         }
     }
 
-    /// Rotation once the journal has grown by its disk budget: every live
-    /// resumable session — parked here or `streaming` in the shell — is
-    /// compacted into a fresh generation that replaces the journal.
-    fn maybe_rotate<'a>(&mut self, streaming: impl Iterator<Item = &'a Live>) {
+    /// Rotation once the journal has grown by its disk budget: every
+    /// resumable session whose token is not dead yet — parked here, or
+    /// `held` by a connection — is compacted into a fresh generation that
+    /// replaces the journal.
+    fn maybe_rotate<'a>(&mut self, held: impl Iterator<Item = &'a SessionRecord>) {
         if !self.wal.as_ref().is_some_and(WalWriter::needs_rotation) {
             return;
         }
         let live: Vec<SessionRecord> = self
             .parked
             .values()
-            .filter_map(|(live, _)| live.record())
-            .chain(streaming.filter_map(Live::record))
+            .map(|(live, _)| live.record.clone())
+            .chain(held.filter(|record| record.token != 0).cloned())
             .collect();
         // Rotation is the disk-pressure rung of the ladder: count it.
         self.note_degrade("wal-rotate", 0, 0);
@@ -1016,6 +1003,9 @@ struct Conn {
     /// The session being streamed into; `None` once closed, waiting for
     /// the reader's `Closed`.
     live: Option<Box<Live>>,
+    /// The resumable session that ended here, until the reader's `Closed`
+    /// says its reply is out and its `Complete` may be journaled.
+    ended: Option<SessionRecord>,
     last_progress: Instant,
     /// The deadline this connection holds in the shard's timer set.
     armed: Option<Instant>,
@@ -1023,6 +1013,15 @@ struct Conn {
 }
 
 impl Conn {
+    /// The record of the session this connection holds: the one it
+    /// streams, or the one that ended here and awaits `Closed`.
+    fn record(&self) -> Option<&SessionRecord> {
+        self.live
+            .as_ref()
+            .map(|live| &live.record)
+            .or(self.ended.as_ref())
+    }
+
     /// When this connection times out: the idle deadline while
     /// streaming. A closing connection's reply write carries its own
     /// timeout.
@@ -1094,11 +1093,10 @@ impl Shard {
     /// A streaming session's transport died (EOF, error, protocol damage
     /// or idle deadline).
     fn streaming_death(&mut self, conn: &mut Conn, why: &str) -> Verdict {
-        let Some(live) = conn.live.take() else {
+        let Some(outcome) = conn.live.as_ref().map(|live| live.death(why)) else {
             return Verdict::Close(None);
         };
-        let outcome = live.death(why);
-        match self.end(*live, outcome) {
+        match self.end(conn, outcome) {
             // The transport still works (protocol damage): tell the
             // client, then close.
             Some(reply) if !conn.peer_gone => Verdict::Close(Some(reply)),
@@ -1119,8 +1117,7 @@ impl Shard {
                 Ok(Some((chunk, used))) => {
                     conn.inbuf.drain(..used);
                     if let Some(outcome) = self.handle_chunk(live, chunk) {
-                        let live = conn.live.take().expect("the session was streaming");
-                        return Verdict::Close(self.end(*live, outcome));
+                        return Verdict::Close(self.end(conn, outcome));
                     }
                 }
                 Ok(None) => {
@@ -1144,13 +1141,11 @@ impl Shard {
             .inc();
         self.note(0, 0, EventKind::Respawn, "worker-respawn");
         self.note_degrade("worker-respawn", 0, 0);
-        if let Some(live) = conn.live.take() {
-            let outcome = Outcome::Failed {
-                reason: "worker-respawn",
-                message: String::new(),
-            };
-            self.end(*live, outcome);
-        }
+        let outcome = Outcome::Failed {
+            reason: "worker-respawn",
+            message: String::new(),
+        };
+        self.end(conn, outcome);
         Verdict::Close(None)
     }
 }
@@ -1171,6 +1166,7 @@ impl Shell {
                     link,
                     inbuf: Vec::new(),
                     live: None,
+                    ended: None,
                     last_progress: now,
                     armed: None,
                     peer_gone: false,
@@ -1202,6 +1198,11 @@ impl Shell {
             ShardMsg::Closed(id) => {
                 if let Some(mut conn) = self.conns.remove(&id) {
                     conn.disarm(id, &mut self.shard.timers);
+                    // The reply is out: the ended session's token dies.
+                    if let Some(ended) = conn.ended {
+                        let token = ended.token;
+                        self.shard.wal_append(WalRecord::Complete { token });
+                    }
                 }
             }
             ShardMsg::Wake => {}
@@ -1307,7 +1308,7 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
         // journal.
         shell
             .shard
-            .maybe_rotate(shell.conns.values().filter_map(|conn| conn.live.as_deref()));
+            .maybe_rotate(shell.conns.values().filter_map(Conn::record));
 
         if shell.shard.ctx.shutdown.load(Ordering::SeqCst) {
             if !draining {
@@ -1328,15 +1329,18 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
         wire.shut_read();
     }
     // The drain edge syncs what no open group has yet: the whole
-    // journal under lazy durability, the trailing park, resume, complete
-    // and expire entries under strict. A shard that never journaled has
-    // no journal, and syncs nothing.
+    // journal under lazy durability, the trailing `Complete` entries
+    // under strict. A shard that never journaled has no journal, and
+    // syncs nothing. A connection the deadline cut off before its
+    // `Closed` keeps its ended session's token: the next life re-parks
+    // it.
     let _ = shell.shard.wal_failed(WalWriter::sync);
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
+    use std::net::{TcpListener, TcpStream};
     use std::path::Path;
     use std::time::Duration;
 
@@ -1345,16 +1349,20 @@ mod tests {
     use pstrace_wire::{read_ptw_header, write_ptw, ProfileV1};
 
     use super::*;
+    use crate::reader::Wire;
     use crate::recover::recover_state;
     use crate::server::{scenario_by_number, SessionLimits};
     use crate::wal::DurabilityPolicy;
 
     const EPOCH: u64 = 0x5eed;
 
-    /// A lifecycle core on a temp strict WAL, plus one scenario-1 capture
-    /// split into its handshake and payload. No socket anywhere.
+    /// A lifecycle core on a temp strict WAL in its socket shell, plus one
+    /// scenario-1 capture split into its handshake and payload. Sockets
+    /// only carry the connections that sessions end on.
     struct Rig {
-        shard: Shard,
+        shell: Shell,
+        listener: TcpListener,
+        peers: Vec<TcpStream>,
         dir: PathBuf,
         hello: Hello,
         payload: Vec<u8>,
@@ -1407,7 +1415,12 @@ mod tests {
             None,
         );
         Rig {
-            shard: Shard::new(Arc::new(ctx), 0),
+            shell: Shell {
+                shard: Shard::new(Arc::new(ctx), 0),
+                conns: HashMap::new(),
+            },
+            listener: TcpListener::bind("127.0.0.1:0").unwrap(),
+            peers: Vec::new(),
             dir,
             hello: Hello {
                 scenario: 1,
@@ -1428,32 +1441,68 @@ mod tests {
                 epoch: if token == 0 { 0 } else { EPOCH },
                 hello: self.hello.clone(),
             };
-            match self.shard.handle_request(0, request) {
+            match self.shell.shard.handle_request(0, request) {
                 Next::Stream(live, Some(offset)) => (live, offset),
                 other => panic!("expected a resumable stream, got {other:?}"),
             }
         }
 
+        /// Ends `live` on a loopback connection of its own, as the shell
+        /// does: the connection's id and the reply the client is owed.
+        fn end(&mut self, live: Box<Live>, outcome: Outcome) -> (u64, Option<(bool, String)>) {
+            let addr = self.listener.local_addr().unwrap();
+            self.peers.push(TcpStream::connect(addr).unwrap());
+            let (stream, _) = self.listener.accept().unwrap();
+            let id = self.peers.len() as u64;
+            let conn = self.shell.conns.entry(id).or_insert(Conn {
+                link: Link::new(&Wire::new(stream)),
+                inbuf: Vec::new(),
+                live: Some(live),
+                ended: None,
+                last_progress: Instant::now(),
+                armed: None,
+                peer_gone: false,
+            });
+            (id, self.shell.shard.end(conn, outcome))
+        }
+
+        /// The reader of connection `id` wrote its reply and says so.
+        fn closed(&mut self, id: u64) {
+            self.shell.receive(ShardMsg::Closed(id), Instant::now());
+        }
+
         fn feed(&mut self, live: &mut Live, bytes: &[u8]) -> Option<Outcome> {
-            self.shard.handle_chunk(live, Chunk::Data(bytes.to_vec()))
+            self.shell
+                .shard
+                .handle_chunk(live, Chunk::Data(bytes.to_vec()))
         }
 
         fn active(&self) -> i64 {
-            self.shard
+            self.shell
+                .shard
                 .registry
                 .gauge("pstrace_stream_active_sessions")
                 .get()
         }
 
         /// Recovery from the WAL directory must rebuild exactly the
-        /// tokens the core still holds: parked here, or `streaming`.
+        /// tokens the core still holds: parked here, `streaming`, or on a
+        /// connection whose reader has not said `Closed` yet.
         fn assert_durable(&self, streaming: &[&Live], step: &str) {
             let held: BTreeSet<u64> = self
+                .shell
                 .shard
                 .parked
                 .keys()
                 .copied()
                 .chain(streaming.iter().filter_map(|live| live.token()))
+                .chain(
+                    self.shell
+                        .conns
+                        .values()
+                        .filter_map(Conn::record)
+                        .map(|r| r.token),
+                )
                 .collect();
             assert_eq!(recovered_tokens(&self.dir), held, "after {step}");
         }
@@ -1486,7 +1535,7 @@ mod tests {
         let outcome = live.death("transport closed");
         assert!(matches!(outcome, Outcome::Parked));
         assert!(
-            rig.shard.end(*live, outcome).is_none(),
+            rig.end(live, outcome).1.is_none(),
             "parking replies nothing"
         );
         assert_eq!(rig.active(), 0);
@@ -1499,6 +1548,7 @@ mod tests {
 
         assert!(rig.feed(&mut live, &payload[half..]).is_none());
         let outcome = rig
+            .shell
             .shard
             .handle_chunk(
                 &mut live,
@@ -1507,10 +1557,14 @@ mod tests {
                 },
             )
             .expect("FINISH ends the session");
-        let (ok, report) = rig.shard.end(*live, outcome).expect("a report");
+        let (conn, reply) = rig.end(live, outcome);
+        let (ok, report) = reply.expect("a report");
         assert!(ok, "{report}");
         assert!(report.starts_with("session over scenario 1"), "{report}");
         rig.assert_durable(&[], "finish");
+        rig.closed(conn);
+        assert!(!recovered_tokens(&rig.dir).contains(&token));
+        rig.assert_durable(&[], "closed");
         assert_eq!(rig.active(), 0);
     }
 
@@ -1520,10 +1574,10 @@ mod tests {
         let (live, _) = rig.resume(0);
         let id = live.record.session_id;
         let outcome = live.death("transport closed");
-        rig.shard.end(*live, outcome);
+        rig.end(live, outcome);
         rig.assert_durable(&[], "park");
         let newest_ended = |rig: &Rig| {
-            let ended = rig.shard.ctx.ended_series.lock().unwrap();
+            let ended = rig.shell.shard.ctx.ended_series.lock().unwrap();
             ended.back().map(|(id, _)| *id)
         };
         assert_eq!(
@@ -1532,12 +1586,17 @@ mod tests {
             "a parked session keeps its series"
         );
 
-        rig.shard.expire_parked(Instant::now());
-        assert_eq!(rig.shard.parked.len(), 1, "still inside its grace period");
-        let grace = rig.shard.ctx.config.resume_grace;
-        rig.shard
+        rig.shell.shard.expire_parked(Instant::now());
+        assert_eq!(
+            rig.shell.shard.parked.len(),
+            1,
+            "still inside its grace period"
+        );
+        let grace = rig.shell.shard.ctx.config.resume_grace;
+        rig.shell
+            .shard
             .expire_parked(Instant::now() + grace + Duration::from_secs(1));
-        assert!(rig.shard.parked.is_empty());
+        assert!(rig.shell.shard.parked.is_empty());
         rig.assert_durable(&[], "expire");
         assert_eq!(rig.active(), 0);
         assert_eq!(newest_ended(&rig), Some(id), "an expired session has ended");
@@ -1566,11 +1625,16 @@ mod tests {
                 ..
             }
         ));
-        let (ok, message) = rig.shard.end(*live, outcome).expect("an error reply");
+        let token = live.record.token;
+        let (conn, reply) = rig.end(live, outcome);
+        let (ok, message) = reply.expect("an error reply");
         assert!(!ok);
         let budget = format!("byte budget ({} > 16)", payload.len());
         assert!(message.contains(&budget), "{message}");
         rig.assert_durable(&[], "budget-close");
+        rig.closed(conn);
+        assert!(!recovered_tokens(&rig.dir).contains(&token));
+        rig.assert_durable(&[], "closed");
         assert_eq!(rig.active(), 0);
     }
 
@@ -1584,18 +1648,20 @@ mod tests {
         let (parked, _) = rig.resume(0);
         let (mut streaming, _) = rig.resume(0);
         let outcome = parked.death("transport closed");
-        rig.shard.end(*parked, outcome);
+        rig.end(parked, outcome);
         rig.assert_durable(&[&streaming], "park one");
 
-        rig.shard.maybe_rotate(std::iter::once(&*streaming));
+        rig.shell
+            .shard
+            .maybe_rotate(std::iter::once(&streaming.record));
         let journal = std::fs::read(crate::wal::wal_path(&rig.dir, 0)).unwrap();
-        // Open entry, schema chunks and Park per live session.
+        // Open entry and schema chunks per live session.
         let chunks = rig
             .hello
             .schema
             .len()
             .div_ceil(crate::wal::SCHEMA_CHUNK_BYTES);
-        let group = 2 + chunks;
+        let group = 1 + chunks;
         assert_eq!(
             journal.len(),
             (1 + 2 * group) * crate::wal::WAL_ENTRY_BYTES,
@@ -1609,12 +1675,67 @@ mod tests {
         rig.assert_durable(&[&streaming], "rotate");
 
         let outcome = rig
+            .shell
             .shard
             .handle_chunk(&mut streaming, Chunk::Finish { bit_len: 0 })
             .unwrap();
-        rig.shard.end(*streaming, outcome);
+        let token = streaming.record.token;
+        let (conn, _) = rig.end(streaming, outcome);
         rig.assert_durable(&[], "finish after rotation");
-        assert_eq!(rig.shard.parked.len(), 1);
+        rig.closed(conn);
+        assert!(!recovered_tokens(&rig.dir).contains(&token));
+        rig.assert_durable(&[], "closed after rotation");
+        assert_eq!(rig.shell.shard.parked.len(), 1);
         assert_eq!(rig.active(), 0);
+    }
+
+    #[test]
+    fn a_finished_session_keeps_its_token_until_the_reply_is_out() {
+        let config = ServerConfig {
+            wal_budget: 0,
+            ..ServerConfig::default()
+        };
+        let mut rig = rig("reply", config);
+        let (mut live, _) = rig.resume(0);
+        let token = live.record.token;
+        let payload = rig.payload.clone();
+        assert!(rig.feed(&mut live, &payload).is_none());
+        let bit_len = rig.bit_len;
+        let outcome = rig
+            .shell
+            .shard
+            .handle_chunk(&mut live, Chunk::Finish { bit_len })
+            .expect("FINISH ends the session");
+        let (conn, reply) = rig.end(live, outcome);
+        assert!(reply.is_some_and(|(ok, _)| ok), "a report is owed");
+
+        // FINISH is in and the reply is not out: a crash now must leave
+        // the token to the client's retry, across a rotation too.
+        assert!(recovered_tokens(&rig.dir).contains(&token), "after FINISH");
+        rig.shell
+            .shard
+            .maybe_rotate(rig.shell.conns.values().filter_map(Conn::record));
+        let chunks = rig
+            .hello
+            .schema
+            .len()
+            .div_ceil(crate::wal::SCHEMA_CHUNK_BYTES);
+        let journal = std::fs::read(crate::wal::wal_path(&rig.dir, 0)).unwrap();
+        assert_eq!(
+            journal.len(),
+            (2 + chunks) * crate::wal::WAL_ENTRY_BYTES,
+            "the rotation kept the epoch header and the ended session's open group"
+        );
+        assert!(
+            recovered_tokens(&rig.dir).contains(&token),
+            "after rotation"
+        );
+
+        rig.closed(conn);
+        assert!(
+            !recovered_tokens(&rig.dir).contains(&token),
+            "the reply is out, so the token is dead"
+        );
+        rig.assert_durable(&[], "closed");
     }
 }

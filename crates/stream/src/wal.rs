@@ -14,11 +14,15 @@
 //!      0     2  magic "WL"
 //!      2     1  kind (see WalRecord)
 //!      3     1  payload length (schema-chunk entries; 0 otherwise)
-//!      4     4  seq   u32 LE (per-file, monotonically increasing)
+//!      4     4  reserved (zero)
 //!      8    48  body  (kind-specific, zero-padded)
 //!     56     4  reserved (zero)
 //!     60     4  crc   u32 LE = fnv32(bytes[0..60])
 //! ```
+//!
+//! The kinds are 1 `Epoch`, 2 `Open`, 3 `SchemaChunk` and 6 `Complete`.
+//! An older build's park, resume and expire entries (kinds 4, 5 and 7)
+//! decode as unknown kinds: damage sites, like any other torn window.
 //!
 //! Fixed-size entries make torn writes self-delimiting: a crash mid-append
 //! leaves a short tail (`TornEntry`), a flipped bit fails the per-entry
@@ -28,12 +32,14 @@
 //!
 //! # What is durable
 //!
-//! The WAL records lifecycle transitions only: open (token, identity,
-//! schema), park, resume, complete, expire. Live socket buffers and
-//! partially ingested payload bytes are deliberately **not** durable —
-//! after a crash a recovered session acks offset 0 and the client
-//! resends from the start, so the reassembled stream (and therefore the
-//! localization) is byte-identical to an uninterrupted run.
+//! The WAL journals only what recovery reads: a resumable session's open
+//! group (token, identity, schema), and one `Complete` once its token is
+//! dead (its client had the final reply, or its parked session expired).
+//! Parking and resuming journal nothing. Live socket buffers and partially
+//! ingested payload bytes are deliberately **not** durable — after a
+//! crash a recovered session acks offset 0 and the client resends from
+//! the start, so the reassembled stream (and therefore the localization)
+//! is byte-identical to an uninterrupted run.
 //!
 //! Every journal starts with an Epoch entry, and so does every compacted
 //! generation: recovery reads the directory's epoch from the first
@@ -55,27 +61,25 @@
 //! this life is `sync_all` of the file, then of its directory and of the
 //! directory's parent, so the new file's metadata and name and the
 //! directory's own name are durable too; later ones are `fdatasync`.
-//! Park, Resume, Complete and Expire are written without a sync and
-//! become durable with the next open-group commit, rotation or drain; the
-//! drain syncs only a journal that exists. A power loss can drop that
-//! unsynced tail, and recovery tolerates it: Resume is ignored anyway, a
-//! lost Park loses only its informational byte count, and a lost Complete
-//! or Expire re-parks a session that had already ended. Its token then
-//! either replays from offset 0 to the same report or expires under the
-//! resume grace.
+//! `Complete` is written without a sync and becomes durable with the
+//! next open-group commit, rotation or drain; the drain syncs only a
+//! journal that exists. A power loss can drop that unsynced tail, and
+//! recovery tolerates it: a lost `Complete` re-parks a session that had
+//! already ended, whose token then either replays from offset 0 to the
+//! same report or expires under the resume grace.
 //!
 //! # Rotation
 //!
 //! When a shard's journal has grown by its disk budget since its last
 //! compaction, the shard writes a compacted generation — the Epoch
-//! header, then one open group and Park per live resumable session — to
-//! `wal-<shard>.wal.tmp`, syncs it and renames it over the journal, then
-//! appends to the new file. The rename is the rotation's only commit
-//! point and the old journal is never truncated: a crash before it leaves
-//! the old journal whole (and a stray temp file that recovery ignores and
-//! the next rotation replaces), a crash after it leaves the new one.
-//! Under strict the directory is synced after the rename; under lazy the
-//! next sync (the drain's) covers the new name.
+//! header, then the open group of every resumable session whose token is
+//! not dead yet — to `wal-<shard>.wal.tmp`, syncs it and renames it over
+//! the journal, then appends to the new file. The rename is the
+//! rotation's only commit point and the old journal is never truncated:
+//! a crash before it leaves the old journal whole (and a stray temp file
+//! that recovery ignores and the next rotation replaces), a crash after
+//! it leaves the new one. Under strict the directory is synced after the
+//! rename; under lazy the next sync (the drain's) covers the new name.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -109,9 +113,9 @@ pub enum DurabilityPolicy {
     /// still has them) but not a host power loss.
     Lazy,
     /// One fsync per open group: an acked resume token is on stable
-    /// storage before the client sees the ack. The other lifecycle
-    /// entries ride the next open group, rotation or drain; losing them
-    /// to a power cut only re-parks sessions that had already ended.
+    /// storage before the client sees the ack. A `Complete` rides the
+    /// next open group, rotation or drain; losing it to a power cut only
+    /// re-parks a session that had already ended.
     Strict,
 }
 
@@ -186,29 +190,11 @@ pub enum WalRecord {
         /// The slice (at most [`SCHEMA_CHUNK_BYTES`] bytes).
         data: Vec<u8>,
     },
-    /// The session parked after transport death.
-    Park {
-        /// The parked session's resume token.
-        token: u64,
-        /// Payload bytes ingested so far (informational: recovery acks
-        /// offset 0 because payload bytes are not durable).
-        bytes: u64,
-    },
-    /// A parked session was picked back up.
-    Resume {
-        /// The resumed session's token.
-        token: u64,
-    },
-    /// The session ended with a report or a failure; its token is dead.
-    /// Every resumable session that ends without parking journals one,
-    /// so recovery never resurrects it.
+    /// The session's token is dead: its client had the final reply, or
+    /// its parked session outlived its grace period. Recovery never
+    /// resurrects it.
     Complete {
         /// The ended session's token.
-        token: u64,
-    },
-    /// The parked session outlived its grace period; its token is dead.
-    Expire {
-        /// The expired session's token.
         token: u64,
     },
 }
@@ -219,21 +205,17 @@ impl WalRecord {
             WalRecord::Epoch { .. } => 1,
             WalRecord::Open { .. } => 2,
             WalRecord::SchemaChunk { .. } => 3,
-            WalRecord::Park { .. } => 4,
-            WalRecord::Resume { .. } => 5,
             WalRecord::Complete { .. } => 6,
-            WalRecord::Expire { .. } => 7,
         }
     }
 }
 
 /// Encodes one entry into its fixed 64-byte on-disk form.
 #[must_use]
-pub fn encode_entry(seq: u32, record: &WalRecord) -> [u8; WAL_ENTRY_BYTES] {
+pub fn encode_entry(record: &WalRecord) -> [u8; WAL_ENTRY_BYTES] {
     let mut e = [0u8; WAL_ENTRY_BYTES];
     e[0..2].copy_from_slice(&WAL_MAGIC);
     e[2] = record.kind();
-    e[4..8].copy_from_slice(&seq.to_le_bytes());
     let body = &mut e[8..8 + WAL_BODY_BYTES];
     match record {
         WalRecord::Epoch {
@@ -276,13 +258,7 @@ pub fn encode_entry(seq: u32, record: &WalRecord) -> [u8; WAL_ENTRY_BYTES] {
             body[8..12].copy_from_slice(&offset.to_le_bytes());
             body[12..12 + data.len()].copy_from_slice(data);
         }
-        WalRecord::Park { token, bytes } => {
-            body[0..8].copy_from_slice(&token.to_le_bytes());
-            body[8..16].copy_from_slice(&bytes.to_le_bytes());
-        }
-        WalRecord::Resume { token }
-        | WalRecord::Complete { token }
-        | WalRecord::Expire { token } => {
+        WalRecord::Complete { token } => {
             body[0..8].copy_from_slice(&token.to_le_bytes());
         }
     }
@@ -304,7 +280,8 @@ fn body_u32(body: &[u8], at: usize) -> u32 {
 }
 
 /// Decodes one 64-byte entry at byte `offset` of `path` (both only for
-/// error context).
+/// error context). The reserved bytes are not read: an older build wrote
+/// a sequence number at bytes 4..8.
 ///
 /// # Errors
 ///
@@ -315,7 +292,7 @@ pub fn decode_entry(
     bytes: &[u8; WAL_ENTRY_BYTES],
     path: &Path,
     offset: u64,
-) -> Result<(u32, WalRecord), RecoverError> {
+) -> Result<WalRecord, RecoverError> {
     let torn = || RecoverError::TornEntry {
         path: path.display().to_string(),
         offset,
@@ -331,7 +308,6 @@ pub fn decode_entry(
         });
     }
     let len = bytes[3] as usize;
-    let seq = body_u32(bytes, 4);
     let body = &bytes[8..8 + WAL_BODY_BYTES];
     let record = match bytes[2] {
         1 => WalRecord::Epoch {
@@ -359,22 +335,12 @@ pub fn decode_entry(
                 data: body[12..12 + len].to_vec(),
             }
         }
-        4 => WalRecord::Park {
-            token: body_u64(body, 0),
-            bytes: body_u64(body, 8),
-        },
-        5 => WalRecord::Resume {
-            token: body_u64(body, 0),
-        },
         6 => WalRecord::Complete {
-            token: body_u64(body, 0),
-        },
-        7 => WalRecord::Expire {
             token: body_u64(body, 0),
         },
         _ => return Err(torn()),
     };
-    Ok((seq, record))
+    Ok(record)
 }
 
 /// The WAL file of one shard under `dir`.
@@ -430,9 +396,6 @@ pub struct SessionRecord {
     pub tenant: u32,
     /// The raw schema handshake bytes.
     pub schema: Vec<u8>,
-    /// Payload bytes ingested (informational: a recovered session acks
-    /// offset 0 and the client resends).
-    pub bytes: u64,
 }
 
 /// A session's open group: one Open entry (identity plus schema length
@@ -504,7 +467,6 @@ pub struct WalWriter {
     shard_count: u32,
     epoch: u64,
     policy: DurabilityPolicy,
-    seq: u32,
     /// The journal's length in bytes.
     written: u64,
     /// The journal's length right after this writer's last rotation (0
@@ -573,7 +535,6 @@ impl WalWriter {
             shard_count: shard_count as u32,
             epoch,
             policy,
-            seq: 0,
             written,
             compacted: 0,
             budget: budget.max(4 * WAL_ENTRY_BYTES as u64),
@@ -610,12 +571,12 @@ impl WalWriter {
     /// Propagates file i/o failures (the caller degrades, never dies).
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
         if self.written > 0 {
-            return self.write(&encode_entry(self.seq, record));
+            return self.write(&encode_entry(record));
         }
         let mut entries = [0u8; 2 * WAL_ENTRY_BYTES];
         let (header, entry) = entries.split_at_mut(WAL_ENTRY_BYTES);
-        header.copy_from_slice(&encode_entry(self.seq, &self.header()));
-        entry.copy_from_slice(&encode_entry(self.seq.wrapping_add(1), record));
+        header.copy_from_slice(&encode_entry(&self.header()));
+        entry.copy_from_slice(&encode_entry(record));
         self.write(&entries)
     }
 
@@ -657,9 +618,6 @@ impl WalWriter {
             // The entry reached the kernel but was never fsynced.
             std::process::abort();
         }
-        self.seq = self
-            .seq
-            .wrapping_add((entries.len() / WAL_ENTRY_BYTES) as u32);
         self.written += entries.len() as u64;
         Ok(())
     }
@@ -700,8 +658,9 @@ impl WalWriter {
         self.written - self.compacted >= self.budget
     }
 
-    /// Rotates the WAL: writes the compacted generation of `live` (every
-    /// resumable session still worth recovering) to a temp file, syncs
+    /// Rotates the WAL: writes the compacted generation of `live` (the
+    /// open group of every resumable session whose token is not dead
+    /// yet) to a temp file, syncs
     /// it and renames it over the journal, which this writer then
     /// appends to. Under [`DurabilityPolicy::Strict`] a directory sync
     /// makes the rename durable; under lazy the next sync does.
@@ -722,16 +681,8 @@ impl WalWriter {
                 s.tenant,
                 &s.schema,
             ));
-            records.push(WalRecord::Park {
-                token: s.token,
-                bytes: s.bytes,
-            });
         }
-        let entries: Vec<u8> = records
-            .iter()
-            .enumerate()
-            .flat_map(|(seq, record)| encode_entry(seq as u32, record))
-            .collect();
+        let entries: Vec<u8> = records.iter().flat_map(encode_entry).collect();
 
         let tmp = self.path.with_extension("wal.tmp");
         let mut file = File::create(&tmp)?;
@@ -748,7 +699,6 @@ impl WalWriter {
         self.syncs += 1;
         std::fs::rename(&tmp, &self.path)?;
         self.file = Some(file);
-        self.seq = records.len() as u32;
         self.written = entries.len() as u64;
         self.compacted = self.written;
         self.unsynced_name = true;
@@ -837,38 +787,43 @@ mod tests {
                 offset: 36,
                 data: vec![1, 2, 3, 4, 5],
             },
-            WalRecord::Park {
-                token: 42,
-                bytes: 1024,
-            },
-            WalRecord::Resume { token: 42 },
             WalRecord::Complete { token: 42 },
-            WalRecord::Expire { token: 42 },
         ];
         let path = Path::new("test.wal");
-        for (i, record) in records.iter().enumerate() {
-            let entry = encode_entry(i as u32, record);
-            let (seq, decoded) = decode_entry(&entry, path, 0).unwrap();
-            assert_eq!(seq, i as u32);
-            assert_eq!(&decoded, record);
+        for record in &records {
+            let entry = encode_entry(record);
+            assert_eq!(entry[4..8], [0; 4], "bytes 4..8 are reserved");
+            assert_eq!(&decode_entry(&entry, path, 0).unwrap(), record);
         }
     }
 
     #[test]
     fn corrupt_entries_yield_typed_errors() {
         let path = Path::new("test.wal");
-        let mut entry = encode_entry(0, &WalRecord::Resume { token: 5 });
+        let mut entry = encode_entry(&WalRecord::Complete { token: 5 });
         entry[10] ^= 0x40;
         assert!(matches!(
             decode_entry(&entry, path, 64),
             Err(RecoverError::BadChecksum { offset: 64, .. })
         ));
-        let mut bad_magic = encode_entry(0, &WalRecord::Resume { token: 5 });
+        let mut bad_magic = encode_entry(&WalRecord::Complete { token: 5 });
         bad_magic[0] = b'X';
         assert!(matches!(
             decode_entry(&bad_magic, path, 0),
             Err(RecoverError::TornEntry { .. })
         ));
+        // An older build's park, resume and expire entries, checksummed.
+        for kind in [4, 5, 7] {
+            let mut retired = encode_entry(&WalRecord::Complete { token: 5 });
+            retired[2] = kind;
+            retired[4] = 1;
+            let crc = fnv32(&retired[..WAL_ENTRY_BYTES - 4]);
+            retired[WAL_ENTRY_BYTES - 4..].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                decode_entry(&retired, path, 128),
+                Err(RecoverError::TornEntry { offset: 128, .. })
+            ));
+        }
     }
 
     #[test]
@@ -898,7 +853,6 @@ mod tests {
             mode: 1,
             tenant: 0,
             schema: vec![0xAB; schema_len],
-            bytes: 10,
         }
     }
 
@@ -922,12 +876,7 @@ mod tests {
         assert_eq!(bytes.len() % WAL_ENTRY_BYTES, 0);
         bytes
             .chunks(WAL_ENTRY_BYTES)
-            .enumerate()
-            .map(|(i, e)| {
-                let (seq, record) = decode_entry(e.try_into().unwrap(), &path, 0).unwrap();
-                assert_eq!(seq, i as u32, "a generation numbers its entries from 0");
-                record
-            })
+            .map(|e| decode_entry(e.try_into().unwrap(), &path, 0).unwrap())
             .collect()
     }
 
@@ -953,20 +902,13 @@ mod tests {
             generation[0], header,
             "a compacted generation starts with its epoch"
         );
-        assert_eq!(generation.len(), 6, "epoch + open + 3 chunks + park");
-        assert_eq!(
-            generation[5],
-            WalRecord::Park {
-                token: 2,
-                bytes: 10
-            }
-        );
+        assert_eq!(generation.len(), 5, "epoch + open + 3 chunks");
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(files.len(), 1, "the temp file was renamed into place");
 
-        // Appends continue on the new generation, in sequence.
+        // Appends continue on the new generation.
         wal.append(&WalRecord::Complete { token: 2 }).unwrap();
-        assert_eq!(journal(&dir)[6], WalRecord::Complete { token: 2 });
+        assert_eq!(journal(&dir)[5], WalRecord::Complete { token: 2 });
         assert_eq!(crate::recover::recover_state(&dir, 1).sessions(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -990,7 +932,7 @@ mod tests {
                 !wal.needs_rotation(),
                 "rotated again after {appended} appends"
             );
-            wal.append(&WalRecord::Resume { token: 1 }).unwrap();
+            wal.append(&WalRecord::Complete { token: 1 }).unwrap();
         }
         assert!(
             wal.needs_rotation(),
@@ -1007,7 +949,7 @@ mod tests {
         open_session(&mut wal, &s);
         // A crash mid-rotation left half a generation, and some garbage.
         let tmp = wal_path(&dir, 0).with_extension("wal.tmp");
-        let mut stray = encode_entry(0, &wal.header()).to_vec();
+        let mut stray = encode_entry(&wal.header()).to_vec();
         stray.extend_from_slice(&[0xFF; 100]);
         std::fs::write(&tmp, &stray).unwrap();
 
@@ -1016,7 +958,7 @@ mod tests {
         assert!(state.errors.is_empty(), "{:?}", state.errors);
 
         let before = wal.syncs();
-        wal.rotate(&[SessionRecord { bytes: 0, ..s }]).unwrap();
+        wal.rotate(std::slice::from_ref(&s)).unwrap();
         assert_eq!(wal.syncs() - before, 2, "a strict rotation syncs twice");
         assert!(!tmp.exists(), "the rotation renamed its own temp file");
         let state = crate::recover::recover_state(&dir, 1);

@@ -1,6 +1,8 @@
-//! Model-based WAL recovery: random session lifecycles (open, park,
-//! resume, complete, expire, rotate) run against a strict [`WalWriter`]
-//! and an in-memory reference model of the tokens the daemon holds.
+//! Model-based WAL recovery: random session lifecycles (open, complete,
+//! expire, rotate) run against a strict [`WalWriter`] and an in-memory
+//! reference model of the tokens the daemon holds. Parking and resuming
+//! journal nothing, so to the journal a parked session is a live one,
+//! and a completed one is an expired one: both end with `Complete`.
 //!
 //! Each rotation renames a compacted generation over the journal, so the
 //! model keeps one file per generation: the journal as it stood just
@@ -32,14 +34,12 @@ use pstrace_stream::durable::{
 const ENTRY: usize = WAL_ENTRY_BYTES;
 
 /// One lifecycle step as generated: a kind, which session it picks and
-/// a size (schema length or ingested bytes).
+/// a size (the schema length of an open).
 type Step = (u8, u8, u16);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Open,
-    Park,
-    Resume,
     Complete,
     Expire,
     Rotate,
@@ -48,12 +48,10 @@ enum Kind {
 impl Kind {
     fn of(step: Step) -> Kind {
         // Opens come up twice as often, so sequences build a population.
-        match step.0 % 7 {
+        match step.0 % 5 {
             0 | 1 => Kind::Open,
-            2 => Kind::Park,
-            3 => Kind::Resume,
-            4 => Kind::Complete,
-            5 => Kind::Expire,
+            2 => Kind::Complete,
+            3 => Kind::Expire,
             _ => Kind::Rotate,
         }
     }
@@ -64,7 +62,6 @@ impl Kind {
 #[derive(Debug, Clone, Default)]
 struct Model {
     live: BTreeMap<u64, SessionRecord>,
-    parked: BTreeSet<u64>,
     ended: BTreeSet<u64>,
 }
 
@@ -115,7 +112,6 @@ fn record(token: u64, schema_len: usize) -> SessionRecord {
         schema: (0..schema_len)
             .map(|i| (token as usize * 31 + i) as u8)
             .collect(),
-        bytes: 0,
     }
 }
 
@@ -154,12 +150,6 @@ fn run(steps: &[Step]) -> Vec<Generation> {
     for &step in steps {
         let (_, pick, size) = step;
         let kind = Kind::of(step);
-        let streaming = model
-            .live
-            .keys()
-            .copied()
-            .filter(|t| !model.parked.contains(t));
-        let parked = model.parked.iter().copied();
         let before = wal.syncs();
         match kind {
             Kind::Open => {
@@ -177,39 +167,14 @@ fn run(steps: &[Step]) -> Vec<Generation> {
                 .unwrap();
                 model.live.insert(r.token, r);
             }
-            Kind::Park => {
-                let Some(token) = nth(streaming, pick) else {
-                    continue;
-                };
-                let bytes = u64::from(size);
-                wal.append(&WalRecord::Park { token, bytes }).unwrap();
-                model.live.get_mut(&token).unwrap().bytes = bytes;
-                model.parked.insert(token);
-            }
-            Kind::Resume => {
-                let Some(token) = nth(parked, pick) else {
-                    continue;
-                };
-                wal.append(&WalRecord::Resume { token }).unwrap();
-                model.parked.remove(&token);
-            }
+            // A reply that went out, or a parked session's grace that
+            // ran out: either way the token dies.
             Kind::Complete | Kind::Expire => {
-                let token = if kind == Kind::Complete {
-                    nth(streaming, pick)
-                } else {
-                    nth(parked, pick)
-                };
-                let Some(token) = token else {
+                let Some(token) = nth(model.live.keys().copied(), pick) else {
                     continue;
                 };
-                let entry = if kind == Kind::Complete {
-                    WalRecord::Complete { token }
-                } else {
-                    WalRecord::Expire { token }
-                };
-                wal.append(&entry).unwrap();
+                wal.append(&WalRecord::Complete { token }).unwrap();
                 model.live.remove(&token);
-                model.parked.remove(&token);
                 model.ended.insert(token);
             }
             Kind::Rotate => {
@@ -257,14 +222,6 @@ fn recover(dir: &Path, wal: &[u8]) -> (BTreeMap<u64, SessionRecord>, usize) {
         .map(|r| (r.token, r.clone()))
         .collect();
     (sessions, state.errors.len())
-}
-
-/// A record without its informational byte count.
-fn identity(r: &SessionRecord) -> SessionRecord {
-    SessionRecord {
-        bytes: 0,
-        ..r.clone()
-    }
 }
 
 /// Recovery at every entry boundary after a generation's compacted
@@ -324,13 +281,12 @@ fn check_power_loss(generations: &[Generation]) {
     for (g, gen) in generations.iter().enumerate() {
         for (i, cut) in gen.cuts.iter().enumerate() {
             for r in cut.model.live.values() {
-                opened.entry(r.token).or_insert_with(|| identity(r));
+                opened.entry(r.token).or_insert_with(|| r.clone());
             }
             let (got, _) = recover(&dir, &gen.wal[..cut.synced_len]);
             let at = format!("generation {g}, power loss after step {i} ({:?})", cut.kind);
             for (token, r) in &cut.model.live {
-                let kept = got.get(token).map(identity);
-                assert_eq!(kept, Some(identity(r)), "{at}: live token {token}");
+                assert_eq!(got.get(token), Some(r), "{at}: live token {token}");
             }
             for (token, r) in &got {
                 if cut.model.live.contains_key(token) {
@@ -341,7 +297,7 @@ fn check_power_loss(generations: &[Generation]) {
                     "{at}: token {token} was never acked or is still live"
                 );
                 assert_eq!(
-                    Some(&identity(r)),
+                    Some(r),
                     opened.get(token),
                     "{at}: an ended session {token} came back changed"
                 );
@@ -409,7 +365,7 @@ fn wal_model_a_torn_tail_is_cut_before_the_next_life_appends() {
 }
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
-    proptest::collection::vec((0u8..7, any::<u8>(), any::<u16>()), 1..32)
+    proptest::collection::vec((0u8..5, any::<u8>(), any::<u16>()), 1..32)
 }
 
 proptest! {

@@ -98,7 +98,7 @@ fn parked_session_resumes_across_a_daemon_restart() {
 
     // Life #1: a reference run, then a session that dies half-streamed
     // and parks. Shutting the daemon down with the session still parked
-    // leaves its Open + Park group in the WAL — the crash-only property
+    // leaves its open group in the WAL — the crash-only property
     // is that restart and crash recovery are the same code path.
     let first = Server::spawn(Arc::clone(&fx.model), &durable_config(&dir)).unwrap();
     let (_, uninterrupted) = run_resumable(&first, &cap, 0, 0);
@@ -244,7 +244,7 @@ fn a_reparked_finished_session_replays_to_the_same_report() {
         let mut bytes = std::fs::read(&path).unwrap();
         let at = bytes.len() - WAL_ENTRY_BYTES;
         let tail: &[u8; WAL_ENTRY_BYTES] = bytes[at..].try_into().unwrap();
-        let (_, last) = decode_entry(tail, &path, at as u64).unwrap();
+        let last = decode_entry(tail, &path, at as u64).unwrap();
         assert_eq!(
             last,
             WalRecord::Complete { token },
@@ -421,14 +421,14 @@ fn the_first_session_creates_its_journal_whose_header_carries_the_epoch() {
     first.shutdown();
 
     // A power loss keeps only synced bytes: the journal up to the open
-    // group's sync (Epoch header, Open entry and the schema chunks),
-    // without the Park the drain synced later. The header alone carries
-    // the epoch.
+    // group's sync (Epoch header, Open entry and the schema chunks).
+    // Parking appends nothing, so that is the whole journal. The header
+    // alone carries the epoch.
     std::fs::create_dir_all(&cut).unwrap();
     let shard = (token % 2) as usize;
     let mut journal = std::fs::read(wal_path(&dir, shard)).unwrap();
     let synced = WAL_ENTRY_BYTES * (2 + cap.header.len().div_ceil(SCHEMA_CHUNK_BYTES));
-    assert!(journal.len() > synced, "the Park rides after the sync");
+    assert_eq!(journal.len(), synced, "parking appends nothing");
     journal.truncate(synced);
     std::fs::write(wal_path(&cut, shard), journal).unwrap();
 

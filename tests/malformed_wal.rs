@@ -11,7 +11,7 @@ use pstrace::diag::MatchMode;
 use pstrace::faults::{flip_wal_byte, tear_wal_tail, Fixture};
 use pstrace::soc::SocModel;
 use pstrace::stream::durable::{
-    recover_state, render_dry_run, wal_path, DurabilityPolicy, RecoverError, WalRecord, WalWriter,
+    recover_state, render_dry_run, wal_path, DurabilityPolicy, RecoverError, WalWriter,
     WAL_ENTRY_BYTES,
 };
 use pstrace::stream::{connect, replay, Replay, Server, ServerConfig};
@@ -22,14 +22,13 @@ fn wal_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Journals `tokens` as open resumable sessions (Open + schema chunks +
-/// Park each) into shard 0's WAL under `dir`.
+/// Journals `tokens` as open resumable sessions (Open + schema chunks
+/// each) into shard 0's WAL under `dir`.
 fn seed_wal(dir: &Path, tokens: &[u64], schema: &[u8]) {
     let mut wal = WalWriter::open(dir, 0, 1, 7, DurabilityPolicy::Lazy, u64::MAX).unwrap();
     for &token in tokens {
         wal.append_open(token, token, 0x100 + token, 1, 1, 0, schema)
             .unwrap();
-        wal.append(&WalRecord::Park { token, bytes: 32 }).unwrap();
     }
     wal.sync().unwrap();
 }
