@@ -471,9 +471,18 @@ impl OnlineLocalizer {
         self.pushed += 1;
     }
 
-    /// Folds a sequence of records in order.
+    /// Folds a sequence of records in order. Once the frontier is empty
+    /// it stays empty until a resync, so outside Substring mode (which
+    /// keeps every observation) the rest of the batch is only counted:
+    /// each such push would leave the localization at 0.
     pub fn push_all<I: IntoIterator<Item = IndexedMessage>>(&mut self, records: I) {
-        for m in records {
+        let mut records = records.into_iter();
+        while let Some(m) = records.next() {
+            if self.support.is_empty() && self.program.mode != MatchMode::Substring {
+                self.consistent = 0;
+                self.pushed += 1 + records.count();
+                return;
+            }
             self.push(m);
         }
     }
@@ -900,6 +909,22 @@ mod tests {
                 "{mode:?}"
             );
             assert_eq!(online.frontier().mass(), 0, "{mode:?} stays dead");
+
+            // A batch folded onto the dead frontier ends where pushing it
+            // record by record does.
+            let mut one_by_one = OnlineLocalizer::new(&u, &selected, mode);
+            let mut batched = OnlineLocalizer::new(&u, &selected, mode);
+            for m in observed.iter().chain(&projection) {
+                one_by_one.push(*m);
+            }
+            batched.push_all(observed.iter().chain(&projection).copied());
+            assert_eq!(
+                batched.localization(),
+                one_by_one.localization(),
+                "{mode:?}"
+            );
+            assert_eq!(batched.pushed(), one_by_one.pushed(), "{mode:?}");
+            assert_eq!(batched.pushed(), observed.len() + projection.len());
         }
     }
 

@@ -8,11 +8,14 @@
 //! the connection down (disconnect). All decisions draw from a forked
 //! [`Rng64`], so the fault sequence — recorded in the wrapper's
 //! [`FaultLedger`] — is a pure function of the seed and the write call
-//! sequence. The PSTS client writes each protocol item (request, data
-//! chunk, FINISH) in one call, so each item is one opportunity, and a
-//! split can still cut inside it. Reads (the resume ack and the reply)
-//! pass through untouched, except on a torn-down stream, which stays
-//! dead.
+//! sequence. The PSTS client gathers an upload (request, data chunks,
+//! FINISH) in one 64 KiB buffer and writes it a full buffer at a time,
+//! so an upload that fits is one opportunity (a resume sends its request
+//! alone first, one more): a drop swallows the whole upload, and a split
+//! can cut anywhere inside it. A split or slow-loris delivers a prefix
+//! and reports it, so the client's write of the rest is a fresh
+//! opportunity. Reads (the resume ack and the reply) pass through
+//! untouched, except on a torn-down stream, which stays dead.
 
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};

@@ -15,7 +15,7 @@
 //!   and its reply, failing fast when no daemon listens.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -26,6 +26,7 @@ use pstrace_wire::{split_ptw, PtwParts};
 use crate::error::StreamError;
 use crate::proto::{parse_resume_ack, read_reply, write_data, write_finish, write_request};
 use crate::proto::{Hello, Request};
+use crate::reader::READ_CHUNK;
 
 /// Default chunk size of the replay client, sized to cut a typical
 /// capture into several chunks without degenerating to per-frame sends.
@@ -165,9 +166,11 @@ pub fn connect(addr: impl ToSocketAddrs, policy: &RetryPolicy) -> io::Result<Tcp
 /// fsync of a token nobody could use.
 ///
 /// Either kind costs one round trip when it opens fresh: the hello,
-/// the chunks and FINISH go out back to back, one write call each, and
-/// the client then reads the ack (resumable only) and the reply. Only a
-/// reconnect that quotes a token waits for its ack before sending data.
+/// the chunks and FINISH go out back to back through one 64 KiB write
+/// buffer (one write call per full buffer, so an upload that fits takes
+/// one), and the client then reads the ack (resumable only) and the
+/// reply through one read buffer. Only a reconnect that quotes a token
+/// waits for its ack before sending data.
 /// The price of pipelining: when the transport dies before the client
 /// has read the first ack, the client never learns the token, so its
 /// next attempt opens fresh from byte 0 and the orphaned parked session
@@ -241,11 +244,12 @@ where
 /// One attempt over an established transport. A fresh session — plain,
 /// or resumable with token 0 — sends its hello, chunks and FINISH back
 /// to back, then reads the resume ack (resumable only) and the reply:
-/// one round trip. A resume (token ≠ 0) first waits for its ack, whose
-/// offset says where the chunks pick up. The ack updates the request's
-/// token and epoch in place, even when the attempt then fails, so the
-/// next attempt resumes the same session — across a daemon restart too,
-/// since the epoch proves the token belongs to the same WAL lineage.
+/// one round trip. A resume (token ≠ 0) first sends its request alone
+/// and waits for its ack, whose offset says where the chunks pick up.
+/// The ack updates the request's token and epoch in place, even when
+/// the attempt then fails, so the next attempt resumes the same session
+/// — across a daemon restart too, since the epoch proves the token
+/// belongs to the same WAL lineage.
 fn send_session<S: Read + Write>(
     transport: &mut S,
     request: &mut Request,
@@ -254,17 +258,18 @@ fn send_session<S: Read + Write>(
 ) -> Result<String, StreamError> {
     let payload = ptw.payload;
     let resuming = matches!(request, Request::Resume { token, .. } if *token != 0);
-    write_request(transport, request)?;
+    let mut link = Buffered::new(transport);
+    write_request(&mut link, request)?;
     let mut offset = 0;
     if resuming {
-        transport.flush()?;
-        offset = take_ack(transport, request, payload.len())?;
+        link.flush()?;
+        offset = take_ack(&mut link, request, payload.len())?;
     }
     let sent = payload[offset..]
         .chunks(chunk)
-        .try_for_each(|piece| write_data(transport, piece))
-        .and_then(|()| write_finish(transport, ptw.bit_len))
-        .and_then(|()| Ok(transport.flush()?));
+        .try_for_each(|piece| write_data(&mut link, piece))
+        .and_then(|()| write_finish(&mut link, ptw.bit_len))
+        .and_then(|()| Ok(link.flush()?));
     // A server that rejects the hello replies and closes without reading
     // the rest, so a write can find the connection closed. The answer is
     // read all the same: an ack that arrived names the session for the
@@ -286,14 +291,64 @@ fn send_session<S: Read + Write>(
     };
     // A fresh resumable session's ack is still unread.
     let answer = if !resuming && matches!(request, Request::Resume { .. }) {
-        take_ack(transport, request, 0).and_then(|_| read_reply(transport))
+        take_ack(&mut link, request, 0).and_then(|_| read_reply(&mut link))
     } else {
-        read_reply(transport)
+        read_reply(&mut link)
     };
     match (answer, hung_up) {
         (answer, None) => answer,
         (Err(verdict @ StreamError::Remote(_)), Some(_)) => Err(verdict),
         (_, Some(e)) => Err(StreamError::Io(e)),
+    }
+}
+
+/// The client's end of one attempt: writes gather in one buffer that
+/// goes out a full [`READ_CHUNK`] (the daemon reader's read size) at a
+/// time and on `flush`, and reads come through one [`BufReader`], so a
+/// reply costs one `read` however the daemon framed it. The bytes on
+/// the wire are the same as unbuffered; only the call boundaries move.
+struct Buffered<'a, S: Read + Write> {
+    rx: BufReader<&'a mut S>,
+    tx: Vec<u8>,
+}
+
+impl<'a, S: Read + Write> Buffered<'a, S> {
+    fn new(transport: &'a mut S) -> Self {
+        Buffered {
+            rx: BufReader::new(transport),
+            tx: Vec::with_capacity(READ_CHUNK),
+        }
+    }
+
+    /// Writes out what the buffer holds.
+    fn send(&mut self) -> io::Result<()> {
+        let sent = self.rx.get_mut().write_all(&self.tx);
+        self.tx.clear();
+        sent
+    }
+}
+
+impl<S: Read + Write> Write for Buffered<'_, S> {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        if self.tx.len() == READ_CHUNK {
+            self.send()?;
+        }
+        let n = bytes.len().min(READ_CHUNK - self.tx.len());
+        self.tx.extend_from_slice(&bytes[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.tx.is_empty() {
+            self.send()?;
+        }
+        self.rx.get_mut().flush()
+    }
+}
+
+impl<S: Read + Write> Read for Buffered<'_, S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.rx.read(buf)
     }
 }
 
@@ -380,13 +435,14 @@ pub fn send_request(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
     use std::net::TcpListener;
 
     use pstrace_soc::{wirecap, SocModel, TraceBufferConfig};
     use pstrace_wire::{write_ptw, EncodedStream};
 
     use super::*;
-    use crate::proto::{decode_request, write_reply, write_resume_ack};
+    use crate::proto::{decode_chunk, decode_request, write_reply, write_resume_ack, Chunk};
     use crate::proto::{REQ_SESSION, REQ_SESSION_RESUME};
     use crate::server::scenario_by_number;
 
@@ -450,12 +506,14 @@ mod tests {
         assert_eq!(request_kinds(2), [REQ_SESSION_RESUME; 3]);
     }
 
-    /// A scripted daemon. Reads return `script` in order; the first
-    /// `takes` write calls land and every later one finds the connection
-    /// closed. Like a socket that counts round trips, it notes for each
-    /// read that follows a write how many writes had landed by then.
+    /// A scripted daemon. Reads return the `script` messages in order,
+    /// no read past the end of one (the daemon sends the next one only
+    /// later); the first `takes` bytes written land and every later write
+    /// finds the connection closed. Like a socket that counts round
+    /// trips, it notes for each read that follows a write how many writes
+    /// had landed by then.
     struct Peer {
-        script: io::Cursor<Vec<u8>>,
+        script: VecDeque<Vec<u8>>,
         takes: usize,
         writes: Vec<Vec<u8>>,
         round_trips: Vec<usize>,
@@ -463,9 +521,9 @@ mod tests {
     }
 
     impl Peer {
-        fn new(script: Vec<u8>, takes: usize) -> Peer {
+        fn new(script: Vec<Vec<u8>>, takes: usize) -> Peer {
             Peer {
-                script: io::Cursor::new(script),
+                script: script.into(),
                 takes,
                 writes: Vec::new(),
                 round_trips: Vec::new(),
@@ -477,16 +535,23 @@ mod tests {
         fn request(&self) -> Request {
             decode_request(&self.writes[0]).unwrap().unwrap().0
         }
+
+        /// Everything that landed, in order.
+        fn received(&self) -> Vec<u8> {
+            self.writes.concat()
+        }
     }
 
     impl Write for Peer {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.writes.len() == self.takes {
+            let landed: usize = self.writes.iter().map(Vec::len).sum();
+            let n = buf.len().min(self.takes - landed);
+            if n == 0 && !buf.is_empty() {
                 return Err(io::ErrorKind::BrokenPipe.into());
             }
-            self.writes.push(buf.to_vec());
+            self.writes.push(buf[..n].to_vec());
             self.wrote = true;
-            Ok(buf.len())
+            Ok(n)
         }
 
         fn flush(&mut self) -> io::Result<()> {
@@ -499,7 +564,16 @@ mod tests {
             if std::mem::take(&mut self.wrote) {
                 self.round_trips.push(self.writes.len());
             }
-            self.script.read(buf)
+            let Some(message) = self.script.front_mut() else {
+                return Ok(0);
+            };
+            let n = message.len().min(buf.len());
+            buf[..n].copy_from_slice(&message[..n]);
+            message.drain(..n);
+            if message.is_empty() {
+                self.script.pop_front();
+            }
+            Ok(n)
         }
     }
 
@@ -513,6 +587,50 @@ mod tests {
         let mut bytes = Vec::new();
         write_reply(&mut bytes, ok, text).unwrap();
         bytes
+    }
+
+    /// The request a replay of `ptw` under `plan` opens with, trace id
+    /// included, as a fresh attempt quotes it.
+    fn opening(model: &SocModel, ptw: &[u8], plan: &Replay) -> Request {
+        let hello = Hello {
+            scenario: plan.scenario,
+            mode: plan.mode,
+            tenant: plan.tenant,
+            trace: plan.trace,
+            schema: split_ptw(model.catalog(), ptw).unwrap().header.to_vec(),
+        };
+        if plan.policy.max_reconnects == 0 {
+            Request::Session(hello)
+        } else {
+            Request::Resume {
+                token: 0,
+                epoch: 0,
+                hello,
+            }
+        }
+    }
+
+    /// The unbuffered encoding of an upload: `request`, then
+    /// `payload` in `chunk`-byte DATA chunks, then FINISH.
+    fn upload(request: &Request, payload: &[u8], chunk: usize, bit_len: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_request(&mut bytes, request).unwrap();
+        for piece in payload.chunks(chunk) {
+            write_data(&mut bytes, piece).unwrap();
+        }
+        write_finish(&mut bytes, bit_len).unwrap();
+        bytes
+    }
+
+    /// The chunks in `bytes`, which must hold whole chunks only.
+    fn chunks(mut bytes: &[u8]) -> Vec<Chunk> {
+        let mut out = Vec::new();
+        while !bytes.is_empty() {
+            let (chunk, used) = decode_chunk(bytes).unwrap().unwrap();
+            out.push(chunk);
+            bytes = &bytes[used..];
+        }
+        out
     }
 
     /// Replays `ptw` under `plan` to `peers`, one per attempt.
@@ -534,14 +652,51 @@ mod tests {
     #[test]
     fn a_fresh_resumable_replay_takes_one_round_trip() {
         let (model, ptw) = capture(40);
-        let script = [ack(7, 0, 3), reply(true, "report")].concat();
+        let script = vec![ack(7, 0, 3), reply(true, "report")];
         let mut peers = [Peer::new(script, usize::MAX)];
-        let report = replay_to(&mut peers, &model, &ptw, &with_reconnects(2));
+        let plan = with_reconnects(2);
+        let report = replay_to(&mut peers, &model, &ptw, &plan);
         assert_eq!(report.unwrap(), "report");
         let [peer] = &peers;
-        assert_eq!(peer.writes.len(), 3, "hello, one DATA, FINISH");
-        assert_eq!(peer.writes[1][0], crate::proto::CHUNK_DATA);
-        assert_eq!(peer.round_trips, [3], "one wait, after FINISH");
+        assert_eq!(
+            peer.writes.len(),
+            1,
+            "hello, one DATA and FINISH in one write"
+        );
+        let payload = split_ptw(model.catalog(), &ptw).unwrap().payload;
+        let request = opening(&model, &ptw, &plan);
+        assert_eq!(peer.received(), upload(&request, payload, 256, 320));
+        assert_eq!(peer.round_trips, [1], "one wait, after FINISH");
+    }
+
+    #[test]
+    fn an_upload_past_the_buffer_goes_out_one_full_buffer_per_write() {
+        let (model, ptw) = capture(5 * READ_CHUNK / 2);
+        let plan = Replay {
+            chunk_bytes: 4096,
+            ..with_reconnects(0)
+        };
+        let mut peers = [Peer::new(vec![reply(true, "report")], usize::MAX)];
+        let report = replay_to(&mut peers, &model, &ptw, &plan);
+        assert_eq!(report.unwrap(), "report");
+        let [peer] = &peers;
+        let payload = split_ptw(model.catalog(), &ptw).unwrap().payload;
+        let expect = upload(
+            &opening(&model, &ptw, &plan),
+            payload,
+            4096,
+            8 * payload.len() as u64,
+        );
+        assert_eq!(peer.received(), expect, "the bytes are the unbuffered ones");
+        assert_eq!(peer.writes.len(), expect.len().div_ceil(READ_CHUNK));
+        let (last, full) = peer.writes.split_last().unwrap();
+        assert!(full.iter().all(|w| w.len() == READ_CHUNK));
+        assert!(!last.is_empty() && last.len() <= READ_CHUNK);
+        assert_eq!(
+            peer.round_trips,
+            [peer.writes.len()],
+            "one wait, after FINISH"
+        );
     }
 
     #[test]
@@ -551,11 +706,14 @@ mod tests {
             chunk_bytes: 16,
             ..with_reconnects(1)
         };
-        // The first daemon acks the hello and hangs up after one chunk;
-        // the second acks the resume at byte 16 and finishes it.
+        // The first daemon acks the hello and hangs up after the hello and
+        // one 16-byte DATA chunk (5 bytes of framing); the second acks the
+        // resume at byte 16 and finishes it.
+        let mut request = Vec::new();
+        write_request(&mut request, &opening(&model, &ptw, &plan)).unwrap();
         let mut peers = [
-            Peer::new(ack(7, 0, 3), 2),
-            Peer::new([ack(7, 16, 3), reply(true, "report")].concat(), usize::MAX),
+            Peer::new(vec![ack(7, 0, 3)], request.len() + 5 + 16),
+            Peer::new(vec![ack(7, 16, 3), reply(true, "report")], usize::MAX),
         ];
         let report = replay_to(&mut peers, &model, &ptw, &plan);
         assert_eq!(report.unwrap(), "report");
@@ -570,28 +728,25 @@ mod tests {
             }
         ));
         // The resume reads its ack before any DATA byte, then sends only
-        // the unacknowledged 24 bytes.
-        assert_eq!(second.round_trips, [1, 4]);
-        let sent: usize = second.writes[1..3].iter().map(|w| w.len() - 5).sum();
-        assert_eq!(sent, 24);
+        // the unacknowledged 24 bytes and FINISH, in one write.
+        assert_eq!(second.round_trips, [1, 2]);
+        let payload = split_ptw(model.catalog(), &ptw).unwrap().payload;
+        assert_eq!(
+            chunks(&second.writes[1]),
+            [
+                Chunk::Data(payload[16..32].to_vec()),
+                Chunk::Data(payload[32..].to_vec()),
+                Chunk::Finish { bit_len: 320 }
+            ]
+        );
     }
 
     #[test]
     fn a_fresh_ack_with_a_nonzero_offset_is_a_protocol_error() {
         let (model, ptw) = capture(40);
         let parts = split_ptw(model.catalog(), &ptw).unwrap();
-        let mut request = Request::Resume {
-            token: 0,
-            epoch: 0,
-            hello: Hello {
-                scenario: 1,
-                mode: MatchMode::Prefix,
-                tenant: 0,
-                trace: 1,
-                schema: parts.header.to_vec(),
-            },
-        };
-        let mut peer = Peer::new([ack(7, 16, 3), reply(true, "report")].concat(), usize::MAX);
+        let mut request = opening(&model, &ptw, &with_reconnects(2));
+        let mut peer = Peer::new(vec![ack(7, 16, 3), reply(true, "report")], usize::MAX);
         let result = send_session(&mut peer, &mut request, &parts, 256);
         assert!(
             matches!(&result, Err(StreamError::Protocol(m)) if m.contains("impossible offset 16")),
@@ -609,7 +764,12 @@ mod tests {
                 scenario: 9,
                 ..plan
             };
-            let mut peers = [Peer::new(reply(false, "no scenario 9"), 1)];
+            let mut request = Vec::new();
+            write_request(&mut request, &opening(&model, &ptw, &plan)).unwrap();
+            let mut peers = [Peer::new(
+                vec![reply(false, "no scenario 9")],
+                request.len(),
+            )];
             let result = replay_to(&mut peers, &model, &ptw, &plan);
             assert!(
                 matches!(&result, Err(StreamError::Remote(m)) if m.contains("no scenario 9")),

@@ -215,8 +215,10 @@ fn checked_schema_len(schema: &[u8]) -> Result<u32, StreamError> {
 /// then the resume token and epoch and the hello, as the kind needs.
 ///
 /// The request is built in one buffer and goes out in one write call,
-/// so a fault-injecting transport sees the whole request as one fault
-/// opportunity (which its split fault can still cut anywhere).
+/// so a request written straight to a socket (a resume's, or a
+/// one-shot `METRICS`/`SHUTDOWN`) is one fault opportunity for a
+/// fault-injecting transport (which its split fault can still cut
+/// anywhere).
 ///
 /// # Errors
 ///

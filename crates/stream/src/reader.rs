@@ -44,8 +44,9 @@ use crate::shard::{FleetCtx, Opening, ShardMsg};
 /// and its shard before the reader waits for credit.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// The most one `read` asks for.
-const READ_CHUNK: usize = 64 * 1024;
+/// The most one `read` asks for; also the client's write buffer, so an
+/// upload the buffer holds lands in one read.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// A reader's stack: it only reads into a heap buffer, hands bytes on
 /// and writes one reply, so it needs far less than the default 2 MiB.

@@ -5,7 +5,7 @@
 //! * it pushes incoming chunk bytes into the dialect's
 //!   [`RecordDecoder`] — the very decoder a batch decode runs — which
 //!   decodes every frame or block the moment its last byte lands;
-//! * it runs the batch decoder's [`TimePass`] over each drained chunk,
+//! * it runs the batch decoder's [`TimePass::run`] over each drained chunk,
 //!   so a record is only committed once its successor confirms it was
 //!   not an isolated forward time spike, and the committed record
 //!   sequence is bit-identical to [`pstrace_wire::decode_with`]'s on
@@ -23,8 +23,7 @@ use pstrace_diag::{Localization, LocalizerProgram, MatchMode, OnlineLocalizer};
 use pstrace_flow::{InterleavedFlow, MessageId};
 use pstrace_obs::{Counter, EventKind, FlightHandle, Registry};
 use pstrace_wire::{
-    DamageReason, DamagedFrame, Decoded, PtwMeta, RecordDecoder, Released, TimePass, WireRecord,
-    WireSchema,
+    DamageReason, DamagedFrame, Decoded, PtwMeta, RecordDecoder, TimePass, WireSchema,
 };
 
 /// The message set a schema observes, as the localization DP needs it:
@@ -298,11 +297,6 @@ impl Session {
         self.obs = Some(SessionObserver::new(registry, session_id));
     }
 
-    fn commit(&mut self, rec: &WireRecord) {
-        self.localizer.push(rec.message);
-        self.records += 1;
-    }
-
     /// Adds the records committed since the last call to the aggregate
     /// and per-session record counters: once per drained chunk, not per
     /// record.
@@ -353,21 +347,20 @@ impl Session {
     }
 
     /// Drains the decoder and folds what it decoded into the session:
-    /// damage first, then each event through the time pass, committing
-    /// what it confirms to the localizer.
+    /// the time pass runs over the whole batch, then the damage (the
+    /// decoder's, then the time pass's) is recorded and the confirmed
+    /// records are committed to the localizer.
     fn absorb(&mut self) {
         let mut decoded = std::mem::take(&mut self.decoded);
         self.decoder.drain(&mut decoded);
+        self.time.run(&mut decoded.events, &mut decoded.damaged);
         for d in decoded.damaged.drain(..) {
             self.record_damage(d);
         }
-        for (ordinal, rec) in decoded.events.drain(..) {
-            match self.time.accept(ordinal, rec) {
-                Some(Released::Record(r)) => self.commit(&r),
-                Some(Released::Damaged(d)) => self.record_damage(d),
-                None => {}
-            }
-        }
+        self.localizer
+            .push_all(decoded.events.iter().map(|(_, rec)| rec.message));
+        self.records += decoded.events.len();
+        decoded.events.clear();
         self.decoded = decoded;
         self.publish_records();
         let frames = self.decoder.frames();
@@ -439,7 +432,8 @@ impl Session {
         // the frame counters.
         self.damaged.retain(|d| d.frame < end.end);
         if let Some(r) = self.time.flush(end.end) {
-            self.commit(&r);
+            self.localizer.push(r.message);
+            self.records += 1;
             self.publish_records();
         }
         self.maybe_resync();
@@ -470,7 +464,7 @@ impl Session {
 mod tests {
     use super::*;
     use pstrace_flow::{examples::cache_coherence, instantiate, IndexedMessage};
-    use pstrace_wire::{decode_with, encode_records, ProfileV1};
+    use pstrace_wire::{decode_with, encode_records, ProfileV1, WireRecord};
     use std::sync::Arc;
 
     fn setup() -> (InterleavedFlow, WireSchema) {

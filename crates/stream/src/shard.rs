@@ -1104,33 +1104,35 @@ impl Shard {
         }
     }
 
-    /// Feeds the session as many complete chunks as the inbuf holds.
+    /// Feeds the session as many complete chunks as the inbuf holds,
+    /// then drops the bytes they took in one move.
     fn process(&mut self, conn: &mut Conn) -> Verdict {
-        loop {
+        let mut used = 0;
+        let verdict = loop {
             let Some(live) = &mut conn.live else {
                 // Anything the client sent past its request is
                 // irrelevant once the connection is closing.
-                conn.inbuf.clear();
-                return Verdict::Keep;
+                used = conn.inbuf.len();
+                break Verdict::Keep;
             };
-            match proto::decode_chunk(&conn.inbuf) {
-                Ok(Some((chunk, used))) => {
-                    conn.inbuf.drain(..used);
+            match proto::decode_chunk(&conn.inbuf[used..]) {
+                Ok(Some((chunk, n))) => {
+                    used += n;
                     if let Some(outcome) = self.handle_chunk(live, chunk) {
-                        return Verdict::Close(self.end(conn, outcome));
+                        break Verdict::Close(self.end(conn, outcome));
                     }
                 }
-                Ok(None) => {
-                    if conn.peer_gone {
-                        return self.streaming_death(conn, "transport closed mid-stream");
-                    }
-                    return Verdict::Keep;
+                Ok(None) if conn.peer_gone => {
+                    break self.streaming_death(conn, "transport closed mid-stream")
                 }
+                Ok(None) => break Verdict::Keep,
                 // Any chunk error is transport death: resumable
                 // sessions park and a reconnect picks them back up.
-                Err(e) => return self.streaming_death(conn, &e.to_string()),
+                Err(e) => break self.streaming_death(conn, &e.to_string()),
             }
-        }
+        };
+        conn.inbuf.drain(..used);
+        verdict
     }
 
     /// A panic escaped a connection's step: the connection's session

@@ -4,10 +4,11 @@
 //! are pushed as they arrive, each push decodes every frame (or block)
 //! it completes, and [`finish`](RecordDecoder::finish) flushes the tail
 //! against the declared stream length. The raw `(ordinal, record)`
-//! events then pass through the one stream-wide [`TimePass`]. A batch
+//! events then pass through the one stream-wide [`TimePass`], whose
+//! [`run`](TimePass::run) judges a whole drained batch in place. A batch
 //! decode is "push every byte, then finish" ([`finish_report`]); a live
-//! session runs the same decoder and the same time pass one chunk at a
-//! time, so the two agree by construction.
+//! session runs the same decoder and the same `run` one chunk at a time,
+//! so the two agree by construction.
 //!
 //! The v1 decoder here walks fixed-width frames, validating every field
 //! against the schema: the tag must name a real slot (or the idle
@@ -284,6 +285,8 @@ pub struct TimePass {
 impl TimePass {
     /// Judges the next record in stream order. Returns the record this
     /// one confirms, or the damage it reveals; at most one of the two.
+    /// [`run`](TimePass::run) is the same rule over a batch; this is its
+    /// per-record oracle.
     pub fn accept(&mut self, ordinal: usize, rec: WireRecord) -> Option<Released> {
         let prev = self.pending.map_or(self.committed, |(_, p)| p.time);
         if rec.time >= prev {
@@ -314,6 +317,51 @@ impl TimePass {
         }
     }
 
+    /// [`accept`](TimePass::accept) over a whole drained batch, in
+    /// place: `events` keeps only the records this batch confirms, in
+    /// stream order and under their own ordinals, and the damage it
+    /// reveals is appended to `damaged`. The newest record stays held
+    /// across batches, so a stream run through in any split gets the
+    /// verdicts per-record `accept` gives it.
+    ///
+    /// Records that do not run backwards each confirm the one held
+    /// before them, so a run of them moves up one slot at once, behind
+    /// the record held before it; only a record that runs backwards
+    /// goes through `accept`.
+    pub fn run(&mut self, events: &mut Vec<(usize, WireRecord)>, damaged: &mut Vec<DamagedFrame>) {
+        let mut kept = 0;
+        let mut i = 0;
+        while i < events.len() {
+            let start = i;
+            let mut floor = self.pending.map_or(self.committed, |(_, p)| p.time);
+            while let Some(&(_, rec)) = events.get(i).filter(|(_, r)| r.time >= floor) {
+                floor = rec.time;
+                i += 1;
+            }
+            if i > start {
+                let held = self.pending.replace(events[i - 1]);
+                let lead = usize::from(held.is_some());
+                // `kept <= start`, so nothing unread is overwritten.
+                events.copy_within(start..i - 1, kept + lead);
+                if let Some(held) = held {
+                    events[kept] = held;
+                }
+                let confirmed = lead + (i - 1 - start);
+                if confirmed > 0 {
+                    kept += confirmed;
+                    self.committed = events[kept - 1].1.time;
+                }
+            }
+            if let Some(&(ordinal, rec)) = events.get(i) {
+                if let Some(Released::Damaged(d)) = self.accept(ordinal, rec) {
+                    damaged.push(d);
+                }
+                i += 1;
+            }
+        }
+        events.truncate(kept);
+    }
+
     /// Whether a record is held back awaiting its successor.
     #[must_use]
     pub fn is_holding(&self) -> bool {
@@ -332,27 +380,19 @@ impl TimePass {
 }
 
 /// Finishes `decoder` and assembles the batch report: flush the tail,
-/// run the [`TimePass`] over every event, sort the damage by frame.
+/// [`run`](TimePass::run) the [`TimePass`] over every event, sort the
+/// damage by frame.
 #[must_use]
 pub fn finish_report(decoder: &mut dyn RecordDecoder, bit_len: Option<u64>) -> DecodeReport {
     let mut out = Decoded::default();
     let end = decoder.finish(bit_len, &mut out);
     let Decoded {
-        events,
+        mut events,
         mut damaged,
     } = out;
     let mut pass = TimePass::default();
-    // Collected in place: the records reuse the events' allocation.
-    let mut records: Vec<WireRecord> = events
-        .into_iter()
-        .filter_map(|(ordinal, rec)| match pass.accept(ordinal, rec)? {
-            Released::Record(r) => Some(r),
-            Released::Damaged(d) => {
-                damaged.push(d);
-                None
-            }
-        })
-        .collect();
+    pass.run(&mut events, &mut damaged);
+    let mut records: Vec<WireRecord> = events.into_iter().map(|(_, rec)| rec).collect();
     records.extend(pass.flush(end.end));
     damaged.sort_by_key(|d| d.frame);
     let schema = decoder.schema();

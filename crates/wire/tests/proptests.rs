@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
 use pstrace_wire::{
     decode_with, encode_records, finish_report, read_ptw, write_ptw, BitReader, BitWriter,
-    ProfileV1, RecordDecoder, StreamDecoder, WireRecord, WireSchema,
+    DamagedFrame, ProfileV1, RecordDecoder, Released, StreamDecoder, TimePass, WireRecord,
+    WireSchema,
 };
 use std::sync::Arc;
 
@@ -322,5 +323,92 @@ proptest! {
             prop_assert_eq!(r.read(width), Some(value));
         }
         prop_assert_eq!(r.remaining(), 0);
+    }
+}
+
+/// The oracle: `events` through per-record `accept`, sorted into the
+/// records it confirms and the damage it reveals.
+fn accept_each(
+    pass: &mut TimePass,
+    events: &[(usize, WireRecord)],
+) -> (Vec<WireRecord>, Vec<DamagedFrame>) {
+    let (mut confirmed, mut damage) = (Vec::new(), Vec::new());
+    for &(ordinal, rec) in events {
+        match pass.accept(ordinal, rec) {
+            Some(Released::Record(r)) => confirmed.push(r),
+            Some(Released::Damaged(d)) => damage.push(d),
+            None => {}
+        }
+    }
+    (confirmed, damage)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `TimePass::run` over any split of a stream into batches gives the
+    /// verdicts of per-record `accept`, its oracle: the same confirmed
+    /// records, each under its own ordinal, the same damage (frame and
+    /// reason) in the same order, and the same flushed tail. Times step
+    /// forward, regress (shallowly or below the committed time) and
+    /// spike far ahead; ordinals skip, as idle or damaged frames leave
+    /// gaps; batches may be empty.
+    #[test]
+    fn time_pass_run_matches_accept(
+        steps in proptest::collection::vec((0u8..8, 0u64..20, 1usize..3, any::<u8>()), 0..200),
+        cuts in proptest::collection::vec(0usize..24, 0..24),
+        end_back in 0usize..3,
+    ) {
+        let c = catalog();
+        let (mut time, mut ordinal) = (100u64, 0usize);
+        let mut events = Vec::with_capacity(steps.len());
+        for &(shape, delta, gap, raw) in &steps {
+            let t = match shape {
+                0 => time.saturating_sub(delta),
+                1 => time.saturating_sub(delta + 50),
+                2 => time + (1 << 40) + delta,
+                _ => {
+                    time += delta;
+                    time
+                }
+            };
+            ordinal += gap;
+            events.push((ordinal, record(&c, raw, t, raw % 4, u64::from(raw))));
+        }
+
+        let mut oracle = TimePass::default();
+        let (confirmed, damage) = accept_each(&mut oracle, &events);
+
+        let mut pass = TimePass::default();
+        let (mut kept, mut damaged) = (Vec::new(), Vec::new());
+        let mut rest = &events[..];
+        for &cut in cuts.iter().chain([usize::MAX].iter()) {
+            let (batch, tail) = rest.split_at(cut.min(rest.len()));
+            let mut batch = batch.to_vec();
+            pass.run(&mut batch, &mut damaged);
+            kept.extend(batch);
+            rest = tail;
+        }
+        let records: Vec<WireRecord> = kept.iter().map(|&(_, r)| r).collect();
+        prop_assert_eq!(records, confirmed);
+        for &(o, r) in &kept {
+            let at = events.binary_search_by_key(&o, |&(e, _)| e);
+            prop_assert_eq!(at.map(|i| events[i].1), Ok(r), "ordinal {}", o);
+        }
+        prop_assert_eq!(damaged, damage);
+        prop_assert_eq!(pass, oracle);
+        let end = (ordinal + 1).saturating_sub(end_back);
+        prop_assert_eq!(pass.flush(end), oracle.flush(end));
+
+        // After a flush nothing is held but the committed time still
+        // binds: the stream's head, replayed, runs behind it.
+        let mut again: Vec<_> = events.iter().take(8).copied().collect();
+        let (confirmed, damage) = accept_each(&mut oracle, &again);
+        let mut damaged = Vec::new();
+        pass.run(&mut again, &mut damaged);
+        let records: Vec<WireRecord> = again.iter().map(|&(_, r)| r).collect();
+        prop_assert_eq!(records, confirmed);
+        prop_assert_eq!(damaged, damage);
+        prop_assert_eq!(pass, oracle);
     }
 }

@@ -72,6 +72,12 @@ run cargo test -q --locked --test malformed_ptw v2_
 # within 8 bytes of the buffer end).
 run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-wire --test proptests bytewise_oracle
 
+# Batch time pass deep fuzz: `TimePass::run` over random batch splits
+# of time sequences with spikes, regressions and ordinal gaps must give
+# per-record `accept`'s confirmed records, damage and flushed tail, at
+# 4096 cases.
+run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-wire --test proptests time_pass
+
 # Encode agreement deep fuzz: v1 and v2 encoders over random schemas
 # with one injected fault (unknown slot, value/time/index overflow) at a
 # random position, overwritten ones included, must return the same typed
@@ -114,7 +120,7 @@ fi
 chaos_log="$(mktemp -t pstrace-chaos-XXXXXX.log)"
 run cargo run -q --release --locked -p pstrace-cli --bin pstrace -- \
     chaos --seed 7 --sessions 3 --intensity light --records 400 | tee "$chaos_log"
-run grep -q "fingerprint 723a4a71a7d393bc" "$chaos_log"
+run grep -q "fingerprint 5e41f9994724efe9" "$chaos_log"
 rm -f "$chaos_log"
 
 # Fleet-soak smoke: 256 chaos-wrapped sessions from 64 concurrent clients

@@ -1,8 +1,8 @@
 //! What one fresh session costs on the wire, counted against a real
 //! strict-WAL daemon: a one-run scenario-1 capture (the shape of one
-//! short upload) replayed resumable takes one round trip, at most three
-//! write calls and exactly one WAL fsync; replayed as a plain session it
-//! takes one round trip and no fsync. Both reports carry the batch
+//! short upload) replayed resumable takes one round trip, one write call
+//! and exactly one WAL fsync; replayed as a plain session it takes one
+//! round trip, one write call and no fsync. Both reports carry the batch
 //! pipeline's localization line.
 
 use std::cell::Cell;
@@ -111,7 +111,7 @@ fn counted_replay(
 }
 
 #[test]
-fn a_fresh_session_costs_one_round_trip_and_at_most_three_writes() {
+fn a_fresh_session_costs_one_round_trip_and_one_write() {
     let _guard = watchdog(Duration::from_secs(120), "session round trips");
     let dir = std::env::temp_dir().join(format!("pstrace-roundtrips-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -142,10 +142,7 @@ fn a_fresh_session_costs_one_round_trip_and_at_most_three_writes() {
     let before = server.snapshot().fsyncs;
     let (report, writes, round_trips) = counted_replay(&server, &model, &ptw, &resumable);
     assert_eq!(round_trips, 1, "hello, chunks and FINISH are pipelined");
-    assert!(
-        writes <= 3,
-        "{writes} write calls: one per hello, chunk and FINISH"
-    );
+    assert_eq!(writes, 1, "hello, chunks and FINISH share one write call");
     assert_eq!(
         server.snapshot().fsyncs - before,
         1,
@@ -160,7 +157,7 @@ fn a_fresh_session_costs_one_round_trip_and_at_most_three_writes() {
     let before = server.snapshot().fsyncs;
     let (report, writes, round_trips) = counted_replay(&server, &model, &ptw, &plain);
     assert_eq!(round_trips, 1);
-    assert!(writes <= 3, "{writes} write calls");
+    assert_eq!(writes, 1);
     assert_eq!(
         server.snapshot().fsyncs,
         before,
