@@ -4,10 +4,12 @@
 //! §wire table). Decode runs one-shot and incrementally in 256-byte
 //! chunks, the push pattern of a live session, over a synthetic stream
 //! and over simulated scenario-1 captures — the traffic a live v2
-//! session carries.
+//! session carries — both intact and with every 16th sync block damaged.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pstrace_codec::{encode_v2, ProfileV2, DEFAULT_SYNC_EVERY};
+use pstrace_codec::{
+    encode_v2, ProfileV2, BLOCK_HEADER_BYTES, DEFAULT_SYNC_EVERY, MIN_BLOCK_BYTES,
+};
 use pstrace_core::{SelectionConfig, Selector, TraceBufferSpec};
 use pstrace_faults::slot_cycling_records;
 use pstrace_soc::{
@@ -105,6 +107,23 @@ fn decode_incremental(profile: &dyn FrameProfile, schema: &WireSchema, bytes: &[
     records + out.events.len()
 }
 
+/// `bytes` (a v2 stream) with one payload bit flipped in every 16th
+/// sync block: each such block is decoded, fails its CRC and is dropped
+/// by its `block_len`.
+fn flip_every_16th_block(bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let (mut at, mut block) = (0, 0);
+    while at < out.len() {
+        let len = usize::from(u16::from_le_bytes([out[at + 2], out[at + 3]]));
+        if block % 16 == 15 {
+            out[at + BLOCK_HEADER_BYTES + (len - MIN_BLOCK_BYTES) / 2] ^= 0x08;
+        }
+        at += len;
+        block += 1;
+    }
+    out
+}
+
 /// v1 vs v2 on the same 20k-record stream: wall-clock for both
 /// directions of both dialects, plus a one-shot size table (bytes per
 /// record and the compression ratio) printed to stderr for
@@ -172,6 +191,10 @@ fn bench_profiles(c: &mut Criterion) {
                 &v2.bytes,
             ))
         });
+    });
+    let damaged = flip_every_16th_block(&v2.bytes);
+    group.bench_function("decode_incremental/v2/scenario1_capture_damaged", |b| {
+        b.iter(|| black_box(decode_incremental(&ProfileV2::default(), &schema, &damaged)));
     });
     group.finish();
 }

@@ -73,12 +73,14 @@ const MAX_PAYLOAD_BYTES: usize = 60_000;
 /// entries) can reuse the exact same integrity check.
 #[must_use]
 pub fn fnv32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
+    fnv32_more(0x811c_9dc5, bytes)
+}
+
+/// Continues an FNV-1a-32 state `h` over `bytes`.
+fn fnv32_more(h: u32, bytes: &[u8]) -> u32 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
 fn fold8(h: u32) -> u8 {
@@ -144,13 +146,81 @@ fn class_table(width: u32) -> [u32; 4] {
     [0, short, medium, width]
 }
 
-/// Mirrors [`write_classed`] without branching on the class: reads the
-/// 2-bit class, then the `table[class]` bits it selects (a width-0 read
-/// yields 0). Returns `(class, payload)`, or `None` on a truncated reader.
-fn read_classed(r: &mut BitReader<'_>, table: &[u32; 4]) -> Option<(u64, u64)> {
-    let class = r.read(2)?;
-    let payload = r.read(table[(class & 3) as usize])?;
-    Some((class, payload))
+/// Field widths a 2-bit class selects, one per byte of a `u32`, so
+/// the lookup is a shift and a mask rather than a load.
+#[derive(Debug, Clone, Copy)]
+struct ClassWidths(u32);
+
+impl ClassWidths {
+    fn pack(widths: [u32; 4]) -> Self {
+        ClassWidths(widths.iter().rev().fold(0, |p, &w| (p << 8) | w))
+    }
+
+    /// The `table` widths split at `cap`: the part taken before a refill
+    /// and the rest taken after it.
+    fn split(table: [u32; 4], cap: u32) -> (Self, Self) {
+        (
+            Self::pack(table.map(|w| w.min(cap))),
+            Self::pack(table.map(|w| w - w.min(cap))),
+        )
+    }
+
+    fn get(self, class: u64) -> u32 {
+        (self.0 >> (class * 8)) & 0xff
+    }
+}
+
+/// Where [`decode_block`] splits a record between refills when its
+/// schema's records can outgrow one refill (`WIDE`). Each of the three
+/// stretches takes at most [`BitReader::REFILL_BITS`] (56) bits: fresh
+/// flag (1) + index (<= 32) + time class (2) + time low (<= 21); time
+/// high (<= 43) + value class (2) + value low (<= 11); value high
+/// (<= 53).
+const TIME_LOW_BITS: u32 = 21;
+const VALUE_LOW_BITS: u32 = 11;
+
+/// Block bytes [`decode_block`] hashes after each record.
+const HASH_STRIDE: usize = 4;
+
+/// Whether a record of `schema` can take more bits than one refill
+/// holds: then [`decode_block`] refills three times per record, else
+/// once.
+fn wide_records(schema: &WireSchema) -> bool {
+    let widest = schema.slots().iter().map(|s| s.width).max().unwrap_or(0);
+    1 + schema.index_width() + 2 + schema.time_width() + 2 + widest > BitReader::REFILL_BITS
+}
+
+/// What [`decode_block`] needs of one slot, worked out once per decoder.
+#[derive(Debug, Clone, Copy)]
+struct LaneCode {
+    message: pstrace_flow::MessageId,
+    partial: bool,
+    /// The lane's low `width` bits.
+    mask: u64,
+    /// Value class widths before and after the record's last refill.
+    low: ClassWidths,
+    high: ClassWidths,
+}
+
+impl LaneCode {
+    /// One code per slot of `schema`, in tag order (tag `t` is entry
+    /// `t - 1`).
+    fn all(schema: &WireSchema) -> Vec<LaneCode> {
+        schema
+            .slots()
+            .iter()
+            .map(|slot| {
+                let (low, high) = ClassWidths::split(class_table(slot.width), VALUE_LOW_BITS);
+                LaneCode {
+                    message: slot.message,
+                    partial: slot.is_partial(),
+                    mask: mask(u64::MAX, slot.width),
+                    low,
+                    high,
+                }
+            })
+            .collect()
+    }
 }
 
 /// Run-length extension width and bias per 2-bit run class: a run of 1,
@@ -158,7 +228,7 @@ fn read_classed(r: &mut BitReader<'_>, table: &[u32; 4]) -> Option<(u64, u64)> {
 const RUN_BITS: [u32; 4] = [0, 4, 8, 16];
 const RUN_BIAS: [usize; 4] = [1, 2, 18, 0];
 
-/// Per-block delta state, reset at every sync point.
+/// The encoder's per-block delta state, fresh at every sync point.
 #[derive(Debug)]
 struct DeltaState {
     prev_time: u64,
@@ -174,13 +244,6 @@ impl DeltaState {
             prev_index: 0,
             prev_value: vec![0; schema.slots().len() + 1],
         }
-    }
-
-    /// The sync-point reset, reusing the per-slot buffer.
-    fn reset(&mut self, base_time: u64) {
-        self.prev_time = base_time;
-        self.prev_index = 0;
-        self.prev_value.fill(0);
     }
 }
 
@@ -248,72 +311,151 @@ fn encode_block(schema: &WireSchema, items: &[(u64, WireRecord)]) -> Vec<u8> {
     out
 }
 
-/// Unpacks a block payload whose CRC already checked out, appending its
-/// records to `events` from ordinal `first` on. `st` is reset to the
-/// block's sync point first. Returns `None` on any structural
-/// inconsistency (defensive: a CRC collision must cost the block, never
-/// a panic); the caller then drops what was appended.
+/// What one pass over a complete block found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BlockRead {
+    /// The CRC holds and every record decoded.
+    Decoded,
+    /// The CRC holds but the payload does not decode (a CRC collision).
+    Undecodable,
+    /// The CRC fails.
+    CrcFailed,
+}
+
+/// A checksum-valid block header.
+#[derive(Debug, Clone, Copy)]
+struct Header {
+    block_len: usize,
+    records: usize,
+    base_time: u64,
+    /// FNV-1a-32 state over the header's first 14 bytes, which the block
+    /// CRC continues.
+    hash: u32,
+}
+
+/// Decodes and checksums one block in a single pass. `bytes` starts at
+/// the block's marker and holds the whole block (bytes after it, when
+/// present, only spare the reader its end-of-slice path). Records are
+/// appended to `events` from ordinal `first` on and stay there only when
+/// the outcome is [`BlockRead::Decoded`]. `prev_value` (per tag) is
+/// reset to the block's sync point first.
 ///
-/// Data-dependent fields decode without branches: each class indexes a
-/// width table and the read happens unconditionally (width 0 reads 0),
+/// The reader refills at fixed points: once per run header, and once
+/// per record, or three times when the schema's records are `WIDE` (see
+/// [`TIME_LOW_BITS`]). Its overrun is checked once per record, so no
+/// field read branches on the bits left. That check also covers the run
+/// header before the record: a run holds at least one record, and the
+/// position only grows. Decoding before the CRC is known is safe: a CRC
+/// collision must cost the block, never a panic, already. The FNV-1a
+/// chain runs inside the record loop, [`HASH_STRIDE`] bytes after each
+/// record, so it overlaps the decode instead of following it.
+///
+/// Data-dependent fields decode without branches: each class picks its
+/// widths out of a [`ClassWidths`] and the take happens unconditionally
+/// (width 0 takes 0),
 /// and the flow index is a masked select between the fresh and the
 /// previous one. Real captures break a tag run and change index on most
 /// records, so branching on those fields would mispredict constantly.
-fn decode_block(
+fn decode_block<const WIDE: bool>(
     schema: &WireSchema,
-    st: &mut DeltaState,
-    payload: &[u8],
-    records: usize,
-    base_time: u64,
+    lanes: &[LaneCode],
+    prev_value: &mut [u64],
+    bytes: &[u8],
+    header: Header,
     first: usize,
     events: &mut Vec<(usize, WireRecord)>,
-) -> Option<()> {
-    st.reset(base_time);
-    let mut r = BitReader::new(payload, payload.len() as u64 * 8);
+) -> BlockRead {
+    let Header {
+        block_len,
+        records,
+        base_time,
+        hash,
+    } = header;
+    prev_value.fill(0);
+    let crc_at = block_len - 4;
+    let payload_bits = (crc_at - BLOCK_HEADER_BYTES) as u64 * 8;
+    let mut r = BitReader::new(&bytes[BLOCK_HEADER_BYTES..], payload_bits);
+    // The hash covers `hdr_crc` and the payload: `HASH_STRIDE` bytes of
+    // them after each record, the rest after the loop.
+    let (mut h, mut hashed) = (hash, BLOCK_HEADER_BYTES - 1);
+    let (tag_width, index_width) = (schema.tag_width(), schema.index_width());
     let time_width = schema.time_width();
-    let time_table = class_table(time_width);
-    let index_width = schema.index_width();
+    let time_mask = mask(u64::MAX, time_width);
+    let (time_low, time_high) = ClassWidths::split(class_table(time_width), TIME_LOW_BITS);
+    let (mut prev_time, mut prev_index) = (base_time, 0u64);
+    let start = events.len();
+    events.reserve(records);
     let mut done = 0;
-    while done < records {
-        let tag = r.read(schema.tag_width())?;
-        let slot = schema.slot_by_tag(tag)?;
-        let width = slot.width;
-        let value_table = class_table(width);
-        let run_class = (r.read(2)? & 3) as usize;
-        let run = RUN_BIAS[run_class] + r.read(RUN_BITS[run_class])? as usize;
-        if run == 0 || done + run > records {
-            return None;
+    let decoded = 'block: {
+        while done < records {
+            r.refill();
+            let tag = r.take(tag_width);
+            let run_class = (r.take(2) & 3) as usize;
+            let run = RUN_BIAS[run_class] + r.take(RUN_BITS[run_class]) as usize;
+            let Some(lane) = lanes.get((tag as usize).wrapping_sub(1)) else {
+                break 'block false;
+            };
+            if run == 0 || done + run > records {
+                break 'block false;
+            }
+            let prev_value = &mut prev_value[tag as usize];
+            for _ in 0..run {
+                r.refill();
+                let fresh = r.take(1);
+                let read = r.take(fresh as u32 * index_width);
+                let keep = fresh.wrapping_sub(1);
+                prev_index = (read & !keep) | (prev_index & keep);
+                let tclass = r.take(2);
+                let dtime = r.take(time_low.get(tclass));
+                if WIDE {
+                    r.refill();
+                }
+                let dtime = dtime | r.take(time_high.get(tclass)) << time_low.get(tclass);
+                prev_time = prev_time.wrapping_add(dtime) & time_mask;
+                let vclass = r.take(2);
+                let vraw = r.take(lane.low.get(vclass));
+                if WIDE {
+                    r.refill();
+                }
+                let vraw = vraw | r.take(lane.high.get(vclass)) << lane.low.get(vclass);
+                if r.overrun() {
+                    break 'block false;
+                }
+                let delta = prev_value.wrapping_add(unzigzag(vraw) as u64) & lane.mask;
+                let value = if vclass == 3 { vraw } else { delta };
+                *prev_value = value;
+                events.push((
+                    first + done,
+                    WireRecord {
+                        time: prev_time,
+                        message: pstrace_flow::IndexedMessage::new(
+                            lane.message,
+                            pstrace_flow::FlowIndex(prev_index as u32),
+                        ),
+                        value,
+                        partial: lane.partial,
+                    },
+                ));
+                done += 1;
+                if hashed + HASH_STRIDE <= crc_at {
+                    h = fnv32_more(h, &bytes[hashed..hashed + HASH_STRIDE]);
+                    hashed += HASH_STRIDE;
+                }
+            }
         }
-        let prev_value = &mut st.prev_value[tag as usize];
-        for _ in 0..run {
-            let fresh = r.read(1)?;
-            let read = r.read(fresh as u32 * index_width)?;
-            let keep = fresh.wrapping_sub(1);
-            let index = (read & !keep) | (st.prev_index & keep);
-            st.prev_index = index;
-            let (_, dtime) = read_classed(&mut r, &time_table)?;
-            let time = mask(st.prev_time.wrapping_add(dtime), time_width);
-            st.prev_time = time;
-            let (class, vraw) = read_classed(&mut r, &value_table)?;
-            let delta = mask(prev_value.wrapping_add(unzigzag(vraw) as u64), width);
-            let value = if class == 3 { vraw } else { delta };
-            *prev_value = value;
-            events.push((
-                first + done,
-                WireRecord {
-                    time,
-                    message: pstrace_flow::IndexedMessage::new(
-                        slot.message,
-                        pstrace_flow::FlowIndex(index as u32),
-                    ),
-                    value,
-                    partial: slot.is_partial(),
-                },
-            ));
-            done += 1;
-        }
+        true
+    };
+    h = fnv32_more(h, &bytes[hashed..crc_at]);
+    let crc = u32::from_le_bytes(bytes[crc_at..block_len].try_into().expect("4 bytes"));
+    let read = match (h == crc, decoded) {
+        (false, _) => BlockRead::CrcFailed,
+        (true, false) => BlockRead::Undecodable,
+        (true, true) => BlockRead::Decoded,
+    };
+    if read != BlockRead::Decoded {
+        events.truncate(start);
     }
-    Some(())
+    read
 }
 
 /// Serializes records into the v2 sync-block stream.
@@ -395,8 +537,12 @@ pub struct V2StreamDecoder {
     blocks: usize,
     /// Decoded since the last drain.
     held: Decoded,
-    /// Delta state, reset (not reallocated) at every block.
-    delta: DeltaState,
+    lanes: Vec<LaneCode>,
+    /// Whether the schema's records can outgrow one refill.
+    wide: bool,
+    /// The per-tag value delta state, reset (not reallocated) at every
+    /// block.
+    prev_value: Vec<u64>,
     skipped: u64,
     skipped_dirty: bool,
     /// Whether any bytes were hunted over as damage.
@@ -414,21 +560,24 @@ impl V2StreamDecoder {
             ordinal: 0,
             blocks: 0,
             held: Decoded::default(),
-            delta: DeltaState::new(schema, 0),
+            lanes: LaneCode::all(schema),
+            wide: wide_records(schema),
+            prev_value: vec![0; schema.slots().len() + 1],
             skipped: 0,
             skipped_dirty: false,
             lost_sync: false,
         }
     }
 
-    /// Whether the header at `pos` is a plausible, checksum-valid block
+    /// The header at `pos` if it is a plausible, checksum-valid block
     /// start. Requires `BLOCK_HEADER_BYTES` available.
-    fn header_at(&self, pos: usize) -> Option<(usize, usize, u64)> {
+    fn header_at(&self, pos: usize) -> Option<Header> {
         let h = &self.buf[pos..pos + BLOCK_HEADER_BYTES];
         if h[..2] != SYNC_MARKER {
             return None;
         }
-        if fold8(fnv32(&h[..BLOCK_HEADER_BYTES - 1])) != h[BLOCK_HEADER_BYTES - 1] {
+        let hash = fnv32(&h[..BLOCK_HEADER_BYTES - 1]);
+        if fold8(hash) != h[BLOCK_HEADER_BYTES - 1] {
             return None;
         }
         let block_len = usize::from(u16::from_le_bytes([h[2], h[3]]));
@@ -436,8 +585,12 @@ impl V2StreamDecoder {
         if block_len < MIN_BLOCK_BYTES || records == 0 {
             return None;
         }
-        let base_time = u64::from_le_bytes(h[6..14].try_into().expect("8 bytes"));
-        Some((block_len, records, base_time))
+        Some(Header {
+            block_len,
+            records,
+            base_time: u64::from_le_bytes(h[6..14].try_into().expect("8 bytes")),
+            hash,
+        })
     }
 
     /// Flush any hunted-over bytes as one `SyncLost` damage entry. Pure
@@ -485,12 +638,15 @@ impl V2StreamDecoder {
                 }
                 break;
             }
-            let Some((block_len, records, base_time)) = self.header_at(self.pos) else {
+            let Some(header) = self.header_at(self.pos) else {
                 self.skipped_dirty |= self.buf[self.pos] != 0;
                 self.skipped += 1;
                 self.pos += 1;
                 continue;
             };
+            let Header {
+                block_len, records, ..
+            } = header;
             if avail < block_len {
                 if at_end {
                     // A real header, but the body never arrived.
@@ -501,17 +657,28 @@ impl V2StreamDecoder {
                 }
                 break;
             }
-            let block = &self.buf[self.pos..self.pos + block_len];
-            let crc = u32::from_le_bytes(block[block_len - 4..].try_into().expect("4 bytes"));
-            let intact = fnv32(&block[..block_len - 4]) == crc;
+            let decode = if self.wide {
+                decode_block::<true>
+            } else {
+                decode_block::<false>
+            };
+            let read = decode(
+                &self.schema,
+                &self.lanes,
+                &mut self.prev_value,
+                &self.buf[self.pos..],
+                header,
+                self.ordinal,
+                &mut self.held.events,
+            );
             let after = avail - block_len;
-            if !intact && after < BLOCK_HEADER_BYTES && !at_end {
+            if read == BlockRead::CrcFailed && after < BLOCK_HEADER_BYTES && !at_end {
                 // Whether to trust `block_len` depends on what follows.
                 break;
             }
             self.flush_skip(false);
             self.blocks += 1;
-            if !intact
+            if read == BlockRead::CrcFailed
                 && after >= BLOCK_HEADER_BYTES
                 && self.header_at(self.pos + block_len).is_none()
             {
@@ -524,22 +691,9 @@ impl V2StreamDecoder {
                 self.pos += BLOCK_HEADER_BYTES;
                 continue;
             }
-            let start = self.held.events.len();
-            let decoded = intact
-                && decode_block(
-                    &self.schema,
-                    &mut self.delta,
-                    &self.buf[self.pos + BLOCK_HEADER_BYTES..self.pos + block_len - 4],
-                    records,
-                    base_time,
-                    self.ordinal,
-                    &mut self.held.events,
-                )
-                .is_some();
-            if decoded {
+            if read == BlockRead::Decoded {
                 self.ordinal += records;
             } else {
-                self.held.events.truncate(start);
                 self.corrupt_block(records);
             }
             self.pos += block_len;

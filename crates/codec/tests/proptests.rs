@@ -1,16 +1,19 @@
 //! Property-based tests for the v2 compressed dialect: round-trip
 //! identity, bounded damage under corruption, no panics on garbage, and
 //! v1/v2 agreement over randomly generated schemas, on decode and on
-//! encode (same errors, same retained records).
+//! encode (same errors, same retained records), and the one-pass block
+//! decode against the oracle it replaced.
 
 use proptest::prelude::*;
 use pstrace_codec::{
-    decode_ptw_payload, encode_v2, ProfileV2, V2StreamDecoder, DEFAULT_SYNC_EVERY,
+    decode_ptw_payload, encode_v2, fnv32, ProfileV2, V2StreamDecoder, BLOCK_HEADER_BYTES,
+    DEFAULT_SYNC_EVERY, SYNC_MARKER,
 };
 use pstrace_flow::{FlowIndex, IndexedMessage, MessageCatalog};
 use pstrace_wire::{
     decode_with, encode_records, finish_report, overwritten, read_ptw_any, write_ptw, DamageReason,
-    FrameProfile, ProfileV1, RecordDecoder, WireError, WireRecord, WireSchema, PTW_VERSION,
+    Decoded, FrameProfile, ProfileV1, RecordDecoder, WireError, WireRecord, WireSchema,
+    PTW_VERSION,
 };
 use std::sync::Arc;
 
@@ -445,5 +448,380 @@ proptest! {
         let v2_report = decode_with(&v2_profile, &schema, &v2.bytes, Some(v2.bit_len));
         prop_assert!(v2_report.is_clean(), "{:?}", v2_report.damaged);
         prop_assert_eq!(&v2_report.records[..], kept);
+    }
+}
+
+/// The v2 decode that [`V2StreamDecoder`] replaced, kept as its oracle:
+/// the CRC over the whole block first, then one bounds-checked
+/// `BitReader::read` per field. Damage handling (hunting, waiting for
+/// what follows a failed block, skipping by `block_len`) is the
+/// shipped decoder's, so any difference lies in the block pass.
+mod v2_oracle {
+    use pstrace_codec::{fnv32, BLOCK_HEADER_BYTES, MIN_BLOCK_BYTES, SYNC_MARKER};
+    use pstrace_flow::{FlowIndex, IndexedMessage};
+    use pstrace_wire::{
+        BitReader, DamageReason, DamagedFrame, Decoded, RecordDecoder, StreamEnd, WireRecord,
+        WireSchema,
+    };
+
+    fn fold8(h: u32) -> u8 {
+        (h ^ (h >> 8) ^ (h >> 16) ^ (h >> 24)) as u8
+    }
+
+    fn mask(v: u64, w: u32) -> u64 {
+        v & 1u64.checked_shl(w).unwrap_or(0).wrapping_sub(1)
+    }
+
+    fn unzigzag(z: u64) -> i64 {
+        ((z >> 1) as i64) ^ -((z & 1) as i64)
+    }
+
+    fn class_table(width: u32) -> [u32; 4] {
+        [0, width.min(4), width.min(12), width]
+    }
+
+    fn read_classed(r: &mut BitReader<'_>, table: &[u32; 4]) -> Option<(u64, u64)> {
+        let class = r.read(2)?;
+        let payload = r.read(table[(class & 3) as usize])?;
+        Some((class, payload))
+    }
+
+    const RUN_BITS: [u32; 4] = [0, 4, 8, 16];
+    const RUN_BIAS: [usize; 4] = [1, 2, 18, 0];
+
+    fn decode_block(
+        schema: &WireSchema,
+        prev_value: &mut [u64],
+        payload: &[u8],
+        records: usize,
+        base_time: u64,
+        first: usize,
+        events: &mut Vec<(usize, WireRecord)>,
+    ) -> Option<()> {
+        prev_value.fill(0);
+        let (mut prev_time, mut prev_index) = (base_time, 0u64);
+        let mut r = BitReader::new(payload, payload.len() as u64 * 8);
+        let time_width = schema.time_width();
+        let time_table = class_table(time_width);
+        let index_width = schema.index_width();
+        let mut done = 0;
+        while done < records {
+            let tag = r.read(schema.tag_width())?;
+            let slot = schema.slot_by_tag(tag)?;
+            let width = slot.width;
+            let value_table = class_table(width);
+            let run_class = (r.read(2)? & 3) as usize;
+            let run = RUN_BIAS[run_class] + r.read(RUN_BITS[run_class])? as usize;
+            if run == 0 || done + run > records {
+                return None;
+            }
+            for _ in 0..run {
+                if r.read(1)? == 1 {
+                    prev_index = r.read(index_width)?;
+                }
+                let (_, dtime) = read_classed(&mut r, &time_table)?;
+                prev_time = mask(prev_time.wrapping_add(dtime), time_width);
+                let (class, vraw) = read_classed(&mut r, &value_table)?;
+                let prev = &mut prev_value[tag as usize];
+                *prev = if class == 3 {
+                    vraw
+                } else {
+                    mask(prev.wrapping_add(unzigzag(vraw) as u64), width)
+                };
+                events.push((
+                    first + done,
+                    WireRecord {
+                        time: prev_time,
+                        message: IndexedMessage::new(slot.message, FlowIndex(prev_index as u32)),
+                        value: *prev,
+                        partial: slot.is_partial(),
+                    },
+                ));
+                done += 1;
+            }
+        }
+        Some(())
+    }
+
+    #[derive(Debug)]
+    pub struct Decoder {
+        schema: WireSchema,
+        buf: Vec<u8>,
+        pos: usize,
+        ordinal: usize,
+        blocks: usize,
+        held: Decoded,
+        prev_value: Vec<u64>,
+        skipped: u64,
+        skipped_dirty: bool,
+        lost_sync: bool,
+    }
+
+    impl Decoder {
+        pub fn new(schema: &WireSchema) -> Self {
+            Decoder {
+                schema: schema.clone(),
+                buf: Vec::new(),
+                pos: 0,
+                ordinal: 0,
+                blocks: 0,
+                held: Decoded::default(),
+                prev_value: vec![0; schema.slots().len() + 1],
+                skipped: 0,
+                skipped_dirty: false,
+                lost_sync: false,
+            }
+        }
+
+        fn header_at(&self, pos: usize) -> Option<(usize, usize, u64)> {
+            let h = &self.buf[pos..pos + BLOCK_HEADER_BYTES];
+            if h[..2] != SYNC_MARKER
+                || fold8(fnv32(&h[..BLOCK_HEADER_BYTES - 1])) != h[BLOCK_HEADER_BYTES - 1]
+            {
+                return None;
+            }
+            let block_len = usize::from(u16::from_le_bytes([h[2], h[3]]));
+            let records = usize::from(u16::from_le_bytes([h[4], h[5]]));
+            if block_len < MIN_BLOCK_BYTES || records == 0 {
+                return None;
+            }
+            Some((
+                block_len,
+                records,
+                u64::from_le_bytes(h[6..14].try_into().unwrap()),
+            ))
+        }
+
+        fn flush_skip(&mut self, tail: bool) {
+            if self.skipped > 0 && (self.skipped_dirty || !tail) {
+                self.lost_sync = true;
+                self.held.damaged.push(DamagedFrame {
+                    frame: self.ordinal,
+                    reason: DamageReason::SyncLost {
+                        bytes: self.skipped,
+                    },
+                });
+            }
+            self.skipped = 0;
+            self.skipped_dirty = false;
+        }
+
+        fn corrupt_block(&mut self, records: usize) {
+            self.held.damaged.push(DamagedFrame {
+                frame: self.ordinal,
+                reason: DamageReason::SyncCorrupt {
+                    records: records as u32,
+                },
+            });
+            self.ordinal += records;
+        }
+
+        fn scan(&mut self, at_end: bool) {
+            loop {
+                let avail = self.buf.len() - self.pos;
+                if avail == 0 {
+                    break;
+                }
+                if avail < BLOCK_HEADER_BYTES {
+                    if at_end {
+                        for i in self.pos..self.buf.len() {
+                            self.skipped_dirty |= self.buf[i] != 0;
+                        }
+                        self.skipped += avail as u64;
+                        self.pos = self.buf.len();
+                    }
+                    break;
+                }
+                let Some((block_len, records, base_time)) = self.header_at(self.pos) else {
+                    self.skipped_dirty |= self.buf[self.pos] != 0;
+                    self.skipped += 1;
+                    self.pos += 1;
+                    continue;
+                };
+                if avail < block_len {
+                    if at_end {
+                        self.flush_skip(false);
+                        self.blocks += 1;
+                        self.corrupt_block(records);
+                        self.pos = self.buf.len();
+                    }
+                    break;
+                }
+                let block = &self.buf[self.pos..self.pos + block_len];
+                let crc = u32::from_le_bytes(block[block_len - 4..].try_into().unwrap());
+                let intact = fnv32(&block[..block_len - 4]) == crc;
+                let after = avail - block_len;
+                if !intact && after < BLOCK_HEADER_BYTES && !at_end {
+                    break;
+                }
+                self.flush_skip(false);
+                self.blocks += 1;
+                if !intact
+                    && after >= BLOCK_HEADER_BYTES
+                    && self.header_at(self.pos + block_len).is_none()
+                {
+                    self.corrupt_block(records);
+                    self.pos += BLOCK_HEADER_BYTES;
+                    continue;
+                }
+                let start = self.held.events.len();
+                let decoded = intact
+                    && decode_block(
+                        &self.schema,
+                        &mut self.prev_value,
+                        &self.buf[self.pos + BLOCK_HEADER_BYTES..self.pos + block_len - 4],
+                        records,
+                        base_time,
+                        self.ordinal,
+                        &mut self.held.events,
+                    )
+                    .is_some();
+                if decoded {
+                    self.ordinal += records;
+                } else {
+                    self.held.events.truncate(start);
+                    self.corrupt_block(records);
+                }
+                self.pos += block_len;
+            }
+        }
+    }
+
+    impl RecordDecoder for Decoder {
+        fn schema(&self) -> &WireSchema {
+            &self.schema
+        }
+
+        fn push(&mut self, bytes: &[u8]) {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+            self.buf.extend_from_slice(bytes);
+            self.scan(false);
+        }
+
+        fn drain(&mut self, out: &mut Decoded) {
+            out.append(&mut self.held);
+        }
+
+        fn finish(&mut self, _bit_len: Option<u64>, out: &mut Decoded) -> StreamEnd {
+            self.scan(true);
+            self.flush_skip(true);
+            self.drain(out);
+            StreamEnd {
+                frames: self.blocks,
+                idle_frames: 0,
+                trailing_bits: 0,
+                tail_clean: !self.lost_sync,
+                end: usize::MAX,
+            }
+        }
+
+        fn frames(&self) -> usize {
+            self.blocks
+        }
+    }
+}
+
+/// A block with valid header and block checksums around `payload`: what
+/// a CRC collision looks like to the decoder.
+fn forged_block(records: u16, base_time: u64, payload: &[u8]) -> Vec<u8> {
+    let fold8 = |h: u32| (h ^ (h >> 8) ^ (h >> 16) ^ (h >> 24)) as u8;
+    let block_len = BLOCK_HEADER_BYTES + payload.len() + 4;
+    let mut out = SYNC_MARKER.to_vec();
+    out.extend_from_slice(&(block_len as u16).to_le_bytes());
+    out.extend_from_slice(&records.to_le_bytes());
+    out.extend_from_slice(&base_time.to_le_bytes());
+    out.push(fold8(fnv32(&out)));
+    out.extend_from_slice(payload);
+    let crc = fnv32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The one-pass block decode (refill at fixed points, CRC folded
+    /// into the record loop) against the oracle over random schemas,
+    /// with records that fit one refill and records that need three, and
+    /// damaged streams: bit flips, a truncated tail, a garbage prefix, a
+    /// block whose checksums hold around a random payload (a CRC
+    /// collision: it must decode to exactly what the oracle decodes, or
+    /// be dropped as the oracle drops it), pushed in random chunks. After
+    /// every push both hold the same events (ordinals and records) and
+    /// damage and count the same `frames()`; both end the same.
+    #[test]
+    fn v2_decode_oracle_agrees(
+        lanes in proptest::collection::vec((1u32..=64, any::<bool>(), any::<u32>()), 1..12),
+        time_width in 1u32..=64,
+        index_width in 1u32..=32,
+        parts in proptest::collection::vec(
+            (any::<u16>(), any::<u32>(), any::<u32>(), any::<u64>(), any::<u8>()),
+            0..150,
+        ),
+        sync_raw in 0u16..3,
+        flips in proptest::collection::vec(any::<u64>(), 0..4),
+        prefix in proptest::collection::vec(any::<u8>(), 0..20),
+        forge in any::<bool>(),
+        forged in (1u16..80, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..48), any::<usize>()),
+        cut in (any::<bool>(), any::<usize>()),
+        chunks in proptest::collection::vec(1usize..300, 1..8),
+        declared in any::<bool>(),
+        narrow in any::<bool>(),
+    ) {
+        // Half the schemas have records that fit one refill (at most
+        // 12 + 24 + 8 + 5 bits), half are drawn over the full widths.
+        let (lanes, time_width, index_width) = if narrow {
+            let lanes: Vec<_> = lanes.iter().map(|&(w, sub, raw)| (1 + w % 8, sub, raw)).collect();
+            (lanes, 1 + time_width % 24, 1 + index_width % 12)
+        } else {
+            (lanes, time_width, index_width)
+        };
+        let (_, schema) = random_schema(&lanes, time_width, index_width);
+        let records = random_records(&schema, &parts);
+        let sync_every = [1u16, 7, DEFAULT_SYNC_EVERY][sync_raw as usize];
+        let stream = encode_v2(&schema, &records, sync_every, None).unwrap();
+        let mut bytes = prefix;
+        bytes.extend_from_slice(&stream.bytes);
+        if forge {
+            let (n, base_time, payload, at) = forged;
+            let at = at % (bytes.len() + 1);
+            bytes.splice(at..at, forged_block(n, base_time, &payload));
+        }
+        for &flip in &flips {
+            if !bytes.is_empty() {
+                let bit = flip % (bytes.len() as u64 * 8);
+                bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+        }
+        if cut.0 {
+            bytes.truncate(cut.1 % (bytes.len() + 1));
+        }
+
+        let mut fast = V2StreamDecoder::new(&schema);
+        let mut slow = v2_oracle::Decoder::new(&schema);
+        let (mut fast_out, mut slow_out) = (Decoded::default(), Decoded::default());
+        let mut at = 0;
+        for &size in chunks.iter().cycle() {
+            if at >= bytes.len() {
+                break;
+            }
+            let piece = &bytes[at..(at + size).min(bytes.len())];
+            at += piece.len();
+            fast.push(piece);
+            slow.push(piece);
+            fast.drain(&mut fast_out);
+            slow.drain(&mut slow_out);
+            prop_assert_eq!(&fast_out.events, &slow_out.events);
+            prop_assert_eq!(&fast_out.damaged, &slow_out.damaged);
+            prop_assert_eq!(fast.frames(), slow.frames());
+        }
+        let bit_len = declared.then_some(bytes.len() as u64 * 8);
+        let fast_end = fast.finish(bit_len, &mut fast_out);
+        let slow_end = slow.finish(bit_len, &mut slow_out);
+        prop_assert_eq!(&fast_out.events, &slow_out.events);
+        prop_assert_eq!(&fast_out.damaged, &slow_out.damaged);
+        prop_assert_eq!(fast_end, slow_end);
+        prop_assert_eq!(fast.frames(), slow.frames());
     }
 }

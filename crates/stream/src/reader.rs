@@ -27,8 +27,9 @@
 //!
 //! A reader sends its shard `Open` first (the request, or why none came),
 //! then `Read`s, then `Eof` if the peer finished first, then exactly one
-//! `Closed` once it is done with the socket. `Closed` is always the
-//! connection's last message.
+//! `Closed` once it is done with the socket, saying whether the reply (if
+//! one was owed) was written whole. `Closed` is always the connection's
+//! last message.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read as _, Write as _};
@@ -275,11 +276,11 @@ impl ReadJob {
         if peer_done && !wire.closing() {
             let _ = shard.send(ShardMsg::Eof(id));
         }
-        if let Some(reply) = wire.verdict() {
-            let _ = (&wire.stream).write_all(&reply);
-        }
+        let delivered = wire
+            .verdict()
+            .map_or(true, |reply| (&wire.stream).write_all(&reply).is_ok());
         let _ = wire.stream.shutdown(Shutdown::Both);
-        let _ = shard.send(ShardMsg::Closed(id));
+        let _ = shard.send(ShardMsg::Closed(id, delivered));
     }
 }
 

@@ -23,20 +23,21 @@
 //! connection only to leave an ended session's record on it), so a unit
 //! test drives them in process. The **socket shell** follows, from `Conn`
 //! down. `run_shard` blocks on its inbox until a message arrives or the
-//! earliest timer is due — it never ticks. A message names one
-//! connection (its request, bytes its reader read, the peer's end of
-//! stream, the reader's last word), and only that connection advances:
-//! the request and its chunks go to the lifecycle, and a final reply
-//! goes back to the connection's reader (see [`reader`](crate::reader)),
-//! which writes it off the shard thread and then says `Closed`, which
-//! journals an ended resumable session's `Complete`. Idle deadlines,
+//! earliest timer is due — it never ticks. A message names one connection
+//! (its request, bytes its reader read, the peer's end of stream, the
+//! reader's last word), and only that connection advances: the request
+//! and its chunks go to the lifecycle, and a final reply goes back to the
+//! connection's reader (see [`reader`](crate::reader)), which writes it
+//! off the shard thread and then says `Closed` with the write's outcome:
+//! a written reply journals an ended resumable session's `Complete`, a
+//! failed one re-parks its token for the client's retry. Idle deadlines,
 //! parked-session expiry and the drain deadline share one timer set, and
 //! a wake fires only the timers that are due. A wake handles a bounded
 //! batch of messages before it fires timers, so a busy inbox cannot hold
 //! off deadlines or the drain. A draining shard stays up while an
-//! accepted connection has yet to be routed, since it may be routed
-//! here. A panic inside one connection's step is caught and costs
-//! exactly that connection (`worker-respawn`).
+//! accepted connection has yet to be routed, since it may be routed here.
+//! A panic inside one connection's step is caught and costs exactly that
+//! connection (`worker-respawn`).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
@@ -81,7 +82,9 @@ pub(crate) enum ShardMsg {
     /// The peer closed its side (or the read failed): no more bytes.
     Eof(u64),
     /// The reader is done with the socket: the connection's last message.
-    Closed(u64),
+    /// The flag says whether the reply, if one was owed, was written
+    /// whole.
+    Closed(u64, bool),
     /// The shutdown flag flipped, or the last unrouted connection was
     /// routed during the drain.
     Wake,
@@ -761,30 +764,38 @@ impl Shard {
     /// waits out a fresh grace period under its pre-crash token.
     fn repark_recovered(&mut self, sessions: Vec<SessionRecord>) {
         for r in sessions {
-            let (token, session_id, trace) = (r.token, r.session_id, r.trace);
-            let live = proto::mode_from_byte(r.mode).ok().and_then(|mode| {
-                let hello = Hello {
-                    scenario: r.scenario,
-                    mode,
-                    tenant: r.tenant,
-                    trace,
-                    schema: r.schema,
-                };
-                self.open_live(hello, token, Some(session_id)).ok()
-            });
-            let Some(live) = live else {
-                // A bad journaled hello, or a restarted daemon smaller
-                // (or busier) than the dead one: shed rather than
-                // oversubscribe.
-                self.note_degrade("wal-session-skipped", trace, session_id);
+            let Some(live) = self.reopen(r) else {
                 continue;
             };
             self.registry
                 .counter("pstrace_stream_recovered_total")
                 .inc();
+            let (trace, session_id) = (live.record.trace, live.record.session_id);
             self.note(trace, session_id, EventKind::Recover, "sessions-restored");
             self.park(live);
         }
+    }
+
+    /// Opens a fresh session from a journaled record, under its token and
+    /// session id, for the client's retry to replay into. `None` (noted
+    /// as a degradation) on a bad journaled hello, or when the governor
+    /// refuses the seat: shed rather than oversubscribe.
+    fn reopen(&mut self, r: SessionRecord) -> Option<Live> {
+        let (token, session_id, trace) = (r.token, r.session_id, r.trace);
+        let live = proto::mode_from_byte(r.mode).ok().and_then(|mode| {
+            let hello = Hello {
+                scenario: r.scenario,
+                mode,
+                tenant: r.tenant,
+                trace,
+                schema: r.schema,
+            };
+            self.open_live(hello, token, Some(session_id)).ok()
+        });
+        if live.is_none() {
+            self.note_degrade("wal-session-skipped", trace, session_id);
+        }
+        live
     }
 
     /// Parks a resumable session for a fresh grace period.
@@ -905,10 +916,10 @@ impl Shard {
     /// session keeps its seat and token; any other end frees the seat,
     /// and a resumable session leaves its record on `conn`: its token
     /// dies only once the reader has written the reply, when `Closed`
-    /// journals its `Complete`. A crash before then re-parks the token,
-    /// and the client's retry replays to the same report. Returns the
-    /// reply the client is owed, if any (`None` too when `conn` streams
-    /// nothing).
+    /// journals its `Complete`. A crash before then, or a failed write,
+    /// re-parks the token, and the client's retry replays to the same
+    /// report. Returns the reply the client is owed, if any (`None` too
+    /// when `conn` streams nothing).
     fn end(&mut self, conn: &mut Conn, outcome: Outcome) -> Option<(bool, String)> {
         let live = *conn.live.take()?;
         self.registry.gauge("pstrace_stream_active_sessions").sub(1);
@@ -1004,7 +1015,8 @@ struct Conn {
     /// the reader's `Closed`.
     live: Option<Box<Live>>,
     /// The resumable session that ended here, until the reader's `Closed`
-    /// says its reply is out and its `Complete` may be journaled.
+    /// says whether its reply is out (its `Complete` is journaled) or not
+    /// (it is parked again).
     ended: Option<SessionRecord>,
     last_progress: Instant,
     /// The deadline this connection holds in the shard's timer set.
@@ -1197,13 +1209,35 @@ impl Shell {
                 conn.peer_gone = true;
                 self.step(id, Shard::process);
             }
-            ShardMsg::Closed(id) => {
+            ShardMsg::Closed(id, delivered) => {
                 if let Some(mut conn) = self.conns.remove(&id) {
                     conn.disarm(id, &mut self.shard.timers);
-                    // The reply is out: the ended session's token dies.
-                    if let Some(ended) = conn.ended {
-                        let token = ended.token;
-                        self.shard.wal_append(WalRecord::Complete { token });
+                    match conn.ended {
+                        // The reply is out: the ended session's token dies.
+                        Some(ended) if delivered => {
+                            let token = ended.token;
+                            self.shard.wal_append(WalRecord::Complete { token });
+                        }
+                        // The reply never reached the client: its retry
+                        // resumes the token and replays to the same report,
+                        // as after a crash. A token that cannot be parked
+                        // again dies here, not in a later life.
+                        Some(ended) => {
+                            let token = ended.token;
+                            match self.shard.reopen(ended) {
+                                Some(live) => {
+                                    self.shard.note(
+                                        live.record.trace,
+                                        live.record.session_id,
+                                        EventKind::Park,
+                                        "reply-unsent",
+                                    );
+                                    self.shard.park(live);
+                                }
+                                None => self.shard.wal_append(WalRecord::Complete { token }),
+                            }
+                        }
+                        None => {}
                     }
                 }
             }
@@ -1468,9 +1502,11 @@ mod tests {
             (id, self.shell.shard.end(conn, outcome))
         }
 
-        /// The reader of connection `id` wrote its reply and says so.
-        fn closed(&mut self, id: u64) {
-            self.shell.receive(ShardMsg::Closed(id), Instant::now());
+        /// The reader of connection `id` is done: its reply written
+        /// whole (`delivered`) or not.
+        fn closed(&mut self, id: u64, delivered: bool) {
+            self.shell
+                .receive(ShardMsg::Closed(id, delivered), Instant::now());
         }
 
         fn feed(&mut self, live: &mut Live, bytes: &[u8]) -> Option<Outcome> {
@@ -1564,7 +1600,7 @@ mod tests {
         assert!(ok, "{report}");
         assert!(report.starts_with("session over scenario 1"), "{report}");
         rig.assert_durable(&[], "finish");
-        rig.closed(conn);
+        rig.closed(conn, true);
         assert!(!recovered_tokens(&rig.dir).contains(&token));
         rig.assert_durable(&[], "closed");
         assert_eq!(rig.active(), 0);
@@ -1634,7 +1670,7 @@ mod tests {
         let budget = format!("byte budget ({} > 16)", payload.len());
         assert!(message.contains(&budget), "{message}");
         rig.assert_durable(&[], "budget-close");
-        rig.closed(conn);
+        rig.closed(conn, true);
         assert!(!recovered_tokens(&rig.dir).contains(&token));
         rig.assert_durable(&[], "closed");
         assert_eq!(rig.active(), 0);
@@ -1684,7 +1720,7 @@ mod tests {
         let token = streaming.record.token;
         let (conn, _) = rig.end(streaming, outcome);
         rig.assert_durable(&[], "finish after rotation");
-        rig.closed(conn);
+        rig.closed(conn, true);
         assert!(!recovered_tokens(&rig.dir).contains(&token));
         rig.assert_durable(&[], "closed after rotation");
         assert_eq!(rig.shell.shard.parked.len(), 1);
@@ -1733,11 +1769,91 @@ mod tests {
             "after rotation"
         );
 
-        rig.closed(conn);
+        rig.closed(conn, true);
         assert!(
             !recovered_tokens(&rig.dir).contains(&token),
             "the reply is out, so the token is dead"
         );
         rig.assert_durable(&[], "closed");
+    }
+
+    #[test]
+    fn a_reply_that_fails_to_write_re_parks_its_token() {
+        let mut rig = rig("unsent", ServerConfig::default());
+        let payload = rig.payload.clone();
+        let bit_len = rig.bit_len;
+        let finish = |rig: &mut Rig, mut live: Box<Live>| {
+            assert!(rig.feed(&mut live, &payload).is_none());
+            let outcome = rig
+                .shell
+                .shard
+                .handle_chunk(&mut live, Chunk::Finish { bit_len })
+                .expect("FINISH ends the session");
+            rig.end(live, outcome)
+        };
+        let (live, _) = rig.resume(0);
+        let token = live.record.token;
+        let (conn, oracle) = finish(&mut rig, live);
+        assert!(
+            oracle.as_ref().is_some_and(|(ok, _)| *ok),
+            "a report is owed"
+        );
+
+        // The reader's write failed: no `Complete`, and the token is
+        // parked again for the client's retry.
+        rig.closed(conn, false);
+        assert!(rig.shell.shard.parked.contains_key(&token));
+        assert!(
+            recovered_tokens(&rig.dir).contains(&token),
+            "after the failed write"
+        );
+        rig.assert_durable(&[], "failed write");
+
+        // The retry resumes from offset 0, replays, and gets the report
+        // the failed write carried; once that reply is out the token dies.
+        let (live, offset) = rig.resume(token);
+        assert_eq!(offset, 0);
+        let (conn, reply) = finish(&mut rig, live);
+        // Equal but for the ingest line's wall-clock rate.
+        let steady = |reply: &Option<(bool, String)>| {
+            reply.as_ref().map(|(ok, text)| {
+                let lines: Vec<&str> = text.lines().filter(|l| !l.contains("B/s")).collect();
+                (*ok, lines.join("\n"))
+            })
+        };
+        assert_eq!(steady(&reply), steady(&oracle));
+        rig.closed(conn, true);
+        assert!(!rig.shell.shard.parked.contains_key(&token));
+        assert!(
+            !recovered_tokens(&rig.dir).contains(&token),
+            "after the reply"
+        );
+        rig.assert_durable(&[], "delivered");
+    }
+
+    #[test]
+    fn a_failed_reply_write_with_no_free_seat_ends_its_token() {
+        let config = ServerConfig {
+            max_sessions: Some(1),
+            ..ServerConfig::default()
+        };
+        let mut rig = rig("unsent-full", config);
+        let (mut live, _) = rig.resume(0);
+        let token = live.record.token;
+        let bit_len = rig.bit_len;
+        let outcome = rig
+            .shell
+            .shard
+            .handle_chunk(&mut live, Chunk::Finish { bit_len })
+            .expect("FINISH ends the session");
+        let (conn, _) = rig.end(live, outcome);
+        // Another session takes the one seat before the write fails: the
+        // token cannot be parked again, so it dies now rather than come
+        // back in a later life.
+        let (other, _) = rig.resume(0);
+        rig.closed(conn, false);
+        assert!(!rig.shell.shard.parked.contains_key(&token));
+        assert!(!recovered_tokens(&rig.dir).contains(&token));
+        rig.assert_durable(&[&other], "refused re-park");
     }
 }

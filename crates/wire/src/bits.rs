@@ -75,37 +75,67 @@ impl BitWriter {
     }
 }
 
+/// The bytes of `bytes` from `at` on as a little-endian word, zeros
+/// past the slice end: a refill within 8 bytes of the end.
+#[cold]
+#[inline(never)]
+fn tail_word(bytes: &[u8], at: usize) -> u64 {
+    bytes
+        .get(at..)
+        .unwrap_or_default()
+        .iter()
+        .rev()
+        .fold(0u64, |word, &b| (word << 8) | u64::from(b))
+}
+
 /// Reads bit fields from a byte slice at an arbitrary bit offset.
 ///
-/// A read loads the 64-bit little-endian word starting at the byte that
-/// holds the read position — one `u64::from_le_bytes` over an 8-byte
-/// slice — and shifts the position's bit offset out of it: the word then
-/// holds the next `64 - offset` (at least 57) stream bits. A field that
-/// fits is one shift and one mask; only a field wider than 56 bits at an
-/// unaligned position takes its top bits from the ninth byte. Within 8
-/// bytes of the buffer end the word is assembled from the bytes left. The
-/// word may reach past `bit_len` into the final byte's padding; the
-/// `remaining` check keeps those bits out of every field.
+/// Two ways to read. [`read`](Self::read) checks its own bounds: it
+/// returns `None` once fewer than `width` bits remain. The refill API
+/// moves the checks to the caller's fixed points instead:
 ///
-/// The reader keeps no window across reads: each read reloads the word
-/// at its own position. Reloading costs one load; a cached window would
-/// cost a refill branch that data-dependent field widths mispredict.
+/// * [`refill`](Self::refill) tops the 64-bit window up to at least
+///   [`REFILL_BITS`](Self::REFILL_BITS) (56) bits: it ORs in the 8
+///   little-endian bytes after those already held, shifted above them,
+///   and advances past the bytes that fit whole. It branches on nothing
+///   the data decides (only within 8 bytes of the slice end is the word
+///   assembled from the bytes left, zeros past the end), and the byte it
+///   loads is known one refill ahead, so the load is off the chain of
+///   field widths.
+/// * [`take`](Self::take) consumes a field of at most 56 bits from the
+///   window: a mask, a shift and a subtraction. The fields taken since
+///   the last refill must total at most 56 bits.
+/// * [`overrun`](Self::overrun) says whether the takes went past
+///   `bit_len`. Takes never stop there (bits past `bit_len` are the
+///   slice's bytes, then zeros), so a decoder checks once per record
+///   that everything it took was in the stream.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    /// Current position in bits from the start of `bytes`.
-    pos: u64,
     /// Total readable bits (may end mid-byte).
     bit_len: u64,
+    /// The next stream bits, LSB first; those above `held` are either
+    /// zero or the stream's own (a byte the last refill loaded in part).
+    window: u64,
+    /// Stream bits in `window`.
+    held: u32,
+    /// The first byte not yet loaded whole: the position is
+    /// `8 * next - held`.
+    next: usize,
 }
 
 impl<'a> BitReader<'a> {
+    /// Bits a [`refill`](Self::refill) guarantees [`take`](Self::take)
+    /// can consume before the next one.
+    pub const REFILL_BITS: u32 = 56;
+
     /// A reader over the first `bit_len` bits of `bytes`.
     ///
     /// # Panics
     ///
     /// Panics if `bit_len` exceeds the bits available in `bytes`.
     #[must_use]
+    #[inline]
     pub fn new(bytes: &'a [u8], bit_len: u64) -> Self {
         assert!(
             bit_len <= bytes.len() as u64 * 8,
@@ -114,9 +144,19 @@ impl<'a> BitReader<'a> {
         );
         BitReader {
             bytes,
-            pos: 0,
             bit_len,
+            window: 0,
+            held: 0,
+            next: 0,
         }
+    }
+
+    /// The current position in bits from the start of the slice; past
+    /// `bit_len` once takes overran it.
+    #[must_use]
+    #[inline]
+    fn pos(&self) -> u64 {
+        self.next as u64 * 8 - u64::from(self.held)
     }
 
     /// Repositions the reader to an absolute bit offset.
@@ -126,14 +166,55 @@ impl<'a> BitReader<'a> {
     /// Panics if `pos` is beyond the readable length.
     pub fn seek(&mut self, pos: u64) {
         assert!(pos <= self.bit_len, "seek past end");
-        self.pos = pos;
+        self.next = (pos / 8) as usize;
+        self.window = 0;
+        self.held = 0;
+        self.refill();
+        self.take((pos % 8) as u32);
     }
 
-    /// Bits left to read.
+    /// Bits left to read (0 once takes overran `bit_len`).
     #[must_use]
     #[inline]
     pub fn remaining(&self) -> u64 {
-        self.bit_len - self.pos
+        self.bit_len.saturating_sub(self.pos())
+    }
+
+    /// Whether the position went past `bit_len`: some bit taken since
+    /// the last check lies outside the stream.
+    #[must_use]
+    #[inline]
+    pub fn overrun(&self) -> bool {
+        self.pos() > self.bit_len
+    }
+
+    /// Tops the window up: afterwards at least
+    /// [`REFILL_BITS`](Self::REFILL_BITS) bits can be taken.
+    #[inline]
+    pub fn refill(&mut self) {
+        let at = self.next;
+        let word = match self.bytes.get(at..at + 8) {
+            Some(eight) => u64::from_le_bytes(eight.try_into().expect("8 bytes")),
+            None => tail_word(self.bytes, at),
+        };
+        self.window |= word << self.held;
+        self.next += ((63 - self.held) >> 3) as usize;
+        self.held |= 56;
+    }
+
+    /// Consumes the next `width` bits (LSB first) from the window.
+    ///
+    /// The caller guarantees the takes since the last
+    /// [`refill`](Self::refill) total at most
+    /// [`REFILL_BITS`](Self::REFILL_BITS); bits past `bit_len` are taken
+    /// like any other, see [`overrun`](Self::overrun).
+    #[inline]
+    pub fn take(&mut self, width: u32) -> u64 {
+        debug_assert!(width <= self.held, "take of {width} bits past the refill");
+        let bits = self.window & ((1u64 << width) - 1);
+        self.window >>= width;
+        self.held -= width;
+        bits
     }
 
     /// Reads the next `width` bits (LSB first); `None` once fewer than
@@ -148,28 +229,22 @@ impl<'a> BitReader<'a> {
         if self.remaining() < u64::from(width) {
             return None;
         }
-        let at = (self.pos / 8) as usize;
-        let skip = (self.pos % 8) as u32;
-        let bits = match self.bytes.get(at..at + 8) {
-            Some(eight) => {
-                let word = u64::from_le_bytes(eight.try_into().expect("8 bytes")) >> skip;
-                if width + skip > 64 {
-                    // `remaining` guarantees the ninth byte exists.
-                    word | u64::from(self.bytes[at + 8]) << (64 - skip)
-                } else {
-                    word
-                }
-            }
-            None => {
-                self.bytes[at..]
-                    .iter()
-                    .rev()
-                    .fold(0u64, |word, &b| (word << 8) | u64::from(b))
-                    >> skip
-            }
-        };
-        self.pos += u64::from(width);
-        Some(bits & low_bits(width))
+        Some(self.take_wide(width))
+    }
+
+    /// Takes a field of up to 64 bits: the low 56 bits after a refill,
+    /// the rest (if any) after another. No bounds check, as
+    /// [`take`](Self::take).
+    #[inline]
+    pub(crate) fn take_wide(&mut self, width: u32) -> u64 {
+        let low = width.min(Self::REFILL_BITS);
+        self.refill();
+        let bits = self.take(low);
+        if width == low {
+            return bits;
+        }
+        self.refill();
+        bits | self.take(width - low) << low
     }
 }
 
@@ -233,6 +308,34 @@ mod tests {
         r.seek(5 * 7); // jump straight to the 8th field
         assert_eq!(r.read(5), Some(7));
         assert_eq!(r.read(5), Some(8));
+    }
+
+    #[test]
+    fn takes_run_past_the_end_and_overrun_says_so() {
+        let mut w = BitWriter::new();
+        for i in 0..6u64 {
+            w.write(i, 7);
+        }
+        let bit_len = w.bit_len();
+        let bytes = w.into_bytes();
+        let mut r = BitReader::new(&bytes, bit_len);
+        r.refill();
+        assert_eq!(r.take(7), 0);
+        assert_eq!(r.take(0), 0);
+        assert_eq!(r.take(7), 1);
+        r.refill();
+        for i in 2..6 {
+            assert_eq!(r.take(7), i);
+        }
+        assert!(!r.overrun());
+        assert_eq!(r.remaining(), 0);
+        // Past `bit_len`: the final byte's padding, then zeros.
+        r.refill();
+        assert_eq!(r.take(56), 0);
+        assert!(r.overrun());
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.read(1), None);
+        assert_eq!(r.read(0), Some(0));
     }
 
     #[test]

@@ -416,28 +416,27 @@ enum RawFrame {
 }
 
 /// Reads and validates one frame; the reader must sit on a frame boundary
-/// with at least `frame_bits` remaining. `lanes` is scratch space.
+/// with at least `frame_bits` remaining, the one check (the caller's
+/// `ready` count), so every field is a plain take. `lanes` is scratch
+/// space.
 fn read_frame(schema: &WireSchema, r: &mut BitReader<'_>, lanes: &mut Vec<u64>) -> RawFrame {
-    let tag = r.read(schema.tag_width()).expect("frame boundary checked");
-    let index = r
-        .read(schema.index_width())
-        .expect("frame boundary checked");
-    let time = r.read(schema.time_width()).expect("frame boundary checked");
+    let tag = r.take_wide(schema.tag_width());
+    let index = r.take_wide(schema.index_width());
+    let time = r.take_wide(schema.time_width());
 
     // Read every lane (validation needs them all) plus the padding.
     lanes.clear();
     for slot in schema.slots() {
-        lanes.push(r.read(slot.width).expect("frame boundary checked"));
+        lanes.push(r.take_wide(slot.width));
     }
     let mut padding_dirty = false;
     let mut left = schema.body_width() - schema.occupied_bits();
     while left > 0 {
         let step = left.min(64);
-        if r.read(step).expect("frame boundary checked") != 0 {
-            padding_dirty = true;
-        }
+        padding_dirty |= r.take_wide(step) != 0;
         left -= step;
     }
+    debug_assert!(!r.overrun(), "frame read past the checked boundary");
 
     if tag == 0 {
         let body_dirty = lanes.iter().any(|&v| v != 0) || padding_dirty;

@@ -202,7 +202,24 @@ mod bytewise {
         }
 
         pub fn remaining(&self) -> u64 {
-            self.bit_len - self.pos
+            self.bit_len.saturating_sub(self.pos)
+        }
+
+        pub fn overrun(&self) -> bool {
+            self.pos > self.bit_len
+        }
+
+        /// The next `width` bits whether or not they lie within
+        /// `bit_len`: the slice's bytes, then zeros.
+        pub fn take(&mut self, width: u32) -> u64 {
+            let mut out = 0u64;
+            for i in 0..width {
+                let bit = self.pos + u64::from(i);
+                let byte = self.bytes.get((bit / 8) as usize).copied().unwrap_or(0);
+                out |= u64::from((byte >> (bit % 8)) & 1) << i;
+            }
+            self.pos += u64::from(width);
+            out
         }
 
         pub fn read(&mut self, width: u32) -> Option<u64> {
@@ -259,32 +276,48 @@ fn low(v: u64, width: u32) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The word-at-a-time reader agrees with the byte-wise oracle read
-    /// for read: same value, `None` at the same calls, same `remaining()`
-    /// — at every width 0..=64, after random seeks (uniform, and into the
-    /// last 72 bits), over buffers of 0..40 bytes whose `bit_len` may end
-    /// mid-byte, so reads keep landing within 8 bytes of the end.
+    /// The refill reader agrees with the byte-wise oracle: `read` gives
+    /// the same value, `None` at the same calls; a refill followed by
+    /// takes totalling at most 56 bits gives the same bits, also past
+    /// `bit_len` (the slice's bytes, then zeros); and `remaining()` and
+    /// `overrun()` agree after every step. Widths 0..=64, random seeks
+    /// (uniform, and into the last 72 bits) and take bursts interleave,
+    /// over buffers of 0..40 bytes whose `bit_len` may end mid-byte, so
+    /// refills keep landing within 8 bytes of the end.
     #[test]
     fn bytewise_oracle_reader_agrees(
         bytes in proptest::collection::vec(any::<u8>(), 0..40),
         cut in 0u64..8,
-        ops in proptest::collection::vec((0u32..=64, any::<u64>(), 0u8..6), 1..64),
+        ops in proptest::collection::vec((0u32..=64, any::<u64>(), 0u8..10), 1..64),
     ) {
         let bit_len = (bytes.len() as u64 * 8).saturating_sub(cut);
         let mut fast = BitReader::new(&bytes, bit_len);
         let mut slow = bytewise::Reader::new(&bytes, bit_len);
         for &(width, target, op) in &ops {
             let seek = match op {
-                0 => Some(target % (bit_len + 1)),
-                1 => Some(bit_len.saturating_sub(target % 72)),
+                0 | 6 => Some(target % (bit_len + 1)),
+                1 | 7 => Some(bit_len.saturating_sub(target % 72)),
                 _ => None,
             };
             if let Some(pos) = seek {
                 fast.seek(pos);
                 slow.seek(pos);
             }
-            prop_assert_eq!(fast.read(width), slow.read(width), "width {}", width);
+            if op >= 6 {
+                // A burst: widths from the bytes of `target`, up to 56
+                // bits in all after one refill.
+                fast.refill();
+                let mut budget = BitReader::REFILL_BITS;
+                for w in target.to_le_bytes().map(|b| u32::from(b) % 57) {
+                    let w = w.min(budget);
+                    budget -= w;
+                    prop_assert_eq!(fast.take(w), slow.take(w), "take {}", w);
+                }
+            } else {
+                prop_assert_eq!(fast.read(width), slow.read(width), "width {}", width);
+            }
             prop_assert_eq!(fast.remaining(), slow.remaining());
+            prop_assert_eq!(fast.overrun(), slow.overrun());
         }
     }
 

@@ -66,11 +66,19 @@ run cargo test -q --locked -p pstrace-codec
 run cargo test -q --locked --test wire_roundtrip v2_
 run cargo test -q --locked --test malformed_ptw v2_
 
-# Bit I/O oracle deep fuzz: the word-at-a-time BitReader/BitWriter
-# against the byte-wise reference kept in the wire proptests, at 4096
-# cases per property (widths 0..=64, random seeks, mid-byte ends, reads
-# within 8 bytes of the buffer end).
+# Bit I/O oracle deep fuzz: the refill BitReader (read, and
+# refill/take/overrun bursts) and the word-at-a-time BitWriter against
+# the byte-wise reference kept in the wire proptests, at 4096 cases per
+# property (widths 0..=64, random seeks, mid-byte ends, refills within 8
+# bytes of the buffer end, takes past it).
 run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-wire --test proptests bytewise_oracle
+
+# v2 decode oracle deep fuzz: the one-pass block decode (fixed refill
+# points, CRC folded into the record loop) against the per-field-read,
+# CRC-first oracle kept in the codec proptests, over random schemas with
+# bit flips, truncations, garbage prefixes, checksum-valid forged blocks
+# and random chunk splits: same events, damage, frames and stream end.
+run env PROPTEST_CASES=4096 cargo test -q --locked -p pstrace-codec --test proptests v2_decode_oracle
 
 # Batch time pass deep fuzz: `TimePass::run` over random batch splits
 # of time sequences with spikes, regressions and ordinal gaps must give
