@@ -105,7 +105,7 @@ impl Wire {
     /// Reader side: charges `n` freshly read bytes against the budget.
     /// `false` once the shard is done with the connection (the bytes are
     /// then dropped).
-    fn charge(&self, n: usize) -> bool {
+    pub(crate) fn charge(&self, n: usize) -> bool {
         let mut flow = self.flow();
         flow.in_flight += n;
         !flow.closing
@@ -152,13 +152,13 @@ impl Wire {
     }
 
     /// Whether the shard is done with the connection.
-    fn closing(&self) -> bool {
+    pub(crate) fn closing(&self) -> bool {
         self.flow().closing
     }
 
     /// Reader side: waits for the shard's verdict and takes the reply it
     /// left, if any.
-    fn verdict(&self) -> Option<Vec<u8>> {
+    pub(crate) fn verdict(&self) -> Option<Vec<u8>> {
         let mut flow = self.flow();
         while !flow.closing {
             flow = self.wait(flow);
@@ -188,11 +188,14 @@ impl Link {
         }
     }
 
-    /// Writes in place, on the shard thread. Only for the resume ack: at
-    /// most 64 bytes and the first the daemon writes on the socket, so
-    /// the empty send buffer always takes it, even though a fresh client
-    /// is still writing its pipelined chunks and reads the ack only
-    /// after its FINISH.
+    /// Writes in place, on the shard thread. Only for the resume ack of
+    /// a session still streaming at its shard's wake's commit, which
+    /// writes it once the session's open group is synced (a session that
+    /// closed in the same wake gets its ack in front of its reply,
+    /// through [`Link::close`]): at most 64 bytes and the first the
+    /// daemon writes on the socket, so the empty send buffer always takes
+    /// it, even though a fresh client is still writing its pipelined
+    /// chunks and reads the ack only after its FINISH.
     pub(crate) fn write_ack(&self, bytes: &[u8]) -> io::Result<()> {
         (&self.0.stream).write_all(bytes)
     }
@@ -237,11 +240,11 @@ impl ReadJob {
     /// Decodes the request and opens the connection on the shard it
     /// routes to, pumps the socket into that shard until the peer or the
     /// shard ends the connection, then writes the shard's reply and says
-    /// `Closed`.
-    fn serve(self, ctx: &FleetCtx) {
+    /// `Closed`. `buf` is the reader thread's read buffer, kept across
+    /// the connections it serves.
+    fn serve(self, ctx: &FleetCtx, buf: &mut [u8]) {
         let ReadJob { id, wire, opened } = self;
-        let mut buf = vec![0u8; READ_CHUNK];
-        let (opening, rest) = wire.handshake(&mut buf, opened + ctx.config.handshake_timeout);
+        let (opening, rest) = wire.handshake(buf, opened + ctx.config.handshake_timeout);
         let has_request = opening.is_ok();
         let shard = &ctx.senders[ctx.route(id, &opening)];
         let sent = shard
@@ -261,7 +264,7 @@ impl ReadJob {
                 if !wire.wait_credit() {
                     break false;
                 }
-                bytes = match (&wire.stream).read(&mut buf) {
+                bytes = match (&wire.stream).read(buf) {
                     Ok(0) => break true,
                     Ok(n) => buf[..n].to_vec(),
                     Err(e) if e.kind() == ErrorKind::Interrupted => Vec::new(),
@@ -316,15 +319,17 @@ impl Pool {
         self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A reader's life: serve queued jobs, and retire once none arrives
-    /// within a handshake timeout (or the pool closes).
+    /// A reader's life: serve queued jobs, each through the one read
+    /// buffer the reader keeps, and retire once none arrives within a
+    /// handshake timeout (or the pool closes).
     fn work(&self, ctx: &FleetCtx) {
         let linger = ctx.config.handshake_timeout;
+        let mut buf = vec![0u8; READ_CHUNK];
         let mut jobs = self.jobs();
         loop {
             if let Some(job) = jobs.queue.pop_front() {
                 drop(jobs);
-                job.serve(ctx);
+                job.serve(ctx, &mut buf);
                 jobs = self.jobs();
                 jobs.idle += 1;
                 continue;

@@ -160,9 +160,10 @@ pub struct ServerConfig {
     pub flight_dump: Option<PathBuf>,
     /// WAL fsync policy: `Off` keeps the pre-durability behavior (a
     /// crash loses every parked session), `Lazy` survives daemon death,
-    /// `Strict` also survives a power loss: one fsync per resumable
-    /// session puts its open group on stable storage before the token is
-    /// acked, and the later lifecycle entries ride the next one.
+    /// `Strict` also survives a power loss: one fsync per shard wake puts
+    /// the open groups of the resumable sessions opened in it on stable
+    /// storage before their tokens are acked, and the later lifecycle
+    /// entries ride the next one.
     /// Requires [`ServerConfig::wal_dir`] to take effect.
     pub durability: DurabilityPolicy,
     /// Where the per-shard journals (`wal-<shard>.wal`) live.

@@ -33,11 +33,24 @@
 //! failed one re-parks its token for the client's retry. Idle deadlines,
 //! parked-session expiry and the drain deadline share one timer set, and
 //! a wake fires only the timers that are due. A wake handles a bounded
-//! batch of messages before it fires timers, so a busy inbox cannot hold
-//! off deadlines or the drain. A draining shard stays up while an
+//! batch of messages before it fires timers, and cuts it short once a
+//! timer is due or the drain begins, so a busy inbox cannot hold off
+//! deadlines or the drain. A draining shard stays up while an
 //! accepted connection has yet to be routed, since it may be routed here.
 //! A panic inside one connection's step is caught and costs exactly that
 //! connection (`worker-respawn`).
+//!
+//! A wake ends its batch with one **commit**. A fresh resumable session
+//! journals its open group unsynced and holds its resume ack on its
+//! connection; a close decided while the ack is held (FINISH in the same
+//! batch, a budget close, transport death, a panic) is held behind it.
+//! The commit syncs once under strict durability if the batch journaled
+//! any group, then lets every held ack out in message order: written on
+//! the shard thread, or, with a close held behind it, handed to the
+//! reader in front of the reply. So no ack leaves before the sync that
+//! covers its group, no reply leaves before its session's ack, and
+//! sessions that arrive together share one sync while a lone one pays
+//! exactly one.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
@@ -560,7 +573,7 @@ impl Shard {
     /// until the first append), seeds the token sequence above everything
     /// a previous life minted so recovered tokens are never re-issued, and
     /// re-parks the sessions recovery rebuilt for it.
-    fn new(ctx: Arc<FleetCtx>, index: usize) -> Shard {
+    fn new(ctx: Arc<FleetCtx>, index: usize, now: Instant) -> Shard {
         let registry = Arc::clone(&ctx.registries[index + 1]);
         // Eagerly materialize the gauge so an idle daemon's exposition
         // still shows `pstrace_stream_active_sessions 0`.
@@ -595,7 +608,7 @@ impl Shard {
             timers: BTreeSet::new(),
             wal,
         };
-        shard.repark_recovered(recovered);
+        shard.repark_recovered(recovered, now);
         shard
     }
 
@@ -678,6 +691,17 @@ impl Shard {
         self.journal(0, 0, |wal| wal.append(&record));
     }
 
+    /// Commits the open groups journaled since the last commit: under
+    /// strict durability, one sync for all of them.
+    fn commit(&mut self) {
+        self.journal(0, 0, WalWriter::commit);
+    }
+
+    /// Whether an open group journaled here still waits for its commit.
+    fn uncommitted(&self) -> bool {
+        self.wal.as_ref().is_some_and(WalWriter::uncommitted)
+    }
+
     /// The one way in, shared by fresh opens and crash recovery: governor
     /// admission, the session state machine over the hello's schema, its
     /// flight handle and its durable record. `session_id` is `None` for a
@@ -738,12 +762,11 @@ impl Shard {
                 self.note(trace, id, EventKind::Open, "");
                 self.note(trace, id, EventKind::Handshake, "");
                 if token != 0 {
-                    // Journal the open group before the shell can ack the
-                    // token: under strict durability the session's one
-                    // fsync happens here, so an acked token is always
-                    // recoverable.
+                    // Journal the open group unsynced; the shell holds the
+                    // token's ack until the wake's commit has synced it,
+                    // so an acked token is always recoverable.
                     self.journal(trace, id, |wal| {
-                        wal.append_open(token, id, trace, r.scenario, r.mode, r.tenant, &r.schema)
+                        wal.append_group(token, id, trace, r.scenario, r.mode, r.tenant, &r.schema)
                     });
                 }
                 return self.stream(live);
@@ -762,7 +785,7 @@ impl Shard {
     /// Re-parks the sessions crash recovery rebuilt for this shard: each
     /// one re-enters through the one way in from its journaled hello and
     /// waits out a fresh grace period under its pre-crash token.
-    fn repark_recovered(&mut self, sessions: Vec<SessionRecord>) {
+    fn repark_recovered(&mut self, sessions: Vec<SessionRecord>, now: Instant) {
         for r in sessions {
             let Some(live) = self.reopen(r) else {
                 continue;
@@ -772,7 +795,7 @@ impl Shard {
                 .inc();
             let (trace, session_id) = (live.record.trace, live.record.session_id);
             self.note(trace, session_id, EventKind::Recover, "sessions-restored");
-            self.park(live);
+            self.park(live, now);
         }
     }
 
@@ -798,9 +821,9 @@ impl Shard {
         live
     }
 
-    /// Parks a resumable session for a fresh grace period.
-    fn park(&mut self, live: Live) {
-        let deadline = Instant::now() + self.ctx.config.resume_grace;
+    /// Parks a resumable session for a fresh grace period from `now`.
+    fn park(&mut self, live: Live, now: Instant) {
+        let deadline = now + self.ctx.config.resume_grace;
         self.parked.insert(live.record.token, (live, deadline));
         self.timers.insert((deadline, Timer::Parked));
     }
@@ -920,7 +943,7 @@ impl Shard {
     /// re-parks the token, and the client's retry replays to the same
     /// report. Returns the reply the client is owed, if any (`None` too
     /// when `conn` streams nothing).
-    fn end(&mut self, conn: &mut Conn, outcome: Outcome) -> Option<(bool, String)> {
+    fn end(&mut self, conn: &mut Conn, outcome: Outcome, now: Instant) -> Option<(bool, String)> {
         let live = *conn.live.take()?;
         self.registry.gauge("pstrace_stream_active_sessions").sub(1);
         // However the session ends, it is no longer live-streaming:
@@ -932,7 +955,7 @@ impl Shard {
                 self.registry.counter("pstrace_stream_parked_total").inc();
                 self.note(trace, id, EventKind::Park, "session-parked");
                 self.note_degrade("session-parked", trace, id);
-                self.park(live);
+                self.park(live, now);
                 return None;
             }
             Outcome::Finished { bit_len } => {
@@ -1018,6 +1041,13 @@ struct Conn {
     /// says whether its reply is out (its `Complete` is journaled) or not
     /// (it is parked again).
     ended: Option<SessionRecord>,
+    /// The encoded resume ack this connection is owed, held until the
+    /// wake's commit has synced the session's open group.
+    ack: Option<Vec<u8>>,
+    /// A close decided while the ack was still held, with the encoded
+    /// reply the reader is then owed (empty when none is): the commit
+    /// hands the reader both, the ack first.
+    held: Option<Vec<u8>>,
     last_progress: Instant,
     /// The deadline this connection holds in the shard's timer set.
     armed: Option<Instant>,
@@ -1025,6 +1055,20 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(link: Link, now: Instant) -> Conn {
+        Conn {
+            link,
+            inbuf: Vec::new(),
+            live: None,
+            ended: None,
+            ack: None,
+            held: None,
+            last_progress: now,
+            armed: None,
+            peer_gone: false,
+        }
+    }
+
     /// The record of the session this connection holds: the one it
     /// streams, or the one that ended here and awaits `Closed`.
     fn record(&self) -> Option<&SessionRecord> {
@@ -1074,7 +1118,8 @@ enum Verdict {
 
 impl Shard {
     /// A connection's first message: serves its request, or closes a
-    /// connection that sent none (`handshake-deadline`).
+    /// connection that sent none (`handshake-deadline`). A streaming
+    /// resumable session's ack is left on `conn` for the wake's commit.
     fn open(&mut self, id: u64, conn: &mut Conn, opening: Opening) -> Verdict {
         let request = match opening {
             Ok(request) => request,
@@ -1086,17 +1131,17 @@ impl Shard {
         match self.handle_request(id, request) {
             Next::Reply(ok, text) => Verdict::Close(Some((ok, text))),
             Next::Stream(live, ack) => {
-                let token = live.record.token;
-                conn.live = Some(live);
-                let Some(offset) = ack else {
-                    return Verdict::Keep;
-                };
-                let mut bytes = Vec::new();
-                let _ = proto::write_resume_ack(&mut bytes, token, offset, self.ctx.epoch);
-                if conn.link.write_ack(&bytes).is_err() {
-                    conn.peer_gone = true;
-                    return self.streaming_death(conn, "transport closed");
+                if let Some(offset) = ack {
+                    let mut bytes = Vec::new();
+                    let _ = proto::write_resume_ack(
+                        &mut bytes,
+                        live.record.token,
+                        offset,
+                        self.ctx.epoch,
+                    );
+                    conn.ack = Some(bytes);
                 }
+                conn.live = Some(live);
                 Verdict::Keep
             }
         }
@@ -1104,11 +1149,11 @@ impl Shard {
 
     /// A streaming session's transport died (EOF, error, protocol damage
     /// or idle deadline).
-    fn streaming_death(&mut self, conn: &mut Conn, why: &str) -> Verdict {
+    fn streaming_death(&mut self, conn: &mut Conn, why: &str, now: Instant) -> Verdict {
         let Some(outcome) = conn.live.as_ref().map(|live| live.death(why)) else {
             return Verdict::Close(None);
         };
-        match self.end(conn, outcome) {
+        match self.end(conn, outcome, now) {
             // The transport still works (protocol damage): tell the
             // client, then close.
             Some(reply) if !conn.peer_gone => Verdict::Close(Some(reply)),
@@ -1118,7 +1163,7 @@ impl Shard {
 
     /// Feeds the session as many complete chunks as the inbuf holds,
     /// then drops the bytes they took in one move.
-    fn process(&mut self, conn: &mut Conn) -> Verdict {
+    fn process(&mut self, conn: &mut Conn, now: Instant) -> Verdict {
         let mut used = 0;
         let verdict = loop {
             let Some(live) = &mut conn.live else {
@@ -1131,16 +1176,16 @@ impl Shard {
                 Ok(Some((chunk, n))) => {
                     used += n;
                     if let Some(outcome) = self.handle_chunk(live, chunk) {
-                        break Verdict::Close(self.end(conn, outcome));
+                        break Verdict::Close(self.end(conn, outcome, now));
                     }
                 }
                 Ok(None) if conn.peer_gone => {
-                    break self.streaming_death(conn, "transport closed mid-stream")
+                    break self.streaming_death(conn, "transport closed mid-stream", now)
                 }
                 Ok(None) => break Verdict::Keep,
                 // Any chunk error is transport death: resumable
                 // sessions park and a reconnect picks them back up.
-                Err(e) => break self.streaming_death(conn, &e.to_string()),
+                Err(e) => break self.streaming_death(conn, &e.to_string(), now),
             }
         };
         conn.inbuf.drain(..used);
@@ -1149,7 +1194,7 @@ impl Shard {
 
     /// A panic escaped a connection's step: the connection's session
     /// ends like any other failure, and the connection closes.
-    fn respawn(&mut self, conn: &mut Conn) -> Verdict {
+    fn respawn(&mut self, conn: &mut Conn, now: Instant) -> Verdict {
         self.registry
             .counter("pstrace_stream_worker_panics_total")
             .inc();
@@ -1159,7 +1204,7 @@ impl Shard {
             reason: "worker-respawn",
             message: String::new(),
         };
-        self.end(conn, outcome);
+        self.end(conn, outcome, now);
         Verdict::Close(None)
     }
 }
@@ -1169,25 +1214,30 @@ struct Shell {
     shard: Shard,
     /// Open connections by connection id.
     conns: HashMap<u64, Conn>,
+    /// Connections holding a resume ack for the wake's commit, in
+    /// message order.
+    acks: Vec<u64>,
 }
 
 impl Shell {
+    fn new(shard: Shard) -> Shell {
+        Shell {
+            shard,
+            conns: HashMap::new(),
+            acks: Vec::new(),
+        }
+    }
+
     /// Handles one inbox message; only the connection it names advances.
     fn receive(&mut self, msg: ShardMsg, now: Instant) {
         match msg {
             ShardMsg::Open(id, link, opening) => {
-                let conn = Conn {
-                    link,
-                    inbuf: Vec::new(),
-                    live: None,
-                    ended: None,
-                    last_progress: now,
-                    armed: None,
-                    peer_gone: false,
-                };
-                self.conns.insert(id, conn);
+                self.conns.insert(id, Conn::new(link, now));
                 self.shard.ctx.note_routed(id);
-                self.step(id, |shard, conn| shard.open(id, conn, opening));
+                self.step(id, now, |shard, conn| shard.open(id, conn, opening));
+                if self.conns.get(&id).is_some_and(|conn| conn.ack.is_some()) {
+                    self.acks.push(id);
+                }
             }
             ShardMsg::Read(id, bytes) => {
                 let Some(conn) = self.conns.get_mut(&id) else {
@@ -1200,14 +1250,14 @@ impl Shell {
                 } else {
                     conn.inbuf.extend_from_slice(&bytes);
                 }
-                self.step(id, Shard::process);
+                self.step(id, now, |shard, conn| shard.process(conn, now));
             }
             ShardMsg::Eof(id) => {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     return;
                 };
                 conn.peer_gone = true;
-                self.step(id, Shard::process);
+                self.step(id, now, |shard, conn| shard.process(conn, now));
             }
             ShardMsg::Closed(id, delivered) => {
                 if let Some(mut conn) = self.conns.remove(&id) {
@@ -1232,7 +1282,7 @@ impl Shell {
                                         EventKind::Park,
                                         "reply-unsent",
                                     );
-                                    self.shard.park(live);
+                                    self.shard.park(live, now);
                                 }
                                 None => self.shard.wal_append(WalRecord::Complete { token }),
                             }
@@ -1246,14 +1296,15 @@ impl Shell {
     }
 
     /// Runs one step of connection `id` and applies its verdict. A panic
-    /// costs exactly this connection.
-    fn step(&mut self, id: u64, f: impl FnOnce(&mut Shard, &mut Conn) -> Verdict) {
+    /// costs exactly this connection. A close decided while the
+    /// connection still holds its ack is held too, for the commit.
+    fn step(&mut self, id: u64, now: Instant, f: impl FnOnce(&mut Shard, &mut Conn) -> Verdict) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
         let shard = &mut self.shard;
         let verdict = catch_unwind(AssertUnwindSafe(|| f(shard, conn)))
-            .unwrap_or_else(|_| shard.respawn(conn));
+            .unwrap_or_else(|_| shard.respawn(conn, now));
         match verdict {
             Verdict::Keep => conn.arm(id, &shard.ctx, &mut shard.timers),
             Verdict::Close(reply) => {
@@ -1263,7 +1314,44 @@ impl Shell {
                     let _ = proto::write_reply(&mut bytes, ok, &text);
                     bytes
                 });
-                conn.link.close(reply);
+                if conn.ack.is_some() {
+                    conn.held.get_or_insert(reply.unwrap_or_default());
+                } else {
+                    conn.link.close(reply);
+                }
+            }
+        }
+    }
+
+    /// The wake's commit, after its batch of messages: under strict
+    /// durability one sync covers every open group the batch journaled;
+    /// then each held ack goes out, in message order. A connection whose
+    /// close is held too hands its reader the ack with the reply behind
+    /// it, which the reader writes as one: the reply cannot overtake the
+    /// ack, and a write that fails re-parks a resumable session's token
+    /// as any failed reply does. Any other ack is written here, and one
+    /// that fails is the session's transport death.
+    fn commit(&mut self, now: Instant) {
+        self.shard.commit();
+        for id in std::mem::take(&mut self.acks) {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                continue;
+            };
+            let Some(mut ack) = conn.ack.take() else {
+                continue;
+            };
+            debug_assert!(
+                !self.shard.uncommitted(),
+                "an ack would leave before its open group's sync"
+            );
+            if let Some(reply) = conn.held.take() {
+                ack.extend(reply);
+                conn.link.close(Some(ack));
+            } else if conn.link.write_ack(&ack).is_err() {
+                conn.peer_gone = true;
+                self.step(id, now, |shard, conn| {
+                    shard.streaming_death(conn, "transport closed", now)
+                });
             }
         }
     }
@@ -1286,8 +1374,8 @@ impl Shell {
                     };
                     conn.armed = None;
                     if conn.due(&self.shard.ctx).is_some_and(|due| due <= now) {
-                        self.step(id, |shard, conn| {
-                            shard.streaming_death(conn, "session idle past deadline")
+                        self.step(id, now, |shard, conn| {
+                            shard.streaming_death(conn, "session idle past deadline", now)
                         });
                     } else {
                         conn.arm(id, &self.shard.ctx, &mut self.shard.timers);
@@ -1302,17 +1390,15 @@ impl Shell {
     }
 }
 
-/// The most inbox messages one wake handles before the shard fires its
-/// due timers, rotates its WAL and checks for shutdown.
+/// The most inbox messages one wake handles before the shard commits
+/// its open groups, fires its due timers, rotates its WAL and checks for
+/// shutdown.
 const WAKE_BATCH: usize = 64;
 
 /// The shard thread body: wait for a message or the next due timer,
-/// handle what woke it, and drain once shutdown is flagged.
+/// handle what woke it, commit, and drain once shutdown is flagged.
 pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<ShardMsg>) {
-    let mut shell = Shell {
-        shard: Shard::new(ctx, index),
-        conns: HashMap::new(),
-    };
+    let mut shell = Shell::new(Shard::new(ctx, index, Instant::now()));
     let mut draining = false;
     loop {
         let first = match shell.shard.timers.first() {
@@ -1330,14 +1416,25 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
         };
         // A bounded batch: under sustained load the inbox never empties,
         // and the timers, rotation and the shutdown check below must
-        // still run between batches.
-        let now = Instant::now();
+        // still run between batches. The batch is what the inbox already
+        // holds: nothing waits for more. It also ends early once a timer
+        // is due or the drain begins, so a slow message (64 KiB of
+        // decode) holds neither off for the rest of the batch.
+        let mut now = Instant::now();
         let batch = first
             .into_iter()
             .chain(inbox.try_iter().take(WAKE_BATCH - 1));
         for msg in batch {
             shell.receive(msg, now);
+            now = Instant::now();
+            let due = shell.shard.timers.first().is_some_and(|&(at, _)| at <= now);
+            if due || (!draining && shell.shard.ctx.shutdown.load(Ordering::SeqCst)) {
+                break;
+            }
         }
+        // Sessions opened in this wake share one sync, and only then are
+        // they acked.
+        shell.commit(now);
         let drained = shell.fire(now);
 
         // Disk-pressure rotation: compact the live sessions into a fresh
@@ -1364,18 +1461,18 @@ pub(crate) fn run_shard(ctx: Arc<FleetCtx>, index: usize, inbox: &Receiver<Shard
     for wire in shell.shard.ctx.unrouted().values() {
         wire.shut_read();
     }
-    // The drain edge syncs what no open group has yet: the whole
-    // journal under lazy durability, the trailing `Complete` entries
-    // under strict. A shard that never journaled has no journal, and
-    // syncs nothing. A connection the deadline cut off before its
-    // `Closed` keeps its ended session's token: the next life re-parks
-    // it.
+    // The drain edge syncs what no commit has yet: the whole journal
+    // under lazy durability, the trailing `Complete` entries under
+    // strict. A shard that never journaled has no journal, and syncs
+    // nothing. A connection the deadline cut off before its `Closed`
+    // keeps its ended session's token: the next life re-parks it.
     let _ = shell.shard.wal_failed(WalWriter::sync);
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
+    use std::io::Read as _;
     use std::net::{TcpListener, TcpStream};
     use std::path::Path;
     use std::time::Duration;
@@ -1451,10 +1548,7 @@ mod tests {
             None,
         );
         Rig {
-            shell: Shell {
-                shard: Shard::new(Arc::new(ctx), 0),
-                conns: HashMap::new(),
-            },
+            shell: Shell::new(Shard::new(Arc::new(ctx), 0, Instant::now())),
             listener: TcpListener::bind("127.0.0.1:0").unwrap(),
             peers: Vec::new(),
             dir,
@@ -1490,16 +1584,53 @@ mod tests {
             self.peers.push(TcpStream::connect(addr).unwrap());
             let (stream, _) = self.listener.accept().unwrap();
             let id = self.peers.len() as u64;
-            let conn = self.shell.conns.entry(id).or_insert(Conn {
-                link: Link::new(&Wire::new(stream)),
-                inbuf: Vec::new(),
-                live: Some(live),
-                ended: None,
-                last_progress: Instant::now(),
-                armed: None,
-                peer_gone: false,
-            });
-            (id, self.shell.shard.end(conn, outcome))
+            let now = Instant::now();
+            let conn = self
+                .shell
+                .conns
+                .entry(id)
+                .or_insert_with(|| Conn::new(Link::new(&Wire::new(stream)), now));
+            conn.live = Some(live);
+            (id, self.shell.shard.end(conn, outcome, now))
+        }
+
+        /// A new connection whose reader decoded `request`, on a loopback
+        /// connection of its own: its id, the client's end and the wire
+        /// its reader would serve.
+        fn open(&mut self, request: Request) -> (u64, TcpStream, Arc<Wire>) {
+            let addr = self.listener.local_addr().unwrap();
+            let peer = TcpStream::connect(addr).unwrap();
+            peer.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let (stream, _) = self.listener.accept().unwrap();
+            let wire = Wire::new(stream);
+            self.peers.push(peer.try_clone().unwrap());
+            let id = self.peers.len() as u64;
+            let msg = ShardMsg::Open(id, Link::new(&wire), Ok(request));
+            self.shell.receive(msg, Instant::now());
+            (id, peer, wire)
+        }
+
+        /// A fresh resumable session's request.
+        fn fresh(&self) -> Request {
+            Request::Resume {
+                token: 0,
+                epoch: 0,
+                hello: self.hello.clone(),
+            }
+        }
+
+        /// The whole capture as the client pipelines it: one DATA chunk,
+        /// then FINISH.
+        fn upload(&self) -> Vec<u8> {
+            let mut bytes = Vec::new();
+            proto::write_data(&mut bytes, &self.payload).unwrap();
+            proto::write_finish(&mut bytes, self.bit_len).unwrap();
+            bytes
+        }
+
+        fn syncs(&self) -> u64 {
+            self.shell.shard.wal.as_ref().unwrap().syncs()
         }
 
         /// The reader of connection `id` is done: its reply written
@@ -1544,6 +1675,20 @@ mod tests {
                 .collect();
             assert_eq!(recovered_tokens(&self.dir), held, "after {step}");
         }
+    }
+
+    /// Whether the client has been sent nothing yet.
+    fn nothing_sent(peer: &TcpStream) -> bool {
+        peer.set_nonblocking(true).unwrap();
+        let read = (&*peer).read(&mut [0u8; 1]);
+        peer.set_nonblocking(false).unwrap();
+        matches!(read, Err(e) if e.kind() == io::ErrorKind::WouldBlock)
+    }
+
+    /// Reads a resume ack off `peer`: its token.
+    fn read_ack(peer: &mut impl io::Read) -> u64 {
+        let ack = proto::read_reply(peer).unwrap();
+        proto::parse_resume_ack(&ack).unwrap().0
     }
 
     fn recovered_tokens(dir: &Path) -> BTreeSet<u64> {
@@ -1855,5 +2000,74 @@ mod tests {
         assert!(!rig.shell.shard.parked.contains_key(&token));
         assert!(!recovered_tokens(&rig.dir).contains(&token));
         rig.assert_durable(&[&other], "refused re-park");
+    }
+
+    #[test]
+    fn fresh_opens_in_one_wake_share_one_sync_and_are_acked_after_it() {
+        let mut rig = rig("group", ServerConfig::default());
+        let before = rig.syncs();
+        let (_, mut streaming, streaming_wire) = rig.open(rig.fresh());
+        let (finished, finishing, finishing_wire) = rig.open(rig.fresh());
+        let upload = rig.upload();
+        finishing_wire.charge(upload.len());
+        rig.shell
+            .receive(ShardMsg::Read(finished, upload), Instant::now());
+
+        // Before the commit: both groups journaled, none synced, no ack
+        // sent, and the session that finished has handed its reader no
+        // reply.
+        assert_eq!(rig.syncs(), before, "no sync before the commit");
+        assert!(nothing_sent(&streaming) && nothing_sent(&finishing));
+        assert!(!streaming_wire.closing() && !finishing_wire.closing());
+        assert_eq!(rig.shell.acks.len(), 2);
+
+        rig.shell.commit(Instant::now());
+        assert_eq!(rig.syncs() - before, 1, "two open groups, one sync");
+
+        // The streaming session's ack is out; the finished session's
+        // reader has its ack, then its report, to write as one.
+        let a = read_ack(&mut streaming);
+        assert!(!streaming_wire.closing(), "still streaming");
+        assert!(nothing_sent(&finishing), "the reader writes the ack");
+        assert!(finishing_wire.closing());
+        let written = finishing_wire.verdict().expect("a report is owed");
+        let mut written = written.as_slice();
+        let b = read_ack(&mut written);
+        let report = proto::read_reply(&mut written).unwrap();
+        assert!(report.starts_with("session over scenario 1"), "{report}");
+        assert!(written.is_empty());
+        assert_ne!(a, b);
+        let tokens = recovered_tokens(&rig.dir);
+        assert!(tokens.contains(&a) && tokens.contains(&b), "{tokens:?}");
+        rig.assert_durable(&[], "commit");
+
+        // A commit with no new group syncs nothing.
+        rig.shell.commit(Instant::now());
+        assert_eq!(rig.syncs() - before, 1);
+    }
+
+    #[test]
+    fn a_lone_open_pays_one_sync_and_a_resume_by_token_none() {
+        let mut rig = rig("lone", ServerConfig::default());
+        let before = rig.syncs();
+        let (id, mut peer, _) = rig.open(rig.fresh());
+        assert!(nothing_sent(&peer));
+        rig.shell.commit(Instant::now());
+        assert_eq!(rig.syncs() - before, 1);
+        let token = read_ack(&mut peer);
+
+        // The transport dies; the session parks, then resumes by token.
+        rig.shell.receive(ShardMsg::Eof(id), Instant::now());
+        assert!(rig.shell.shard.parked.contains_key(&token));
+        let request = Request::Resume {
+            token,
+            epoch: EPOCH,
+            hello: rig.hello.clone(),
+        };
+        let (_, mut peer, _) = rig.open(request);
+        assert!(nothing_sent(&peer), "the resume ack waits for the commit");
+        rig.shell.commit(Instant::now());
+        assert_eq!(read_ack(&mut peer), token);
+        assert_eq!(rig.syncs() - before, 1, "a resume journals no group");
     }
 }

@@ -56,13 +56,18 @@
 //!
 //! Every append reaches the page cache at once, so a daemon crash keeps
 //! every entry under both policies. Under [`DurabilityPolicy::Strict`]
-//! the open group is the only per-session sync point: one sync before
-//! the resume token is acked. The first sync of a journal created in
+//! the commit of open groups is the only sync point a session causes:
+//! each open group is written whole with one write
+//! ([`WalWriter::append_group`]), and one [`WalWriter::commit`] syncs
+//! every group appended since the last one before any of their resume
+//! tokens is acked. A shard commits once per wake, so sessions opened in
+//! the same wake share one sync, and a lone session pays exactly one.
+//! The first sync of a journal created in
 //! this life is `sync_all` of the file, then of its directory and of the
 //! directory's parent, so the new file's metadata and name and the
 //! directory's own name are durable too; later ones are `fdatasync`.
 //! `Complete` is written without a sync and becomes durable with the
-//! next open-group commit, rotation or drain; the drain syncs only a
+//! next commit, rotation or drain; the drain syncs only a
 //! journal that exists. A power loss can drop that unsynced tail, and
 //! recovery tolerates it: a lost `Complete` re-parks a session that had
 //! already ended, whose token then either replays from offset 0 to the
@@ -112,10 +117,11 @@ pub enum DurabilityPolicy {
     /// Append without fsync: entries survive a daemon crash (the kernel
     /// still has them) but not a host power loss.
     Lazy,
-    /// One fsync per open group: an acked resume token is on stable
-    /// storage before the client sees the ack. A `Complete` rides the
-    /// next open group, rotation or drain; losing it to a power cut only
-    /// re-parks a session that had already ended.
+    /// One fsync per commit of open groups (a shard commits once per wake
+    /// that journaled one): an acked resume token is on stable storage
+    /// before the client sees the ack. A `Complete` rides the next
+    /// commit, rotation or drain; losing it to a power cut only re-parks
+    /// a session that had already ended.
     Strict,
 }
 
@@ -484,6 +490,8 @@ pub struct WalWriter {
     /// that sync also syncs the directory's parent, so the directory's
     /// own name is durable too.
     created: bool,
+    /// An open group was appended since the last commit.
+    uncommitted: bool,
 }
 
 impl WalWriter {
@@ -541,6 +549,7 @@ impl WalWriter {
             syncs: 0,
             unsynced_name: false,
             created: false,
+            uncommitted: false,
         })
     }
 
@@ -553,8 +562,11 @@ impl WalWriter {
 
     /// How many syncs this writer has completed (a sync that also syncs
     /// directories counts as one): under [`DurabilityPolicy::Strict`],
-    /// none before the first append, one per open group, none per other
-    /// append, two per rotation.
+    /// none before the first append, one per [`WalWriter::commit`] that
+    /// found an uncommitted open group (so one per
+    /// [`WalWriter::append_open`], and one for any number of groups
+    /// appended with [`WalWriter::append_group`] before one commit), none
+    /// per other append, two per rotation.
     #[must_use]
     pub fn syncs(&self) -> u64 {
         self.syncs
@@ -564,20 +576,13 @@ impl WalWriter {
     /// points. An empty or missing journal gets its Epoch header in the
     /// same write. The entry is in the page cache when this returns;
     /// under [`DurabilityPolicy::Strict`] it reaches stable storage with
-    /// the next open group, rotation or [`WalWriter::sync`].
+    /// the next commit, rotation or [`WalWriter::sync`].
     ///
     /// # Errors
     ///
     /// Propagates file i/o failures (the caller degrades, never dies).
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        if self.written > 0 {
-            return self.write(&encode_entry(record));
-        }
-        let mut entries = [0u8; 2 * WAL_ENTRY_BYTES];
-        let (header, entry) = entries.split_at_mut(WAL_ENTRY_BYTES);
-        header.copy_from_slice(&encode_entry(&self.header()));
-        entry.copy_from_slice(&encode_entry(record));
-        self.write(&entries)
+        self.write_records([record.clone()])
     }
 
     /// The Epoch entry that starts a journal and every compacted
@@ -588,6 +593,18 @@ impl WalWriter {
             shard: self.shard as u32,
             shard_count: self.shard_count,
         }
+    }
+
+    /// Writes `records` at the journal's end in one write, after the
+    /// Epoch header when the journal is empty.
+    fn write_records(&mut self, records: impl IntoIterator<Item = WalRecord>) -> io::Result<()> {
+        let header = (self.written == 0).then(|| self.header());
+        let entries: Vec<u8> = header
+            .into_iter()
+            .chain(records)
+            .flat_map(|r| encode_entry(&r))
+            .collect();
+        self.write(&entries)
     }
 
     /// Writes whole encoded entries at the journal's end in one write,
@@ -622,8 +639,62 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Appends the open group of a resumable session: one Open entry
-    /// plus however many SchemaChunk entries the handshake needs. Under
+    /// Appends the open group of a resumable session without syncing it:
+    /// one Open entry plus however many SchemaChunk entries the handshake
+    /// needs (and the Epoch header of a journal this creates), encoded
+    /// into one buffer and written with one write. The group is in the
+    /// page cache when this returns; under [`DurabilityPolicy::Strict`]
+    /// it reaches stable storage with the next [`WalWriter::commit`] —
+    /// commit it *before* acking the token. A crash can tear the group
+    /// anywhere; recovery drops a group whose schema is incomplete.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file i/o failures.
+    #[allow(clippy::too_many_arguments)]
+    pub fn append_group(
+        &mut self,
+        token: u64,
+        session_id: u64,
+        trace: u64,
+        scenario: u8,
+        mode: u8,
+        tenant: u32,
+        schema: &[u8],
+    ) -> io::Result<()> {
+        self.write_records(open_group(
+            token, session_id, trace, scenario, mode, tenant, schema,
+        ))?;
+        self.uncommitted = true;
+        Ok(())
+    }
+
+    /// Whether an open group was appended since the last commit, sync or
+    /// rotation.
+    pub(crate) fn uncommitted(&self) -> bool {
+        self.uncommitted
+    }
+
+    /// Commits the open groups appended since the last commit, sync or
+    /// rotation: under [`DurabilityPolicy::Strict`] one sync puts them,
+    /// and every entry appended before them, on stable storage, however
+    /// many there are; under lazy durability nothing is synced. With no
+    /// such group this does nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fsync failures. The groups then count as committed: a
+    /// failing disk costs one failed sync per commit, as it cost one per
+    /// group before.
+    pub fn commit(&mut self) -> io::Result<()> {
+        if std::mem::take(&mut self.uncommitted) && self.policy == DurabilityPolicy::Strict {
+            self.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Appends the open group of a resumable session and commits it:
+    /// [`WalWriter::append_group`], then [`WalWriter::commit`]. Under
     /// [`DurabilityPolicy::Strict`] one sync puts the group, and every
     /// entry appended before it, on stable storage before this returns —
     /// append it *before* acking the token.
@@ -642,13 +713,8 @@ impl WalWriter {
         tenant: u32,
         schema: &[u8],
     ) -> io::Result<()> {
-        for record in open_group(token, session_id, trace, scenario, mode, tenant, schema) {
-            self.append(&record)?;
-        }
-        if self.policy == DurabilityPolicy::Strict {
-            self.sync()?;
-        }
-        Ok(())
+        self.append_group(token, session_id, trace, scenario, mode, tenant, schema)?;
+        self.commit()
     }
 
     /// Whether the journal has grown by its disk budget since the last
@@ -697,6 +763,8 @@ impl WalWriter {
         file.write_all(&entries)?;
         file.sync_all()?;
         self.syncs += 1;
+        // The synced generation holds every live open group.
+        self.uncommitted = false;
         std::fs::rename(&tmp, &self.path)?;
         self.file = Some(file);
         self.written = entries.len() as u64;
@@ -715,7 +783,7 @@ impl WalWriter {
     }
 
     /// Puts every appended entry on stable storage: the strict policy's
-    /// open-group commit, and the drain edge under both policies. A sync
+    /// commit, and the drain edge under both policies. A sync
     /// while the journal's name is not durable is `sync_all`, then a sync
     /// of the directory that holds the name (and of its parent for a
     /// journal this writer created), and counts as one; every other sync
@@ -736,6 +804,7 @@ impl WalWriter {
             file.sync_data()?;
         }
         self.syncs += 1;
+        self.uncommitted = false;
         Ok(())
     }
 

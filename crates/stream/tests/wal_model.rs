@@ -1,8 +1,12 @@
-//! Model-based WAL recovery: random session lifecycles (open, complete,
-//! expire, rotate) run against a strict [`WalWriter`] and an in-memory
-//! reference model of the tokens the daemon holds. Parking and resuming
-//! journal nothing, so to the journal a parked session is a live one,
-//! and a completed one is an expired one: both end with `Complete`.
+//! Model-based WAL recovery: random session lifecycles (open, an
+//! unsynced open group, commit or sync, complete, expire, rotate) run
+//! against a strict [`WalWriter`] and an in-memory reference model of
+//! the tokens the daemon holds. Parking and resuming journal nothing, so
+//! to the journal a parked session is a live one, and a completed one is
+//! an expired one: both end with `Complete`. An open group appended
+//! unsynced ([`WalWriter::append_group`], as a shard does for each
+//! session of a wake) is live but not acked until a commit, sync or
+//! rotation covers it; only acked sessions complete.
 //!
 //! Each rotation renames a compacted generation over the journal, so the
 //! model keeps one file per generation: the journal as it stood just
@@ -15,11 +19,15 @@
 //!   generation's prefix alone equal the model.
 //! - Cut at the last sync point (a power loss), recovery keeps every
 //!   acked, still-live token, and any extra token belongs to a session
-//!   that had already ended.
+//!   that had already ended or was never acked.
+//! - A group torn anywhere inside its one write is dropped whole, and
+//!   every group synced before it is kept.
 //! - Under strict durability the writer syncs nothing until its first
-//!   append, then once per open group, twice per rotation (the compacted
-//!   generation, then the directory after the rename), and never for any
-//!   other append.
+//!   append, then once per `append_open`, once per commit that finds an
+//!   uncommitted group (however many), once per explicit sync of an
+//!   existing journal, twice per rotation (the compacted generation,
+//!   then the directory after the rename), and never for any other
+//!   append.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -39,7 +47,12 @@ type Step = (u8, u8, u16);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
+    /// `append_open`: a group and its commit.
     Open,
+    /// `append_group`: a group, unsynced.
+    Group,
+    /// `commit`, or `sync` when the step's pick is odd.
+    Sync,
     Complete,
     Expire,
     Rotate,
@@ -47,21 +60,25 @@ enum Kind {
 
 impl Kind {
     fn of(step: Step) -> Kind {
-        // Opens come up twice as often, so sequences build a population.
-        match step.0 % 5 {
+        // Opens come up most often, so sequences build a population.
+        match step.0 % 8 {
             0 | 1 => Kind::Open,
-            2 => Kind::Complete,
-            3 => Kind::Expire,
+            2 | 3 => Kind::Group,
+            4 => Kind::Sync,
+            5 => Kind::Complete,
+            6 => Kind::Expire,
             _ => Kind::Rotate,
         }
     }
 }
 
 /// The reference model after one step: the records of the sessions the
-/// daemon still holds, and the tokens whose sessions have ended.
+/// daemon still holds, those of them not acked yet (their group awaits
+/// a commit), and the tokens whose sessions have ended.
 #[derive(Debug, Clone, Default)]
 struct Model {
     live: BTreeMap<u64, SessionRecord>,
+    unacked: BTreeSet<u64>,
     ended: BTreeSet<u64>,
 }
 
@@ -76,6 +93,8 @@ struct Cut {
     synced_len: usize,
     /// Syncs the step issued.
     syncs: u64,
+    /// Syncs the model expected of the step.
+    expected: u64,
     model: Model,
 }
 
@@ -141,17 +160,21 @@ fn run(steps: &[Step]) -> Vec<Generation> {
             wal_len: len,
             synced_len: len,
             syncs: 0,
+            expected: 0,
             model: model.clone(),
         }],
     };
     let mut generations = Vec::new();
     let mut current = start(&model, 0);
     let mut next_token = 1u64;
+    // Whether the journal exists, and whether a group was appended since
+    // the last sync.
+    let (mut exists, mut pending) = (false, false);
     for &step in steps {
         let (_, pick, size) = step;
         let kind = Kind::of(step);
         let before = wal.syncs();
-        match kind {
+        let expected = match kind {
             Kind::Open => {
                 let r = record(next_token, 1 + usize::from(size) % 120);
                 next_token += 1;
@@ -166,31 +189,76 @@ fn run(steps: &[Step]) -> Vec<Generation> {
                 )
                 .unwrap();
                 model.live.insert(r.token, r);
+                model.unacked.clear();
+                (exists, pending) = (true, false);
+                1
+            }
+            Kind::Group => {
+                let r = record(next_token, 1 + usize::from(size) % 120);
+                next_token += 1;
+                wal.append_group(
+                    r.token,
+                    r.session_id,
+                    r.trace,
+                    r.scenario,
+                    r.mode,
+                    r.tenant,
+                    &r.schema,
+                )
+                .unwrap();
+                model.unacked.insert(r.token);
+                model.live.insert(r.token, r);
+                (exists, pending) = (true, true);
+                0
+            }
+            Kind::Sync => {
+                let expected = if pick % 2 == 0 {
+                    wal.commit().unwrap();
+                    u64::from(pending)
+                } else {
+                    wal.sync().unwrap();
+                    u64::from(exists)
+                };
+                model.unacked.clear();
+                pending = false;
+                expected
             }
             // A reply that went out, or a parked session's grace that
-            // ran out: either way the token dies.
+            // ran out: either way the token dies. Only an acked session
+            // gets that far.
             Kind::Complete | Kind::Expire => {
-                let Some(token) = nth(model.live.keys().copied(), pick) else {
+                let acked = model
+                    .live
+                    .keys()
+                    .copied()
+                    .filter(|token| !model.unacked.contains(token));
+                let Some(token) = nth(acked, pick) else {
                     continue;
                 };
                 wal.append(&WalRecord::Complete { token }).unwrap();
                 model.live.remove(&token);
                 model.ended.insert(token);
+                exists = true;
+                0
             }
             Kind::Rotate => {
                 current.wal = journal();
                 let live: Vec<SessionRecord> = model.live.values().cloned().collect();
                 wal.rotate(&live).unwrap();
+                // The synced generation holds every live group.
+                model.unacked.clear();
+                (exists, pending) = (true, false);
                 let prefix = journal().len();
                 generations.push(std::mem::replace(&mut current, start(&model, prefix)));
                 let first = &mut current.cuts[0];
                 first.kind = Some(Kind::Rotate);
                 first.syncs = wal.syncs() - before;
+                first.expected = 2;
                 continue;
             }
-        }
+        };
         let syncs = wal.syncs() - before;
-        let wal_len = std::fs::metadata(&wal_file).unwrap().len() as usize;
+        let wal_len = std::fs::metadata(&wal_file).map_or(0, |m| m.len() as usize);
         let synced_len = if syncs > 0 {
             wal_len
         } else {
@@ -201,6 +269,7 @@ fn run(steps: &[Step]) -> Vec<Generation> {
             wal_len,
             synced_len,
             syncs,
+            expected,
             model: model.clone(),
         });
     }
@@ -272,9 +341,10 @@ fn check_cuts(generations: &[Generation], tear: u8) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// After every step, a power loss keeps the journal up to its last sync. Every session the daemon still holds (so every
-/// acked, live token) recovers with its identity; any other recovered
-/// token belongs to a session that had already ended.
+/// After every step, a power loss keeps the journal up to its last sync.
+/// Every acked session the daemon still holds recovers with its
+/// identity; any other recovered token belongs to a session that had
+/// already ended, or to a live one whose group was not acked yet.
 fn check_power_loss(generations: &[Generation]) {
     let dir = scratch_dir("power");
     let mut opened: BTreeMap<u64, SessionRecord> = BTreeMap::new();
@@ -286,6 +356,13 @@ fn check_power_loss(generations: &[Generation]) {
             let (got, _) = recover(&dir, &gen.wal[..cut.synced_len]);
             let at = format!("generation {g}, power loss after step {i} ({:?})", cut.kind);
             for (token, r) in &cut.model.live {
+                if cut.model.unacked.contains(token) {
+                    assert!(
+                        got.get(token).map_or(true, |got| got == r),
+                        "{at}: unacked token {token} came back changed"
+                    );
+                    continue;
+                }
                 assert_eq!(got.get(token), Some(r), "{at}: live token {token}");
             }
             for (token, r) in &got {
@@ -307,17 +384,58 @@ fn check_power_loss(generations: &[Generation]) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One sync per open group, two per rotation, none for anything else.
+/// One sync per `append_open`, per commit of uncommitted groups and per
+/// sync of an existing journal, two per rotation, none for anything
+/// else.
 fn check_syncs(generations: &[Generation]) {
     for cut in generations.iter().flat_map(|g| &g.cuts) {
-        let expected = match cut.kind {
-            None => 0,
-            Some(Kind::Open) => 1,
-            Some(Kind::Rotate) => 2,
-            Some(_) => 0,
-        };
-        assert_eq!(cut.syncs, expected, "syncs for {:?}", cut.kind);
+        assert_eq!(cut.syncs, cut.expected, "syncs for {:?}", cut.kind);
     }
+}
+
+/// A group is one write: a crash or power cut can leave any prefix of
+/// it. Recovery drops the group at every cut short of its end (its
+/// schema is incomplete, or its Open is torn) and keeps the synced
+/// group before it; the whole group recovers too.
+#[test]
+fn wal_model_a_torn_group_is_dropped_and_synced_groups_are_kept() {
+    let (synced, torn) = (record(1, 40), record(2, 100));
+    let dir = scratch_dir("torn-group");
+    let mut wal = WalWriter::open(&dir, 0, 1, 7, DurabilityPolicy::Strict, u64::MAX).unwrap();
+    for r in [&synced, &torn] {
+        wal.append_group(
+            r.token,
+            r.session_id,
+            r.trace,
+            r.scenario,
+            r.mode,
+            r.tenant,
+            &r.schema,
+        )
+        .unwrap();
+        if r.token == synced.token {
+            assert_eq!(wal.syncs(), 0, "a group alone syncs nothing");
+            wal.commit().unwrap();
+            assert_eq!(wal.syncs(), 1);
+        }
+    }
+    drop(wal);
+    let journal = std::fs::read(wal_path(&dir, 0)).unwrap();
+    // Epoch header, then 1 + 2 entries, then 1 + 3.
+    assert_eq!(journal.len(), 8 * ENTRY);
+    let group = 4 * ENTRY..journal.len();
+    let cuts = scratch_dir("torn-group-cuts");
+    for len in group.clone() {
+        let (got, _) = recover(&cuts, &journal[..len]);
+        let tokens: Vec<u64> = got.keys().copied().collect();
+        assert_eq!(tokens, [1], "the group cut at byte {len}");
+        assert_eq!(got[&1], synced);
+    }
+    let (got, damage) = recover(&cuts, &journal);
+    assert_eq!(got.keys().copied().collect::<Vec<_>>(), [1, 2]);
+    assert_eq!(damage, 0);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&cuts).ok();
 }
 
 /// A journal torn mid-entry (by `wal-mid-entry` or a power cut) is cut
@@ -365,7 +483,7 @@ fn wal_model_a_torn_tail_is_cut_before_the_next_life_appends() {
 }
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
-    proptest::collection::vec((0u8..5, any::<u8>(), any::<u16>()), 1..32)
+    proptest::collection::vec((0u8..8, any::<u8>(), any::<u16>()), 1..32)
 }
 
 proptest! {
@@ -382,7 +500,7 @@ proptest! {
     }
 
     #[test]
-    fn wal_model_syncs_once_per_open_group(steps in steps()) {
+    fn wal_model_syncs_once_per_commit(steps in steps()) {
         check_syncs(&run(&steps));
     }
 }

@@ -15,7 +15,9 @@
 //! median, mean, and minimum time per iteration. When the binary is invoked
 //! with `--test` (as `cargo test --benches` does), every benchmark runs
 //! exactly once so CI can smoke-test benches without paying measurement
-//! time.
+//! time. As with criterion, the first argument that is not a flag is a
+//! filter: only benchmarks whose full id contains it run, so
+//! `cargo bench --bench wire -- scenario1_capture` runs only those rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,14 +61,17 @@ impl Default for Settings {
 pub struct Criterion {
     defaults: Settings,
     test_mode: bool,
+    /// Only benchmarks whose full id contains this run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        let test_mode = std::env::args().any(|a| a == "--test");
+        let args: Vec<String> = std::env::args().skip(1).collect();
         Criterion {
             defaults: Settings::default(),
-            test_mode,
+            test_mode: args.iter().any(|a| a == "--test"),
+            filter: args.into_iter().find(|a| !a.starts_with('-')),
         }
     }
 }
@@ -77,7 +82,10 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_benchmark(&id.into(), self.defaults, self.test_mode, f);
+        let id = id.into();
+        if selected(self.filter.as_deref(), &id) {
+            run_benchmark(&id, self.defaults, self.test_mode, f);
+        }
         self
     }
 
@@ -87,9 +95,14 @@ impl Criterion {
             name: name.into(),
             settings: self.defaults,
             test_mode: self.test_mode,
-            _parent: std::marker::PhantomData,
+            filter: self.filter.as_deref(),
         }
     }
+}
+
+/// Whether the benchmark `id` passes the command line's filter.
+fn selected(filter: Option<&str>, id: &str) -> bool {
+    filter.map_or(true, |f| id.contains(f))
 }
 
 /// A group of related benchmarks sharing tuned measurement settings.
@@ -98,7 +111,7 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     settings: Settings,
     test_mode: bool,
-    _parent: std::marker::PhantomData<&'a mut Criterion>,
+    filter: Option<&'a str>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -127,7 +140,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let full = format!("{}/{}", self.name, id.into());
-        run_benchmark(&full, self.settings, self.test_mode, f);
+        if selected(self.filter, &full) {
+            run_benchmark(&full, self.settings, self.test_mode, f);
+        }
         self
     }
 
@@ -313,6 +328,7 @@ mod tests {
                 measurement: Duration::from_millis(5),
             },
             test_mode: false,
+            filter: None,
         };
         let mut calls = 0u64;
         c.bench_function("shim/smoke", |b| {
@@ -329,6 +345,7 @@ mod tests {
         let mut c = Criterion {
             defaults: Settings::default(),
             test_mode: false,
+            filter: None,
         };
         let mut group = c.benchmark_group("shim");
         group
@@ -360,6 +377,7 @@ mod tests {
         let mut c = Criterion {
             defaults: Settings::default(),
             test_mode: true,
+            filter: None,
         };
         let mut calls = 0u64;
         c.bench_function("shim/once", |b| {
@@ -368,6 +386,24 @@ mod tests {
             })
         });
         assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn the_filter_selects_benchmarks_by_full_id() {
+        let mut c = Criterion {
+            defaults: Settings::default(),
+            test_mode: true,
+            filter: Some("capture".to_owned()),
+        };
+        let (mut kept, mut skipped) = (0u64, 0u64);
+        c.bench_function("decode/capture", |b| b.iter(|| kept += 1));
+        c.bench_function("decode/chunk256", |b| b.iter(|| skipped += 1));
+        let mut group = c.benchmark_group("v2");
+        group.bench_function("scenario1_capture", |b| b.iter(|| kept += 1));
+        group.bench_function("chunk256", |b| b.iter(|| skipped += 1));
+        group.finish();
+        assert_eq!((kept, skipped), (2, 0));
+        assert!(selected(None, "anything"));
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! across a daemon restart (journal replay), a session that
 //! ended without parking never comes back, a finished session whose
 //! unsynced `Complete` a power loss dropped replays to the same report
-//! or expires, strict durability costs one fsync per resumable session,
+//! or expires, strict durability costs one fsync per shard wake that
+//! journaled an open group (so one per resumable session when they come
+//! one at a time, and at most one per session when they come together,
+//! each acked only after the sync that covers it),
 //! an idle daemon writes nothing to its WAL directory while the first
 //! session's journal, whose header carries the epoch, keeps its token
 //! across a restart and a power loss, tokens from a
@@ -13,7 +16,7 @@
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use pstrace::diag::MatchMode;
@@ -25,9 +28,9 @@ use pstrace::stream::durable::{
 use pstrace::stream::proto::{self, Hello, Request};
 use pstrace::stream::{
     connect as client_connect, replay, send_request, Replay, RetryPolicy, Server, ServerConfig,
-    SessionLimits, StreamError,
+    Session, SessionLimits, StreamError,
 };
-use pstrace::wire::{split_ptw, PtwParts};
+use pstrace::wire::{read_ptw_any, split_ptw, PtwParts};
 
 fn connect(server: &Server) -> TcpStream {
     let policy = RetryPolicy {
@@ -348,6 +351,83 @@ fn strict_wal_syncs_once_per_resumable_session() {
     let snap = server.snapshot();
     assert_eq!(snap.completed, SESSIONS, "{snap:?}");
     assert_eq!(snap.fsyncs - before, SESSIONS, "{snap:?}");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn concurrent_fresh_sessions_share_syncs_and_are_acked_after_them() {
+    let _guard = watchdog(Duration::from_secs(120), "shared open-group syncs");
+    let dir = wal_dir("shared");
+    let fx = Fixture::new(200).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
+    let config = ServerConfig {
+        shards: 1,
+        ..durable_config(&dir)
+    };
+    let server = Server::spawn(Arc::clone(&fx.model), &config).unwrap();
+    assert_eq!(server.snapshot().fsyncs, 0, "no sync before any group");
+
+    // The in-process oracle every daemon report must equal.
+    let (schema, meta, stream) = read_ptw_any(fx.model.catalog(), &fx.ptw).unwrap();
+    let mut session = Session::with_meta(&fx.flow, schema, meta, MatchMode::Prefix);
+    session.push_chunk(&stream.bytes);
+    let report = session.finish(Some(stream.bit_len));
+    let oracle = format!(
+        "session over scenario 1 ({:?} match)\n{}",
+        report.mode,
+        report.render()
+    );
+
+    // Each client pipelines its request, the capture and FINISH in one
+    // write, as the fresh-session client does, all at once.
+    let mut upload = Vec::new();
+    proto::write_request(&mut upload, &resume(0, 0, cap.header)).unwrap();
+    proto::write_data(&mut upload, cap.payload).unwrap();
+    proto::write_finish(&mut upload, cap.bit_len).unwrap();
+    const SESSIONS: usize = 8;
+    let start = Barrier::new(SESSIONS);
+    let outcomes: Vec<(u64, u64, String)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..SESSIONS)
+            .map(|_| {
+                let mut s = connect(&server);
+                let (start, upload, server) = (&start, &upload, &server);
+                scope.spawn(move || {
+                    start.wait();
+                    s.write_all(upload).unwrap();
+                    let ack = proto::read_reply(&mut s).unwrap();
+                    // The sync that covers this session's group was
+                    // counted before its ack left.
+                    let synced = server.snapshot().fsyncs;
+                    let (token, offset, _) = proto::parse_resume_ack(&ack).unwrap();
+                    assert_eq!(offset, 0);
+                    (token, synced, proto::read_reply(&mut s).unwrap())
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+
+    let snap = server.snapshot();
+    assert_eq!(snap.completed, SESSIONS as u64, "{snap:?}");
+    assert!(
+        (1..=SESSIONS as u64).contains(&snap.fsyncs),
+        "{} sessions took {} syncs",
+        SESSIONS,
+        snap.fsyncs
+    );
+    let mut tokens: Vec<u64> = outcomes.iter().map(|(token, ..)| *token).collect();
+    tokens.sort_unstable();
+    tokens.dedup();
+    assert_eq!(tokens.len(), SESSIONS, "every session has its own token");
+    for (token, synced, report) in &outcomes {
+        assert!(*synced >= 1, "token {token} was acked before any sync");
+        assert_eq!(
+            stable_lines(report),
+            stable_lines(&oracle),
+            "token {token} diverged from the in-process oracle"
+        );
+    }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
