@@ -97,14 +97,6 @@ pub struct BugSpec {
     pub description: &'static str,
 }
 
-impl BugSpec {
-    /// Whether this bug makes its flow instance hang (drop-class bugs).
-    #[must_use]
-    pub fn causes_hang(&self) -> bool {
-        matches!(self.kind, BugKind::DropMessage)
-    }
-}
-
 impl fmt::Display for BugSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -138,23 +130,5 @@ mod tests {
         assert!(s.contains("bug 1"));
         assert!(s.contains("DMU"));
         assert!(s.contains("Control"));
-        assert!(!bug.causes_hang());
-    }
-
-    #[test]
-    fn drop_bugs_cause_hangs() {
-        let model = SocModel::t2();
-        let target = model.catalog().get("reqtot").unwrap();
-        let bug = BugSpec {
-            id: 2,
-            depth: 3,
-            category: BugCategory::Control,
-            kind: BugKind::DropMessage,
-            ip: Ip::Dmu,
-            target,
-            trigger: BugTrigger::Always,
-            description: "interrupt never generated",
-        };
-        assert!(bug.causes_hang());
     }
 }

@@ -361,31 +361,30 @@ pub fn render_chrome(dump: &FlightDump) -> String {
     out
 }
 
-/// Builds one synthetic clean-lifecycle event sequence (tests/benches).
-#[must_use]
-pub fn clean_session_events(trace: u64, session: u64, origin_ns: u64) -> Vec<FlightEvent> {
-    [
-        EventKind::Open,
-        EventKind::Handshake,
-        EventKind::Finish,
-        EventKind::Close,
-    ]
-    .iter()
-    .enumerate()
-    .map(|(i, &kind)| FlightEvent {
-        ts_ns: origin_ns + i as u64 * 1_000_000,
-        trace,
-        session,
-        kind,
-        reason: 0,
-    })
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pstrace_obs::{reason_code, validate_json};
+
+    /// One synthetic clean-lifecycle event sequence.
+    fn clean_session_events(trace: u64, session: u64, origin_ns: u64) -> Vec<FlightEvent> {
+        [
+            EventKind::Open,
+            EventKind::Handshake,
+            EventKind::Finish,
+            EventKind::Close,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &kind)| FlightEvent {
+            ts_ns: origin_ns + i as u64 * 1_000_000,
+            trace,
+            session,
+            kind,
+            reason: 0,
+        })
+        .collect()
+    }
 
     fn sample_events() -> Vec<FlightEvent> {
         let mut events = clean_session_events(0xdead_beef, 1, 1_000_000);

@@ -80,7 +80,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use pstrace_flow::{paths_to_stop, topological_order, IndexedMessage, InterleavedFlow, MessageId};
-use pstrace_obs::Registry;
+use pstrace_obs::{Gauge, Registry};
 
 use crate::localize::{consistent_paths, Localization, MatchMode};
 
@@ -559,37 +559,57 @@ impl OnlineLocalizer {
         self.unknown_since
     }
 
-    /// Publishes the localizer's live state into `obs` as gauges:
-    /// `pstrace_localizer_frontier_support` (states with nonzero mass),
-    /// `pstrace_localizer_consistent_paths` and
-    /// `pstrace_localizer_records_pushed` (counts saturate at `i64::MAX`).
-    /// Stream sessions call this after each chunk so dashboards can watch
-    /// the localization narrow.
-    pub fn record_frontier(&self, obs: &Registry) {
+    /// Publishes the localizer's live state into `gauges`. Stream
+    /// sessions call this after each chunk so dashboards can watch the
+    /// localization narrow.
+    pub fn record_frontier(&self, gauges: &FrontierGauges) {
         let clamp = |v: u128| i64::try_from(v).unwrap_or(i64::MAX);
-        obs.gauge("pstrace_localizer_frontier_support")
+        gauges
+            .support
             .set(i64::try_from(self.support.len()).unwrap_or(i64::MAX));
-        obs.gauge("pstrace_localizer_consistent_paths")
-            .set(clamp(self.consistent));
-        obs.gauge("pstrace_localizer_records_pushed")
+        gauges.consistent.set(clamp(self.consistent));
+        gauges
+            .pushed
             .set(i64::try_from(self.pushed).unwrap_or(i64::MAX));
-        obs.gauge("pstrace_localizer_resyncs")
+        gauges
+            .resyncs
             .set(i64::try_from(self.resyncs).unwrap_or(i64::MAX));
     }
+}
 
-    /// Zeroes the gauges [`OnlineLocalizer::record_frontier`] publishes.
-    /// A session that ended has no live frontier; leaving its last state
-    /// behind would read as current — and, summed across a sharded
-    /// daemon's per-shard registries, would fabricate load that is not
-    /// there.
-    pub fn clear_frontier(obs: &Registry) {
-        for name in [
-            "pstrace_localizer_frontier_support",
-            "pstrace_localizer_consistent_paths",
-            "pstrace_localizer_records_pushed",
-            "pstrace_localizer_resyncs",
-        ] {
-            obs.gauge(name).set(0);
+/// The live-frontier gauges [`OnlineLocalizer::record_frontier`]
+/// publishes, resolved once per registry so a publish touches no
+/// registry lock: `pstrace_localizer_frontier_support` (states with
+/// nonzero mass), `pstrace_localizer_consistent_paths`,
+/// `pstrace_localizer_records_pushed` and `pstrace_localizer_resyncs`
+/// (counts saturate at `i64::MAX`).
+#[derive(Debug, Clone)]
+pub struct FrontierGauges {
+    support: Gauge,
+    consistent: Gauge,
+    pushed: Gauge,
+    resyncs: Gauge,
+}
+
+impl FrontierGauges {
+    /// Resolves (registering on first use) the four gauges in `obs`.
+    #[must_use]
+    pub fn new(obs: &Registry) -> Self {
+        FrontierGauges {
+            support: obs.gauge("pstrace_localizer_frontier_support"),
+            consistent: obs.gauge("pstrace_localizer_consistent_paths"),
+            pushed: obs.gauge("pstrace_localizer_records_pushed"),
+            resyncs: obs.gauge("pstrace_localizer_resyncs"),
+        }
+    }
+
+    /// Zeroes the gauges. A session that ended has no live frontier;
+    /// leaving its last state behind would read as current — and,
+    /// summed across a sharded daemon's per-shard registries, would
+    /// fabricate load that is not there.
+    pub fn clear(&self) {
+        for gauge in [&self.support, &self.consistent, &self.pushed, &self.resyncs] {
+            gauge.set(0);
         }
     }
 }
@@ -639,19 +659,20 @@ mod tests {
         let exec = executions(&u).next().expect("the product has executions");
         let observed = exec.project(&selected);
         let obs = Registry::new();
+        let gauges = FrontierGauges::new(&obs);
         for mode in MODES {
             let mut online = OnlineLocalizer::new(&u, &selected, mode);
             // The published support is the maintained one; it must equal
             // a full scan of the column at every point.
             let check = |online: &OnlineLocalizer, when: &str| {
-                online.record_frontier(&obs);
+                online.record_frontier(&gauges);
                 assert_eq!(
                     obs.gauge("pstrace_localizer_frontier_support").get() as usize,
                     online.frontier().support(),
                     "{mode:?} {when}"
                 );
             };
-            online.record_frontier(&obs);
+            online.record_frontier(&gauges);
             assert_eq!(obs.gauge("pstrace_localizer_records_pushed").get(), 0);
             assert!(obs.gauge("pstrace_localizer_frontier_support").get() > 0);
             check(&online, "seeded");
@@ -671,6 +692,9 @@ mod tests {
             check(&online, "after a resync");
             online.push(observed[0]);
             check(&online, "after a post-resync push");
+            gauges.clear();
+            assert_eq!(obs.gauge("pstrace_localizer_frontier_support").get(), 0);
+            assert_eq!(obs.gauge("pstrace_localizer_records_pushed").get(), 0);
         }
     }
 
@@ -840,7 +864,7 @@ mod tests {
         assert_eq!(online.resyncs(), 2);
         assert_eq!(online.unknown_since(), Some(1));
         let obs = Registry::new();
-        online.record_frontier(&obs);
+        online.record_frontier(&FrontierGauges::new(&obs));
         assert_eq!(obs.gauge("pstrace_localizer_resyncs").get(), 2);
     }
 

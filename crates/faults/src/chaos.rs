@@ -99,12 +99,6 @@ impl<S> ChaosStream<S> {
         Arc::clone(&self.ledger)
     }
 
-    /// Whether a disconnect fault has killed this stream.
-    #[must_use]
-    pub fn is_torn(&self) -> bool {
-        self.torn
-    }
-
     /// Unwraps, returning the inner stream and the ledger handle.
     pub fn into_parts(self) -> (S, Arc<Mutex<FaultLedger>>) {
         (self.inner, self.ledger)
@@ -253,7 +247,6 @@ mod tests {
         );
         let err = chaos.write(b"x").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert!(chaos.is_torn());
         assert!(chaos.write(b"y").is_err());
         assert!(chaos.flush().is_err());
         let mut buf = [0u8; 1];

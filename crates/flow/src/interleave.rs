@@ -438,6 +438,7 @@ impl InterleavedFlow {
     }
 
     /// Looks up the product state with the given per-slot components.
+    #[cfg(test)]
     #[must_use]
     pub fn state_of(&self, components: &[StateId]) -> Option<ProductStateId> {
         self.components

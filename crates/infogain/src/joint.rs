@@ -177,6 +177,7 @@ impl JointDistribution {
     /// [`JointDistribution::mutual_information`]); the identity is pinned
     /// by tests.
     #[must_use]
+    #[cfg(test)]
     pub fn conditional_entropy_x(&self) -> f64 {
         let mut h = 0.0;
         let mut mass = 0.0;

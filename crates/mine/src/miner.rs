@@ -59,14 +59,6 @@ pub struct AtomicCheck {
     pub conflicts: u64,
 }
 
-impl AtomicCheck {
-    /// Whether the evidence is consistent with the state being atomic.
-    #[must_use]
-    pub fn atomic_consistent(&self) -> bool {
-        self.conflicts == 0
-    }
-}
-
 /// Aggregate statistics of one mining run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MiningStats {
@@ -434,7 +426,7 @@ mod tests {
         let conflicted: Vec<&AtomicCheck> = cand
             .atomic_checks
             .iter()
-            .filter(|c| !c.atomic_consistent())
+            .filter(|c| c.conflicts > 0)
             .collect();
         assert_eq!(conflicted.len(), 2);
         assert!(conflicted.iter().all(|c| c.observations == 2));

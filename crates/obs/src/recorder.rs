@@ -175,6 +175,8 @@ pub const REASON_LABELS: &[&str] = &[
     "wal-rotate",
     "wal-checkpoint-degraded",
     "wal-session-skipped",
+    // A session's damage past the frames its flight events name.
+    "damage-elided",
 ];
 
 /// The wire code for a reason label (0 — "no reason" — when unknown,

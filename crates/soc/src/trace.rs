@@ -140,12 +140,6 @@ impl CapturedTrace {
         self.records.iter().map(|r| r.message).collect()
     }
 
-    /// Whether any record carries `message` (of any index).
-    #[must_use]
-    pub fn contains_message(&self, message: MessageId) -> bool {
-        self.records.iter().any(|r| r.message.message == message)
-    }
-
     /// Number of captured records.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -430,7 +424,5 @@ mod tests {
             .map(|e| e.message)
             .collect();
         assert_eq!(trace.message_sequence(), expected);
-        assert!(trace.contains_message(msgs[0]));
-        assert!(!trace.contains_message(catalog.get("grant").unwrap()));
     }
 }

@@ -92,4 +92,4 @@ pub use server::{
     scenario_by_number, snapshot_from, Server, ServerConfig, SessionLimits, StatsSnapshot,
     DEFAULT_WAL_BUDGET,
 };
-pub use session::{observed_messages, Session, SessionMetrics, SessionReport};
+pub use session::{observed_messages, Session, SessionMetrics, SessionReport, SessionSeries};

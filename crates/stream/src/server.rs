@@ -78,7 +78,7 @@ use crate::error::StreamError;
 use crate::proto::Hello;
 use crate::reader::{ReadJob, Readers, Wire};
 use crate::recover::{recover_state, RecoveredState};
-use crate::session::{observed_messages, Session};
+use crate::session::{observed_messages, Session, SessionSeries};
 use crate::shard::{run_shard, FleetCtx};
 use crate::wal::{fresh_epoch, DurabilityPolicy};
 
@@ -641,13 +641,11 @@ pub fn scenario_by_number(n: u8) -> Result<UsageScenario, StreamError> {
 /// Builds the session a hello asked for. The handshake schema is parsed
 /// and validated first, so a malformed hello is rejected before any
 /// compile work; the localizer program then comes from the daemon's
-/// shared program cache. The session records into `registry` under the
-/// `session_id` label.
+/// shared program cache. The session feeds `series`.
 pub(crate) fn open_session(
     ctx: &FleetCtx,
     hello: &Hello,
-    registry: &Arc<Registry>,
-    session_id: u64,
+    series: &Arc<SessionSeries>,
 ) -> Result<Session, StreamError> {
     let (schema, meta, consumed) = read_ptw_header(ctx.model.catalog(), &hello.schema)?;
     if consumed != hello.schema.len() {
@@ -661,6 +659,6 @@ pub(crate) fn open_session(
         .programs
         .program(&ctx.model, hello.scenario, selected, hello.mode)?;
     let mut session = Session::from_program(program, schema, meta);
-    session.set_registry(Arc::clone(registry), session_id);
+    session.set_series(Arc::clone(series));
     Ok(session)
 }

@@ -13,13 +13,18 @@
 //! * each committed record is folded into an
 //!   [`OnlineLocalizer`](pstrace_diag::OnlineLocalizer), so the
 //!   consistent-path count is live at every chunk boundary instead of
-//!   appearing only after a batch re-run.
+//!   appearing only after a batch re-run;
+//! * bound to a [`SessionSeries`], it feeds a registry's aggregate
+//!   counters and frontier gauges once per chunk, through handles
+//!   resolved once per registry. Its own counts stay in its
+//!   [`SessionReport`] and its flight events, where it notes its first
+//!   few damaged frames and then one `damage-elided`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use pstrace_codec::profile_for;
-use pstrace_diag::{Localization, LocalizerProgram, MatchMode, OnlineLocalizer};
+use pstrace_diag::{FrontierGauges, Localization, LocalizerProgram, MatchMode, OnlineLocalizer};
 use pstrace_flow::{InterleavedFlow, MessageId};
 use pstrace_obs::{Counter, EventKind, FlightHandle, Registry};
 use pstrace_wire::{
@@ -119,58 +124,37 @@ impl SessionReport {
     }
 }
 
-/// The observability hooks of one session: cached counter handles into a
-/// shared registry, so publishing never touches the registry's lock.
-/// The per-record hot path touches no counter at all: the byte, chunk,
-/// frame and record counters are bumped once per drained chunk (and once
-/// more at `finish`), by what that chunk added — the cadence of the
-/// frontier gauges. At every chunk boundary the totals equal the
-/// session's own counts.
+/// The aggregate series the sessions observed into one registry feed,
+/// resolved once (a daemon shard resolves its own when it starts), so
+/// binding a session and publishing touch no registry lock. The registry
+/// holds aggregates only: a session's own counts live in its report and
+/// its flight timeline. The per-record hot path touches no counter at
+/// all: the byte, chunk, frame and record counters are bumped once per
+/// drained chunk (and once more at `finish`), by what that chunk added —
+/// the cadence of the frontier gauges.
 #[derive(Debug)]
-struct SessionObserver {
+pub struct SessionSeries {
     registry: Arc<Registry>,
     bytes: Counter,
     chunks: Counter,
     frames: Counter,
     records: Counter,
-    /// This session's own record counter
-    /// (`pstrace_session_records_total{session="N"}`).
-    session_records: Counter,
-    /// Committed records already added to the two record counters.
-    published_records: usize,
-    /// This session's own damage counter
-    /// (`pstrace_session_damaged_frames_total{session="N"}`).
-    session_damaged: Counter,
+    idle_frames: Counter,
+    frontier: FrontierGauges,
 }
 
-/// The series each observed session registers under its own
-/// `session="N"` label: its records, then its damaged frames.
-const SESSION_SERIES: [&str; 2] = [
-    "pstrace_session_records_total",
-    "pstrace_session_damaged_frames_total",
-];
-
-/// Unregisters the per-session series of session `session_id` from
-/// `registry`, the one it was observed into.
-pub(crate) fn remove_session_series(registry: &Registry, session_id: u64) {
-    let id = session_id.to_string();
-    for name in SESSION_SERIES {
-        registry.remove(name, &[("session", &id)]);
-    }
-}
-
-impl SessionObserver {
-    fn new(registry: Arc<Registry>, session_id: u64) -> Self {
-        let id = session_id.to_string();
-        let [records, damaged] = SESSION_SERIES;
-        SessionObserver {
+impl SessionSeries {
+    /// Resolves (registering on first use) the ingest counters and the
+    /// localizer's frontier gauges in `registry`.
+    #[must_use]
+    pub fn new(registry: Arc<Registry>) -> Self {
+        SessionSeries {
             bytes: registry.counter("pstrace_stream_bytes_total"),
             chunks: registry.counter("pstrace_stream_chunks_total"),
             frames: registry.counter("pstrace_stream_frames_total"),
             records: registry.counter("pstrace_stream_records_total"),
-            session_records: registry.counter_with(records, &[("session", &id)]),
-            session_damaged: registry.counter_with(damaged, &[("session", &id)]),
-            published_records: 0,
+            idle_frames: registry.counter("pstrace_stream_idle_frames_total"),
+            frontier: FrontierGauges::new(&registry),
             registry,
         }
     }
@@ -184,7 +168,6 @@ impl SessionObserver {
                 &[("reason", reason.label())],
             )
             .inc();
-        self.session_damaged.inc();
     }
 
     /// Marks one designed degradation-path activation
@@ -195,6 +178,12 @@ impl SessionObserver {
             .inc();
     }
 }
+
+/// How many damaged frames of one session the flight journal notes one
+/// `Damage` event each; past them, one `damage-elided` event stands for
+/// the rest. The report and the damage counters stay exact, while a
+/// damage storm cannot overwrite its shard's lane.
+const DAMAGE_EVENTS_NOTED: usize = 16;
 
 /// The per-session state machine: the dialect's decoder, the time pass,
 /// and the online localizer.
@@ -221,7 +210,9 @@ pub struct Session {
     bytes: u64,
     chunks: u64,
     started: Instant,
-    obs: Option<SessionObserver>,
+    obs: Option<Arc<SessionSeries>>,
+    /// Committed records already added to the record counter.
+    published_records: usize,
     /// Flight-recorder context: damage and resync events are journaled
     /// under the session's trace-context id when bound.
     flight: Option<FlightHandle>,
@@ -278,6 +269,7 @@ impl Session {
             chunks: 0,
             started: Instant::now(),
             obs: None,
+            published_records: 0,
             flight: None,
         }
     }
@@ -288,33 +280,45 @@ impl Session {
         self.flight = Some(flight);
     }
 
-    /// Wires the session into a shared metric registry:
-    /// ingest/frame/record counters (aggregate and per-`session_id`),
-    /// per-reason damage counters, and the localizer's frontier gauges —
-    /// refreshed at every chunk boundary. Ingest results are identical
-    /// with and without a registry.
-    pub fn set_registry(&mut self, registry: Arc<Registry>, session_id: u64) {
-        self.obs = Some(SessionObserver::new(registry, session_id));
+    /// Wires the session into a registry's aggregate series: the
+    /// ingest/frame/record counters, the per-reason damage counters and
+    /// the localizer's frontier gauges, refreshed at every chunk
+    /// boundary. Ingest results are identical with and without them.
+    pub fn set_series(&mut self, series: Arc<SessionSeries>) {
+        self.obs = Some(series);
     }
 
-    /// Adds the records committed since the last call to the aggregate
-    /// and per-session record counters: once per drained chunk, not per
-    /// record.
-    fn publish_records(&mut self) {
-        if let Some(o) = &mut self.obs {
-            let fresh = (self.records - o.published_records) as u64;
-            o.records.add(fresh);
-            o.session_records.add(fresh);
-            o.published_records = self.records;
+    /// Zeroes the frontier gauges this session publishes: it stopped
+    /// streaming (finished, failed or parked). Stale state would read as
+    /// current and sum wrongly across shards.
+    pub fn clear_frontier(&self) {
+        if let Some(o) = &self.obs {
+            o.frontier.clear();
         }
     }
 
+    /// Adds the records committed since the last call to the record
+    /// counter: once per drained chunk, not per record.
+    fn publish_records(&mut self) {
+        if let Some(o) = &self.obs {
+            o.records
+                .add((self.records - self.published_records) as u64);
+            self.published_records = self.records;
+        }
+    }
+
+    /// Accounts one damaged frame. Its flight event is one of the first
+    /// [`DAMAGE_EVENTS_NOTED`], or the one `damage-elided` after them.
     fn record_damage(&mut self, damaged: DamagedFrame) {
         if let Some(o) = &self.obs {
             o.damage(&damaged.reason);
         }
         if let Some(f) = &self.flight {
-            f.note(EventKind::Damage, damaged.reason.label());
+            match self.damaged.len() {
+                n if n < DAMAGE_EVENTS_NOTED => f.note(EventKind::Damage, damaged.reason.label()),
+                DAMAGE_EVENTS_NOTED => f.note(EventKind::Damage, "damage-elided"),
+                _ => {}
+            }
         }
         self.damage_since_resync += 1;
         self.damaged.push(damaged);
@@ -387,7 +391,7 @@ impl Session {
             // Refresh the live frontier gauges once per chunk, not per
             // record — the gauge write is cheap but the chunk boundary is
             // the natural dashboard cadence.
-            self.localizer.record_frontier(&o.registry);
+            self.localizer.record_frontier(&o.frontier);
         }
     }
 
@@ -439,12 +443,7 @@ impl Session {
         self.maybe_resync();
         self.damaged.sort_by_key(|d| d.frame);
         if let Some(o) = &self.obs {
-            o.registry
-                .counter("pstrace_stream_idle_frames_total")
-                .add(self.idle_frames as u64);
-            // The live frontier gauges go back to zero: this session is
-            // over, and stale state would sum wrongly across shards.
-            OnlineLocalizer::clear_frontier(&o.registry);
+            o.idle_frames.add(self.idle_frames as u64);
         }
         let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
         SessionReport {
@@ -619,6 +618,10 @@ mod tests {
         );
     }
 
+    fn series(registry: &Arc<Registry>) -> Arc<SessionSeries> {
+        Arc::new(SessionSeries::new(Arc::clone(registry)))
+    }
+
     #[test]
     fn observed_session_counters_match_the_report() {
         let (u, schema) = setup();
@@ -627,11 +630,20 @@ mod tests {
         let stream = encode_records(&schema, &recs, None).unwrap();
         let registry = Arc::new(Registry::new());
         let mut session = Session::new(&u, schema.clone(), MatchMode::Prefix);
-        session.set_registry(Arc::clone(&registry), 7);
+        session.set_series(series(&registry));
         for chunk in stream.bytes.chunks(3) {
             session.push_chunk(chunk);
         }
+        let gauge = |name: &str| registry.gauge(name).get();
+        assert!(gauge("pstrace_localizer_records_pushed") > 0);
+        assert!(gauge("pstrace_localizer_frontier_support") > 0);
+        // A session that stops streaming has no live frontier: the
+        // gauges are cleared so per-shard registries sum honestly when
+        // merged, and finishing does not publish them again.
+        session.clear_frontier();
         let report = session.finish(Some(stream.bit_len));
+        assert_eq!(gauge("pstrace_localizer_records_pushed"), 0);
+        assert_eq!(gauge("pstrace_localizer_frontier_support"), 0);
         let counter = |name: &str| registry.counter(name).get();
         assert_eq!(counter("pstrace_stream_bytes_total"), report.metrics.bytes);
         assert_eq!(
@@ -643,21 +655,14 @@ mod tests {
             report.metrics.frames as u64
         );
         assert_eq!(
+            counter("pstrace_stream_idle_frames_total"),
+            report.metrics.idle_frames as u64
+        );
+        assert_eq!(
             counter("pstrace_stream_records_total"),
             report.metrics.records as u64
         );
-        assert_eq!(
-            registry
-                .counter_with("pstrace_session_records_total", &[("session", "7")])
-                .get(),
-            report.metrics.records as u64
-        );
-        assert_eq!(
-            registry
-                .counter_with("pstrace_session_damaged_frames_total", &[("session", "7")])
-                .get(),
-            report.metrics.damaged_frames as u64
-        );
+        assert_eq!(report.metrics.damaged_frames, 1);
         assert_eq!(
             registry
                 .counter_with(
@@ -667,13 +672,11 @@ mod tests {
                 .get(),
             1
         );
-        // A finished session has no live frontier: the gauges are
-        // cleared so per-shard registries sum honestly when merged.
-        assert_eq!(registry.gauge("pstrace_localizer_records_pushed").get(), 0);
-        assert_eq!(
-            registry.gauge("pstrace_localizer_frontier_support").get(),
-            0
-        );
+        // The registry holds aggregates only: nothing is keyed by session.
+        assert!(registry
+            .samples()
+            .iter()
+            .all(|(key, _)| key.labels().iter().all(|(label, _)| label != "session")));
         // Instrumentation must not change the ingest outcome.
         let mut plain = Session::new(&u, schema, MatchMode::Prefix);
         plain.push_chunk(&stream.bytes);
@@ -691,21 +694,13 @@ mod tests {
         for (recs, spikes) in [(clean, 0), (spiked, 1)] {
             let stream = encode_records(&schema, &recs, None).unwrap();
             let registry = Arc::new(Registry::new());
-            let published = || {
-                (
-                    registry.counter("pstrace_stream_records_total").get(),
-                    registry
-                        .counter_with("pstrace_session_records_total", &[("session", "3")])
-                        .get(),
-                )
-            };
+            let published = || registry.counter("pstrace_stream_records_total").get();
             let mut session = Session::new(&u, schema.clone(), MatchMode::Prefix);
-            session.set_registry(Arc::clone(&registry), 3);
+            session.set_series(series(&registry));
             let mut held = 0;
             for chunk in stream.bytes.chunks(3) {
                 session.push_chunk(chunk);
-                let committed = session.records as u64;
-                assert_eq!(published(), (committed, committed));
+                assert_eq!(published(), session.records as u64);
                 held += usize::from(session.time.is_holding());
             }
             assert!(held > 0, "the newest record is held back");
@@ -713,9 +708,60 @@ mod tests {
             let report = session.finish(Some(stream.bit_len));
             assert_eq!(report.damaged.len(), spikes);
             assert_eq!(report.metrics.records, recs.len() - spikes);
-            let total = report.metrics.records as u64;
-            assert_eq!(published(), (total, total));
+            assert_eq!(published(), report.metrics.records as u64);
         }
+    }
+
+    #[test]
+    fn a_damage_storm_notes_a_bounded_number_of_flight_events() {
+        use pstrace_obs::FlightRecorder;
+
+        let (u, schema) = setup();
+        let m = records(&u)[0].message;
+        // Two clean records, then every record regresses below them.
+        let recs: Vec<WireRecord> = [100, 200]
+            .into_iter()
+            .chain(std::iter::repeat(0).take(200))
+            .map(|time| WireRecord {
+                time,
+                message: m,
+                value: 1,
+                partial: false,
+            })
+            .collect();
+        let stream = encode_records(&schema, &recs, None).unwrap();
+        let registry = Arc::new(Registry::new());
+        let recorder = Arc::new(FlightRecorder::new(1, 1024));
+        let mut session = Session::new(&u, schema, MatchMode::Prefix);
+        session.set_series(series(&registry));
+        session.set_flight(FlightHandle::new(Arc::clone(&recorder), 0, 1, 1));
+        for chunk in stream.bytes.chunks(16) {
+            session.push_chunk(chunk);
+        }
+        let report = session.finish(Some(stream.bit_len));
+        assert_eq!(report.metrics.damaged_frames, 200);
+        assert_eq!(
+            registry
+                .counter_with(
+                    "pstrace_stream_damaged_frames_total",
+                    &[("reason", "time-regression")]
+                )
+                .get(),
+            200,
+            "the damage counter stays exact"
+        );
+        let damage: Vec<&str> = recorder
+            .snapshot()
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Damage)
+            .map(|e| pstrace_obs::reason_label(e.reason))
+            .collect();
+        assert_eq!(damage.len(), DAMAGE_EVENTS_NOTED + 1);
+        assert!(damage[..DAMAGE_EVENTS_NOTED]
+            .iter()
+            .all(|&r| r == "time-regression"));
+        assert_eq!(damage[DAMAGE_EVENTS_NOTED], "damage-elided");
     }
 
     #[test]
@@ -745,7 +791,7 @@ mod tests {
         let stream = encode_records(&schema, &recs, None).unwrap();
         let registry = Arc::new(Registry::new());
         let mut session = Session::new(&u, schema.clone(), MatchMode::Prefix);
-        session.set_registry(Arc::clone(&registry), 9);
+        session.set_series(series(&registry));
         for chunk in stream.bytes.chunks(2) {
             session.push_chunk(chunk);
         }

@@ -5,7 +5,10 @@
 //! [`Registry`](pstrace_obs::Registry), so the ingest hot path touches
 //! no cross-thread locks at all — the only shared state is the tenant
 //! governor (one short lock per session *open*, never per chunk) and the
-//! mpsc inbox every message reaches the shard through.
+//! mpsc inbox every message reaches the shard through. The registry
+//! holds aggregates only, and the shard resolves their handles when it
+//! starts; a session's own numbers are in its report and its flight
+//! timeline.
 //!
 //! Resume tokens encode their owning shard (`token % shard_count`). A
 //! connection's reader decodes its request and opens it on the shard
@@ -52,7 +55,7 @@
 //! sessions that arrive together share one sync while a lone one pays
 //! exactly one.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,9 +67,9 @@ use std::time::Instant;
 
 use pstrace_codec::flight::write_flight_dump;
 use pstrace_codec::DEFAULT_SYNC_EVERY;
-use pstrace_diag::OnlineLocalizer;
 use pstrace_obs::{
-    merged_samples, render_prometheus_samples, EventKind, FlightHandle, FlightRecorder, Registry,
+    merged_samples, render_prometheus_samples, Counter, EventKind, FlightHandle, FlightRecorder,
+    Gauge, Registry,
 };
 use pstrace_soc::SocModel;
 
@@ -76,7 +79,7 @@ use crate::proto::{self, Chunk, Hello, Request};
 use crate::reader::{Link, Wire};
 use crate::recover::RecoveredState;
 use crate::server::{degrade, open_session, wake_acceptor, ServerConfig};
-use crate::session::{remove_session_series, Session};
+use crate::session::{Session, SessionSeries};
 use crate::wal::{SessionRecord, WalRecord, WalWriter};
 
 /// What a connection's reader made of its first bytes: the request, or
@@ -155,18 +158,7 @@ pub(crate) struct FleetCtx {
     /// built without one); shutdown connects to it once to wake the
     /// acceptor.
     pub listen_addr: Option<SocketAddr>,
-    /// Ended sessions whose per-session series are still exposed, oldest
-    /// first, each with the registry it was observed into: at most
-    /// [`ENDED_SERIES_KEPT`], counted daemon-wide, so an N-shard
-    /// exposition keeps the same sessions as a 1-shard one.
-    pub ended_series: Mutex<VecDeque<(u64, Arc<Registry>)>>,
 }
-
-/// How many ended sessions keep their per-session series in the
-/// exposition; live and parked sessions always keep theirs. Without a
-/// cap a long-lived daemon's registry and every scrape grow by two
-/// series per session.
-pub(crate) const ENDED_SERIES_KEPT: usize = 64;
 
 /// Minimum recorder-clock time between automatic dump spills, so a
 /// degradation storm costs one file write per window, not per event.
@@ -213,30 +205,8 @@ impl FleetCtx {
             recovered: slots.into_iter().map(Mutex::new).collect(),
             recovered_max_token: recovered.max_token,
             listen_addr,
-            ended_series: Mutex::new(VecDeque::with_capacity(ENDED_SERIES_KEPT + 1)),
         };
         (ctx, receivers)
-    }
-
-    /// Notes that session `session_id`, observed into `registry`, ended
-    /// for good, and removes the series of the oldest ended session past
-    /// the [`ENDED_SERIES_KEPT`] newest.
-    pub(crate) fn retire_series(&self, session_id: u64, registry: &Arc<Registry>) {
-        let oldest = {
-            let mut ended = self
-                .ended_series
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            ended.push_back((session_id, Arc::clone(registry)));
-            if ended.len() > ENDED_SERIES_KEPT {
-                ended.pop_front()
-            } else {
-                None
-            }
-        };
-        if let Some((id, registry)) = oldest {
-            remove_session_series(&registry, id);
-        }
     }
 
     /// The one way to start the drain, whoever asks — the owning
@@ -396,6 +366,9 @@ pub(crate) struct Shed {
 pub(crate) struct Ticket {
     inner: Arc<GovernorInner>,
     tenant: u32,
+    /// The tenant's `pstrace_tenant_active_sessions` gauge, resolved at
+    /// admission.
+    active: Gauge,
 }
 
 impl TenantGovernor {
@@ -438,16 +411,15 @@ impl TenantGovernor {
         state.total += 1;
         *state.per_tenant.entry(tenant).or_insert(0) += 1;
         drop(state);
-        self.inner
-            .root
-            .gauge_with(
-                "pstrace_tenant_active_sessions",
-                &[("tenant", &tenant.to_string())],
-            )
-            .add(1);
+        let active = self.inner.root.gauge_with(
+            "pstrace_tenant_active_sessions",
+            &[("tenant", &tenant.to_string())],
+        );
+        active.add(1);
         Ok(Ticket {
             inner: Arc::clone(&self.inner),
             tenant,
+            active,
         })
     }
 }
@@ -463,13 +435,7 @@ impl Drop for Ticket {
             }
         }
         drop(state);
-        self.inner
-            .root
-            .gauge_with(
-                "pstrace_tenant_active_sessions",
-                &[("tenant", &self.tenant.to_string())],
-            )
-            .sub(1);
+        self.active.sub(1);
     }
 }
 
@@ -550,11 +516,55 @@ enum Timer {
     Drain,
 }
 
+/// A shard's aggregate series, resolved once when the shard starts, so
+/// the session lifecycle bumps them without a registry lookup.
+#[derive(Debug)]
+struct ShardSeries {
+    sessions: Counter,
+    completed: Counter,
+    failed: Counter,
+    parked: Counter,
+    resumed: Counter,
+    recovered: Counter,
+    handoffs: Counter,
+    metrics_requests: Counter,
+    worker_panics: Counter,
+    active: Gauge,
+    /// Registered only when the shard has a WAL.
+    fsyncs: Counter,
+    /// What each session on this shard feeds.
+    session: Arc<SessionSeries>,
+}
+
+impl ShardSeries {
+    fn new(registry: &Arc<Registry>, durable: bool) -> ShardSeries {
+        ShardSeries {
+            sessions: registry.counter("pstrace_stream_sessions_total"),
+            completed: registry.counter("pstrace_stream_completed_total"),
+            failed: registry.counter("pstrace_stream_failed_total"),
+            parked: registry.counter("pstrace_stream_parked_total"),
+            resumed: registry.counter("pstrace_stream_resumed_total"),
+            recovered: registry.counter("pstrace_stream_recovered_total"),
+            handoffs: registry.counter("pstrace_stream_handoffs_total"),
+            metrics_requests: registry.counter("pstrace_stream_metrics_requests_total"),
+            worker_panics: registry.counter("pstrace_stream_worker_panics_total"),
+            active: registry.gauge("pstrace_stream_active_sessions"),
+            fsyncs: if durable {
+                registry.counter("pstrace_wal_fsyncs_total")
+            } else {
+                Counter::default()
+            },
+            session: Arc::new(SessionSeries::new(Arc::clone(registry))),
+        }
+    }
+}
+
 /// One shard's private state: the session lifecycle, with no sockets.
 struct Shard {
     ctx: Arc<FleetCtx>,
     index: usize,
     registry: Arc<Registry>,
+    series: ShardSeries,
     /// Parked sessions by token, each with its expiry deadline.
     parked: HashMap<u64, (Live, Instant)>,
     /// Every pending deadline, earliest first: the shard sleeps until the
@@ -575,9 +585,6 @@ impl Shard {
     /// re-parks the sessions recovery rebuilt for it.
     fn new(ctx: Arc<FleetCtx>, index: usize, now: Instant) -> Shard {
         let registry = Arc::clone(&ctx.registries[index + 1]);
-        // Eagerly materialize the gauge so an idle daemon's exposition
-        // still shows `pstrace_stream_active_sessions 0`.
-        let _ = registry.gauge("pstrace_stream_active_sessions");
         let shard_count = ctx.senders.len();
         let wal = ctx.wal_dir.as_ref().and_then(|dir| {
             WalWriter::open(
@@ -591,10 +598,9 @@ impl Shard {
             .map_err(|_| degrade(&registry, "wal-append-degraded"))
             .ok()
         });
-        if wal.is_some() {
-            // Materialized so a durable daemon's exposition shows 0.
-            let _ = registry.counter("pstrace_wal_fsyncs_total");
-        }
+        // Resolved up front, so an idle daemon's exposition shows its
+        // totals (and a durable one's fsyncs) at 0.
+        let series = ShardSeries::new(&registry, wal.is_some());
         let recovered = ctx.recovered[index]
             .lock()
             .map(|mut slot| std::mem::take(&mut *slot))
@@ -604,6 +610,7 @@ impl Shard {
             ctx,
             index,
             registry,
+            series,
             parked: HashMap::new(),
             timers: BTreeSet::new(),
             wal,
@@ -663,12 +670,7 @@ impl Shard {
         };
         let before = wal.syncs();
         let failed = op(wal).is_err();
-        let synced = wal.syncs() - before;
-        if synced > 0 {
-            self.registry
-                .counter("pstrace_wal_fsyncs_total")
-                .add(synced);
-        }
+        self.series.fsyncs.add(wal.syncs() - before);
         failed
     }
 
@@ -728,8 +730,8 @@ impl Shard {
         } else {
             hello.trace
         };
-        let mut session = open_session(&self.ctx, &hello, &self.registry, session_id)
-            .map_err(Refused::Invalid)?;
+        let mut session =
+            open_session(&self.ctx, &hello, &self.series.session).map_err(Refused::Invalid)?;
         session.set_flight(FlightHandle::new(
             Arc::clone(&self.ctx.flight),
             self.lane(),
@@ -753,7 +755,7 @@ impl Shard {
 
     /// Opens a brand-new session, plain (`token` 0) or fresh-resumable.
     fn open_streaming(&mut self, hello: Hello, token: u64) -> Next {
-        self.registry.counter("pstrace_stream_sessions_total").inc();
+        self.series.sessions.inc();
         let hello_trace = hello.trace;
         let error = match self.open_live(hello, token, None) {
             Ok(live) => {
@@ -777,7 +779,7 @@ impl Shard {
             }
             Err(Refused::Invalid(e)) => e,
         };
-        self.registry.counter("pstrace_stream_failed_total").inc();
+        self.series.failed.inc();
         self.ctx.wake_waiters();
         Next::Reply(false, error.to_string())
     }
@@ -790,9 +792,7 @@ impl Shard {
             let Some(live) = self.reopen(r) else {
                 continue;
             };
-            self.registry
-                .counter("pstrace_stream_recovered_total")
-                .inc();
+            self.series.recovered.inc();
             let (trace, session_id) = (live.record.trace, live.record.session_id);
             self.note(trace, session_id, EventKind::Recover, "sessions-restored");
             self.park(live, now);
@@ -830,7 +830,7 @@ impl Shard {
 
     /// Hands an opened or picked-up session to the shell for streaming.
     fn stream(&self, live: Live) -> Next {
-        self.registry.gauge("pstrace_stream_active_sessions").add(1);
+        self.series.active.add(1);
         let ack = live.token().map(|_| live.session.metrics().bytes);
         Next::Stream(Box::new(live), ack)
     }
@@ -839,9 +839,7 @@ impl Shard {
     fn handle_request(&mut self, id: u64, request: Request) -> Next {
         match request {
             Request::Metrics => {
-                self.registry
-                    .counter("pstrace_stream_metrics_requests_total")
-                    .inc();
+                self.series.metrics_requests.inc();
                 Next::Reply(true, self.ctx.exposition())
             }
             Request::Shutdown => {
@@ -864,7 +862,7 @@ impl Shard {
                 if id % self.shard_count() as u64 != self.index as u64 {
                     // Routed here by its token, past the shard of its
                     // connection id.
-                    self.registry.counter("pstrace_stream_handoffs_total").inc();
+                    self.series.handoffs.inc();
                     self.note(hello.trace, token, EventKind::Handoff, "");
                 }
                 let picked = if epoch == self.ctx.epoch {
@@ -906,7 +904,7 @@ impl Shard {
                 "resume hello does not match the parked session".to_owned(),
             ));
         }
-        self.registry.counter("pstrace_stream_resumed_total").inc();
+        self.series.resumed.inc();
         self.note(
             live.record.trace,
             live.record.session_id,
@@ -935,7 +933,7 @@ impl Shard {
 
     /// The one way out of `conn`'s streaming session: transport death,
     /// budget close, FINISH and panic teardown all end here. The session
-    /// stops counting as active and its frontier gauges clear. A parked
+    /// stops counting as active and clears its frontier gauges. A parked
     /// session keeps its seat and token; any other end frees the seat,
     /// and a resumable session leaves its record on `conn`: its token
     /// dies only once the reader has written the reply, when `Closed`
@@ -945,14 +943,12 @@ impl Shard {
     /// when `conn` streams nothing).
     fn end(&mut self, conn: &mut Conn, outcome: Outcome, now: Instant) -> Option<(bool, String)> {
         let live = *conn.live.take()?;
-        self.registry.gauge("pstrace_stream_active_sessions").sub(1);
-        // However the session ends, it is no longer live-streaming:
-        // stale frontier gauges would sum wrongly across shards.
-        OnlineLocalizer::clear_frontier(&self.registry);
+        self.series.active.sub(1);
+        live.session.clear_frontier();
         let (trace, id) = (live.record.trace, live.record.session_id);
         let reply = match outcome {
             Outcome::Parked => {
-                self.registry.counter("pstrace_stream_parked_total").inc();
+                self.series.parked.inc();
                 self.note(trace, id, EventKind::Park, "session-parked");
                 self.note_degrade("session-parked", trace, id);
                 self.park(live, now);
@@ -963,9 +959,7 @@ impl Shard {
                 let report = live.session.finish(Some(bit_len));
                 self.note(trace, id, EventKind::Finish, "");
                 self.note(trace, id, EventKind::Close, "");
-                self.registry
-                    .counter("pstrace_stream_completed_total")
-                    .inc();
+                self.series.completed.inc();
                 let text = format!(
                     "session over scenario {scenario} ({:?} match)\n{}",
                     report.mode,
@@ -975,12 +969,11 @@ impl Shard {
             }
             Outcome::Failed { reason, message } => {
                 self.note(trace, id, EventKind::Close, reason);
-                self.registry.counter("pstrace_stream_failed_total").inc();
+                self.series.failed.inc();
                 (false, message)
             }
         };
         conn.ended = (live.record.token != 0).then_some(live.record);
-        self.ctx.retire_series(id, &self.registry);
         self.ctx.wake_waiters();
         Some(reply)
     }
@@ -997,10 +990,7 @@ impl Shard {
             .map(|(&token, _)| token)
             .collect();
         for token in expired {
-            if let Some((live, _)) = self.parked.remove(&token) {
-                self.ctx
-                    .retire_series(live.record.session_id, &self.registry);
-            }
+            self.parked.remove(&token);
             self.wal_append(WalRecord::Complete { token });
         }
     }
@@ -1195,9 +1185,7 @@ impl Shard {
     /// A panic escaped a connection's step: the connection's session
     /// ends like any other failure, and the connection closes.
     fn respawn(&mut self, conn: &mut Conn, now: Instant) -> Verdict {
-        self.registry
-            .counter("pstrace_stream_worker_panics_total")
-            .inc();
+        self.series.worker_panics.inc();
         self.note(0, 0, EventKind::Respawn, "worker-respawn");
         self.note_degrade("worker-respawn", 0, 0);
         let outcome = Outcome::Failed {
@@ -1478,6 +1466,7 @@ mod tests {
     use std::time::Duration;
 
     use pstrace_diag::MatchMode;
+    use pstrace_obs::DEFAULT_FLIGHT_CAPACITY;
     use pstrace_soc::{wirecap, SimConfig, Simulator, TraceBufferConfig};
     use pstrace_wire::{read_ptw_header, write_ptw, ProfileV1};
 
@@ -1755,19 +1744,9 @@ mod tests {
     fn an_expired_parked_session_leaves_the_journal() {
         let mut rig = rig("expire", ServerConfig::default());
         let (live, _) = rig.resume(0);
-        let id = live.record.session_id;
         let outcome = live.death("transport closed");
         rig.end(live, outcome);
         rig.assert_durable(&[], "park");
-        let newest_ended = |rig: &Rig| {
-            let ended = rig.shell.shard.ctx.ended_series.lock().unwrap();
-            ended.back().map(|(id, _)| *id)
-        };
-        assert_eq!(
-            newest_ended(&rig),
-            None,
-            "a parked session keeps its series"
-        );
 
         rig.shell.shard.expire_parked(Instant::now());
         assert_eq!(
@@ -1782,7 +1761,64 @@ mod tests {
         assert!(rig.shell.shard.parked.is_empty());
         rig.assert_durable(&[], "expire");
         assert_eq!(rig.active(), 0);
-        assert_eq!(newest_ended(&rig), Some(id), "an expired session has ended");
+    }
+
+    #[test]
+    fn a_damage_storm_cannot_erase_another_sessions_timeline() {
+        use pstrace_wire::{decode_with, encode_records, WireRecord};
+
+        let mut rig = rig("storm", ServerConfig::default());
+        let open_plain = |rig: &mut Rig| {
+            let request = Request::Session(rig.hello.clone());
+            match rig.shell.shard.handle_request(0, request) {
+                Next::Stream(live, None) => live,
+                other => panic!("expected a plain stream, got {other:?}"),
+            }
+        };
+        let mut quiet = open_plain(&mut rig);
+        let quiet_id = quiet.record.session_id;
+        let payload = rig.payload.clone();
+        assert!(rig.feed(&mut quiet, &payload).is_none());
+        let bit_len = rig.bit_len;
+        let (_, reply) = rig.end(quiet, Outcome::Finished { bit_len });
+        assert!(reply.expect("a report").0);
+
+        // Two clean records, then 10^4 that regress below them.
+        let catalog = rig.shell.shard.ctx.model.catalog();
+        let (schema, _, _) = read_ptw_header(catalog, &rig.hello.schema).unwrap();
+        let first = decode_with(&ProfileV1, &schema, &payload, Some(bit_len)).records[0];
+        let records: Vec<WireRecord> = [100, 200]
+            .into_iter()
+            .chain(std::iter::repeat(0).take(10_000))
+            .map(|time| WireRecord { time, ..first })
+            .collect();
+        let storm_stream = encode_records(&schema, &records, None).unwrap();
+        let mut storm = open_plain(&mut rig);
+        let storm_id = storm.record.session_id;
+        for chunk in storm_stream.bytes.chunks(4096) {
+            assert!(rig.feed(&mut storm, chunk).is_none());
+        }
+        assert_eq!(storm.session.metrics().damaged_frames, 10_000);
+        let bit_len = storm_stream.bit_len;
+        rig.end(storm, Outcome::Finished { bit_len });
+
+        let flight = rig.shell.shard.ctx.flight.snapshot();
+        assert!(flight.events.len() < DEFAULT_FLIGHT_CAPACITY);
+        let damage = flight
+            .events
+            .iter()
+            .filter(|e| e.session == storm_id && e.kind == EventKind::Damage)
+            .count();
+        assert!(damage <= 17, "{damage} damage events");
+        for kind in [EventKind::Open, EventKind::Close] {
+            assert!(
+                flight
+                    .events
+                    .iter()
+                    .any(|e| e.session == quiet_id && e.kind == kind),
+                "the quiet session's {kind:?} was overwritten"
+            );
+        }
     }
 
     #[test]

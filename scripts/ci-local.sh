@@ -221,6 +221,7 @@ if grep -rnE --include='*.rs' 'allow\([^)]*dead_code' crates/ src/ tests/ exampl
     echo "allow(dead_code) found: delete the dead code instead" >&2
     exit 1
 fi
+run python3 scripts/check_dev_deps.py
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --locked -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use pstrace::diag::MatchMode;
 use pstrace::faults::{poll_until, stable_lines, watchdog, Fixture};
-use pstrace::obs::EventKind;
+use pstrace::obs::{EventKind, Sample};
 use pstrace::stream::durable::{
     decode_entry, wal_path, DurabilityPolicy, WalRecord, SCHEMA_CHUNK_BYTES, WAL_ENTRY_BYTES,
 };
@@ -351,6 +351,56 @@ fn strict_wal_syncs_once_per_resumable_session() {
     let snap = server.snapshot();
     assert_eq!(snap.completed, SESSIONS, "{snap:?}");
     assert_eq!(snap.fsyncs - before, SESSIONS, "{snap:?}");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn each_rotation_adds_two_syncs_to_one_per_resumable_session() {
+    let _guard = watchdog(Duration::from_secs(120), "rotation sync count");
+    let dir = wal_dir("rotation-syncs");
+    let fx = Fixture::new(200).unwrap();
+    let cap = split_ptw(fx.model.catalog(), &fx.ptw).unwrap();
+    // A session journals its open group (Open plus the schema's chunks)
+    // and, once its reply is out, one Complete. The budget is three
+    // sessions' worth, and the journal's Epoch header fills the first
+    // generation's missing Complete, so a rotation follows every third
+    // open group (or, when a reader's `Closed` trails the next open,
+    // the Complete after it).
+    let per_session = (2 + cap.header.len().div_ceil(SCHEMA_CHUNK_BYTES)) * WAL_ENTRY_BYTES;
+    const PER_ROTATION: usize = 3;
+    const SESSIONS: usize = 10;
+    let server = Server::spawn(
+        Arc::clone(&fx.model),
+        &ServerConfig {
+            shards: 1,
+            wal_budget: (PER_ROTATION * per_session) as u64,
+            ..durable_config(&dir)
+        },
+    )
+    .unwrap();
+    for _ in 0..SESSIONS {
+        run_resumable(&server, &cap, 0, 0);
+    }
+    let rotations: u64 = server
+        .merged_samples()
+        .iter()
+        .filter(|(key, _)| {
+            key.name() == "pstrace_degradation_events_total"
+                && key.labels() == [("path".to_owned(), "wal-rotate".to_owned())]
+        })
+        .map(|(_, sample)| match sample {
+            Sample::Counter(n) => *n,
+            other => panic!("a counter, not {other:?}"),
+        })
+        .sum();
+    let snap = server.snapshot();
+    assert_eq!(snap.completed, SESSIONS as u64, "{snap:?}");
+    assert_eq!(rotations, (SESSIONS / PER_ROTATION) as u64);
+    assert!(rotations >= 2);
+    // One commit sync per session, two per rotation (the compacted
+    // generation, then the directory that renamed it into place).
+    assert_eq!(snap.fsyncs, SESSIONS as u64 + 2 * rotations, "{snap:?}");
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -6,6 +6,7 @@
 //! finishing during a drain, and counted on the owner alone), and a
 //! METRICS client that never reads its reply.
 
+use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -13,9 +14,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pstrace::codec::flight::{read_flight_dump, write_flight_dump};
+use pstrace::codec::DEFAULT_SYNC_EVERY;
 use pstrace::diag::MatchMode;
 use pstrace::faults::{poll_until, slot_cycling_records, stable_lines, watchdog};
-use pstrace::obs::{render_prometheus_samples, EventKind, Registry};
+use pstrace::obs::{merged_samples, render_prometheus_samples, EventKind, Registry, Sample};
 use pstrace::soc::{wirecap, SocModel, TraceBufferConfig};
 use pstrace::stream::durable::DurabilityPolicy;
 use pstrace::stream::proto::{self, Hello, Request};
@@ -270,6 +273,7 @@ fn shutdown_under_sustained_load_returns_within_the_drain_timeout() {
     );
 
     let flight = Arc::clone(server.flight_recorder());
+    let registries = server.registries();
     let started = Instant::now();
     server.shutdown();
     let took = started.elapsed();
@@ -284,22 +288,47 @@ fn shutdown_under_sustained_load_returns_within_the_drain_timeout() {
         "shutdown under load took {took:?} against a {drain:?} drain"
     );
     // From above, the daemon's own flight stamps bound it, which the
-    // test thread's scheduling cannot stretch: the loaded shard journals
-    // decoder damage for as long as it ingests the clients' replayed
-    // payloads (so many events that they overwrite its `Drain` stamp),
-    // and the last event it journaled follows the `Shutdown` stamp by
-    // no more than the drain timeout and a wake.
-    let events = flight.snapshot().events;
-    let shutdown = events
-        .iter()
-        .find(|e| e.kind == EventKind::Shutdown)
-        .expect("a Shutdown event")
-        .ts_ns;
-    let last = events.last().expect("events").ts_ns;
-    let drained = Duration::from_nanos(last.saturating_sub(shutdown));
+    // test thread's scheduling cannot stretch: the shard's drain ends
+    // one drain timeout after its `Drain` stamp, and that stamp follows
+    // the `Shutdown` stamp by one wake. Every client's payload replays
+    // as damage, but a session journals only its first few damaged
+    // frames, so the stamps survive.
+    let snapshot = flight.snapshot();
+    let stamp = |kind: EventKind| {
+        snapshot
+            .events
+            .iter()
+            .find(|e| e.kind == kind)
+            .unwrap_or_else(|| panic!("no {kind:?} stamp survived"))
+            .ts_ns
+    };
+    let reacted =
+        Duration::from_nanos(stamp(EventKind::Drain).saturating_sub(stamp(EventKind::Shutdown)));
     assert!(
-        drained < drain + Duration::from_secs(2),
-        "the loaded shard journaled for {drained:?} after the shutdown against a {drain:?} drain"
+        reacted < Duration::from_secs(2),
+        "the loaded shard began its {drain:?} drain {reacted:?} after the shutdown"
+    );
+    assert_eq!(snapshot.overwritten, 0, "the shard's lane wrapped");
+    let opened = snapshot
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Open)
+        .count();
+    assert_eq!(opened, 3, "every client's Open stamp survives");
+    // One Degradation event per counter increment, in the dump as in
+    // the exposition.
+    let dump = write_flight_dump(&snapshot.events, DEFAULT_SYNC_EVERY).unwrap();
+    let counted: BTreeMap<String, u64> = merged_samples(&registries)
+        .into_iter()
+        .filter(|(key, _)| key.name() == "pstrace_degradation_events_total")
+        .filter_map(|(key, sample)| match sample {
+            Sample::Counter(n) if n > 0 => Some((key.labels()[0].1.clone(), n)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        read_flight_dump(&dump).unwrap().degradation_counts(),
+        counted
     );
 }
 

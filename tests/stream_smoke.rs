@@ -92,9 +92,22 @@ fn loopback_stream_reproduces_batch_debug_localization() {
             "missing `{line}` in exposition:\n{exposition}"
         );
     }
+    // The registry holds aggregates only; the session's own record
+    // count is the report's.
+    let records = report
+        .lines()
+        .find_map(|line| {
+            let counts = line.trim().strip_prefix("frames          : ")?;
+            Some(counts.split(", ").nth(3)?.split_once(" records")?.0)
+        })
+        .expect("the report counts its records");
     assert!(
-        exposition.contains("pstrace_session_records_total{session=\"1\"}"),
-        "per-session counter missing:\n{exposition}"
+        exposition.contains(&format!("pstrace_stream_records_total {records}\n")),
+        "records total differs from the report's {records}:\n{exposition}"
+    );
+    assert!(
+        !exposition.contains("session=\""),
+        "no series is keyed by session:\n{exposition}"
     );
     let snap = server.snapshot();
     assert_eq!(snap.sessions, 1);
